@@ -39,9 +39,9 @@ type cacheEntry struct {
 	prog *asm.Program
 	err  error
 
-	compiled   bool // compile attempted
-	cprog      *compile.Program
-	compileErr error
+	compileOnce sync.Once // guards the compiled form, per entry
+	cprog       *compile.Program
+	compileErr  error
 }
 
 // NewCache returns an empty kernel cache.
@@ -82,29 +82,26 @@ func (c *Cache) Band(cfg BandConfig) (*asm.Program, error) {
 	return e.prog, e.err
 }
 
-// compiled resolves the compiled form of an entry, building it at most
-// once under the cache lock (compilation is deterministic and fast; a
-// coarse lock keeps the negative-caching atomic with the asm form).
+// compiledForm resolves the compiled form of an entry, building it at
+// most once. Compilation runs the full analyzer, so it happens under the
+// entry's own sync.Once rather than the cache-wide lock: distinct kernels
+// compile concurrently, and callers of one key wait only for that key.
 func (c *Cache) compiledForm(key Key, generate func() (*asm.Program, error),
 	opts func() (compile.Options, error)) (*compile.Program, error) {
 
 	e := c.entry(key, generate)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.compiled {
-		return e.cprog, e.compileErr
-	}
-	e.compiled = true
-	if e.err != nil {
-		e.compileErr = e.err
-		return nil, e.compileErr
-	}
-	o, err := opts()
-	if err != nil {
-		e.compileErr = err
-		return nil, err
-	}
-	e.cprog, e.compileErr = compile.Compile(e.prog, o)
+	e.compileOnce.Do(func() {
+		if e.err != nil {
+			e.compileErr = e.err
+			return
+		}
+		o, err := opts()
+		if err != nil {
+			e.compileErr = err
+			return
+		}
+		e.cprog, e.compileErr = compile.Compile(e.prog, o)
+	})
 	return e.cprog, e.compileErr
 }
 

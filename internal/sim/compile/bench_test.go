@@ -8,35 +8,82 @@ import (
 	"autogemm/internal/sim/compile"
 )
 
-// benchSetup builds one representative kernel and its operands.
-func benchSetup(b *testing.B) (*mkernel.Cache, mkernel.Config, []float32, []float32, []float32, int64, int64, int64) {
-	cfg := mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4,
+// Per-kernel benchmarks. Each reports ns/fmla, the time per executed
+// 4-lane FMLA, beside the usual per-run figures (SetBytes carries the
+// run's flops, so MB/s reads as MFLOP/s). The kernels span the cases the
+// block scheduler helps most and least:
+//   - a 4×8 tile at KC = 64, where the k-loop dominates;
+//   - a fused two-tile band, whose tile boundary interleaves the first
+//     tile's stores with the second tile's loads;
+//   - a 4×8 tile at KC = σ+1, where the prologue and epilogue dominate.
+
+var (
+	benchKernel = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4,
 		Rotate: true, SigmaAI: 4.0, LoadC: true}
-	bo := cfg.Tile
-	lda := int64(cfg.KC + cfg.Lanes)
-	ldb := int64(bo.NR)
-	ldc := int64(bo.NR)
-	lenA := int(int64(bo.MR-1)*lda) + cfg.KC + cfg.Lanes
-	lenB := int(int64(cfg.KC+2-1)*ldb) + bo.NR
-	lenC := int(int64(bo.MR-1)*ldc) + bo.NR
-	a := make([]float32, lenA)
-	bp := make([]float32, lenB)
-	c := make([]float32, lenC)
+	benchShortKC = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 5, Lanes: 4,
+		Rotate: true, SigmaAI: 4.0, LoadC: true}
+	benchBand = mkernel.BandConfig{
+		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
+		KC:       64, Lanes: 4, Rotate: true, Fuse: true, LoadC: true, SigmaAI: 4.0}
+)
+
+// benchOperands sizes A, B and C for cp's panel model with tight
+// leading dimensions and fills A and B.
+func benchOperands(cp *compile.Program) (a, bp, c []float32, lda, ldb, ldc int64) {
+	bo := cp.Bounds
+	lda = int64(bo.KC + bo.AOverVectors*bo.Lanes)
+	ldb, ldc = int64(bo.NR), int64(bo.NR)
+	a = make([]float32, bo.AExtent(lda))
+	bp = make([]float32, bo.BExtent(ldb))
+	c = make([]float32, bo.CExtent(ldc))
 	for i := range a {
 		a[i] = float32(i%13) * 0.5
 	}
 	for i := range bp {
 		bp[i] = float32(i%7) * 0.25
 	}
-	return mkernel.NewCache(), cfg, a, bp, c, lda, ldb, ldc
+	return a, bp, c, lda, ldb, ldc
 }
 
-func BenchmarkKernelInterpreted(b *testing.B) {
-	cache, cfg, a, bp, c, lda, ldb, ldc := benchSetup(b)
-	p, err := cache.Kernel(cfg)
+// fmlasPerRun is the number of FMLAs one run of cp executes: MR·NR/σ
+// per k-step.
+func fmlasPerRun(cp *compile.Program) int {
+	bo := cp.Bounds
+	return bo.MR * bo.NR / bo.Lanes * bo.KC
+}
+
+func reportPerFmla(b *testing.B, fmlas int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fmlas), "ns/fmla")
+}
+
+func runCompiledBench(b *testing.B, cp *compile.Program, err error) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	a, bp, c, lda, ldb, ldc := benchOperands(cp)
+	e := compile.NewEnv(cp.Lanes)
+	fmlas := fmlasPerRun(cp)
+	b.SetBytes(int64(2 * cp.Lanes * fmlas))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, 1<<30); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerFmla(b, fmlas)
+}
+
+func BenchmarkKernelInterpreted(b *testing.B) {
+	cache := mkernel.NewCache()
+	cp, err := cache.CompiledKernel(benchKernel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := cache.Kernel(benchKernel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, bp, c, lda, ldb, ldc := benchOperands(cp)
 	ar := sim.NewArena(len(a) + len(bp) + len(c) + 64)
 	aAddr := ar.Alloc(len(a))
 	bAddr := ar.Alloc(len(bp))
@@ -44,9 +91,9 @@ func BenchmarkKernelInterpreted(b *testing.B) {
 	ar.Freeze()
 	copy(ar.Slice(aAddr, len(a)), a)
 	copy(ar.Slice(bAddr, len(bp)), bp)
-	m := sim.NewMachine(ar, cfg.Lanes)
-	flops := 2 * int64(cfg.Tile.MR) * int64(cfg.Tile.NR) * int64(cfg.KC)
-	b.SetBytes(flops)
+	m := sim.NewMachine(ar, cp.Lanes)
+	fmlas := fmlasPerRun(cp)
+	b.SetBytes(int64(2 * cp.Lanes * fmlas))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.SetArg(0, aAddr)
@@ -59,21 +106,20 @@ func BenchmarkKernelInterpreted(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerFmla(b, fmlas)
 }
 
 func BenchmarkKernelCompiled(b *testing.B) {
-	cache, cfg, a, bp, c, lda, ldb, ldc := benchSetup(b)
-	cp, err := cache.CompiledKernel(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := compile.NewEnv(cfg.Lanes)
-	flops := 2 * int64(cfg.Tile.MR) * int64(cfg.Tile.NR) * int64(cfg.KC)
-	b.SetBytes(flops)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, 1<<30); err != nil {
-			b.Fatal(err)
-		}
-	}
+	cp, err := mkernel.NewCache().CompiledKernel(benchKernel)
+	runCompiledBench(b, cp, err)
+}
+
+func BenchmarkBandFusedCompiled(b *testing.B) {
+	cp, err := mkernel.NewCache().CompiledBand(benchBand)
+	runCompiledBench(b, cp, err)
+}
+
+func BenchmarkKernelShortKCCompiled(b *testing.B) {
+	cp, err := mkernel.NewCache().CompiledKernel(benchShortKC)
+	runCompiledBench(b, cp, err)
 }

@@ -63,8 +63,9 @@ func Compile(p *asm.Program, opts Options) (*Program, error) {
 }
 
 // translate decodes the program into micro-ops, partitions them at
-// branch boundaries into basic blocks, and emits one closure per block
-// with pre-resolved successor indices.
+// branch boundaries into basic blocks, schedules each block
+// (schedule.go), and emits one closure per block with pre-resolved
+// successor indices.
 func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) (*Program, error) {
 	n := len(p.Instrs)
 
@@ -131,14 +132,16 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds, ops: make([]op, 0, nblocks)}
 	var uops []uop
 	flush := func(term *decoded, fallBlock int) error {
-		body, fm := fuseFmla(append([]uop(nil), uops...))
+		c, nf, ns := schedule(uops)
+		cp.fmlas += nf
+		cp.scheduledFmlas += ns
 		uops = uops[:0]
 		if term == nil { // fallthrough into the next block
-			return appendBlock(cp, body, fm, termFall, fallBlock, 0)
+			return appendBlock(cp, c, termFall, fallBlock, 0)
 		}
 		switch term.in.Op {
 		case asm.OpRet:
-			return appendBlock(cp, body, fm, termRet, 0, 0)
+			return appendBlock(cp, c, termRet, 0, 0)
 		case asm.OpB, asm.OpBne:
 			t, _ := p.LabelIndex(term.in.Label)
 			taken := blockOf[keptAt[t]]
@@ -146,7 +149,7 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 			if term.in.Op == asm.OpBne {
 				kind = termBne
 			}
-			return appendBlock(cp, body, fm, kind, fallBlock, taken)
+			return appendBlock(cp, c, kind, fallBlock, taken)
 		}
 		return fmt.Errorf("compile: %s: bad terminator %s", p.Name, term.in.Op)
 	}
@@ -190,23 +193,23 @@ const (
 // appendBlock emits the closure for one basic block. The closure runs
 // the block's micro-ops through the shared executor, then resolves the
 // successor; loop fuel is charged on taken branches only.
-func appendBlock(cp *Program, body []uop, fm []fmla, term uint8, next, taken int) error {
+func appendBlock(cp *Program, c *code, term uint8, next, taken int) error {
 	switch term {
 	case termFall:
 		nx := next
 		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, body, fm)
+			execUops(e, c)
 			return nx
 		})
 	case termRet:
 		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, body, fm)
+			execUops(e, c)
 			return haltRet
 		})
 	case termB:
 		tgt := taken
 		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, body, fm)
+			execUops(e, c)
 			e.fuel--
 			if e.fuel < 0 {
 				return haltFuel
@@ -216,7 +219,7 @@ func appendBlock(cp *Program, body []uop, fm []fmla, term uint8, next, taken int
 	case termBne:
 		nx, tgt := next, taken
 		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, body, fm)
+			execUops(e, c)
 			if e.z {
 				return nx
 			}

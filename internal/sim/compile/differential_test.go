@@ -30,7 +30,8 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 }
 
 // diffRun executes p on both backends and compares the C panel bitwise.
-func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Rand) {
+// It returns the compiled program for further static checks.
+func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Rand) *compile.Program {
 	t.Helper()
 	b := aopts.Bounds
 	lanes := b.Lanes
@@ -94,6 +95,35 @@ func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Ran
 			t.Fatalf("%s: compiled run mutated B[%d]", p.Name, i)
 		}
 	}
+	requireSameVectors(t, p.Name, e, m)
+	return cp
+}
+
+// requireSameVectors compares every architectural vector register of
+// the two backends bitwise after a run.
+func requireSameVectors(t *testing.T, name string, e *compile.Env, m *sim.Machine) {
+	t.Helper()
+	for r := range m.V {
+		got := e.Vector(r)
+		for l, w := range m.V[r] {
+			if math.Float32bits(got[l]) != math.Float32bits(w) {
+				t.Fatalf("%s: v%d[%d] differs: compiled %g, interpreted %g", name, r, l, got[l], w)
+			}
+		}
+	}
+}
+
+// requireScheduled fails unless every FMLA of a 4-lane program landed in
+// a scheduled region, so a generator change cannot silently drop the
+// accumulator-major fast path.
+func requireScheduled(t *testing.T, cp *compile.Program) {
+	t.Helper()
+	if cp.Lanes != 4 {
+		return
+	}
+	if s, n := compile.ScheduledFmlas(cp); s != n || n == 0 {
+		t.Fatalf("%s: %d of %d FMLAs scheduled", cp.Name, s, n)
+	}
 }
 
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
@@ -127,7 +157,7 @@ func TestDifferentialSweep(t *testing.T) {
 						if err != nil {
 							t.Fatalf("options %s: %v", cfg.Name(), err)
 						}
-						diffRun(t, p, aopts, rng)
+						requireScheduled(t, diffRun(t, p, aopts, rng))
 					}
 				}
 			}
@@ -154,7 +184,7 @@ func TestDifferentialSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("options %s: %v", cfg.Name(), err)
 					}
-					diffRun(t, p, aopts, rng)
+					requireScheduled(t, diffRun(t, p, aopts, rng))
 				}
 			}
 		}

@@ -41,8 +41,8 @@ const (
 	haltFuel = -2
 )
 
-// op executes one instruction against the environment and returns the
-// next compact pc, or a negative halt code.
+// op executes one basic block against the environment and returns the
+// next block index, or a negative halt code.
 type op func(e *Env) int
 
 // Env is the mutable execution state: the register files and the three
@@ -53,10 +53,12 @@ type op func(e *Env) int
 //
 // The register files are fixed arrays (stride = the program's σ_lane)
 // rather than per-register slices so closures index flat storage with
-// captured constant offsets.
+// captured constant offsets. The vector file carries maxTemps 4-lane
+// temp slots past the architectural registers: scheduled regions rename
+// their loads into them (schedule.go).
 type Env struct {
 	x     [asm.NumScalarRegs]int64
-	v     [asm.NumVectorRegs * MaxLanes]float32
+	v     [tempBase + maxTemps*4]float32
 	p     [asm.NumPredRegs * MaxLanes]bool
 	z     bool
 	fuel  int
@@ -87,18 +89,18 @@ func NewEnv(lanes int) *Env {
 // Lanes returns the vector width the environment was built for.
 func (e *Env) Lanes() int { return e.lanes }
 
-// Program is a compiled kernel: one closure per executable instruction
-// with pre-resolved branch targets (labels, nops and prefetches are
+// Program is a compiled kernel: one closure per basic block with
+// pre-resolved successor blocks (labels, nops and prefetches are
 // compacted away).
 type Program struct {
 	Name   string
 	Lanes  int
 	Bounds analysis.Bounds
 	ops    []op
-}
 
-// Len returns the number of executable (compacted) instructions.
-func (cp *Program) Len() int { return len(cp.ops) }
+	// Static FMLA counts: all of them, and those in scheduled regions.
+	fmlas, scheduledFmlas int
+}
 
 // Precheck validates the once-per-invocation panel extents that replace
 // the interpreter's per-access checkAddr. The analyzer proved every

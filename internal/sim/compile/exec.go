@@ -46,6 +46,8 @@ const (
 	uSt1W
 	uFmlaRun4 // [a,b) of the block's fmla table, 4-lane specialization
 	uFmlaRunN
+	uChain4 // [a,b) of the block's chain table (schedule.go)
+	uMov4   // vector copy d ← a: a scheduled region's write-back
 )
 
 type uop struct {
@@ -70,7 +72,7 @@ type fmla struct {
 // MR·NR/σ FMLAs per k-step back to back, so this removes the dominant
 // share of dispatch switches from the steady-state loop.
 func fuseFmla(body []uop) ([]uop, []fmla) {
-	var out []uop
+	out := make([]uop, 0, len(body))
 	var fm []fmla
 	for i := 0; i < len(body); i++ {
 		u := body[i]
@@ -112,29 +114,36 @@ func vec4(p unsafe.Pointer, off int64) *[4]float32 {
 
 // execUops interprets one basic block's micro-ops. No per-access bounds
 // checks — see the package contract at the top of this file.
-func execUops(e *Env, uops []uop, fm []fmla) {
+func execUops(e *Env, c *code) {
 	vp := e.vp
-	for i := range uops {
-		u := &uops[i]
+	fm := c.fm
+	for i := range c.body {
+		u := &c.body[i]
 		switch u.kind {
+		case uChain4:
+			execChains(vp, c.chains[u.a:u.b], c.steps)
+		case uMov4:
+			*vec4(vp, int64(u.d)*4) = *vec4(vp, int64(u.a)*4)
 		case uFmlaRun4:
 			// Consecutive entries usually share the full-vector
 			// multiplicand (one B vector against MR accumulator rows),
-			// so it is reloaded only when it changes.
+			// so it is reloaded only when it changes. Scalar locals, not
+			// a [4]float32: Go keeps arrays longer than one on the stack.
 			lastA := int32(-1)
-			var av [4]float32
+			var a0, a1, a2, a3 float32
 			for j := u.a; j < u.b; j++ {
 				f := &fm[j]
 				if f.a != lastA {
-					av = *vec4(vp, int64(f.a))
+					av := vec4(vp, int64(f.a))
+					a0, a1, a2, a3 = av[0], av[1], av[2], av[3]
 					lastA = f.a
 				}
 				s := *f32(vp, int64(f.b))
 				d := vec4(vp, int64(f.d))
-				d[0] += av[0] * s
-				d[1] += av[1] * s
-				d[2] += av[2] * s
-				d[3] += av[3] * s
+				d[0] += a0 * s
+				d[1] += a1 * s
+				d[2] += a2 * s
+				d[3] += a3 * s
 			}
 		case uLdrQ4:
 			ad := e.x[u.a] + u.imm
@@ -246,5 +255,57 @@ func execUops(e *Env, uops []uop, fm []fmla) {
 				}
 			}
 		}
+	}
+}
+
+// execChains runs a scheduled region's accumulator chains. Each chain's
+// one or two accumulators live in scalar locals from its first
+// multiply-add to its last and are loaded once per chain.
+//
+// The pair loop writes its accumulators through after every step. The
+// stores are never read back inside the loop; they give each step's adds
+// an in-block use. Without one, Go's scheduler sinks loop-carried adds to
+// the end of the loop body, so all eight products and eight accumulators
+// are live at once, which is more than the fifteen allocatable float
+// registers on amd64, and the loop spills to the stack on every step.
+func execChains(vp unsafe.Pointer, chains []chain, steps []step) {
+	for ci := range chains {
+		ch := &chains[ci]
+		st := steps[ch.lo:ch.hi]
+		d := vec4(vp, int64(ch.d1))
+		x0, x1, x2, x3 := d[0], d[1], d[2], d[3]
+		if ch.d2 < 0 {
+			for j := range st {
+				s := &st[j]
+				a := vec4(vp, int64(s.a))
+				b := *f32(vp, int64(s.b1))
+				x0 += a[0] * b
+				x1 += a[1] * b
+				x2 += a[2] * b
+				x3 += a[3] * b
+			}
+		} else {
+			d2 := vec4(vp, int64(ch.d2))
+			y0, y1, y2, y3 := d2[0], d2[1], d2[2], d2[3]
+			for j := range st {
+				s := &st[j]
+				a := vec4(vp, int64(s.a))
+				a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+				b1 := *f32(vp, int64(s.b1))
+				b2 := *f32(vp, int64(s.b2))
+				x0 += a0 * b1
+				x1 += a1 * b1
+				x2 += a2 * b1
+				x3 += a3 * b1
+				y0 += a0 * b2
+				y1 += a1 * b2
+				y2 += a2 * b2
+				y3 += a3 * b2
+				d[0], d[1], d[2], d[3] = x0, x1, x2, x3
+				d2[0], d2[1], d2[2], d2[3] = y0, y1, y2, y3
+			}
+			continue
+		}
+		d[0], d[1], d[2], d[3] = x0, x1, x2, x3
 	}
 }

@@ -2,6 +2,7 @@ package compile_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"autogemm/internal/asm"
@@ -15,14 +16,21 @@ import (
 // against the checked interpreter. The invariant under test is the
 // bounds-elision contract itself: if Compile succeeds and Precheck
 // accepts the operands, the unchecked compiled run must neither fault
-// nor diverge from the interpreter — on state (C panel, scalar and
-// vector registers) bit for bit.
+// nor diverge from the interpreter — on the C panel and on every
+// architectural vector register, bit for bit. (Scalar registers hold
+// arena byte addresses in the interpreter and slice offsets in the
+// compiled form, so they are not comparable.) The vector comparison is
+// where a scheduled region's bad write-back of a renamed load shows
+// first.
 func FuzzCompileDiff(f *testing.F) {
-	// Seeds: a plain accumulate loop, scalar shuffling, and raw bytes
-	// that decode into memory ops with varying offsets.
+	// Seeds: scalar shuffling, raw bytes that decode into memory ops
+	// with varying offsets, and the block scheduler's cases.
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{8, 200, 9, 14, 8, 23, 10, 42, 11, 7, 12, 99})
 	f.Add([]byte{13, 1, 2, 3, 13, 13, 13, 5, 6, 0, 0, 9, 9})
+	for _, s := range schedSeeds {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := buildFuzzProgram(data)
 		bounds := fuzzBounds()
@@ -83,21 +91,69 @@ func FuzzCompileDiff(f *testing.F) {
 				t.Fatalf("C[%d]: compiled %g != interpreted %g", i, got[i], want[i])
 			}
 		}
+		requireSameVectors(t, p.Name, e, m)
 	})
 }
 
-// fuzzBounds is the fixed panel model fuzz programs are checked
-// against: a tiny 2×4 tile over 3 k-steps.
-func fuzzBounds() analysis.Bounds {
-	return analysis.Bounds{MR: 2, NR: 4, KC: 3, Lanes: 4, AOverVectors: 1, BOverRows: 2}
+// schedSeeds decode into programs that reach the block scheduler's
+// cases (schedule.go); bail marks the one whose FMLAs its dataflow check
+// must keep on the fused-run path. Reloading or zeroing an accumulator
+// after its first FMLA has no seed: with no store between them the
+// analyzer already refuses the program as an accumulator clobber, so
+// schedule_test.go covers that rule on micro-ops directly.
+var schedSeeds = []struct {
+	name string
+	data []byte
+	bail bool
+}{
+	// ldr q2, [x1, #32]; fmla v4, v2, v6.s[0]; fmla v2, v5, v7.s[2];
+	// str q4; str q2: v2 is read as a multiplicand and later
+	// accumulated into in the same region.
+	{"acc-as-source", []byte{6, 2, 8, 212, 8, 234, 10, 4, 10, 2}, true},
+	// fmla v1, v6, v3.s[1]; str q1; ldr q2, [x1, #32];
+	// fmla v4, v2, v6.s[0]; str q4: the load after a store starts a
+	// second region, and both are scheduled.
+	{"load-after-store", []byte{8, 113, 10, 1, 6, 2, 8, 212, 10, 4}, false},
+	// Three trips of { fmla v1, v2, v6.s[1]; ldr q2, [x1, #32] }, then
+	// str q1: a loop-carried accumulator, and a renamed load that must
+	// be written back for the next trip's FMLA.
+	{"counted-loop", []byte{14, 5, 8, 209, 6, 2, 10, 1}, false},
 }
 
-// buildFuzzProgram decodes bytes into a short straight-line program
-// over a conservative vocabulary: scalar arithmetic on x6..x12, vector
-// ops on v0..v7, and A/B loads plus C load/store with small immediate
-// offsets derived from the input. Every program ends with Ret, so all
-// inputs terminate; whether the analyzer can prove one is up to the
-// byte stream.
+// TestSchedSeeds pins what each scheduler seed exercises: it compiles
+// and bails exactly when it should. The fuzz target runs the seeds
+// against the interpreter.
+func TestSchedSeeds(t *testing.T) {
+	bounds := fuzzBounds()
+	for _, s := range schedSeeds {
+		p := buildFuzzProgram(s.data)
+		cp, err := compile.Compile(p, compile.Options{Lanes: bounds.Lanes, Bounds: bounds})
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", s.name, err, p)
+		}
+		sched, total := compile.ScheduledFmlas(cp)
+		if total == 0 || (sched < total) != s.bail {
+			t.Fatalf("%s: %d of %d FMLAs scheduled, bail %v\n%s", s.name, sched, total, s.bail, p)
+		}
+	}
+}
+
+// fuzzBounds is the fixed panel model fuzz programs are checked
+// against: a 2×16 tile over 4 k-steps, wide enough that every immediate
+// offset the decoder emits stays inside its panel row.
+func fuzzBounds() analysis.Bounds {
+	return analysis.Bounds{MR: 2, NR: 16, KC: 4, Lanes: 4, AOverVectors: 1, BOverRows: 2}
+}
+
+// buildFuzzProgram decodes bytes into a short program over a
+// conservative vocabulary: scalar arithmetic on x6..x12, vector ops on
+// v0..v7, A/B loads plus C load/store with small immediate offsets
+// derived from the input, and counted loops (MovI / label / Subs / Bne
+// on x14) of one to three trips around the next one to four ops. A
+// prologue zeroes each vector register whose first access is a read, so
+// programs are self-initializing without dead zeroings. Every program
+// ends with Ret and every loop is counted, so all inputs terminate;
+// whether the analyzer can prove one is up to the byte stream.
 func buildFuzzProgram(data []byte) *asm.Program {
 	p := asm.NewProgram("fuzz")
 	x := func(b byte) asm.Reg { return asm.X(6 + int(b)%7) }
@@ -108,20 +164,27 @@ func buildFuzzProgram(data []byte) *asm.Program {
 		}
 		return 0
 	}
-	// Base registers stay the ABI argument registers so addresses remain
-	// affine in the analyzer's symbols.
-	p.Lsl(asm.X(0), asm.X(0), 2)
-	p.Lsl(asm.X(1), asm.X(1), 2)
-	p.Lsl(asm.X(2), asm.X(2), 2)
-	p.VZero(asm.V(0)).VZero(asm.V(1)).VZero(asm.V(2)).VZero(asm.V(3))
-	p.VZero(asm.V(4)).VZero(asm.V(5)).VZero(asm.V(6)).VZero(asm.V(7))
 	n := len(data)
 	if n > 48 {
 		n = 48
 	}
+	loop, loopLeft := "", 0
+	closeLoop := func() {
+		p.Subs(asm.X(14), asm.X(14), 1)
+		p.Bne(loop)
+		loop = ""
+	}
 	for i := 0; i < n; i += 2 {
 		op, arg := next(i), next(i+1)
-		switch op % 14 {
+		if op%15 == 14 {
+			if loop == "" {
+				loop, loopLeft = "loop"+strconv.Itoa(i), int(arg>>2)%4+1
+				p.MovI(asm.X(14), int64(arg%3)+1)
+				p.Label(loop)
+			}
+			continue
+		}
+		switch op % 15 {
 		case 0:
 			p.MovI(x(arg), int64(arg%32)*4)
 		case 1:
@@ -155,7 +218,42 @@ func buildFuzzProgram(data []byte) *asm.Program {
 			p.Add(asm.X(13), asm.X(0), asm.X(13))
 			p.LdrQ(v(arg), asm.X(13), 0)
 		}
+		if loop != "" {
+			if loopLeft--; loopLeft == 0 {
+				closeLoop()
+			}
+		}
+	}
+	if loop != "" {
+		closeLoop()
 	}
 	p.Ret()
-	return p
+
+	// The prologue only zeroes vector registers: the base registers
+	// x0..x2 stay the unscaled ABI arguments, so addresses remain affine
+	// in the analyzer's panel symbols.
+	out := asm.NewProgram(p.Name)
+	var seen [asm.NumVectorRegs]bool
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		for _, r := range in.Reads() {
+			if r.IsVector() && !seen[r.Index()] {
+				seen[r.Index()] = true
+				out.VZero(r)
+			}
+		}
+		for _, r := range in.Writes() {
+			if r.IsVector() {
+				seen[r.Index()] = true
+			}
+		}
+	}
+	for _, in := range p.Instrs {
+		if in.Op == asm.OpLabel {
+			out.Label(in.Label)
+		} else {
+			out.Instrs = append(out.Instrs, in)
+		}
+	}
+	return out
 }
