@@ -24,6 +24,7 @@
 package autogemm
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -100,10 +101,11 @@ type Perf struct {
 // misses first try to warm-start from the on-disk registry before
 // planning from scratch.
 //
-// Every execution — Multiply, RunParallel through a plan handle,
-// MultiplyBatch, Submit — runs on the engine's persistent scheduler
-// runtime (internal/sched): a worker pool sized by WithWorkers with a
-// bounded job queue sized by WithQueueDepth. Close stops it; see
+// Every execution — Multiply, MultiplyPlanned, SGEMM, MultiplyBatch,
+// Submit — goes through one request path (batch.go) and becomes one
+// job on the engine's persistent scheduler runtime (internal/sched): a
+// worker pool sized by WithWorkers with a bounded job queue sized by
+// WithQueueDepth. Close stops it; see
 // docs/INTERNALS.md, "Runtime & scheduling".
 type Engine struct {
 	chip     *hw.Chip
@@ -209,13 +211,17 @@ func (e *Engine) PeakGFLOPS() float64 { return e.chip.PeakGFLOPS() }
 // Lanes returns σ_lane: float32 elements per SIMD register.
 func (e *Engine) Lanes() int { return e.chip.Lanes }
 
-// resolve converts public options into core options. The engine's
-// scheduler rides along as a runtime-only field — it never enters the
-// plan fingerprint.
-func (e *Engine) resolve(opts *Options) (core.Options, error) {
-	co := core.AutoOptions(e.chip)
+// withRuntime sets the runtime-only core options every plan the engine
+// attaches carries — its scheduler. They never enter the plan
+// fingerprint.
+func (e *Engine) withRuntime(co core.Options) core.Options {
 	co.Runtime = e.sched
-	co.DefaultQoS = sched.QoS{Class: e.defaultClass}
+	return co
+}
+
+// resolve converts public options into core options.
+func (e *Engine) resolve(opts *Options) (core.Options, error) {
+	co := e.withRuntime(core.AutoOptions(e.chip))
 	if opts == nil {
 		return co, nil
 	}
@@ -243,20 +249,27 @@ func (e *Engine) resolve(opts *Options) (core.Options, error) {
 // Multiply computes C += A·B for row-major float32 matrices A (m×k),
 // B (k×n) and C (m×n) by executing the generated micro-kernels, and is
 // bit-validated against a reference GEMM in the test suite (relative
-// error below 1e-6, the paper's §V criterion).
+// error below 1e-6, the paper's §V criterion). It is MultiplyContext
+// without a context, options or QoS.
 func (e *Engine) Multiply(c, a, b []float32, m, n, k int) error {
-	return e.MultiplyWith(nil, c, a, b, m, n, k)
+	return e.MultiplyContext(context.Background(), GEMM{C: c, A: a, B: b, M: m, N: n, K: k})
 }
 
-// MultiplyWith is Multiply with explicit algorithm parameters. Plans
-// are served from the engine's plan cache: repeated calls on the same
-// shape and options reuse the resolved plan and its generated kernels.
-func (e *Engine) MultiplyWith(opts *Options, c, a, b []float32, m, n, k int) error {
-	p, err := e.plan(opts, m, n, k)
-	if err != nil {
-		return err
-	}
-	return wrapExec(p.Run(c, a, b))
+// MultiplyContext computes one GEMM synchronously as a single-worker
+// job — the serial reference every batch and async execution is held
+// bit-identical to. Plans are served from the engine's plan cache:
+// repeated calls on the same shape and options reuse the resolved plan
+// and its generated kernels.
+//
+// If ctx (or a g.QoS deadline) fires before the job completes, the
+// scheduler skips the job's remaining work and the call returns the
+// context error; a context firing also unblocks a submission stalled on
+// scheduler backpressure. The call returns only once the job has
+// actually completed — prompt on cancellation, since only the task
+// already running finishes — so the operand slices are always
+// quiescent when it returns.
+func (e *Engine) MultiplyContext(ctx context.Context, g GEMM) error {
+	return wait(e.submit(ctx, g, 1))
 }
 
 // Estimate projects the performance of the plan on the engine's chip.
@@ -295,10 +308,10 @@ func (e *Engine) EstimateProvider(provider string, m, n, k int) (Perf, error) {
 // budget caps the number of simulator evaluations (0 = default).
 //
 // The winning plan is inserted into the engine's plan cache — a
-// subsequent MultiplyWith using the returned options resolves to the
-// same fingerprint and executes the tuned plan without re-planning —
-// and, when a plan directory is configured, persisted to the registry
-// so later processes warm-start from it.
+// subsequent request with the returned options (GEMM.Opts, PlanFor)
+// resolves to the same fingerprint and executes the tuned plan without
+// re-planning — and, when a plan directory is configured, persisted to
+// the registry so later processes warm-start from it.
 func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	rec, res, err := tuner.TunePlan(tuner.Config{
 		Chip: e.chip, M: m, N: n, K: k, UseModel: true, MaxEvals: budget,
@@ -307,9 +320,7 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 		return Options{}, Perf{}, err
 	}
 	if _, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
-		o := res.Best.Options()
-		o.Runtime = e.sched
-		o.DefaultQoS = sched.QoS{Class: e.defaultClass}
+		o := e.withRuntime(res.Best.Options())
 		o.TrustedPlan = true // tuned in-process, no audit needed
 		return core.Attach(e.chip, rec, o)
 	}); err != nil {

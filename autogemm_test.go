@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestMultiplyWithOptions(t *testing.T) {
 	refgemm.Fill(b, k, n, n, 5)
 	want := make([]float32, m*n)
 	refgemm.GEMM(m, n, k, a, k, b, n, want, n)
-	if err := e.MultiplyWith(opts, c, a, b, m, n, k); err != nil {
+	if err := e.MultiplyContext(context.Background(), GEMM{C: c, A: a, B: b, M: m, N: n, K: k, Opts: opts}); err != nil {
 		t.Fatal(err)
 	}
 	if got := refgemm.MaxRelErr(c, want, m, n, n, n); got > refgemm.Tolerance {
@@ -67,10 +68,10 @@ func TestMultiplyWithOptions(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	e, _ := New("KP920")
 	buf := make([]float32, 64)
-	if err := e.MultiplyWith(&Options{Order: "XYZ"}, buf, buf, buf, 4, 4, 4); err == nil {
+	if err := e.MultiplyContext(context.Background(), GEMM{C: buf, A: buf, B: buf, M: 4, N: 4, K: 4, Opts: &Options{Order: "XYZ"}}); err == nil {
 		t.Error("bad loop order accepted")
 	}
-	if err := e.MultiplyWith(&Options{Pack: "sideways"}, buf, buf, buf, 4, 4, 4); err == nil {
+	if err := e.MultiplyContext(context.Background(), GEMM{C: buf, A: buf, B: buf, M: 4, N: 4, K: 4, Opts: &Options{Pack: "sideways"}}); err == nil {
 		t.Error("bad pack mode accepted")
 	}
 	if _, err := e.Estimate(0, 4, 4, nil); err == nil {
@@ -114,7 +115,7 @@ func TestTuneAPI(t *testing.T) {
 	if perf.GFLOPS <= 0 {
 		t.Error("tuned perf empty")
 	}
-	// The tuned options must round-trip through MultiplyWith.
+	// The tuned options must round-trip through GEMM.Opts.
 	a := make([]float32, 26*20)
 	b := make([]float32, 20*36)
 	c := make([]float32, 26*36)
@@ -122,7 +123,7 @@ func TestTuneAPI(t *testing.T) {
 	refgemm.Fill(b, 20, 36, 36, 2)
 	want := make([]float32, 26*36)
 	refgemm.GEMM(26, 36, 20, a, 20, b, 36, want, 36)
-	if err := e.MultiplyWith(&opts, c, a, b, 26, 36, 20); err != nil {
+	if err := e.MultiplyContext(context.Background(), GEMM{C: c, A: a, B: b, M: 26, N: 36, K: 20, Opts: &opts}); err != nil {
 		t.Fatal(err)
 	}
 	if got := refgemm.MaxRelErr(c, want, 26, 36, 36, 36); got > refgemm.Tolerance {

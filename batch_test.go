@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -63,7 +64,7 @@ func TestBatchAsyncBitIdenticalToSerial(t *testing.T) {
 	outs := make([][]float32, len(probs))
 	for i, p := range probs {
 		outs[i] = make([]float32, p.s.M*p.s.N)
-		f, err := e.Submit(GEMM{M: p.s.M, N: p.s.N, K: p.s.K, A: p.a, B: p.b, C: outs[i]})
+		f, err := e.Submit(context.Background(), GEMM{M: p.s.M, N: p.s.N, K: p.s.K, A: p.a, B: p.b, C: outs[i]})
 		if err != nil {
 			t.Fatalf("%s submit: %v", p.s.Name, err)
 		}
@@ -107,7 +108,7 @@ func TestEngineClose(t *testing.T) {
 	if err := e.Multiply(buf(64), buf(64), buf(64), 8, 8, 8); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Multiply after Close: err = %v, want sched.ErrClosed", err)
 	}
-	if _, err := e.Submit(GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}); !errors.Is(err, sched.ErrClosed) {
+	if _, err := e.Submit(context.Background(), GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Submit after Close: err = %v, want sched.ErrClosed", err)
 	}
 	if err := e.MultiplyBatch([]GEMM{{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}}); !errors.Is(err, sched.ErrClosed) {
@@ -138,7 +139,7 @@ func TestEngineWorkerQueueOptions(t *testing.T) {
 			b := make([]float32, k*n)
 			refgemm.Fill(a, m, k, k, seed)
 			refgemm.Fill(b, k, n, n, seed+1)
-			f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
+			f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
 			if err != nil {
 				t.Error(err)
 				return
@@ -199,7 +200,7 @@ func TestEngineMixedConcurrentUse(t *testing.T) {
 				err = e.MultiplyBatch([]GEMM{{M: m, N: n, K: k, A: a, B: b, C: c}})
 			case 2:
 				var f *Future
-				if f, err = e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: c}); err == nil {
+				if f, err = e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: c}); err == nil {
 					err = f.Wait()
 				}
 			}

@@ -1,6 +1,8 @@
 package autogemm
 
 import (
+	"context"
+
 	"autogemm/internal/core"
 )
 
@@ -19,22 +21,20 @@ func (e *Engine) plan(opts *Options, m, n, k int) (*core.Plan, error) {
 // set. m, n, k describe the operated shapes: op(A) is m×k and op(B) is
 // k×n; when transA is set, A is stored k×m row-major (and likewise B is
 // n×k when transB is set). β = 0 overwrites C without reading it.
+// Scaling and transposition fold into operand preparation; the
+// canonical product runs like Multiply, as a single-worker job.
 func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 	alpha float32, a, b []float32, beta float32, c []float32) error {
-	return e.SGEMMWith(nil, transA, transB, m, n, k, alpha, a, b, beta, c)
-}
-
-// SGEMMWith is SGEMM with explicit algorithm parameters.
-func (e *Engine) SGEMMWith(opts *Options, transA, transB bool, m, n, k int,
-	alpha float32, a, b []float32, beta float32, c []float32) error {
-	plan, err := e.plan(opts, m, n, k)
+	p, err := e.plan(nil, m, n, k)
 	if err != nil {
 		return err
 	}
-	return plan.RunSGEMM(core.SGEMMParams{
+	return p.RunSGEMM(core.SGEMMParams{
 		Alpha: alpha, Beta: beta,
 		TransA: core.Transpose(transA), TransB: core.Transpose(transB),
-	}, c, a, b)
+	}, c, a, b, func(c, a, b []float32) error {
+		return wait(e.submitPlan(context.Background(), p, GEMM{C: c, A: a, B: b}, 1))
+	})
 }
 
 // CachedPlans reports how many resolved plans the engine holds.

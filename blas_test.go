@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"testing"
 
 	"autogemm/internal/refgemm"
@@ -100,7 +101,7 @@ func TestSubmitAsyncPublic(t *testing.T) {
 	want := make([]float32, m*n)
 	refgemm.GEMM(m, n, k, g.A, k, g.B, n, want, n)
 
-	fut, err := e.Submit(g)
+	fut, err := e.Submit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func faultDrill(spec, chipName string) error {
 	// cancel drill needs claims left to skip after the fault lands.
 	opts := &autogemm.Options{MC: 16, NC: 16, KC: 16}
 	mul := func(ctx context.Context) error {
-		return eng.MultiplyWithContext(ctx, opts, make([]float32, m*n), a, b, m, n, k)
+		return eng.MultiplyContext(ctx, autogemm.GEMM{C: make([]float32, m*n), A: a, B: b, M: m, N: n, K: k, Opts: opts})
 	}
 
 	for _, mode := range modes {

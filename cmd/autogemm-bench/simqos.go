@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -167,7 +168,7 @@ func runSimQoS(chip *hw.Chip, poolWorkers, virtWorkers int) (simQoSReport, error
 	submit := func(s workload.Shape, class string) error {
 		j := &simQoSJob{shape: s, class: class, ref: refs[s.Name], c: make([]float32, s.M*s.N)}
 		ab := ops[s.Name]
-		fut, err := plans[s.Name].SubmitQoS(nil, j.c, ab[0], ab[1], sched.QoS{Class: class})
+		fut, err := plans[s.Name].Submit(context.Background(), j.c, ab[0], ab[1], 0, sched.QoS{Class: class})
 		if err != nil {
 			return err
 		}

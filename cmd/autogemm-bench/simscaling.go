@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -117,7 +118,7 @@ func runSimScaling(chip *hw.Chip, s workload.Shape, poolWorkers int) (simChipSca
 		return out, err
 	}
 	cPar := make([]float32, s.M*s.N)
-	fut, err := p.Submit(cPar, a, b)
+	fut, err := p.Submit(context.Background(), cPar, a, b, 0, sched.QoS{})
 	if err != nil {
 		return out, err
 	}

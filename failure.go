@@ -10,15 +10,18 @@ import (
 )
 
 // This file is the public face of the runtime's hardened failure
-// semantics: exported sentinel errors, context-bound variants of every
-// execution surface, and the bounded-drain shutdown. The guarantees —
+// semantics: exported sentinel errors, their translation at the API
+// boundary, context-bounded waiting and the bounded-drain shutdown.
+// Cancellation rides on the ctx every request path takes
+// (MultiplyContext, Submit, MultiplyBatchContext). The guarantees —
 // panic containment, prompt cancellation, drain deadlines — live in
 // internal/sched; see docs/INTERNALS.md, "Failure semantics".
 
 // ErrClosed matches (via errors.Is) every execution error returned
-// after Engine.Close: Multiply, MultiplyBatch, Submit and their context
-// variants all fail with an error wrapping it. It also matches the
-// underlying sched.ErrClosed, so pre-existing checks keep working.
+// after Engine.Close: every execution entry point (Multiply, SGEMM,
+// MultiplyPlanned, Submit, the batch calls) fails with an error
+// wrapping it. It also matches the underlying sched.ErrClosed, so
+// pre-existing checks keep working.
 var ErrClosed = fmt.Errorf("autogemm: engine closed: %w", sched.ErrClosed)
 
 // ErrPanicked matches (via errors.Is) the error a Future (or a
@@ -54,42 +57,6 @@ func wrapExec(err error) error {
 		return ErrClosed
 	}
 	return err
-}
-
-// MultiplyContext is Multiply bound to a context: if ctx fires before
-// the job completes, the scheduler skips the job's remaining work and
-// the call returns ctx.Err(). A context firing also unblocks a
-// submission stalled on scheduler backpressure. The call returns only
-// once the job has actually completed — prompt on cancellation, since
-// only the task already running finishes — so c, a and b are always
-// quiescent when it returns.
-func (e *Engine) MultiplyContext(ctx context.Context, c, a, b []float32, m, n, k int) error {
-	return e.MultiplyWithContext(ctx, nil, c, a, b, m, n, k)
-}
-
-// MultiplyWithContext is MultiplyWith bound to a context.
-func (e *Engine) MultiplyWithContext(ctx context.Context, opts *Options, c, a, b []float32, m, n, k int) error {
-	p, err := e.plan(opts, m, n, k)
-	if err != nil {
-		return err
-	}
-	return wrapExec(p.RunContext(ctx, c, a, b))
-}
-
-// SubmitContext is Submit bound to a context: cancellation while
-// blocked on scheduler backpressure aborts the submission with
-// ctx.Err(); cancellation after acceptance fails the job promptly
-// (remaining tasks are skipped) and its future returns ctx.Err().
-func (e *Engine) SubmitContext(ctx context.Context, g GEMM) (*Future, error) {
-	p, err := e.plan(g.Opts, g.M, g.N, g.K)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := p.SubmitContext(ctx, g.C, g.A, g.B)
-	if err != nil {
-		return nil, wrapExec(err)
-	}
-	return &Future{f: rf}, nil
 }
 
 // WaitContext is Wait bounded by a context: it returns the job's first

@@ -61,7 +61,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	outs := make([][]float32, len(probs))
 	for i, p := range probs {
 		outs[i] = make([]float32, m*n)
-		f, err := e.Submit(GEMM{M: m, N: n, K: k, A: p.a, B: p.b, C: outs[i]})
+		f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: p.a, B: p.b, C: outs[i]})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -94,7 +94,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	// worker or leak its in-flight slot.
 	sched.SetFaultHook(nil)
 	c := make([]float32, m*n)
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: probs[0].a, B: probs[0].b, C: c})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: probs[0].a, B: probs[0].b, C: c})
 	if err != nil {
 		t.Fatalf("Submit after contained panic: %v", err)
 	}
@@ -133,12 +133,14 @@ func TestMultiplyContextCancelledMidJob(t *testing.T) {
 		return nil
 	})
 	defer sched.SetFaultHook(nil)
-	err = e.MultiplyWithContext(ctx, opts, make([]float32, m*n), a, b, m, n, k)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MultiplyWithContext = %v, want context.Canceled", err)
+	g := func() GEMM {
+		return GEMM{C: make([]float32, m*n), A: a, B: b, M: m, N: n, K: k, Opts: opts}
+	}
+	if err := e.MultiplyContext(ctx, g()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MultiplyContext = %v, want context.Canceled", err)
 	}
 	sched.SetFaultHook(nil)
-	if err := e.MultiplyWith(opts, make([]float32, m*n), a, b, m, n, k); err != nil {
+	if err := e.MultiplyContext(context.Background(), g()); err != nil {
 		t.Fatalf("Multiply after cancellation: %v", err)
 	}
 	if st := e.PlanCacheStats(); st.SchedJobsCancelled != 1 {
@@ -148,7 +150,7 @@ func TestMultiplyContextCancelledMidJob(t *testing.T) {
 	// A context that is already done never reaches execution.
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := e.MultiplyContext(done, make([]float32, m*n), a, b, m, n, k); !errors.Is(err, context.Canceled) {
+	if err := e.MultiplyContext(done, g()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MultiplyContext(pre-cancelled) = %v, want context.Canceled", err)
 	}
 }
@@ -190,7 +192,7 @@ func TestFutureWaitContext(t *testing.T) {
 		}
 	}()
 
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: c})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +230,9 @@ func TestErrClosedWrapped(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "autogemm:") {
 		t.Errorf("closed error %q lacks the autogemm: prefix", err)
 	}
-	if _, err := e.SubmitContext(context.Background(),
+	if _, err := e.Submit(context.Background(),
 		GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitContext after Close: err = %v, want ErrClosed", err)
+		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -257,7 +259,7 @@ func TestEngineCloseWithTimeout(t *testing.T) {
 		return nil
 	})
 	defer sched.SetFaultHook(nil)
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,12 +134,6 @@ type Options struct {
 	// and Close govern every execution they serve.
 	Runtime *sched.Pool
 
-	// DefaultQoS is the scheduling QoS an execution of the attached
-	// plan submits under when the caller gives none: the engine's
-	// default class/weight. Runtime-only; never enters the plan
-	// fingerprint. Per-call QoS fields override it field-wise.
-	DefaultQoS sched.QoS
-
 	// TrustedPlan marks the recipe handed to Attach as produced inside
 	// this process (by Produce or the tuner), skipping the static plan
 	// audit. Plans that crossed a process boundary — registry files,
@@ -186,10 +180,9 @@ type Plan struct {
 	// map+sort the old RunParallel paid is gone), and one scratch-state
 	// slot per pool worker. Slot i is only ever touched by worker i, so
 	// the states need no lock and no sync.Pool round trips.
-	runtime    *sched.Pool
-	defaultQoS sched.QoS
-	groups     [][]blockIter
-	states     []*execState
+	runtime *sched.Pool
+	groups  [][]blockIter
+	states  []*execState
 
 	// Memoized per-shape simulated costs (estimate.go, shapeCosts):
 	// computed once, shared by the analytic estimator and the

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
 	"autogemm/internal/mkernel"
-	"autogemm/internal/sched"
 	"autogemm/internal/sim/compile"
 	"autogemm/internal/tiling"
 )
@@ -44,13 +42,7 @@ const kernelFuel = 1 << 31
 // m·k / k·n / m·n extents give the in-place fast path more room: edge
 // blocks whose kernels over-read past the matrix end otherwise fall
 // back to the packed path.
-func (p *Plan) Run(c, a, b []float32) error {
-	fut, err := p.submitJob(context.Background(), c, a, b, 1, sched.QoS{})
-	if err != nil {
-		return err
-	}
-	return fut.Wait()
-}
+func (p *Plan) Run(c, a, b []float32) error { return p.RunParallel(c, a, b, 1) }
 
 // bandCall is one compiled kernel invocation of a block: the program
 // plus its row/column placement inside the block.

@@ -13,7 +13,7 @@ import (
 
 // This file is the plan's bridge onto the scheduler runtime
 // (internal/sched). Every execution — serial Run, RunParallel, and the
-// asynchronous Submit the engine's batch/async API builds on — is one
+// asynchronous Submit the engine's request path builds on — is one
 // scheduler job: the plan's C-tile groups are the job's tasks, claimed
 // from a shared atomic cursor by up to `workers` pool workers.
 // Different (m, n) groups touch disjoint C regions, so they run
@@ -132,21 +132,17 @@ func checkGeometry(m, n, k int) error {
 	return nil
 }
 
-// submitJob validates the geometry and operand buffers and enqueues the
+// Submit validates the geometry and operand buffers and enqueues the
 // plan's C-tile-group task list on the runtime as one job bound to ctx,
 // claimed by at most `workers` pool workers (<= 0 means all of them),
-// scheduled under qos. A zero-field QoS inherits the plan's default
-// (Options.DefaultQoS, set by the owning engine): class first, then
-// weight — a per-call deadline is never defaulted.
-func (p *Plan) submitJob(ctx context.Context, c, a, b []float32, workers int, qos sched.QoS) (*RunFuture, error) {
+// scheduled under qos. The operand slices must stay untouched until
+// the future's Wait returns. Cancellation mid-job skips the remaining
+// C-tile groups (the job fails with ctx.Err()) and unblocks a submitter
+// stalled on scheduler backpressure; a set qos.Deadline bounds
+// completion (expired -> sched.ErrAdmission before claiming).
+func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos sched.QoS) (*RunFuture, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if qos.Class == "" {
-		qos.Class = p.defaultQoS.Class
-	}
-	if qos.Weight == 0 {
-		qos.Weight = p.defaultQoS.Weight
 	}
 	m, n, k := p.M, p.N, p.K
 	if err := checkGeometry(m, n, k); err != nil {
@@ -188,61 +184,13 @@ func (p *Plan) submitJob(ctx context.Context, c, a, b []float32, workers int, qo
 	return &RunFuture{p: p, f: fut}, nil
 }
 
-// Submit enqueues the GEMM asynchronously — all pool workers may
-// participate — and returns a future for its completion. The operand
-// slices must stay untouched until Wait returns.
-func (p *Plan) Submit(c, a, b []float32) (*RunFuture, error) {
-	return p.submitJob(context.Background(), c, a, b, 0, sched.QoS{})
-}
-
-// SubmitContext is Submit bound to a context: cancellation mid-job
-// skips the remaining C-tile groups (the job fails with ctx.Err()) and
-// unblocks a submitter stalled on scheduler backpressure.
-func (p *Plan) SubmitContext(ctx context.Context, c, a, b []float32) (*RunFuture, error) {
-	return p.submitJob(ctx, c, a, b, 0, sched.QoS{})
-}
-
-// SubmitQoS is SubmitContext with an explicit scheduling QoS: the job
-// parks in qos.Class's queue of the runtime and competes under that
-// class's weight; a set qos.Deadline bounds completion (expired →
-// sched.ErrAdmission before claiming). Zero fields inherit the plan's
-// engine-level default QoS.
-func (p *Plan) SubmitQoS(ctx context.Context, c, a, b []float32, qos sched.QoS) (*RunFuture, error) {
-	return p.submitJob(ctx, c, a, b, 0, qos)
-}
-
-// RunContext is Run bound to a context: when ctx fires mid-job the
-// remaining C-tile groups are skipped and the call returns ctx.Err().
-// Unlike the asynchronous WaitContext, it returns only once the job has
-// actually completed — cancellation makes that prompt (bounded by the
-// task already running) — so the operand slices are always quiescent
-// when it returns and may be reused immediately.
-func (p *Plan) RunContext(ctx context.Context, c, a, b []float32) error {
-	fut, err := p.submitJob(ctx, c, a, b, 1, sched.QoS{})
-	if err != nil {
-		return err
-	}
-	return fut.Wait()
-}
-
 // RunParallel is Run with the C-tile groups claimed by up to `workers`
 // pool workers concurrently — the functional counterpart of the
 // multi-core scheduling the Estimate path models. workers <= 0 uses the
 // whole pool. Results are bit-identical to Run: each C tile's k chunks
 // execute in ascending order within one task.
 func (p *Plan) RunParallel(c, a, b []float32, workers int) error {
-	fut, err := p.submitJob(context.Background(), c, a, b, workers, sched.QoS{})
-	if err != nil {
-		return err
-	}
-	return fut.Wait()
-}
-
-// RunParallelContext is RunParallel bound to a context. Like
-// RunContext it returns only once the job has completed (promptly on
-// cancellation), so the operand slices are quiescent on return.
-func (p *Plan) RunParallelContext(ctx context.Context, c, a, b []float32, workers int) error {
-	fut, err := p.submitJob(ctx, c, a, b, workers, sched.QoS{})
+	fut, err := p.Submit(context.Background(), c, a, b, workers, sched.QoS{})
 	if err != nil {
 		return err
 	}

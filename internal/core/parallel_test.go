@@ -183,7 +183,7 @@ func TestSubmitAsync(t *testing.T) {
 	want := make([]float32, m*n)
 	refgemm.GEMM(m, n, k, a, k, b, n, want, n)
 
-	fut, err := plan.Submit(c, a, b)
+	fut, err := plan.Submit(context.Background(), c, a, b, 0, sched.QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRunOnClosedRuntime(t *testing.T) {
 	if err := plan.Run(buf, buf, buf); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Run on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
-	if _, err := plan.Submit(buf, buf, buf); !errors.Is(err, sched.ErrClosed) {
+	if _, err := plan.Submit(context.Background(), buf, buf, buf, 0, sched.QoS{}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Submit on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
 }
@@ -269,14 +269,14 @@ func TestGeometryValidation(t *testing.T) {
 	}
 	good.M, good.K = -1, -1
 	buf := make([]float32, 64)
-	if _, err := good.Submit(buf, buf, buf); err == nil {
-		t.Error("submitJob accepted m = k = -1 (m*k = 1 bypass)")
+	if _, err := good.Submit(context.Background(), buf, buf, buf, 0, sched.QoS{}); err == nil {
+		t.Error("Submit accepted m = k = -1 (m*k = 1 bypass)")
 	}
 }
 
 // TestRunContextCancelledMidJob: cancelling the context from inside the
 // first C-tile-group task skips the remaining groups and surfaces
-// context.Canceled from RunContext.
+// context.Canceled from the single-worker job's Wait.
 func TestRunContextCancelledMidJob(t *testing.T) {
 	chip := hw.KP920()
 	opts := AutoOptions(chip)
@@ -304,13 +304,17 @@ func TestRunContextCancelledMidJob(t *testing.T) {
 	c := make([]float32, m*n)
 	refgemm.Fill(a, m, k, k, 3)
 	refgemm.Fill(b, k, n, n, 4)
-	if err := plan.RunContext(ctx, c, a, b); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	fut, err := plan.Submit(ctx, c, a, b, 1, sched.QoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job Wait = %v, want context.Canceled", err)
 	}
 	sched.SetFaultHook(nil)
 	// The plan (and its runtime) keep serving after the cancellation.
 	if err := plan.Run(c, a, b); err != nil {
-		t.Fatalf("Run after cancelled RunContext: %v", err)
+		t.Fatalf("Run after cancelled job: %v", err)
 	}
 }
 
@@ -325,10 +329,9 @@ func TestSubmitContextPreCancelledCore(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	buf := make([]float32, 64)
-	if _, err := plan.SubmitContext(ctx, buf, buf, buf); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitContext = %v, want context.Canceled", err)
-	}
-	if err := plan.RunParallelContext(ctx, buf, buf, buf, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunParallelContext = %v, want context.Canceled", err)
+	for _, workers := range []int{0, 1, 2} {
+		if _, err := plan.Submit(ctx, buf, buf, buf, workers, sched.QoS{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Submit(workers=%d) = %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -530,7 +530,6 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	if p.runtime == nil {
 		p.runtime = sched.Shared()
 	}
-	p.defaultQoS = o.DefaultQoS
 	p.states = make([]*execState, p.runtime.Workers())
 	p.groups = partitionGroups(p.blocks())
 	return p, nil

@@ -23,7 +23,9 @@ type SGEMMParams struct {
 // DefaultSGEMM returns α = β = 1, no transposition (the paper's kernel).
 func DefaultSGEMM() SGEMMParams { return SGEMMParams{Alpha: 1, Beta: 1} }
 
-// RunSGEMM computes C = α·op(A)·op(B) + β·C through the plan. The plan's
+// RunSGEMM computes C = α·op(A)·op(B) + β·C through the plan, handing
+// the canonical C += A·B product to run — Plan.Run, or the owning
+// engine's request path so the job carries the engine's QoS. The plan's
 // (M, N, K) describe the *operated* shapes: op(A) is M×K and op(B) is
 // K×N, so A is stored K×M when TransA is set (leading dimension M), and
 // B is stored N×K when TransB is set (leading dimension K).
@@ -36,7 +38,7 @@ func DefaultSGEMM() SGEMMParams { return SGEMMParams{Alpha: 1, Beta: 1} }
 //     BLAS convention that NaNs in C are not propagated);
 //   - α scales a working copy of A;
 //   - transposed operands are materialized row-major.
-func (p *Plan) RunSGEMM(params SGEMMParams, c, a, b []float32) error {
+func (p *Plan) RunSGEMM(params SGEMMParams, c, a, b []float32, run func(c, a, b []float32) error) error {
 	m, n, k := p.M, p.N, p.K
 	if err := checkSGEMMSizes(params, len(a), len(b), len(c), m, n, k); err != nil {
 		return err
@@ -84,7 +86,7 @@ func (p *Plan) RunSGEMM(params SGEMMParams, c, a, b []float32) error {
 			}
 		}
 	}
-	return p.Run(c, ka, kb)
+	return run(c, ka, kb)
 }
 
 func checkSGEMMSizes(params SGEMMParams, la, lb, lc, m, n, k int) error {

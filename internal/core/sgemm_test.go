@@ -52,7 +52,7 @@ func checkSGEMM(t *testing.T, params SGEMMParams, m, n, k int) {
 	want := make([]float32, m*n)
 	copy(want, c)
 	refSGEMM(params, want, a, b, m, n, k)
-	if err := plan.RunSGEMM(params, c, a, b); err != nil {
+	if err := plan.RunSGEMM(params, c, a, b, plan.Run); err != nil {
 		t.Fatal(err)
 	}
 	if e := refgemm.MaxRelErr(c, want, m, n, n, n); e > refgemm.Tolerance {
@@ -92,7 +92,7 @@ func TestSGEMMBetaZeroClearsNaN(t *testing.T) {
 	for i := range c {
 		c[i] = nan
 	}
-	if err := plan.RunSGEMM(SGEMMParams{Alpha: 1, Beta: 0}, c, a, b); err != nil {
+	if err := plan.RunSGEMM(SGEMMParams{Alpha: 1, Beta: 0}, c, a, b, plan.Run); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range c {
@@ -108,7 +108,7 @@ func TestSGEMMAlphaZero(t *testing.T) {
 	plan, _ := NewPlan(chip, 4, 4, 4, AutoOptions(chip))
 	c := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	var a, b [16]float32
-	if err := plan.RunSGEMM(SGEMMParams{Alpha: 0, Beta: 2}, c, a[:], b[:]); err != nil {
+	if err := plan.RunSGEMM(SGEMMParams{Alpha: 0, Beta: 2}, c, a[:], b[:], plan.Run); err != nil {
 		t.Fatal(err)
 	}
 	if c[0] != 2 || c[15] != 32 {
@@ -141,7 +141,7 @@ func TestSGEMMProperty(t *testing.T) {
 		want := make([]float32, m*n)
 		copy(want, c)
 		refSGEMM(params, want, a, b, m, n, k)
-		if err := plan.RunSGEMM(params, c, a, b); err != nil {
+		if err := plan.RunSGEMM(params, c, a, b, plan.Run); err != nil {
 			return false
 		}
 		return refgemm.MaxRelErr(c, want, m, n, n, n) <= refgemm.Tolerance
@@ -156,7 +156,7 @@ func TestSGEMMSizeValidation(t *testing.T) {
 	chip := hw.KP920()
 	plan, _ := NewPlan(chip, 8, 8, 8, AutoOptions(chip))
 	small := make([]float32, 4)
-	if err := plan.RunSGEMM(DefaultSGEMM(), small, small, small); err == nil {
+	if err := plan.RunSGEMM(DefaultSGEMM(), small, small, small, plan.Run); err == nil {
 		t.Error("undersized buffers accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -62,7 +63,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 	fillVT(b, 2)
 
 	for run := 0; run < 2; run++ {
-		fut, err := p.Submit(c, a, b)
+		fut, err := p.Submit(context.Background(), c, a, b, 0, sched.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}

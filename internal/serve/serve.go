@@ -3,7 +3,7 @@
 // and the load harness in cmd/autogemm-bench drives. It maps tenants
 // (a header or bearer token) onto scheduling classes, threads per-class
 // weight, admission depth and per-request deadlines down to
-// Engine.SubmitOptsContext, and translates the engine's sentinel
+// Engine.Submit (each request's GEMM.QoS), and translates the engine's sentinel
 // errors into HTTP statuses with autogemm.HTTPStatus: a shed tenant
 // gets 429 + Retry-After, an expired deadline 504, a rejected plan
 // 422, a draining engine 503.
@@ -275,9 +275,9 @@ func (s *Server) submit(r *http.Request, tc TenantConfig, g *GEMMRequest) (*auto
 	if c == nil {
 		c = make([]float32, g.M*g.N)
 	}
-	fut, err := s.eng.SubmitOptsContext(r.Context(), autogemm.GEMM{
-		C: c, A: g.A, B: g.B, M: g.M, N: g.N, K: g.K,
-	}, autogemm.SubmitOpts{QoS: qosFor(tc, g.DeadlineMs)})
+	fut, err := s.eng.Submit(r.Context(), autogemm.GEMM{
+		C: c, A: g.A, B: g.B, M: g.M, N: g.N, K: g.K, QoS: qosFor(tc, g.DeadlineMs),
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -326,7 +326,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 // future completes. Elements refused at submission (admission shed,
 // bad geometry) get their line immediately; elements not yet submitted
 // when the request context fires are short-circuited, mirroring
-// MultiplyBatchOptsContext. Accepted jobs are always drained before
+// Engine.MultiplyBatchContext. Accepted jobs are always drained before
 // the handler returns, so element buffers are quiescent afterwards.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -97,15 +97,15 @@ func TestServeShedRoundTrip(t *testing.T) {
 	// depth-1 batch class with a queued job submitted directly.
 	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 11)
-	blocker, err := eng.Submit(autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := workload.Shape{M: 32, N: 32, K: 32}
 	sa, sb := testOperands(t, s, 13)
-	occupant, err := eng.SubmitOpts(autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
-		C: make([]float32, s.M*s.N)}, autogemm.SubmitOpts{QoS: autogemm.QoS{Class: "batch"}})
+	occupant, err := eng.Submit(context.Background(), autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
+		C: make([]float32, s.M*s.N), QoS: autogemm.QoS{Class: "batch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestServeDeadlineMissRoundTrip(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
 	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 17)
-	blocker, err := eng.Submit(autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
@@ -250,15 +250,15 @@ func TestServeMetrics(t *testing.T) {
 	// Produce one shed exactly as TestServeShedRoundTrip does.
 	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 29)
-	blocker, err := eng.Submit(autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := workload.Shape{M: 32, N: 32, K: 32}
 	sa, sb := testOperands(t, s, 31)
-	occupant, err := eng.SubmitOpts(autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
-		C: make([]float32, s.M*s.N)}, autogemm.SubmitOpts{QoS: autogemm.QoS{Class: "batch"}})
+	occupant, err := eng.Submit(context.Background(), autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
+		C: make([]float32, s.M*s.N), QoS: autogemm.QoS{Class: "batch"}})
 	if err != nil {
 		t.Fatal(err)
 	}

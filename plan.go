@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"fmt"
 
 	"autogemm/internal/core"
@@ -13,8 +14,8 @@ import (
 // lifecycle is produce → fingerprint → cache → persist → warm-start →
 // execute; see docs/INTERNALS.md, "Plan lifecycle".
 
-// Plan is a resolved, reusable execution plan bound to one engine's
-// chip: the serializable recipe (blocking, loop order, packing, panel
+// Plan is a resolved, reusable execution plan bound to the engine that
+// resolved or loaded it: the serializable recipe (blocking, loop order, packing, panel
 // splits, kernel keys) plus the attached executor with its generated
 // kernels. Plans are safe for concurrent use and cheap to reuse —
 // executing one performs no planning work.
@@ -60,16 +61,19 @@ func (e *Engine) PlanFor(opts *Options, m, n, k int) (*Plan, error) {
 
 // MultiplyPlanned computes C += A·B executing an explicit plan — the
 // zero-planning hot path for serving workloads that multiply the same
-// shape many times. The plan must have been produced by (or loaded
-// into) an engine for the same chip.
+// shape many times — as a single-worker job, like Multiply. The plan
+// must come from this engine's PlanFor or LoadPlan: a plan is attached
+// to its engine's scheduler, so moving one to another engine goes
+// through Encode and LoadPlan, which also re-audits it.
 func (e *Engine) MultiplyPlanned(p *Plan, c, a, b []float32) error {
 	if p == nil || p.p == nil {
 		return fmt.Errorf("autogemm: nil plan")
 	}
-	if p.p.Chip.Name != e.chip.Name {
-		return fmt.Errorf("autogemm: plan for chip %s used on %s", p.p.Chip.Name, e.chip.Name)
+	if p.eng != e {
+		return fmt.Errorf("autogemm: plan %s belongs to another engine (move it with Encode and LoadPlan)",
+			p.Fingerprint())
 	}
-	return wrapExec(p.p.Run(c, a, b))
+	return wait(e.submitPlan(context.Background(), p.p, GEMM{C: c, A: a, B: b}, 1))
 }
 
 // LoadPlan deserializes a plan produced by Encode (or read from a
@@ -85,7 +89,7 @@ func (e *Engine) LoadPlan(data []byte) (*Plan, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
 	}
 	cp, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
-		return core.Attach(e.chip, rec, core.Options{Runtime: e.sched})
+		return core.Attach(e.chip, rec, e.withRuntime(core.Options{}))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
@@ -200,14 +204,8 @@ func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) 
 		return e.planTiered(co, m, n, k, req)
 	}
 	return e.plans.Get(req.Fingerprint(), func() (*core.Plan, error) {
-		if e.registry != nil {
-			if rec, err := e.registry.Load(req.Fingerprint()); err == nil {
-				if rec.CheckRequest(req) == nil {
-					if p, err := core.Attach(e.chip, rec, co); err == nil {
-						return p, nil
-					}
-				}
-			}
+		if p := e.warmStart(req, co); p != nil {
+			return p, nil
 		}
 		rec, err := core.Produce(e.chip, m, n, k, co)
 		if err != nil {
@@ -216,4 +214,22 @@ func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) 
 		co.TrustedPlan = true // just produced in-process, no audit needed
 		return core.Attach(e.chip, rec, co)
 	})
+}
+
+// warmStart attaches the registry's plan for req. It returns nil — plan
+// from scratch — when no registry is configured or the entry is
+// missing, stale, mismatched or fails the attach-time audit.
+func (e *Engine) warmStart(req plan.Request, co core.Options) *core.Plan {
+	if e.registry == nil {
+		return nil
+	}
+	rec, err := e.registry.Load(req.Fingerprint())
+	if err != nil || rec.CheckRequest(req) != nil {
+		return nil
+	}
+	p, err := core.Attach(e.chip, rec, co)
+	if err != nil {
+		return nil
+	}
+	return p
 }

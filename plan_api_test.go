@@ -1,9 +1,12 @@
 package autogemm
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,6 +190,47 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMultiplyPlannedForeignEngine: a plan handle is bound to the engine
+// that attached it. Another engine refuses it — it would otherwise run
+// on the first engine's scheduler and fail with ErrClosed once that
+// engine closes — and accepts it after Encode and LoadPlan.
+func TestMultiplyPlannedForeignEngine(t *testing.T) {
+	src, _ := New("Graviton2", WithWorkers(1))
+	dst, _ := New("Graviton2", WithWorkers(1))
+	defer dst.Close()
+	s := testShapes[0]
+	p, err := src.PlanFor(nil, s.m, s.n, s.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mulInputs(s.m, s.n, s.k, 7)
+	want := make([]float32, s.m*s.n)
+	if err := src.MultiplyPlanned(p, want, a, b); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	got := make([]float32, s.m*s.n)
+	err = dst.MultiplyPlanned(p, got, a, b)
+	if err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "another engine") {
+		t.Fatalf("foreign plan on an open engine: err = %v, want an another-engine rejection", err)
+	}
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := dst.LoadPlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.MultiplyPlanned(moved, got, a, b); err != nil {
+		t.Fatalf("plan moved with LoadPlan: %v", err)
+	}
+	if !bitsEqual(got, want) {
+		t.Error("moved plan result differs from the source engine's")
+	}
+}
+
 // TestPlanMismatchRejected checks the fingerprint gates: a plan for
 // another chip is rejected at load, and a corrupted registry entry is
 // ignored in favor of fresh planning rather than silently executed.
@@ -311,12 +355,12 @@ func TestTunePrimesPlanCache(t *testing.T) {
 
 	a, b := mulInputs(m, n, k, 9)
 	c := make([]float32, m*n)
-	if err := eng.MultiplyWith(&opts, c, a, b, m, n, k); err != nil {
+	if err := eng.MultiplyContext(context.Background(), GEMM{C: c, A: a, B: b, M: m, N: n, K: k, Opts: &opts}); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.PlanCacheStats()
 	if st.Built != built {
-		t.Errorf("MultiplyWith(tuned options) re-planned: Built %d -> %d", built, st.Built)
+		t.Errorf("MultiplyContext(tuned options) re-planned: Built %d -> %d", built, st.Built)
 	}
 
 	p, err := eng.PlanFor(&opts, m, n, k)

@@ -1,8 +1,6 @@
 package autogemm
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"autogemm/internal/sched"
@@ -11,10 +9,10 @@ import (
 // This file is the public multi-tenant QoS surface of the runtime:
 // scheduling classes, weighted claiming, per-class admission control
 // and deadlines, threaded down to internal/sched's per-class queues.
-// Existing entry points (Multiply, MultiplyBatch, Submit) are
-// untouched — they run under the engine's default class with behavior
-// identical to the pre-QoS scheduler — while the *Opts variants below
-// let a caller tag work with a class, weight and deadline. See
+// Each GEMM request carries its own QoS (GEMM.QoS): a zero QoS runs
+// under the engine's default class, so Multiply and untagged requests
+// behave exactly like the pre-QoS scheduler, while a tagged Submit or
+// batch element picks its class, weight and deadline. See
 // docs/INTERNALS.md, "Runtime & scheduling".
 
 // ErrAdmission matches (via errors.Is) every submission the scheduler
@@ -35,7 +33,7 @@ const (
 	BackgroundClass = sched.BackgroundClass
 )
 
-// QoS tags a submission with its scheduling treatment.
+// QoS tags a request (GEMM.QoS) with its scheduling treatment.
 type QoS struct {
 	// Class names the scheduling class (queue) the job parks in. ""
 	// means the engine's default class (WithDefaultClass, else
@@ -62,20 +60,10 @@ func (q QoS) toSched() sched.QoS {
 	return sched.QoS{Class: q.Class, Weight: q.Weight, Deadline: q.Deadline}
 }
 
-// SubmitOpts carries the per-submission options of Engine.SubmitOpts.
-type SubmitOpts struct {
-	QoS QoS
-}
-
-// BatchOpts carries the per-batch options of MultiplyBatchOpts. The
-// QoS applies to every element of the batch.
-type BatchOpts struct {
-	QoS QoS
-}
-
-// WithDefaultClass sets the scheduling class work submitted without an
-// explicit QoS runs under (default DefaultClass). A serving setup can
-// point each tenant's engine-facing path at its own class.
+// WithDefaultClass sets the scheduling class requests with an empty
+// QoS class run under (default DefaultClass), whatever the entry point
+// and wherever the plan came from. A serving setup can point each
+// tenant's engine-facing path at its own class.
 func WithDefaultClass(name string) EngineOption {
 	return func(e *Engine) { e.defaultClass = name }
 }
@@ -124,78 +112,6 @@ func (e *Engine) ClassStats(name string) (SchedClassStats, bool) {
 		return SchedClassStats{}, false
 	}
 	return schedClassStats([]sched.ClassStats{cs})[0], true
-}
-
-// SubmitOpts is Submit with explicit per-submission options. With a
-// zero SubmitOpts it is exactly Submit.
-func (e *Engine) SubmitOpts(g GEMM, o SubmitOpts) (*Future, error) {
-	return e.SubmitOptsContext(context.Background(), g, o)
-}
-
-// SubmitOptsContext is SubmitOpts bound to a context; the context and
-// the QoS deadline compose (whichever fires first cancels the job).
-func (e *Engine) SubmitOptsContext(ctx context.Context, g GEMM, o SubmitOpts) (*Future, error) {
-	p, err := e.plan(g.Opts, g.M, g.N, g.K)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := p.SubmitQoS(ctx, g.C, g.A, g.B, o.QoS.toSched())
-	if err != nil {
-		return nil, wrapExec(err)
-	}
-	return &Future{f: rf}, nil
-}
-
-// MultiplyBatchOpts is MultiplyBatch with per-batch options: every
-// element is submitted under o.QoS. Barrier and error semantics match
-// MultiplyBatch — all elements are submitted and all accepted jobs
-// waited for even when one fails; the first error, tagged with its
-// element index, is returned. Any per-element submit error — an
-// admission refusal (ErrAdmission), bad geometry, a plan failure —
-// marks that element failed and continues the batch: the elements are
-// independent, so one element's refusal never takes the rest with it.
-func (e *Engine) MultiplyBatchOpts(batch []GEMM, o BatchOpts) error {
-	return e.MultiplyBatchOptsContext(context.Background(), batch, o)
-}
-
-// MultiplyBatchOptsContext is MultiplyBatchOpts bound to a context.
-// Once ctx fires, remaining submissions are short-circuited — no plan
-// is resolved and no job enqueued for elements not yet submitted; each
-// reports ctx.Err() — while every job already accepted is still waited
-// for, so the operand slices are quiescent on return.
-func (e *Engine) MultiplyBatchOptsContext(ctx context.Context, batch []GEMM, o BatchOpts) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	futs := make([]*Future, len(batch))
-	var firstErr error
-	for i := range batch {
-		if err := ctx.Err(); err != nil {
-			// Cancelled mid-batch: submitting the tail would plan and
-			// enqueue jobs that only fail with the same error.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("autogemm: batch element %d: %w", i, err)
-			}
-			break
-		}
-		f, err := e.SubmitOptsContext(ctx, batch[i], SubmitOpts{QoS: o.QoS})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("autogemm: batch element %d: %w", i, err)
-			}
-			continue // remaining elements are independent: keep submitting
-		}
-		futs[i] = f
-	}
-	for i, f := range futs {
-		if f == nil {
-			continue
-		}
-		if err := f.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("autogemm: batch element %d: %w", i, err)
-		}
-	}
-	return firstErr
 }
 
 // SchedClassStats is one scheduling class's counters, as reported by

@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -9,12 +10,13 @@ import (
 	"autogemm/internal/workload"
 )
 
-// TestSubmitOptsBitIdenticalToMultiply: tagging work with a class,
-// weight and batch options changes scheduling only — every output bit
-// matches a serial Multiply of the same shape.
-func TestSubmitOptsBitIdenticalToMultiply(t *testing.T) {
+// TestQoSBitIdenticalToMultiply: tagging work with a class, weight or
+// per-element batch QoS changes scheduling only — every output bit
+// matches a serial Multiply of the same shape — and each batch element
+// lands in its own class's counters.
+func TestQoSBitIdenticalToMultiply(t *testing.T) {
 	shapes := workload.ResNet50()[15:] // L16..L20, the fast tail
-	e, err := New("KP920", WithWorkers(4), WithClass("latency", 16, 0))
+	e, err := New("KP920", WithWorkers(4), WithClass("latency", 16, 0), WithClass("bulk", 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,23 +31,39 @@ func TestSubmitOptsBitIdenticalToMultiply(t *testing.T) {
 		if err := e.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
 			t.Fatalf("%s serial: %v", s.Name, err)
 		}
+		g := func(q QoS) GEMM {
+			return GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N), QoS: q}
+		}
 
-		got := make([]float32, s.M*s.N)
-		f, err := e.SubmitOpts(GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b, C: got},
-			SubmitOpts{QoS: QoS{Class: "latency"}})
+		async := g(QoS{Class: "latency"})
+		f, err := e.Submit(context.Background(), async)
 		if err != nil {
-			t.Fatalf("%s SubmitOpts: %v", s.Name, err)
+			t.Fatalf("%s Submit: %v", s.Name, err)
 		}
 		if err := f.Wait(); err != nil {
 			t.Fatalf("%s wait: %v", s.Name, err)
 		}
-		diffBits(t, s.Name+" SubmitOpts", got, want)
+		diffBits(t, s.Name+" Submit", async.C, want)
 
-		batch := []GEMM{{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N)}}
-		if err := e.MultiplyBatchOpts(batch, BatchOpts{QoS: QoS{Class: "latency", Weight: 8}}); err != nil {
-			t.Fatalf("%s MultiplyBatchOpts: %v", s.Name, err)
+		// One batch, two classes: each element carries its own QoS.
+		batch := []GEMM{g(QoS{Class: "latency", Weight: 8}), g(QoS{Class: "bulk"})}
+		if err := e.MultiplyBatch(batch); err != nil {
+			t.Fatalf("%s MultiplyBatch: %v", s.Name, err)
 		}
-		diffBits(t, s.Name+" MultiplyBatchOpts", batch[0].C, want)
+		diffBits(t, s.Name+" batch latency element", batch[0].C, want)
+		diffBits(t, s.Name+" batch bulk element", batch[1].C, want)
+	}
+
+	want := map[string]int64{
+		DefaultClass: int64(len(shapes)),     // the serial references
+		"latency":    int64(2 * len(shapes)), // Submit + one batch element per shape
+		"bulk":       int64(len(shapes)),     // the other batch element
+	}
+	for class, n := range want {
+		cs, ok := e.ClassStats(class)
+		if !ok || cs.Submitted != n || cs.Completed != n {
+			t.Errorf("class %q = %+v (present %v), want %d submitted and completed", class, cs, ok, n)
+		}
 	}
 }
 
@@ -68,7 +86,9 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	}
 
 	// Expired deadline: refused at admission before any task runs.
-	_, err = e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Deadline: time.Now().Add(-time.Second)}})
+	expired := g()
+	expired.QoS.Deadline = time.Now().Add(-time.Second)
+	_, err = e.Submit(context.Background(), expired)
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("expired deadline: got %v, want ErrAdmission", err)
 	}
@@ -80,16 +100,21 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 3)
 	refgemm.Fill(bb, big.K, big.N, big.N, 4)
-	blocker, err := e.Submit(GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Class: "tight"}})
+	tightJob := func() GEMM {
+		x := g()
+		x.QoS.Class = "tight"
+		return x
+	}
+	f1, err := e.Submit(context.Background(), tightJob())
 	if err != nil {
 		t.Fatalf("first tight job: %v", err)
 	}
-	_, err = e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Class: "tight"}})
+	_, err = e.Submit(context.Background(), tightJob())
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("over-depth submission: got %v, want ErrAdmission", err)
 	}
@@ -115,8 +140,9 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	}
 
 	// An inadmissible batch element reports ErrAdmission tagged with its
-	// index, per the MultiplyBatchOpts contract.
-	err = e.MultiplyBatchOpts([]GEMM{g()}, BatchOpts{QoS: QoS{Deadline: time.Now().Add(-time.Hour)}})
+	// index, per the MultiplyBatchContext contract.
+	expired.QoS.Deadline = time.Now().Add(-time.Hour)
+	err = e.MultiplyBatch([]GEMM{expired})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("batch with expired deadline: got %v, want ErrAdmission", err)
 	}
@@ -124,49 +150,73 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 
 // TestWithDefaultClassPlumbing: WithDefaultClass reroutes the implicit
 // entry points' jobs into the named class, visible in the per-class
-// counters, and outputs stay bit-identical to the default engine.
+// counters, and outputs stay bit-identical to the default engine —
+// whether the shape's plan was planned on first use or entered the
+// cache through LoadPlan.
 func TestWithDefaultClassPlumbing(t *testing.T) {
-	s := workload.ResNet50()[16]
 	e, err := New("KP920", WithWorkers(2), WithDefaultClass("tenant-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-
-	a := make([]float32, s.M*s.K)
-	b := make([]float32, s.K*s.N)
-	refgemm.Fill(a, s.M, s.K, s.K, 7)
-	refgemm.Fill(b, s.K, s.N, s.N, 8)
-	got := make([]float32, s.M*s.N)
-	if err := e.Multiply(got, a, b, s.M, s.N, s.K); err != nil {
-		t.Fatal(err)
-	}
-
 	ref, err := New("KP920", WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want := make([]float32, s.M*s.N)
-	if err := ref.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
-		t.Fatal(err)
-	}
-	diffBits(t, s.Name+" default-class reroute", got, want)
 
-	found := false
-	for _, cs := range e.PlanCacheStats().SchedClasses {
-		if cs.Class == "tenant-a" {
-			found = true
-			if cs.Submitted < 1 || cs.Completed < 1 {
-				t.Fatalf("tenant-a counters = %+v, want >= 1 submitted/completed", cs)
+	for i, in := range []struct {
+		name string
+		s    workload.Shape
+		load bool // enter the plan through another engine's encoding
+	}{
+		{"planned", workload.ResNet50()[16], false},
+		{"loaded", workload.ResNet50()[17], true},
+	} {
+		s := in.s
+		a := make([]float32, s.M*s.K)
+		b := make([]float32, s.K*s.N)
+		refgemm.Fill(a, s.M, s.K, s.K, uint64(7+2*i))
+		refgemm.Fill(b, s.K, s.N, s.N, uint64(8+2*i))
+		want := make([]float32, s.M*s.N)
+		if err := ref.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
+			t.Fatal(err)
+		}
+		if in.load {
+			p, err := ref.PlanFor(nil, s.M, s.N, s.K)
+			if err != nil {
+				t.Fatal(err)
 			}
+			data, err := p.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := e.LoadPlan(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float32, s.M*s.N)
+			if err := e.MultiplyPlanned(loaded, got, a, b); err != nil {
+				t.Fatal(err)
+			}
+			diffBits(t, in.name+" MultiplyPlanned", got, want)
 		}
-		if cs.Class == DefaultClass && cs.Submitted != 0 {
-			t.Fatalf("default class saw %d jobs despite WithDefaultClass", cs.Submitted)
+		got := make([]float32, s.M*s.N)
+		if err := e.Multiply(got, a, b, s.M, s.N, s.K); err != nil {
+			t.Fatal(err)
 		}
+		diffBits(t, in.name+" default-class reroute", got, want)
 	}
-	if !found {
-		t.Fatal("class 'tenant-a' missing from PlanCacheStats.SchedClasses")
+
+	cs, ok := e.ClassStats("tenant-a")
+	if !ok {
+		t.Fatal("class 'tenant-a' missing from the engine's classes")
+	}
+	if cs.Submitted != 3 || cs.Completed != 3 {
+		t.Fatalf("tenant-a counters = %+v, want 3 submitted/completed", cs)
+	}
+	if cs, ok := e.ClassStats(DefaultClass); ok && cs.Submitted != 0 {
+		t.Fatalf("default class saw %d jobs despite WithDefaultClass", cs.Submitted)
 	}
 }
 
@@ -185,8 +235,8 @@ func TestConfigureClassRuntime(t *testing.T) {
 	b := make([]float32, s.K*s.N)
 	refgemm.Fill(a, s.M, s.K, s.K, 5)
 	refgemm.Fill(b, s.K, s.N, s.N, 6)
-	f, err := e.SubmitOpts(GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b,
-		C: make([]float32, s.M*s.N)}, SubmitOpts{QoS: QoS{Class: "burst"}})
+	f, err := e.Submit(context.Background(), GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b,
+		C: make([]float32, s.M*s.N), QoS: QoS{Class: "burst"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestBatchAdmissionIdentitySurvivesWrapping(t *testing.T) {
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 1)
 	refgemm.Fill(bb, big.K, big.N, big.N, 2)
-	blocker, err := e.Submit(GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,9 @@ func TestBatchAdmissionIdentitySurvivesWrapping(t *testing.T) {
 	// Two tight-class elements behind the parked worker: the first
 	// occupies the depth-1 bound, the second sheds — and the batch error
 	// must carry the admission identity through the index tag.
-	err = e.MultiplyBatchOpts([]GEMM{g(), g()}, BatchOpts{QoS: QoS{Class: "tight"}})
+	tight := g()
+	tight.QoS.Class = "tight"
+	err = e.MultiplyBatch([]GEMM{tight, tight})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("batch shed error = %v, want ErrAdmission identity", err)
 	}
@@ -113,7 +115,7 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 5)
 	refgemm.Fill(bb, big.K, big.N, big.N, 6)
-	blocker, err := e.Submit(GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+	blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +126,9 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	b := make([]float32, s.K*s.N)
 	refgemm.Fill(a, s.M, s.K, s.K, 7)
 	refgemm.Fill(b, s.K, s.N, s.N, 8)
-	batch := []GEMM{{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N)}}
-	err = e.MultiplyBatchOpts(batch, BatchOpts{QoS: QoS{Deadline: time.Now().Add(50 * time.Millisecond)}})
+	batch := []GEMM{{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N),
+		QoS: QoS{Deadline: time.Now().Add(50 * time.Millisecond)}}}
+	err = e.MultiplyBatch(batch)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch deadline error = %v, want DeadlineExceeded identity", err)
 	}
@@ -160,7 +163,7 @@ func TestBatchCtxShortCircuit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := e.PlanCacheStats().SchedJobsSubmitted
-	err = e.MultiplyBatchOptsContext(ctx, batch, BatchOpts{})
+	err = e.MultiplyBatchContext(ctx, batch)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch error = %v, want Canceled identity", err)
 	}
@@ -169,14 +172,6 @@ func TestBatchCtxShortCircuit(t *testing.T) {
 	}
 	if after := e.PlanCacheStats().SchedJobsSubmitted; after != before {
 		t.Fatalf("short-circuited batch still submitted %d jobs", after-before)
-	}
-
-	// Same short-circuit through the context-bound plain batch path.
-	if err := e.MultiplyBatchContext(ctx, batch); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled MultiplyBatchContext error = %v, want Canceled identity", err)
-	}
-	if after := e.PlanCacheStats().SchedJobsSubmitted; after != before {
-		t.Fatal("cancelled MultiplyBatchContext still submitted jobs")
 	}
 }
 

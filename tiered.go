@@ -73,14 +73,8 @@ func (e *Engine) planTiered(co core.Options, m, n, k int, req plan.Request) (*co
 	fp := req.Fingerprint()
 	p, err := e.plans.Get(fp, func() (*core.Plan, error) {
 		// A registry hit is already the full plan — no tier-0 detour.
-		if e.registry != nil {
-			if rec, err := e.registry.Load(fp); err == nil {
-				if rec.CheckRequest(req) == nil {
-					if p, err := core.Attach(e.chip, rec, co); err == nil {
-						return p, nil
-					}
-				}
-			}
+		if p := e.warmStart(req, co); p != nil {
+			return p, nil
 		}
 		rec, err := core.ProduceHeuristic(e.chip, m, n, k, co)
 		if err != nil {
