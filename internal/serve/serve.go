@@ -6,7 +6,8 @@
 // Engine.Submit (each request's GEMM.QoS), and translates the engine's sentinel
 // errors into HTTP statuses with autogemm.HTTPStatus: a shed tenant
 // gets 429 + Retry-After, an expired deadline 504, a rejected plan
-// 422, a draining engine 503.
+// 422, a draining engine 503. A result JSON cannot carry (an element
+// that overflowed to ±Inf or became NaN) is also answered with 422.
 //
 // Endpoints:
 //
@@ -28,6 +29,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -202,10 +204,46 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, msg string) {
-	s.count(status)
+	s.writeJSON(w, status, ErrorResponse{Error: msg, Status: status})
+}
+
+// writeJSON answers with status and v as the JSON body, and tallies
+// the status once it is sent. A value JSON cannot carry — a result that
+// overflowed to ±Inf or became NaN — is answered with a 422
+// ErrorResponse instead.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: msg, Status: status})
+	if err := json.NewEncoder(statusWriter{w, status}).Encode(v); unencodable(err) {
+		status = http.StatusUnprocessableEntity
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(ErrorResponse{Error: nonFinite(err), Status: status})
+	}
+	s.count(status)
+}
+
+// statusWriter sends its status with the first Write. json.Encoder
+// marshals the whole value before its one Write, so a value that fails
+// to encode leaves the response unstarted.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w statusWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(w.status)
+	return w.ResponseWriter.Write(p)
+}
+
+// unencodable reports whether err is json's refusal of a value it
+// cannot represent, ±Inf or NaN, rather than a failed write.
+func unencodable(err error) bool {
+	var uv *json.UnsupportedValueError
+	return errors.As(err, &uv)
+}
+
+// nonFinite is the error text for a result JSON cannot encode.
+func nonFinite(err error) string {
+	return "serve: result is not finite (±Inf or NaN cannot be sent as JSON): " + err.Error()
 }
 
 // tenantOf resolves the request's tenant: the TenantHeader value, or
@@ -316,9 +354,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.count(http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(MultiplyResponse{C: c})
+	s.writeJSON(w, http.StatusOK, MultiplyResponse{C: c})
 }
 
 // handleBatch is POST /v1/batch: submit every element under the
@@ -353,13 +389,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.count(http.StatusOK)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	s.count(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// A line that fails to encode was not written (see statusWriter);
+	// its element gets a 422 line instead.
 	writeLine := func(line BatchLine) {
-		enc.Encode(line)
+		if err := enc.Encode(line); unencodable(err) {
+			enc.Encode(BatchLine{Index: line.Index, Error: nonFinite(err), Status: http.StatusUnprocessableEntity})
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -414,9 +454,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.count(http.StatusOK)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.eng.PlanCacheStats().SchedClasses)
+		s.writeJSON(w, http.StatusOK, s.eng.PlanCacheStats().SchedClasses)
 	case http.MethodPost:
 		var upd ClassUpdate
 		if err := json.NewDecoder(r.Body).Decode(&upd); err != nil {
@@ -429,9 +467,7 @@ func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
 		}
 		s.eng.ConfigureClass(upd.Class, upd.Weight, upd.Depth)
 		cs, _ := s.eng.ClassStats(upd.Class)
-		s.count(http.StatusOK)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(cs)
+		s.writeJSON(w, http.StatusOK, cs)
 	default:
 		s.writeErrorStatus(w, http.StatusMethodNotAllowed, "GET or POST only")
 	}

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -341,4 +344,76 @@ func TestServeTenantResolution(t *testing.T) {
 
 func zeros(n int) string {
 	return strings.TrimSuffix(strings.Repeat("0,", n), ",")
+}
+
+// TestServeNonFiniteResult: a result that overflows to +Inf cannot be
+// sent as JSON. /v1/multiply answers 422 with an ErrorResponse, a batch
+// element gets a 422 line while its neighbours are served, and the
+// server's tally holds exactly the statuses sent.
+func TestServeNonFiniteResult(t *testing.T) {
+	eng, err := autogemm.New("KP920", autogemm.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+
+	const n = 4
+	huge := make([]float32, n*n) // 3e38·3e38 overflows float32 to +Inf
+	for i := range huge {
+		huge[i] = 3e38
+	}
+	body, err := json.Marshal(GEMMRequest{M: n, N: n, K: n, A: huge, B: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/multiply", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		var mr MultiplyResponse
+		err := json.NewDecoder(resp.Body).Decode(&mr)
+		t.Fatalf("overflowing multiply answered 200 (body decode: %v)", err)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("status %d body does not decode: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || er.Status != resp.StatusCode ||
+		!strings.Contains(er.Error, "not finite") {
+		t.Fatalf("overflowing multiply: status %d, body %+v; want 422 naming the non-finite result", resp.StatusCode, er)
+	}
+
+	ones := make([]float32, n*n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	cl := &Client{Base: hs.URL}
+	lines, err := cl.Batch(context.Background(), []GEMMRequest{
+		{M: n, N: n, K: n, A: ones, B: ones},
+		{M: n, N: n, K: n, A: huge, B: huge},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lines[0].Err(); err != nil || len(lines[0].C) != n*n || lines[0].C[0] != n {
+		t.Fatalf("finite element line = %+v, want C filled with %d", lines[0], n)
+	}
+	if lines[1].Status != http.StatusUnprocessableEntity || !strings.Contains(lines[1].Error, "not finite") {
+		t.Fatalf("overflowing element line = %+v, want a 422 line naming the non-finite result", lines[1])
+	}
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	want := map[int]int64{http.StatusUnprocessableEntity: 1, http.StatusOK: 1} // the multiply, the batch stream
+	if !maps.Equal(srv.responses, want) {
+		t.Fatalf("tallied %v, want %v", srv.responses, want)
+	}
 }

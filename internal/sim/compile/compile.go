@@ -194,6 +194,7 @@ const (
 // the block's micro-ops through the shared executor, then resolves the
 // successor; loop fuel is charged on taken branches only.
 func appendBlock(cp *Program, c *code, term uint8, next, taken int) error {
+	cp.blocks = append(cp.blocks, c)
 	switch term {
 	case termFall:
 		nx := next

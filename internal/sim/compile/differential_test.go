@@ -127,6 +127,12 @@ func requireScheduled(t *testing.T, cp *compile.Program) {
 }
 
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
+// On amd64 every scheduled chain runs through the SSE loop
+// (chains_amd64.s), so the sweep holds that loop to sim.Machine too.
+// The rule is bit equality except where both results are NaN, whose
+// payload neither the SSE loop nor gc's scalar code pins (see
+// TestChainsSSEMatchesGo). The operands here are finite and small, so no
+// result is NaN and the comparison is on raw bits.
 func TestDifferentialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, chip := range hw.All() {

@@ -100,6 +100,9 @@ type Program struct {
 
 	// Static FMLA counts: all of them, and those in scheduled regions.
 	fmlas, scheduledFmlas int
+	// The blocks' executable forms, which ops' closures run; kept for
+	// the test-only chain benchmark (export_test.go).
+	blocks []*code
 }
 
 // Precheck validates the once-per-invocation panel extents that replace

@@ -121,7 +121,7 @@ func execUops(e *Env, c *code) {
 		u := &c.body[i]
 		switch u.kind {
 		case uChain4:
-			execChains(vp, c.chains[u.a:u.b], c.steps)
+			runChains(vp, c.chains[u.a:u.b], c.steps)
 		case uMov4:
 			*vec4(vp, int64(u.d)*4) = *vec4(vp, int64(u.a)*4)
 		case uFmlaRun4:
@@ -258,9 +258,16 @@ func execUops(e *Env, c *code) {
 	}
 }
 
+// runChains executes uChain4 micro-ops. It is the portable execChains
+// unless the GOARCH has a packed loop: chains_amd64.go installs
+// execChainsSSE at init, and nothing reassigns it afterwards.
+var runChains = execChains
+
 // execChains runs a scheduled region's accumulator chains. Each chain's
 // one or two accumulators live in scalar locals from its first
-// multiply-add to its last and are loaded once per chain.
+// multiply-add to its last and are loaded once per chain. It is the
+// reference the packed loops are tested against (chains_amd64_test.go)
+// and the executor on every GOARCH without one.
 //
 // The pair loop writes its accumulators through after every step. The
 // stores are never read back inside the loop; they give each step's adds

@@ -21,7 +21,12 @@ import (
 // arena byte addresses in the interpreter and slice offsets in the
 // compiled form, so they are not comparable.) The vector comparison is
 // where a scheduled region's bad write-back of a renamed load shows
-// first.
+// first. On amd64 the scheduled chains run through the SSE loop
+// (chains_amd64.s), so this also fuzzes that loop against sim.Machine.
+// The rule is bit equality except where both results are NaN, whose
+// payload neither the SSE loop nor gc's scalar code pins (see
+// TestChainsSSEMatchesGo). The operands here are finite and small, so no
+// result is NaN and the comparison is on raw bits.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
 	// with varying offsets, and the block scheduler's cases.

@@ -26,7 +26,8 @@ import "autogemm/internal/asm"
 //     exact version each FMLA read);
 //  2. the FMLAs accumulator-major (uChain4): accumulators whose FMLAs
 //     share the same full-vector operand sequence run in pairs, held in
-//     Go scalar locals for the whole chain (execChains);
+//     registers for the whole chain (runChains: the SSE loop on amd64,
+//     execChains elsewhere);
 //  3. renamed registers are copied back to the architectural file
 //     (uMov4), so the stores and later blocks see the program's state.
 //
