@@ -4,7 +4,7 @@ GO ?= go
 # @latest made CI results depend on the day's release.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check vet vet-custom staticcheck build test lint audit bench bench-smoke clean
+.PHONY: check vet vet-custom staticcheck build test lint audit bench clean
 
 # check is the tier-1 gate CI runs: vet (standard and custom passes),
 # staticcheck, build, full test suite.
@@ -64,36 +64,12 @@ audit:
 		else echo "injected $$k: detected"; fi; \
 	done
 
-# bench measures the execution engine on the ResNet-50 shapes —
-# interpreted vs compiled backend, plus batch throughput across
-# scheduler worker counts — and writes BENCH_$(BENCH_TAG).json.
-BENCH_TAG ?= local
-BENCH_WORKERS ?= 1,2,4
+# bench runs the repository benchmark (the bench module: every workload
+# of BENCHMARK.json, built from this checkout) and the compiled
+# executor's microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/compile/
-	$(GO) run ./cmd/autogemm-bench -json -tag $(BENCH_TAG) -workers $(BENCH_WORKERS)
-
-# bench-smoke is the fast CI variant: two layers, short measurements,
-# with the fault drill (panic/error/cancel injection plus the tiered
-# planner's failed-upgrade containment) run against the engine first.
-# -assert-first-hit holds the tiered cold-serve budget: the run fails
-# if any of the 20 ResNet-50 shapes takes over 500µs to first plan.
-# The second step replays a real A64FX schedule in virtual time and
-# asserts the paper's CMG figure: monotone in-group scaling and the
-# efficiency collapse once workers span CMGs. The third replays a
-# mixed-class ResNet-50 workload and asserts the QoS win: weighted
-# claiming beats FIFO on latency-class p99 queue wait without
-# degrading makespan more than 5%. The fourth saturates the real HTTP
-# serving front door with concurrent mixed-class clients and asserts
-# the serving bar: zero result corruption, the depth-bounded class
-# actually shedding, and a live weight-only retune preserving the
-# admission depth (the ConfigureClass regression, end to end).
-bench-smoke:
-	AUTOGEMM_FAULT=all $(GO) run ./cmd/autogemm-bench -json -tag smoke -layers L16,L20 -mintime 50ms -assert-first-hit 500
-	@rm -f BENCH_smoke.json
-	$(GO) run ./cmd/autogemm-bench -sim-scaling -sim-chips A64FX -assert-cmg-collapse >/dev/null
-	$(GO) run ./cmd/autogemm-bench -sim-qos -assert-qos >/dev/null
-	$(GO) run ./cmd/autogemm-bench -serve-load -serve-clients 24 -serve-workers 2 -serve-duration 1500ms -assert-serve >/dev/null
+	bash bench/run.sh --workload all
 
 clean:
 	$(GO) clean ./...

@@ -1,17 +1,14 @@
 // Command autogemm-bench regenerates the paper's tables and figures on
-// the simulated chips, and measures the real execution engine:
+// the simulated chips:
 //
 //	autogemm-bench -list
 //	autogemm-bench -exp table1
-//	autogemm-bench -exp fig5,fig6
+//	autogemm-bench -exp fig5,fig6 -out results/
+//	autogemm-bench -exp fig11-replay,qos-replay   # real schedules replayed in virtual time
 //	autogemm-bench -exp all
-//	autogemm-bench -json -tag local            # engine GFLOP/s -> BENCH_local.json
-//	autogemm-bench -json -tag local -workers 1,2,4
-//	autogemm-bench -json -tag smoke -layers L16,L20 -mintime 100ms
-//	autogemm-bench -json -tag local -assert-first-hit 500    # fail if any tiered first hit > 500µs
-//	autogemm-bench -sim-scaling -json                        # virtual-time strong-scaling curves, all chips
-//	autogemm-bench -sim-scaling -sim-chips A64FX -assert-cmg-collapse
-//	autogemm-bench -sim-scaling -sim-update-bench merge -tag local
+//
+// The wall-clock benchmark of the execution engine is the separate
+// bench module (bash bench/run.sh).
 package main
 
 import (
@@ -28,60 +25,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
 	exp := flag.String("exp", "", "comma-separated experiment ids, or 'all'")
 	outDir := flag.String("out", "", "also write each table as <dir>/<id>.csv")
-	jsonBench := flag.Bool("json", false, "benchmark the execution engine on the ResNet-50 shapes and write BENCH_<tag>.json")
-	tag := flag.String("tag", "local", "tag for the -json output file name")
-	chip := flag.String("chip", "KP920", "chip configuration for -json (kernel shapes/lanes)")
-	layers := flag.String("layers", "", "comma-separated ResNet-50 layer subset for -json (default: all)")
-	workers := flag.String("workers", "", "comma-separated worker counts for -json (default: powers of two up to NumCPU)")
-	minTime := flag.Duration("mintime", 300*time.Millisecond, "minimum measurement time per -json data point")
-	assertFirstHit := flag.Float64("assert-first-hit", 0, "fail -json if any tiered-mode plan first hit exceeds this many microseconds, measured over all ResNet-50 shapes (0 disables)")
-	simScaling := flag.Bool("sim-scaling", false, "replay a real schedule in virtual time and emit per-chip strong-scaling curves")
-	simChips := flag.String("sim-chips", "all", "comma-separated chip set for -sim-scaling, or 'all'")
-	simLayer := flag.String("sim-layer", "L1", "ResNet-50 layer for -sim-scaling")
-	simWorkers := flag.Int("sim-pool-workers", 4, "OS worker-pool size for the recorded -sim-scaling run (virtual worker counts are swept independently)")
-	assertCollapse := flag.Bool("assert-cmg-collapse", false, "fail -sim-scaling unless the A64FX curve shows the CMG efficiency collapse")
-	simUpdateBench := flag.String("sim-update-bench", "", "'merge' writes the -sim-scaling curves (or the -sim-qos / -serve-load report) into BENCH_<tag>.json")
-	simQoS := flag.Bool("sim-qos", false, "replay a mixed-class ResNet-50 workload in virtual time and compare FIFO vs weighted claiming")
-	simQoSWorkers := flag.Int("sim-qos-workers", 8, "virtual worker count for the -sim-qos replay")
-	assertQoS := flag.Bool("assert-qos", false, "fail -sim-qos unless weighted claiming beats FIFO on latency-class p99 queue wait without degrading makespan >5%")
-	serveLoad := flag.Bool("serve-load", false, "saturate a real HTTP serving front door with concurrent mixed-class clients and measure per-class throughput/latency/shed rates")
-	serveClients := flag.Int("serve-clients", 64, "concurrent HTTP clients for -serve-load")
-	serveWorkers := flag.Int("serve-workers", 4, "engine worker count for -serve-load")
-	serveDuration := flag.Duration("serve-duration", 2*time.Second, "load window for -serve-load")
-	assertServe := flag.Bool("assert-serve", false, "fail -serve-load on corruption, a never-shedding depth bound, or a weight-only retune dropping the bound")
 	flag.Parse()
-
-	if *serveLoad {
-		if err := runServeLoadMode(*chip, *serveClients, *serveWorkers, *serveDuration, *jsonBench, *assertServe, *simUpdateBench, *tag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *simQoS {
-		if err := runSimQoSMode(*chip, *simWorkers, *simQoSWorkers, *jsonBench, *assertQoS, *simUpdateBench, *tag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *simScaling {
-		if err := runSimScalingMode(*simChips, *simLayer, *simWorkers, *jsonBench, *assertCollapse, *simUpdateBench, *tag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonBench {
-		if err := runJSONBench(*tag, *chip, *layers, *workers, *minTime, *assertFirstHit); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	reg := experiments.Registry()
 	if *list || *exp == "" {

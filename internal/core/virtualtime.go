@@ -12,8 +12,8 @@ import (
 // compute cycles from the per-band timing simulation plus the DRAM
 // traffic it moves — to the worker that ran it (sched.Worker.Charge).
 // An installed sched.Timekeeper then observes the real scheduler's
-// schedule in simulated time, which is what the -sim-scaling bench mode
-// and the internal/vtime replay engine consume.
+// schedule in simulated time, which is what the replay experiments
+// (internal/experiments) and the internal/vtime replay engine consume.
 //
 // The costs are a pure function of the plan (shape, blocking, tilings,
 // chip), computed once by the same memoized shapeCosts the analytic

@@ -84,10 +84,11 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 
 	// Replay determinism: same costs, same chip, same worker count —
 	// bit-identical simulated cycles every time.
-	r1 := vtime.Simulate(chip, 48, want)
-	r2 := vtime.Simulate(chip, 48, want)
-	if r1.Cycles != r2.Cycles {
-		t.Errorf("replay cycles differ: %v vs %v", r1.Cycles, r2.Cycles)
+	job := []vtime.Job{{Costs: want}}
+	r1 := vtime.SimulateBatch(chip, 48, job, vtime.PolicyFIFO)
+	r2 := vtime.SimulateBatch(chip, 48, job, vtime.PolicyFIFO)
+	if r1.Makespan != r2.Makespan {
+		t.Errorf("replay cycles differ: %v vs %v", r1.Makespan, r2.Makespan)
 	}
 }
 
@@ -160,13 +161,13 @@ func TestAnalyticVsScheduleCrossValidation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim := vtime.Simulate(chip, cores, costs)
-				rel := math.Abs(est.Cycles-sim.Cycles) / est.Cycles
+				sim := vtime.SimulateBatch(chip, cores, []vtime.Job{{Costs: costs}}, vtime.PolicyFIFO)
+				rel := math.Abs(est.Cycles-sim.Makespan) / est.Cycles
 				pen := top.SpanPenalty(cores) * top.SyncPenalty(cores)
 				tol := (maxTask+est.MaxBandCost)*pen/est.Cycles + 0.02
 				if rel > tol {
 					t.Errorf("%s %dx%dx%d @%d cores: analytic %.0f vs simulated %.0f (rel %.3f > tol %.3f)",
-						chip.Name, s[0], s[1], s[2], cores, est.Cycles, sim.Cycles, rel, tol)
+						chip.Name, s[0], s[1], s[2], cores, est.Cycles, sim.Makespan, rel, tol)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) on the simulated chips: each experiment returns a
 // Table whose rows mirror what the paper plots, and the registry lets
-// cmd/autogemm-bench run any of them by identifier. EXPERIMENTS.md
+// cmd/autogemm-bench run any of them by identifier. Most are analytic
+// projections; fig11-replay and qos-replay (replay.go) instead record a
+// real scheduled run and replay it in virtual time. EXPERIMENTS.md
 // records paper-versus-measured values for each.
 package experiments
 
@@ -97,6 +99,9 @@ func Registry() map[string]Runner {
 		"fig10":  Fig10,
 		"fig11":  Fig11,
 		"fig12":  Fig12,
+		// The same figures from a real schedule replayed in virtual time.
+		"fig11-replay": Fig11Replay,
+		"qos-replay":   QoSReplay,
 		// Ablations of the design choices DESIGN.md calls out.
 		"sve-edge":           SVEEdge,
 		"large-square":       LargeSquare,

@@ -19,8 +19,8 @@ func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
 	want := []string{
 		"ablation-dmt", "ablation-prefetch", "ablation-residency", "ablation-window",
-		"fig10", "fig11", "fig12", "fig2", "fig3", "fig4", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "large-square", "pack-kernels", "sve-edge",
+		"fig10", "fig11", "fig11-replay", "fig12", "fig2", "fig3", "fig4", "fig5",
+		"fig6", "fig7", "fig8", "fig9", "large-square", "pack-kernels", "qos-replay", "sve-edge",
 		"table1", "table2", "table3", "table4", "table5",
 	}
 	if len(ids) != len(want) {

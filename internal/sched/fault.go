@@ -5,10 +5,9 @@ import "sync/atomic"
 // Fault injection: a process-wide, test-only hook consulted immediately
 // before every task executes, used to exercise the runtime's failure
 // paths — task errors, contained panics, cancellation — deterministically
-// (the sched failure tests and cmd/autogemm-bench's AUTOGEMM_FAULT drill
-// drive it, including under -race). It is not part of the serving API;
-// production code never installs a hook and pays one atomic load per
-// task.
+// (the sched and root failure tests drive it, including under -race).
+// It is not part of the serving API; production code never installs a
+// hook and pays one atomic load per task.
 
 // faultFunc is consulted with the task index before the task's run
 // function. A non-nil return fails the task as if run returned it; a

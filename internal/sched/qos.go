@@ -139,7 +139,7 @@ type ClassStats struct {
 	// made between the job's acceptance and its own first join. Zero
 	// means a worker picked the job up immediately. Cycle-accurate wait
 	// distributions come from the virtual-time replay
-	// (vtime.SimulateBatch / autogemm-bench -sim-qos).
+	// (vtime.SimulateBatch, the qos-replay experiment).
 	QueueWaitJobs   int64 // jobs that have been joined at least once
 	QueueWaitClaims int64 // cumulative claim decisions those jobs waited
 }

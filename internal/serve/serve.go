@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant HTTP/JSON front door over the
 // engine's QoS runtime — the serving surface cmd/autogemm-serve mounts
-// and the load harness in cmd/autogemm-bench drives. It maps tenants
+// and the bench module's serve-mixed workload drives. It maps tenants
 // (a header or bearer token) onto scheduling classes, threads per-class
 // weight, admission depth and per-request deadlines down to
 // Engine.Submit (each request's GEMM.QoS), and translates the engine's sentinel

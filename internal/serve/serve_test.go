@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"autogemm"
@@ -134,6 +136,19 @@ func TestServeShedRoundTrip(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 response missing Retry-After")
+	}
+
+	// A weight-only retune over the control plane must keep the depth
+	// bound: the class still sheds afterwards.
+	cs, err := (&Client{Base: hs.URL}).ConfigureClass(context.Background(), "batch", 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Weight != 8 || cs.Depth != 1 {
+		t.Fatalf("weight-only retune: got weight=%d depth=%d, want weight=8 depth=1", cs.Weight, cs.Depth)
+	}
+	if _, err := cl.Multiply(context.Background(), s.M, s.N, s.K, sa, sb, 0); !errors.Is(err, autogemm.ErrAdmission) {
+		t.Fatalf("shed after weight-only retune: got %v, want ErrAdmission identity", err)
 	}
 
 	if err := blocker.Wait(); err != nil {
@@ -416,4 +431,93 @@ func TestServeNonFiniteResult(t *testing.T) {
 	if !maps.Equal(srv.responses, want) {
 		t.Fatalf("tallied %v, want %v", srv.responses, want)
 	}
+}
+
+// TestServeMixedTenantsUncorrupted: interactive multiplies and analytics
+// NDJSON batches race through one server on two workers; every 200 and
+// every successful batch line carries exactly the bits of a serial
+// Multiply, and the only element error allowed is the depth-bounded
+// class shedding (429).
+func TestServeMixedTenantsUncorrupted(t *testing.T) {
+	eng, hs := newTestStack(t, 2, func(c *Config) {
+		c.Tenants["analytics"] = TenantConfig{Class: "batch", Weight: 1, Depth: 4}
+	})
+	shapes := []workload.Shape{
+		{M: 26, N: 36, K: 20}, {M: 48, N: 40, K: 32}, {M: 64, N: 48, K: 24}, {M: 96, N: 96, K: 96},
+	}
+	type operands struct{ a, b, want []float32 }
+	ops := make([]operands, len(shapes))
+	for i, s := range shapes {
+		a, b := testOperands(t, s, uint64(31+2*i))
+		want := make([]float32, s.M*s.N)
+		if err := eng.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = operands{a, b, want}
+	}
+
+	const interactive, analytics, rounds, elems = 4, 2, 8, 6
+	var (
+		wg         sync.WaitGroup
+		ok, shed   atomic.Int64
+		batchLines atomic.Int64
+	)
+	check := func(tenant string, i int, c []float32, err error) {
+		switch {
+		case errors.Is(err, autogemm.ErrAdmission) && tenant == "analytics":
+			shed.Add(1)
+		case err != nil:
+			t.Errorf("%s shape %d: %v", tenant, i, err)
+		case !bitsEqual(ops[i].want, c):
+			t.Errorf("%s shape %d: served bits differ from serial Multiply", tenant, i)
+		default:
+			ok.Add(1)
+		}
+	}
+	for g := 0; g < interactive; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := &Client{Base: hs.URL, Tenant: "interactive"}
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % len(shapes)
+				s := shapes[i]
+				c, err := cl.Multiply(context.Background(), s.M, s.N, s.K, ops[i].a, ops[i].b, 0)
+				check("interactive", i, c, err)
+			}
+		}()
+	}
+	for g := 0; g < analytics; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := &Client{Base: hs.URL, Tenant: "analytics"}
+			for r := 0; r < rounds; r++ {
+				req := make([]GEMMRequest, elems)
+				idx := make([]int, elems)
+				for e := range req {
+					idx[e] = (g + r + e) % len(shapes)
+					s := shapes[idx[e]]
+					req[e] = GEMMRequest{M: s.M, N: s.N, K: s.K, A: ops[idx[e]].a, B: ops[idx[e]].b}
+				}
+				lines, err := cl.Batch(context.Background(), req)
+				if err != nil {
+					t.Errorf("analytics batch: %v", err)
+					return
+				}
+				for e, line := range lines {
+					batchLines.Add(1)
+					check("analytics", idx[e], line.C, line.Err())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if want := int64(analytics * rounds * elems); batchLines.Load() != want {
+		t.Errorf("got %d batch lines, want %d", batchLines.Load(), want)
+	}
+	if ok.Load() <= int64(interactive*rounds) {
+		t.Errorf("only %d successful results; the analytics tenant completed nothing", ok.Load())
+	}
+	t.Logf("%d results bit-identical, %d shed", ok.Load(), shed.Load())
 }

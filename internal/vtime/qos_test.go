@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"autogemm/internal/hw"
-	"autogemm/internal/sched"
 )
 
 func mixedBatch(n int) []Job {
@@ -159,33 +158,6 @@ func TestBatchSingleClassPoliciesCoincide(t *testing.T) {
 	}
 }
 
-// TestBatchSingleJobMatchesSimulate: a one-job batch reproduces the
-// single-job Simulate makespan exactly on every chip — SimulateBatch
-// generalizes the fluid model without perturbing it.
-func TestBatchSingleJobMatchesSimulate(t *testing.T) {
-	costs := make([]sched.TaskCost, 41)
-	for i := range costs {
-		costs[i] = sched.TaskCost{
-			Cycles: 5000 + float64(i*i%23)*97.25,
-			Bytes:  float64(i%6) * 16384,
-		}
-	}
-	for _, chip := range hw.All() {
-		for _, w := range []int{1, 2, chip.Cores} {
-			single := Simulate(chip, w, costs)
-			batch := SimulateBatch(chip, w, []Job{{ID: 1, Costs: costs}}, PolicyWeighted)
-			if batch.Makespan != single.Cycles {
-				t.Errorf("%s W=%d: batch makespan %v != Simulate cycles %v",
-					chip.Name, w, batch.Makespan, single.Cycles)
-			}
-			if batch.FloorBound != single.FloorBound {
-				t.Errorf("%s W=%d: FloorBound disagrees: batch %v, single %v",
-					chip.Name, w, batch.FloorBound, single.FloorBound)
-			}
-		}
-	}
-}
-
 // TestBatchParticipantCap: a job's Max bounds how many workers join it;
 // capped jobs take at least as long as uncapped ones.
 func TestBatchParticipantCap(t *testing.T) {
@@ -206,7 +178,8 @@ func TestBatchParticipantCap(t *testing.T) {
 	}
 }
 
-// TestBatchQuantile: nearest-rank quantile helper edge cases.
+// TestBatchQuantile: quantile helper edge cases, including an even
+// length where the rounded index and nearest rank disagree.
 func TestBatchQuantile(t *testing.T) {
 	if v := Quantile(nil, 0.99); v != 0 {
 		t.Errorf("Quantile(nil) = %v, want 0", v)
@@ -220,6 +193,11 @@ func TestBatchQuantile(t *testing.T) {
 	}
 	if v := Quantile(vals, 1); v != 5 {
 		t.Errorf("q1 = %v, want 5", v)
+	}
+	// n = 4, q = 0.5: index round(1.5) = 2, the 3rd-smallest value
+	// (nearest-rank would give the 2nd).
+	if v := Quantile([]float64{40, 10, 30, 20}, 0.5); v != 30 {
+		t.Errorf("even-length q0.5 = %v, want 30", v)
 	}
 	// Input must not be reordered by the helper.
 	if vals[0] != 5 || vals[4] != 3 {

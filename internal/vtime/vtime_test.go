@@ -8,6 +8,12 @@ import (
 	"autogemm/internal/sched"
 )
 
+// single replays one job's costs: the strong-scaling form of
+// SimulateBatch.
+func single(chip *hw.Chip, workers int, costs []sched.TaskCost) BatchResult {
+	return SimulateBatch(chip, workers, []Job{{Costs: costs}}, PolicyFIFO)
+}
+
 func uniform(n int, cycles, bytes float64) []sched.TaskCost {
 	costs := make([]sched.TaskCost, n)
 	for i := range costs {
@@ -23,9 +29,9 @@ func TestSingleWorkerIsSerialSum(t *testing.T) {
 	costs := []sched.TaskCost{
 		{Cycles: 100, Bytes: 1e12}, {Cycles: 31.5, Bytes: 0}, {Cycles: 7, Bytes: 5},
 	}
-	res := Simulate(hw.KP920(), 1, costs)
-	if want := 100 + 31.5 + 7.0; res.Cycles != want {
-		t.Errorf("Cycles=%v, want exact serial sum %v", res.Cycles, want)
+	res := single(hw.KP920(), 1, costs)
+	if want := 100 + 31.5 + 7.0; res.Makespan != want {
+		t.Errorf("Makespan=%v, want exact serial sum %v", res.Makespan, want)
 	}
 	if res.FloorBound {
 		t.Error("single worker must not apply the bandwidth floor")
@@ -46,10 +52,10 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 	for _, chip := range hw.All() {
-		a := Simulate(chip, chip.Cores, costs)
-		b := Simulate(chip, chip.Cores, costs)
-		if a.Cycles != b.Cycles {
-			t.Errorf("%s: cycles differ across runs: %v vs %v", chip.Name, a.Cycles, b.Cycles)
+		a := single(chip, chip.Cores, costs)
+		b := single(chip, chip.Cores, costs)
+		if a.Makespan != b.Makespan {
+			t.Errorf("%s: cycles differ across runs: %v vs %v", chip.Name, a.Makespan, b.Makespan)
 		}
 		for i := range a.Busy {
 			if a.Busy[i] != b.Busy[i] || a.Tasks[i] != b.Tasks[i] {
@@ -67,11 +73,11 @@ func TestUniformTasksBalance(t *testing.T) {
 	chip := hw.KP920() // 8 cores, 1 group
 	const n, w = 64, 8
 	costs := uniform(n, 1000, 0)
-	res := Simulate(chip, w, costs)
+	res := single(chip, w, costs)
 	top := hw.NewTopology(chip)
 	want := float64(n/w) * 1000 * top.SyncPenalty(w)
-	if math.Abs(res.Cycles-want) > 1e-6 {
-		t.Errorf("Cycles=%v, want %v", res.Cycles, want)
+	if math.Abs(res.Makespan-want) > 1e-6 {
+		t.Errorf("Makespan=%v, want %v", res.Makespan, want)
 	}
 	for i, k := range res.Tasks {
 		if k != n/w {
@@ -86,11 +92,11 @@ func TestUniformTasksBalance(t *testing.T) {
 func TestClaimOrderImbalance(t *testing.T) {
 	chip := hw.Graviton2()
 	costs := append([]sched.TaskCost{{Cycles: 1e6}}, uniform(10, 10, 0)...)
-	res := Simulate(chip, 4, costs)
+	res := single(chip, 4, costs)
 	top := hw.NewTopology(chip)
 	want := 1e6 * top.SyncPenalty(4)
-	if math.Abs(res.Cycles-want) > 1e-6 {
-		t.Errorf("Cycles=%v, want giant-task bound %v", res.Cycles, want)
+	if math.Abs(res.Makespan-want) > 1e-6 {
+		t.Errorf("Makespan=%v, want giant-task bound %v", res.Makespan, want)
 	}
 	if res.Tasks[0] != 1 {
 		t.Errorf("worker 0 ran %d tasks, want only the giant one", res.Tasks[0])
@@ -104,16 +110,16 @@ func TestBandwidthFloorBinds(t *testing.T) {
 	chip := hw.KP920()
 	top := hw.NewTopology(chip)
 	costs := uniform(16, 1, 1e9) // ~no compute, a GB of traffic each
-	res := Simulate(chip, 8, costs)
+	res := single(chip, 8, costs)
 	floor := 16e9 / top.SocketBandwidth()
 	if !res.FloorBound {
-		t.Fatalf("floor did not bind: cycles %v, floor %v", res.Cycles, floor)
+		t.Fatalf("floor did not bind: cycles %v, floor %v", res.Makespan, floor)
 	}
-	if math.Abs(res.Cycles-floor) > floor*1e-9 {
-		t.Errorf("Cycles=%v, want floor %v", res.Cycles, floor)
+	if math.Abs(res.Makespan-floor) > floor*1e-9 {
+		t.Errorf("Makespan=%v, want floor %v", res.Makespan, floor)
 	}
 	// Compute-bound work must not report the floor.
-	if r := Simulate(chip, 8, uniform(16, 1e9, 8)); r.FloorBound {
+	if r := single(chip, 8, uniform(16, 1e9, 8)); r.FloorBound {
 		t.Error("compute-bound schedule reported FloorBound")
 	}
 }
@@ -128,10 +134,10 @@ func TestGroupContentionSlowsDraining(t *testing.T) {
 	// Memory-heavy tasks confined to one CMG (12 workers): the group's
 	// bandwidth, a quarter of the socket, is the binding resource.
 	costs := uniform(12, 1, 1e8)
-	res := Simulate(chip, 12, costs)
+	res := single(chip, 12, costs)
 	groupTime := 12e8 / top.GroupBandwidth()
-	if math.Abs(res.Cycles-groupTime) > groupTime*1e-9 {
-		t.Errorf("Cycles=%v, want group-bandwidth bound %v", res.Cycles, groupTime)
+	if math.Abs(res.Makespan-groupTime) > groupTime*1e-9 {
+		t.Errorf("Makespan=%v, want group-bandwidth bound %v", res.Makespan, groupTime)
 	}
 	if res.FloorBound {
 		t.Error("socket floor reported, but the group bound is higher")
@@ -142,7 +148,7 @@ func TestGroupContentionSlowsDraining(t *testing.T) {
 // accumulate zero busy cycles.
 func TestMoreWorkersThanTasks(t *testing.T) {
 	chip := hw.Graviton2()
-	res := Simulate(chip, 16, uniform(3, 500, 0))
+	res := single(chip, 16, uniform(3, 500, 0))
 	var ran int
 	for i := range res.Tasks {
 		ran += res.Tasks[i]
@@ -159,10 +165,10 @@ func TestMoreWorkersThanTasks(t *testing.T) {
 // clamps; zero or negative clamps to one.
 func TestWorkerClamp(t *testing.T) {
 	chip := hw.M2() // 4 cores
-	if res := Simulate(chip, 100, uniform(8, 10, 0)); res.Workers != 4 {
+	if res := single(chip, 100, uniform(8, 10, 0)); res.Workers != 4 {
 		t.Errorf("Workers=%d, want clamp to 4", res.Workers)
 	}
-	if res := Simulate(chip, 0, uniform(8, 10, 0)); res.Workers != 1 {
+	if res := single(chip, 0, uniform(8, 10, 0)); res.Workers != 1 {
 		t.Errorf("Workers=%d, want clamp to 1", res.Workers)
 	}
 }
@@ -173,8 +179,8 @@ func TestWorkerClamp(t *testing.T) {
 func TestCMGCollapseFromReplay(t *testing.T) {
 	chip := hw.A64FX()
 	costs := uniform(192, 10_000, 0)
-	base := Simulate(chip, 1, costs).Cycles
-	eff := func(w int) float64 { return Simulate(chip, w, costs).Efficiency(base) }
+	base := single(chip, 1, costs).Makespan
+	eff := func(w int) float64 { return single(chip, w, costs).Efficiency(base) }
 	e12, e24, e48 := eff(12), eff(24), eff(48)
 	if e12 < 0.9 {
 		t.Errorf("within-CMG efficiency %.3f, want near-linear", e12)
@@ -185,15 +191,15 @@ func TestCMGCollapseFromReplay(t *testing.T) {
 	if e48 > e12*0.7 {
 		t.Errorf("48-core efficiency %.3f too close to within-CMG %.3f", e48, e12)
 	}
-	if sp := Simulate(chip, 48, costs).Spanned; sp != 4 {
+	if sp := single(chip, 48, costs).Spanned; sp != 4 {
 		t.Errorf("Spanned=%d, want 4", sp)
 	}
 }
 
 // TestEmptyCosts: no tasks, no cycles — and no panic.
 func TestEmptyCosts(t *testing.T) {
-	res := Simulate(hw.KP920(), 4, nil)
-	if res.Cycles != 0 {
-		t.Errorf("Cycles=%v, want 0", res.Cycles)
+	res := single(hw.KP920(), 4, nil)
+	if res.Makespan != 0 {
+		t.Errorf("Makespan=%v, want 0", res.Makespan)
 	}
 }

@@ -129,7 +129,7 @@ type SchedClassStats struct {
 	// wall-clock-free): how many worker claim decisions the class's
 	// jobs waited between acceptance and their first claim.
 	// Cycle-accurate wait distributions come from the virtual-time
-	// replay (autogemm-bench -sim-qos).
+	// replay (the qos-replay experiment).
 	QueueWaitJobs   int64
 	QueueWaitClaims int64
 }

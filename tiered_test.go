@@ -3,6 +3,7 @@ package autogemm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,9 @@ import (
 	"autogemm/internal/sched"
 	"autogemm/internal/workload"
 )
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
 
 func flush(t *testing.T, eng *Engine) {
 	t.Helper()
@@ -138,6 +142,48 @@ func TestTieredDifferentialBitIdentical(t *testing.T) {
 			t.Fatalf("shape %v: upgraded plan differs from full engine's plan", s)
 		}
 	}
+}
+
+// TestTieredFirstHitBudget holds the tiered cold-serve budget: for
+// every ResNet-50 shape, the median over five fresh PlanModeTiered
+// engines of the first PlanFor stays within 500µs, and each first hit
+// is the tier-0 heuristic plan. A wall-clock bound, so it skips under
+// the race detector's slowdown.
+func TestTieredFirstHitBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock budget; the race detector slows planning several-fold")
+	}
+	const probes, budget = 5, 500 * time.Microsecond
+	var worst time.Duration
+	for _, s := range workload.ResNet50() {
+		hits := make([]time.Duration, probes)
+		for i := range hits {
+			eng, err := New("KP920", WithPlanMode(PlanModeTiered))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			p, err := eng.PlanFor(nil, s.M, s.N, s.K)
+			hits[i] = time.Since(start)
+			if err != nil {
+				eng.Close()
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			if p.Source() != "heuristic" {
+				t.Errorf("%s: first hit served a %q plan, want heuristic", s.Name, p.Source())
+			}
+			// Let the background upgrade settle before closing its pool.
+			flush(t, eng)
+			eng.Close()
+		}
+		slices.Sort(hits)
+		med := hits[probes/2]
+		if med > budget {
+			t.Errorf("%s: median first hit %v over the %v budget (probes %v)", s.Name, med, budget, hits)
+		}
+		worst = max(worst, med)
+	}
+	t.Logf("worst median first hit %v (budget %v)", worst, budget)
 }
 
 // TestTieredUpgradeConvergesOnAllResNet50 checks plan-level
