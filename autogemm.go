@@ -389,7 +389,7 @@ func (e *Engine) GenerateKernelWords(mr, nr, kc int, rotate bool) (string, error
 func (e *Engine) kernelProgram(mr, nr, kc int, rotate bool) (*asm.Program, error) {
 	return mkernel.Generate(mkernel.Config{
 		Tile: mkernel.Tile{MR: mr, NR: nr}, KC: kc, Lanes: e.chip.Lanes,
-		Rotate: rotate, LoadC: true, SigmaAI: e.chip.SigmaAI, Prefetch: true,
+		Rotate: rotate, LoadC: true, Prefetch: true,
 	})
 }
 
@@ -398,7 +398,7 @@ func (e *Engine) kernelProgram(mr, nr, kc int, rotate bool) (*asm.Program, error
 func (e *Engine) KernelInfo(mr, nr, kc int, rotate bool) (string, error) {
 	info, err := mkernel.Describe(mkernel.Config{
 		Tile: mkernel.Tile{MR: mr, NR: nr}, KC: kc, Lanes: e.chip.Lanes,
-		Rotate: rotate, LoadC: true, SigmaAI: e.chip.SigmaAI,
+		Rotate: rotate, LoadC: true,
 	})
 	if err != nil {
 		return "", err

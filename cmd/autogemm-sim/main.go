@@ -33,7 +33,7 @@ func main() {
 	}
 	cfg := mkernel.Config{
 		Tile: mkernel.Tile{MR: *mr, NR: *nr}, KC: *kc, Lanes: chip.Lanes,
-		Rotate: *rotate, LoadC: true, SigmaAI: chip.SigmaAI,
+		Rotate: *rotate, LoadC: true,
 	}
 	prog, err := mkernel.Generate(cfg)
 	if err != nil {

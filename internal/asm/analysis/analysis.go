@@ -22,9 +22,9 @@
 // The analyzer builds a control-flow graph from labels and branches and
 // runs classic forward/backward dataflow over it; the bounds check adds
 // a symbolic affine interpretation of the scalar register file with
-// exact trip counts for counted SUBS/B.NE loops. mkernel runs Analyze on
-// every kernel it emits (see Config.SkipAnalysis) and cmd/autogemm-lint
-// sweeps the whole generation space.
+// exact trip counts for counted SUBS/B.NE loops. mkernel runs Analyze as
+// a gate on every kernel it emits, and its differential tests sweep the
+// whole generation space.
 package analysis
 
 import (
@@ -250,7 +250,8 @@ func (r *Report) Err() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// String renders a human-readable report for cmd/autogemm-lint.
+// String renders a human-readable report: a one-line summary when
+// clean, otherwise every finding.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "analysis %s: ", r.Program.Name)

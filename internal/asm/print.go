@@ -28,11 +28,6 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// FormatInstr renders one instruction in the same assembly syntax as
-// Program.String — diagnostics (cmd/autogemm-lint) use it to show the
-// instruction a finding points at.
-func FormatInstr(in *Instr) string { return formatInstr(in) }
-
 func formatInstr(in *Instr) string {
 	switch in.Op {
 	case OpNop:

@@ -123,8 +123,7 @@ type Options struct {
 
 	// ForceInterp disables the compiled closure-threaded backend:
 	// every kernel runs on the checked interpreter (sim.Machine).
-	// Setting AUTOGEMM_INTERP=1 in the environment has the same
-	// effect. See docs/INTERNALS.md, "Compiled execution".
+	// See docs/INTERNALS.md, "Compiled execution".
 	ForceInterp bool
 
 	// Runtime is the scheduler the attached plan executes on — a
@@ -172,7 +171,7 @@ type Plan struct {
 	tilings map[[2]int]tiling.Tiling // block (m, n) -> tiling, from Recipe
 	progs   map[[3]int]*blockProg    // block (m, n, k) -> resolved kernels
 
-	interpOnly bool // ForceInterp or AUTOGEMM_INTERP=1
+	interpOnly bool // Options.ForceInterp
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
 	// RunParallel / Submit turns into a job on, the C-tile-group

@@ -98,28 +98,3 @@ func TestRunUsesCompiledPaths(t *testing.T) {
 		t.Errorf("PackNone plan with slack never ran in place: %+v", st)
 	}
 }
-
-// TestForceInterpEnv: AUTOGEMM_INTERP=1 forces the interpreter without
-// touching Options.
-func TestForceInterpEnv(t *testing.T) {
-	t.Setenv("AUTOGEMM_INTERP", "1")
-	chip := hw.KP920()
-	plan, err := NewPlan(chip, 16, 16, 8, AutoOptions(chip))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.interpOnly {
-		t.Fatal("AUTOGEMM_INTERP=1 did not force the interpreter")
-	}
-	a := make([]float32, 16*8)
-	b := make([]float32, 8*16)
-	c := make([]float32, 16*16)
-	refgemm.Fill(a, 16, 8, 8, 1)
-	refgemm.Fill(b, 8, 16, 16, 2)
-	if err := plan.Run(c, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if st := plan.Stats(); st.InterpBlocks == 0 {
-		t.Errorf("env-forced plan ran no interpreter blocks: %+v", st)
-	}
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"autogemm/internal/cache"
@@ -433,13 +432,13 @@ func gridCount(total, bs, size int) int {
 // (PlanBandConfig) so the planner, the executor, the estimator and the
 // plan auditor all address identical cache keys.
 func bandConfigFor(chip *hw.Chip, o Options, segs []mkernel.Segment, kb int) mkernel.BandConfig {
-	return mkernel.PlanBandConfig(segs, kb, chip.Lanes, o.Rotate, chip.SigmaAI)
+	return mkernel.PlanBandConfig(segs, kb, chip.Lanes, o.Rotate)
 }
 
 // kernelConfigFor builds the single-tile kernel configuration for one
 // tile at a given k-chunk depth; see bandConfigFor.
 func kernelConfigFor(chip *hw.Chip, o Options, t mkernel.Tile, kb int) mkernel.Config {
-	return mkernel.PlanKernelConfig(t, kb, chip.Lanes, o.Rotate, chip.SigmaAI)
+	return mkernel.PlanKernelConfig(t, kb, chip.Lanes, o.Rotate)
 }
 
 // Attach binds an executor to a produced (or deserialized) recipe. The
@@ -520,7 +519,7 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 			}
 		}
 	}
-	p.interpOnly = o.ForceInterp || os.Getenv("AUTOGEMM_INTERP") == "1"
+	p.interpOnly = o.ForceInterp
 
 	// Execution runtime: the scheduler pool every run is a job on, one
 	// scratch slot per pool worker, and the C-tile-group partition —

@@ -56,7 +56,7 @@ func AblationPrefetch() (Table, error) {
 			kc := 64
 			prog, err := mkernel.Generate(mkernel.Config{
 				Tile: tile, KC: kc, Lanes: chip.Lanes,
-				Rotate: true, LoadC: true, SigmaAI: chip.SigmaAI, Prefetch: prefetch,
+				Rotate: true, LoadC: true, Prefetch: prefetch,
 			})
 			if err != nil {
 				return t, err
@@ -132,7 +132,6 @@ func AblationResidency() (Table, error) {
 	cfg := mkernel.BandConfig{
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 5, NR: 16}, Count: 4}},
 		KC:       64, Lanes: chip.Lanes, Rotate: true, Fuse: true, LoadC: true,
-		SigmaAI: chip.SigmaAI,
 	}
 	prog, err := mkernel.GenerateBand(cfg)
 	if err != nil {

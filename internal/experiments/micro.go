@@ -118,7 +118,7 @@ func Fig4() Table {
 func simulateKernel(chip *hw.Chip, tile mkernel.Tile, kc int, rotate bool) (int64, error) {
 	prog, err := mkernel.Generate(mkernel.Config{
 		Tile: tile, KC: kc, Lanes: chip.Lanes,
-		Rotate: rotate, LoadC: true, SigmaAI: chip.SigmaAI,
+		Rotate: rotate, LoadC: true,
 	})
 	if err != nil {
 		return 0, err

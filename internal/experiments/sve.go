@@ -52,7 +52,7 @@ func SVEEdge() (Table, error) {
 func timePadded(chip *hw.Chip, tile mkernel.Tile, kc int) (int64, error) {
 	prog, err := mkernel.Generate(mkernel.Config{
 		Tile: tile, KC: kc, Lanes: chip.Lanes,
-		Rotate: true, LoadC: true, SigmaAI: chip.SigmaAI,
+		Rotate: true, LoadC: true,
 	})
 	if err != nil {
 		return 0, err

@@ -7,9 +7,10 @@ import (
 
 // This file is the bridge between the generators and the dataflow
 // analyzer in internal/asm/analysis. Each generator runs the analyzer as
-// a gate right after structural validation — a kernel with findings is a
-// generator bug, not a warning — unless the caller sets SkipAnalysis
-// (cmd/autogemm-lint does, so it can inspect the findings itself).
+// a gate right after structural validation: a kernel with findings is a
+// generator bug, not a warning, and is never returned. The
+// AnalysisOptions methods expose the same contracts, so tests can
+// re-analyze an emitted kernel (or a deliberately corrupted copy of it).
 
 // AnalysisOptions returns the analyzer contract for this kernel variant:
 // the rotation scheme newGen will choose for it and the panel bounds of
@@ -20,6 +21,13 @@ func (c Config) AnalysisOptions() (analysis.Options, error) {
 	if err != nil {
 		return analysis.Options{}, err
 	}
+	return g.analysisOptions(), nil
+}
+
+// analysisOptions is Config.AnalysisOptions for an already-built
+// emission state.
+func (g *gen) analysisOptions() analysis.Options {
+	c := g.cfg
 	opts := analysis.Options{
 		Bounds: &analysis.Bounds{
 			MR: c.Tile.MR, NR: c.Tile.NR, KC: c.KC, Lanes: c.Lanes,
@@ -29,7 +37,7 @@ func (c Config) AnalysisOptions() (analysis.Options, error) {
 	if c.Rotate {
 		opts.Rotation = &analysis.RotationHint{ARows: g.rotA, BDouble: g.rotB}
 	}
-	return opts, nil
+	return opts
 }
 
 // AnalysisOptions returns the analyzer contract for a band kernel. The
@@ -56,7 +64,7 @@ func (c BandConfig) AnalysisOptions() (analysis.Options, error) {
 	if c.Rotate && uniform {
 		g, err := newGen(Config{
 			Tile: c.Segments[0].Tile, KC: c.KC, Lanes: c.Lanes,
-			Rotate: true, SigmaAI: c.SigmaAI, LoadC: c.LoadC,
+			Rotate: true, LoadC: c.LoadC,
 		})
 		if err != nil {
 			return analysis.Options{}, err

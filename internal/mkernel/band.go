@@ -27,12 +27,7 @@ type BandConfig struct {
 	Rotate   bool
 	Fuse     bool
 	LoadC    bool
-	SigmaAI  float64
 	Prefetch bool
-
-	// SkipAnalysis disables the dataflow analysis gate; see
-	// Config.SkipAnalysis.
-	SkipAnalysis bool
 }
 
 // Name returns a stable identifier for the band variant. It is built
@@ -194,7 +189,7 @@ func GenerateBand(cfg BandConfig) (*asm.Program, error) {
 	for ti, tile := range tiles {
 		g, err := newGen(Config{
 			Tile: tile, KC: cfg.KC, Lanes: cfg.Lanes,
-			Rotate: cfg.Rotate, SigmaAI: cfg.SigmaAI, LoadC: cfg.LoadC,
+			Rotate: cfg.Rotate, LoadC: cfg.LoadC,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("mkernel: band tile %d: %w", ti, err)
@@ -278,14 +273,12 @@ func GenerateBand(cfg BandConfig) (*asm.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.SkipAnalysis {
-		opts, err := cfg.AnalysisOptions()
-		if err != nil {
-			return nil, err
-		}
-		if err := analyzeGate(p, opts); err != nil {
-			return nil, err
-		}
+	opts, err := cfg.AnalysisOptions()
+	if err != nil {
+		return nil, err
+	}
+	if err := analyzeGate(p, opts); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -62,7 +62,7 @@ func TestBandSingleSegment(t *testing.T) {
 					cfg := BandConfig{
 						Segments: []Segment{{Tile: tile, Count: 3}},
 						KC:       kc, Lanes: 4, Fuse: fuse, Rotate: rotate,
-						LoadC: true, SigmaAI: 6.0,
+						LoadC: true,
 					}
 					t.Run(cfg.Name(), func(t *testing.T) { runBand(t, cfg) })
 				}
@@ -85,7 +85,7 @@ func TestBandMixedSegments(t *testing.T) {
 		for _, fuse := range []bool{false, true} {
 			for _, kc := range []int{6, 16, 21} {
 				cfg := BandConfig{Segments: segs, KC: kc, Lanes: 4,
-					Fuse: fuse, Rotate: true, LoadC: true, SigmaAI: 6.0}
+					Fuse: fuse, Rotate: true, LoadC: true}
 				t.Run(cfg.Name(), func(t *testing.T) { runBand(t, cfg) })
 			}
 		}
@@ -97,7 +97,7 @@ func TestBandMixedSegments(t *testing.T) {
 func TestBandBetaZero(t *testing.T) {
 	cfg := BandConfig{
 		Segments: []Segment{{Tile{5, 16}, 2}, {Tile{5, 8}, 1}},
-		KC:       19, Lanes: 4, Fuse: true, Rotate: true, LoadC: false, SigmaAI: 6.0,
+		KC:       19, Lanes: 4, Fuse: true, Rotate: true, LoadC: false,
 	}
 	runBand(t, cfg)
 }
@@ -121,7 +121,7 @@ func TestBandValidation(t *testing.T) {
 func TestBandSVE(t *testing.T) {
 	cfg := BandConfig{
 		Segments: []Segment{{Tile{4, 32}, 2}, {Tile{4, 16}, 1}},
-		KC:       40, Lanes: 16, Fuse: true, Rotate: true, LoadC: true, SigmaAI: 8.0,
+		KC:       40, Lanes: 16, Fuse: true, Rotate: true, LoadC: true,
 	}
 	runBand(t, cfg)
 }

@@ -13,7 +13,7 @@ func TestGeneratedKernelsEncode(t *testing.T) {
 		for _, kc := range []int{4, 17, 64} {
 			for _, rotate := range []bool{false, true} {
 				p, err := Generate(Config{Tile: tile, KC: kc, Lanes: 4,
-					Rotate: rotate, LoadC: true, SigmaAI: 6.0, Prefetch: true})
+					Rotate: rotate, LoadC: true, Prefetch: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -34,7 +34,7 @@ func TestGeneratedKernelsEncode(t *testing.T) {
 func TestBandKernelsEncode(t *testing.T) {
 	cfg := BandConfig{
 		Segments: []Segment{{Tile{5, 16}, 3}, {Tile{5, 4}, 1}},
-		KC:       32, Lanes: 4, Rotate: true, Fuse: true, LoadC: true, SigmaAI: 6.0,
+		KC:       32, Lanes: 4, Rotate: true, Fuse: true, LoadC: true,
 	}
 	p, err := GenerateBand(cfg)
 	if err != nil {

@@ -21,7 +21,7 @@ func FuzzGenerate(f *testing.F) {
 		nr := (int(nrRaw)%8 + 1) * 4
 		kc := int(kcRaw)%80 + 1
 		cfg := Config{Tile: Tile{MR: mr, NR: nr}, KC: kc, Lanes: 4,
-			Rotate: rotate, LoadC: loadC, SigmaAI: 6.0}
+			Rotate: rotate, LoadC: loadC}
 		prog, err := Generate(cfg)
 		if err != nil {
 			return // infeasible configurations may be rejected
@@ -137,7 +137,7 @@ func FuzzPredicated(f *testing.F) {
 // TestDescribe covers the kernel introspection report.
 func TestDescribe(t *testing.T) {
 	info, err := Describe(Config{Tile: Tile{MR: 5, NR: 16}, KC: 32, Lanes: 4,
-		Rotate: true, LoadC: true, SigmaAI: 6.0})
+		Rotate: true, LoadC: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"autogemm/internal/asm"
-	"autogemm/internal/asm/analysis"
 )
 
 // Config selects a micro-kernel variant.
@@ -27,23 +26,15 @@ type Config struct {
 	Lanes int // σ_lane
 
 	// Rotate enables rotating register allocation (§III-C1). The flavour
-	// is chosen from the tile's boundedness: compute-bound tiles rotate
-	// the A registers, memory-bound tiles double-buffer the B registers.
+	// is chosen from register headroom alone: B double-buffering
+	// (Eqn 10) whenever its second register set fits, then A rotation
+	// (Eqn 9) with whatever registers remain.
 	Rotate bool
-	// SigmaAI is the hardware threshold used for that classification.
-	SigmaAI float64
 	// LoadC selects accumulate-into-C (load C in the prologue) versus
 	// overwrite (zero the accumulators; used for the first k_c chunk).
 	LoadC bool
 	// Prefetch emits the prologue PRFM hints of Listing 1.
 	Prefetch bool
-
-	// SkipAnalysis disables the post-generation dataflow analysis gate
-	// (internal/asm/analysis). The zero value analyzes every kernel;
-	// tools that want the findings themselves (cmd/autogemm-lint) or
-	// tests that deliberately build broken variants set it. Not part of
-	// Name(): the emitted instructions are identical either way.
-	SkipAnalysis bool
 }
 
 // Name returns a stable identifier for the kernel variant.
@@ -190,19 +181,8 @@ func Generate(cfg Config) (*asm.Program, error) {
 	if err := g.p.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.SkipAnalysis {
-		opts := analysis.Options{
-			Bounds: &analysis.Bounds{
-				MR: cfg.Tile.MR, NR: cfg.Tile.NR, KC: cfg.KC, Lanes: cfg.Lanes,
-				AOverVectors: 1, BOverRows: 2,
-			},
-		}
-		if cfg.Rotate {
-			opts.Rotation = &analysis.RotationHint{ARows: g.rotA, BDouble: g.rotB}
-		}
-		if err := analyzeGate(g.p, opts); err != nil {
-			return nil, err
-		}
+	if err := analyzeGate(g.p, g.analysisOptions()); err != nil {
+		return nil, err
 	}
 	return g.p, nil
 }

@@ -71,7 +71,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 			for _, rotate := range []bool{false, true} {
 				for _, loadC := range []bool{true, false} {
 					cfg := Config{Tile: tile, KC: kc, Lanes: 4,
-						Rotate: rotate, LoadC: loadC, SigmaAI: 6.0}
+						Rotate: rotate, LoadC: loadC}
 					t.Run(cfg.Name(), func(t *testing.T) { checkKernel(t, cfg) })
 				}
 			}
@@ -88,7 +88,7 @@ func TestGenerateCornerTiles(t *testing.T) {
 		for _, kc := range []int{1, 4, 6, 16, 23} {
 			for _, rotate := range []bool{false, true} {
 				cfg := Config{Tile: tile, KC: kc, Lanes: 4,
-					Rotate: rotate, LoadC: true, SigmaAI: 6.0}
+					Rotate: rotate, LoadC: true}
 				t.Run(cfg.Name(), func(t *testing.T) { checkKernel(t, cfg) })
 			}
 		}
@@ -101,7 +101,7 @@ func TestGenerateSVE(t *testing.T) {
 		for _, kc := range []int{5, 16, 32, 33, 48} {
 			for _, rotate := range []bool{false, true} {
 				cfg := Config{Tile: tile, KC: kc, Lanes: 16,
-					Rotate: rotate, LoadC: true, SigmaAI: 8.0}
+					Rotate: rotate, LoadC: true}
 				t.Run(cfg.Name(), func(t *testing.T) { checkKernel(t, cfg) })
 			}
 		}
@@ -129,11 +129,11 @@ func TestGenerateRejectsBadConfigs(t *testing.T) {
 // of loads, stores, or FMAs — only their placement and registers.
 func TestRotationInstructionMix(t *testing.T) {
 	for _, tile := range []Tile{{5, 16}, {2, 16}, {4, 20}} {
-		base, err := Generate(Config{Tile: tile, KC: 32, Lanes: 4, LoadC: true, SigmaAI: 6.0})
+		base, err := Generate(Config{Tile: tile, KC: 32, Lanes: 4, LoadC: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rot, err := Generate(Config{Tile: tile, KC: 32, Lanes: 4, Rotate: true, LoadC: true, SigmaAI: 6.0})
+		rot, err := Generate(Config{Tile: tile, KC: 32, Lanes: 4, Rotate: true, LoadC: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestVectorRegisterBudget(t *testing.T) {
 			}
 			for _, rotate := range []bool{false, true} {
 				p, err := Generate(Config{Tile: tile, KC: 3 * lanes, Lanes: lanes,
-					Rotate: rotate, LoadC: true, SigmaAI: 6.0})
+					Rotate: rotate, LoadC: true})
 				if err != nil {
 					t.Fatalf("%v lanes=%d: %v", tile, lanes, err)
 				}

@@ -18,13 +18,13 @@ func TestCacheCompiledConcurrent(t *testing.T) {
 	var kernels []mkernel.Config
 	for _, nr := range []int{4, 8, 12} {
 		kernels = append(kernels, mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: nr}, KC: 9, Lanes: 4,
-			Rotate: true, SigmaAI: 4.0, LoadC: true})
+			Rotate: true, LoadC: true})
 	}
 	bands := []mkernel.BandConfig{
 		{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
-			KC: 9, Lanes: 4, Fuse: true, LoadC: true, SigmaAI: 4.0},
+			KC: 9, Lanes: 4, Fuse: true, LoadC: true},
 		{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 1}, {Tile: mkernel.Tile{MR: 4, NR: 4}, Count: 1}},
-			KC: 9, Lanes: 4, Fuse: true, LoadC: true, SigmaAI: 4.0},
+			KC: 9, Lanes: 4, Fuse: true, LoadC: true},
 	}
 	keys := len(kernels) + len(bands)
 

@@ -21,10 +21,6 @@ import (
 type PackConfig struct {
 	Rows, Cols int
 	Lanes      int
-
-	// SkipAnalysis disables the dataflow analysis gate; see
-	// Config.SkipAnalysis.
-	SkipAnalysis bool
 }
 
 // Name returns a stable identifier.
@@ -65,10 +61,8 @@ func GeneratePack(cfg PackConfig) (*asm.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.SkipAnalysis {
-		if err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
-			return nil, err
-		}
+	if err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -10,18 +10,18 @@ package mkernel
 
 // PlanKernelConfig builds the single-tile kernel configuration a plan
 // executes for one tile at a given k-chunk depth.
-func PlanKernelConfig(t Tile, kb, lanes int, rotate bool, sigmaAI float64) Config {
+func PlanKernelConfig(t Tile, kb, lanes int, rotate bool) Config {
 	return Config{
 		Tile: t, KC: kb, Lanes: lanes,
-		Rotate: rotate, LoadC: true, SigmaAI: sigmaAI,
+		Rotate: rotate, LoadC: true,
 	}
 }
 
 // PlanBandConfig builds the fused band-kernel configuration a plan
 // executes for a band at a given k-chunk depth.
-func PlanBandConfig(segs []Segment, kb, lanes int, rotate bool, sigmaAI float64) BandConfig {
+func PlanBandConfig(segs []Segment, kb, lanes int, rotate bool) BandConfig {
 	return BandConfig{
 		Segments: segs, KC: kb, Lanes: lanes,
-		Rotate: rotate, Fuse: true, LoadC: true, SigmaAI: sigmaAI,
+		Rotate: rotate, Fuse: true, LoadC: true,
 	}
 }

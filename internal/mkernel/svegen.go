@@ -17,10 +17,6 @@ type PredConfig struct {
 	KC    int
 	Lanes int
 	LoadC bool
-
-	// SkipAnalysis disables the dataflow analysis gate; see
-	// Config.SkipAnalysis.
-	SkipAnalysis bool
 }
 
 // Name returns a stable identifier.
@@ -158,10 +154,8 @@ func GeneratePredicated(cfg PredConfig) (*asm.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.SkipAnalysis {
-		if err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
-			return nil, err
-		}
+	if err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

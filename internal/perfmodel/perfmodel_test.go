@@ -160,7 +160,7 @@ func TestModelTracksSimulator(t *testing.T) {
 		for _, kc := range []int{8, 32, 96} {
 			for _, rotate := range []bool{false, true} {
 				cfg := mkernel.Config{Tile: tile, KC: kc, Lanes: 4,
-					Rotate: rotate, LoadC: true, SigmaAI: chip.SigmaAI}
+					Rotate: rotate, LoadC: true}
 				prog, err := mkernel.Generate(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -28,9 +28,9 @@
 //
 // The default audit is pure arithmetic over the plan — no kernel is
 // generated — so it is cheap enough to gate every untrusted Attach.
-// Deep mode (used by the offline `autogemm-lint -audit` sweep)
-// additionally generates and dataflow-analyzes every kernel the plan
-// names.
+// Deep mode (used by the offline `autogemm-verify -plans` registry
+// audit) additionally generates and dataflow-analyzes every kernel the
+// plan names.
 package audit
 
 import (
@@ -81,13 +81,9 @@ type Options struct {
 	// Deep additionally generates every kernel the plan names and runs
 	// the dataflow analyzer on it — the full offline proof. Orders of
 	// magnitude slower than the default arithmetic-only audit; meant
-	// for the `autogemm-lint -audit` registry sweep, not the Attach
+	// for the `autogemm-verify -plans` registry audit, not the Attach
 	// gate.
 	Deep bool
-
-	// Cache supplies the kernel cache deep mode generates into; nil
-	// allocates a private one (generated programs are then discarded).
-	Cache *mkernel.Cache
 }
 
 // Report summarizes what a successful audit proved.
@@ -340,14 +336,14 @@ func callsOf(chip *hw.Chip, p *plan.Plan, bands []tiling.Band, kb int) []call {
 	var calls []call
 	for _, bd := range bands {
 		if p.Request.Fuse && bd.Tiles() > 1 {
-			cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
+			cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate)
 			calls = append(calls, call{row: bd.Row, col: bd.Col, band: &cfg})
 			continue
 		}
 		col := bd.Col
 		for _, seg := range bd.Segs {
 			for i := 0; i < seg.Count; i++ {
-				cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
+				cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate)
 				calls = append(calls, call{row: bd.Row, col: col, kernel: &cfg})
 				col += seg.Tile.NR
 			}
@@ -453,11 +449,11 @@ func (a *auditor) derivedKeys() (map[string]bool, error) {
 					}
 				}
 				if p.Request.Fuse && bd.Tiles() > 1 {
-					keys[string(mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI).Key())] = true
+					keys[string(mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate).Key())] = true
 					continue
 				}
 				for _, seg := range bd.Segs {
-					keys[string(mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI).Key())] = true
+					keys[string(mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate).Key())] = true
 				}
 			}
 		}
@@ -510,10 +506,7 @@ func (a *auditor) checkKernels() error {
 // rotation analysis on this build.
 func (a *auditor) checkGenerate() error {
 	chip, p := a.chip, a.p
-	cache := a.o.Cache
-	if cache == nil {
-		cache = mkernel.NewCache()
-	}
+	cache := mkernel.NewCache()
 	blocks, err := a.blockMap()
 	if err != nil {
 		return err
@@ -523,7 +516,7 @@ func (a *auditor) checkGenerate() error {
 		for _, kb := range kChunks(p) {
 			for _, bd := range bands {
 				if p.Request.Fuse && bd.Tiles() > 1 {
-					cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
+					cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate)
 					if _, err := cache.Band(cfg); err != nil {
 						return failf(CheckGenerate, "block %dx%d: band %s: %v",
 							key[0], key[1], cfg.Name(), err)
@@ -531,7 +524,7 @@ func (a *auditor) checkGenerate() error {
 					continue
 				}
 				for _, seg := range bd.Segs {
-					cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
+					cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate)
 					if _, err := cache.Kernel(cfg); err != nil {
 						return failf(CheckGenerate, "block %dx%d: kernel %s: %v",
 							key[0], key[1], cfg.Name(), err)

@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -39,11 +40,11 @@ func copyPlan(p *plan.Plan) *plan.Plan {
 	return &q
 }
 
-// wantCheck asserts the audit fails at one specific check and that the
-// error matches the sentinel.
+// wantCheck asserts the deep audit fails at one specific check and that
+// the error matches the sentinel.
 func wantCheck(t *testing.T, chip *hw.Chip, p *plan.Plan, check string) {
 	t.Helper()
-	_, err := audit.Audit(chip, p, audit.Options{})
+	_, err := audit.Audit(chip, p, audit.Options{Deep: true})
 	if err == nil {
 		t.Fatalf("audit passed, want %s failure", check)
 	}
@@ -59,27 +60,57 @@ func wantCheck(t *testing.T, chip *hw.Chip, p *plan.Plan, check string) {
 	}
 }
 
-// TestAuditCleanPlans: honestly produced plans audit clean, with a
-// report accounting for every block, tile and kernel key.
-func TestAuditCleanPlans(t *testing.T) {
-	chip := chipFor(t)
-	for _, s := range [][3]int{{64, 64, 64}, {129, 200, 55}, {37, 41, 43}, {500, 500, 500}} {
-		rec := produce(t, chip, s[0], s[1], s[2])
-		rep, err := audit.Audit(chip, rec, audit.Options{})
+// tamper runs one plan corruption the way a corrupt registry file
+// reaches the auditor (Encode, then a plain json.Unmarshal that skips
+// Decode's validation) on a Graviton3 and a KP920 plan of the same
+// shape, and asserts the check that rejects it.
+func tamper(t *testing.T, m, n, k int, check string, corrupt func(p *plan.Plan)) {
+	t.Helper()
+	for _, name := range []string{"Graviton3", "KP920"} {
+		chip, err := hw.ByName(name)
 		if err != nil {
-			t.Fatalf("audit of clean %v plan: %v", s, err)
+			t.Fatalf("ByName: %v", err)
 		}
-		if rep.Blocks != len(rec.Blocks) {
-			t.Errorf("report blocks %d, plan has %d", rep.Blocks, len(rec.Blocks))
+		data, err := produce(t, chip, m, n, k).Encode()
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
 		}
-		if rep.Kernels != len(rec.KernelKeys) {
-			t.Errorf("report kernels %d, plan declares %d", rep.Kernels, len(rec.KernelKeys))
+		var p plan.Plan
+		if err := json.Unmarshal(data, &p); err != nil {
+			t.Fatalf("Unmarshal: %v", err)
 		}
-		if rep.Tiles == 0 || rep.Groups == 0 {
-			t.Errorf("report counted %d tiles, %d groups; want both > 0", rep.Tiles, rep.Groups)
-		}
-		if len(rep.Passed) != 6 {
-			t.Errorf("passed checks %v, want all 6", rep.Passed)
+		corrupt(&p)
+		wantCheck(t, chip, &p, check)
+	}
+}
+
+// TestAuditCleanPlans: honestly produced plans for every modeled chip
+// pass the deep audit, with a report accounting for every block, tile
+// and kernel key. The shapes are the corners where coverage and bounds
+// composition can break: an aligned square, ragged tails in all three
+// dimensions, small prime sides, a skinny GEMV-like shape, and a grid
+// of several blocks.
+func TestAuditCleanPlans(t *testing.T) {
+	shapes := [][3]int{{64, 64, 64}, {129, 200, 55}, {37, 41, 43}, {8, 1000, 32}, {500, 500, 500}}
+	for _, chip := range hw.All() {
+		for _, s := range shapes {
+			rec := produce(t, chip, s[0], s[1], s[2])
+			rep, err := audit.Audit(chip, rec, audit.Options{Deep: true})
+			if err != nil {
+				t.Fatalf("audit of clean %s %v plan: %v", chip.Name, s, err)
+			}
+			if rep.Blocks != len(rec.Blocks) {
+				t.Errorf("%s %v: report blocks %d, plan has %d", chip.Name, s, rep.Blocks, len(rec.Blocks))
+			}
+			if rep.Kernels != len(rec.KernelKeys) {
+				t.Errorf("%s %v: report kernels %d, plan declares %d", chip.Name, s, rep.Kernels, len(rec.KernelKeys))
+			}
+			if rep.Tiles == 0 || rep.Groups == 0 {
+				t.Errorf("%s %v: report counted %d tiles, %d groups; want both > 0", chip.Name, s, rep.Tiles, rep.Groups)
+			}
+			if len(rep.Passed) != 7 {
+				t.Errorf("%s %v: passed checks %v, want all 7", chip.Name, s, rep.Passed)
+			}
 		}
 	}
 }
@@ -107,18 +138,19 @@ func TestAuditTunedSource(t *testing.T) {
 	}
 }
 
+// TestAuditFormatSkew: a plan claiming a future serialization format.
 func TestAuditFormatSkew(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 64, 64, 64))
-	p.Format = plan.FormatVersion + 1
-	wantCheck(t, chip, p, audit.CheckFormat)
+	tamper(t, 64, 64, 64, audit.CheckFormat, func(p *plan.Plan) {
+		p.Format = plan.FormatVersion + 1
+	})
 }
 
+// TestAuditFingerprintFlip: a fingerprint that no longer binds the
+// request, as a renamed registry file would carry.
 func TestAuditFingerprintFlip(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 64, 64, 64))
-	p.Fingerprint = "deadbeef" + p.Fingerprint[8:]
-	wantCheck(t, chip, p, audit.CheckFingerprint)
+	tamper(t, 64, 64, 64, audit.CheckFingerprint, func(p *plan.Plan) {
+		p.Fingerprint = "deadbeef" + p.Fingerprint[8:]
+	})
 }
 
 func TestAuditRequestTamper(t *testing.T) {
@@ -159,34 +191,31 @@ func TestAuditStructure(t *testing.T) {
 // cells uncovered (and possibly tiles outside) — the partition proof
 // fails either way.
 func TestAuditTileOutOfBounds(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 129, 200, 55))
-	p.Blocks[0].Panels[0].Row += 3
-	wantCheck(t, chip, p, audit.CheckCoverage)
+	tamper(t, 129, 200, 55, audit.CheckCoverage, func(p *plan.Plan) {
+		p.Blocks[0].Panels[0].Row += 3
+	})
 }
 
 // TestAuditTileOverlap: growing a panel makes it cover cells another
 // panel already covers.
 func TestAuditTileOverlap(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 129, 200, 55))
-	blk := &p.Blocks[0]
-	if len(blk.Panels) < 2 {
-		// Grow the single panel past the block instead; same property.
-		blk.Panels[0].M += blk.Panels[0].MR
-	} else {
-		blk.Panels[0].M += blk.Panels[1].MR
-	}
-	wantCheck(t, chip, p, audit.CheckCoverage)
+	tamper(t, 129, 200, 55, audit.CheckCoverage, func(p *plan.Plan) {
+		blk := &p.Blocks[0]
+		if len(blk.Panels) < 2 {
+			// Grow the single panel past the block instead; same property.
+			blk.Panels[0].M += blk.Panels[0].MR
+		} else {
+			blk.Panels[0].M += blk.Panels[1].MR
+		}
+	})
 }
 
 // TestAuditTileGap: shrinking a panel leaves a gap in the cover.
 func TestAuditTileGap(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 129, 200, 55))
-	blk := &p.Blocks[0]
-	blk.Panels[len(blk.Panels)-1].M -= 1
-	wantCheck(t, chip, p, audit.CheckCoverage)
+	tamper(t, 129, 200, 55, audit.CheckCoverage, func(p *plan.Plan) {
+		blk := &p.Blocks[0]
+		blk.Panels[len(blk.Panels)-1].M--
+	})
 }
 
 // TestAuditMissingBlock: a grid shape with no tiling.
@@ -237,10 +266,9 @@ func TestAuditBoundsEnvelope(t *testing.T) {
 
 // TestAuditDanglingKernelKey: a declared key no tiling reaches.
 func TestAuditDanglingKernelKey(t *testing.T) {
-	chip := chipFor(t)
-	p := copyPlan(produce(t, chip, 64, 64, 64))
-	p.KernelKeys = append(p.KernelKeys, "mk_4x8x999_l4_rot")
-	wantCheck(t, chip, p, audit.CheckKernels)
+	tamper(t, 64, 64, 64, audit.CheckKernels, func(p *plan.Plan) {
+		p.KernelKeys = append(p.KernelKeys, "mk_4x8x999_l4_rot")
+	})
 }
 
 // TestAuditMissingKernelKey: a reachable key the plan omits.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"autogemm"
 	"autogemm/internal/refgemm"
@@ -91,6 +92,95 @@ func TestServeMultiplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeMixedTenantsUncorrupted: interactive multiplies and analytics
+// NDJSON batches race through one server on two workers; every 200 and
+// every successful batch line carries exactly the bits of a serial
+// Multiply, and the only element error allowed is the depth-bounded
+// class shedding (429).
+func TestServeMixedTenantsUncorrupted(t *testing.T) {
+	eng, hs := newTestStack(t, 2, func(c *Config) {
+		c.Tenants["analytics"] = TenantConfig{Class: "batch", Weight: 1, Depth: 4}
+	})
+	shapes := []workload.Shape{
+		{M: 26, N: 36, K: 20}, {M: 48, N: 40, K: 32}, {M: 64, N: 48, K: 24}, {M: 96, N: 96, K: 96},
+	}
+	type operands struct{ a, b, want []float32 }
+	ops := make([]operands, len(shapes))
+	for i, s := range shapes {
+		a, b := testOperands(t, s, uint64(31+2*i))
+		want := make([]float32, s.M*s.N)
+		if err := eng.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = operands{a, b, want}
+	}
+
+	const interactive, analytics, rounds, elems = 4, 2, 8, 6
+	var (
+		wg         sync.WaitGroup
+		ok, shed   atomic.Int64
+		batchLines atomic.Int64
+	)
+	check := func(tenant string, i int, c []float32, err error) {
+		switch {
+		case errors.Is(err, autogemm.ErrAdmission) && tenant == "analytics":
+			shed.Add(1)
+		case err != nil:
+			t.Errorf("%s shape %d: %v", tenant, i, err)
+		case !bitsEqual(ops[i].want, c):
+			t.Errorf("%s shape %d: served bits differ from serial Multiply", tenant, i)
+		default:
+			ok.Add(1)
+		}
+	}
+	for g := 0; g < interactive; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := &Client{Base: hs.URL, Tenant: "interactive"}
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % len(shapes)
+				s := shapes[i]
+				c, err := cl.Multiply(context.Background(), s.M, s.N, s.K, ops[i].a, ops[i].b, 0)
+				check("interactive", i, c, err)
+			}
+		}()
+	}
+	for g := 0; g < analytics; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := &Client{Base: hs.URL, Tenant: "analytics"}
+			for r := 0; r < rounds; r++ {
+				req := make([]GEMMRequest, elems)
+				idx := make([]int, elems)
+				for e := range req {
+					idx[e] = (g + r + e) % len(shapes)
+					s := shapes[idx[e]]
+					req[e] = GEMMRequest{M: s.M, N: s.N, K: s.K, A: ops[idx[e]].a, B: ops[idx[e]].b}
+				}
+				lines, err := cl.Batch(context.Background(), req)
+				if err != nil {
+					t.Errorf("analytics batch: %v", err)
+					return
+				}
+				for e, line := range lines {
+					batchLines.Add(1)
+					check("analytics", idx[e], line.C, line.Err())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if want := int64(analytics * rounds * elems); batchLines.Load() != want {
+		t.Errorf("got %d batch lines, want %d", batchLines.Load(), want)
+	}
+	if ok.Load() <= int64(interactive*rounds) {
+		t.Errorf("only %d successful results; the analytics tenant completed nothing", ok.Load())
+	}
+	t.Logf("%d results bit-identical, %d shed", ok.Load(), shed.Load())
+}
+
 // TestServeShedRoundTrip: a depth-bounded tenant at its bound answers
 // 429 with Retry-After, and the client reconstructs an error matching
 // autogemm.ErrAdmission — the sentinel identity surviving the HTTP
@@ -161,28 +251,50 @@ func TestServeShedRoundTrip(t *testing.T) {
 
 // TestServeDeadlineMissRoundTrip: a request whose deadline expires
 // while queued behind the only worker answers 504, and the client
-// reconstructs context.DeadlineExceeded.
+// reconstructs context.DeadlineExceeded. The backlog ahead of it is
+// sized from a timed warm run of the blocker shape, so the miss does
+// not depend on how fast the kernels are.
 func TestServeDeadlineMissRoundTrip(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
+	const deadline = 50 * time.Millisecond
 	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 17)
-	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
-		C: make([]float32, big.M*big.N)})
-	if err != nil {
-		t.Fatal(err)
+	bc := make([]float32, big.M*big.N)
+	var per time.Duration
+	for range 2 { // the first run plans and compiles; time the second
+		start := time.Now()
+		if err := eng.Multiply(bc, ba, bb, big.M, big.N, big.K); err != nil {
+			t.Fatal(err)
+		}
+		per = time.Since(start)
+	}
+	// At least four deadlines of blockers, parked in the interactive
+	// tenant's own class: FIFO within a class keeps the probe behind
+	// every one of them.
+	blockers := make([]*autogemm.Future, int(4*deadline/per)+1)
+	for i := range blockers {
+		var err error
+		blockers[i], err = eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K,
+			A: ba, B: bb, C: bc, QoS: autogemm.QoS{Class: "latency"}})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := workload.Shape{M: 32, N: 32, K: 32}
 	sa, sb := testOperands(t, s, 19)
 	cl := &Client{Base: hs.URL, Tenant: "interactive"}
-	_, err = cl.Multiply(context.Background(), s.M, s.N, s.K, sa, sb, 50)
+	_, err := cl.Multiply(context.Background(), s.M, s.N, s.K, sa, sb, int(deadline.Milliseconds()))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("served deadline miss: got %v, want DeadlineExceeded identity", err)
+		t.Fatalf("served deadline miss behind %d blockers of %v: got %v, want DeadlineExceeded identity",
+			len(blockers), per, err)
 	}
 	if got := autogemm.HTTPStatus(err); got != http.StatusGatewayTimeout {
 		t.Fatalf("reconstructed error maps to %d, want 504", got)
 	}
-	if err := blocker.Wait(); err != nil {
-		t.Fatal(err)
+	for _, b := range blockers {
+		if err := b.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -431,93 +543,4 @@ func TestServeNonFiniteResult(t *testing.T) {
 	if !maps.Equal(srv.responses, want) {
 		t.Fatalf("tallied %v, want %v", srv.responses, want)
 	}
-}
-
-// TestServeMixedTenantsUncorrupted: interactive multiplies and analytics
-// NDJSON batches race through one server on two workers; every 200 and
-// every successful batch line carries exactly the bits of a serial
-// Multiply, and the only element error allowed is the depth-bounded
-// class shedding (429).
-func TestServeMixedTenantsUncorrupted(t *testing.T) {
-	eng, hs := newTestStack(t, 2, func(c *Config) {
-		c.Tenants["analytics"] = TenantConfig{Class: "batch", Weight: 1, Depth: 4}
-	})
-	shapes := []workload.Shape{
-		{M: 26, N: 36, K: 20}, {M: 48, N: 40, K: 32}, {M: 64, N: 48, K: 24}, {M: 96, N: 96, K: 96},
-	}
-	type operands struct{ a, b, want []float32 }
-	ops := make([]operands, len(shapes))
-	for i, s := range shapes {
-		a, b := testOperands(t, s, uint64(31+2*i))
-		want := make([]float32, s.M*s.N)
-		if err := eng.Multiply(want, a, b, s.M, s.N, s.K); err != nil {
-			t.Fatal(err)
-		}
-		ops[i] = operands{a, b, want}
-	}
-
-	const interactive, analytics, rounds, elems = 4, 2, 8, 6
-	var (
-		wg         sync.WaitGroup
-		ok, shed   atomic.Int64
-		batchLines atomic.Int64
-	)
-	check := func(tenant string, i int, c []float32, err error) {
-		switch {
-		case errors.Is(err, autogemm.ErrAdmission) && tenant == "analytics":
-			shed.Add(1)
-		case err != nil:
-			t.Errorf("%s shape %d: %v", tenant, i, err)
-		case !bitsEqual(ops[i].want, c):
-			t.Errorf("%s shape %d: served bits differ from serial Multiply", tenant, i)
-		default:
-			ok.Add(1)
-		}
-	}
-	for g := 0; g < interactive; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := &Client{Base: hs.URL, Tenant: "interactive"}
-			for r := 0; r < rounds; r++ {
-				i := (g + r) % len(shapes)
-				s := shapes[i]
-				c, err := cl.Multiply(context.Background(), s.M, s.N, s.K, ops[i].a, ops[i].b, 0)
-				check("interactive", i, c, err)
-			}
-		}()
-	}
-	for g := 0; g < analytics; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := &Client{Base: hs.URL, Tenant: "analytics"}
-			for r := 0; r < rounds; r++ {
-				req := make([]GEMMRequest, elems)
-				idx := make([]int, elems)
-				for e := range req {
-					idx[e] = (g + r + e) % len(shapes)
-					s := shapes[idx[e]]
-					req[e] = GEMMRequest{M: s.M, N: s.N, K: s.K, A: ops[idx[e]].a, B: ops[idx[e]].b}
-				}
-				lines, err := cl.Batch(context.Background(), req)
-				if err != nil {
-					t.Errorf("analytics batch: %v", err)
-					return
-				}
-				for e, line := range lines {
-					batchLines.Add(1)
-					check("analytics", idx[e], line.C, line.Err())
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if want := int64(analytics * rounds * elems); batchLines.Load() != want {
-		t.Errorf("got %d batch lines, want %d", batchLines.Load(), want)
-	}
-	if ok.Load() <= int64(interactive*rounds) {
-		t.Errorf("only %d successful results; the analytics tenant completed nothing", ok.Load())
-	}
-	t.Logf("%d results bit-identical, %d shed", ok.Load(), shed.Load())
 }

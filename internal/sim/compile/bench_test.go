@@ -19,12 +19,12 @@ import (
 
 var (
 	benchKernel = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4,
-		Rotate: true, SigmaAI: 4.0, LoadC: true}
+		Rotate: true, LoadC: true}
 	benchShortKC = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 5, Lanes: 4,
-		Rotate: true, SigmaAI: 4.0, LoadC: true}
+		Rotate: true, LoadC: true}
 	benchBand = mkernel.BandConfig{
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
-		KC:       64, Lanes: 4, Rotate: true, Fuse: true, LoadC: true, SigmaAI: 4.0}
+		KC:       64, Lanes: 4, Rotate: true, Fuse: true, LoadC: true}
 )
 
 // benchOperands sizes A, B and C for cp's panel model with tight

@@ -16,10 +16,10 @@ import (
 // The differential suite runs kernels through both backends — the
 // checked interpreter (sim.Machine) and the closure-threaded compiled
 // form — on identical random operands and demands bit-identical C
-// panels. It mirrors the cmd/autogemm-lint sweep (sampled per chip/tile)
-// so every kernel class the generator emits is covered: plain tiles
-// across KC shapes and flags, uniform and mixed bands, fused bands, and
-// predicated SVE kernels.
+// panels. It mirrors mkernel's analyzer differential (sampled per
+// chip/tile) so every kernel class the generator emits is covered:
+// plain tiles across KC shapes and flags, uniform and mixed bands, fused
+// bands, and predicated SVE kernels.
 
 func randSlice(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
@@ -153,7 +153,7 @@ func TestDifferentialSweep(t *testing.T) {
 					for _, loadC := range []bool{false, true} {
 						cfg := mkernel.Config{
 							Tile: tile, KC: kc, Lanes: lanes,
-							Rotate: rotate, SigmaAI: chip.SigmaAI, LoadC: loadC,
+							Rotate: rotate, LoadC: loadC,
 						}
 						p, err := mkernel.Generate(cfg)
 						if err != nil {
@@ -181,7 +181,7 @@ func TestDifferentialSweep(t *testing.T) {
 			for _, fuse := range []bool{false, true} {
 				for _, loadC := range []bool{false, true} {
 					cfg := bc
-					cfg.Fuse, cfg.LoadC, cfg.SigmaAI = fuse, loadC, chip.SigmaAI
+					cfg.Fuse, cfg.LoadC = fuse, loadC
 					p, err := mkernel.GenerateBand(cfg)
 					if err != nil {
 						t.Fatalf("generate %s: %v", cfg.Name(), err)
@@ -222,7 +222,7 @@ func TestDifferentialSweep(t *testing.T) {
 func TestCacheCompiled(t *testing.T) {
 	cache := mkernel.NewCache()
 	cfg := mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 9, Lanes: 4,
-		Rotate: true, SigmaAI: 4.0, LoadC: true}
+		Rotate: true, LoadC: true}
 	cp1, err := cache.CompiledKernel(cfg)
 	if err != nil {
 		t.Fatalf("CompiledKernel: %v", err)
@@ -236,7 +236,7 @@ func TestCacheCompiled(t *testing.T) {
 	}
 	bc := mkernel.BandConfig{
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
-		KC:       9, Lanes: 4, Fuse: true, LoadC: true, SigmaAI: 4.0,
+		KC:       9, Lanes: 4, Fuse: true, LoadC: true,
 	}
 	cb1, err := cache.CompiledBand(bc)
 	if err != nil {
