@@ -112,6 +112,7 @@ type Engine struct {
 	plans    *plan.Cache[*core.Plan]
 	registry *plan.Registry
 	sched    *sched.Pool
+	kernels  *mkernel.Cache // shared by every plan the engine attaches
 
 	workers, depth int // construction-time pool configuration
 
@@ -175,6 +176,7 @@ func New(chipName string, opts ...EngineOption) (*Engine, error) {
 	e := &Engine{
 		chip:      chip,
 		plans:     plan.NewCache[*core.Plan](),
+		kernels:   mkernel.NewCache(),
 		upgrading: make(map[string]chan struct{}),
 	}
 	if dir := os.Getenv("AUTOGEMM_PLAN_DIR"); dir != "" {
@@ -212,10 +214,11 @@ func (e *Engine) PeakGFLOPS() float64 { return e.chip.PeakGFLOPS() }
 func (e *Engine) Lanes() int { return e.chip.Lanes }
 
 // withRuntime sets the runtime-only core options every plan the engine
-// attaches carries — its scheduler. They never enter the plan
-// fingerprint.
+// attaches carries — its scheduler and its kernel cache. They never
+// enter the plan fingerprint.
 func (e *Engine) withRuntime(co core.Options) core.Options {
 	co.Runtime = e.sched
+	co.Kernels = e.kernels
 	return co
 }
 

@@ -5,7 +5,8 @@
 // safe and that structural validation cannot see:
 //
 //   - no instruction overwrites a live ("dirty") accumulator between a
-//     k-step FMLA and the store of that accumulator to C;
+//     k-step FMLA and the store of that accumulator to C, and every
+//     dirty accumulator is stored before RET;
 //   - no vector, scalar or predicate register is read before it is
 //     written (modulo the AAPCS64 argument registers x0–x5 and xzr),
 //     including the NZCV flags consumed by B.NE;
@@ -67,6 +68,9 @@ const (
 	// KindBadAddress: an address is not of the recognized affine form
 	// base + k·stride + constant over a single operand panel.
 	KindBadAddress
+	// KindAccUnstored: an accumulator still holds an unstored partial
+	// sum on some path that reaches RET — a result never written to C.
+	KindAccUnstored
 )
 
 var kindNames = map[Kind]string{
@@ -79,6 +83,7 @@ var kindNames = map[Kind]string{
 	KindRotation:     "rotation-broken",
 	KindOverRead:     "over-read",
 	KindBadAddress:   "bad-address",
+	KindAccUnstored:  "accumulator-unstored",
 }
 
 // String returns the stable name of the kind.

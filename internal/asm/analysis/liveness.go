@@ -149,10 +149,20 @@ func (a *analyzer) checkLiveness() {
 // first FMLA that folds into it until a store writes it back to C. A
 // full overwrite (vector load or zeroing) of a dirty accumulator throws
 // away a partial sum — the exact bug class epilogue–prologue fusion can
-// introduce at band boundaries.
+// introduce at band boundaries. An accumulator still dirty when a path
+// reaches RET is a partial sum never written back at all.
 func (a *analyzer) checkClobbers() {
 	if a.acc.empty() {
 		return
+	}
+	// An accumulator whose unstored value is never read was already
+	// reported as a dead definition (checkLiveness runs first); one
+	// defect, one finding.
+	var deadAcc regset
+	for _, f := range a.report.Findings {
+		if f.Kind == KindDeadDef {
+			deadAcc.add(regID(f.Reg))
+		}
 	}
 	nb := len(a.g.blocks)
 	dirtyIn := make([]regset, nb)
@@ -178,6 +188,15 @@ func (a *analyzer) checkClobbers() {
 						Detail: "overwrites an accumulator before its partial sum is stored"})
 				}
 				dirty.del(id) // fresh initialization either way
+			}
+		case asm.OpRet:
+			if report {
+				for _, r := range regsOf(dirty) {
+					if !deadAcc.has(regID(r)) {
+						a.addFinding(Finding{Kind: KindAccUnstored, Index: i, Reg: r,
+							Detail: "accumulator reaches RET without being stored"})
+					}
+				}
 			}
 		}
 		return dirty

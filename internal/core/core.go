@@ -133,6 +133,13 @@ type Options struct {
 	// and Close govern every execution they serve.
 	Runtime *sched.Pool
 
+	// Kernels is the kernel cache the attached plan generates, analyzes
+	// and compiles its kernels through — runtime-only, never in the plan
+	// fingerprint. An engine passes one cache to every plan it attaches,
+	// so a kernel shared by many plans is built once and lives as long
+	// as the engine; nil gives the plan a private cache.
+	Kernels *mkernel.Cache
+
 	// TrustedPlan marks the recipe handed to Attach as produced inside
 	// this process (by Produce or the tuner), skipping the static plan
 	// audit. Plans that crossed a process boundary — registry files,
@@ -164,8 +171,8 @@ type Plan struct {
 	// one rather than mutating it.
 	Recipe *plan.Plan
 
-	params perfmodel.Params
-	cache  *mkernel.Cache
+	params  perfmodel.Params
+	kernels *mkernel.Cache // Options.Kernels, or a private cache
 
 	mu      sync.Mutex
 	tilings map[[2]int]tiling.Tiling // block (m, n) -> tiling, from Recipe

@@ -3,9 +3,9 @@ package core
 import (
 	"math"
 
-	"autogemm/internal/asm"
 	"autogemm/internal/cache"
 	"autogemm/internal/hw"
+	"autogemm/internal/mkernel"
 	"autogemm/internal/sim"
 )
 
@@ -24,10 +24,10 @@ type Estimate struct {
 	Cores        int
 }
 
-// bandCostKey caches per-band timing simulations.
+// bandCostKey caches per-kernel timing simulations.
 type bandCostKey struct {
-	name string
-	lat  int
+	key mkernel.Key
+	lat int
 }
 
 // blockCost is the simulated cost of one visit to a cache-block shape:
@@ -84,7 +84,6 @@ func (p *Plan) shapeCosts() (map[[3]int]blockCost, [][3]int, error) {
 // costs are added per the plan's pack mode.
 func (p *Plan) blockCostFor(hier *cache.Hierarchy, bandCache map[bandCostKey]float64, mb, nb, kb int) (blockCost, error) {
 	chip := p.Chip
-	lanes := chip.Lanes
 	var bc blockCost
 
 	tl, err := p.blockTiling(mb, nb)
@@ -93,38 +92,15 @@ func (p *Plan) blockCostFor(hier *cache.Hierarchy, bandCache map[bandCostKey]flo
 	}
 	lat := p.blockLoadLatency(hier, mb, nb, kb)
 
-	for _, bd := range panelBands(tl, lanes) {
+	for _, bd := range tl.Bands(chip.Lanes) {
 		var cost float64
-		if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-			cfg := bandConfigFor(chip, p.Opts, bd.Segs, kb)
-			c, err := p.bandCycles(bandCache, cfg.Name(), lat, func() (*simProg, error) {
-				prog, err := p.cache.Band(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return &simProg{prog: prog, mr: bd.MR, width: bd.Width(), kc: kb}, nil
-			})
+		for _, cl := range p.calls(bd, kb) {
+			c, err := p.bandCycles(bandCache, cl.Spec, lat, bd.MR, cl.Width, kb)
 			if err != nil {
 				return bc, err
 			}
-			cost = c
-			bc.launch += float64(chip.LaunchCycles)
-		} else {
-			for _, seg := range bd.Segs {
-				cfg := kernelConfigFor(chip, p.Opts, seg.Tile, kb)
-				c, err := p.bandCycles(bandCache, cfg.Name(), lat, func() (*simProg, error) {
-					prog, err := p.cache.Kernel(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return &simProg{prog: prog, mr: seg.Tile.MR, width: seg.Tile.NR, kc: kb}, nil
-				})
-				if err != nil {
-					return bc, err
-				}
-				cost += float64(seg.Count) * c
-				bc.launch += float64(seg.Count) * float64(chip.LaunchCycles)
-			}
+			cost += float64(cl.Count) * c
+			bc.launch += float64(cl.Count) * float64(chip.LaunchCycles)
 		}
 		bc.kernel += cost
 		if cost > bc.maxBand {
@@ -183,45 +159,37 @@ func (p *Plan) EstimateAt(cores int) (Estimate, error) {
 	return est, nil
 }
 
-// simProg bundles a program with the shapes needed to build its scratch
-// data for one timing run.
-type simProg struct {
-	prog          *asm.Program
-	mr, width, kc int
-}
-
 // bandCycles memoizes the per-invocation cycle count of a kernel at a
 // given effective load latency by running it once through the functional
-// machine and then the timing model.
-func (p *Plan) bandCycles(memo map[bandCostKey]float64, name string, lat int,
-	build func() (*simProg, error)) (float64, error) {
-
-	key := bandCostKey{name, lat}
+// machine and then the timing model, over scratch panels of mr rows,
+// width columns and depth kc.
+func (p *Plan) bandCycles(memo map[bandCostKey]float64, spec mkernel.Spec, lat, mr, width, kc int) (float64, error) {
+	key := bandCostKey{spec.Key(), lat}
 	if c, ok := memo[key]; ok {
 		return c, nil
 	}
-	sp, err := build()
+	prog, err := p.kernels.Program(spec)
 	if err != nil {
 		return 0, err
 	}
 	lanes := p.Chip.Lanes
-	arena := sim.NewArena(sp.mr*sp.kc + (sp.kc+4)*(sp.width+lanes) + sp.mr*(sp.width+lanes) + 4096)
-	aAddr := arena.Alloc(sp.mr*sp.kc + 2*lanes)
-	bAddr := arena.Alloc((sp.kc + 4) * (sp.width + lanes))
-	cAddr := arena.Alloc(sp.mr * (sp.width + lanes))
+	arena := sim.NewArena(mr*kc + (kc+4)*(width+lanes) + mr*(width+lanes) + 4096)
+	aAddr := arena.Alloc(mr*kc + 2*lanes)
+	bAddr := arena.Alloc((kc + 4) * (width + lanes))
+	cAddr := arena.Alloc(mr * (width + lanes))
 	mach := sim.NewMachine(arena, lanes)
 	mach.SetArg(0, aAddr)
 	mach.SetArg(1, bAddr)
 	mach.SetArg(2, cAddr)
-	mach.SetArg(3, int64(sp.kc))
-	mach.SetArg(4, int64(sp.width))
-	mach.SetArg(5, int64(sp.width))
+	mach.SetArg(3, int64(kc))
+	mach.SetArg(4, int64(width))
+	mach.SetArg(5, int64(width))
 
 	model := sim.NewModel(p.Chip)
 	model.Caches = nil
 	model.AssumeLoadLat = lat
 
-	res, err := model.RunAndTime(sp.prog, mach, 1<<31)
+	res, err := model.RunAndTime(prog, mach, 1<<31)
 	if err != nil {
 		return 0, err
 	}

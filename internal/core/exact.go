@@ -1,9 +1,9 @@
 package core
 
 import (
-	"autogemm/internal/asm"
 	"autogemm/internal/mkernel"
 	"autogemm/internal/sim"
+	"autogemm/internal/tiling"
 )
 
 // EstimateExact times the ENTIRE execution — every kernel invocation of
@@ -74,7 +74,7 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 		est.PackCycles += pack
 		est.DRAMBytes += dram
 
-		for _, bd := range panelBands(tl, lanes) {
+		for _, bd := range tl.Bands(lanes) {
 			aArg := aBase + int64(bd.Row*lda*4)
 			bArg := bBase + int64(bd.Col*4)
 			cArg := cBuf + int64((bd.Row*cBufLD+bd.Col)*4)
@@ -88,7 +88,6 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 				est.MaxBandCost = cycles
 			}
 		}
-		_ = cAddr
 	}
 
 	est.Cycles = est.KernelCycles + est.LaunchOver + est.PackCycles + float64(p.Opts.CallOverhead)
@@ -100,53 +99,31 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 	return est, nil
 }
 
-// timeBandExact runs one band (fused or tile-by-tile) functionally and
-// through the live-cache timing model, returning its cycles.
-func (p *Plan) timeBandExact(model *sim.Model, mach *sim.Machine, bd band, kc int,
+// timeBandExact runs one band's kernel launches functionally and
+// through the live-cache timing model, returning their cycles.
+func (p *Plan) timeBandExact(model *sim.Model, mach *sim.Machine, bd tiling.Band, kc int,
 	aArg, bArg, cArg int64, lda, ldb, ldc int) (float64, error) {
 
-	run := func(prog *simProgArg) (float64, error) {
-		mach.SetArg(0, prog.a)
-		mach.SetArg(1, prog.b)
-		mach.SetArg(2, prog.c)
-		mach.SetArg(3, int64(lda))
-		mach.SetArg(4, int64(ldb))
-		mach.SetArg(5, int64(ldc))
-		res, err := model.RunAndTime(prog.p, mach, 1<<31)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Cycles), nil
-	}
-
-	if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-		prog, err := p.cache.Band(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
-		if err != nil {
-			return 0, err
-		}
-		return run(&simProgArg{p: prog, a: aArg, b: bArg, c: cArg})
-	}
 	total := 0.0
-	colOff := int64(0)
-	for _, seg := range bd.Segs {
-		for i := 0; i < seg.Count; i++ {
-			prog, err := p.cache.Kernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
+	for _, cl := range p.calls(bd, kc) {
+		prog, err := p.kernels.Program(cl.Spec)
+		if err != nil {
+			return 0, err
+		}
+		for i := 0; i < cl.Count; i++ {
+			colOff := int64(cl.Col-bd.Col+i*cl.Width) * 4
+			mach.SetArg(0, aArg)
+			mach.SetArg(1, bArg+colOff)
+			mach.SetArg(2, cArg+colOff)
+			mach.SetArg(3, int64(lda))
+			mach.SetArg(4, int64(ldb))
+			mach.SetArg(5, int64(ldc))
+			res, err := model.RunAndTime(prog, mach, 1<<31)
 			if err != nil {
 				return 0, err
 			}
-			c, err := run(&simProgArg{p: prog, a: aArg, b: bArg + colOff, c: cArg + colOff})
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			colOff += int64(seg.Tile.NR) * 4
+			total += float64(res.Cycles)
 		}
 	}
 	return total, nil
-}
-
-// simProgArg bundles a kernel with its argument pointers for one run.
-type simProgArg struct {
-	p       *asm.Program
-	a, b, c int64
 }

@@ -4,20 +4,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"autogemm/internal/mkernel"
 	"autogemm/internal/sim/compile"
 	"autogemm/internal/tiling"
 )
 
-// band is one row strip of a panel, decomposed by tiling.Bands — the
-// same derivation the planner's key enumeration and the plan auditor
-// use, so the three can never disagree about which kernels a tiling
-// runs.
-type band = tiling.Band
-
-// panelBands decomposes a tiling into bands; see tiling.Bands.
-func panelBands(tl tiling.Tiling, lanes int) []band {
-	return tl.Bands(lanes)
+// calls lowers a band to its kernel launches at depth kb; see
+// tiling.Band.Calls, the one rule the planner and auditor share.
+func (p *Plan) calls(bd tiling.Band, kb int) []tiling.Call {
+	return bd.Calls(kb, p.Chip.Lanes, p.Opts.Rotate, p.Opts.Fuse)
 }
 
 // kernelFuel bounds taken loop branches per kernel invocation — a
@@ -58,7 +52,7 @@ type bandCall struct {
 // kernel execution with no per-visit banding or cache lookups.
 type blockProg struct {
 	once       sync.Once
-	bands      []band
+	bands      []tiling.Band
 	calls      []bandCall
 	compiledOK bool
 	err        error
@@ -82,7 +76,7 @@ func (p *Plan) blockProgram(blk blockIter) (*blockProg, error) {
 			bp.err = err
 			return
 		}
-		bp.bands = panelBands(tl, p.Chip.Lanes)
+		bp.bands = tl.Bands(p.Chip.Lanes)
 		if !p.interpOnly {
 			bp.calls, bp.compiledOK = p.resolveCalls(bp.bands, blk.KB)
 		}
@@ -116,25 +110,15 @@ func (p *Plan) runBlock(st *execState, blk blockIter, c, a, b []float32) error {
 // ok is false when any kernel failed to compile — the analyzer could
 // not prove its bounds — and the caller must use the interpreter. The
 // kernel cache memoizes failures, so repeated blocks do not re-analyze.
-func (p *Plan) resolveCalls(bands []band, kc int) (calls []bandCall, ok bool) {
+func (p *Plan) resolveCalls(bands []tiling.Band, kc int) (calls []bandCall, ok bool) {
 	for _, bd := range bands {
-		if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-			cp, err := p.cache.CompiledBand(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
+		for _, cl := range p.calls(bd, kc) {
+			cp, err := p.kernels.Compiled(cl.Spec)
 			if err != nil {
 				return nil, false
 			}
-			calls = append(calls, bandCall{cp: cp, row: bd.Row, col: bd.Col})
-			continue
-		}
-		col := bd.Col
-		for _, seg := range bd.Segs {
-			cp, err := p.cache.CompiledKernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
-			if err != nil {
-				return nil, false
-			}
-			for i := 0; i < seg.Count; i++ {
-				calls = append(calls, bandCall{cp: cp, row: bd.Row, col: col})
-				col += seg.Tile.NR
+			for i := 0; i < cl.Count; i++ {
+				calls = append(calls, bandCall{cp: cp, row: bd.Row, col: cl.Col + i*cl.Width})
 			}
 		}
 	}
@@ -144,7 +128,7 @@ func (p *Plan) resolveCalls(bands []band, kc int) (calls []bandCall, ok bool) {
 // blockFits reports whether every band stays geometrically inside the
 // block extents — no padded row or column overhang — the precondition
 // for storing C in place.
-func blockFits(bands []band, blk blockIter) bool {
+func blockFits(bands []tiling.Band, blk blockIter) bool {
 	for _, bd := range bands {
 		if bd.Row+bd.MR > blk.MB || bd.Col+bd.Width() > blk.NB {
 			return false
@@ -157,7 +141,7 @@ func blockFits(bands []band, blk blockIter) bool {
 // done is false when the scratch prechecks fail (the caller then uses
 // the interpreter); the decision is made before any operand is written,
 // so a fallback never observes a half-executed block.
-func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []band, calls []bandCall, c, a, b []float32) (bool, error) {
+func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Band, calls []bandCall, c, a, b []float32) (bool, error) {
 	k, n := p.K, p.N
 	env := st.env
 	inPlaceAB := p.Opts.Pack == PackNone
@@ -263,7 +247,7 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []band, call
 // operand regions are copied into the worker's frozen arena (a dense
 // pack — functionally identical for every packing mode), the bands run
 // through sim.Machine, and the C region is copied back.
-func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []band, c, a, b []float32) error {
+func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []tiling.Band, c, a, b []float32) error {
 	lanes := p.Chip.Lanes
 	st.ensureInterp(lanes)
 	k, n := p.K, p.N
@@ -298,29 +282,16 @@ func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []band, c, a, 
 	return nil
 }
 
-// runBandInterp executes one band on the machine, fused or tile-by-tile.
-func (p *Plan) runBandInterp(st *execState, bd band, kc int, aArg, bArg, cArg int64, lda, ldb, ldc int) error {
+// runBandInterp executes one band's kernel launches on the machine.
+func (p *Plan) runBandInterp(st *execState, bd tiling.Band, kc int, aArg, bArg, cArg int64, lda, ldb, ldc int) error {
 	mach := st.mach
-	if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-		prog, err := p.cache.Band(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
+	for _, cl := range p.calls(bd, kc) {
+		prog, err := p.kernels.Program(cl.Spec)
 		if err != nil {
 			return err
 		}
-		mach.SetArg(0, aArg)
-		mach.SetArg(1, bArg)
-		mach.SetArg(2, cArg)
-		mach.SetArg(3, int64(lda))
-		mach.SetArg(4, int64(ldb))
-		mach.SetArg(5, int64(ldc))
-		return mach.Run(prog, kernelFuel)
-	}
-	colOff := int64(0)
-	for _, seg := range bd.Segs {
-		for i := 0; i < seg.Count; i++ {
-			prog, err := p.cache.Kernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
-			if err != nil {
-				return err
-			}
+		for i := 0; i < cl.Count; i++ {
+			colOff := int64(cl.Col-bd.Col+i*cl.Width) * 4
 			mach.SetArg(0, aArg)
 			mach.SetArg(1, bArg+colOff)
 			mach.SetArg(2, cArg+colOff)
@@ -330,16 +301,7 @@ func (p *Plan) runBandInterp(st *execState, bd band, kc int, aArg, bArg, cArg in
 			if err := mach.Run(prog, kernelFuel); err != nil {
 				return err
 			}
-			colOff += int64(seg.Tile.NR) * 4
 		}
 	}
 	return nil
-}
-
-func totalTiles(segs []mkernel.Segment) int {
-	n := 0
-	for _, s := range segs {
-		n += s.Count
-	}
-	return n
 }

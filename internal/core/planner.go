@@ -261,14 +261,11 @@ func (e *produceEnv) build(source string, tile func(mb, nb, lat int) (tiling.Til
 			bld.AddBlock(blk)
 
 			// Kernel keys for every k-chunk depth this block executes at.
+			bands := tl.Bands(e.chip.Lanes)
 			for _, kb := range e.kShapes {
-				for _, bd := range tl.Bands(e.chip.Lanes) {
-					if e.o.Fuse && totalTiles(bd.Segs) > 1 {
-						keys[bandConfigFor(e.chip, e.o, bd.Segs, kb).Key()] = true
-						continue
-					}
-					for _, seg := range bd.Segs {
-						keys[kernelConfigFor(e.chip, e.o, seg.Tile, kb).Key()] = true
+				for _, bd := range bands {
+					for _, cl := range bd.Calls(kb, e.chip.Lanes, e.o.Rotate, e.o.Fuse) {
+						keys[cl.Spec.Key()] = true
 					}
 				}
 			}
@@ -427,20 +424,6 @@ func gridCount(total, bs, size int) int {
 	return 1 // remainder block
 }
 
-// bandConfigFor builds the fused band-kernel configuration for a band
-// at a given k-chunk depth. The construction itself lives in mkernel
-// (PlanBandConfig) so the planner, the executor, the estimator and the
-// plan auditor all address identical cache keys.
-func bandConfigFor(chip *hw.Chip, o Options, segs []mkernel.Segment, kb int) mkernel.BandConfig {
-	return mkernel.PlanBandConfig(segs, kb, chip.Lanes, o.Rotate)
-}
-
-// kernelConfigFor builds the single-tile kernel configuration for one
-// tile at a given k-chunk depth; see bandConfigFor.
-func kernelConfigFor(chip *hw.Chip, o Options, t mkernel.Tile, kb int) mkernel.Config {
-	return mkernel.PlanKernelConfig(t, kb, chip.Lanes, o.Rotate)
-}
-
 // Attach binds an executor to a produced (or deserialized) recipe. The
 // recipe must validate and belong to the chip; unless runtime marks it
 // TrustedPlan (the in-process produce path), it must additionally pass
@@ -502,7 +485,10 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 		params:  perfmodel.FromChip(chip),
 		tilings: make(map[[2]int]tiling.Tiling, len(rec.Blocks)),
 		progs:   make(map[[3]int]*blockProg),
-		cache:   mkernel.NewCache(),
+		kernels: o.Kernels,
+	}
+	if p.kernels == nil {
+		p.kernels = mkernel.NewCache()
 	}
 	for _, blk := range rec.Blocks {
 		tl := tiling.FromPlanBlock(blk)

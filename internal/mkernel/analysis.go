@@ -8,9 +8,12 @@ import (
 // This file is the bridge between the generators and the dataflow
 // analyzer in internal/asm/analysis. Each generator runs the analyzer as
 // a gate right after structural validation: a kernel with findings is a
-// generator bug, not a warning, and is never returned. The
-// AnalysisOptions methods expose the same contracts, so tests can
-// re-analyze an emitted kernel (or a deliberately corrupted copy of it).
+// generator bug, not a warning, and is never returned. The gate's
+// report is also the proof the compiled form is lowered from (kcache.go
+// keeps it in the cache entry), so a cached kernel is analyzed exactly
+// once. The AnalysisOptions methods expose the same contracts, so tests
+// can re-analyze an emitted kernel (or a deliberately corrupted copy of
+// it).
 
 // AnalysisOptions returns the analyzer contract for this kernel variant:
 // the rotation scheme newGen will choose for it and the panel bounds of
@@ -21,13 +24,6 @@ func (c Config) AnalysisOptions() (analysis.Options, error) {
 	if err != nil {
 		return analysis.Options{}, err
 	}
-	return g.analysisOptions(), nil
-}
-
-// analysisOptions is Config.AnalysisOptions for an already-built
-// emission state.
-func (g *gen) analysisOptions() analysis.Options {
-	c := g.cfg
 	opts := analysis.Options{
 		Bounds: &analysis.Bounds{
 			MR: c.Tile.MR, NR: c.Tile.NR, KC: c.KC, Lanes: c.Lanes,
@@ -37,7 +33,7 @@ func (g *gen) analysisOptions() analysis.Options {
 	if c.Rotate {
 		opts.Rotation = &analysis.RotationHint{ARows: g.rotA, BDouble: g.rotB}
 	}
-	return opts
+	return opts, nil
 }
 
 // AnalysisOptions returns the analyzer contract for a band kernel. The
@@ -91,11 +87,22 @@ func (c PackConfig) AnalysisOptions() analysis.Options {
 	return analysis.Options{}
 }
 
+// analyzeHook, when set (tests only), observes every analyzer run the
+// gate makes, by kernel name.
+var analyzeHook func(name string)
+
 // analyzeGate runs the analyzer and converts findings into a hard error.
-func analyzeGate(p *asm.Program, opts analysis.Options) error {
+// On success it returns the clean report.
+func analyzeGate(p *asm.Program, opts analysis.Options) (*analysis.Report, error) {
+	if analyzeHook != nil {
+		analyzeHook(p.Name)
+	}
 	rep, err := analysis.Analyze(p, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return rep.Err()
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }

@@ -224,7 +224,7 @@ func TestAnalysisGateRejects(t *testing.T) {
 		return p, opts
 	}
 	p, opts := generate(t, cfg)
-	if err := analyzeGate(p, opts); err != nil {
+	if _, err := analyzeGate(p, opts); err != nil {
 		t.Fatalf("clean kernel rejected by gate: %v", err)
 	}
 
@@ -290,12 +290,34 @@ func TestAnalysisGateRejects(t *testing.T) {
 			},
 			want: "rotation-broken",
 		},
+		{
+			// Drop the last C store of a KC=32 kernel. With no k_c
+			// remainder the dropped accumulator's FMLA chain is read
+			// across the loop back edge, so no dead-def fires: only the
+			// check that every accumulator is stored before RET sees it.
+			name: "unstored",
+			inject: func(t *testing.T, _ *asm.Program, opts *analysis.Options) *asm.Program {
+				deep := cfg
+				deep.KC = 32
+				p, o := generate(t, deep)
+				*opts = o
+				last := -1
+				for i := range p.Instrs {
+					if p.Instrs[i].Op == asm.OpStrQPost {
+						last = i
+					}
+				}
+				p.Instrs = append(p.Instrs[:last], p.Instrs[last+1:]...)
+				return p
+			},
+			want: "accumulator-unstored",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, opts := generate(t, cfg)
 			p = tc.inject(t, p, &opts)
-			err := analyzeGate(p, opts)
+			_, err := analyzeGate(p, opts)
 			if err == nil {
 				t.Fatalf("%s injection passed the gate", tc.name)
 			}

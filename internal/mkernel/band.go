@@ -153,6 +153,12 @@ func (g *gen) cAdvanceInstrs() []asm.Instr {
 // convention matches Generate; the B pointer argument is the base of the
 // full B panel (k_c × bandwidth) and each tile addresses its column slice.
 func GenerateBand(cfg BandConfig) (*asm.Program, error) {
+	k, err := build(cfg)
+	return k.prog, err
+}
+
+// emit generates and validates the band program.
+func (cfg BandConfig) emit() (*asm.Program, error) {
 	mr, err := cfg.MR()
 	if err != nil {
 		return nil, err
@@ -270,17 +276,7 @@ func GenerateBand(cfg BandConfig) (*asm.Program, error) {
 		colOff += int64(tile.NR) * 4
 	}
 	p.Ret()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	opts, err := cfg.AnalysisOptions()
-	if err != nil {
-		return nil, err
-	}
-	if err := analyzeGate(p, opts); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p, p.Validate()
 }
 
 // interleave appends stores and loads alternately, store first so a load

@@ -165,11 +165,17 @@ func newGen(cfg Config) (*gen, error) {
 
 // Generate emits a single-tile micro-kernel.
 func Generate(cfg Config) (*asm.Program, error) {
-	g, err := newGen(cfg)
+	k, err := build(cfg)
+	return k.prog, err
+}
+
+// emit generates and validates a single-tile micro-kernel.
+func (c Config) emit() (*asm.Program, error) {
+	g, err := newGen(c)
 	if err != nil {
 		return nil, err
 	}
-	g.p = asm.NewProgram(cfg.Name())
+	g.p = asm.NewProgram(c.Name())
 	g.emitSetup(true)
 	g.emitPrologue()
 	g.emitMainloop("kloop")
@@ -178,13 +184,7 @@ func Generate(cfg Config) (*asm.Program, error) {
 		g.p.Instrs = append(g.p.Instrs, in)
 	}
 	g.p.Ret()
-	if err := g.p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := analyzeGate(g.p, g.analysisOptions()); err != nil {
-		return nil, err
-	}
-	return g.p, nil
+	return g.p, g.p.Validate()
 }
 
 // emitSetup converts strides to bytes and materializes the A and C row

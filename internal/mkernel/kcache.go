@@ -1,10 +1,18 @@
 package mkernel
 
+// This file is the kernel cache: one entry per kernel Key, holding the
+// generated program, the analyzer report its generation gate produced
+// and, lazily, the compiled form lowered from that same report — so a
+// cached kernel is generated once and analyzed once, however many plans
+// and workers request it. An engine owns one cache and hands it to every
+// plan it attaches; a plan built outside an engine gets a private one.
+
 import (
 	"sort"
 	"sync"
 
 	"autogemm/internal/asm"
+	"autogemm/internal/asm/analysis"
 	"autogemm/internal/sim/compile"
 )
 
@@ -20,26 +28,64 @@ func (c Config) Key() Key { return Key(c.Name()) }
 // Key returns the unified cache key for a band-kernel configuration.
 func (c BandConfig) Key() Key { return Key(c.Name()) }
 
-// Cache memoizes generated kernels by their unified Key. Kernel
-// generation is cheap but plans request the same corner-case shapes
-// many times; the paper's library likewise JIT-caches its kernels.
+// Spec is a kernel an execution plan can run: a single-tile Config or a
+// fused BandConfig. The set is closed (emit is unexported); which one a
+// band of a tiling runs is decided by tiling.Band.Calls alone.
+type Spec interface {
+	// Key is the cache key, the string a plan's KernelKeys records.
+	Key() Key
+	// AnalysisOptions is the analyzer contract the generation gate
+	// checks: the panel bounds and the rotation claim.
+	AnalysisOptions() (analysis.Options, error)
+	// emit generates and validates the program; build runs the gate.
+	emit() (*asm.Program, error)
+}
+
+// kernel is a generated program that passed the analyzer gate, with the
+// contract it was analyzed under and the gate's report.
+type kernel struct {
+	prog *asm.Program
+	opts analysis.Options
+	rep  *analysis.Report
+}
+
+// build emits a spec's program and runs the analyzer gate on it.
+func build(s Spec) (kernel, error) {
+	p, err := s.emit()
+	if err != nil {
+		return kernel{}, err
+	}
+	opts, err := s.AnalysisOptions()
+	if err != nil {
+		return kernel{}, err
+	}
+	rep, err := analyzeGate(p, opts)
+	if err != nil {
+		return kernel{}, err
+	}
+	return kernel{prog: p, opts: opts, rep: rep}, nil
+}
+
+// Cache memoizes kernels by their unified Key. The paper's library
+// likewise JIT-caches its kernels.
 //
-// One entry holds both forms of a kernel: the asm program and its
-// compiled closure-threaded form (internal/sim/compile), each built
-// lazily and at most once. Compile failures are memoized too: a kernel
-// the analyzer cannot prove bound-safe fails deterministically, so
-// repeated executions never re-run the analyzer just to fall back to
-// the interpreter again.
+// Each entry is built under its own sync.Once, not the cache-wide lock:
+// distinct kernels generate and compile concurrently, and concurrent
+// first requests for one key wait for a single build. Failures are
+// memoized too: a kernel the generator rejects, or whose bounds the
+// analyzer cannot prove complete, fails deterministically, so repeated
+// executions never rebuild it just to fall back to the interpreter.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
 }
 
 type cacheEntry struct {
-	prog *asm.Program
+	once sync.Once // guards k and err
+	k    kernel
 	err  error
 
-	compileOnce sync.Once // guards the compiled form, per entry
+	compileOnce sync.Once // guards the compiled form
 	cprog       *compile.Program
 	compileErr  error
 }
@@ -49,89 +95,43 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[Key]*cacheEntry)}
 }
 
-// entry returns (creating if needed) the slot for a key with the asm
-// form resolved through generate.
-func (c *Cache) entry(key Key, generate func() (*asm.Program, error)) *cacheEntry {
+// entry returns the slot for a spec, generating and analyzing its
+// kernel on first use.
+func (c *Cache) entry(s Spec) *cacheEntry {
+	key := s.Key()
 	c.mu.Lock()
 	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok {
-		return e
+	if !ok {
+		e = &cacheEntry{}
+		c.entries[key] = e
 	}
-	p, err := generate()
-	c.mu.Lock()
-	if prev, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return prev
-	}
-	e = &cacheEntry{prog: p, err: err}
-	c.entries[key] = e
 	c.mu.Unlock()
+	e.once.Do(func() { e.k, e.err = build(s) })
 	return e
 }
 
-// Kernel returns the (possibly cached) kernel for cfg.
-func (c *Cache) Kernel(cfg Config) (*asm.Program, error) {
-	e := c.entry(cfg.Key(), func() (*asm.Program, error) { return Generate(cfg) })
-	return e.prog, e.err
+// Program returns the (possibly cached) asm form of a kernel — what the
+// checked interpreter and the timing simulator run.
+func (c *Cache) Program(s Spec) (*asm.Program, error) {
+	e := c.entry(s)
+	return e.k.prog, e.err
 }
 
-// Band returns the (possibly cached) band kernel for cfg.
-func (c *Cache) Band(cfg BandConfig) (*asm.Program, error) {
-	e := c.entry(cfg.Key(), func() (*asm.Program, error) { return GenerateBand(cfg) })
-	return e.prog, e.err
-}
-
-// compiledForm resolves the compiled form of an entry, building it at
-// most once. Compilation runs the full analyzer, so it happens under the
-// entry's own sync.Once rather than the cache-wide lock: distinct kernels
-// compile concurrently, and callers of one key wait only for that key.
-func (c *Cache) compiledForm(key Key, generate func() (*asm.Program, error),
-	opts func() (compile.Options, error)) (*compile.Program, error) {
-
-	e := c.entry(key, generate)
+// Compiled returns the closure-threaded form of a kernel, lowered from
+// the generation gate's report, or the memoized failure. An error
+// matching compile.ErrUnproven means the analyzer could not prove the
+// bounds complete: callers run the asm form from Program on the checked
+// interpreter instead.
+func (c *Cache) Compiled(s Spec) (*compile.Program, error) {
+	e := c.entry(s)
 	e.compileOnce.Do(func() {
 		if e.err != nil {
 			e.compileErr = e.err
 			return
 		}
-		o, err := opts()
-		if err != nil {
-			e.compileErr = err
-			return
-		}
-		e.cprog, e.compileErr = compile.Compile(e.prog, o)
+		e.cprog, e.compileErr = compile.Lower(e.k.prog, *e.k.opts.Bounds, e.k.rep)
 	})
 	return e.cprog, e.compileErr
-}
-
-// CompiledKernel returns the closure-threaded form of the kernel for
-// cfg, or the memoized compile failure (callers then use the checked
-// interpreter on the asm form from Kernel).
-func (c *Cache) CompiledKernel(cfg Config) (*compile.Program, error) {
-	return c.compiledForm(cfg.Key(),
-		func() (*asm.Program, error) { return Generate(cfg) },
-		func() (compile.Options, error) {
-			aopts, err := cfg.AnalysisOptions()
-			if err != nil {
-				return compile.Options{}, err
-			}
-			return compile.Options{Lanes: cfg.Lanes, Bounds: *aopts.Bounds, Rotation: aopts.Rotation}, nil
-		})
-}
-
-// CompiledBand returns the closure-threaded form of the band kernel for
-// cfg, with the same negative-caching behavior as CompiledKernel.
-func (c *Cache) CompiledBand(cfg BandConfig) (*compile.Program, error) {
-	return c.compiledForm(cfg.Key(),
-		func() (*asm.Program, error) { return GenerateBand(cfg) },
-		func() (compile.Options, error) {
-			aopts, err := cfg.AnalysisOptions()
-			if err != nil {
-				return compile.Options{}, err
-			}
-			return compile.Options{Lanes: cfg.Lanes, Bounds: *aopts.Bounds, Rotation: aopts.Rotation}, nil
-		})
 }
 
 // Size reports how many kernel variants are cached.

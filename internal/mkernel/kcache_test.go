@@ -8,26 +8,29 @@ import (
 	"autogemm/internal/sim/compile"
 )
 
-// TestCacheCompiledConcurrent races lazy compilation: many goroutines ask
-// for the compiled form of the same and of distinct kernels at once. Each
-// key must yield exactly one program, shared by every caller, and
-// distinct keys distinct programs. Run under -race it also checks that
-// per-entry compilation publishes its result safely.
+// TestCacheCompiledConcurrent races lazy generation and compilation:
+// many goroutines ask for the asm and compiled forms of the same and of
+// distinct kernels at once. Each key must yield exactly one program,
+// shared by every caller, distinct keys distinct programs, and each key
+// must be generated and analyzed exactly once — the compiled form is
+// lowered from the generation gate's report. Run under -race it also
+// checks that per-entry builds publish their results safely.
 func TestCacheCompiledConcurrent(t *testing.T) {
 	cache := mkernel.NewCache()
-	var kernels []mkernel.Config
+	var specs []mkernel.Spec
 	for _, nr := range []int{4, 8, 12} {
-		kernels = append(kernels, mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: nr}, KC: 9, Lanes: 4,
+		specs = append(specs, mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: nr}, KC: 9, Lanes: 4,
 			Rotate: true, LoadC: true})
 	}
-	bands := []mkernel.BandConfig{
-		{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
+	specs = append(specs,
+		mkernel.BandConfig{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
 			KC: 9, Lanes: 4, Fuse: true, LoadC: true},
-		{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 1}, {Tile: mkernel.Tile{MR: 4, NR: 4}, Count: 1}},
+		mkernel.BandConfig{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 1}, {Tile: mkernel.Tile{MR: 4, NR: 4}, Count: 1}},
 			KC: 9, Lanes: 4, Fuse: true, LoadC: true},
-	}
-	keys := len(kernels) + len(bands)
+	)
+	keys := len(specs)
 
+	stop := mkernel.CountAnalyses()
 	const workers = 8
 	got := make([][]*compile.Program, workers)
 	errs := make([]error, workers)
@@ -40,16 +43,18 @@ func TestCacheCompiledConcurrent(t *testing.T) {
 			start.Wait()
 			got[w] = make([]*compile.Program, keys)
 			// Each worker walks the keys from a different starting point,
-			// so same-key and distinct-key requests overlap.
+			// so same-key and distinct-key requests overlap; even workers
+			// ask for the asm form first, odd ones go straight to the
+			// compiled form.
 			for i := 0; i < keys; i++ {
 				k := (i + w) % keys
-				var cp *compile.Program
-				var err error
-				if k < len(kernels) {
-					cp, err = cache.CompiledKernel(kernels[k])
-				} else {
-					cp, err = cache.CompiledBand(bands[k-len(kernels)])
+				if w%2 == 0 {
+					if _, err := cache.Program(specs[k]); err != nil {
+						errs[w] = err
+						return
+					}
 				}
+				cp, err := cache.Compiled(specs[k])
 				if err != nil {
 					errs[w] = err
 					return
@@ -60,6 +65,7 @@ func TestCacheCompiledConcurrent(t *testing.T) {
 	}
 	start.Done()
 	wg.Wait()
+	analyses := stop()
 
 	for w, err := range errs {
 		if err != nil {
@@ -81,6 +87,12 @@ func TestCacheCompiledConcurrent(t *testing.T) {
 			t.Fatalf("keys %d and %d share one program", prev, k)
 		}
 		seen[cp] = k
+		if n := analyses[string(specs[k].Key())]; n != 1 {
+			t.Errorf("%s analyzed %d times, want once", specs[k].Key(), n)
+		}
+	}
+	if len(analyses) != keys {
+		t.Errorf("analyzer ran for %d kernels, want %d: %v", len(analyses), keys, analyses)
 	}
 	if n := cache.Size(); n != keys {
 		t.Fatalf("cache holds %d entries, want %d", n, keys)
@@ -92,11 +104,11 @@ func TestCacheCompiledConcurrent(t *testing.T) {
 func TestCacheCompileFailureMemoized(t *testing.T) {
 	cache := mkernel.NewCache()
 	bad := mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 5}, KC: 9, Lanes: 4} // NR not a multiple of σ
-	_, err1 := cache.CompiledKernel(bad)
+	_, err1 := cache.Compiled(bad)
 	if err1 == nil {
 		t.Fatal("expected a generation failure")
 	}
-	cp, err2 := cache.CompiledKernel(bad)
+	cp, err2 := cache.Compiled(bad)
 	if cp != nil || err2 != err1 {
 		t.Fatalf("failure not memoized: got (%v, %v), first error %v", cp, err2, err1)
 	}

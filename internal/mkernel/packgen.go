@@ -61,7 +61,7 @@ func GeneratePack(cfg PackConfig) (*asm.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
+	if _, err := analyzeGate(p, cfg.AnalysisOptions()); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -321,35 +321,10 @@ func (a *auditor) checkCoverage() error {
 // are generated for.
 func kChunks(p *plan.Plan) []int { return shapes(p.Request.K, p.KC) }
 
-// call is one kernel invocation the plan implies: a band (fused) or a
-// single tile at a placement inside a block.
-type call struct {
-	row, col int
-	band     *mkernel.BandConfig
-	kernel   *mkernel.Config
-}
-
-// callsOf enumerates the kernel calls of one block at one k depth,
-// exactly as the executor lowers bands (fused when the plan's request
-// asked for fusion and the band has more than one tile).
-func callsOf(chip *hw.Chip, p *plan.Plan, bands []tiling.Band, kb int) []call {
-	var calls []call
-	for _, bd := range bands {
-		if p.Request.Fuse && bd.Tiles() > 1 {
-			cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate)
-			calls = append(calls, call{row: bd.Row, col: bd.Col, band: &cfg})
-			continue
-		}
-		col := bd.Col
-		for _, seg := range bd.Segs {
-			for i := 0; i < seg.Count; i++ {
-				cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate)
-				calls = append(calls, call{row: bd.Row, col: col, kernel: &cfg})
-				col += seg.Tile.NR
-			}
-		}
-	}
-	return calls
+// calls lowers a band of the plan to its kernel launches at depth kb —
+// tiling.Band.Calls, the rule the planner and the executor use.
+func (a *auditor) calls(bd tiling.Band, kb int) []tiling.Call {
+	return bd.Calls(kb, a.chip.Lanes, a.p.Request.Rotate, a.p.Request.Fuse)
 }
 
 // checkBounds composes the per-kernel symbolic bounds facts with every
@@ -371,55 +346,48 @@ func (a *auditor) checkBounds() error {
 	// recurs across many tile placements, so memoize by kernel name (the
 	// name encodes the full config) to keep the audit linear in distinct
 	// kernels rather than in call sites.
-	memo := map[string]*analysis.Bounds{}
-	boundsFor := func(name string, derive func() (analysis.Options, error)) (*analysis.Bounds, error) {
-		if b, ok := memo[name]; ok {
+	memo := map[mkernel.Key]*analysis.Bounds{}
+	boundsFor := func(spec mkernel.Spec) (*analysis.Bounds, error) {
+		if b, ok := memo[spec.Key()]; ok {
 			return b, nil
 		}
-		ao, err := derive()
+		ao, err := spec.AnalysisOptions()
 		if err != nil {
 			return nil, err
 		}
-		memo[name] = ao.Bounds
+		memo[spec.Key()] = ao.Bounds
 		return ao.Bounds, nil
 	}
 	for key, blk := range blocks {
 		bands := a.bandsOf(key, blk)
 		for _, kb := range kChunks(p) {
 			lda := int64(kb)
-			for _, cl := range callsOf(chip, p, bands, kb) {
-				var name string
-				var derive func() (analysis.Options, error)
-				if cl.band != nil {
-					name, derive = cl.band.Name(), cl.band.AnalysisOptions
-				} else {
-					name, derive = cl.kernel.Name(), cl.kernel.AnalysisOptions
-				}
-				bounds, err := boundsFor(name, derive)
-				if err != nil {
-					return failf(CheckBounds, "block %dx%d: %s at (%d,%d): %v",
-						key[0], key[1], name, cl.row, cl.col, err)
-				}
-				aExt := bounds.AExtent(lda)
-				bExt := bounds.BExtent(int64(sc.LD))
-				cExt := bounds.CExtent(int64(sc.LD))
-				aOff := int64(cl.row) * lda
-				bOff := int64(cl.col)
-				cOff := int64(cl.row)*int64(sc.LD) + int64(cl.col)
-				if aOff+aExt > int64(sc.PackA) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) reads A to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, aOff+aExt, sc.PackA)
-				}
-				if bOff+bExt > int64(sc.PackB) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) reads B to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, bOff+bExt, sc.PackB)
-				}
-				if cOff+cExt > int64(sc.CBuf) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) touches C to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, cOff+cExt, sc.CBuf)
+			for _, bd := range bands {
+				for _, cl := range a.calls(bd, kb) {
+					name := cl.Spec.Key()
+					bounds, err := boundsFor(cl.Spec)
+					if err != nil {
+						return failf(CheckBounds, "block %dx%d: %s at (%d,%d): %v",
+							key[0], key[1], name, bd.Row, cl.Col, err)
+					}
+					ld := int64(sc.LD)
+					for i := 0; i < cl.Count; i++ {
+						row, col := int64(bd.Row), int64(cl.Col+i*cl.Width)
+						for _, c := range []struct {
+							what     string
+							end, cap int64
+						}{
+							{"reads A", row*lda + bounds.AExtent(lda), int64(sc.PackA)},
+							{"reads B", col + bounds.BExtent(ld), int64(sc.PackB)},
+							{"touches C", row*ld + col + bounds.CExtent(ld), int64(sc.CBuf)},
+						} {
+							if c.end > c.cap {
+								return failf(CheckBounds,
+									"block %dx%d k=%d: %s at (%d,%d) %s to %d, scratch holds %d",
+									key[0], key[1], kb, name, row, col, c.what, c.end, c.cap)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -448,12 +416,8 @@ func (a *auditor) derivedKeys() (map[string]bool, error) {
 							key[0], key[1], seg.Tile, chip.Lanes)
 					}
 				}
-				if p.Request.Fuse && bd.Tiles() > 1 {
-					keys[string(mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate).Key())] = true
-					continue
-				}
-				for _, seg := range bd.Segs {
-					keys[string(mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate).Key())] = true
+				for _, cl := range a.calls(bd, kb) {
+					keys[string(cl.Spec.Key())] = true
 				}
 			}
 		}
@@ -505,7 +469,6 @@ func (a *auditor) checkKernels() error {
 // resolve but that the kernels behind them pass the full bounds and
 // rotation analysis on this build.
 func (a *auditor) checkGenerate() error {
-	chip, p := a.chip, a.p
 	cache := mkernel.NewCache()
 	blocks, err := a.blockMap()
 	if err != nil {
@@ -513,21 +476,12 @@ func (a *auditor) checkGenerate() error {
 	}
 	for key, blk := range blocks {
 		bands := a.bandsOf(key, blk)
-		for _, kb := range kChunks(p) {
+		for _, kb := range kChunks(a.p) {
 			for _, bd := range bands {
-				if p.Request.Fuse && bd.Tiles() > 1 {
-					cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate)
-					if _, err := cache.Band(cfg); err != nil {
-						return failf(CheckGenerate, "block %dx%d: band %s: %v",
-							key[0], key[1], cfg.Name(), err)
-					}
-					continue
-				}
-				for _, seg := range bd.Segs {
-					cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate)
-					if _, err := cache.Kernel(cfg); err != nil {
+				for _, cl := range a.calls(bd, kb) {
+					if _, err := cache.Program(cl.Spec); err != nil {
 						return failf(CheckGenerate, "block %dx%d: kernel %s: %v",
-							key[0], key[1], cfg.Name(), err)
+							key[0], key[1], cl.Spec.Key(), err)
 					}
 				}
 			}

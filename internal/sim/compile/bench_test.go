@@ -75,11 +75,11 @@ func runCompiledBench(b *testing.B, cp *compile.Program, err error) {
 
 func BenchmarkKernelInterpreted(b *testing.B) {
 	cache := mkernel.NewCache()
-	cp, err := cache.CompiledKernel(benchKernel)
+	cp, err := cache.Compiled(benchKernel)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := cache.Kernel(benchKernel)
+	p, err := cache.Program(benchKernel)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,17 +110,17 @@ func BenchmarkKernelInterpreted(b *testing.B) {
 }
 
 func BenchmarkKernelCompiled(b *testing.B) {
-	cp, err := mkernel.NewCache().CompiledKernel(benchKernel)
+	cp, err := mkernel.NewCache().Compiled(benchKernel)
 	runCompiledBench(b, cp, err)
 }
 
 func BenchmarkBandFusedCompiled(b *testing.B) {
-	cp, err := mkernel.NewCache().CompiledBand(benchBand)
+	cp, err := mkernel.NewCache().Compiled(benchBand)
 	runCompiledBench(b, cp, err)
 }
 
 func BenchmarkKernelShortKCCompiled(b *testing.B) {
-	cp, err := mkernel.NewCache().CompiledKernel(benchShortKC)
+	cp, err := mkernel.NewCache().Compiled(benchShortKC)
 	runCompiledBench(b, cp, err)
 }
 
@@ -129,7 +129,7 @@ func BenchmarkKernelShortKCCompiled(b *testing.B) {
 // real run. native is the loop the executor installs on this GOARCH
 // (the SSE loop on amd64), go the pure-Go reference.
 func BenchmarkChains(b *testing.B) {
-	cp, err := mkernel.NewCache().CompiledKernel(benchKernel)
+	cp, err := mkernel.NewCache().Compiled(benchKernel)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,17 +27,8 @@ type Options struct {
 // closure pays a mispredicted indirect call per instruction, which eats
 // most of the win over the interpreter's switch.
 //
-// Compile runs the full analyzer and refuses (ErrUnproven) unless the
-// report is clean AND the bounds pass was complete: every executable
-// access affine-resolved, panel-classified, in-bounds for every
-// iteration. A separate mod-4 residue pass proves 4-byte alignment of
-// every address, which the symbolic pass does not track. Anything short
-// of the full proof is not an error to paper over — the caller keeps
-// using the interpreter.
+// Compile runs the full analyzer and lowers from its report (Lower).
 func Compile(p *asm.Program, opts Options) (*Program, error) {
-	if opts.Lanes < 1 || opts.Lanes > MaxLanes {
-		return nil, fmt.Errorf("compile: %s: lanes %d out of range 1..%d", p.Name, opts.Lanes, MaxLanes)
-	}
 	if opts.Bounds.Lanes != opts.Lanes {
 		return nil, fmt.Errorf("compile: %s: Options.Lanes %d != Bounds.Lanes %d", p.Name, opts.Lanes, opts.Bounds.Lanes)
 	}
@@ -50,6 +41,26 @@ func Compile(p *asm.Program, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnproven, p.Name, err)
 	}
+	return Lower(p, bounds, rep)
+}
+
+// Lower compiles a program from an analyzer report the caller already
+// holds — the kernel cache keeps its generation gate's report, so a
+// cached kernel is never analyzed twice. rep must come from analyzing p
+// under bounds. Lower refuses (ErrUnproven) unless the report is clean
+// AND the bounds pass was complete: every executable access
+// affine-resolved, panel-classified, in-bounds for every iteration. A
+// separate mod-4 residue pass proves 4-byte alignment of every address,
+// which the symbolic pass does not track. Anything short of the full
+// proof is not an error to paper over — the caller keeps using the
+// interpreter.
+func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
+	if bounds.Lanes < 1 || bounds.Lanes > MaxLanes {
+		return nil, fmt.Errorf("compile: %s: lanes %d out of range 1..%d", p.Name, bounds.Lanes, MaxLanes)
+	}
+	if rep.Program != p {
+		return nil, fmt.Errorf("compile: %s: report is for another program", p.Name)
+	}
 	if err := rep.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnproven, err)
 	}
@@ -59,7 +70,7 @@ func Compile(p *asm.Program, opts Options) (*Program, error) {
 	if err := checkAlignment(p); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnproven, p.Name, err)
 	}
-	return translate(p, opts.Lanes, bounds, rep.AccessBanks)
+	return translate(p, bounds.Lanes, bounds, rep.AccessBanks)
 }
 
 // translate decodes the program into micro-ops, partitions them at

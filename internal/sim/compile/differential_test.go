@@ -223,13 +223,13 @@ func TestCacheCompiled(t *testing.T) {
 	cache := mkernel.NewCache()
 	cfg := mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 9, Lanes: 4,
 		Rotate: true, LoadC: true}
-	cp1, err := cache.CompiledKernel(cfg)
+	cp1, err := cache.Compiled(cfg)
 	if err != nil {
-		t.Fatalf("CompiledKernel: %v", err)
+		t.Fatalf("Compiled: %v", err)
 	}
-	cp2, err := cache.CompiledKernel(cfg)
+	cp2, err := cache.Compiled(cfg)
 	if err != nil {
-		t.Fatalf("CompiledKernel (cached): %v", err)
+		t.Fatalf("Compiled (cached): %v", err)
 	}
 	if cp1 != cp2 {
 		t.Fatalf("compiled program not memoized")
@@ -238,11 +238,11 @@ func TestCacheCompiled(t *testing.T) {
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
 		KC:       9, Lanes: 4, Fuse: true, LoadC: true,
 	}
-	cb1, err := cache.CompiledBand(bc)
+	cb1, err := cache.Compiled(bc)
 	if err != nil {
-		t.Fatalf("CompiledBand: %v", err)
+		t.Fatalf("Compiled band: %v", err)
 	}
-	if cb2, _ := cache.CompiledBand(bc); cb2 != cb1 {
+	if cb2, _ := cache.Compiled(bc); cb2 != cb1 {
 		t.Fatalf("compiled band not memoized")
 	}
 }

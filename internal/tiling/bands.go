@@ -7,10 +7,9 @@ import (
 // Band is one row strip of a panel: a sequence of tiles of equal height
 // and contiguous columns, executable as a single fused band kernel (or
 // tile by tile when fusion is off). Banding is the seam between a
-// tiling and the kernels that run it: the planner enumerates kernel
-// cache keys from bands, the executor lowers bands to compiled calls,
-// and the plan auditor re-derives both to cross-check a loaded plan —
-// all three must agree, which is why the decomposition lives here.
+// tiling and the kernels that run it: Calls lowers a band to kernel
+// launches, and every consumer — planner, executors, estimators and
+// plan auditor — goes through it, which is why it lives here.
 type Band struct {
 	MR   int // tile height shared by every segment
 	Row  int // row offset inside the block
@@ -64,4 +63,37 @@ func (tl Tiling) Bands(lanes int) []Band {
 		i = j
 	}
 	return bands
+}
+
+// Call is a run of Count identical launches of one kernel: the first at
+// column Col of the block, each next one Width columns to the right.
+type Call struct {
+	Spec  mkernel.Spec
+	Col   int
+	Width int
+	Count int
+}
+
+// Calls lowers the band to the kernel launches that execute it at
+// k-chunk depth kb. With fusion on, a band of more than one tile runs as
+// one fused band kernel (epilogue–prologue fusion, §III-C2): a single
+// call with Count 1 spanning the band. Otherwise each segment is one
+// run of single-tile launches. This is the only place that decision is
+// made: the planner's kernel keys, the compiled and interpreter
+// executors, both estimators and the plan auditor all iterate its
+// result, so they cannot disagree about which kernels a tiling runs.
+func (b Band) Calls(kb, lanes int, rotate, fuse bool) []Call {
+	if fuse && b.Tiles() > 1 {
+		spec := mkernel.BandConfig{Segments: b.Segs, KC: kb, Lanes: lanes,
+			Rotate: rotate, Fuse: true, LoadC: true}
+		return []Call{{Spec: spec, Col: b.Col, Width: b.Width(), Count: 1}}
+	}
+	calls := make([]Call, 0, len(b.Segs))
+	col := b.Col
+	for _, s := range b.Segs {
+		spec := mkernel.Config{Tile: s.Tile, KC: kb, Lanes: lanes, Rotate: rotate, LoadC: true}
+		calls = append(calls, Call{Spec: spec, Col: col, Width: s.Tile.NR, Count: s.Count})
+		col += s.Tile.NR * s.Count
+	}
+	return calls
 }
