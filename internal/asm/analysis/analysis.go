@@ -199,8 +199,8 @@ type Report struct {
 	// FMLA destinations, FMLA by-element multiplicands (Src2) and FMLA
 	// full-vector multiplicands (Src1).
 	Accumulators, ARole, BRole []asm.Reg
-	// Loops is the number of counted loops found.
-	Loops int
+	// Loops are the counted loops found, in program order.
+	Loops []Loop
 	// BoundsChecked reports whether the symbolic over-read pass ran
 	// (it is skipped for programs with forward or unconditional
 	// branches, which the generator never emits).
@@ -210,7 +210,10 @@ type Report struct {
 	// check elision (internal/sim/compile): it is true only when every
 	// load and store the program can execute was resolved to the affine
 	// panel form, classified to exactly one operand panel, and verified
-	// in-bounds for every loop iteration (exact trip counts, no havoc).
+	// in-bounds and 4-byte aligned for every loop iteration (exact trip
+	// counts, no havoc). Alignment assumes what the compiled executor
+	// guarantees: the panel base arguments x0..x2 are byte offsets of
+	// whole float32 elements.
 	// BoundsChecked with findings == 0 but BoundsComplete == false means
 	// some access was skipped as unresolvable — fine for a lint gate,
 	// not for removing runtime checks.
@@ -221,6 +224,17 @@ type Report struct {
 	// a classified access. Only meaningful when BoundsComplete is true;
 	// nil when the bounds pass did not run.
 	AccessBanks []int8
+}
+
+// Loop is one counted SUBS/B.NE loop: the instruction indexes of its
+// head label and its latch branch, and its exact trip count. Trips is
+// set by the bounds pass when it proved the count (the counter is a
+// constant n ≥ 1 at the head and the body's only write to it is the
+// `subs ctr, ctr, #1` that sets the latch's flags, so the body runs n
+// times); it stays 0 otherwise.
+type Loop struct {
+	Head, Latch int
+	Trips       int64
 }
 
 // Operand-panel bank identifiers used in Report.AccessBanks.
@@ -262,7 +276,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "analysis %s: ", r.Program.Name)
 	if r.OK() {
 		fmt.Fprintf(&b, "ok (%d loops, peak %d live vectors, %d accumulators)",
-			r.Loops, r.MaxLiveVectors, len(r.Accumulators))
+			len(r.Loops), r.MaxLiveVectors, len(r.Accumulators))
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%d finding(s)", len(r.Findings))
@@ -330,7 +344,10 @@ func Analyze(p *asm.Program, opts Options) (*Report, error) {
 	a.checkLiveness()
 	a.checkClobbers()
 	loops := findLoops(p)
-	a.report.Loops = len(loops)
+	a.report.Loops = make([]Loop, len(loops))
+	for i, l := range loops {
+		a.report.Loops[i] = Loop{Head: l.head, Latch: l.latch}
+	}
 	a.checkPipeline(loops)
 	if opts.Bounds != nil {
 		if err := opts.Bounds.check(); err != nil {

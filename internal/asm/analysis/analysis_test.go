@@ -68,8 +68,8 @@ func TestCleanKernel(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("clean kernel has findings:\n%s", rep.String())
 	}
-	if rep.Loops != 1 {
-		t.Errorf("Loops = %d, want 1", rep.Loops)
+	if len(rep.Loops) != 1 {
+		t.Errorf("Loops = %d, want 1", len(rep.Loops))
 	}
 	if !rep.BoundsChecked {
 		t.Error("bounds pass did not run")
@@ -310,6 +310,79 @@ func TestBoundsSkippedOnIrregularFlow(t *testing.T) {
 	}
 	if rep.BoundsChecked {
 		t.Error("bounds pass claimed to run over a program with forward branches")
+	}
+}
+
+// TestLoopTrips pins the exported loop table: the canonical counter
+// gets its exact trip count, and loops whose count or per-trip movement
+// the bounds pass cannot prove cost the program its completeness.
+func TestLoopTrips(t *testing.T) {
+	rep, err := analysis.Analyze(buildKernel(t, nil), analysis.Options{Bounds: miniBounds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Loops) != 1 || rep.Loops[0].Trips != 2 || !rep.BoundsComplete {
+		t.Fatalf("mini kernel: loops %+v, complete %v; want one loop of 2 trips, complete", rep.Loops, rep.BoundsComplete)
+	}
+	l := rep.Loops[0]
+	if rep.Program.Instrs[l.Head].Op != asm.OpLabel || rep.Program.Instrs[l.Latch].Op != asm.OpBne {
+		t.Fatalf("loop %+v does not span label .. b.ne", l)
+	}
+
+	cases := []struct {
+		name         string
+		body         func(p *asm.Program)
+		n            int64
+		unknownTrips bool
+	}{
+		// 3, 1, -1, ...: the counter steps over zero and never exits.
+		{"decrement-2", func(p *asm.Program) {
+			p.LdrQ(asm.V(0), asm.X(1), 0)
+			p.Subs(asm.X(29), asm.X(29), 2)
+		}, 3, true},
+		{"second-counter-write", func(p *asm.Program) {
+			p.LdrQ(asm.V(0), asm.X(1), 0)
+			p.AddI(asm.X(29), asm.X(29), 1)
+			p.Subs(asm.X(29), asm.X(29), 1)
+		}, 2, true},
+		// x7 trails x6 by one trip: it moves 0 on the first trip and 16
+		// on every later one, so the first trip's delta must not be
+		// extrapolated to the last.
+		{"trailing-copy", func(p *asm.Program) {
+			p.LdrQ(asm.V(0), asm.X(7), 0)
+			p.Mov(asm.X(7), asm.X(6))
+			p.AddI(asm.X(6), asm.X(6), 16)
+			p.Subs(asm.X(29), asm.X(29), 1)
+		}, 3, false},
+		// Byte offsets 0, 2, 4: the first and last trips are 4-byte
+		// aligned, the middle one is not.
+		{"misaligned-trip", func(p *asm.Program) {
+			p.LdrQ(asm.V(0), asm.X(6), 0)
+			p.AddI(asm.X(6), asm.X(6), 2)
+			p.Subs(asm.X(29), asm.X(29), 1)
+		}, 3, false},
+	}
+	for _, tc := range cases {
+		p := asm.NewProgram(tc.name)
+		p.Mov(asm.X(6), asm.X(1))
+		p.Mov(asm.X(7), asm.X(1))
+		p.MovI(asm.X(29), tc.n)
+		p.Label("loop")
+		tc.body(p)
+		p.Bne("loop")
+		p.Ret()
+		rep, err := analysis.Analyze(p, analysis.Options{
+			Bounds: &analysis.Bounds{MR: 1, NR: 16, KC: 8, Lanes: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.BoundsComplete {
+			t.Errorf("%s: bounds pass claims completeness", tc.name)
+		}
+		if tc.unknownTrips && rep.Loops[0].Trips != 0 {
+			t.Errorf("%s: trip count %d claimed", tc.name, rep.Loops[0].Trips)
+		}
 	}
 }
 

@@ -124,6 +124,10 @@ type boundsInterp struct {
 	snaps  map[int]boundsState // label instruction index -> state
 	rewalk bool
 
+	// replay limits checkAccess to alignment while handleLoop replays a
+	// trip for its register deltas.
+	replay bool
+
 	// incomplete records that some access was skipped rather than proven
 	// (unknown address, absolute address, havoced loop, unknown opcode).
 	// It demotes Report.BoundsComplete without producing a finding.
@@ -169,18 +173,19 @@ func (a *analyzer) checkBounds(loops []loop) {
 		a.report.AccessBanks[i] = BankNone
 	}
 
-	i := 0
-	for i < len(p.Instrs) {
+	li := 0
+	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.Op == asm.OpLabel {
 			bi.snaps[i] = bi.st
 		}
 		if in.Op == asm.OpBne {
-			t, _ := p.LabelIndex(in.Label)
-			bi.handleLoop(t, i)
+			// Every backward B.NE is a loop and findLoops lists them in
+			// program order, so the walk meets them in that order.
+			bi.handleLoop(&a.report.Loops[li])
+			li++
 		}
 		bi.step(in, i)
-		i++
 	}
 	a.report.BoundsComplete = !bi.incomplete
 }
@@ -283,11 +288,19 @@ const predID0 = asm.NumScalarRegs + asm.NumVectorRegs
 // already been walked once (iteration 1, accesses checked). Using the
 // snapshot at the head label it derives the per-iteration affine delta
 // and the exact trip count, re-checks the final iteration, and leaves
-// the state at loop exit.
-func (bi *boundsInterp) handleLoop(head, latch int) {
+// the state at loop exit. It records the trip count in l.Trips.
+//
+// The count is exact only for the canonical counter: the SUBS nearest
+// the latch (which sets the flags B.NE reads) must be
+// `subs ctr, ctr, #1`, nothing else in the body may write ctr, and ctr
+// must hold a constant n ≥ 1 at the head. The body then runs n times.
+// Any other shape — a larger decrement that can step over zero, a
+// second write to the counter — is havoced.
+func (bi *boundsInterp) handleLoop(l *Loop) {
 	if bi.rewalk {
 		return
 	}
+	head, latch := l.Head, l.Latch
 	p := bi.a.p
 	snap, ok := bi.snaps[head]
 	if !ok {
@@ -295,34 +308,68 @@ func (bi *boundsInterp) handleLoop(head, latch int) {
 		return
 	}
 	// The governing counter: nearest SUBS before the latch.
-	ctr := asm.NoReg
+	ctr, at := asm.NoReg, -1
 	for j := latch - 1; j > head; j-- {
-		if p.Instrs[j].Op == asm.OpSubs {
-			ctr = p.Instrs[j].Src1
+		if in := &p.Instrs[j]; in.Op == asm.OpSubs {
+			if in.Dst == in.Src1 && in.Imm == 1 {
+				ctr, at = in.Src1, j
+			}
 			break
 		}
 	}
-	if ctr == asm.NoReg || !ctr.IsScalar() {
+	if ctr == asm.NoReg || !ctr.IsScalar() || ctr == asm.XZR {
 		bi.havocBody(head, latch)
 		return
+	}
+	for j := head + 1; j < latch; j++ {
+		if j == at {
+			continue
+		}
+		for _, w := range p.Instrs[j].Writes() {
+			if w == ctr {
+				bi.havocBody(head, latch)
+				return
+			}
+		}
 	}
 	n, isConst := snap.x[ctr.Index()].isConst()
 	if !isConst || n < 1 {
 		bi.havocBody(head, latch)
 		return
 	}
+	l.Trips = n
 	if n == 1 {
 		return // the single iteration was the one already walked
 	}
 	// Per-iteration delta of every scalar register; unknown propagates.
+	s1 := bi.st
 	var delta [asm.NumScalarRegs]symval
 	for r := range delta {
-		delta[r] = bi.st.x[r].sub(snap.x[r])
+		delta[r] = s1.x[r].sub(snap.x[r])
+	}
+	// Replay iteration 1 for its registers and keep only the deltas it
+	// repeats. The body is affine, S ↦ M·S + c, so S₂ − S₁ =
+	// M·(S₁ − S₀): a delta repeated once is a fixed point of M and
+	// repeats on every trip, S_t = S₀ + t·delta. A register the body
+	// copies from a moving one (mov x7, x6 beside add x6, x6, #16) moves
+	// by a different amount on its second trip and drops to ⊤. The
+	// replay checks only alignment: with exact deltas every address is
+	// affine in the trip, so the first and last trips bound the rest,
+	// and the first two fix its residue mod 4 for all of them.
+	bi.rewalk, bi.replay = true, true
+	bi.walkBody(head, latch)
+	bi.replay = false
+	for r := range delta {
+		if bi.st.x[r].sub(s1.x[r]) != delta[r] {
+			delta[r] = symval{}
+		}
 	}
 	// Predicates must be loop-invariant for the exact treatment.
-	for i := range bi.st.preds {
-		if bi.st.preds[i] != snap.preds[i] {
+	for i := range s1.preds {
+		if s1.preds[i] != snap.preds[i] {
 			bi.st.preds[i] = -1
+		} else {
+			bi.st.preds[i] = snap.preds[i]
 		}
 	}
 	// Jump to the start of the final iteration and re-walk it with
@@ -330,11 +377,17 @@ func (bi *boundsInterp) handleLoop(head, latch int) {
 	for r := range bi.st.x {
 		bi.st.x[r] = snap.x[r].add(delta[r].scale(n - 1))
 	}
-	bi.rewalk = true
+	bi.walkBody(head, latch)
+	bi.rewalk = false
+}
+
+// walkBody interprets the loop body [head+1, latch) once from the
+// current state, checking its accesses.
+func (bi *boundsInterp) walkBody(head, latch int) {
+	p := bi.a.p
 	for j := head + 1; j < latch; j++ {
 		bi.step(&p.Instrs[j], j)
 	}
-	bi.rewalk = false
 }
 
 // havocBody forgets everything the loop body writes — the conservative
@@ -358,6 +411,15 @@ func (bi *boundsInterp) havocBody(head, latch int) {
 // checkAccess verifies one memory access of size bytes at the symbolic
 // address.
 func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bool) {
+	// The panel bases are 4·element offsets and a complete access's
+	// stride coefficients are multiples of 4 (rowOf), so the address is
+	// 4-byte aligned exactly when its constant is.
+	if addr.known && addr.c%4 != 0 {
+		bi.incomplete = true
+	}
+	if bi.replay {
+		return
+	}
 	if !addr.known || size <= 0 {
 		bi.incomplete = true
 		return

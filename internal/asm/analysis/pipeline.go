@@ -52,8 +52,8 @@ func (a *analyzer) checkLoopSteps(l loop) {
 	// Pass 1: same-step load-to-FMLA feeds, walking the body in order.
 	step := 0
 	lastLane := -1
-	loadStep := map[asm.Reg]int{}  // vector reg -> step of its latest load
-	loadIndex := map[asm.Reg]int{} // vector reg -> instr index of that load
+	var loadStep [universe]int  // register -> 1 + the step of its latest load
+	var loadIndex [universe]int // register -> instr index of that load
 	var steps []stepInfo
 	ensure := func(s int) {
 		for len(steps) <= s {
@@ -71,14 +71,14 @@ func (a *analyzer) checkLoopSteps(l loop) {
 			ensure(step)
 			steps[step].bRegs.add(regID(in.Src1))
 			steps[step].aRegs.add(regID(in.Src2))
-			for _, src := range []asm.Reg{in.Src1, in.Src2} {
-				if s, ok := loadStep[src]; ok && s == step {
+			for _, src := range [2]asm.Reg{in.Src1, in.Src2} {
+				if int(src) < universe && loadStep[src] == step+1 {
 					a.addFinding(Finding{Kind: KindPipeline, Index: i, Reg: src,
 						Detail: fmt.Sprintf("FMLA consumes the load at instr %d within the same unrolled k-step — no latency slack", loadIndex[src])})
 				}
 			}
-		case isVecLoad(in.Op):
-			loadStep[in.Dst] = step
+		case isVecLoad(in.Op) && int(in.Dst) < universe:
+			loadStep[in.Dst] = step + 1
 			loadIndex[in.Dst] = i
 		}
 	}

@@ -49,10 +49,9 @@ func Compile(p *asm.Program, opts Options) (*Program, error) {
 // cached kernel is never analyzed twice. rep must come from analyzing p
 // under bounds. Lower refuses (ErrUnproven) unless the report is clean
 // AND the bounds pass was complete: every executable access
-// affine-resolved, panel-classified, in-bounds for every iteration. A
-// separate mod-4 residue pass proves 4-byte alignment of every address,
-// which the symbolic pass does not track. Anything short of the full
-// proof is not an error to paper over — the caller keeps using the
+// affine-resolved, panel-classified, in-bounds and 4-byte aligned for
+// every iteration, every loop's trip count exact. Anything short of the
+// full proof is not an error to paper over — the caller keeps using the
 // interpreter.
 func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
 	if bounds.Lanes < 1 || bounds.Lanes > MaxLanes {
@@ -65,28 +64,22 @@ func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Progr
 		return nil, fmt.Errorf("%w: %v", ErrUnproven, err)
 	}
 	if !rep.BoundsComplete {
-		return nil, fmt.Errorf("%w: %s: bounds pass incomplete (some access not affine-resolved)", ErrUnproven, p.Name)
+		return nil, fmt.Errorf("%w: %s: bounds pass incomplete (some access not affine-resolved or aligned)", ErrUnproven, p.Name)
 	}
-	if err := checkAlignment(p); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnproven, p.Name, err)
-	}
-	return translate(p, bounds.Lanes, bounds, rep.AccessBanks)
+	return translate(p, bounds.Lanes, bounds, rep.AccessBanks, rep.Loops)
 }
 
-// translate decodes the program into micro-ops, partitions them at
-// branch boundaries into basic blocks, schedules each block
-// (schedule.go), and emits one closure per block with pre-resolved
+// translate decodes the program into micro-ops, collapses every proven
+// affine region of a 4-lane program into one micro-op (affine.go),
+// partitions the rest at branch boundaries into basic blocks, fuses each
+// block's FMLA runs, and emits one closure per block with pre-resolved
 // successor indices.
-func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) (*Program, error) {
+func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8, loops []analysis.Loop) (*Program, error) {
 	n := len(p.Instrs)
 
 	// Kept instructions: everything that executes. Labels, nops and
 	// prefetch hints are compacted away.
-	type decoded struct {
-		orig int
-		in   *asm.Instr
-	}
-	var kept []decoded
+	kept := make([]decoded, 0, n)
 	keptAt := make([]int, n+1) // orig index -> kept index of first kept instr at orig ≥ i
 	for i := range p.Instrs {
 		switch p.Instrs[i].Op {
@@ -108,10 +101,32 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 		}
 	}
 
-	// Block leaders: entry, branch targets, and branch successors.
+	// decode builds a non-terminator's micro-op; emitted is false for
+	// writes to XZR.
+	decode := func(ki int) (uop, bool, error) {
+		d := kept[ki]
+		return buildUop(p, d.in, lanes, banks[d.orig], d.orig)
+	}
+
+	var regions []keptRegion
+	if lanes == 4 {
+		regions = affineRegions(kept, keptAt, loops, decode)
+	}
+	inRegion := make([]bool, len(kept))
+	for _, r := range regions {
+		for ki := r.start; ki < r.end; ki++ {
+			inRegion[ki] = true
+		}
+	}
+
+	// Block leaders: entry, branch targets, and branch successors, for
+	// the branches a region did not collapse.
 	leader := make([]bool, len(kept))
 	leader[0] = true
 	for ki, d := range kept {
+		if inRegion[ki] {
+			continue
+		}
 		switch d.in.Op {
 		case asm.OpB, asm.OpBne:
 			t, ok := p.LabelIndex(d.in.Label)
@@ -141,12 +156,16 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 	}
 
 	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds, ops: make([]op, 0, nblocks)}
-	var uops []uop
+	var body []uop
+	var aff []*region
 	flush := func(term *decoded, fallBlock int) error {
-		c, nf, ns := schedule(uops)
-		cp.fmlas += nf
-		cp.scheduledFmlas += ns
-		uops = uops[:0]
+		c := lowerBlock(body, aff)
+		cp.fmlas += countFmla(body)
+		for _, r := range aff {
+			cp.fmlas += r.fmlas
+			cp.affineFmlas += r.fmlas
+		}
+		body, aff = body[:0], nil
 		if term == nil { // fallthrough into the next block
 			return appendBlock(cp, c, termFall, fallBlock, 0)
 		}
@@ -167,19 +186,26 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 
 	for ki := 0; ki < len(kept); ki++ {
 		d := kept[ki]
-		switch d.in.Op {
-		case asm.OpB, asm.OpBne, asm.OpRet:
-			if err := flush(&d, blockOf[ki]+1); err != nil {
+		if len(regions) > 0 && regions[0].start == ki {
+			body = append(body, uop{kind: uAffine4, a: int32(len(aff))})
+			aff = append(aff, regions[0].r)
+			ki = regions[0].end - 1
+			regions = regions[1:]
+		} else {
+			switch d.in.Op {
+			case asm.OpB, asm.OpBne, asm.OpRet:
+				if err := flush(&d, blockOf[ki]+1); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			u, emitted, err := decode(ki)
+			if err != nil {
 				return nil, err
 			}
-			continue
-		}
-		u, emitted, err := buildUop(p, d.in, lanes, banks[d.orig], d.orig)
-		if err != nil {
-			return nil, err
-		}
-		if emitted {
-			uops = append(uops, u)
+			if emitted {
+				body = append(body, u)
+			}
 		}
 		if ki+1 < len(kept) && leader[ki+1] {
 			if err := flush(nil, blockOf[ki+1]); err != nil {
@@ -187,10 +213,113 @@ func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8) 
 			}
 		}
 	}
-	if len(uops) > 0 {
+	if len(body) > 0 {
 		return nil, fmt.Errorf("compile: %s: fell off the end without ret", p.Name)
 	}
 	return cp, nil
+}
+
+// decoded is one kept instruction and its index in the program.
+type decoded struct {
+	orig int
+	in   *asm.Instr
+}
+
+// keptRegion is a proven affine region over kept instructions
+// [start, end).
+type keptRegion struct {
+	start, end int
+	r          *region
+}
+
+// affineRegions cuts a 4-lane program into store-free regions and
+// returns those buildRegion proves, in program order. A region never
+// holds a store, a return or an unconditional branch. It holds a
+// counted loop only whole: a loop whose body holds a store, or whose
+// trip count the analyzer did not prove, cuts at its latch and starts a
+// new region at its head.
+func affineRegions(kept []decoded, keptAt []int, loops []analysis.Loop, decode func(int) (uop, bool, error)) []keptRegion {
+	cut := make([]bool, len(kept))
+	brk := make([]bool, len(kept))
+	trips := make([]int64, len(kept)) // first body instr of a collapsible loop -> trips
+	for ki, d := range kept {
+		switch d.in.Op {
+		case asm.OpStrQ, asm.OpStrQPost, asm.OpSt1W, asm.OpRet, asm.OpB, asm.OpBne:
+			cut[ki] = true
+		}
+	}
+	for _, l := range loops {
+		lo, latch := keptAt[l.Head], keptAt[l.Latch]
+		ok := l.Trips > 0 && lo < latch && kept[latch].in.Op == asm.OpBne
+		for ki := lo; ok && ki < latch; ki++ {
+			ok = !cut[ki]
+		}
+		if ok {
+			cut[latch] = false
+			trips[lo] = l.Trips
+		} else if lo < len(kept) {
+			brk[lo] = true
+		}
+	}
+
+	var out []keptRegion
+	body := make([]uop, 0, 256)
+	var spans []span
+	sc := new(buffers)
+	for s := 0; s < len(kept); {
+		if cut[s] {
+			s++
+			continue
+		}
+		e := s + 1
+		for e < len(kept) && !cut[e] && !brk[e] {
+			e++
+		}
+		body, spans = body[:0], spans[:0]
+		ok := true
+		for ki := s; ok && ki < e; ki++ {
+			if trips[ki] > 0 {
+				spans = append(spans, span{lo: len(body), trips: trips[ki]})
+			}
+			if kept[ki].in.Op == asm.OpBne {
+				spans[len(spans)-1].hi = len(body)
+				continue
+			}
+			u, emitted, err := decode(ki)
+			ok = err == nil
+			if emitted {
+				body = append(body, u)
+			}
+		}
+		if ok && countFmla(body) > 0 {
+			if r := buildRegion(sc, body, spans); r != nil {
+				out = append(out, keptRegion{start: s, end: e, r: r})
+			}
+		}
+		s = e
+	}
+	return out
+}
+
+// lowerBlock builds one basic block's executable form from its
+// micro-ops and the affine regions its uAffine4 micro-ops name.
+func lowerBlock(body []uop, aff []*region) *code {
+	c := &code{aff: append([]*region(nil), aff...)}
+	c.body, c.fm = fuseFmla(body)
+	for _, r := range aff {
+		c.fuel += r.fuel
+	}
+	return c
+}
+
+func countFmla(uops []uop) int {
+	n := 0
+	for _, u := range uops {
+		if u.kind == uFmla4 || u.kind == uFmlaN {
+			n++
+		}
+	}
+	return n
 }
 
 // Block terminator kinds.
@@ -203,9 +332,9 @@ const (
 
 // appendBlock emits the closure for one basic block. The closure runs
 // the block's micro-ops through the shared executor, then resolves the
-// successor; loop fuel is charged on taken branches only.
+// successor; loop fuel is charged on taken branches only, those of the
+// block's collapsed loops included.
 func appendBlock(cp *Program, c *code, term uint8, next, taken int) error {
-	cp.blocks = append(cp.blocks, c)
 	switch term {
 	case termFall:
 		nx := next
@@ -243,6 +372,18 @@ func appendBlock(cp *Program, c *code, term uint8, next, taken int) error {
 		})
 	default:
 		return fmt.Errorf("compile: %s: unknown terminator %d", cp.Name, term)
+	}
+	// A block holding collapsed loops charges their taken branches up
+	// front, so a run out of fuel stops before the block does any work.
+	if cost := c.fuel; cost > 0 {
+		run := cp.ops[len(cp.ops)-1]
+		cp.ops[len(cp.ops)-1] = func(e *Env) int {
+			e.fuel -= cost
+			if e.fuel < 0 {
+				return haltFuel
+			}
+			return run(e)
+		}
 	}
 	return nil
 }

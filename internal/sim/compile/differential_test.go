@@ -3,6 +3,7 @@ package compile_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autogemm/internal/asm"
@@ -113,31 +114,33 @@ func requireSameVectors(t *testing.T, name string, e *compile.Env, m *sim.Machin
 	}
 }
 
-// requireScheduled fails unless every FMLA of a 4-lane program landed in
-// a scheduled region, so a generator change cannot silently drop the
-// accumulator-major fast path.
+// requireScheduled fails unless every FMLA of a 4-lane program runs in
+// an affine group, so a generator change cannot silently drop the
+// strided-loop fast path.
 func requireScheduled(t *testing.T, cp *compile.Program) {
 	t.Helper()
 	if cp.Lanes != 4 {
 		return
 	}
-	if s, n := compile.ScheduledFmlas(cp); s != n || n == 0 {
-		t.Fatalf("%s: %d of %d FMLAs scheduled", cp.Name, s, n)
+	if s, n := compile.AffineFmlas(cp); s != n || n == 0 {
+		t.Fatalf("%s: %d of %d FMLAs in affine regions", cp.Name, s, n)
 	}
 }
 
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
-// On amd64 every scheduled chain runs through the SSE loop
-// (chains_amd64.s), so the sweep holds that loop to sim.Machine too.
-// The rule is bit equality except where both results are NaN, whose
-// payload neither the SSE loop nor gc's scalar code pins (see
-// TestChainsSSEMatchesGo). The operands here are finite and small, so no
-// result is NaN and the comparison is on raw bits.
+// The tile grid's KC values include 1 and σ+1 (straight-line kernels
+// and one-trip loops) and 129 (a long k-loop). On amd64 every affine
+// region's strided loops run through the SSE loop (affine_amd64.s), so
+// the sweep holds that loop to sim.Machine too. The rule is bit equality
+// except where both results are NaN, whose payload neither the SSE loop
+// nor gc's scalar code pins (see TestAffineSSEMatchesGo). The operands
+// here are finite and small, so no result is NaN and the comparison is
+// on raw bits.
 func TestDifferentialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, chip := range hw.All() {
 		lanes := chip.Lanes
-		kcs := []int{lanes, 2*lanes + 1}
+		kcs := []int{1, lanes, lanes + 1, 2*lanes + 1, 129}
 		tiles := mkernel.FeasibleTiles(lanes)
 		step := 1
 		if testing.Short() {
@@ -244,5 +247,59 @@ func TestCacheCompiled(t *testing.T) {
 	}
 	if cb2, _ := cache.Compiled(bc); cb2 != cb1 {
 		t.Fatalf("compiled band not memoized")
+	}
+}
+
+// TestLoopFuel pins loop fuel on generated kernels, whose counted loops
+// the affine regions collapse (or, at σ = 16, run block by block): a
+// run whose fuel is the kernel's total taken branches, Σ(trips − 1)
+// over its loops, succeeds, and one with a branch less fails.
+func TestLoopFuel(t *testing.T) {
+	specs := []mkernel.Spec{
+		mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4, Rotate: true, LoadC: true},
+		mkernel.BandConfig{Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
+			KC: 33, Lanes: 4, Rotate: true, Fuse: true},
+		mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 32}, KC: 64, Lanes: 16, LoadC: true},
+	}
+	for _, s := range specs {
+		cache := mkernel.NewCache()
+		cp, err := cache.Compiled(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Key(), err)
+		}
+		p, err := cache.Program(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var aopts analysis.Options
+		switch c := s.(type) {
+		case mkernel.Config:
+			aopts, err = c.AnalysisOptions()
+		case mkernel.BandConfig:
+			aopts, err = c.AnalysisOptions()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := analysis.Analyze(p, aopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := 0
+		for _, l := range rep.Loops {
+			taken += int(l.Trips - 1)
+		}
+		if taken == 0 {
+			t.Fatalf("%s: no taken branches to charge", s.Key())
+		}
+		a, bp, c, lda, ldb, ldc := benchOperands(cp)
+		e := compile.NewEnv(cp.Lanes)
+		if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, taken); err != nil {
+			t.Errorf("%s: fuel %d (its taken branches): %v", s.Key(), taken, err)
+		}
+		err = cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, taken-1)
+		if err == nil || !strings.Contains(err.Error(), "exceeded") || !strings.Contains(err.Error(), "loop iterations") {
+			t.Errorf("%s: fuel %d: got %v, want the exceeded-loop-iterations error", s.Key(), taken-1, err)
+		}
 	}
 }

@@ -5,10 +5,9 @@
 // The contract with the analyzer (internal/asm/analysis) is what makes
 // the lowering more than a dispatch trick: Compile only succeeds when the
 // symbolic bounds pass proved every load and store of the program stays
-// inside the affine panel model (Report.BoundsComplete), classified each
-// access to exactly one operand panel (Report.AccessBanks), and a local
-// mod-4 residue pass proved every address 4-byte aligned. Under that
-// proof the compiled form validates the panel extents once per invocation
+// inside the affine panel model and 4-byte aligned
+// (Report.BoundsComplete), and classified each access to exactly one
+// operand panel (Report.AccessBanks). Under that proof the compiled form validates the panel extents once per invocation
 // (Precheck) and executes with no per-access checkAddr at all. Programs
 // the analyzer cannot prove stay on the checked interpreter — Compile
 // fails with ErrUnproven, it never guesses.
@@ -53,12 +52,10 @@ type op func(e *Env) int
 //
 // The register files are fixed arrays (stride = the program's σ_lane)
 // rather than per-register slices so closures index flat storage with
-// captured constant offsets. The vector file carries maxTemps 4-lane
-// temp slots past the architectural registers: scheduled regions rename
-// their loads into them (schedule.go).
+// captured constant offsets.
 type Env struct {
 	x     [asm.NumScalarRegs]int64
-	v     [tempBase + maxTemps*4]float32
+	v     [asm.NumVectorRegs * MaxLanes]float32
 	p     [asm.NumPredRegs * MaxLanes]bool
 	z     bool
 	fuel  int
@@ -73,6 +70,11 @@ type Env struct {
 	vp   unsafe.Pointer
 	pp   unsafe.Pointer
 	bank [3]unsafe.Pointer
+
+	// Working state of the affine regions (execRegion): the region's forms
+	// evaluated at entry, and the strided loop being run.
+	vals [maxForms]int64
+	grp  affineGroup
 }
 
 // NewEnv builds an environment for σ_lane-wide programs.
@@ -98,11 +100,9 @@ type Program struct {
 	Bounds analysis.Bounds
 	ops    []op
 
-	// Static FMLA counts: all of them, and those in scheduled regions.
-	fmlas, scheduledFmlas int
-	// The blocks' executable forms, which ops' closures run; kept for
-	// the test-only chain benchmark (export_test.go).
-	blocks []*code
+	// Static FMLA counts: all of them, and those in affine regions.
+	fmlas, affineFmlas int
+	dbg                []*code
 }
 
 // Precheck validates the once-per-invocation panel extents that replace
@@ -163,6 +163,7 @@ func (cp *Program) Run(e *Env, a, b, c []float32, aOff, bOff, cOff, lda, ldb, ld
 	defer func() {
 		e.banks = [3][]float32{}
 		e.bank = [3]unsafe.Pointer{}
+		e.grp = affineGroup{}
 		if r := recover(); r != nil {
 			err = fmt.Errorf("compile: %s: runtime fault (elision proof violated?): %v", cp.Name, r)
 		}

@@ -13,9 +13,9 @@ import "unsafe"
 // not an optimization taken on faith — it is the point of the package:
 //   - register-file offsets are validated once at translate time
 //     (validOperands) against the architectural register classes;
-//   - bank offsets are covered by the analyzer's affine bounds proof
-//     (Compile refuses anything unproven) combined with Run's Precheck
-//     of the concrete panel extents, and the mod-4 alignment proof.
+//   - bank offsets are covered by the analyzer's affine bounds and
+//     alignment proof (Compile refuses anything unproven) combined with
+//     Run's Precheck of the concrete panel extents.
 //
 // The interpreter (sim.Machine) remains the checked reference; the
 // differential suite and fuzz target hold the two bit-identical.
@@ -46,8 +46,7 @@ const (
 	uSt1W
 	uFmlaRun4 // [a,b) of the block's fmla table, 4-lane specialization
 	uFmlaRunN
-	uChain4 // [a,b) of the block's chain table (schedule.go)
-	uMov4   // vector copy d ← a: a scheduled region's write-back
+	uAffine4 // the block's affine region a (affine.go)
 )
 
 type uop struct {
@@ -65,6 +64,17 @@ type uop struct {
 // by-element scalar (b).
 type fmla struct {
 	d, a, b int32
+}
+
+// code is one basic block's executable form: its micro-ops, the FMLA
+// table its run micro-ops index, the affine regions its uAffine4
+// micro-ops run, and the taken branches those regions' collapsed loops
+// charge to loop fuel.
+type code struct {
+	body []uop
+	fm   []fmla
+	aff  []*region
+	fuel int
 }
 
 // fuseFmla rewrites runs of ≥2 consecutive FMLA micro-ops into a single
@@ -120,10 +130,8 @@ func execUops(e *Env, c *code) {
 	for i := range c.body {
 		u := &c.body[i]
 		switch u.kind {
-		case uChain4:
-			runChains(vp, c.chains[u.a:u.b], c.steps)
-		case uMov4:
-			*vec4(vp, int64(u.d)*4) = *vec4(vp, int64(u.a)*4)
+		case uAffine4:
+			execRegion(e, c.aff[u.a])
 		case uFmlaRun4:
 			// Consecutive entries usually share the full-vector
 			// multiplicand (one B vector against MR accumulator rows),
@@ -258,61 +266,100 @@ func execUops(e *Env, c *code) {
 	}
 }
 
-// runChains executes uChain4 micro-ops. It is the portable execChains
-// unless the GOARCH has a packed loop: chains_amd64.go installs
-// execChainsSSE at init, and nothing reassigns it afterwards.
-var runChains = execChains
-
-// execChains runs a scheduled region's accumulator chains. Each chain's
-// one or two accumulators live in scalar locals from its first
-// multiply-add to its last and are loaded once per chain. It is the
-// reference the packed loops are tested against (chains_amd64_test.go)
-// and the executor on every GOARCH without one.
-//
-// The pair loop writes its accumulators through after every step. The
-// stores are never read back inside the loop; they give each step's adds
-// an in-block use. Without one, Go's scheduler sinks loop-carried adds to
-// the end of the loop body, so all eight products and eight accumulators
-// are live at once, which is more than the fifteen allocatable float
-// registers on amd64, and the loop spills to the stack on every step.
-func execChains(vp unsafe.Pointer, chains []chain, steps []step) {
-	for ci := range chains {
-		ch := &chains[ci]
-		st := steps[ch.lo:ch.hi]
-		d := vec4(vp, int64(ch.d1))
-		x0, x1, x2, x3 := d[0], d[1], d[2], d[3]
-		if ch.d2 < 0 {
-			for j := range st {
-				s := &st[j]
-				a := vec4(vp, int64(s.a))
-				b := *f32(vp, int64(s.b1))
-				x0 += a[0] * b
-				x1 += a[1] * b
-				x2 += a[2] * b
-				x3 += a[3] * b
+// execRegion runs one affine region (affine.go): it evaluates the
+// region's forms from the x registers at entry, sets up the
+// accumulators, runs the strided loops, and leaves the interpreter's
+// exit state in the register files.
+func execRegion(e *Env, r *region) {
+	vals := &e.vals
+	x := &e.x
+	forms := r.forms
+	for i := range forms {
+		f := &forms[i]
+		vals[uint8(i)] = f.k0*x[f.r0&31] + f.k1*x[f.r1&31]
+	}
+	vp := e.vp
+	g := &e.grp
+	groups := r.groups
+	for i := range groups {
+		rg := &groups[i]
+		g.a = unsafe.Add(e.bank[rg.abank], vals[rg.a.f]+rg.a.off)
+		g.sa, g.n, g.k = vals[rg.sa.f]+rg.sa.off, rg.n, int64(rg.k)
+		for j := 0; j < rg.k; j++ {
+			ac := &rg.acc[j]
+			d := unsafe.Add(vp, ac.d)
+			g.d[j], g.s[j] = d, d
+			switch ac.init {
+			case verZero:
+				g.s[j] = unsafe.Pointer(&zeroVec)
+			case verLoad:
+				g.s[j] = unsafe.Add(e.bank[ac.ibank], vals[ac.iat.f]+ac.iat.off)
 			}
-		} else {
-			d2 := vec4(vp, int64(ch.d2))
-			y0, y1, y2, y3 := d2[0], d2[1], d2[2], d2[3]
-			for j := range st {
-				s := &st[j]
-				a := vec4(vp, int64(s.a))
-				a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-				b1 := *f32(vp, int64(s.b1))
-				b2 := *f32(vp, int64(s.b2))
-				x0 += a0 * b1
-				x1 += a1 * b1
-				x2 += a2 * b1
-				x3 += a3 * b1
-				y0 += a0 * b2
-				y1 += a1 * b2
-				y2 += a2 * b2
-				y3 += a3 * b2
-				d[0], d[1], d[2], d[3] = x0, x1, x2, x3
-				d2[0], d2[1], d2[2], d2[3] = y0, y1, y2, y3
-			}
-			continue
+			g.b[j] = unsafe.Add(e.bank[ac.bbank], vals[ac.b.f]+ac.b.off)
+			g.sb[j] = vals[ac.sb.f] + ac.sb.off
 		}
+		runAffine(g)
+	}
+	final := r.final
+	for i := range final {
+		s := &final[i]
+		if s.zero {
+			*vec4(vp, int64(s.d)) = [4]float32{}
+		} else {
+			*vec4(vp, int64(s.d)) = *vec4(e.bank[s.bank], vals[s.at.f]+s.at.off)
+		}
+	}
+	for _, s := range r.xs {
+		x[s.r&31] = vals[s.at.f] + s.at.off
+	}
+	if r.setZ {
+		e.z = vals[r.z.f]+r.z.off == 0
+	}
+}
+
+// affineGroup is one strided loop with its operands resolved for a run:
+// k accumulators (1, 2 or 4), accumulator i starting from the 4 floats
+// at s[i], adding a_j · b[i]_j for j < n and ending at d[i] in the
+// vector file. Step j's multiplicand is the 4 floats at a + j·sa and its
+// by-element scalar the float at b[i] + j·sb[i]. The layout is fixed:
+// affine_amd64.s reads it by offset.
+type affineGroup struct {
+	a  unsafe.Pointer
+	sa int64
+	n  int64
+	k  int64
+	d  [4]unsafe.Pointer
+	b  [4]unsafe.Pointer
+	sb [4]int64
+	s  [4]unsafe.Pointer
+}
+
+// zeroVec is the set-up value of an accumulator zeroed before its first
+// FMLA.
+var zeroVec [4]float32
+
+// runAffine runs one strided loop. It is the portable execAffine unless
+// the GOARCH has a packed loop: affine_amd64.go installs execAffineSSE
+// at init, and nothing else reassigns it.
+var runAffine = execAffine
+
+// execAffine is the reference strided loop and the executor on every
+// GOARCH without a packed one. Each accumulator runs on its own, held in
+// scalar locals from its first multiply-add to its last; accumulators
+// never read each other, so the order between them is free.
+func execAffine(g *affineGroup) {
+	for i := int64(0); i < g.k; i++ {
+		in := (*[4]float32)(g.s[i])
+		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
+		for j := int64(0); j < g.n; j++ {
+			a := vec4(g.a, j*g.sa)
+			s := *f32(g.b[i], j*g.sb[i])
+			x0 += a[0] * s
+			x1 += a[1] * s
+			x2 += a[2] * s
+			x3 += a[3] * s
+		}
+		d := (*[4]float32)(g.d[i])
 		d[0], d[1], d[2], d[3] = x0, x1, x2, x3
 	}
 }

@@ -20,16 +20,16 @@ import (
 // architectural vector register, bit for bit. (Scalar registers hold
 // arena byte addresses in the interpreter and slice offsets in the
 // compiled form, so they are not comparable.) The vector comparison is
-// where a scheduled region's bad write-back of a renamed load shows
-// first. On amd64 the scheduled chains run through the SSE loop
-// (chains_amd64.s), so this also fuzzes that loop against sim.Machine.
-// The rule is bit equality except where both results are NaN, whose
-// payload neither the SSE loop nor gc's scalar code pins (see
-// TestChainsSSEMatchesGo). The operands here are finite and small, so no
+// where an affine region's bad reload of a register's last load shows
+// first. On amd64 the affine regions' strided loops run through the SSE
+// loop (affine_amd64.s), so this also fuzzes that loop against
+// sim.Machine. The rule is bit equality except where both results are
+// NaN, whose payload neither the SSE loop nor gc's scalar code pins (see
+// TestAffineSSEMatchesGo). The operands here are finite and small, so no
 // result is NaN and the comparison is on raw bits.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
-	// with varying offsets, and the block scheduler's cases.
+	// with varying offsets, and the affine region proof's cases.
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{8, 200, 9, 14, 8, 23, 10, 42, 11, 7, 12, 99})
 	f.Add([]byte{13, 1, 2, 3, 13, 13, 13, 5, 6, 0, 0, 9, 9})
@@ -100,34 +100,44 @@ func FuzzCompileDiff(f *testing.F) {
 	})
 }
 
-// schedSeeds decode into programs that reach the block scheduler's
-// cases (schedule.go); bail marks the one whose FMLAs its dataflow check
-// must keep on the fused-run path. Reloading or zeroing an accumulator
-// after its first FMLA has no seed: with no store between them the
-// analyzer already refuses the program as an accumulator clobber, so
-// schedule_test.go covers that rule on micro-ops directly.
+// schedSeeds decode into programs that reach the affine region proof's
+// cases (affine.go); bail marks those whose FMLAs it must keep on the
+// fused-run path. Reloading or zeroing an accumulator after its first
+// FMLA has no seed: with no store between them the analyzer already
+// refuses the program as an accumulator clobber, so affine_test.go
+// covers that rule on micro-ops directly.
 var schedSeeds = []struct {
 	name string
 	data []byte
 	bail bool
 }{
-	// ldr q2, [x1, #32]; fmla v4, v2, v6.s[0]; fmla v2, v5, v7.s[2];
-	// str q4; str q2: v2 is read as a multiplicand and later
-	// accumulated into in the same region.
-	{"acc-as-source", []byte{6, 2, 8, 212, 8, 234, 10, 4, 10, 2}, true},
-	// fmla v1, v6, v3.s[1]; str q1; ldr q2, [x1, #32];
-	// fmla v4, v2, v6.s[0]; str q4: the load after a store starts a
-	// second region, and both are scheduled.
-	{"load-after-store", []byte{8, 113, 10, 1, 6, 2, 8, 212, 10, 4}, false},
-	// Three trips of { fmla v1, v2, v6.s[1]; ldr q2, [x1, #32] }, then
-	// str q1: a loop-carried accumulator, and a renamed load that must
-	// be written back for the next trip's FMLA.
-	{"counted-loop", []byte{14, 5, 8, 209, 6, 2, 10, 1}, false},
+	// ldr q2 (B); ldr q6, q5, q7 (A); fmla v4, v2, v6.s[0];
+	// fmla v2, v5, v7.s[2]; str q4; str q2: v2 is read as a
+	// multiplicand and later accumulated into in the same region.
+	{"acc-as-source", []byte{6, 2, 5, 6, 5, 5, 5, 7, 8, 212, 8, 234, 10, 4, 10, 2}, true},
+	// ldr q6 (A), q3 (B); fmla v1, v6, v3.s[1]; str q1; ldr q6, q2;
+	// fmla v4, v2, v6.s[0]; str q4: the loads after the store start a
+	// second region, and both are proven.
+	{"load-after-store", []byte{5, 6, 6, 3, 8, 113, 10, 1, 5, 6, 6, 2, 8, 212, 10, 4}, false},
+	// ldr q6 (A), q2 (B), then three trips of { fmla v1, v2, v6.s[1];
+	// ldr q2, [x1, #32] }, then str q1: a loop-carried multiplicand
+	// whose pre-loop load starts the progression, collapsed with the
+	// loop.
+	{"counted-loop", []byte{5, 6, 6, 2, 14, 5, 8, 209, 6, 2, 10, 1}, false},
+	// As counted-loop, but the pre-loop v2 comes from A: trip 0's
+	// multiplicand is not the progression the body carries.
+	{"carried-mismatch", []byte{5, 6, 5, 2, 14, 5, 8, 209, 6, 2, 10, 1}, true},
+	// fmla v1, v2, v6.s[1]; fmla v1, v6, v7.s[1]: the multiplicand moves
+	// from B to A, so its addresses are not one progression.
+	{"non-progression", []byte{5, 6, 5, 7, 6, 2, 8, 209, 8, 241, 10, 1}, true},
+	// fmla v1, v6, v3.s[1] on registers only the prologue zeroed: an
+	// operand no load produced.
+	{"zeroed-operand", []byte{8, 113, 10, 1}, true},
 }
 
-// TestSchedSeeds pins what each scheduler seed exercises: it compiles
-// and bails exactly when it should. The fuzz target runs the seeds
-// against the interpreter.
+// TestSchedSeeds pins what each seed exercises: it compiles and keeps
+// the fused-run path exactly when it should. The fuzz target runs the
+// seeds against the interpreter.
 func TestSchedSeeds(t *testing.T) {
 	bounds := fuzzBounds()
 	for _, s := range schedSeeds {
@@ -136,9 +146,9 @@ func TestSchedSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", s.name, err, p)
 		}
-		sched, total := compile.ScheduledFmlas(cp)
-		if total == 0 || (sched < total) != s.bail {
-			t.Fatalf("%s: %d of %d FMLAs scheduled, bail %v\n%s", s.name, sched, total, s.bail, p)
+		affine, total := compile.AffineFmlas(cp)
+		if total == 0 || (affine < total) != s.bail {
+			t.Fatalf("%s: %d of %d FMLAs in affine regions, bail %v\n%s", s.name, affine, total, s.bail, p)
 		}
 	}
 }

@@ -110,15 +110,22 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	}
 	defer e.Close()
 
+	// Park the only worker behind four big jobs, so the queue ahead of
+	// the batch lasts well past its 50 ms deadline however fast one of
+	// them runs.
 	big := workload.ResNet50()[0]
 	ba := make([]float32, big.M*big.K)
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 5)
 	refgemm.Fill(bb, big.K, big.N, big.N, 6)
-	blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
-		C: make([]float32, big.M*big.N)})
-	if err != nil {
-		t.Fatal(err)
+	var blockers []*Future
+	for i := 0; i < 4; i++ {
+		blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+			C: make([]float32, big.M*big.N)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blockers = append(blockers, blocker)
 	}
 
 	s := workload.Shape{M: 32, N: 32, K: 32}
@@ -135,8 +142,10 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	if got := HTTPStatus(err); got != http.StatusGatewayTimeout {
 		t.Fatalf("batch deadline error maps to %d, want 504", got)
 	}
-	if err := blocker.Wait(); err != nil {
-		t.Fatal(err)
+	for _, blocker := range blockers {
+		if err := blocker.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
