@@ -182,9 +182,6 @@ func New(chipName string, opts ...EngineOption) (*Engine, error) {
 	if dir := os.Getenv("AUTOGEMM_PLAN_DIR"); dir != "" {
 		e.registry = plan.NewRegistry(dir)
 	}
-	if mode := os.Getenv("AUTOGEMM_PLAN_MODE"); mode != "" {
-		e.mode = PlanMode(mode)
-	}
 	for _, o := range opts {
 		o(e)
 	}

@@ -219,11 +219,31 @@ type Report struct {
 	// not for removing runtime checks.
 	BoundsComplete bool
 
-	// AccessBanks classifies each instruction's memory access by operand
-	// panel: BankA, BankB or BankC, or BankNone for instructions without
-	// a classified access. Only meaningful when BoundsComplete is true;
-	// nil when the bounds pass did not run.
-	AccessBanks []int8
+	// Accesses holds each instruction's proven panel position (Access),
+	// indexed like Program.Instrs. Only meaningful when BoundsComplete is
+	// true; nil when the bounds pass did not run.
+	Accesses []Access
+}
+
+// Access is where one instruction's memory access lands, as the bounds
+// pass proved it: on trip t of its loop (t = 0 outside loops) it covers
+// Lanes floats starting at
+//
+//	base + (Row + t·DRow)·ld + Col + t·DCol   bytes,
+//
+// with base and ld (in bytes) those of operand panel Bank. Row counts
+// leading dimensions; Col, DCol are bytes. Lanes is σ_lane for LDR/STR Q
+// and the active-lane prefix a constant WHILELT or PTRUE proves for
+// LD1W/ST1W, or -1 when no such proof exists. Row and Col come from the
+// trip-0 walk, DRow and DCol from handleLoop's trip-1 replay; the
+// last-trip walk checks the extrapolation, so a complete report's
+// Accesses are exact for every trip. Instructions without a memory
+// access have Bank BankNone.
+type Access struct {
+	Bank       int8
+	Lanes      int16
+	Row, Col   int32
+	DRow, DCol int32
 }
 
 // Loop is one counted SUBS/B.NE loop: the instruction indexes of its
@@ -237,7 +257,7 @@ type Loop struct {
 	Trips       int64
 }
 
-// Operand-panel bank identifiers used in Report.AccessBanks.
+// Operand-panel bank identifiers used in Access.Bank.
 const (
 	BankNone int8 = -1
 	BankA    int8 = 0

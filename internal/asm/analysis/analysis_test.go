@@ -6,6 +6,7 @@ import (
 
 	"autogemm/internal/asm"
 	"autogemm/internal/asm/analysis"
+	"autogemm/internal/mkernel"
 )
 
 // buildKernel hand-writes a miniature but fully realistic micro-kernel
@@ -382,6 +383,135 @@ func TestLoopTrips(t *testing.T) {
 		}
 		if tc.unknownTrips && rep.Loops[0].Trips != 0 {
 			t.Errorf("%s: trip count %d claimed", tc.name, rep.Loops[0].Trips)
+		}
+	}
+}
+
+// TestAccesses pins the exported panel positions on a rotated 2×8×24
+// kernel, whose k-loop runs three trips of eight k-steps: an A load and
+// a B load inside the loop, and a C store after it. The bounds pass
+// records trip 0's row and byte column and the per-trip step, and
+// leaves Accesses nil when it does not run.
+func TestAccesses(t *testing.T) {
+	cfg := mkernel.Config{Tile: mkernel.Tile{MR: 2, NR: 8}, KC: 24, Lanes: 4, Rotate: true}
+	p, err := mkernel.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aopts, err := cfg.AnalysisOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analysis.Analyze(p, aopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || !rep.BoundsComplete || len(rep.Loops) != 1 || rep.Loops[0].Trips != 3 {
+		t.Fatalf("%s: complete %v, loops %+v; want one 3-trip loop, complete:\n%s", p.Name, rep.BoundsComplete, rep.Loops, rep)
+	}
+	if len(rep.Accesses) != len(p.Instrs) {
+		t.Fatalf("%d accesses for %d instructions", len(rep.Accesses), len(p.Instrs))
+	}
+	// find returns the first instruction in [lo, hi) with op and base.
+	find := func(lo, hi int, op asm.Op, base asm.Reg) int {
+		for i := lo; i < hi; i++ {
+			if in := &p.Instrs[i]; in.Op == op && in.Src1 == base {
+				return i
+			}
+		}
+		t.Fatalf("no %s through %s in [%d, %d)", op, base, lo, hi)
+		return -1
+	}
+	l := rep.Loops[0]
+	for _, c := range []struct {
+		name string
+		idx  int
+		want analysis.Access
+	}{
+		// The rotated A preload through x6 (A row 0): the prologue took
+		// bytes 0..16, each trip takes two vectors.
+		{"A", find(l.Head, l.Latch, asm.OpLdrQPost, asm.X(6)),
+			analysis.Access{Bank: analysis.BankA, Lanes: 4, Row: 0, Col: 16, DRow: 0, DCol: 32}},
+		// B through x1: the prologue loaded rows 0 and 1, each trip
+		// walks eight rows.
+		{"B", find(l.Head, l.Latch, asm.OpLdrQ, asm.X(1)),
+			analysis.Access{Bank: analysis.BankB, Lanes: 4, Row: 2, Col: 0, DRow: 8, DCol: 0}},
+		// The last store, through x9 (C row 1), after the first vector.
+		{"C", find(l.Latch, len(p.Instrs), asm.OpStrQPost, asm.X(9)) + 1,
+			analysis.Access{Bank: analysis.BankC, Lanes: 4, Row: 1, Col: 16}},
+		{"FMLA", l.Head + 1, analysis.Access{Bank: analysis.BankNone}},
+	} {
+		if got := rep.Accesses[c.idx]; got != c.want {
+			t.Errorf("%s (instr %d, %s): access %+v, want %+v", c.name, c.idx, p.Instrs[c.idx].Op, got, c.want)
+		}
+	}
+
+	skipped := asm.NewProgram("fwd")
+	skipped.B("end")
+	skipped.Label("end")
+	skipped.Ret()
+	rep, err = analysis.Analyze(skipped, analysis.Options{Bounds: &analysis.Bounds{MR: 1, NR: 4, KC: 4, Lanes: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BoundsChecked || rep.Accesses != nil {
+		t.Errorf("bounds pass skipped: checked %v, accesses %v; want false, nil", rep.BoundsChecked, rep.Accesses)
+	}
+}
+
+// TestPredicateTrips checks that a predicated access's active lanes
+// must be the same on every trip. A WHILELT over x9 = 4·t against 28
+// counts 16 lanes until 28 − x9 drops below 16. When it comes first in
+// the body, trip t's access reads its count directly; when it comes
+// last, trip t reads trip t − 1's count and trip 0 the PTRUE before the
+// loop. Either way a loop that stops while the count is still 16 is
+// proven, and one whose last trip reads 12 lanes is not. With reset, a
+// PTRUE at the end of the body leaves every trip with the predicate it
+// started from, so only the access itself shows the count moving.
+func TestPredicateTrips(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		first, reset bool
+		trips        int64
+		want         bool
+	}{
+		{"whilelt-first", true, false, 4, true},
+		{"whilelt-first", true, false, 5, false},
+		{"whilelt-last", false, false, 3, true},
+		{"whilelt-last", false, false, 5, false},
+		{"whilelt-reset", true, true, 4, true},
+		{"whilelt-reset", true, true, 5, false},
+	} {
+		p := asm.NewProgram(c.name)
+		p.PTrue(asm.P(1))
+		p.MovI(asm.X(9), 0)
+		p.MovI(asm.X(10), 28)
+		p.MovI(asm.X(29), c.trips)
+		p.Label("loop")
+		if c.first {
+			p.Whilelt(asm.P(1), asm.X(9), asm.X(10))
+		}
+		p.Ld1W(asm.V(0), asm.P(1), asm.X(1), 0)
+		p.St1W(asm.V(0), asm.P(1), asm.X(2), 0)
+		p.AddI(asm.X(9), asm.X(9), 4)
+		if !c.first {
+			p.Whilelt(asm.P(1), asm.X(9), asm.X(10))
+		}
+		if c.reset {
+			p.PTrue(asm.P(1))
+		}
+		p.Subs(asm.X(29), asm.X(29), 1)
+		p.Bne("loop")
+		p.Ret()
+		rep, err := analysis.Analyze(p, analysis.Options{Bounds: &analysis.Bounds{MR: 1, NR: 16, KC: 4, Lanes: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s, %d trips: %s", c.name, c.trips, rep)
+		}
+		if rep.BoundsComplete != c.want {
+			t.Errorf("%s, %d trips: complete %v, want %v", c.name, c.trips, rep.BoundsComplete, c.want)
 		}
 	}
 }

@@ -13,7 +13,10 @@ import (
 // load/store address must resolve to  base + r·ld + c  with r and c
 // inside the panel plus the declared over-read slack. Counted SUBS/B.NE
 // loops are handled exactly: the body's per-iteration delta is affine,
-// so the final iteration is re-checked at  snapshot + (n−1)·delta.
+// so the final iteration is re-checked at  snapshot + (n−1)·delta. Each
+// access's panel, lanes, trip-0 position and per-trip step go into
+// Report.Accesses, which compiled execution runs from: this is the only
+// symbolic reading of scalar code in the tree.
 //
 // The pass is deliberately restricted to the branch structure the
 // generator emits — backward conditional branches only. Programs with
@@ -124,9 +127,11 @@ type boundsInterp struct {
 	snaps  map[int]boundsState // label instruction index -> state
 	rewalk bool
 
-	// replay limits checkAccess to alignment while handleLoop replays a
-	// trip for its register deltas.
+	// replay limits checkAccess to alignment and step records while
+	// handleLoop replays trip 1 for its register deltas; trip is the loop
+	// trip being walked (0 outside loops and on the first walk).
 	replay bool
+	trip   int64
 
 	// incomplete records that some access was skipped rather than proven
 	// (unknown address, absolute address, havoced loop, unknown opcode).
@@ -168,9 +173,9 @@ func (a *analyzer) checkBounds(loops []loop) {
 		bi.st.preds[i] = -1
 	}
 	a.report.BoundsChecked = true
-	a.report.AccessBanks = make([]int8, len(p.Instrs))
-	for i := range a.report.AccessBanks {
-		a.report.AccessBanks[i] = BankNone
+	a.report.Accesses = make([]Access, len(p.Instrs))
+	for i := range a.report.Accesses {
+		a.report.Accesses[i].Bank = BankNone
 	}
 
 	li := 0
@@ -224,14 +229,14 @@ func (bi *boundsInterp) step(in *asm.Instr, idx int) {
 	case asm.OpSubI, asm.OpSubs:
 		bi.set(in.Dst, bi.val(in.Src1).addConst(-in.Imm))
 	case asm.OpLdrQ:
-		bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), int64(bi.b.Lanes)*4, false)
+		bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), bi.b.Lanes, false)
 	case asm.OpStrQ:
-		bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), int64(bi.b.Lanes)*4, true)
+		bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), bi.b.Lanes, true)
 	case asm.OpLdrQPost:
-		bi.checkAccess(idx, bi.val(in.Src1), int64(bi.b.Lanes)*4, false)
+		bi.checkAccess(idx, bi.val(in.Src1), bi.b.Lanes, false)
 		bi.set(in.Src1, bi.val(in.Src1).addConst(in.Imm))
 	case asm.OpStrQPost:
-		bi.checkAccess(idx, bi.val(in.Src1), int64(bi.b.Lanes)*4, true)
+		bi.checkAccess(idx, bi.val(in.Src1), bi.b.Lanes, true)
 		bi.set(in.Src1, bi.val(in.Src1).addConst(in.Imm))
 	case asm.OpPTrue:
 		if in.Dst.IsPred() {
@@ -255,14 +260,12 @@ func (bi *boundsInterp) step(in *asm.Instr, idx int) {
 			bi.st.preds[int(in.Dst)-predID0] = n
 		}
 	case asm.OpLd1W, asm.OpSt1W:
-		lanes := bi.b.Lanes
+		lanes := -1
 		if in.Src2.IsPred() {
-			if n := bi.st.preds[int(in.Src2)-predID0]; n >= 0 {
-				lanes = n
-			}
+			lanes = bi.st.preds[int(in.Src2)-predID0]
 		}
-		if lanes > 0 {
-			bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), int64(lanes)*4, in.Op == asm.OpSt1W)
+		if lanes != 0 {
+			bi.checkAccess(idx, bi.val(in.Src1).addConst(in.Imm), lanes, in.Op == asm.OpSt1W)
 		} else {
 			// Provably zero active lanes: nothing to check, but the access
 			// stays unclassified, so the program cannot claim completeness.
@@ -353,10 +356,11 @@ func (bi *boundsInterp) handleLoop(l *Loop) {
 	// repeats on every trip, S_t = S₀ + t·delta. A register the body
 	// copies from a moving one (mov x7, x6 beside add x6, x6, #16) moves
 	// by a different amount on its second trip and drops to ⊤. The
-	// replay checks only alignment: with exact deltas every address is
-	// affine in the trip, so the first and last trips bound the rest,
-	// and the first two fix its residue mod 4 for all of them.
-	bi.rewalk, bi.replay = true, true
+	// replay checks only alignment and records each access's step: with
+	// exact deltas every address is affine in the trip, so the first and
+	// last trips bound the rest, and the first two fix its residue mod 4
+	// and its step for all of them.
+	bi.rewalk, bi.replay, bi.trip = true, true, 1
 	bi.walkBody(head, latch)
 	bi.replay = false
 	for r := range delta {
@@ -377,8 +381,17 @@ func (bi *boundsInterp) handleLoop(l *Loop) {
 	for r := range bi.st.x {
 		bi.st.x[r] = snap.x[r].add(delta[r].scale(n - 1))
 	}
+	bi.trip = n - 1
+	start := bi.st.preds
 	bi.walkBody(head, latch)
-	bi.rewalk = false
+	bi.rewalk, bi.trip = false, 0
+	// The last trip was walked from the predicates trip 0 left. They are
+	// its real entry state only if the last trip leaves them too: a
+	// WHILELT count is monotone in the trip, so equal counts on the first
+	// and last trips fix every trip's.
+	if bi.st.preds != start {
+		bi.incomplete = true
+	}
 }
 
 // walkBody interprets the loop body [head+1, latch) once from the
@@ -408,20 +421,17 @@ func (bi *boundsInterp) havocBody(head, latch int) {
 	}
 }
 
-// checkAccess verifies one memory access of size bytes at the symbolic
-// address.
-func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bool) {
+// checkAccess verifies one memory access of lanes floats (-1: a full
+// vector whose active lanes are unproven) at the symbolic address and
+// records its position in Report.Accesses.
+func (bi *boundsInterp) checkAccess(idx int, addr symval, lanes int, isStore bool) {
 	// The panel bases are 4·element offsets and a complete access's
-	// stride coefficients are multiples of 4 (rowOf), so the address is
-	// 4-byte aligned exactly when its constant is.
-	if addr.known && addr.c%4 != 0 {
+	// stride coefficients are multiples of 4 (checked below), so the
+	// address is 4-byte aligned exactly when its constant is.
+	if !addr.known || addr.c%4 != 0 {
 		bi.incomplete = true
 	}
-	if bi.replay {
-		return
-	}
-	if !addr.known || size <= 0 {
-		bi.incomplete = true
+	if !addr.known {
 		return
 	}
 	b := bi.b
@@ -436,48 +446,41 @@ func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bo
 		bi.incomplete = true
 		return // absolute address: outside the panel model
 	}
-	bad := func(detail string) {
-		kind := KindOverRead
+	badAddr := func(detail string) {
 		bi.incomplete = true
-		bi.a.addFinding(Finding{Kind: kind, Index: idx, Reg: asm.NoReg, Detail: detail})
+		if !bi.replay {
+			bi.a.addFinding(Finding{Kind: KindBadAddress, Index: idx, Reg: asm.NoReg, Detail: detail})
+		}
 	}
 	if nbase > 1 || addr.k[base] != 1 {
-		bi.incomplete = true
-		bi.a.addFinding(Finding{Kind: KindBadAddress, Index: idx, Reg: asm.NoReg,
-			Detail: "address is not base + r·ld + c over a single panel"})
+		badAddr("address is not base + r·ld + c over a single panel")
 		return
 	}
-	// Classify the access by operand panel. A single instruction reaching
-	// two different panels (possible only through exotic pointer reuse the
-	// generators never emit) defeats per-instruction bank binding.
-	bank := int8(base - symA)
-	if have := bi.a.report.AccessBanks[idx]; have != BankNone && have != bank {
-		bi.incomplete = true
-	}
-	bi.a.report.AccessBanks[idx] = bank
 	// Byte-stride coefficients must be whole multiples of 4 (the LSL-2
 	// element-to-byte conversion) on the matching stride only.
-	rowOf := func(sym int) (int64, bool) {
-		for s := symLda; s <= symLdc; s++ {
-			if s != sym && addr.k[s] != 0 {
-				return 0, false
-			}
-		}
-		if addr.k[sym]%4 != 0 {
-			return 0, false
-		}
-		return addr.k[sym] / 4, true
-	}
-	vb := int64(b.Lanes) * 4
-	switch base {
-	case symA:
-		row, ok := rowOf(symLda)
-		if !ok {
-			bi.incomplete = true
-			bi.a.addFinding(Finding{Kind: KindBadAddress, Index: idx, Reg: asm.NoReg,
-				Detail: "A address mixes foreign strides"})
+	ld := base - symA + symLda
+	for s := symLda; s <= symLdc; s++ {
+		if (s != ld && addr.k[s] != 0) || addr.k[ld]%4 != 0 {
+			badAddr(fmt.Sprintf("%c address mixes foreign strides", 'A'+base-symA))
 			return
 		}
+	}
+	bank, row := int8(base-symA), addr.k[ld]/4
+	bi.record(idx, bank, row, addr.c, lanes)
+	if bi.replay {
+		return // trip 1 lies between the checked first and last trips
+	}
+	bad := func(detail string) {
+		bi.incomplete = true
+		bi.a.addFinding(Finding{Kind: KindOverRead, Index: idx, Reg: asm.NoReg, Detail: detail})
+	}
+	if lanes < 0 {
+		lanes = b.Lanes
+	}
+	size := int64(lanes) * 4
+	vb := int64(b.Lanes) * 4
+	switch bank {
+	case BankA:
 		if isStore {
 			bad("store into the A panel")
 			return
@@ -491,14 +494,7 @@ func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bo
 			bad(fmt.Sprintf("A row offset [%d,%d) exceeds row length %d + slack %d",
 				addr.c, addr.c+size, b.KC*4, int64(b.AOverVectors)*vb))
 		}
-	case symB:
-		row, ok := rowOf(symLdb)
-		if !ok {
-			bi.incomplete = true
-			bi.a.addFinding(Finding{Kind: KindBadAddress, Index: idx, Reg: asm.NoReg,
-				Detail: "B address mixes foreign strides"})
-			return
-		}
+	case BankB:
 		if isStore {
 			bad("store into the B panel")
 			return
@@ -510,14 +506,7 @@ func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bo
 		if addr.c < 0 || addr.c+size > int64(b.NR)*4 {
 			bad(fmt.Sprintf("B column offset [%d,%d) exceeds panel width %d", addr.c, addr.c+size, b.NR*4))
 		}
-	case symC:
-		row, ok := rowOf(symLdc)
-		if !ok {
-			bi.incomplete = true
-			bi.a.addFinding(Finding{Kind: KindBadAddress, Index: idx, Reg: asm.NoReg,
-				Detail: "C address mixes foreign strides"})
-			return
-		}
+	case BankC:
 		if row < 0 || row >= int64(b.MR) {
 			bad(fmt.Sprintf("C row %d outside 0..%d", row, b.MR-1))
 			return
@@ -526,5 +515,26 @@ func (bi *boundsInterp) checkAccess(idx int, addr symval, size int64, isStore bo
 			bad(fmt.Sprintf("C offset [%d,%d) exceeds row width %d — C has no over-read slack",
 				addr.c, addr.c+size, b.NR*4))
 		}
+	}
+}
+
+// record enters an access's position in Report.Accesses: on trip 0 its
+// position, on trip 1 its step, and on every trip a check that the
+// access is the one trip 0 and the step predict — the same panel, the
+// same active lanes, at Row + t·DRow and Col + t·DCol. An access that
+// fails the check, or whose position overflows the int32 fields, leaves
+// the report incomplete.
+func (bi *boundsInterp) record(idx int, bank int8, row, col int64, lanes int) {
+	ac := &bi.a.report.Accesses[idx]
+	switch {
+	case bi.trip == 0:
+		*ac = Access{Bank: bank, Lanes: int16(lanes), Row: int32(row), Col: int32(col)}
+	case bi.replay:
+		ac.DRow, ac.DCol = int32(row-int64(ac.Row)), int32(col-int64(ac.Col))
+	}
+	t := bi.trip
+	if ac.Bank != bank || int(ac.Lanes) != lanes ||
+		int64(ac.Row)+t*int64(ac.DRow) != row || int64(ac.Col)+t*int64(ac.DCol) != col {
+		bi.incomplete = true
 	}
 }

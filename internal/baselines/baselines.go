@@ -243,13 +243,6 @@ func ByName(name string) (Provider, error) {
 	return Provider{}, fmt.Errorf("baselines: unknown provider %q", name)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // minPow2Cap rounds n down to a power of two, capped.
 func minPow2Cap(n, cap int) int {
 	p := 1

@@ -121,8 +121,8 @@ type Options struct {
 	// dimension", §V-C).
 	ForceKCisK bool
 
-	// ForceInterp disables the compiled closure-threaded backend:
-	// every kernel runs on the checked interpreter (sim.Machine).
+	// ForceInterp disables the compiled backend: every kernel runs on
+	// the checked interpreter (sim.Machine).
 	// See docs/INTERNALS.md, "Compiled execution".
 	ForceInterp bool
 
@@ -391,17 +391,3 @@ func clamp(v, lo, hi int) int {
 }
 
 func quantUp(n, lanes int) int { return (n + lanes - 1) / lanes * lanes }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -28,13 +28,13 @@ const kernelFuel = 1 << 31
 // group's k chunks ascending — the serial reference every parallel,
 // batch and async execution is held bit-identical to.
 //
-// Kernels proven bound-safe by the analyzer execute in compiled
-// closure-threaded form, addressing the operand slices directly where
-// the panel prechecks allow it; anything unproven (and everything, when
-// ForceInterp is set) runs on the checked interpreter over a per-worker
-// arena. Slices longer than the minimum m·k / k·n / m·n extents give the
-// in-place fast path more room: edge blocks whose kernels over-read past
-// the matrix end otherwise fall back to the packed path.
+// Kernels proven bound-safe by the analyzer execute in compiled form,
+// addressing the operand slices directly where the panel prechecks
+// allow it; anything unproven (and everything, when ForceInterp is set)
+// runs on the checked interpreter over a per-worker arena. Slices
+// longer than the minimum m·k / k·n / m·n extents give the in-place
+// fast path more room: edge blocks whose kernels over-read past the
+// matrix end otherwise fall back to the packed path.
 func (p *Plan) Run(c, a, b []float32) error { return p.RunParallel(c, a, b, 1) }
 
 // bandCall is one compiled kernel invocation of a block: the program

@@ -387,10 +387,3 @@ func (g *gen) storeInstrs() []asm.Instr {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

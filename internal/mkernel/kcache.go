@@ -117,7 +117,7 @@ func (c *Cache) Program(s Spec) (*asm.Program, error) {
 	return e.k.prog, e.err
 }
 
-// Compiled returns the closure-threaded form of a kernel, lowered from
+// Compiled returns the compiled form of a kernel, lowered from
 // the generation gate's report, or the memoized failure. An error
 // matching compile.ErrUnproven means the analyzer could not prove the
 // bounds complete: callers run the asm form from Program on the checked

@@ -145,11 +145,11 @@ func TestSubmitContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	if _, err := p.SubmitContext(ctx, 4, 0, func(*Worker, int) error {
+	if _, err := p.SubmitQoS(ctx, 4, 0, QoS{}, func(*Worker, int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitContext = %v, want context.Canceled", err)
+		t.Fatalf("SubmitQoS = %v, want context.Canceled", err)
 	}
 	if atomic.LoadInt64(&ran) != 0 {
 		t.Error("tasks ran despite pre-cancelled context")
@@ -166,7 +166,7 @@ func TestCancelMidJobSkipsFrontier(t *testing.T) {
 	defer cancel()
 	const n = 100
 	var ran int64
-	fut, err := p.SubmitContext(ctx, n, 1, func(w *Worker, i int) error {
+	fut, err := p.SubmitQoS(ctx, n, 1, QoS{}, func(w *Worker, i int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
 			cancel()
@@ -233,7 +233,7 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := p.SubmitContext(ctx, 1, 0, func(*Worker, int) error { return nil })
+		_, err := p.SubmitQoS(ctx, 1, 0, QoS{}, func(*Worker, int) error { return nil })
 		errc <- err
 	}()
 	// The submitter is (about to be) parked on backpressure; cancelling
@@ -243,10 +243,10 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blocked SubmitContext = %v, want context.Canceled", err)
+			t.Fatalf("blocked SubmitQoS = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled SubmitContext still blocked on backpressure")
+		t.Fatal("cancelled SubmitQoS still blocked on backpressure")
 	}
 	close(release)
 	if err := blocker.Wait(); err != nil {

@@ -32,7 +32,7 @@
 // Failure semantics: a panic inside a task is contained — it is
 // converted into a *PanicError on the job (matching ErrPanicked), the
 // worker survives, the job's remaining claims are skipped, and the
-// future still fires. SubmitContext binds a job to a context:
+// future still fires. SubmitQoS binds a job to a context:
 // cancellation makes later claims skip work (the error-fast-path) and
 // wakes submitters blocked on backpressure; a QoS deadline rides the
 // same path. CloseWithTimeout bounds the drain and reports
@@ -322,39 +322,30 @@ func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error
 	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, run)
 }
 
-// SubmitContext is Submit bound to a context. A context that fires
-// while the submitter is blocked on backpressure aborts the submission
-// with ctx.Err(); one that fires after acceptance cancels the job —
-// unclaimed tasks are skipped (claims drain without running work, the
-// same fast-path a task error takes), the job completes promptly, and
-// its future returns ctx.Err(). A task already running is not
-// interrupted. A nil context means Background.
-func (p *Pool) SubmitContext(ctx context.Context, tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(ctx, tasks, maxWorkers, QoS{}, true, run)
-}
-
-// SubmitQoS is SubmitContext with an explicit QoS: the job parks in
-// qos.Class's queue, is claimed at that class's weight, and — when
-// qos.Deadline is set — fails before claiming once the deadline
-// expires. Admission control applies: a class at its configured depth,
-// or a deadline already expired at submission, refuses the job with an
-// error matching ErrAdmission instead of blocking.
+// SubmitQoS is Submit bound to a context and a QoS. A context that
+// fires while the submitter is blocked on backpressure aborts the
+// submission with ctx.Err(); one that fires after acceptance cancels
+// the job — unclaimed tasks are skipped (claims drain without running
+// work, the same fast-path a task error takes), the job completes
+// promptly, and its future returns ctx.Err(). A task already running is
+// not interrupted. A nil context means Background. The job parks in
+// qos.Class's queue (the zero QoS is the default class), is claimed at
+// that class's weight, and — when qos.Deadline is set — fails before
+// claiming once the deadline expires. Admission control applies: a
+// class at its configured depth, or a deadline already expired at
+// submission, refuses the job with an error matching ErrAdmission
+// instead of blocking.
 func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
 	return p.submit(ctx, tasks, maxWorkers, qos, true, run)
 }
 
-// TrySubmit is Submit without the backpressure wait: when the pool is
-// at its in-flight depth it fails immediately with ErrBusy instead of
-// blocking. Everything else matches Submit. It exists for best-effort
-// background work — a caller serving a latency-sensitive request must
-// never park behind the queue just to schedule an optimization.
-func (p *Pool) TrySubmit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, false, run)
-}
-
-// TrySubmitQoS is TrySubmit with an explicit QoS — the non-blocking
-// submission the background planner uses to enqueue its DMT upgrades
-// under BackgroundClass.
+// TrySubmitQoS is Submit with an explicit QoS and without the
+// backpressure wait: when the pool is at its in-flight depth it fails
+// immediately with ErrBusy instead of blocking. It exists for
+// best-effort background work — the background planner enqueues its DMT
+// upgrades with it under BackgroundClass, because a caller serving a
+// latency-sensitive request must never park behind the queue just to
+// schedule an optimization.
 func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
 	return p.submit(context.Background(), tasks, maxWorkers, qos, false, run)
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestTrySubmitBusy: at the in-flight depth TrySubmit refuses
+// TestTrySubmitBusy: at the in-flight depth TrySubmitQoS refuses
 // immediately with ErrBusy instead of blocking, and succeeds again
 // once the queue drains.
 func TestTrySubmitBusy(t *testing.T) {
@@ -22,16 +22,16 @@ func TestTrySubmitBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrBusy) {
-		t.Fatalf("TrySubmit at depth: err = %v, want ErrBusy", err)
+	if _, err := p.TrySubmitQoS(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrBusy) {
+		t.Fatalf("TrySubmitQoS at depth: err = %v, want ErrBusy", err)
 	}
 	close(release)
 	if err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	fut2, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil })
+	fut2, err := p.TrySubmitQoS(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil })
 	if err != nil {
-		t.Fatalf("TrySubmit after drain: %v", err)
+		t.Fatalf("TrySubmitQoS after drain: %v", err)
 	}
 	if err := fut2.Wait(); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestTrySubmitBusy(t *testing.T) {
 func TestTrySubmitClosed(t *testing.T) {
 	p := New(1, 1)
 	p.Close()
-	if _, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := p.TrySubmitQoS(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -57,7 +57,7 @@ func TestOnDone(t *testing.T) {
 
 	var fired atomic.Int64
 	errCh := make(chan error, 1)
-	fut, err := p.TrySubmit(4, 0, func(_ *Worker, _ int) error { return nil })
+	fut, err := p.TrySubmitQoS(4, 0, QoS{}, func(_ *Worker, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestOnDone(t *testing.T) {
 	}
 
 	boom := fmt.Errorf("boom")
-	fut, err = p.TrySubmit(2, 0, func(_ *Worker, i int) error {
+	fut, err = p.TrySubmitQoS(2, 0, QoS{}, func(_ *Worker, i int) error {
 		if i == 0 {
 			return boom
 		}

@@ -12,140 +12,66 @@ import (
 // The kernels keep the m_r×n_r accumulator tile in registers for the
 // whole k-loop while A and B stream past at constant strides. translate
 // recovers that form for every region of a 4-lane program that passes
-// the proof below. A region is a maximal store-free run of instructions;
-// it may span counted loops whose body holds no store, so a tile's
+// the proof below. A region is a maximal store-free run of micro-ops; it
+// may span counted loops whose body holds no store, so a tile's
 // prologue, whole k-loop and epilogue FMLAs form one region. A proven
 // region lowers to a single micro-op (uAffine4) whose executable form is
 // a *region.
 //
-// The proof is a symbolic walk over the region (buildRegion). Scalar
-// registers hold affine forms over their values at region entry (lin):
-// every scalar op the kernels use is affine mod 2^64. Each vector
-// register holds its producer: a load at a known address, a zeroing, an
-// accumulator, or the live-in value. A region is proven when:
+// The analyzer has already proven the address half: every load's panel
+// position on trip t of its loop is pos + t·step (Report.Accesses), and
+// every loop's trip count is exact. What the walk below proves is the
+// vector half (buildRegion). Each vector register holds its producer: a
+// load at a known position, a zeroing, an accumulator, or the live-in
+// value. A region is proven when:
 //
-//   - it holds only 4-lane vector ops and scalar ops, and an FMLA;
+//   - it holds only 4-lane loads, zeroings and FMLAs, and an FMLA;
 //   - no accumulator (an FMLA destination) is read as an FMLA source;
 //   - no accumulator is loaded or zeroed after its first FMLA;
 //   - every FMLA operand traces to the load that produced its version;
-//   - for each accumulator, the multiplicand addresses, and the
-//     by-element scalar addresses (load address + 4·lane), each form one
-//     arithmetic progression over its whole FMLA sequence.
+//   - for each accumulator, the multiplicand positions, and the
+//     by-element scalar positions (load position + 4·lane bytes), each
+//     form one arithmetic progression over its whole FMLA sequence.
 //
-// Loops cost O(body), not O(trips). The body is walked twice, from the
-// head state S₀ and from S₁. Every scalar op is affine, so the body is a
-// map S ↦ M·S + c, and S₂ − S₁ = M·(S₁ − S₀). Requiring S₂ − S₁ = S₁ − S₀
-// makes the delta a fixed point of M, so S_t = S₀ + t·Δ for every t and
-// each load address in the body is base + t·step. An FMLA operand's
-// producer is an earlier load in the same trip; or the body's last
-// writer of the register on the previous trip, which at t = 0 must be
-// the pre-loop load at base − step; or, for a register the body never
-// writes, the pre-loop load itself (step 0). An accumulator with m FMLAs
-// per trip at addresses base_i + t·step_i is one progression of stride s
-// when base_i = base_0 + i·s and every step_i = m·s. The trip count is
-// the analyzer's exact one (Report.Loops).
+// Positions are (row, col) pairs: row leading dimensions plus col bytes
+// past the panel base, so a progression proven on pairs holds for every
+// leading dimension. Loops cost O(body), not O(trips). An FMLA operand's
+// producer in a loop body is an earlier load in the same trip; or the
+// body's last writer of the register on the previous trip, which at
+// t = 0 must be the pre-loop load at pos − step; or, for a register the
+// body never writes, the pre-loop load itself (step 0). An accumulator
+// with m FMLAs per trip at positions base_i + t·step_i is one
+// progression of stride s when base_i = base_0 + i·s and every
+// step_i = m·s.
 //
-// Each proven region runs as one micro-op (execRegion): it evaluates its
-// forms from the x registers at entry, sets up each accumulator (its C
+// Each proven region runs as one micro-op (execRegion): it resolves its
+// positions against the operand panels, sets up each accumulator (its C
 // load, a zero or the live-in value), runs the accumulators in groups of
 // up to four that share a multiplicand progression through runAffine,
-// and then leaves the interpreter's exact state: every vector register
-// whose last version is a load reloaded from that load's final address,
-// the x registers and flags at exit, and loop fuel charged for every
-// taken branch of the collapsed loops.
+// and then leaves the interpreter's exact vector file: every register
+// whose last version is a load reloaded from that load's final position,
+// every register whose last version is a zeroing zeroed.
 //
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the
-// same order. The values are read from the addresses the replaced loads
-// read: those addresses are proven in bounds by the analyzer plus
-// Precheck and 4-byte aligned by the analyzer, and the region has no
-// stores, so memory cannot change under it. Accumulators are never
-// sources and are set up before their first multiply-add, so no FMLA
-// observes another accumulator's partial sum.
+// same order. The values are read from the positions the replaced loads
+// read: those are proven in bounds by the analyzer plus Precheck and
+// 4-byte aligned by the analyzer, and the region has no stores, so
+// memory cannot change under it. Accumulators are never sources and are
+// set up before their first multiply-add, so no FMLA observes another
+// accumulator's partial sum.
 
-// maxTerms bounds the terms of one affine form; a region whose values
-// need more keeps the fused-run path. A kernel's values need two: a
-// panel base plus a multiple of a stride.
-const maxTerms = 2
+// pos is a panel position: row leading dimensions plus col bytes past a
+// panel's base, or, as a stride, the difference of two.
+type pos struct{ row, col int64 }
 
-// maxForms bounds the distinct forms one region evaluates at entry
-// (Env.vals); a form index is a uint8.
-const maxForms = 256
+func (p pos) add(q pos) pos         { return pos{p.row + q.row, p.col + q.col} }
+func (p pos) sub(q pos) pos         { return pos{p.row - q.row, p.col - q.col} }
+func (p pos) scale(m int64) pos     { return pos{p.row * m, p.col * m} }
+func (p pos) at(t int64, d pos) pos { return p.add(d.scale(t)) }
 
-// lin is an affine form over the scalar registers at region entry:
-// c + Σ k[i]·x[r[i]], with n terms sorted by register and non-zero
-// coefficients, unused slots zero. Arithmetic wraps mod 2^64, exactly as
-// the x registers do. n < 0 marks a form needing more than maxTerms
-// terms; it equals nothing.
-type lin struct {
-	c int64
-	n int8
-	r [maxTerms]uint8
-	k [maxTerms]int64
-}
-
-var badLin = lin{n: -1}
-
-func linReg(r int) lin {
-	if r == asm.XZR.Index() {
-		return lin{}
-	}
-	return lin{n: 1, r: [maxTerms]uint8{uint8(r)}, k: [maxTerms]int64{1}}
-}
-
-// addScaled returns a + m·b.
-func (a lin) addScaled(b lin, m int64) lin {
-	if a.n < 0 || b.n < 0 {
-		return badLin
-	}
-	out := lin{c: a.c + m*b.c}
-	if b.n == 0 {
-		a.c = out.c
-		return a
-	}
-	if a.r == b.r { // the same registers, as most address differences have
-		for i := 0; i < int(b.n); i++ {
-			if k := a.k[i] + m*b.k[i]; k != 0 {
-				out.r[out.n], out.k[out.n] = b.r[i], k
-				out.n++
-			}
-		}
-		return out
-	}
-	i, j := 0, 0
-	for i < int(a.n) || j < int(b.n) {
-		var r uint8
-		var k int64
-		switch {
-		case j == int(b.n) || (i < int(a.n) && a.r[i] < b.r[j]):
-			r, k = a.r[i], a.k[i]
-			i++
-		case i == int(a.n) || b.r[j] < a.r[i]:
-			r, k = b.r[j], m*b.k[j]
-			j++
-		default:
-			r, k = a.r[i], a.k[i]+m*b.k[j]
-			i++
-			j++
-		}
-		if k == 0 {
-			continue
-		}
-		if out.n == maxTerms {
-			return badLin
-		}
-		out.r[out.n], out.k[out.n] = r, k
-		out.n++
-	}
-	return out
-}
-
-func (a lin) add(b lin) lin         { return a.addScaled(b, 1) }
-func (a lin) sub(b lin) lin         { return a.addScaled(b, -1) }
-func (a lin) scale(m int64) lin     { return lin{}.addScaled(a, m) }
-func (a lin) eq(b lin) bool         { return a.n >= 0 && a == b }
-func (a lin) plus(c int64) lin      { a.c += c; return a }
-func (a lin) at(t int64, d lin) lin { return a.addScaled(d, t) }
+// bytes resolves p against a leading dimension of ld bytes.
+func (p pos) bytes(ld int64) int64 { return p.row*ld + p.col }
 
 // Producer kinds of a vector register's current version.
 const (
@@ -155,30 +81,27 @@ const (
 	verAcc // an FMLA destination
 )
 
-// ver is a vector register's producer; for verLoad, the bank and byte
-// address of the load.
+// ver is a vector register's producer; for verLoad, the bank and
+// position of the load.
 type ver struct {
 	kind uint8
 	bank uint8
-	addr lin
+	addr pos
 }
 
-// prog is an arithmetic progression of byte addresses in one bank:
+// prog is an arithmetic progression of positions in one bank:
 // start + j·stride for j < n. stride is zero until n ≥ 2.
 type prog struct {
 	bank          uint8
-	start, stride lin
+	start, stride pos
 	n             int64
 }
 
 // extend appends the run start' + j·stride' (j < count) and reports
 // whether p is still one progression.
-func (p *prog) extend(bank uint8, start, stride lin, count int64) bool {
+func (p *prog) extend(bank uint8, start, stride pos, count int64) bool {
 	if count == 1 {
-		stride = lin{}
-	}
-	if start.n < 0 || stride.n < 0 {
-		return false
+		stride = pos{}
 	}
 	if p.n == 0 {
 		*p = prog{bank: bank, start: start, stride: stride, n: count}
@@ -189,27 +112,19 @@ func (p *prog) extend(bank uint8, start, stride lin, count int64) bool {
 	}
 	if p.n == 1 {
 		p.stride = start.sub(p.start)
-	} else if !start.eq(p.start.at(p.n, p.stride)) {
+	} else if start != p.start.at(p.n, p.stride) {
 		return false
 	}
-	if count > 1 && !stride.eq(p.stride) {
+	if count > 1 && stride != p.stride {
 		return false
 	}
 	p.n += count
-	return p.stride.n >= 0
-}
-
-// span is a counted loop of a region: micro-ops [lo, hi) run trips
-// times.
-type span struct {
-	lo, hi int
-	trips  int64
+	return true
 }
 
 // buffers are the walk's slices, which one translate reuses across its
 // regions.
 type buffers struct {
-	ops   []int32
 	loads []operand
 	keys  []int
 	memo  []folded
@@ -221,27 +136,23 @@ type folded struct {
 	keys         []int
 	scalar, ok   bool
 	bank         uint8
-	base, stride lin
+	base, stride pos
 	m            int64
 }
 
 // walk is the state of buildRegion's symbolic walk.
 type walk struct {
-	sc   *buffers
-	x    [asm.NumScalarRegs]lin
-	z    lin // the last flag-setting result; z = (z == 0)
-	setZ bool
-	v    [asm.NumVectorRegs]ver
+	sc *buffers
+	v  [asm.NumVectorRegs]ver
 
 	acc   [asm.NumVectorRegs]bool // FMLA destinations of the region
 	slot  [asm.NumVectorRegs]int8 // 1 + the index in accs once fed
 	accs  []accState              // accumulators by first FMLA
-	fuel  int
 	fmlas int
 }
 
 // accState is one accumulator's walk: its version at its first FMLA and
-// its multiplicand and scalar address progressions.
+// its multiplicand and scalar position progressions.
 type accState struct {
 	d          int32
 	init       ver
@@ -249,46 +160,19 @@ type accState struct {
 }
 
 // region is the executable form of a proven affine region (execRegion).
-// Every address, stride and exit value is a ref into the region's forms,
-// which execRegion evaluates from the x registers at entry.
 type region struct {
-	forms  []form
 	groups []group // the strided loops
 	final  []vset  // vector registers whose last version is a load or a zeroing
-	xs     []xset  // x registers the region changes
-	z      ref     // the exit flag is z == 0, when setZ
-	setZ   bool
-	fuel   int // taken branches of the collapsed loops
 	fmlas  int
 }
 
-// form is the linear part of an affine form, k0·x[r0] + k1·x[r1]; an
-// unused term is k = 0 on XZR. Forms differing only in their constant
-// share one form: a kernel's addresses are a few row bases plus
-// offsets, each a base register plus a multiple of a stride register.
-type form struct {
-	r0, r1 uint8
-	k0, k1 int64
-}
-
-// ref is the value vals[f] + off.
-type ref struct {
-	f   uint8
-	off int64
-}
-
 // vset writes vector register d (a byte offset into the vector file):
-// zero, or the 16 bytes at address at of bank.
+// zero, or the 16 bytes at position at of bank.
 type vset struct {
 	d    int32
 	zero bool
 	bank uint8
-	at   ref
-}
-
-type xset struct {
-	r  uint8
-	at ref
+	at   pos
 }
 
 // group is one strided loop: k accumulators (1, 2 or 4) sharing the
@@ -297,60 +181,21 @@ type group struct {
 	n     int64
 	k     int
 	abank uint8
-	a, sa ref
+	a, sa pos
 	acc   [4]accum
 }
 
 // accum is one accumulator of a group: vector register d (a byte offset
 // into the vector file), set up from its live-in value, a zero, or the
-// 16 bytes at init of bank ibank (init is verLive, verZero or verLoad),
+// 16 bytes at iat of bank ibank (init is verLive, verZero or verLoad),
 // with the by-element scalar progression b + j·sb of bank bbank.
 type accum struct {
 	d     int32
 	init  uint8
 	ibank uint8
 	bbank uint8
-	iat   ref
-	b, sb ref
-}
-
-// scalar applies one scalar micro-op, reporting the address of a load
-// (the pre-increment base for a post-indexed one) or the result of a
-// flag-setting op in rec. It reports false for anything that is not a
-// scalar op or a 4-lane load.
-func (w *walk) scalar(u *uop, rec *lin) bool {
-	switch u.kind {
-	case uMov:
-		w.x[u.d] = w.x[u.a]
-	case uMovI:
-		w.x[u.d] = lin{c: u.imm}
-	case uLsl:
-		var m int64
-		if u.imm >= 0 && u.imm < 64 {
-			m = 1 << uint64(u.imm)
-		}
-		w.x[u.d] = w.x[u.a].scale(m)
-	case uAdd:
-		w.x[u.d] = w.x[u.a].add(w.x[u.b])
-	case uAddI:
-		w.x[u.d] = w.x[u.a].plus(u.imm)
-	case uSubI:
-		w.x[u.d] = w.x[u.a].plus(-u.imm)
-	case uSubs:
-		*rec = w.x[u.a].plus(-u.imm)
-		w.x[u.d] = *rec
-	case uCmpI:
-		*rec = w.x[u.a].plus(-u.imm)
-	case uLdrQ4:
-		*rec = w.x[u.a].plus(u.imm)
-	case uLdrQPost4:
-		*rec = w.x[u.a]
-		w.x[u.a] = rec.plus(u.imm)
-	case uVZero4, uFmla4:
-	default:
-		return false
-	}
-	return true
+	iat   pos
+	b, sb pos
 }
 
 // fed returns accumulator d's state, recording its first FMLA and its
@@ -365,14 +210,10 @@ func (w *walk) fed(d int32) *accState {
 
 // buildRegion proves one store-free region and returns its executable
 // form, or nil when the region keeps the fused-run path. body is the
-// region's micro-ops with loop latches removed; loops are its counted
-// loops in order, disjoint and inside body. sc lends the walk its
-// buffers.
+// region's micro-ops; loops are its counted loops of two or more trips
+// in order, disjoint and inside body. sc lends the walk its buffers.
 func buildRegion(sc *buffers, body []uop, loops []span) *region {
 	w := &walk{sc: sc}
-	for r := range w.x {
-		w.x[r] = linReg(r)
-	}
 	nacc := 0
 	for _, u := range body {
 		switch u.kind {
@@ -382,7 +223,7 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 			}
 			w.acc[u.d/4] = true
 			w.fmlas++
-		case uMov, uMovI, uLsl, uAdd, uAddI, uSubI, uSubs, uCmpI, uLdrQ4, uLdrQPost4, uVZero4:
+		case uLoad4, uVZero4:
 		default:
 			return nil
 		}
@@ -398,7 +239,7 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 	}
 	li := 0
 	for i := 0; i < len(body); {
-		if li < len(loops) && loops[li].lo == i && loops[li].trips > 1 {
+		if li < len(loops) && loops[li].lo == i {
 			l := loops[li]
 			if !w.loop(body[l.lo:l.hi], l.trips) {
 				return nil
@@ -406,9 +247,6 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 			li++
 			i = l.hi
 			continue
-		}
-		if li < len(loops) && loops[li].lo == i {
-			li++ // a one-trip loop is straight-line code
 		}
 		if !w.straight(&body[i]) {
 			return nil
@@ -430,38 +268,31 @@ func (w *walk) write(r int32, v ver) bool {
 
 // straight applies one micro-op outside any multi-trip loop.
 func (w *walk) straight(u *uop) bool {
-	var rec lin
-	if !w.scalar(u, &rec) {
-		return false
-	}
 	switch u.kind {
-	case uSubs, uCmpI:
-		w.z, w.setZ = rec, true
-	case uLdrQ4, uLdrQPost4:
-		return w.write(u.d/4, ver{kind: verLoad, bank: u.bank, addr: rec})
+	case uLoad4:
+		return w.write(u.d/4, ver{kind: verLoad, bank: u.bank, addr: u.pos()})
 	case uVZero4:
 		return w.write(u.d/4, ver{kind: verZero})
-	case uFmla4:
-		d, a, b := u.d/4, u.a/4, u.b/4
-		ac := w.fed(d)
-		ma, sb := w.v[a], w.v[b]
-		if ma.kind != verLoad || sb.kind != verLoad {
-			return false
-		}
-		if !ac.mult.extend(ma.bank, ma.addr, lin{}, 1) ||
-			!ac.scal.extend(sb.bank, sb.addr.plus(int64(u.b%4)*4), lin{}, 1) {
-			return false
-		}
-		w.v[d] = ver{kind: verAcc}
 	}
+	d, a, b := u.d/4, u.a/4, u.b/4
+	ac := w.fed(d)
+	ma, sb := w.v[a], w.v[b]
+	if ma.kind != verLoad || sb.kind != verLoad {
+		return false
+	}
+	if !ac.mult.extend(ma.bank, ma.addr, pos{}, 1) ||
+		!ac.scal.extend(sb.bank, sb.addr.add(pos{col: int64(u.b%4) * 4}), pos{}, 1) {
+		return false
+	}
+	w.v[d] = ver{kind: verAcc}
 	return true
 }
 
-// operand is an FMLA operand inside a loop body: the address it reads
+// operand is an FMLA operand inside a loop body: the position it reads
 // on trip t is base + t·step.
 type operand struct {
 	bank       uint8
-	base, step lin
+	base, step pos
 }
 
 // fold merges the m operands one accumulator reads per trip, in body
@@ -471,8 +302,8 @@ type operand struct {
 type fold struct {
 	m          int64
 	bank       uint8
-	base, prev lin
-	s, step    lin
+	base, prev pos
+	s, step    pos
 	bad        bool
 }
 
@@ -480,11 +311,11 @@ func (f *fold) add(o operand) {
 	switch {
 	case f.m == 0:
 		f.bank, f.base, f.prev, f.step = o.bank, o.base, o.base, o.step
-	case o.bank != f.bank || !o.step.eq(f.step):
+	case o.bank != f.bank || o.step != f.step:
 		f.bad = true
 	case f.m == 1:
 		f.s = o.base.sub(f.base)
-	case !o.base.sub(f.prev).eq(f.s):
+	case o.base.sub(f.prev) != f.s:
 		f.bad = true
 	}
 	f.prev = o.base
@@ -493,11 +324,11 @@ func (f *fold) add(o operand) {
 
 // stride returns the progression's stride, or false when the operands
 // are not one progression.
-func (f *fold) stride() (lin, bool) {
+func (f *fold) stride() (pos, bool) {
 	if f.m == 1 {
 		return f.step, !f.bad
 	}
-	return f.s, !f.bad && f.step.eq(f.s.scale(f.m))
+	return f.s, !f.bad && f.step == f.s.scale(f.m)
 }
 
 // loop proves a counted loop of trips ≥ 2 and applies its closed form.
@@ -512,8 +343,10 @@ func (w *walk) loop(body []uop, trips int64) bool {
 	for r := range writer {
 		writer[r] = noWrite
 	}
-	nloads, nfmla := 0, 0
-	for _, u := range body {
+	loads := w.sc.loads[:0]
+	nfmla := 0
+	for i := range body {
+		u := &body[i]
 		switch u.kind {
 		case uFmla4:
 			writer[u.d/4] = nonLoad
@@ -522,62 +355,16 @@ func (w *walk) loop(body []uop, trips int64) bool {
 		case uVZero4:
 			writer[u.d/4] = nonLoad
 			set[u.d/4] = true
-		case uLdrQ4, uLdrQPost4:
-			writer[u.d/4] = nloads
+		case uLoad4:
+			writer[u.d/4] = len(loads)
 			set[u.d/4] = true
-			nloads++
+			loads = append(loads, operand{bank: u.bank, base: u.pos(), step: u.step()})
 		}
 	}
+	w.sc.loads = loads
+	nloads := len(loads)
 	for r := range set {
 		if set[r] && (nfed[r] > 0 || w.slot[r] != 0) {
-			return false
-		}
-	}
-
-	// Walk trips 0 and 1 from S₀: each load's operand is its trip-0
-	// address and the difference to trip 1, z the last flag-setter's
-	// results, s the scalar states S₀, S₁ and S₂.
-	loads := grow(&w.sc.loads, nloads)
-	var z [2]lin
-	flags := false
-	var s [3][asm.NumScalarRegs]lin
-	s[0] = w.x
-	ops := w.sc.ops[:0]
-	for i := range body {
-		if body[i].kind != uFmla4 && body[i].kind != uVZero4 {
-			ops = append(ops, int32(i))
-		}
-	}
-	w.sc.ops = ops
-	for trip := 0; trip < 2; trip++ {
-		n := 0
-		for _, i := range ops {
-			u := &body[i]
-			var rec lin
-			if !w.scalar(u, &rec) {
-				return false
-			}
-			switch u.kind {
-			case uLdrQ4, uLdrQPost4:
-				if trip == 0 {
-					loads[n] = operand{bank: u.bank, base: rec}
-				} else {
-					loads[n].step = rec.sub(loads[n].base)
-				}
-				n++
-			case uSubs, uCmpI:
-				z[trip], flags = rec, true
-			}
-		}
-		s[trip+1] = w.x
-	}
-	var delta [asm.NumScalarRegs]lin
-	for r := range delta {
-		if s[1][r] == s[0][r] && s[2][r] == s[1][r] {
-			continue // unchanged: delta 0
-		}
-		delta[r] = s[1][r].sub(s[0][r])
-		if !s[2][r].sub(s[1][r]).eq(delta[r]) {
 			return false
 		}
 	}
@@ -595,7 +382,7 @@ func (w *walk) loop(body []uop, trips int64) bool {
 		o := loads[q]
 		o.base = o.base.sub(o.step)
 		pre := w.v[r]
-		carried[r], carriedOK[r] = o, pre.kind == verLoad && pre.bank == o.bank && pre.addr.eq(o.base)
+		carried[r], carriedOK[r] = o, pre.kind == verLoad && pre.bank == o.bank && pre.addr == o.base
 	}
 	var cur [asm.NumVectorRegs]int
 	for r := range cur {
@@ -638,7 +425,7 @@ func (w *walk) loop(body []uop, trips int64) bool {
 	for i := range body {
 		u := &body[i]
 		switch u.kind {
-		case uLdrQ4, uLdrQPost4:
+		case uLoad4:
 			cur[u.d/4] = n
 			n++
 		case uVZero4:
@@ -673,7 +460,7 @@ func (w *walk) loop(body []uop, trips int64) bool {
 			}
 			o, ok := operandOf(k)
 			f.bad = f.bad || !ok
-			o.base = o.base.plus(int64(lane) * 4)
+			o.base = o.base.add(pos{col: int64(lane) * 4})
 			f.add(o)
 		}
 		stride, ok := f.stride()
@@ -690,12 +477,7 @@ func (w *walk) loop(body []uop, trips int64) bool {
 		}
 	}
 
-	// The exit state: S₀ + trips·Δ, and each register's last version.
-	for r := range w.x {
-		if delta[r] != (lin{}) {
-			w.x[r] = s[0][r].at(trips, delta[r])
-		}
-	}
+	// The exit state: each register's last version.
 	for r, q := range writer {
 		switch {
 		case q >= 0:
@@ -707,41 +489,12 @@ func (w *walk) loop(body []uop, trips int64) bool {
 			w.v[r] = ver{kind: verZero}
 		}
 	}
-	if flags {
-		w.z, w.setZ = z[0].at(trips-1, z[1].sub(z[0])), true
-	}
-	w.fuel += int(trips - 1)
 	return true
 }
 
 // lower turns a proven walk into the region's executable form.
 func (w *walk) lower() *region {
-	r := &region{fuel: w.fuel, fmlas: w.fmlas,
-		forms: make([]form, 0, 16), final: make([]vset, 0, asm.NumVectorRegs),
-		xs: make([]xset, 0, asm.NumScalarRegs)}
-	ok := true
-	at := func(l lin) ref {
-		f := form{r0: 31, r1: 31}
-		switch {
-		case l.n < 0:
-			ok = false
-		case l.n == 2:
-			f.r1, f.k1 = l.r[1], l.k[1]
-			fallthrough
-		case l.n == 1:
-			f.r0, f.k0 = l.r[0], l.k[0]
-		}
-		fi := slices.Index(r.forms, f)
-		if fi < 0 {
-			if len(r.forms) == maxForms {
-				ok = false
-				return ref{}
-			}
-			fi = len(r.forms)
-			r.forms = append(r.forms, f)
-		}
-		return ref{f: uint8(fi), off: l.c}
-	}
+	r := &region{fmlas: w.fmlas, final: make([]vset, 0, asm.NumVectorRegs)}
 
 	// Groups: accumulators in first-FMLA order, up to four per shared
 	// multiplicand progression; a group of three runs as a pair and a
@@ -750,26 +503,22 @@ func (w *walk) lower() *region {
 	for i := range w.accs {
 		ac := &w.accs[i]
 		d, m, s := ac.d, &ac.mult, &ac.scal
-		a, sa := at(m.start), at(m.stride)
 		gi := -1
 		for j := range groups {
 			g := &groups[j]
-			if g.k < 4 && g.n == m.n && g.abank == m.bank && g.a == a && g.sa == sa {
+			if g.k < 4 && g.n == m.n && g.abank == m.bank && g.a == m.start && g.sa == m.stride {
 				gi = j
 				break
 			}
 		}
 		if gi < 0 {
-			groups = append(groups, group{n: m.n, abank: m.bank, a: a, sa: sa})
+			groups = append(groups, group{n: m.n, abank: m.bank, a: m.start, sa: m.stride})
 			gi = len(groups) - 1
 		}
 		g := &groups[gi]
 		in := ac.init
 		g.acc[g.k] = accum{d: d * 16, init: in.kind, ibank: in.bank, bbank: s.bank,
-			b: at(s.start), sb: at(s.stride)}
-		if in.kind == verLoad {
-			g.acc[g.k].iat = at(in.addr)
-		}
+			iat: in.addr, b: s.start, sb: s.stride}
 		g.k++
 	}
 	for i := range groups {
@@ -787,19 +536,8 @@ func (w *walk) lower() *region {
 		case verZero:
 			r.final = append(r.final, vset{d: int32(v) * 16, zero: true})
 		case verLoad:
-			r.final = append(r.final, vset{d: int32(v) * 16, bank: ver.bank, at: at(ver.addr)})
+			r.final = append(r.final, vset{d: int32(v) * 16, bank: ver.bank, at: ver.addr})
 		}
-	}
-	for x, l := range w.x {
-		if l != linReg(x) {
-			r.xs = append(r.xs, xset{r: uint8(x), at: at(l)})
-		}
-	}
-	if w.setZ {
-		r.z, r.setZ = at(w.z), true
-	}
-	if !ok {
-		return nil
 	}
 	return r
 }

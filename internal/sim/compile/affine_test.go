@@ -3,15 +3,16 @@ package compile
 import "testing"
 
 // Micro-op constructors for 4-lane regions: vector operands are register
-// numbers scaled by σ_lane = 4, as buildUop emits them. A loads come
-// from bank 0 through x0, B loads from bank 1 through x1.
-func fm4(d, a, b, lane int32) uop    { return uop{kind: uFmla4, d: d * 4, a: a * 4, b: b*4 + lane} }
-func ldA(d int32, imm int64) uop     { return uop{kind: uLdrQ4, d: d * 4, a: 0, imm: imm, bank: 0} }
-func ldB(d int32, imm int64) uop     { return uop{kind: uLdrQ4, d: d * 4, a: 1, imm: imm, bank: 1} }
-func ldAPost(d int32, inc int64) uop { return uop{kind: uLdrQPost4, d: d * 4, a: 0, imm: inc, bank: 0} }
-func zero4(d int32) uop              { return uop{kind: uVZero4, d: d * 4} }
-func addI(r int32, imm int64) uop    { return uop{kind: uAddI, d: r, a: r, imm: imm} }
-func count() uop                     { return uop{kind: uSubs, d: 29, a: 29, imm: 1} }
+// numbers scaled by σ_lane = 4, as decode emits them. ld loads vector d
+// from col bytes into row 0 of bank, moving dcol bytes a trip; ldA and
+// ldB load from the A (bank 0) and B (bank 1) panels outside loops.
+func fm4(d, a, b, lane int32) uop { return uop{kind: uFmla4, d: d * 4, a: a * 4, b: b*4 + lane} }
+func ld(bank uint8, d, col, dcol int32) uop {
+	return uop{kind: uLoad4, bank: bank, d: d * 4, lanes: 4, col: col, dcol: dcol}
+}
+func ldA(d, col int32) uop { return ld(0, d, col, 0) }
+func ldB(d, col int32) uop { return ld(1, d, col, 0) }
+func zero4(d int32) uop    { return uop{kind: uVZero4, d: d * 4} }
 
 // counted is a region of pre followed by a counted loop running body
 // trips times.
@@ -21,14 +22,15 @@ func counted(pre, body []uop, trips int64) ([]uop, []span) {
 }
 
 // TestScheduleRegionRules checks each legality rule of the affine
-// region proof on hand-built regions, independent of the analyzer
-// (which refuses some of these programs before they could reach
-// translate).
+// region proof's vector half on hand-built regions, independent of the
+// analyzer (which refuses some of these programs before they could
+// reach translate). The address half is the analyzer's: see
+// TestUnprovenLoops.
 func TestScheduleRegionRules(t *testing.T) {
-	// One accumulator over a 3-trip loop: v2 is B, reloaded one row
-	// ahead, v3 is A, post-incremented one element per trip.
-	loopPre := []uop{ldB(2, 0), addI(1, 16), ldAPost(3, 4)}
-	loopBody := []uop{fm4(1, 2, 3, 0), ldB(2, 0), addI(1, 16), ldAPost(3, 4), count()}
+	// One accumulator over a 3-trip loop: v2 is B, reloaded one vector
+	// ahead, v3 is A, one element on per trip.
+	loopPre := []uop{ldB(2, 0), ldA(3, 0)}
+	loopBody := []uop{fm4(1, 2, 3, 0), ld(1, 2, 16, 16), ld(0, 3, 4, 4)}
 	type tc struct {
 		name   string
 		region []uop
@@ -53,18 +55,23 @@ func TestScheduleRegionRules(t *testing.T) {
 		{"multiplicand-not-loaded", []uop{ldA(3, 0), fm4(1, 2, 3, 0)}, nil, false},
 		{"zeroed-scalar", []uop{ldB(2, 0), zero4(3), fm4(1, 2, 3, 0)}, nil, false},
 		loopCase("loop", loopPre, loopBody, true),
-		// The pre-loop B load is two rows ahead of the one the body
+		// B moves a whole row a trip: the progression is over (row, col)
+		// pairs, so it holds for every leading dimension.
+		loopCase("loop-rows", loopPre,
+			[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, true),
+		// The pre-loop B load is two vectors ahead of the one the body
 		// carries into trip 1: trip 0 breaks the progression.
-		loopCase("loop-carried-mismatch", []uop{ldB(2, 32), addI(1, 16), ldAPost(3, 4)}, loopBody, false),
+		loopCase("loop-carried-mismatch", []uop{ldB(2, 32), ldA(3, 0)}, loopBody, false),
+		// The pre-loop B load is on row 0; the body carries row 1 − 1 =
+		// 0 but at column 16.
+		loopCase("loop-carried-row-mismatch", loopPre,
+			[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, col: 16, drow: 1}, ld(0, 3, 4, 4)}, false),
 		// Two FMLAs a trip on scalar lanes 0 and 1 of a loop-invariant A
 		// vector: stride 4 inside the trip, 0 across trips.
 		loopCase("loop-step-mismatch", []uop{ldB(2, 0), ldA(3, 0)},
-			[]uop{fm4(1, 2, 3, 0), fm4(1, 2, 3, 1), count()}, false),
+			[]uop{fm4(1, 2, 3, 0), fm4(1, 2, 3, 1)}, false),
 		loopCase("loop-acc-reloaded", []uop{ldB(2, 0), ldA(3, 0)},
-			[]uop{ldB(1, 64), fm4(1, 2, 3, 0), count()}, false),
-		// x6 trails x1 by one trip: its delta is 0 on trip 0 and 16 after.
-		loopCase("loop-not-affine", []uop{ldB(2, 0), ldA(3, 0), {kind: uMov, d: 6, a: 1}},
-			[]uop{fm4(1, 2, 3, 0), {kind: uMov, d: 6, a: 1}, addI(1, 16), {kind: uLdrQ4, d: 8, a: 6, bank: 1}, count()}, false),
+			[]uop{ldB(1, 64), fm4(1, 2, 3, 0)}, false),
 	}
 	for _, c := range cases {
 		r := buildRegion(new(buffers), c.region, c.loops)
@@ -74,24 +81,22 @@ func TestScheduleRegionRules(t *testing.T) {
 	}
 }
 
-// regionEnv evaluates a region's refs against fixed entry registers.
+// regionEnv resolves a region's positions against fixed panel bases
+// and leading dimensions, in bytes.
 type regionEnv struct {
-	r *region
-	x [32]int64
+	base, ld [3]int64
 }
 
-func (e *regionEnv) at(f ref) int64 {
-	fm := e.r.forms[f.f]
-	return fm.k0*e.x[fm.r0] + fm.k1*e.x[fm.r1] + f.off
-}
+func (e *regionEnv) at(bank uint8, p pos) int64 { return e.base[bank] + p.bytes(e.ld[bank]) }
 
 // TestScheduleRegionLayout pins the executable form of a small region
 // and of a counted loop: the groups, their strides, the accumulator
-// set-up and the exit state.
+// set-up and the exit vector file.
 func TestScheduleRegionLayout(t *testing.T) {
+	e := &regionEnv{base: [3]int64{1000, 5000, 9000}, ld: [3]int64{400, 800, 1200}}
 	// v0 and v1 accumulate against the same B vector v2 with scalars
-	// from two A rows (v3 at x0, v4 at x0+64): one pair over two steps.
-	// v2 is reloaded one B vector on between the steps.
+	// from two A vectors (v3 at col 0, v4 at col 64): one pair over two
+	// steps. v2 is reloaded one B vector on between the steps.
 	region := []uop{
 		ldA(3, 0), ldA(4, 64), ldB(2, 0), zero4(0),
 		fm4(0, 2, 3, 0), fm4(1, 2, 4, 0),
@@ -102,71 +107,56 @@ func TestScheduleRegionLayout(t *testing.T) {
 	if r == nil {
 		t.Fatal("region not proven")
 	}
-	e := &regionEnv{r: r}
-	e.x[0], e.x[1] = 1000, 5000
 	if len(r.groups) != 1 || r.groups[0].k != 2 || r.groups[0].n != 2 {
 		t.Fatalf("groups %+v, want one pair over two steps", r.groups)
 	}
 	g := r.groups[0]
-	if g.abank != 1 || e.at(g.a) != 5000 || e.at(g.sa) != 16 {
-		t.Errorf("multiplicand bank %d at %d stride %d, want B at 5000 stride 16", g.abank, e.at(g.a), e.at(g.sa))
+	if g.abank != 1 || e.at(1, g.a) != 5000 || g.sa.bytes(800) != 16 {
+		t.Errorf("multiplicand bank %d at %v stride %v, want B at 5000 stride 16", g.abank, g.a, g.sa)
 	}
 	for i, want := range []struct {
 		d, b int64
 		init uint8
 	}{{0, 1000, verZero}, {16, 1064, verLive}} {
 		ac := g.acc[i]
-		if int64(ac.d) != want.d || ac.bbank != 0 || e.at(ac.b) != want.b || e.at(ac.sb) != 4 || ac.init != want.init {
+		if int64(ac.d) != want.d || ac.bbank != 0 || e.at(0, ac.b) != want.b || ac.sb.bytes(400) != 4 || ac.init != want.init {
 			t.Errorf("accumulator %d: %+v; want v%d, scalars A at %d stride 4, init %d", i, ac, want.d/16, want.b, want.init)
 		}
 	}
-	// Exit: v2 holds its second load, v3 and v4 their loads; no x
-	// register or flag changed.
+	// Exit: v2 holds its second load, v3 and v4 their loads.
 	finals := map[int32]int64{}
 	for _, s := range r.final {
-		finals[s.d/16] = e.at(s.at)
+		finals[s.d/16] = e.at(s.bank, s.at)
 	}
 	if len(finals) != 3 || finals[2] != 5016 || finals[3] != 1000 || finals[4] != 1064 {
 		t.Errorf("final reloads %v, want v2@5016 v3@1000 v4@1064", finals)
 	}
-	if len(r.xs) != 0 || r.setZ || r.fuel != 0 {
-		t.Errorf("exit x %v, flags %v, fuel %d; want none", r.xs, r.setZ, r.fuel)
-	}
 
-	// The counted loop of TestScheduleRegionRules: three steps of B
-	// stride 16 and A stride 4, x0 and x1 moved by three trips, and two
-	// taken branches charged.
+	// A counted loop: three steps of B one row (800 bytes) apart and A
+	// one element apart; v0 is zeroed before the loop.
 	loopRegion, loops := counted(
-		[]uop{ldB(2, 0), addI(1, 16), ldAPost(3, 4), {kind: uMovI, d: 29, imm: 3}},
-		[]uop{fm4(1, 2, 3, 0), ldB(2, 0), addI(1, 16), ldAPost(3, 4), count()}, 3)
+		[]uop{ldB(2, 0), ldA(3, 0), zero4(0)},
+		[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, 3)
 	r = buildRegion(new(buffers), loopRegion, loops)
 	if r == nil {
 		t.Fatal("loop region not proven")
 	}
-	e = &regionEnv{r: r}
-	e.x[0], e.x[1] = 1000, 5000
 	if len(r.groups) != 1 || r.groups[0].k != 1 || r.groups[0].n != 3 {
 		t.Fatalf("groups %+v, want one accumulator over three steps", r.groups)
 	}
 	g = r.groups[0]
-	if e.at(g.a) != 5000 || e.at(g.sa) != 16 || e.at(g.acc[0].b) != 1000 || e.at(g.acc[0].sb) != 4 {
-		t.Errorf("group %+v: want B 5000+16j, A 1000+4j", g)
-	}
-	xs := map[uint8]int64{}
-	for _, s := range r.xs {
-		xs[s.r] = e.at(s.at)
-	}
-	if len(xs) != 3 || xs[0] != 1016 || xs[1] != 5064 || xs[29] != 0 {
-		t.Errorf("exit x %v, want x0 1016, x1 5064, x29 0", xs)
-	}
-	if !r.setZ || e.at(r.z) != 0 || r.fuel != 2 {
-		t.Errorf("flags %v (%d), fuel %d; want z set, fuel 2", r.setZ, e.at(r.z), r.fuel)
+	if e.at(1, g.a) != 5000 || g.sa.bytes(800) != 800 || e.at(0, g.acc[0].b) != 1000 || g.acc[0].sb.bytes(400) != 4 {
+		t.Errorf("group %+v: want B 5000+800j, A 1000+4j", g)
 	}
 	finals = map[int32]int64{}
 	for _, s := range r.final {
-		finals[s.d/16] = e.at(s.at)
+		if s.zero {
+			finals[s.d/16] = -1
+		} else {
+			finals[s.d/16] = e.at(s.bank, s.at)
+		}
 	}
-	if finals[2] != 5048 || finals[3] != 1012 {
-		t.Errorf("final reloads %v, want v2@5048 v3@1012", finals)
+	if len(finals) != 3 || finals[0] != -1 || finals[2] != 7400 || finals[3] != 1012 {
+		t.Errorf("final vector file %v, want v0 zero, v2@7400 v3@1012", finals)
 	}
 }

@@ -18,7 +18,9 @@ import (
 //     tile's stores with the second tile's loads;
 //   - a 4×8 tile at KC = σ+1, where the prologue and epilogue dominate;
 //   - a fused four-tile 5×16 band at KC = 128, as the ResNet-50 plans
-//     run.
+//     run;
+//   - a 4×32 tile at KC = 64 and σ = 16, the 512-bit SVE width, which
+//     runs on the N-lane micro-ops with no affine regions.
 
 var (
 	benchKernel = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4,
@@ -31,6 +33,7 @@ var (
 	benchResNetBand = mkernel.BandConfig{
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 5, NR: 16}, Count: 4}},
 		KC:       128, Lanes: 4, Rotate: true, Fuse: true, LoadC: true}
+	bench16 = mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 32}, KC: 64, Lanes: 16, LoadC: true}
 )
 
 // benchOperands sizes A, B and C for cp's panel model with tight
@@ -127,6 +130,13 @@ func BenchmarkBandFusedCompiled(b *testing.B) {
 
 func BenchmarkKernelShortKCCompiled(b *testing.B) {
 	cp, err := mkernel.NewCache().Compiled(benchShortKC)
+	runCompiledBench(b, cp, err)
+}
+
+// BenchmarkKernelCompiled16 runs the 16-lane kernel TestLoopFuel uses:
+// its FMLAs are σ = 16 wide, so ns/fmla is per 16 multiply-adds.
+func BenchmarkKernelCompiled16(b *testing.B) {
+	cp, err := mkernel.NewCache().Compiled(bench16)
 	runCompiledBench(b, cp, err)
 }
 

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 
 	"autogemm/internal/asm"
 	"autogemm/internal/asm/analysis"
@@ -20,12 +21,10 @@ type Options struct {
 	VectorBudget int
 }
 
-// Compile lowers a program to closure-threaded form: one closure per
-// fused basic block, each executing a pre-decoded micro-op array with
-// flat register-file indices and no per-access bounds checks. Fusing at
-// block granularity rather than per instruction matters: a per-instr
-// closure pays a mispredicted indirect call per instruction, which eats
-// most of the win over the interpreter's switch.
+// Compile lowers a program to its static schedule: a list of segments,
+// each a body of pre-decoded micro-ops run a fixed number of trips, with
+// every memory access at a proven panel position and no per-access
+// bounds checks.
 //
 // Compile runs the full analyzer and lowers from its report (Lower).
 func Compile(p *asm.Program, opts Options) (*Program, error) {
@@ -66,250 +65,166 @@ func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Progr
 	if !rep.BoundsComplete {
 		return nil, fmt.Errorf("%w: %s: bounds pass incomplete (some access not affine-resolved or aligned)", ErrUnproven, p.Name)
 	}
-	return translate(p, bounds.Lanes, bounds, rep.AccessBanks, rep.Loops)
+	return translate(p, bounds, rep)
 }
 
-// translate decodes the program into micro-ops, collapses every proven
-// affine region of a 4-lane program into one micro-op (affine.go),
-// partitions the rest at branch boundaries into basic blocks, fuses each
-// block's FMLA runs, and emits one closure per block with pre-resolved
-// successor indices.
-func translate(p *asm.Program, lanes int, bounds analysis.Bounds, banks []int8, loops []analysis.Loop) (*Program, error) {
-	n := len(p.Instrs)
-
-	// Kept instructions: everything that executes. Labels, nops and
-	// prefetch hints are compacted away.
-	kept := make([]decoded, 0, n)
-	keptAt := make([]int, n+1) // orig index -> kept index of first kept instr at orig ≥ i
-	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
-		case asm.OpLabel, asm.OpNop, asm.OpPrfm:
+// translate builds the static schedule. BoundsComplete fixes the control
+// flow: the only branches are the latches of rep.Loops, which do not
+// nest, hold no RET and run exactly Trips times, and every other path
+// falls through to the first RET. So translate decodes the program up
+// to that RET into one micro-op list, dropping what only steers
+// addresses and control (the analyzer has resolved it into
+// rep.Accesses): scalar ops, WHILELT, PTRUE, labels, branches, nops and
+// prefetch hints. A loop of two or more trips becomes a span of that
+// list. A 4-lane program's proven affine regions (affine.go) each
+// collapse into one micro-op; the rest is cut at the spans into
+// segments, and each segment's FMLA runs are fused.
+func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
+	lanes := bounds.Lanes
+	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds}
+	ops := make([]uop, 0, len(p.Instrs))
+	var loops []span
+	li, lo := 0, -1 // the next loop of rep.Loops; the start of the open one in ops
+	ret := false
+	for i := 0; i < len(p.Instrs) && !ret; i++ {
+		in := &p.Instrs[i]
+		if li < len(rep.Loops) && rep.Loops[li].Head == i {
+			lo = len(ops)
+		}
+		switch in.Op {
+		case asm.OpBne:
+			if li == len(rep.Loops) || rep.Loops[li].Latch != i || lo < 0 {
+				return nil, fmt.Errorf("%w: %s: instr %d: branch is not a counted loop latch", ErrUnproven, p.Name, i)
+			}
+			l := rep.Loops[li]
+			if l.Trips < 1 {
+				return nil, fmt.Errorf("%w: %s: loop at instr %d has no exact trip count", ErrUnproven, p.Name, l.Head)
+			}
+			if l.Trips > 1 && lo < len(ops) {
+				loops = append(loops, span{lo: lo, hi: len(ops), trips: l.Trips})
+			}
+			cp.iters += int(l.Trips - 1)
+			li, lo = li+1, -1
+		case asm.OpRet:
+			if lo >= 0 {
+				return nil, fmt.Errorf("%w: %s: instr %d: ret inside a loop", ErrUnproven, p.Name, i)
+			}
+			ret = true
+		case asm.OpB:
+			return nil, fmt.Errorf("%w: %s: instr %d: unconditional branch", ErrUnproven, p.Name, i)
+		case asm.OpNop, asm.OpPrfm, asm.OpLabel, asm.OpMov, asm.OpMovI, asm.OpLsl, asm.OpAdd,
+			asm.OpAddI, asm.OpSubI, asm.OpSubs, asm.OpWhilelt, asm.OpPTrue:
 		default:
-			kept = append(kept, decoded{orig: i, in: &p.Instrs[i]})
-		}
-	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("compile: %s: empty program", p.Name)
-	}
-	keptAt[n] = len(kept)
-	k := len(kept) - 1
-	for i := n - 1; i >= 0; i-- {
-		keptAt[i] = keptAt[i+1]
-		if k >= 0 && kept[k].orig == i {
-			keptAt[i] = k
-			k--
-		}
-	}
-
-	// decode builds a non-terminator's micro-op; emitted is false for
-	// writes to XZR.
-	decode := func(ki int) (uop, bool, error) {
-		d := kept[ki]
-		return buildUop(p, d.in, lanes, banks[d.orig], d.orig)
-	}
-
-	var regions []keptRegion
-	if lanes == 4 {
-		regions = affineRegions(kept, keptAt, loops, decode)
-	}
-	inRegion := make([]bool, len(kept))
-	for _, r := range regions {
-		for ki := r.start; ki < r.end; ki++ {
-			inRegion[ki] = true
-		}
-	}
-
-	// Block leaders: entry, branch targets, and branch successors, for
-	// the branches a region did not collapse.
-	leader := make([]bool, len(kept))
-	leader[0] = true
-	for ki, d := range kept {
-		if inRegion[ki] {
-			continue
-		}
-		switch d.in.Op {
-		case asm.OpB, asm.OpBne:
-			t, ok := p.LabelIndex(d.in.Label)
-			if !ok {
-				return nil, fmt.Errorf("compile: %s: undefined label %q", p.Name, d.in.Label)
-			}
-			if keptAt[t] >= len(kept) {
-				return nil, fmt.Errorf("compile: %s: label %q has no executable successor", p.Name, d.in.Label)
-			}
-			leader[keptAt[t]] = true
-			if ki+1 < len(kept) {
-				leader[ki+1] = true
-			}
-		case asm.OpRet:
-			if ki+1 < len(kept) {
-				leader[ki+1] = true
-			}
-		}
-	}
-	blockOf := make([]int, len(kept))
-	nblocks := 0
-	for ki := range kept {
-		if leader[ki] {
-			nblocks++
-		}
-		blockOf[ki] = nblocks - 1
-	}
-
-	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds, ops: make([]op, 0, nblocks)}
-	var body []uop
-	var aff []*region
-	flush := func(term *decoded, fallBlock int) error {
-		c := lowerBlock(body, aff)
-		cp.fmlas += countFmla(body)
-		for _, r := range aff {
-			cp.fmlas += r.fmlas
-			cp.affineFmlas += r.fmlas
-		}
-		body, aff = body[:0], nil
-		if term == nil { // fallthrough into the next block
-			return appendBlock(cp, c, termFall, fallBlock, 0)
-		}
-		switch term.in.Op {
-		case asm.OpRet:
-			return appendBlock(cp, c, termRet, 0, 0)
-		case asm.OpB, asm.OpBne:
-			t, _ := p.LabelIndex(term.in.Label)
-			taken := blockOf[keptAt[t]]
-			kind := uint8(termB)
-			if term.in.Op == asm.OpBne {
-				kind = termBne
-			}
-			return appendBlock(cp, c, kind, fallBlock, taken)
-		}
-		return fmt.Errorf("compile: %s: bad terminator %s", p.Name, term.in.Op)
-	}
-
-	for ki := 0; ki < len(kept); ki++ {
-		d := kept[ki]
-		if len(regions) > 0 && regions[0].start == ki {
-			body = append(body, uop{kind: uAffine4, a: int32(len(aff))})
-			aff = append(aff, regions[0].r)
-			ki = regions[0].end - 1
-			regions = regions[1:]
-		} else {
-			switch d.in.Op {
-			case asm.OpB, asm.OpBne, asm.OpRet:
-				if err := flush(&d, blockOf[ki]+1); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			u, emitted, err := decode(ki)
+			u, err := decode(p, i, lanes, rep.Accesses[i])
 			if err != nil {
 				return nil, err
 			}
-			if emitted {
-				body = append(body, u)
-			}
-		}
-		if ki+1 < len(kept) && leader[ki+1] {
-			if err := flush(nil, blockOf[ki+1]); err != nil {
-				return nil, err
-			}
+			ops = append(ops, u)
 		}
 	}
-	if len(body) > 0 {
-		return nil, fmt.Errorf("compile: %s: fell off the end without ret", p.Name)
+	if !ret {
+		return nil, fmt.Errorf("compile: %s: falls off the end without ret", p.Name)
 	}
+
+	cp.fmlas = countFmla(ops)
+	var regions []keptRegion
+	if lanes == 4 {
+		regions = affineRegions(ops, loops)
+	}
+	var body []uop
+	var aff []*region
+	flush := func(trips int64) {
+		if len(body) > 0 {
+			c := code{aff: aff}
+			c.body, c.fm = fuseFmla(body)
+			cp.segs = append(cp.segs, segment{code: c, trips: trips})
+		}
+		body, aff = nil, nil
+	}
+	for i := 0; i < len(ops); {
+		switch {
+		case len(regions) > 0 && regions[0].start == i:
+			r := regions[0]
+			body = append(body, uop{kind: uAffine4, a: int32(len(aff))})
+			aff = append(aff, r.r)
+			cp.affineFmlas += r.r.fmlas
+			i, regions = r.end, regions[1:]
+		case len(loops) > 0 && loops[0].lo == i:
+			l := loops[0]
+			flush(1)
+			body = ops[l.lo:l.hi]
+			flush(l.trips)
+			i = l.hi
+		default:
+			body = append(body, ops[i])
+			i++
+		}
+		for len(loops) > 0 && loops[0].lo < i {
+			loops = loops[1:] // run, or collapsed into a region
+		}
+	}
+	flush(1)
 	return cp, nil
 }
 
-// decoded is one kept instruction and its index in the program.
-type decoded struct {
-	orig int
-	in   *asm.Instr
+// span is a counted loop: micro-ops [lo, hi) run trips times.
+type span struct {
+	lo, hi int
+	trips  int64
 }
 
-// keptRegion is a proven affine region over kept instructions
-// [start, end).
+// keptRegion is a proven affine region over micro-ops [start, end).
 type keptRegion struct {
 	start, end int
 	r          *region
 }
 
-// affineRegions cuts a 4-lane program into store-free regions and
-// returns those buildRegion proves, in program order. A region never
-// holds a store, a return or an unconditional branch. It holds a
-// counted loop only whole: a loop whose body holds a store, or whose
-// trip count the analyzer did not prove, cuts at its latch and starts a
-// new region at its head.
-func affineRegions(kept []decoded, keptAt []int, loops []analysis.Loop, decode func(int) (uop, bool, error)) []keptRegion {
-	cut := make([]bool, len(kept))
-	brk := make([]bool, len(kept))
-	trips := make([]int64, len(kept)) // first body instr of a collapsible loop -> trips
-	for ki, d := range kept {
-		switch d.in.Op {
-		case asm.OpStrQ, asm.OpStrQPost, asm.OpSt1W, asm.OpRet, asm.OpB, asm.OpBne:
-			cut[ki] = true
-		}
+// affineRegions cuts a 4-lane program's micro-ops into store-free
+// regions and returns those buildRegion proves, in program order. A
+// region holds a counted loop only whole; a loop whose body holds a
+// store cuts regions at its ends and keeps its body out of them.
+func affineRegions(ops []uop, loops []span) []keptRegion {
+	cut := make([]bool, len(ops))
+	for i, u := range ops {
+		cut[i] = u.kind == uStore4 || u.kind == uStoreN
 	}
+	inner := loops[:0:0]
 	for _, l := range loops {
-		lo, latch := keptAt[l.Head], keptAt[l.Latch]
-		ok := l.Trips > 0 && lo < latch && kept[latch].in.Op == asm.OpBne
-		for ki := lo; ok && ki < latch; ki++ {
-			ok = !cut[ki]
+		if !slices.Contains(cut[l.lo:l.hi], true) {
+			inner = append(inner, l)
+			continue
 		}
-		if ok {
-			cut[latch] = false
-			trips[lo] = l.Trips
-		} else if lo < len(kept) {
-			brk[lo] = true
+		for i := l.lo; i < l.hi; i++ {
+			cut[i] = true
 		}
 	}
 
 	var out []keptRegion
-	body := make([]uop, 0, 256)
 	var spans []span
 	sc := new(buffers)
-	for s := 0; s < len(kept); {
+	for s := 0; s < len(ops); {
 		if cut[s] {
 			s++
 			continue
 		}
 		e := s + 1
-		for e < len(kept) && !cut[e] && !brk[e] {
+		for e < len(ops) && !cut[e] {
 			e++
 		}
-		body, spans = body[:0], spans[:0]
-		ok := true
-		for ki := s; ok && ki < e; ki++ {
-			if trips[ki] > 0 {
-				spans = append(spans, span{lo: len(body), trips: trips[ki]})
-			}
-			if kept[ki].in.Op == asm.OpBne {
-				spans[len(spans)-1].hi = len(body)
-				continue
-			}
-			u, emitted, err := decode(ki)
-			ok = err == nil
-			if emitted {
-				body = append(body, u)
+		spans = spans[:0]
+		for _, l := range inner {
+			if l.lo >= s && l.hi <= e {
+				spans = append(spans, span{lo: l.lo - s, hi: l.hi - s, trips: l.trips})
 			}
 		}
-		if ok && countFmla(body) > 0 {
-			if r := buildRegion(sc, body, spans); r != nil {
+		if countFmla(ops[s:e]) > 0 {
+			if r := buildRegion(sc, ops[s:e], spans); r != nil {
 				out = append(out, keptRegion{start: s, end: e, r: r})
 			}
 		}
 		s = e
 	}
 	return out
-}
-
-// lowerBlock builds one basic block's executable form from its
-// micro-ops and the affine regions its uAffine4 micro-ops name.
-func lowerBlock(body []uop, aff []*region) *code {
-	c := &code{aff: append([]*region(nil), aff...)}
-	c.body, c.fm = fuseFmla(body)
-	for _, r := range aff {
-		c.fuel += r.fuel
-	}
-	return c
 }
 
 func countFmla(uops []uop) int {
@@ -322,307 +237,69 @@ func countFmla(uops []uop) int {
 	return n
 }
 
-// Block terminator kinds.
-const (
-	termFall = uint8(iota)
-	termB
-	termBne
-	termRet
-)
-
-// appendBlock emits the closure for one basic block. The closure runs
-// the block's micro-ops through the shared executor, then resolves the
-// successor; loop fuel is charged on taken branches only, those of the
-// block's collapsed loops included.
-func appendBlock(cp *Program, c *code, term uint8, next, taken int) error {
-	switch term {
-	case termFall:
-		nx := next
-		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, c)
-			return nx
-		})
-	case termRet:
-		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, c)
-			return haltRet
-		})
-	case termB:
-		tgt := taken
-		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, c)
-			e.fuel--
-			if e.fuel < 0 {
-				return haltFuel
-			}
-			return tgt
-		})
-	case termBne:
-		nx, tgt := next, taken
-		cp.ops = append(cp.ops, func(e *Env) int {
-			execUops(e, c)
-			if e.z {
-				return nx
-			}
-			e.fuel--
-			if e.fuel < 0 {
-				return haltFuel
-			}
-			return tgt
-		})
-	default:
-		return fmt.Errorf("compile: %s: unknown terminator %d", cp.Name, term)
-	}
-	// A block holding collapsed loops charges their taken branches up
-	// front, so a run out of fuel stops before the block does any work.
-	if cost := c.fuel; cost > 0 {
-		run := cp.ops[len(cp.ops)-1]
-		cp.ops[len(cp.ops)-1] = func(e *Env) int {
-			e.fuel -= cost
-			if e.fuel < 0 {
-				return haltFuel
-			}
-			return run(e)
-		}
-	}
-	return nil
-}
-
-// predIdx returns the predicate register number of r.
-func predIdx(r asm.Reg) int { return int(r) - asm.NumScalarRegs - asm.NumVectorRegs }
-
-// validOperands rejects operand classes the decoder cannot represent.
-// The executor addresses the register files through raw pointers, so
-// every register number must be proven in range here, at translate time
-// — a NoReg or misclassified operand must never reach a flat offset.
-func validOperands(p *asm.Program, in *asm.Instr, lanes, idx int) error {
-	bad := func(what string, r asm.Reg) error {
-		return fmt.Errorf("compile: %s: instr %d (%s): %s operand %s", p.Name, idx, in.Op, what, r)
-	}
-	scalar := func(r asm.Reg) error {
-		if !r.IsScalar() {
-			return bad("non-scalar", r)
-		}
-		return nil
-	}
+// decode builds the micro-op of instruction idx, a vector memory or
+// arithmetic op. The executor addresses the register files through raw
+// pointers, so every register number is proven in range here, at
+// translate time — a NoReg or misclassified operand must never reach a
+// flat offset. A memory op takes its panel position from the analyzer's
+// Access; one whose active lanes are unproven is refused.
+func decode(p *asm.Program, idx, lanes int, at analysis.Access) (uop, error) {
+	in := &p.Instrs[idx]
+	u := uop{lanes: int32(lanes)}
 	vector := func(r asm.Reg) error {
 		if !r.IsVector() {
-			return bad("non-vector", r)
+			return fmt.Errorf("compile: %s: instr %d (%s): non-vector operand %s", p.Name, idx, in.Op, r)
 		}
 		return nil
 	}
-	pred := func(r asm.Reg) error {
-		if !r.IsPred() {
-			return bad("non-predicate", r)
-		}
-		return nil
+	if err := vector(in.Dst); err != nil {
+		return u, err
 	}
-	base := func(r asm.Reg) error {
-		if !r.IsScalar() || r == asm.XZR {
-			return bad("unaddressable base", r)
-		}
-		return nil
-	}
+	u.d = int32(in.Dst.Index() * lanes)
+	four := lanes == 4
 	switch in.Op {
-	case asm.OpMovI:
-		return scalar(in.Dst)
-	case asm.OpMov, asm.OpLsl, asm.OpAddI, asm.OpSubI, asm.OpSubs:
-		if err := scalar(in.Dst); err != nil {
-			return err
-		}
-		return scalar(in.Src1)
-	case asm.OpAdd:
-		if err := scalar(in.Dst); err != nil {
-			return err
-		}
-		if err := scalar(in.Src1); err != nil {
-			return err
-		}
-		return scalar(in.Src2)
-	case asm.OpLdrQ, asm.OpLdrQPost, asm.OpStrQ, asm.OpStrQPost:
-		if err := vector(in.Dst); err != nil {
-			return err
-		}
-		return base(in.Src1)
 	case asm.OpFmla:
-		if err := vector(in.Dst); err != nil {
-			return err
-		}
 		if err := vector(in.Src1); err != nil {
-			return err
+			return u, err
 		}
 		if err := vector(in.Src2); err != nil {
-			return err
+			return u, err
 		}
 		if int(in.Lane) >= lanes {
-			return fmt.Errorf("compile: %s: instr %d: FMLA lane %d ≥ σ_lane %d", p.Name, idx, in.Lane, lanes)
+			return u, fmt.Errorf("compile: %s: instr %d: FMLA lane %d ≥ σ_lane %d", p.Name, idx, in.Lane, lanes)
 		}
-		return nil
-	case asm.OpVZero:
-		return vector(in.Dst)
-	case asm.OpWhilelt:
-		if err := pred(in.Dst); err != nil {
-			return err
-		}
-		if err := scalar(in.Src1); err != nil {
-			return err
-		}
-		return scalar(in.Src2)
-	case asm.OpPTrue:
-		return pred(in.Dst)
-	case asm.OpLd1W, asm.OpSt1W:
-		if err := vector(in.Dst); err != nil {
-			return err
-		}
-		if err := base(in.Src1); err != nil {
-			return err
-		}
-		return pred(in.Src2)
-	}
-	return nil
-}
-
-// buildUop decodes one non-terminator instruction. emitted is false for
-// instructions with no architectural effect (writes to XZR).
-func buildUop(p *asm.Program, in *asm.Instr, lanes int, bank int8, idx int) (uop, bool, error) {
-	u := uop{imm: in.Imm, lanes: int32(lanes)}
-	if err := validOperands(p, in, lanes, idx); err != nil {
-		return u, false, err
-	}
-	discard := in.Dst == asm.XZR
-	switch in.Op {
-	case asm.OpMov:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d, u.a = uMov, int32(in.Dst.Index()), int32(in.Src1.Index())
-	case asm.OpMovI:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d = uMovI, int32(in.Dst.Index())
-	case asm.OpLsl:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d, u.a = uLsl, int32(in.Dst.Index()), int32(in.Src1.Index())
-	case asm.OpAdd:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d, u.a, u.b = uAdd, int32(in.Dst.Index()), int32(in.Src1.Index()), int32(in.Src2.Index())
-	case asm.OpAddI:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d, u.a = uAddI, int32(in.Dst.Index()), int32(in.Src1.Index())
-	case asm.OpSubI:
-		if discard {
-			return u, false, nil
-		}
-		u.kind, u.d, u.a = uSubI, int32(in.Dst.Index()), int32(in.Src1.Index())
-	case asm.OpSubs:
-		if discard { // CMP form: flags only
-			u.kind, u.a = uCmpI, int32(in.Src1.Index())
-		} else {
-			u.kind, u.d, u.a = uSubs, int32(in.Dst.Index()), int32(in.Src1.Index())
-		}
-	case asm.OpLdrQ, asm.OpLdrQPost:
-		bk, err := bankOf(p, in, bank, idx)
-		if err != nil {
-			return u, false, err
-		}
-		u.bank = uint8(bk)
-		u.d = int32(in.Dst.Index() * lanes)
-		u.a = int32(in.Src1.Index())
-		if in.Src1 == asm.XZR {
-			return u, false, fmt.Errorf("compile: %s: instr %d: XZR base", p.Name, idx)
-		}
-		post := in.Op == asm.OpLdrQPost
-		switch {
-		case lanes == 4 && post:
-			u.kind = uLdrQPost4
-		case lanes == 4:
-			u.kind = uLdrQ4
-		case post:
-			u.kind = uLdrQPostN
-		default:
-			u.kind = uLdrQN
-		}
-	case asm.OpStrQ, asm.OpStrQPost:
-		bk, err := bankOf(p, in, bank, idx)
-		if err != nil {
-			return u, false, err
-		}
-		u.bank = uint8(bk)
-		u.d = int32(in.Dst.Index() * lanes)
-		u.a = int32(in.Src1.Index())
-		if in.Src1 == asm.XZR {
-			return u, false, fmt.Errorf("compile: %s: instr %d: XZR base", p.Name, idx)
-		}
-		post := in.Op == asm.OpStrQPost
-		switch {
-		case lanes == 4 && post:
-			u.kind = uStrQPost4
-		case lanes == 4:
-			u.kind = uStrQ4
-		case post:
-			u.kind = uStrQPostN
-		default:
-			u.kind = uStrQN
-		}
-	case asm.OpFmla:
-		u.d = int32(in.Dst.Index() * lanes)
 		u.a = int32(in.Src1.Index() * lanes)
 		u.b = int32(in.Src2.Index()*lanes + int(in.Lane))
-		if lanes == 4 {
-			u.kind = uFmla4
-		} else {
-			u.kind = uFmlaN
-		}
+		u.kind = pick(four, uFmla4, uFmlaN)
+		return u, nil
 	case asm.OpVZero:
-		u.d = int32(in.Dst.Index() * lanes)
-		if lanes == 4 {
-			u.kind = uVZero4
-		} else {
-			u.kind = uVZeroN
-		}
-	case asm.OpWhilelt:
-		u.kind = uWhilelt
-		u.d = int32(predIdx(in.Dst) * lanes)
-		u.a = int32(in.Src1.Index())
-		u.b = int32(in.Src2.Index())
-	case asm.OpPTrue:
-		u.kind = uPTrue
-		u.d = int32(predIdx(in.Dst) * lanes)
-	case asm.OpLd1W, asm.OpSt1W:
-		bk, err := bankOf(p, in, bank, idx)
-		if err != nil {
-			return u, false, err
-		}
-		u.bank = uint8(bk)
-		u.d = int32(in.Dst.Index() * lanes)
-		u.a = int32(in.Src1.Index())
-		u.b = int32(predIdx(in.Src2) * lanes)
-		if in.Op == asm.OpLd1W {
-			u.kind = uLd1W
-		} else {
-			u.kind = uSt1W
-		}
-	default:
-		return u, false, fmt.Errorf("compile: %s: instr %d: unsupported op %s", p.Name, idx, in.Op)
+		u.kind = pick(four, uVZero4, uVZeroN)
+		return u, nil
 	}
-	return u, true, nil
+	// A memory op: the 4-lane specialization moves a full NEON vector.
+	four = four && at.Lanes == 4
+	switch in.Op {
+	case asm.OpLdrQ, asm.OpLdrQPost, asm.OpLd1W:
+		u.kind = pick(four, uLoad4, uLoadN)
+	case asm.OpStrQ, asm.OpStrQPost, asm.OpSt1W:
+		u.kind = pick(four, uStore4, uStoreN)
+	default:
+		return u, fmt.Errorf("compile: %s: instr %d: unsupported op %s", p.Name, idx, in.Op)
+	}
+	if at.Bank < analysis.BankA || at.Bank > analysis.BankC {
+		return u, fmt.Errorf("%w: %s: instr %d (%s): memory access not panel-classified", ErrUnproven, p.Name, idx, in.Op)
+	}
+	if at.Lanes < 1 || int(at.Lanes) > lanes {
+		return u, fmt.Errorf("%w: %s: instr %d (%s): active lanes not proven", ErrUnproven, p.Name, idx, in.Op)
+	}
+	u.bank, u.lanes = uint8(at.Bank), int32(at.Lanes)
+	u.row, u.col, u.drow, u.dcol = at.Row, at.Col, at.DRow, at.DCol
+	return u, nil
 }
 
-// bankOf validates that the analyzer classified this memory instruction
-// to an operand panel. A BankNone memory op means the instruction was
-// never reached by the symbolic walk — with BoundsComplete that can only
-// be dead code, which the generators don't emit; refuse rather than
-// guess.
-func bankOf(p *asm.Program, in *asm.Instr, bank int8, idx int) (int, error) {
-	if bank < 0 || bank > 2 {
-		return 0, fmt.Errorf("compile: %s: instr %d (%s): memory access not panel-classified", p.Name, idx, in.Op)
+func pick(four bool, k4, kn uint8) uint8 {
+	if four {
+		return k4
 	}
-	return int(bank), nil
+	return kn
 }

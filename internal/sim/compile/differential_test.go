@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -15,7 +16,7 @@ import (
 )
 
 // The differential suite runs kernels through both backends — the
-// checked interpreter (sim.Machine) and the closure-threaded compiled
+// checked interpreter (sim.Machine) and the compiled static-schedule
 // form — on identical random operands and demands bit-identical C
 // panels. It mirrors mkernel's analyzer differential (sampled per
 // chip/tile) so every kernel class the generator emits is covered:
@@ -251,9 +252,10 @@ func TestCacheCompiled(t *testing.T) {
 }
 
 // TestLoopFuel pins loop fuel on generated kernels, whose counted loops
-// the affine regions collapse (or, at σ = 16, run block by block): a
+// the affine regions collapse (or, at σ = 16, run as loop segments): a
 // run whose fuel is the kernel's total taken branches, Σ(trips − 1)
-// over its loops, succeeds, and one with a branch less fails.
+// over its loops, succeeds, and one with a branch less fails before it
+// does any work.
 func TestLoopFuel(t *testing.T) {
 	specs := []mkernel.Spec{
 		mkernel.Config{Tile: mkernel.Tile{MR: 4, NR: 8}, KC: 64, Lanes: 4, Rotate: true, LoadC: true},
@@ -300,6 +302,86 @@ func TestLoopFuel(t *testing.T) {
 		err = cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, taken-1)
 		if err == nil || !strings.Contains(err.Error(), "exceeded") || !strings.Contains(err.Error(), "loop iterations") {
 			t.Errorf("%s: fuel %d: got %v, want the exceeded-loop-iterations error", s.Key(), taken-1, err)
+		}
+	}
+}
+
+// TestUnprovenLoops checks the refusals the analyzer owns: loops whose
+// address registers do not move by one fixed step every trip, and a
+// predicated access whose active lanes no constant WHILELT or PTRUE
+// proves. Each program is otherwise clean, so Compile's ErrUnproven
+// comes from the bounds proof, and the program stays on the
+// interpreter.
+func TestUnprovenLoops(t *testing.T) {
+	// kernel builds C row 0 += A·B over one accumulator, with body as
+	// a counted loop of trips after the operand loads.
+	kernel := func(p *asm.Program, trips int64, pre, body func()) {
+		pre()
+		p.LdrQ(asm.V(0), asm.X(2), 0)
+		p.LdrQ(asm.V(1), asm.X(0), 0)
+		p.LdrQ(asm.V(2), asm.X(1), 0)
+		p.MovI(asm.X(29), trips)
+		p.Label("loop")
+		p.Fmla(asm.V(0), asm.V(2), asm.V(1), 0)
+		body()
+		p.Subs(asm.X(29), asm.X(29), 1)
+		p.Bne("loop")
+		p.StrQ(asm.V(0), asm.X(2), 0)
+		p.Ret()
+	}
+	cases := []struct {
+		name     string
+		lanes    int
+		build    func(p *asm.Program)
+		complete bool // the bounds pass completes, and compile refuses
+	}{
+		// x6 trails x1 by one trip: it moves 0 on trip 0 and 16 on
+		// trip 1, so the B load through it has no fixed step.
+		{"trip-1-mismatch", 4, func(p *asm.Program) {
+			kernel(p, 3, func() { p.Mov(asm.X(6), asm.X(1)) }, func() {
+				p.LdrQ(asm.V(2), asm.X(6), 0)
+				p.Mov(asm.X(6), asm.X(1))
+				p.AddI(asm.X(1), asm.X(1), 16)
+			})
+		}, false},
+		// x6 doubles every trip: B at 16, then 32 bytes.
+		{"loop-not-affine", 4, func(p *asm.Program) {
+			kernel(p, 2, func() { p.MovI(asm.X(6), 16) }, func() {
+				p.Add(asm.X(7), asm.X(1), asm.X(6))
+				p.LdrQ(asm.V(2), asm.X(7), 0)
+				p.Add(asm.X(6), asm.X(6), asm.X(6))
+			})
+		}, false},
+		// The predicate's limit is ldb, an argument: its active lanes
+		// are unknown, so the loads are proven for a full vector but
+		// cannot be run as any fixed number of lanes.
+		{"whilelt-not-constant", 16, func(p *asm.Program) {
+			p.MovI(asm.X(9), 0)
+			p.Whilelt(asm.P(1), asm.X(9), asm.X(4))
+			p.Ld1W(asm.V(0), asm.P(1), asm.X(2), 0)
+			p.Ld1W(asm.V(1), asm.P(1), asm.X(0), 0)
+			p.Ld1W(asm.V(2), asm.P(1), asm.X(1), 0)
+			p.Fmla(asm.V(0), asm.V(2), asm.V(1), 0)
+			p.St1W(asm.V(0), asm.P(1), asm.X(2), 0)
+			p.Ret()
+		}, true},
+	}
+	for _, c := range cases {
+		p := asm.NewProgram(c.name)
+		c.build(p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		bounds := analysis.Bounds{MR: 2, NR: 16, KC: 4, Lanes: c.lanes, AOverVectors: 1, BOverRows: 2}
+		rep, err := analysis.Analyze(p, analysis.Options{Bounds: &bounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() || rep.BoundsComplete != c.complete {
+			t.Fatalf("%s: complete %v, want %v; findings:\n%s", c.name, rep.BoundsComplete, c.complete, rep)
+		}
+		if _, err := compile.Compile(p, compile.Options{Lanes: c.lanes, Bounds: bounds}); !errors.Is(err, compile.ErrUnproven) {
+			t.Errorf("%s: Compile returned %v, want ErrUnproven", c.name, err)
 		}
 	}
 }

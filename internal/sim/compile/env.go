@@ -1,16 +1,21 @@
-// Package compile lowers validated asm programs into directly executable
-// Go closure-threaded code, replacing sim.Machine.Run's per-instruction
+// Package compile lowers validated asm programs into a static schedule
+// of pre-decoded micro-ops, replacing sim.Machine.Run's per-instruction
 // switch on the GEMM hot path.
 //
 // The contract with the analyzer (internal/asm/analysis) is what makes
-// the lowering more than a dispatch trick: Compile only succeeds when the
-// symbolic bounds pass proved every load and store of the program stays
-// inside the affine panel model and 4-byte aligned
-// (Report.BoundsComplete), and classified each access to exactly one
-// operand panel (Report.AccessBanks). Under that proof the compiled form validates the panel extents once per invocation
-// (Precheck) and executes with no per-access checkAddr at all. Programs
-// the analyzer cannot prove stay on the checked interpreter — Compile
-// fails with ErrUnproven, it never guesses.
+// the lowering more than a dispatch trick. Compile only succeeds when
+// the symbolic bounds pass proved every load and store of the program
+// stays inside the affine panel model and 4-byte aligned, and every loop
+// runs an exact trip count (Report.BoundsComplete). The pass also
+// records where each access lands (Report.Accesses): its operand panel,
+// active lanes, trip-0 row and column, and per-trip step. So the
+// compiled form holds no scalar registers, flags or predicates and no
+// branches: it is a list of segments, each a body run a fixed number of
+// trips, whose memory ops carry their panel positions. Run validates the
+// panel extents once per invocation (Precheck) and executes with no
+// per-access checkAddr at all. Programs the analyzer cannot prove stay on
+// the checked interpreter — Compile fails with ErrUnproven, it never
+// guesses.
 package compile
 
 import (
@@ -34,47 +39,30 @@ var ErrUnproven = errors.New("compile: bounds not proven")
 // will either succeed on a laxer layout or report the real fault).
 var ErrBounds = errors.New("compile: operands fail panel precheck")
 
-// Dispatch halt codes returned by ops instead of a next pc.
-const (
-	haltRet  = -1
-	haltFuel = -2
-)
-
-// op executes one basic block against the environment and returns the
-// next block index, or a negative halt code.
-type op func(e *Env) int
-
-// Env is the mutable execution state: the register files and the three
-// operand banks. It is reusable across Run calls — compiled programs are
-// self-initializing (the analyzer's use-before-def pass guarantees every
-// register is written before it is read), so no reset is needed — and a
-// worker typically keeps one Env per goroutine.
+// Env is the mutable execution state: the vector register file and the
+// three operand panels. It is reusable across Run calls — compiled
+// programs are self-initializing (the analyzer's use-before-def pass
+// guarantees every register is written before it is read), so no reset
+// is needed — and a worker typically keeps one Env per goroutine.
 //
-// The register files are fixed arrays (stride = the program's σ_lane)
-// rather than per-register slices so closures index flat storage with
-// captured constant offsets.
+// The vector file is a fixed array (stride = the program's σ_lane)
+// rather than per-register slices so micro-ops index flat storage with
+// pre-computed offsets.
 type Env struct {
-	x     [asm.NumScalarRegs]int64
 	v     [asm.NumVectorRegs * MaxLanes]float32
-	p     [asm.NumPredRegs * MaxLanes]bool
-	z     bool
-	fuel  int
 	lanes int
-	banks [3][]float32 // A, B, C operand panels for the current Run
 
-	// Raw base pointers used by the micro-op executor. vp points at v
-	// (register indices are validated at translate time); bank holds the
-	// operand panel bases for the current Run, covered by the analyzer's
-	// bounds proof plus Precheck. banks keeps the slices live for the GC
-	// while the executor addresses through bank.
+	// vp points at v (register indices are validated at translate time).
+	// base and ld are each operand panel's base (its slice at the panel
+	// offset) and leading dimension, in bytes, for the current Run; the
+	// accesses through them are covered by the analyzer's bounds proof
+	// plus Precheck, and base keeps the slices live for the GC.
 	vp   unsafe.Pointer
-	pp   unsafe.Pointer
-	bank [3]unsafe.Pointer
+	base [3]unsafe.Pointer
+	ld   [3]int64
 
-	// Working state of the affine regions (execRegion): the region's forms
-	// evaluated at entry, and the strided loop being run.
-	vals [maxForms]int64
-	grp  affineGroup
+	// grp is the strided loop an affine region is running (execRegion).
+	grp affineGroup
 }
 
 // NewEnv builds an environment for σ_lane-wide programs.
@@ -84,25 +72,32 @@ func NewEnv(lanes int) *Env {
 	}
 	e := &Env{lanes: lanes}
 	e.vp = unsafe.Pointer(&e.v[0])
-	e.pp = unsafe.Pointer(&e.p[0])
 	return e
 }
 
 // Lanes returns the vector width the environment was built for.
 func (e *Env) Lanes() int { return e.lanes }
 
-// Program is a compiled kernel: one closure per basic block with
-// pre-resolved successor blocks (labels, nops and prefetches are
-// compacted away).
+// Program is a compiled kernel: its static schedule, a list of segments
+// run in order.
 type Program struct {
 	Name   string
 	Lanes  int
 	Bounds analysis.Bounds
-	ops    []op
+	segs   []segment
 
+	// iters is the program's taken loop branches, Σ(trips − 1) over its
+	// loops: what Run charges against maxLoopIters.
+	iters int
 	// Static FMLA counts: all of them, and those in affine regions.
 	fmlas, affineFmlas int
-	dbg                []*code
+}
+
+// segment is a body of micro-ops run trips times; memory ops address
+// trip t of their access.
+type segment struct {
+	code
+	trips int64
 }
 
 // Precheck validates the once-per-invocation panel extents that replace
@@ -138,10 +133,9 @@ func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ld
 }
 
 // Run executes the compiled program over the three operand slices.
-// Offsets and leading dimensions are in float32 elements; the kernel's
-// own LSL-2 arithmetic sees byte addresses exactly as the interpreter
-// does. maxLoopIters bounds taken loop branches — a backstop against
-// translator bugs, charged only on taken branches, not per instruction.
+// Offsets and leading dimensions are in float32 elements. maxLoopIters
+// bounds taken loop branches — a backstop against translator bugs,
+// checked once against the program's static count before any work.
 //
 // The operand slices must not be reallocated for the duration of the
 // call; when they alias a sim.Arena, the arena must be frozen first
@@ -153,28 +147,25 @@ func (cp *Program) Run(e *Env, a, b, c []float32, aOff, bOff, cOff, lda, ldb, ld
 	if err := cp.Precheck(len(a), len(b), len(c), aOff, bOff, cOff, lda, ldb, ldc); err != nil {
 		return err
 	}
-	e.banks[0], e.banks[1], e.banks[2] = a, b, c
-	e.bank[0] = unsafe.Pointer(unsafe.SliceData(a))
-	e.bank[1] = unsafe.Pointer(unsafe.SliceData(b))
-	e.bank[2] = unsafe.Pointer(unsafe.SliceData(c))
-	e.x[0], e.x[1], e.x[2] = aOff*4, bOff*4, cOff*4
-	e.x[3], e.x[4], e.x[5] = lda, ldb, ldc
-	e.fuel = maxLoopIters
+	if cp.iters > maxLoopIters {
+		return fmt.Errorf("compile: %s: exceeded %d loop iterations", cp.Name, maxLoopIters)
+	}
+	e.base[0] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), aOff*4)
+	e.base[1] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), bOff*4)
+	e.base[2] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(c)), cOff*4)
+	e.ld = [3]int64{lda * 4, ldb * 4, ldc * 4}
 	defer func() {
-		e.banks = [3][]float32{}
-		e.bank = [3]unsafe.Pointer{}
+		e.base = [3]unsafe.Pointer{}
 		e.grp = affineGroup{}
 		if r := recover(); r != nil {
 			err = fmt.Errorf("compile: %s: runtime fault (elision proof violated?): %v", cp.Name, r)
 		}
 	}()
-	pc := 0
-	ops := cp.ops
-	for pc >= 0 {
-		pc = ops[pc](e)
-	}
-	if pc == haltFuel {
-		return fmt.Errorf("compile: %s: exceeded %d loop iterations", cp.Name, maxLoopIters)
+	for i := range cp.segs {
+		s := &cp.segs[i]
+		for t := int64(0); t < s.trips; t++ {
+			execUops(e, &s.code, t)
+		}
 	}
 	return nil
 }

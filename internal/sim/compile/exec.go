@@ -2,62 +2,61 @@ package compile
 
 import "unsafe"
 
-// Micro-ops: the pre-decoded straight-line form basic-block closures
-// execute. Operand fields are flat indices into the Env register files
-// (vector and predicate indices are pre-multiplied by σ_lane), memory
-// kinds carry their proven operand bank, and the 4-lane NEON cases are
-// specialized so the hot path is straight stores with no inner loop.
+// Micro-ops: the pre-decoded form segments execute. Operand fields are
+// flat indices into the vector file (pre-multiplied by σ_lane), memory
+// kinds carry their proven operand bank and panel position, and the
+// 4-lane NEON cases are specialized so the hot path is straight stores
+// with no inner loop.
 //
-// The executor addresses the register files and operand banks through
-// raw pointers (unsafe.Add) rather than checked slice indexing. That is
-// not an optimization taken on faith — it is the point of the package:
+// The executor addresses the vector file and operand panels through raw
+// pointers (unsafe.Add) rather than checked slice indexing. That is not
+// an optimization taken on faith — it is the point of the package:
 //   - register-file offsets are validated once at translate time
-//     (validOperands) against the architectural register classes;
-//   - bank offsets are covered by the analyzer's affine bounds and
+//     (decode) against the architectural register classes;
+//   - panel offsets are covered by the analyzer's affine bounds and
 //     alignment proof (Compile refuses anything unproven) combined with
 //     Run's Precheck of the concrete panel extents.
 //
 // The interpreter (sim.Machine) remains the checked reference; the
 // differential suite and fuzz target hold the two bit-identical.
 const (
-	uMov = uint8(iota)
-	uMovI
-	uLsl
-	uAdd
-	uAddI
-	uSubI
-	uSubs
-	uCmpI // SUBS with XZR destination: flags only
-	uLdrQ4
-	uLdrQPost4
-	uLdrQN
-	uLdrQPostN
-	uStrQ4
-	uStrQPost4
-	uStrQN
-	uStrQPostN
+	uLoad4 = uint8(iota)
+	uLoadN
+	uStore4
+	uStoreN
 	uFmla4
 	uFmlaN
 	uVZero4
 	uVZeroN
-	uWhilelt
-	uPTrue
-	uLd1W
-	uSt1W
-	uFmlaRun4 // [a,b) of the block's fmla table, 4-lane specialization
+	uFmlaRun4 // [a,b) of the segment's fmla table, 4-lane specialization
 	uFmlaRunN
-	uAffine4 // the block's affine region a (affine.go)
+	uAffine4 // the segment's affine region a (affine.go)
 )
 
+// uop is one micro-op. A memory op moves lanes floats between vector
+// element d and, on trip t of its segment, the bytes at
+// (row + t·drow)·ld + col + t·dcol past the base of panel bank: the
+// analyzer's Access for the instruction. A load zeroes the lanes past
+// lanes (SVE's zeroing predicated load); a store leaves them alone.
 type uop struct {
-	kind  uint8
-	bank  uint8
-	d     int32 // destination byte offset (register files) or index
-	a     int32 // first source offset/index
-	b     int32 // second source offset/index
-	lanes int32
-	imm   int64
+	kind                 uint8
+	bank                 uint8
+	d                    int32 // destination or data element offset, or a table index
+	a                    int32 // first source offset or table index
+	b                    int32 // second source offset or table index
+	lanes                int32
+	row, col, drow, dcol int32
 }
+
+// at returns the byte offset a memory op addresses on trip t, past its
+// panel's base.
+func (u *uop) at(e *Env, t int64) int64 {
+	return (int64(u.row)+t*int64(u.drow))*e.ld[u.bank] + int64(u.col) + t*int64(u.dcol)
+}
+
+// pos returns a memory op's trip-0 position, and step its per-trip step.
+func (u *uop) pos() pos  { return pos{int64(u.row), int64(u.col)} }
+func (u *uop) step() pos { return pos{int64(u.drow), int64(u.dcol)} }
 
 // fmla is one entry of a fused FMLA run: byte offsets into the vector
 // file of the accumulator (d), full-vector multiplicand (a) and
@@ -66,15 +65,13 @@ type fmla struct {
 	d, a, b int32
 }
 
-// code is one basic block's executable form: its micro-ops, the FMLA
-// table its run micro-ops index, the affine regions its uAffine4
-// micro-ops run, and the taken branches those regions' collapsed loops
-// charge to loop fuel.
+// code is one segment's executable form: its micro-ops, the FMLA table
+// its run micro-ops index, and the affine regions its uAffine4 micro-ops
+// run.
 type code struct {
 	body []uop
 	fm   []fmla
 	aff  []*region
-	fuel int
 }
 
 // fuseFmla rewrites runs of ≥2 consecutive FMLA micro-ops into a single
@@ -122,9 +119,9 @@ func vec4(p unsafe.Pointer, off int64) *[4]float32 {
 	return (*[4]float32)(unsafe.Add(p, off))
 }
 
-// execUops interprets one basic block's micro-ops. No per-access bounds
+// execUops runs trip t of one segment's micro-ops. No per-access bounds
 // checks — see the package contract at the top of this file.
-func execUops(e *Env, c *code) {
+func execUops(e *Env, c *code, t int64) {
 	vp := e.vp
 	fm := c.fm
 	for i := range c.body {
@@ -153,20 +150,10 @@ func execUops(e *Env, c *code) {
 				d[2] += a2 * s
 				d[3] += a3 * s
 			}
-		case uLdrQ4:
-			ad := e.x[u.a] + u.imm
-			*vec4(vp, int64(u.d)*4) = *vec4(e.bank[u.bank], ad)
-		case uLdrQPost4:
-			ad := e.x[u.a]
-			e.x[u.a] = ad + u.imm
-			*vec4(vp, int64(u.d)*4) = *vec4(e.bank[u.bank], ad)
-		case uStrQ4:
-			ad := e.x[u.a] + u.imm
-			*vec4(e.bank[u.bank], ad) = *vec4(vp, int64(u.d)*4)
-		case uStrQPost4:
-			ad := e.x[u.a]
-			e.x[u.a] = ad + u.imm
-			*vec4(e.bank[u.bank], ad) = *vec4(vp, int64(u.d)*4)
+		case uLoad4:
+			*vec4(vp, int64(u.d)*4) = *vec4(e.base[u.bank], u.at(e, t))
+		case uStore4:
+			*vec4(e.base[u.bank], u.at(e, t)) = *vec4(vp, int64(u.d)*4)
 		case uFmla4:
 			s := *f32(vp, int64(u.b)*4)
 			d := vec4(vp, int64(u.d)*4)
@@ -177,24 +164,6 @@ func execUops(e *Env, c *code) {
 			d[3] += a[3] * s
 		case uVZero4:
 			*vec4(vp, int64(u.d)*4) = [4]float32{}
-		case uMov:
-			e.x[u.d] = e.x[u.a]
-		case uMovI:
-			e.x[u.d] = u.imm
-		case uLsl:
-			e.x[u.d] = e.x[u.a] << uint64(u.imm)
-		case uAdd:
-			e.x[u.d] = e.x[u.a] + e.x[u.b]
-		case uAddI:
-			e.x[u.d] = e.x[u.a] + u.imm
-		case uSubI:
-			e.x[u.d] = e.x[u.a] - u.imm
-		case uSubs:
-			v := e.x[u.a] - u.imm
-			e.x[u.d] = v
-			e.z = v == 0
-		case uCmpI:
-			e.z = e.x[u.a]-u.imm == 0
 		case uFmlaRunN:
 			ln := int64(u.lanes)
 			for j := u.a; j < u.b; j++ {
@@ -210,81 +179,34 @@ func execUops(e *Env, c *code) {
 			for l := int64(0); l < ln; l++ {
 				*f32(vp, d+l*4) += *f32(vp, a+l*4) * s
 			}
-		case uLdrQN:
-			ad := e.x[u.a] + u.imm
-			ln := int(u.lanes)
-			copy(e.v[u.d:int(u.d)+ln], unsafe.Slice(f32(e.bank[u.bank], ad), ln))
-		case uLdrQPostN:
-			ad := e.x[u.a]
-			e.x[u.a] = ad + u.imm
-			ln := int(u.lanes)
-			copy(e.v[u.d:int(u.d)+ln], unsafe.Slice(f32(e.bank[u.bank], ad), ln))
-		case uStrQN:
-			ad := e.x[u.a] + u.imm
-			ln := int(u.lanes)
-			copy(unsafe.Slice(f32(e.bank[u.bank], ad), ln), e.v[u.d:int(u.d)+ln])
-		case uStrQPostN:
-			ad := e.x[u.a]
-			e.x[u.a] = ad + u.imm
-			ln := int(u.lanes)
-			copy(unsafe.Slice(f32(e.bank[u.bank], ad), ln), e.v[u.d:int(u.d)+ln])
+		case uLoadN:
+			d, n := int(u.d), int(u.lanes)
+			copy(e.v[d:d+n], unsafe.Slice(f32(e.base[u.bank], u.at(e, t)), n))
+			if n < e.lanes {
+				clear(e.v[d+n : d+e.lanes])
+			}
+		case uStoreN:
+			d, n := int(u.d), int(u.lanes)
+			copy(unsafe.Slice(f32(e.base[u.bank], u.at(e, t)), n), e.v[d:d+n])
 		case uVZeroN:
-			d, ln := int(u.d), int(u.lanes)
-			for l := 0; l < ln; l++ {
-				e.v[d+l] = 0
-			}
-		case uWhilelt:
-			idx, limit := e.x[u.a], e.x[u.b]
-			d, ln := int(u.d), int(u.lanes)
-			for l := 0; l < ln; l++ {
-				e.p[d+l] = idx+int64(l) < limit
-			}
-		case uPTrue:
-			d, ln := int(u.d), int(u.lanes)
-			for l := 0; l < ln; l++ {
-				e.p[d+l] = true
-			}
-		case uLd1W:
-			ad := e.x[u.a] + u.imm
-			d, p0, ln := int(u.d), int(u.b), int(u.lanes)
-			for l := 0; l < ln; l++ {
-				if e.p[p0+l] {
-					e.v[d+l] = *f32(e.bank[u.bank], ad+int64(l)*4)
-				} else {
-					e.v[d+l] = 0 // SVE zeroing load
-				}
-			}
-		case uSt1W:
-			ad := e.x[u.a] + u.imm
-			d, p0, ln := int(u.d), int(u.b), int(u.lanes)
-			for l := 0; l < ln; l++ {
-				if e.p[p0+l] {
-					*f32(e.bank[u.bank], ad+int64(l)*4) = e.v[d+l]
-				}
-			}
+			d := int(u.d)
+			clear(e.v[d : d+int(u.lanes)])
 		}
 	}
 }
 
-// execRegion runs one affine region (affine.go): it evaluates the
-// region's forms from the x registers at entry, sets up the
+// execRegion runs one affine region (affine.go): it resolves each
+// group's panel positions against the operand panels, sets up the
 // accumulators, runs the strided loops, and leaves the interpreter's
-// exit state in the register files.
+// exit vector file.
 func execRegion(e *Env, r *region) {
-	vals := &e.vals
-	x := &e.x
-	forms := r.forms
-	for i := range forms {
-		f := &forms[i]
-		vals[uint8(i)] = f.k0*x[f.r0&31] + f.k1*x[f.r1&31]
-	}
 	vp := e.vp
 	g := &e.grp
 	groups := r.groups
 	for i := range groups {
 		rg := &groups[i]
-		g.a = unsafe.Add(e.bank[rg.abank], vals[rg.a.f]+rg.a.off)
-		g.sa, g.n, g.k = vals[rg.sa.f]+rg.sa.off, rg.n, int64(rg.k)
+		g.a, g.sa = e.at(rg.abank, rg.a), rg.sa.bytes(e.ld[rg.abank])
+		g.n, g.k = rg.n, int64(rg.k)
 		for j := 0; j < rg.k; j++ {
 			ac := &rg.acc[j]
 			d := unsafe.Add(vp, ac.d)
@@ -293,10 +215,9 @@ func execRegion(e *Env, r *region) {
 			case verZero:
 				g.s[j] = unsafe.Pointer(&zeroVec)
 			case verLoad:
-				g.s[j] = unsafe.Add(e.bank[ac.ibank], vals[ac.iat.f]+ac.iat.off)
+				g.s[j] = e.at(ac.ibank, ac.iat)
 			}
-			g.b[j] = unsafe.Add(e.bank[ac.bbank], vals[ac.b.f]+ac.b.off)
-			g.sb[j] = vals[ac.sb.f] + ac.sb.off
+			g.b[j], g.sb[j] = e.at(ac.bbank, ac.b), ac.sb.bytes(e.ld[ac.bbank])
 		}
 		runAffine(g)
 	}
@@ -306,15 +227,14 @@ func execRegion(e *Env, r *region) {
 		if s.zero {
 			*vec4(vp, int64(s.d)) = [4]float32{}
 		} else {
-			*vec4(vp, int64(s.d)) = *vec4(e.bank[s.bank], vals[s.at.f]+s.at.off)
+			*vec4(vp, int64(s.d)) = *(*[4]float32)(e.at(s.bank, s.at))
 		}
 	}
-	for _, s := range r.xs {
-		x[s.r&31] = vals[s.at.f] + s.at.off
-	}
-	if r.setZ {
-		e.z = vals[r.z.f]+r.z.off == 0
-	}
+}
+
+// at returns the address of panel position p of bank.
+func (e *Env) at(bank uint8, p pos) unsafe.Pointer {
+	return unsafe.Add(e.base[bank], p.bytes(e.ld[bank]))
 }
 
 // affineGroup is one strided loop with its operands resolved for a run:

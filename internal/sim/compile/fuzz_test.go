@@ -17,11 +17,12 @@ import (
 // bounds-elision contract itself: if Compile succeeds and Precheck
 // accepts the operands, the unchecked compiled run must neither fault
 // nor diverge from the interpreter — on the C panel and on every
-// architectural vector register, bit for bit. (Scalar registers hold
-// arena byte addresses in the interpreter and slice offsets in the
-// compiled form, so they are not comparable.) The vector comparison is
-// where an affine region's bad reload of a register's last load shows
-// first. On amd64 the affine regions' strided loops run through the SSE
+// architectural vector register, bit for bit. (The compiled form has no
+// scalar registers, flags or predicates: the analyzer resolved them into
+// each access's panel position and each loop's trip count, and nothing
+// reads them after RET, so there is nothing to compare.) The vector
+// comparison is where an affine region's bad reload of a register's
+// last load shows first. On amd64 the affine regions' strided loops run through the SSE
 // loop (affine_amd64.s), so this also fuzzes that loop against
 // sim.Machine. The rule is bit equality except where both results are
 // NaN, whose payload neither the SSE loop nor gc's scalar code pins (see
@@ -100,9 +101,10 @@ func FuzzCompileDiff(f *testing.F) {
 	})
 }
 
-// schedSeeds decode into programs that reach the affine region proof's
-// cases (affine.go); bail marks those whose FMLAs it must keep on the
-// fused-run path. Reloading or zeroing an accumulator after its first
+// schedSeeds decode into programs that reach the vector half of the
+// affine region proof (affine.go); bail marks those whose FMLAs it must
+// keep on the fused-run path. The address half is the analyzer's:
+// TestUnprovenLoops. Reloading or zeroing an accumulator after its first
 // FMLA has no seed: with no store between them the analyzer already
 // refuses the program as an accumulator clobber, so affine_test.go
 // covers that rule on micro-ops directly.
@@ -124,6 +126,11 @@ var schedSeeds = []struct {
 	// whose pre-loop load starts the progression, collapsed with the
 	// loop.
 	{"counted-loop", []byte{5, 6, 6, 2, 14, 5, 8, 209, 6, 2, 10, 1}, false},
+	// As counted-loop, but v2 walks B by post-incrementing x15: the
+	// pre-loop load at byte 0, then 16, 32 and 48 on the three trips.
+	{"counted-loop-cols", []byte{5, 6, 11, 4, 14, 5, 8, 209, 11, 4, 10, 1}, false},
+	// As counted-loop-cols, but v2 walks the B rows through x16 += ldb.
+	{"counted-loop-rows", []byte{5, 6, 11, 5, 14, 5, 8, 209, 11, 5, 10, 1}, false},
 	// As counted-loop, but the pre-loop v2 comes from A: trip 0's
 	// multiplicand is not the progression the body carries.
 	{"carried-mismatch", []byte{5, 6, 5, 2, 14, 5, 8, 209, 6, 2, 10, 1}, true},
@@ -163,8 +170,10 @@ func fuzzBounds() analysis.Bounds {
 // buildFuzzProgram decodes bytes into a short program over a
 // conservative vocabulary: scalar arithmetic on x6..x12, vector ops on
 // v0..v7, A/B loads plus C load/store with small immediate offsets
-// derived from the input, and counted loops (MovI / label / Subs / Bne
-// on x14) of one to three trips around the next one to four ops. A
+// derived from the input, B loads through two moving pointers (x15 walks
+// a row one vector per load, x16 walks the rows by ldb), and counted
+// loops (MovI / label / Subs / Bne on x14) of one to three trips around
+// the next one to four ops, so loads in loops step every trip. A
 // prologue zeroes each vector register whose first access is a read, so
 // programs are self-initializing without dead zeroings. Every program
 // ends with Ret and every loop is counted, so all inputs terminate;
@@ -223,7 +232,12 @@ func buildFuzzProgram(data []byte) *asm.Program {
 		case 10:
 			p.StrQ(v(arg), asm.X(2), 0) // C row 0
 		case 11:
-			p.Prfm(asm.X(1), int64(arg%4)*16)
+			if arg%2 == 0 {
+				p.LdrQPost(v(arg>>1), asm.X(15), 16)
+			} else {
+				p.LdrQ(v(arg>>1), asm.X(16), 0)
+				p.Add(asm.X(16), asm.X(16), asm.X(17))
+			}
 		case 12:
 			p.Subs(x(arg), x(arg), int64(arg%4))
 		case 13:
@@ -244,10 +258,14 @@ func buildFuzzProgram(data []byte) *asm.Program {
 	}
 	p.Ret()
 
-	// The prologue only zeroes vector registers: the base registers
-	// x0..x2 stay the unscaled ABI arguments, so addresses remain affine
-	// in the analyzer's panel symbols.
+	// The prologue sets up the moving B pointers and zeroes vector
+	// registers: the base registers x0..x2 stay the unscaled ABI
+	// arguments, so addresses remain affine in the analyzer's panel
+	// symbols.
 	out := asm.NewProgram(p.Name)
+	out.Mov(asm.X(15), asm.X(1))
+	out.Mov(asm.X(16), asm.X(1))
+	out.Lsl(asm.X(17), asm.X(4), 2)
 	var seen [asm.NumVectorRegs]bool
 	for i := range p.Instrs {
 		in := &p.Instrs[i]

@@ -213,10 +213,3 @@ func (tl Tiling) Render(lanes int) string {
 	}
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

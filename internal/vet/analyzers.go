@@ -135,7 +135,7 @@ var UnsafePtr = &Analyzer{
 
 // CtxFirst keeps the context-variant API convention: any exported
 // function or method that takes a context.Context takes it as the first
-// parameter, matching MultiplyContext / SubmitContext / WaitContext.
+// parameter, matching MultiplyContext / SubmitQoS / WaitContext.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "exported functions taking a context.Context take it first",

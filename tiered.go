@@ -34,8 +34,8 @@ import (
 // A failed upgrade (planner error, pool closed, injected fault) only
 // increments a counter: the serving heuristic plan stays in the cache
 // and on the next cold serve the upgrade is retried. Tiered mode is
-// opt-in (WithPlanMode or AUTOGEMM_PLAN_MODE=tiered) — the default
-// engine plans synchronously exactly as before.
+// opt-in (WithPlanMode) — the default engine plans synchronously
+// exactly as before.
 
 // PlanMode selects how an Engine answers a plan-cache miss.
 type PlanMode string
@@ -49,9 +49,8 @@ const (
 	PlanModeTiered PlanMode = "tiered"
 )
 
-// WithPlanMode selects the engine's cold-miss policy. It overrides the
-// AUTOGEMM_PLAN_MODE environment variable; an unknown mode falls back
-// to PlanModeFull.
+// WithPlanMode selects the engine's cold-miss policy; an unknown mode
+// falls back to PlanModeFull.
 func WithPlanMode(mode PlanMode) EngineOption {
 	return func(e *Engine) { e.mode = mode }
 }

@@ -495,33 +495,25 @@ func TestTieredRegistryPersistenceAndNeighborSeed(t *testing.T) {
 	}
 }
 
-// TestPlanModeFromEnv: AUTOGEMM_PLAN_MODE opts a process into tiered
-// planning; WithPlanMode overrides it.
-func TestPlanModeFromEnv(t *testing.T) {
-	t.Setenv("AUTOGEMM_PLAN_MODE", "tiered")
-	eng, err := New("KP920")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.PlanMode() != PlanModeTiered {
-		t.Fatalf("PlanMode = %q, want tiered", eng.PlanMode())
-	}
-	over, err := New("KP920", WithPlanMode(PlanModeFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Close()
-	if over.PlanMode() != PlanModeFull {
-		t.Fatalf("PlanMode = %q, want full (option overrides env)", over.PlanMode())
-	}
-	// Unknown values fall back to full planning.
-	weird, err := New("KP920", WithPlanMode(PlanMode("bogus")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer weird.Close()
-	if weird.PlanMode() != PlanModeFull {
-		t.Fatalf("PlanMode = %q, want full for unknown mode", weird.PlanMode())
+// TestWithPlanMode: an engine plans in full by default, WithPlanMode
+// opts it into tiered planning, and an unknown mode falls back to full
+// planning.
+func TestWithPlanMode(t *testing.T) {
+	for _, c := range []struct {
+		opts []EngineOption
+		want PlanMode
+	}{
+		{nil, PlanModeFull},
+		{[]EngineOption{WithPlanMode(PlanModeTiered)}, PlanModeTiered},
+		{[]EngineOption{WithPlanMode(PlanMode("bogus"))}, PlanModeFull},
+	} {
+		eng, err := New("KP920", c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.PlanMode(); got != c.want {
+			t.Errorf("PlanMode = %q, want %q", got, c.want)
+		}
+		eng.Close()
 	}
 }
