@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"autogemm"
 )
@@ -17,7 +18,8 @@ import (
 // error mapping (ErrorForStatus) is the inverse of autogemm.HTTPStatus,
 // so sentinel identities round-trip the HTTP boundary: a 429 body
 // comes back as an error matching autogemm.ErrAdmission, a 504 as
-// context.DeadlineExceeded.
+// context.DeadlineExceeded, and a 422 as autogemm.ErrBadPlan, or as
+// ErrNonFinite when the result could not be sent.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8097".
 	Base string
@@ -38,7 +40,9 @@ func (c *Client) httpClient() *http.Client {
 // ErrorForStatus reconstructs the engine-side error identity from an
 // HTTP status — the inverse of autogemm.HTTPStatus. The msg (typically
 // the server's error body) is preserved in the message; the returned
-// error matches the corresponding sentinel via errors.Is.
+// error matches the corresponding sentinel via errors.Is. A 422 whose
+// msg starts with ErrNonFinite's text matches ErrNonFinite instead of
+// autogemm.ErrBadPlan.
 func ErrorForStatus(status int, msg string) error {
 	switch status {
 	case http.StatusOK:
@@ -50,6 +54,9 @@ func ErrorForStatus(status int, msg string) error {
 	case StatusClientClosedRequest:
 		return fmt.Errorf("serve: %s: %w", msg, context.Canceled)
 	case http.StatusUnprocessableEntity:
+		if rest, ok := strings.CutPrefix(msg, ErrNonFinite.Error()); ok {
+			return fmt.Errorf("%w%s", ErrNonFinite, rest)
+		}
 		return fmt.Errorf("serve: %s: %w", msg, autogemm.ErrBadPlan)
 	case http.StatusServiceUnavailable:
 		return fmt.Errorf("serve: %s: %w", msg, autogemm.ErrClosed)

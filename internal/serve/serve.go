@@ -241,9 +241,16 @@ func unencodable(err error) bool {
 	return errors.As(err, &uv)
 }
 
+// ErrNonFinite is the client-side identity of a result JSON cannot
+// carry: an element that overflowed to ±Inf or became NaN. The server
+// answers it with 422, like a rejected plan, and an error text that
+// starts with this error's own; that marker is how ErrorForStatus tells
+// the two apart.
+var ErrNonFinite = errors.New("serve: result is not finite (±Inf or NaN cannot be sent as JSON)")
+
 // nonFinite is the error text for a result JSON cannot encode.
 func nonFinite(err error) string {
-	return "serve: result is not finite (±Inf or NaN cannot be sent as JSON): " + err.Error()
+	return ErrNonFinite.Error() + ": " + err.Error()
 }
 
 // tenantOf resolves the request's tenant: the TenantHeader value, or

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"autogemm"
+	"autogemm/internal/plan"
 	"autogemm/internal/refgemm"
 	"autogemm/internal/workload"
 )
@@ -537,10 +538,81 @@ func TestServeNonFiniteResult(t *testing.T) {
 		t.Fatalf("overflowing element line = %+v, want a 422 line naming the non-finite result", lines[1])
 	}
 
+	for _, err := range []error{lines[1].Err(), clientErr(t, cl, huge)} {
+		if !errors.Is(err, ErrNonFinite) || errors.Is(err, autogemm.ErrBadPlan) {
+			t.Errorf("non-finite result error %v: want ErrNonFinite, not autogemm.ErrBadPlan", err)
+		}
+	}
+
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	want := map[int]int64{http.StatusUnprocessableEntity: 1, http.StatusOK: 1} // the multiply, the batch stream
+	want := map[int]int64{http.StatusUnprocessableEntity: 2, http.StatusOK: 1} // two multiplies, the batch stream
 	if !maps.Equal(srv.responses, want) {
 		t.Fatalf("tallied %v, want %v", srv.responses, want)
+	}
+}
+
+// clientErr runs an n×n×n multiply of a by itself through the client
+// and returns its error.
+func clientErr(t *testing.T, cl *Client, a []float32) error {
+	t.Helper()
+	n := 1
+	for n*n < len(a) {
+		n++
+	}
+	_, err := cl.Multiply(context.Background(), n, n, n, a, a, 0)
+	if err == nil {
+		t.Fatal("multiply succeeded")
+	}
+	return err
+}
+
+// TestServeBadPlanIdentity: a rejected plan's 422, written by the
+// server's own error path, still reaches the client as
+// autogemm.ErrBadPlan, not as the non-finite result that shares its
+// status.
+func TestServeBadPlanIdentity(t *testing.T) {
+	eng, err := autogemm.New("KP920", autogemm.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	p, err := eng.PlanFor(nil, 64, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec plan.Plan
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Blocks[0].Panels[0].Row += 7 // out of bounds
+	if data, err = json.Marshal(&rec); err != nil {
+		t.Fatal(err)
+	}
+	loader, err := autogemm.New("KP920", autogemm.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loader.Close() })
+	_, loadErr := loader.LoadPlan(data)
+	if !errors.Is(loadErr, autogemm.ErrBadPlan) {
+		t.Fatalf("tampered plan loaded with %v, want ErrBadPlan", loadErr)
+	}
+
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/multiply", func(w http.ResponseWriter, r *http.Request) { srv.writeError(w, loadErr) })
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	err = clientErr(t, &Client{Base: hs.URL}, make([]float32, 4))
+	if !errors.Is(err, autogemm.ErrBadPlan) || errors.Is(err, ErrNonFinite) {
+		t.Fatalf("bad plan error %v: want autogemm.ErrBadPlan, not ErrNonFinite", err)
 	}
 }

@@ -1,13 +1,14 @@
 package compile
 
 import (
+	"cmp"
 	"slices"
 
 	"autogemm/internal/asm"
 )
 
-// Affine regions: run each accumulator's whole k-loop as one strided
-// loop over the operand panels.
+// Affine regions: run each kernel tile's whole k-loop as one
+// register-tile loop over the operand panels.
 //
 // The kernels keep the m_r×n_r accumulator tile in registers for the
 // whole k-loop while A and B stream past at constant strides. translate
@@ -44,13 +45,25 @@ import (
 // progression of stride s when base_i = base_0 + i·s and every
 // step_i = m·s.
 //
+// A proven region lowers to its register tile (lower). The rows are the
+// distinct scalar progressions (A rows), the columns the distinct
+// multiplicand progressions (B vectors) sorted by column. The grid is
+// complete and contiguous when every row shares one bank and stride,
+// every column shares one bank and stride and starts 16 bytes after the
+// one before, and exactly one accumulator sits at each (row, column). A
+// generated kernel's region is always such a grid, its whole
+// m_r × n_r/σ accumulator tile. Any other region lowers to one 1×1 tile
+// per accumulator, so a tile is the only lowered shape. The grid is then
+// cut into chunks that fit the register budget (maxTileRows,
+// maxTileCols), split as evenly as possible.
+//
 // Each proven region runs as one micro-op (execRegion): it resolves its
-// positions against the operand panels, sets up each accumulator (its C
-// load, a zero or the live-in value), runs the accumulators in groups of
-// up to four that share a multiplicand progression through runAffine,
-// and then leaves the interpreter's exact vector file: every register
-// whose last version is a load reloaded from that load's final position,
-// every register whose last version is a zeroing zeroed.
+// positions against the operand panels, and for each chunk sets up the
+// accumulators (a C load, a zero or the live-in value) and runs the
+// chunk's whole k-loop through runTile. Then it leaves the
+// interpreter's exact vector file: every register whose last version is
+// a load reloaded from that load's final position, every register whose
+// last version is a zeroing zeroed.
 //
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the
@@ -161,9 +174,12 @@ type accState struct {
 
 // region is the executable form of a proven affine region (execRegion).
 type region struct {
-	groups []group // the strided loops
+	chunks []chunk // the register-tile loops
 	final  []vset  // vector registers whose last version is a load or a zeroing
 	fmlas  int
+	// grid is the accumulators' rows × columns before chunking; 1×1 when
+	// they form no complete contiguous grid.
+	grid [2]int
 }
 
 // vset writes vector register d (a byte offset into the vector file):
@@ -175,27 +191,29 @@ type vset struct {
 	at   pos
 }
 
-// group is one strided loop: k accumulators (1, 2 or 4) sharing the
-// multiplicand progression a + j·sa of bank abank for n steps.
-type group struct {
-	n     int64
-	k     int
-	abank uint8
-	a, sa pos
-	acc   [4]accum
+// chunk is one register-tile loop: rows × cols accumulators for n
+// steps. Row i's step-j scalar is at a + off[i] + j·sa of bank abank;
+// column c's step-j multiplicand is the 16 bytes at b + 16c + j·sb of
+// bank bbank.
+type chunk struct {
+	n            int64
+	rows, cols   int64
+	abank, bbank uint8
+	a, sa        pos
+	off          [maxTileRows]pos
+	b, sb        pos
+	acc          []accum
 }
 
-// accum is one accumulator of a group: vector register d (a byte offset
-// into the vector file), set up from its live-in value, a zero, or the
-// 16 bytes at iat of bank ibank (init is verLive, verZero or verLoad),
-// with the by-element scalar progression b + j·sb of bank bbank.
+// accum is one accumulator of a chunk: vector register d (a byte offset
+// into the vector file), held in slot of the tile, and set up from its
+// live-in value, a zero, or the 16 bytes at iat of bank ibank (init is
+// verLive, verZero or verLoad).
 type accum struct {
-	d     int32
-	init  uint8
-	ibank uint8
-	bbank uint8
-	iat   pos
-	b, sb pos
+	d, slot int32
+	init    uint8
+	ibank   uint8
+	iat     pos
 }
 
 // fed returns accumulator d's state, recording its first FMLA and its
@@ -495,42 +513,16 @@ func (w *walk) loop(body []uop, trips int64) bool {
 // lower turns a proven walk into the region's executable form.
 func (w *walk) lower() *region {
 	r := &region{fmlas: w.fmlas, final: make([]vset, 0, asm.NumVectorRegs)}
-
-	// Groups: accumulators in first-FMLA order, up to four per shared
-	// multiplicand progression; a group of three runs as a pair and a
-	// single.
-	groups := make([]group, 0, len(w.accs))
-	for i := range w.accs {
-		ac := &w.accs[i]
-		d, m, s := ac.d, &ac.mult, &ac.scal
-		gi := -1
-		for j := range groups {
-			g := &groups[j]
-			if g.k < 4 && g.n == m.n && g.abank == m.bank && g.a == m.start && g.sa == m.stride {
-				gi = j
-				break
-			}
-		}
-		if gi < 0 {
-			groups = append(groups, group{n: m.n, abank: m.bank, a: m.start, sa: m.stride})
-			gi = len(groups) - 1
-		}
-		g := &groups[gi]
-		in := ac.init
-		g.acc[g.k] = accum{d: d * 16, init: in.kind, ibank: in.bank, bbank: s.bank,
-			iat: in.addr, b: s.start, sb: s.stride}
-		g.k++
-	}
-	for i := range groups {
-		if g := &groups[i]; g.k == 3 {
-			single := *g
-			single.k, single.acc = 1, [4]accum{g.acc[2]}
-			g.k = 2
-			groups = append(groups, single)
+	if rows, cols, at := w.grid(); at != nil {
+		r.grid = [2]int{len(rows), len(cols)}
+		r.chunks = w.cut(nil, rows, cols, at)
+	} else {
+		r.grid = [2]int{1, 1}
+		for i := range w.accs {
+			ac := &w.accs[i]
+			r.chunks = w.cut(r.chunks, []prog{ac.scal}, []prog{ac.mult}, []int{i})
 		}
 	}
-	r.groups = groups
-
 	for v, ver := range w.v {
 		switch ver.kind {
 		case verZero:
@@ -540,6 +532,84 @@ func (w *walk) lower() *region {
 		}
 	}
 	return r
+}
+
+// grid arranges the accumulators as a register tile: rows are the
+// distinct scalar progressions in first-FMLA order, columns the
+// distinct multiplicand progressions sorted by column, and
+// at[i·len(cols) + c] is the index in accs of the accumulator at row i,
+// column c. at is nil unless the grid is complete and contiguous.
+func (w *walk) grid() (rows, cols []prog, at []int) {
+	for i := range w.accs {
+		ac := &w.accs[i]
+		if !slices.Contains(rows, ac.scal) {
+			rows = append(rows, ac.scal)
+		}
+		if !slices.Contains(cols, ac.mult) {
+			cols = append(cols, ac.mult)
+		}
+	}
+	slices.SortFunc(cols, func(p, q prog) int { return cmp.Compare(p.start.col, q.start.col) })
+	if len(rows)*len(cols) != len(w.accs) {
+		return nil, nil, nil
+	}
+	r0, c0 := rows[0], cols[0]
+	for _, r := range rows {
+		if r.bank != r0.bank || r.stride != r0.stride || r.n != c0.n {
+			return nil, nil, nil
+		}
+	}
+	for c, m := range cols {
+		if m.bank != c0.bank || m.stride != c0.stride || m.n != c0.n ||
+			m.start != c0.start.add(pos{col: 16 * int64(c)}) {
+			return nil, nil, nil
+		}
+	}
+	at = make([]int, len(w.accs))
+	for i := range at {
+		at[i] = -1
+	}
+	for i := range w.accs {
+		ac := &w.accs[i]
+		k := slices.Index(rows, ac.scal)*len(cols) + slices.Index(cols, ac.mult)
+		if at[k] >= 0 {
+			return nil, nil, nil
+		}
+		at[k] = i
+	}
+	return rows, cols, at
+}
+
+// cut splits a complete contiguous grid into chunks that fit the
+// register budget, as evenly as possible, and appends them to chunks.
+// at is as grid returns it.
+func (w *walk) cut(chunks []chunk, rows, cols []prog, at []int) []chunk {
+	nr, nc := int64(len(rows)), int64(len(cols))
+	pr := (nr + maxTileRows - 1) / maxTileRows
+	wc := maxTileCols(nr)
+	pc := (nc + wc - 1) / wc
+	for ci := int64(0); ci < pc; ci++ {
+		c0, c1 := ci*nc/pc, (ci+1)*nc/pc
+		for ri := int64(0); ri < pr; ri++ {
+			r0, r1 := ri*nr/pr, (ri+1)*nr/pr
+			a, b := &rows[r0], &cols[c0]
+			ch := chunk{n: b.n, rows: r1 - r0, cols: c1 - c0,
+				abank: a.bank, a: a.start, sa: a.stride,
+				bbank: b.bank, b: b.start, sb: b.stride,
+				acc: make([]accum, 0, (r1-r0)*(c1-c0))}
+			for i := r0; i < r1; i++ {
+				ch.off[i-r0] = rows[i].start.sub(a.start)
+				for c := c0; c < c1; c++ {
+					ac := &w.accs[at[i*nc+c]]
+					in := ac.init
+					ch.acc = append(ch.acc, accum{d: ac.d * 16, slot: int32(slot(i-r0, c-c0, ch.cols)),
+						init: in.kind, ibank: in.bank, iat: in.addr})
+				}
+			}
+			chunks = append(chunks, ch)
+		}
+	}
+	return chunks
 }
 
 // grow returns (*buf)[:n], reallocating the buffer when it is short.

@@ -90,13 +90,13 @@ type regionEnv struct {
 func (e *regionEnv) at(bank uint8, p pos) int64 { return e.base[bank] + p.bytes(e.ld[bank]) }
 
 // TestScheduleRegionLayout pins the executable form of a small region
-// and of a counted loop: the groups, their strides, the accumulator
-// set-up and the exit vector file.
+// and of a counted loop: the tile chunks, their strides and row
+// offsets, the accumulator set-up and slots, and the exit vector file.
 func TestScheduleRegionLayout(t *testing.T) {
 	e := &regionEnv{base: [3]int64{1000, 5000, 9000}, ld: [3]int64{400, 800, 1200}}
 	// v0 and v1 accumulate against the same B vector v2 with scalars
-	// from two A vectors (v3 at col 0, v4 at col 64): one pair over two
-	// steps. v2 is reloaded one B vector on between the steps.
+	// from two A vectors (v3 at col 0, v4 at col 64): a 2×1 tile over
+	// two steps. v2 is reloaded one B vector on between the steps.
 	region := []uop{
 		ldA(3, 0), ldA(4, 64), ldB(2, 0), zero4(0),
 		fm4(0, 2, 3, 0), fm4(1, 2, 4, 0),
@@ -107,20 +107,22 @@ func TestScheduleRegionLayout(t *testing.T) {
 	if r == nil {
 		t.Fatal("region not proven")
 	}
-	if len(r.groups) != 1 || r.groups[0].k != 2 || r.groups[0].n != 2 {
-		t.Fatalf("groups %+v, want one pair over two steps", r.groups)
+	if r.grid != [2]int{2, 1} || len(r.chunks) != 1 {
+		t.Fatalf("grid %v, %d chunks; want one 2×1 chunk", r.grid, len(r.chunks))
 	}
-	g := r.groups[0]
-	if g.abank != 1 || e.at(1, g.a) != 5000 || g.sa.bytes(800) != 16 {
-		t.Errorf("multiplicand bank %d at %v stride %v, want B at 5000 stride 16", g.abank, g.a, g.sa)
+	ch := r.chunks[0]
+	if ch.rows != 2 || ch.cols != 1 || ch.n != 2 {
+		t.Fatalf("chunk %d×%d over %d steps, want 2×1 over 2", ch.rows, ch.cols, ch.n)
 	}
-	for i, want := range []struct {
-		d, b int64
-		init uint8
-	}{{0, 1000, verZero}, {16, 1064, verLive}} {
-		ac := g.acc[i]
-		if int64(ac.d) != want.d || ac.bbank != 0 || e.at(0, ac.b) != want.b || ac.sb.bytes(400) != 4 || ac.init != want.init {
-			t.Errorf("accumulator %d: %+v; want v%d, scalars A at %d stride 4, init %d", i, ac, want.d/16, want.b, want.init)
+	if ch.bbank != 1 || e.at(1, ch.b) != 5000 || ch.sb.bytes(800) != 16 {
+		t.Errorf("multiplicand bank %d at %v stride %v, want B at 5000 stride 16", ch.bbank, ch.b, ch.sb)
+	}
+	if ch.abank != 0 || e.at(0, ch.a) != 1000 || ch.sa.bytes(400) != 4 || ch.off[1].bytes(400) != 64 {
+		t.Errorf("scalars bank %d at %v stride %v, row 1 offset %v; want A at 1000 stride 4, row 1 64 on", ch.abank, ch.a, ch.sa, ch.off[1])
+	}
+	for i, want := range []accum{{d: 0, slot: 0, init: verZero}, {d: 16, slot: 2, init: verLive}} {
+		if ch.acc[i] != want {
+			t.Errorf("accumulator %d: %+v, want %+v", i, ch.acc[i], want)
 		}
 	}
 	// Exit: v2 holds its second load, v3 and v4 their loads.
@@ -132,6 +134,34 @@ func TestScheduleRegionLayout(t *testing.T) {
 		t.Errorf("final reloads %v, want v2@5016 v3@1000 v4@1064", finals)
 	}
 
+	// A 2×2 tile whose columns first appear out of order: v5 (B col 16)
+	// feeds the first FMLA, v2 (B col 0) the second. Columns sort by
+	// position, so v1 and v0 take row 0's slots 0 and 1.
+	region = []uop{
+		ldA(3, 0), ldA(4, 64), ldB(2, 0), ldB(5, 16),
+		fm4(0, 5, 3, 0), fm4(1, 2, 3, 0), fm4(6, 5, 4, 0), fm4(7, 2, 4, 0),
+	}
+	r = buildRegion(new(buffers), region, nil)
+	if r == nil || r.grid != [2]int{2, 2} || len(r.chunks) != 1 {
+		t.Fatalf("region %+v, want one 2×2 chunk", r)
+	}
+	ch = r.chunks[0]
+	if e.at(1, ch.b) != 5000 {
+		t.Errorf("first column at %d, want 5000", e.at(1, ch.b))
+	}
+	for i, want := range [][2]int32{{16, 0}, {0, 1}, {112, 2}, {96, 3}} {
+		if got := [2]int32{ch.acc[i].d, ch.acc[i].slot}; got != want {
+			t.Errorf("accumulator %d: register offset and slot %v, want %v", i, got, want)
+		}
+	}
+	// B vectors 32 bytes apart are not contiguous: one 1×1 tile per
+	// accumulator.
+	region[3] = ldB(5, 32)
+	r = buildRegion(new(buffers), region, nil)
+	if r == nil || r.grid != [2]int{1, 1} || len(r.chunks) != 4 {
+		t.Fatalf("region %+v, want four 1×1 chunks", r)
+	}
+
 	// A counted loop: three steps of B one row (800 bytes) apart and A
 	// one element apart; v0 is zeroed before the loop.
 	loopRegion, loops := counted(
@@ -141,12 +171,12 @@ func TestScheduleRegionLayout(t *testing.T) {
 	if r == nil {
 		t.Fatal("loop region not proven")
 	}
-	if len(r.groups) != 1 || r.groups[0].k != 1 || r.groups[0].n != 3 {
-		t.Fatalf("groups %+v, want one accumulator over three steps", r.groups)
+	if len(r.chunks) != 1 || r.chunks[0].rows != 1 || r.chunks[0].cols != 1 || r.chunks[0].n != 3 {
+		t.Fatalf("chunks %+v, want one accumulator over three steps", r.chunks)
 	}
-	g = r.groups[0]
-	if e.at(1, g.a) != 5000 || g.sa.bytes(800) != 800 || e.at(0, g.acc[0].b) != 1000 || g.acc[0].sb.bytes(400) != 4 {
-		t.Errorf("group %+v: want B 5000+800j, A 1000+4j", g)
+	ch = r.chunks[0]
+	if e.at(1, ch.b) != 5000 || ch.sb.bytes(800) != 800 || e.at(0, ch.a) != 1000 || ch.sa.bytes(400) != 4 {
+		t.Errorf("chunk %+v: want B 5000+800j, A 1000+4j", ch)
 	}
 	finals = map[int32]int64{}
 	for _, s := range r.final {
@@ -158,5 +188,58 @@ func TestScheduleRegionLayout(t *testing.T) {
 	}
 	if len(finals) != 3 || finals[0] != -1 || finals[2] != 7400 || finals[3] != 1012 {
 		t.Errorf("final vector file %v, want v0 zero, v2@7400 v3@1012", finals)
+	}
+}
+
+// TestTileChunks pins how grids are cut to the register budget: as
+// evenly as possible, five vectors only up to four rows, and every
+// accumulator in exactly one chunk.
+func TestTileChunks(t *testing.T) {
+	for _, c := range []struct {
+		rows, cols int
+		want       [][2]int64 // chunk rows × cols, in order
+	}{
+		{5, 4, [][2]int64{{5, 4}}},
+		{4, 5, [][2]int64{{4, 5}}},
+		{6, 3, [][2]int64{{6, 3}}},
+		{8, 2, [][2]int64{{4, 2}, {4, 2}}},
+		{11, 1, [][2]int64{{5, 1}, {6, 1}}},
+		{7, 3, [][2]int64{{3, 3}, {4, 3}}},
+		{3, 7, [][2]int64{{3, 3}, {3, 4}}},
+		{5, 5, [][2]int64{{5, 2}, {5, 3}}},
+		{1, 15, [][2]int64{{1, 5}, {1, 5}, {1, 5}}},
+	} {
+		w := &walk{}
+		rows := make([]prog, c.rows)
+		cols := make([]prog, c.cols)
+		at := make([]int, c.rows*c.cols)
+		for i := range rows {
+			rows[i] = prog{start: pos{row: int64(i)}, stride: pos{col: 4}, n: 9}
+		}
+		for j := range cols {
+			cols[j] = prog{bank: 1, start: pos{col: 16 * int64(j)}, stride: pos{row: 1}, n: 9}
+		}
+		for k := range at {
+			at[k] = k
+			w.accs = append(w.accs, accState{d: int32(k)})
+		}
+		chunks := w.cut(nil, rows, cols, at)
+		seen := map[int32]bool{}
+		for i, ch := range chunks {
+			if i >= len(c.want) || [2]int64{ch.rows, ch.cols} != c.want[i] {
+				t.Errorf("%d×%d: chunk %d is %d×%d, want %v", c.rows, c.cols, i, ch.rows, ch.cols, c.want)
+				continue
+			}
+			if ch.rows > maxTileRows || ch.cols > maxTileCols(ch.rows) {
+				t.Errorf("%d×%d: chunk %d×%d over the register budget", c.rows, c.cols, ch.rows, ch.cols)
+			}
+			for _, ac := range ch.acc {
+				seen[ac.d] = true
+			}
+		}
+		if len(chunks) != len(c.want) || len(seen) != c.rows*c.cols {
+			t.Errorf("%d×%d: %d chunks covering %d accumulators, want %d chunks covering %d",
+				c.rows, c.cols, len(chunks), len(seen), len(c.want), c.rows*c.cols)
+		}
 	}
 }

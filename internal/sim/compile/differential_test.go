@@ -116,9 +116,11 @@ func requireSameVectors(t *testing.T, name string, e *compile.Env, m *sim.Machin
 }
 
 // requireScheduled fails unless every FMLA of a 4-lane program runs in
-// an affine group, so a generator change cannot silently drop the
-// strided-loop fast path.
-func requireScheduled(t *testing.T, cp *compile.Program) {
+// an affine region, and the regions, in program order, hold the full
+// MR × NR/σ accumulator grid of each kernel tile in tiles. So a
+// generator change can neither drop the register-tile fast path nor
+// silently degrade it to 1×1 tiles.
+func requireScheduled(t *testing.T, cp *compile.Program, tiles ...mkernel.Tile) {
 	t.Helper()
 	if cp.Lanes != 4 {
 		return
@@ -126,15 +128,37 @@ func requireScheduled(t *testing.T, cp *compile.Program) {
 	if s, n := compile.AffineFmlas(cp); s != n || n == 0 {
 		t.Fatalf("%s: %d of %d FMLAs in affine regions", cp.Name, s, n)
 	}
+	grids := compile.TileGrids(cp)
+	if len(grids) != len(tiles) {
+		t.Fatalf("%s: %d affine regions %v, want one per tile %v", cp.Name, len(grids), grids, tiles)
+	}
+	for i, g := range grids {
+		if g.Rows != tiles[i].MR || g.Cols != tiles[i].NR/cp.Lanes {
+			t.Fatalf("%s: region %d is a %d×%d grid, want tile %d×%d's %d×%d",
+				cp.Name, i, g.Rows, g.Cols, tiles[i].MR, tiles[i].NR, tiles[i].MR, tiles[i].NR/cp.Lanes)
+		}
+	}
+}
+
+// bandTiles lists a band's tiles in order.
+func bandTiles(bc mkernel.BandConfig) []mkernel.Tile {
+	var tiles []mkernel.Tile
+	for _, s := range bc.Segments {
+		for i := 0; i < s.Count; i++ {
+			tiles = append(tiles, s.Tile)
+		}
+	}
+	return tiles
 }
 
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
 // The tile grid's KC values include 1 and σ+1 (straight-line kernels
-// and one-trip loops) and 129 (a long k-loop). On amd64 every affine
-// region's strided loops run through the SSE loop (affine_amd64.s), so
-// the sweep holds that loop to sim.Machine too. The rule is bit equality
-// except where both results are NaN, whose payload neither the SSE loop
-// nor gc's scalar code pins (see TestAffineSSEMatchesGo). The operands
+// and one-trip loops) and 129 (a long k-loop). On an AVX host every
+// affine region's tile chunks run through the register-tile loop
+// (tile_amd64.s), so the sweep holds that loop to sim.Machine too. The
+// rule is bit equality except where both results are NaN, whose payload
+// neither the AVX loop nor gc's scalar code pins (see
+// TestTileMatchesGo). The operands
 // here are finite and small, so no result is NaN and the comparison is
 // on raw bits.
 func TestDifferentialSweep(t *testing.T) {
@@ -167,7 +191,7 @@ func TestDifferentialSweep(t *testing.T) {
 						if err != nil {
 							t.Fatalf("options %s: %v", cfg.Name(), err)
 						}
-						requireScheduled(t, diffRun(t, p, aopts, rng))
+						requireScheduled(t, diffRun(t, p, aopts, rng), tile)
 					}
 				}
 			}
@@ -194,7 +218,7 @@ func TestDifferentialSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("options %s: %v", cfg.Name(), err)
 					}
-					requireScheduled(t, diffRun(t, p, aopts, rng))
+					requireScheduled(t, diffRun(t, p, aopts, rng), bandTiles(cfg)...)
 				}
 			}
 		}

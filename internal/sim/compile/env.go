@@ -61,8 +61,9 @@ type Env struct {
 	base [3]unsafe.Pointer
 	ld   [3]int64
 
-	// grp is the strided loop an affine region is running (execRegion).
-	grp affineGroup
+	// tile is the register-tile chunk an affine region is running
+	// (execRegion).
+	tile tile
 }
 
 // NewEnv builds an environment for σ_lane-wide programs.
@@ -156,7 +157,7 @@ func (cp *Program) Run(e *Env, a, b, c []float32, aOff, bOff, cOff, lda, ldb, ld
 	e.ld = [3]int64{lda * 4, ldb * 4, ldc * 4}
 	defer func() {
 		e.base = [3]unsafe.Pointer{}
-		e.grp = affineGroup{}
+		e.tile.a, e.tile.b = nil, nil
 		if r := recover(); r != nil {
 			err = fmt.Errorf("compile: %s: runtime fault (elision proof violated?): %v", cp.Name, r)
 		}

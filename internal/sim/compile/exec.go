@@ -195,31 +195,40 @@ func execUops(e *Env, c *code, t int64) {
 	}
 }
 
-// execRegion runs one affine region (affine.go): it resolves each
-// group's panel positions against the operand panels, sets up the
-// accumulators, runs the strided loops, and leaves the interpreter's
-// exit vector file.
+// execRegion runs one affine region (affine.go): for each chunk it
+// resolves the panel positions against the operand panels, sets up the
+// tile's accumulators, runs the register-tile loop and writes the
+// accumulators back to the vector file; then it leaves the
+// interpreter's exit vector file.
 func execRegion(e *Env, r *region) {
 	vp := e.vp
-	g := &e.grp
-	groups := r.groups
-	for i := range groups {
-		rg := &groups[i]
-		g.a, g.sa = e.at(rg.abank, rg.a), rg.sa.bytes(e.ld[rg.abank])
-		g.n, g.k = rg.n, int64(rg.k)
-		for j := 0; j < rg.k; j++ {
-			ac := &rg.acc[j]
-			d := unsafe.Add(vp, ac.d)
-			g.d[j], g.s[j] = d, d
-			switch ac.init {
-			case verZero:
-				g.s[j] = unsafe.Pointer(&zeroVec)
-			case verLoad:
-				g.s[j] = e.at(ac.ibank, ac.iat)
-			}
-			g.b[j], g.sb[j] = e.at(ac.bbank, ac.b), ac.sb.bytes(e.ld[ac.bbank])
+	t := &e.tile
+	chunks := r.chunks
+	for i := range chunks {
+		ch := &chunks[i]
+		lda := e.ld[ch.abank]
+		t.a, t.sa = e.at(ch.abank, ch.a), ch.sa.bytes(lda)
+		for k := int64(0); k < ch.rows; k++ {
+			t.off[k] = ch.off[k].bytes(lda)
 		}
-		runAffine(g)
+		t.b, t.sb = e.at(ch.bbank, ch.b), ch.sb.bytes(e.ld[ch.bbank])
+		t.n, t.rows, t.cols = ch.n, ch.rows, ch.cols
+		acc := ch.acc
+		for j := range acc {
+			ac := &acc[j]
+			switch ac.init {
+			case verLive:
+				t.acc[ac.slot] = *vec4(vp, int64(ac.d))
+			case verZero:
+				t.acc[ac.slot] = [4]float32{}
+			default:
+				t.acc[ac.slot] = *(*[4]float32)(e.at(ac.ibank, ac.iat))
+			}
+		}
+		runTile(t)
+		for j := range acc {
+			*vec4(vp, int64(acc[j].d)) = t.acc[acc[j].slot]
+		}
 	}
 	final := r.final
 	for i := range final {
@@ -237,49 +246,72 @@ func (e *Env) at(bank uint8, p pos) unsafe.Pointer {
 	return unsafe.Add(e.base[bank], p.bytes(e.ld[bank]))
 }
 
-// affineGroup is one strided loop with its operands resolved for a run:
-// k accumulators (1, 2 or 4), accumulator i starting from the 4 floats
-// at s[i], adding a_j · b[i]_j for j < n and ending at d[i] in the
-// vector file. Step j's multiplicand is the 4 floats at a + j·sa and its
-// by-element scalar the float at b[i] + j·sb[i]. The layout is fixed:
-// affine_amd64.s reads it by offset.
-type affineGroup struct {
-	a  unsafe.Pointer
-	sa int64
-	n  int64
-	k  int64
-	d  [4]unsafe.Pointer
-	b  [4]unsafe.Pointer
-	sb [4]int64
-	s  [4]unsafe.Pointer
+// The register budget of a tile chunk: at most maxTileRows rows, and
+// at most maxTileCols(rows) multiplicand vectors.
+const maxTileRows = 6
+
+// maxTileCols is the widest chunk of rows rows. A row holds its
+// accumulators two vectors to a YMM register, so rows × ⌈cols/2⌉
+// registers, plus the multiplicand's, a broadcast and a product, must
+// fit in 16: five vectors fit only up to four rows (the fifth is read
+// from memory).
+func maxTileCols(rows int64) int64 {
+	if rows <= 4 {
+		return 5
+	}
+	return 4
 }
 
-// zeroVec is the set-up value of an accumulator zeroed before its first
-// FMLA.
-var zeroVec [4]float32
+// slot is where the accumulator of row i, column c of a chunk with
+// cols columns sits in tile.acc: its YMM register is row i's register
+// c/2, and each register holds two adjacent slots (the lower half is
+// the even column). An odd last column fills only the lower half.
+func slot(i, c, cols int64) int64 {
+	return 2*(i*((cols+1)/2)+c/2) + c%2
+}
 
-// runAffine runs one strided loop. It is the portable execAffine unless
-// the GOARCH has a packed loop: affine_amd64.go installs execAffineSSE
-// at init, and nothing else reassigns it.
-var runAffine = execAffine
+// tile is one register-tile chunk with its operands resolved for a run:
+// rows × cols accumulators, set up in acc (by slot) and left there.
+// Step j of row i reads the by-element scalar at a + off[i] + j·sa, and
+// step j of column c the 4-float multiplicand at b + 16c + j·sb. The
+// layout is read through go_asm.h by tile_amd64.s.
+type tile struct {
+	acc        [2 * 12][4]float32 // the 12 accumulator registers
+	a          unsafe.Pointer
+	sa         int64
+	b          unsafe.Pointer
+	sb         int64
+	n          int64
+	rows, cols int64
+	off        [maxTileRows]int64
+}
 
-// execAffine is the reference strided loop and the executor on every
-// GOARCH without a packed one. Each accumulator runs on its own, held in
-// scalar locals from its first multiply-add to its last; accumulators
-// never read each other, so the order between them is free.
-func execAffine(g *affineGroup) {
-	for i := int64(0); i < g.k; i++ {
-		in := (*[4]float32)(g.s[i])
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		for j := int64(0); j < g.n; j++ {
-			a := vec4(g.a, j*g.sa)
-			s := *f32(g.b[i], j*g.sb[i])
-			x0 += a[0] * s
-			x1 += a[1] * s
-			x2 += a[2] * s
-			x3 += a[3] * s
+// runTile runs one tile chunk. It is the portable execTile unless the
+// host has a register-tile loop: tile_amd64.go installs tileAVX at init
+// when the CPU and OS support AVX, and nothing else reassigns it.
+var runTile = execTile
+
+// execTile is the reference tile loop and the executor wherever there
+// is no native one. Each accumulator runs on its own, held in scalar
+// locals from its first multiply-add to its last; accumulators never
+// read each other, so the order between them is free.
+func execTile(t *tile) {
+	n, sa, sb := t.n, t.sa, t.sb
+	for i := int64(0); i < t.rows; i++ {
+		a := unsafe.Add(t.a, t.off[i])
+		for c := int64(0); c < t.cols; c++ {
+			b := unsafe.Add(t.b, 16*c)
+			x := &t.acc[slot(i, c, t.cols)]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			for j := int64(0); j < n; j++ {
+				v := vec4(b, j*sb)
+				s := *f32(a, j*sa)
+				x0 += v[0] * s
+				x1 += v[1] * s
+				x2 += v[2] * s
+				x3 += v[3] * s
+			}
+			x[0], x[1], x[2], x[3] = x0, x1, x2, x3
 		}
-		d := (*[4]float32)(g.d[i])
-		d[0], d[1], d[2], d[3] = x0, x1, x2, x3
 	}
 }

@@ -22,11 +22,12 @@ import (
 // each access's panel position and each loop's trip count, and nothing
 // reads them after RET, so there is nothing to compare.) The vector
 // comparison is where an affine region's bad reload of a register's
-// last load shows first. On amd64 the affine regions' strided loops run through the SSE
-// loop (affine_amd64.s), so this also fuzzes that loop against
-// sim.Machine. The rule is bit equality except where both results are
-// NaN, whose payload neither the SSE loop nor gc's scalar code pins (see
-// TestAffineSSEMatchesGo). The operands here are finite and small, so no
+// last load shows first. On an AVX host the affine regions' tile chunks
+// run through the register-tile loop (tile_amd64.s), so this also fuzzes
+// that loop against sim.Machine, 1×1 fallback tiles included. The rule
+// is bit equality except where both results are NaN, whose payload
+// neither the AVX loop nor gc's scalar code pins (see
+// TestTileMatchesGo). The operands here are finite and small, so no
 // result is NaN and the comparison is on raw bits.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
