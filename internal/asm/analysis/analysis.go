@@ -172,6 +172,14 @@ func (b Bounds) CExtent(ldc int64) int64 {
 	return int64(b.MR-1)*ldc + int64(b.NR)
 }
 
+// CRowsDisjoint reports whether C rows at stride ldc cannot overlap:
+// ldc ≥ NR, or a single row. The compiled executor reorders C loads
+// and stores on this rule, so its Precheck and the plan auditor both
+// require it.
+func (b Bounds) CRowsDisjoint(ldc int64) bool {
+	return b.MR <= 1 || ldc >= int64(b.NR)
+}
+
 // Options configures Analyze.
 type Options struct {
 	// ArgRegs are the scalar registers holding arguments, defined at

@@ -56,6 +56,44 @@ type blockProg struct {
 	calls      []bandCall
 	compiledOK bool
 	err        error
+
+	// lays[t][i] is calls[i]'s kernel layout at tier t's leading
+	// dimensions, resolved on the tier's first run.
+	lays [numTiers]struct {
+		once sync.Once
+		l    []*compile.Layout
+	}
+}
+
+// The compiled tiers of runBlockCompiled. Each passes its kernels
+// leading dimensions fixed by the plan and the block shape: (K, N, N)
+// in place, (K, N, ldc) with C staged, (KB, ldc, ldc) packed, where ldc
+// is the staging buffer's.
+const (
+	tierInPlace = iota
+	tierStagedC
+	tierPacked
+	numTiers
+)
+
+// layouts returns the calls' kernel layouts at tier's leading
+// dimensions, resolving them on the tier's first use; calls of one
+// kernel share its layout.
+func (bp *blockProg) layouts(tier, lda, ldb, ldc int) []*compile.Layout {
+	t := &bp.lays[tier]
+	t.once.Do(func() {
+		byProg := map[*compile.Program]*compile.Layout{}
+		t.l = make([]*compile.Layout, len(bp.calls))
+		for i, cl := range bp.calls {
+			l, ok := byProg[cl.cp]
+			if !ok {
+				l = cl.cp.Layout(int64(lda), int64(ldb), int64(ldc))
+				byProg[cl.cp] = l
+			}
+			t.l[i] = l
+		}
+	})
+	return t.l
 }
 
 // blockProgram returns the resolved program for a block's shape,
@@ -98,7 +136,7 @@ func (p *Plan) runBlock(st *execState, blk blockIter, c, a, b []float32) error {
 		return err
 	}
 	if !p.interpOnly && bp.compiledOK {
-		done, err := p.runBlockCompiled(st, blk, bp.bands, bp.calls, c, a, b)
+		done, err := p.runBlockCompiled(st, blk, bp, c, a, b)
 		if done || err != nil {
 			return err
 		}
@@ -141,7 +179,8 @@ func blockFits(bands []tiling.Band, blk blockIter) bool {
 // done is false when the scratch prechecks fail (the caller then uses
 // the interpreter); the decision is made before any operand is written,
 // so a fallback never observes a half-executed block.
-func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Band, calls []bandCall, c, a, b []float32) (bool, error) {
+func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bp *blockProg, c, a, b []float32) (bool, error) {
+	bands, calls := bp.bands, bp.calls
 	k, n := p.K, p.N
 	env := st.env
 	inPlaceAB := p.Opts.Pack == PackNone
@@ -157,16 +196,17 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Ban
 	if inPlaceAB && blockFits(bands, blk) {
 		ok := true
 		for _, cl := range calls {
-			if cl.cp.Precheck(len(a), len(b), len(c),
-				aOff(cl), bOff(cl), cOff(cl), int64(k), int64(n), int64(n)) != nil {
+			if !cl.cp.Fits(len(a), len(b), len(c),
+				aOff(cl), bOff(cl), cOff(cl), int64(k), int64(n), int64(n)) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for _, cl := range calls {
-				if err := cl.cp.Run(env, a, b, c,
-					aOff(cl), bOff(cl), cOff(cl), int64(k), int64(n), int64(n), kernelFuel); err != nil {
+			lays := bp.layouts(tierInPlace, k, n, n)
+			for i, cl := range calls {
+				if err := cl.cp.Run(env, lays[i], a, b, c,
+					aOff(cl), bOff(cl), cOff(cl), kernelFuel); err != nil {
 					return true, err
 				}
 			}
@@ -183,8 +223,8 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Ban
 	useAB := inPlaceAB
 	if useAB {
 		for _, cl := range calls {
-			if cl.cp.Precheck(len(a), len(b), len(st.cBuf),
-				aOff(cl), bOff(cl), cBufOff(cl), int64(k), int64(n), int64(ldc)) != nil {
+			if !cl.cp.Fits(len(a), len(b), len(st.cBuf),
+				aOff(cl), bOff(cl), cBufOff(cl), int64(k), int64(n), int64(ldc)) {
 				useAB = false
 				break
 			}
@@ -195,9 +235,9 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Ban
 	if !useAB {
 		// Tier 3: precheck against the scratch panels before packing.
 		for _, cl := range calls {
-			if cl.cp.Precheck(len(st.packA), len(st.packB), len(st.cBuf),
+			if !cl.cp.Fits(len(st.packA), len(st.packB), len(st.cBuf),
 				int64(cl.row*lda), int64(cl.col), cBufOff(cl),
-				int64(lda), int64(ldb), int64(ldc)) != nil {
+				int64(lda), int64(ldb), int64(ldc)) {
 				return false, nil
 			}
 		}
@@ -218,15 +258,20 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []tiling.Ban
 	for i := 0; i < blk.MB; i++ {
 		copy(st.cBuf[i*ldc:i*ldc+blk.NB], c[(blk.MOff+i)*n+blk.NOff:])
 	}
-	for _, cl := range calls {
+	var lays []*compile.Layout
+	if useAB {
+		lays = bp.layouts(tierStagedC, k, n, ldc)
+	} else {
+		lays = bp.layouts(tierPacked, lda, ldb, ldc)
+	}
+	for i, cl := range calls {
 		var err error
 		if useAB {
-			err = cl.cp.Run(env, a, b, st.cBuf,
-				aOff(cl), bOff(cl), cBufOff(cl), int64(k), int64(n), int64(ldc), kernelFuel)
+			err = cl.cp.Run(env, lays[i], a, b, st.cBuf,
+				aOff(cl), bOff(cl), cBufOff(cl), kernelFuel)
 		} else {
-			err = cl.cp.Run(env, st.packA, st.packB, st.cBuf,
-				int64(cl.row*lda), int64(cl.col), cBufOff(cl),
-				int64(lda), int64(ldb), int64(ldc), kernelFuel)
+			err = cl.cp.Run(env, lays[i], st.packA, st.packB, st.cBuf,
+				int64(cl.row*lda), int64(cl.col), cBufOff(cl), kernelFuel)
 		}
 		if err != nil {
 			return true, err

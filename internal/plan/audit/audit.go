@@ -334,7 +334,9 @@ func (a *auditor) calls(bd tiling.Band, kb int) []tiling.Call {
 // the compiled Precheck evaluates (AExtent/BExtent/CExtent), so this
 // is the static half of the elision license: if this check passes, the
 // staged-execution prechecks cannot fail for any block of the plan,
-// and no placement can reach past the allocated scratch.
+// and no placement can reach past the allocated scratch. That includes
+// Precheck's rule that C rows are disjoint, ldc ≥ NR when MR > 1, at
+// the staging buffer's leading dimension.
 func (a *auditor) checkBounds() error {
 	chip, p := a.chip, a.p
 	blocks, err := a.blockMap()
@@ -371,6 +373,10 @@ func (a *auditor) checkBounds() error {
 							key[0], key[1], name, bd.Row, cl.Col, err)
 					}
 					ld := int64(sc.LD)
+					if !bounds.CRowsDisjoint(ld) {
+						return failf(CheckBounds, "block %dx%d k=%d: %s at (%d,%d): C rows overlap: ldc %d < NR %d",
+							key[0], key[1], kb, name, bd.Row, cl.Col, ld, bounds.NR)
+					}
 					for i := 0; i < cl.Count; i++ {
 						row, col := int64(bd.Row), int64(cl.Col+i*cl.Width)
 						for _, c := range []struct {

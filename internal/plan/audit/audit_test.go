@@ -3,10 +3,13 @@ package audit_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
+	"autogemm/internal/mkernel"
 	"autogemm/internal/plan"
 	"autogemm/internal/plan/audit"
 )
@@ -262,6 +265,36 @@ func TestAuditBoundsEnvelope(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 	wantCheck(t, chip, p, audit.CheckBounds)
+}
+
+// TestAuditCRowsOverlap: a hand-built plan whose 2-row tile is wider
+// than the staging buffer's leading dimension, so its C rows would
+// overlap, which Precheck refuses (ldc ≥ NR when MR > 1). Every extent
+// still fits the scratch envelope: only the rows rule catches it.
+func TestAuditCRowsOverlap(t *testing.T) {
+	chip := chipFor(t)
+	req := plan.Request{
+		Chip: chip.Name, M: 2, N: 4, K: 8,
+		MC: 2, NC: 4, KC: 8,
+		Order: "MNK", Pack: "none", Tiler: "dmt",
+	}
+	sc := mkernel.ScratchEnvelope(req.MC, req.NC, req.KC, chip.Lanes)
+	nr := sc.LD + chip.Lanes
+	bld := plan.NewBuilder(req, 2, 4, 8, "MNK", "none")
+	bld.AddBlock(plan.Block{
+		M: 2, N: 4, Tiler: "dmt",
+		Panels: []plan.Panel{{Row: 0, Col: 0, M: 2, N: 4, MR: 2, NR: nr, Padded: true}},
+	})
+	bld.AddKernelKey(fmt.Sprintf("mk_2x%dx8_l%d", nr, chip.Lanes))
+	p, err := bld.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	wantCheck(t, chip, p, audit.CheckBounds)
+	_, err = audit.Audit(chip, p, audit.Options{Deep: true})
+	if !strings.Contains(err.Error(), "C rows overlap") {
+		t.Fatalf("audit: %v, want the C rows failure", err)
+	}
 }
 
 // TestAuditDanglingKernelKey: a declared key no tiling reaches.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"autogemm/internal/asm"
+	"autogemm/internal/asm/analysis"
 )
 
 // Affine regions: run each kernel tile's whole k-loop as one
@@ -57,22 +58,48 @@ import (
 // cut into chunks that fit the register budget (maxTileRows,
 // maxTileCols), split as evenly as possible.
 //
-// Each proven region runs as one micro-op (execRegion): it resolves its
-// positions against the operand panels, and for each chunk sets up the
-// accumulators (a C load, a zero or the live-in value) and runs the
-// chunk's whole k-loop through runTile. Then it leaves the
-// interpreter's exact vector file: every register whose last version is
-// a load reloaded from that load's final position, every register whose
-// last version is a zeroing zeroed.
+// A region also takes in the C traffic around it (foldC), so that a
+// chunk runs as the paper's whole micro-kernel: prologue, k-loop and
+// epilogue. Before it, the C loads and zeroings of its live-in
+// accumulators that nothing reads in between (a fused band sets up tile
+// j+1's accumulators while it stores tile j's); after it, up to the
+// next region, the C stores of its accumulators. Those micro-ops are
+// dropped: a folded load or zeroing becomes its accumulator's set-up,
+// and folded stores make each chunk store its accumulators to C.
+// Folding moves a set-up later and a store earlier, past the loose C
+// loads, C stores and zeroings it crosses. That is sound when the
+// two touch different registers and different bytes, and bytes are
+// decided on positions alone because Precheck requires ldc ≥ NR when
+// MR > 1: C accesses stay inside columns [0, NR) (the analyzer's bounds
+// pass), so accesses on different rows never share a byte, and
+// accesses on one row overlap only when their columns are less than 16
+// bytes apart. A region folds its stores all or none, and only when
+// each chunk's stores form a C grid (row offsets, columns 16 bytes
+// apart), no two overlap, no chunk reads an operand from C, and no
+// later chunk's set-up reads C where an earlier chunk stored, since a
+// chunk stores before the next one runs.
+//
+// Each proven region runs as one micro-op (execRegion). Its chunks'
+// byte offsets are resolved once per leading-dimension triple into a
+// Layout, which the caller keeps and passes to Run. It first leaves
+// the interpreter's exact vector file for every register no chunk
+// holds: each register whose last version is a load is reloaded from
+// that load's final position (ahead of the chunks' stores, as in
+// program order), and each whose last version is a zeroing is zeroed. Then each chunk runs through
+// runTile, which sets up its accumulators (from C, as zeros, or from
+// what execRegion staged: live-in values, zeros and loads of any bank),
+// runs the whole k-loop, stores to C when the region folded its stores,
+// and writes every accumulator back to the vector file.
 //
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the
 // same order. The values are read from the positions the replaced loads
 // read: those are proven in bounds by the analyzer plus Precheck and
-// 4-byte aligned by the analyzer, and the region has no stores, so
-// memory cannot change under it. Accumulators are never sources and are
-// set up before their first multiply-add, so no FMLA observes another
-// accumulator's partial sum.
+// 4-byte aligned by the analyzer, and the region's only stores are its
+// chunks' folded C stores, which no operand read and no later chunk's
+// set-up overlaps, so memory cannot change under a read. Accumulators
+// are never sources and are set up before their first multiply-add, so
+// no FMLA observes another accumulator's partial sum.
 
 // pos is a panel position: row leading dimensions plus col bytes past a
 // panel's base, or, as a stride, the difference of two.
@@ -180,6 +207,12 @@ type region struct {
 	// grid is the accumulators' rows × columns before chunking; 1×1 when
 	// they form no complete contiguous grid.
 	grid [2]int
+	// store is set when the region folded the C stores of its
+	// accumulators: each chunk stores its tile to C at c.
+	store bool
+	// t0 and f0 index the region's first chunk and final reload in its
+	// program's layouts.
+	t0, f0 int
 }
 
 // vset writes vector register d (a byte offset into the vector file):
@@ -194,7 +227,8 @@ type vset struct {
 // chunk is one register-tile loop: rows × cols accumulators for n
 // steps. Row i's step-j scalar is at a + off[i] + j·sa of bank abank;
 // column c's step-j multiplicand is the 16 bytes at b + 16c + j·sb of
-// bank bbank.
+// bank bbank. The accumulator of row i, column c is C's 16 bytes at
+// c[i] + 16c when the chunk loads (init tileC) or stores its C tile.
 type chunk struct {
 	n            int64
 	rows, cols   int64
@@ -202,18 +236,21 @@ type chunk struct {
 	a, sa        pos
 	off          [maxTileRows]pos
 	b, sb        pos
-	acc          []accum
+	init         uint8 // tileStaged, tileZero or tileC
+	c            [maxTileRows]pos
+	acc          []accum // row-major: acc[i·cols + c] is row i, column c
 }
 
 // accum is one accumulator of a chunk: vector register d (a byte offset
 // into the vector file), held in slot of the tile, and set up from its
 // live-in value, a zero, or the 16 bytes at iat of bank ibank (init is
-// verLive, verZero or verLoad).
+// verLive, verZero or verLoad); sat is where its folded C store puts it.
 type accum struct {
 	d, slot int32
 	init    uint8
 	ibank   uint8
 	iat     pos
+	sat     pos
 }
 
 // fed returns accumulator d's state, recording its first FMLA and its
@@ -610,6 +647,229 @@ func (w *walk) cut(chunks []chunk, rows, cols []prog, at []int) []chunk {
 		}
 	}
 	return chunks
+}
+
+// How a chunk sets up its accumulators (chunk.init, tile.init).
+const (
+	tileStaged = iota // from Env.acc, which execRegion fills
+	tileZero
+	tileC // from its C tile
+)
+
+// bankC is the C panel's bank.
+const bankC = uint8(analysis.BankC)
+
+// foldC folds each proven region's C traffic into it and settles how
+// each chunk sets up its accumulators; it returns the micro-ops folded
+// away, which translate drops. regions are in program order. The
+// micro-ops it may fold or cross are loose: 4-lane C loads and stores
+// and zeroings, outside every multi-trip loop. The gap between two
+// regions first gives the earlier region its stores, scanning on from
+// its end, then the later one its set-up, scanning back from its start;
+// each scan stops at the first micro-op that is not loose.
+func foldC(ops []uop, loops []span, regions []keptRegion) []bool {
+	loose := make([]bool, len(ops))
+	for i := range ops {
+		u := &ops[i]
+		loose[i] = (u.kind == uLoad4 || u.kind == uStore4) && u.bank == bankC || u.kind == uVZero4
+	}
+	for _, l := range loops {
+		clear(loose[l.lo:l.hi])
+	}
+	drop := make([]bool, len(ops))
+	lo := 0
+	for k := 0; k <= len(regions); k++ {
+		hi := len(ops)
+		if k < len(regions) {
+			hi = regions[k].start
+		}
+		if k > 0 {
+			foldStores(ops[lo:hi], loose[lo:hi], drop[lo:hi], regions[k-1].r)
+		}
+		if k < len(regions) {
+			foldLoads(ops[lo:hi], loose[lo:hi], drop[lo:hi], regions[k].r)
+			lo = regions[k].end
+		}
+	}
+	for _, kr := range regions {
+		kr.r.settle()
+	}
+	return drop
+}
+
+// foldStores folds into r the stores of its accumulators among gap, the
+// micro-ops after it: all of them or none. A store folds ahead of every
+// micro-op before it that stays, so it must commute with each.
+func foldStores(gap []uop, loose, drop []bool, r *region) {
+	var fold []int
+	var seen [asm.NumVectorRegs]bool
+	for i := 0; i < len(gap) && loose[i]; i++ {
+		u := &gap[i]
+		ac := r.accOf(u.d * 4)
+		if u.kind != uStore4 || ac == nil || seen[u.d/4] || !commutesWith(u, gap[:i], drop[:i]) {
+			continue
+		}
+		seen[u.d/4] = true
+		ac.sat = u.pos()
+		drop[i] = true
+		fold = append(fold, i)
+	}
+	if !r.storable(len(fold)) {
+		for _, i := range fold {
+			drop[i] = false
+		}
+		return
+	}
+	r.store = true
+}
+
+// foldLoads folds into r the loads and zeroings of its live-in
+// accumulators among gap, the micro-ops before it. Each folds behind
+// every micro-op after it that stays, so it must commute with each;
+// that includes the stores folded into the region before, which now
+// run ahead of it.
+func foldLoads(gap []uop, loose, drop []bool, r *region) {
+	folded := make([]bool, len(gap))
+	for i := len(gap) - 1; i >= 0 && loose[i]; i-- {
+		u := &gap[i]
+		ac := r.accOf(u.d * 4)
+		if u.kind == uStore4 || ac == nil || ac.init != verLive || !commutesWith(u, gap[i+1:], folded[i+1:]) {
+			continue
+		}
+		if u.kind == uVZero4 {
+			ac.init = verZero
+		} else {
+			ac.init, ac.ibank, ac.iat = verLoad, u.bank, u.pos()
+		}
+		drop[i], folded[i] = true, true
+	}
+}
+
+// commutesWith reports whether loose micro-op u commutes with every
+// micro-op of ops not marked skip.
+func commutesWith(u *uop, ops []uop, skip []bool) bool {
+	for j := range ops {
+		if !skip[j] && !commute(u, &ops[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// commute reports whether two loose micro-ops can swap: a load or
+// zeroing writes its register, so it conflicts with any other use of
+// it, and a store conflicts with any C access to bytes it writes.
+func commute(x, y *uop) bool {
+	if x.d == y.d && (x.kind != uStore4 || y.kind != uStore4) {
+		return false
+	}
+	if x.kind == uVZero4 || y.kind == uVZero4 || x.kind == uLoad4 && y.kind == uLoad4 {
+		return true
+	}
+	return !overlap(x.pos(), y.pos())
+}
+
+// overlap reports whether the 16-byte C accesses at p and q share a
+// byte, given Precheck's rule that C rows are disjoint.
+func overlap(p, q pos) bool {
+	return p.row == q.row && p.col-q.col < 16 && q.col-p.col < 16
+}
+
+// accOf returns the region's accumulator held in vector register d (a
+// byte offset into the vector file), or nil.
+func (r *region) accOf(d int32) *accum {
+	for i := range r.chunks {
+		for j := range r.chunks[i].acc {
+			if ac := &r.chunks[i].acc[j]; ac.d == d {
+				return ac
+			}
+		}
+	}
+	return nil
+}
+
+// storable reports whether the region can own its C stores, given n
+// folded stores recorded in the accumulators' sat: the conditions
+// the comment at the top of this file lists.
+func (r *region) storable(n int) bool {
+	var stores []pos
+	for i := range r.chunks {
+		ch := &r.chunks[i]
+		if ch.abank == bankC || ch.bbank == bankC {
+			return false
+		}
+		if _, ok := ch.cRows(func(ac *accum) (pos, bool) { return ac.sat, true }); !ok {
+			return false
+		}
+		// This chunk's set-up reads C after every earlier chunk stored.
+		for _, ac := range ch.acc {
+			if ac.init == verLoad && ac.ibank == bankC && overlapsAny(ac.iat, stores) {
+				return false
+			}
+		}
+		for _, ac := range ch.acc {
+			if overlapsAny(ac.sat, stores) {
+				return false
+			}
+			stores = append(stores, ac.sat)
+		}
+	}
+	return n == len(stores)
+}
+
+// overlapsAny reports whether the C access at p overlaps any at qs.
+func overlapsAny(p pos, qs []pos) bool {
+	for _, q := range qs {
+		if overlap(p, q) {
+			return true
+		}
+	}
+	return false
+}
+
+// settle decides how each chunk sets up its accumulators, once the
+// region's C traffic is folded in, and where its C tile is.
+func (r *region) settle() {
+	for i := range r.chunks {
+		ch := &r.chunks[i]
+		fromC, okC := ch.cRows(func(ac *accum) (pos, bool) {
+			return ac.iat, ac.init == verLoad && ac.ibank == bankC && (!r.store || ac.iat == ac.sat)
+		})
+		zero := true
+		for _, ac := range ch.acc {
+			zero = zero && ac.init == verZero
+		}
+		switch {
+		case zero:
+			ch.init = tileZero
+		case okC:
+			ch.init, ch.c = tileC, fromC
+		default:
+			ch.init = tileStaged
+		}
+		if r.store {
+			ch.c, _ = ch.cRows(func(ac *accum) (pos, bool) { return ac.sat, true })
+		}
+	}
+}
+
+// cRows returns the chunk's C row positions when at, which may refuse
+// an accumulator, places the accumulator of row i, column c at row i's
+// position plus 16c bytes.
+func (ch *chunk) cRows(at func(*accum) (pos, bool)) (rows [maxTileRows]pos, ok bool) {
+	for j := range ch.acc {
+		p, ok := at(&ch.acc[j])
+		if !ok {
+			return rows, false
+		}
+		i, c := int64(j)/ch.cols, int64(j)%ch.cols
+		if c == 0 {
+			rows[i] = p
+		} else if p != rows[i].add(pos{col: 16 * c}) {
+			return rows, false
+		}
+	}
+	return rows, true
 }
 
 // grow returns (*buf)[:n], reallocating the buffer when it is short.

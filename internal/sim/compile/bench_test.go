@@ -73,11 +73,12 @@ func runCompiledBench(b *testing.B, cp *compile.Program, err error) {
 	}
 	a, bp, c, lda, ldb, ldc := benchOperands(cp)
 	e := compile.NewEnv(cp.Lanes)
+	l := cp.Layout(lda, ldb, ldc)
 	fmlas := fmlasPerRun(cp)
 	b.SetBytes(int64(2 * cp.Lanes * fmlas))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, 1<<30); err != nil {
+		if err := cp.Run(e, l, a, bp, c, 0, 0, 0, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,8 +77,9 @@ func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Progr
 // rep.Accesses): scalar ops, WHILELT, PTRUE, labels, branches, nops and
 // prefetch hints. A loop of two or more trips becomes a span of that
 // list. A 4-lane program's proven affine regions (affine.go) each
-// collapse into one micro-op; the rest is cut at the spans into
-// segments, and each segment's FMLA runs are fused.
+// collapse into one micro-op, together with the C loads and stores
+// folded into them; the rest is cut at the spans into segments, and
+// each segment's FMLA runs are fused.
 func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
 	lanes := bounds.Lanes
 	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds}
@@ -131,8 +132,10 @@ func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*P
 	if lanes == 4 {
 		regions = affineRegions(ops, loops)
 	}
+	drop := foldC(ops, loops, regions)
 	var body []uop
 	var aff []*region
+	chunks, finals := 0, 0 // the regions' chunks and final reloads so far
 	flush := func(trips int64) {
 		if len(body) > 0 {
 			c := code{aff: aff}
@@ -148,7 +151,13 @@ func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*P
 			body = append(body, uop{kind: uAffine4, a: int32(len(aff))})
 			aff = append(aff, r.r)
 			cp.affineFmlas += r.r.fmlas
+			r.r.t0, r.r.f0 = chunks, finals
+			chunks += len(r.r.chunks)
+			finals += len(r.r.final)
+			cp.regions = append(cp.regions, r.r)
 			i, regions = r.end, regions[1:]
+		case drop[i]:
+			i++ // folded into a region
 		case len(loops) > 0 && loops[0].lo == i:
 			l := loops[0]
 			flush(1)

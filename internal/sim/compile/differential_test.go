@@ -76,7 +76,7 @@ func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Ran
 	// Compiled, in place over the raw slices.
 	got := append([]float32(nil), c...)
 	e := compile.NewEnv(lanes)
-	if err := cp.Run(e, a, bp, got, 0, 0, 0, lda, ldb, ldc, 1<<30); err != nil {
+	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, bp, got, 0, 0, 0, 1<<30); err != nil {
 		t.Fatalf("compiled run %s: %v", p.Name, err)
 	}
 	for i := range got {
@@ -116,10 +116,11 @@ func requireSameVectors(t *testing.T, name string, e *compile.Env, m *sim.Machin
 }
 
 // requireScheduled fails unless every FMLA of a 4-lane program runs in
-// an affine region, and the regions, in program order, hold the full
-// MR × NR/σ accumulator grid of each kernel tile in tiles. So a
-// generator change can neither drop the register-tile fast path nor
-// silently degrade it to 1×1 tiles.
+// an affine region, every C load and store is folded into one, and the
+// regions, in program order, hold the full MR × NR/σ accumulator grid
+// of each kernel tile in tiles. So a generator change can neither drop
+// the register-tile fast path, nor silently degrade it to 1×1 tiles,
+// nor bring back the loose C micro-ops around it.
 func requireScheduled(t *testing.T, cp *compile.Program, tiles ...mkernel.Tile) {
 	t.Helper()
 	if cp.Lanes != 4 {
@@ -127,6 +128,9 @@ func requireScheduled(t *testing.T, cp *compile.Program, tiles ...mkernel.Tile) 
 	}
 	if s, n := compile.AffineFmlas(cp); s != n || n == 0 {
 		t.Fatalf("%s: %d of %d FMLAs in affine regions", cp.Name, s, n)
+	}
+	if n := compile.LooseC(cp); n != 0 {
+		t.Fatalf("%s: %d C loads and stores outside the affine regions", cp.Name, n)
 	}
 	grids := compile.TileGrids(cp)
 	if len(grids) != len(tiles) {
@@ -320,10 +324,11 @@ func TestLoopFuel(t *testing.T) {
 		}
 		a, bp, c, lda, ldb, ldc := benchOperands(cp)
 		e := compile.NewEnv(cp.Lanes)
-		if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, taken); err != nil {
+		l := cp.Layout(lda, ldb, ldc)
+		if err := cp.Run(e, l, a, bp, c, 0, 0, 0, taken); err != nil {
 			t.Errorf("%s: fuel %d (its taken branches): %v", s.Key(), taken, err)
 		}
-		err = cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, taken-1)
+		err = cp.Run(e, l, a, bp, c, 0, 0, 0, taken-1)
 		if err == nil || !strings.Contains(err.Error(), "exceeded") || !strings.Contains(err.Error(), "loop iterations") {
 			t.Errorf("%s: fuel %d: got %v, want the exceeded-loop-iterations error", s.Key(), taken-1, err)
 		}

@@ -61,9 +61,12 @@ type Env struct {
 	base [3]unsafe.Pointer
 	ld   [3]int64
 
-	// tile is the register-tile chunk an affine region is running
-	// (execRegion).
-	tile tile
+	// lay is the program's chunk offsets at this Run's leading
+	// dimensions, and acc the accumulators execRegion stages for a chunk
+	// that does not set them up itself (tileStaged), by tile slot. The
+	// register-tile loops read acc and base through go_asm.h.
+	lay *Layout
+	acc [2 * 12][4]float32
 }
 
 // NewEnv builds an environment for σ_lane-wide programs.
@@ -92,6 +95,37 @@ type Program struct {
 	iters int
 	// Static FMLA counts: all of them, and those in affine regions.
 	fmlas, affineFmlas int
+
+	// regions are the affine regions in program order.
+	regions []*region
+}
+
+// Layout is a program's offsets resolved at one (lda, ldb, ldc): every
+// chunk's tile and every final reload's position, as byte offsets past
+// the panel bases, so a Run only adds the bases. It is immutable, so a
+// caller that runs a program at fixed leading dimensions resolves it
+// once and shares it between goroutines.
+type Layout struct {
+	cp    *Program
+	ld    [3]int64 // lda, ldb, ldc in float32 elements
+	tiles []tile   // by region.t0 + chunk index
+	final []int64  // by region.f0 + index in region.final
+}
+
+// Layout resolves the program's offsets at leading dimensions lda, ldb
+// and ldc, in float32 elements, for Run.
+func (cp *Program) Layout(lda, ldb, ldc int64) *Layout {
+	l := &Layout{cp: cp, ld: [3]int64{lda, ldb, ldc}}
+	ld := [3]int64{lda * 4, ldb * 4, ldc * 4}
+	for _, r := range cp.regions {
+		for i := range r.chunks {
+			l.tiles = append(l.tiles, r.chunks[i].resolve(ld, r.store))
+		}
+		for _, s := range r.final {
+			l.final = append(l.final, s.at.bytes(ld[s.bank]))
+		}
+	}
+	return l
 }
 
 // segment is a body of micro-ops run trips times; memory ops address
@@ -112,39 +146,82 @@ type segment struct {
 //	C:  off_C + (MR-1)·ldc + NR                   ≤ len(C)
 //
 // with all offsets and leading dimensions non-negative. Offsets and
-// strides are in float32 elements.
+// strides are in float32 elements. C's rows must also be disjoint,
+// ldc ≥ NR when MR > 1: the affine regions reorder C loads and stores
+// on that rule (foldC, affine.go).
 func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) error {
-	if aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0 {
-		return fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
-	}
 	b := &cp.Bounds
-	if aOff+b.AExtent(lda) > int64(lenA) {
+	switch cp.misfit(lenA, lenB, lenC, aOff, bOff, cOff, lda, ldb, ldc) {
+	case fitNegative:
+		return fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
+	case fitA:
 		return fmt.Errorf("%w: %s: A panel [%d + %d rows × lda %d] exceeds %d elements",
 			ErrBounds, cp.Name, aOff, b.MR, lda, lenA)
-	}
-	if bOff+b.BExtent(ldb) > int64(lenB) {
+	case fitB:
 		return fmt.Errorf("%w: %s: B panel [%d + %d rows × ldb %d] exceeds %d elements",
 			ErrBounds, cp.Name, bOff, b.KC+b.BOverRows, ldb, lenB)
-	}
-	if cOff+b.CExtent(ldc) > int64(lenC) {
+	case fitC:
 		return fmt.Errorf("%w: %s: C panel [%d + %d rows × ldc %d] exceeds %d elements",
 			ErrBounds, cp.Name, cOff, b.MR, ldc, lenC)
+	case fitCRows:
+		return fmt.Errorf("%w: %s: C rows overlap: ldc %d < NR %d with %d rows",
+			ErrBounds, cp.Name, ldc, b.NR, b.MR)
 	}
 	return nil
 }
 
-// Run executes the compiled program over the three operand slices.
-// Offsets and leading dimensions are in float32 elements. maxLoopIters
-// bounds taken loop branches — a backstop against translator bugs,
-// checked once against the program's static count before any work.
+// Fits reports whether Precheck accepts the call, without building an
+// error: the test for callers that only choose a path by it.
+func (cp *Program) Fits(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) bool {
+	return cp.misfit(lenA, lenB, lenC, aOff, bOff, cOff, lda, ldb, ldc) == fitOK
+}
+
+// The precheck rules, in the order misfit tests them.
+const (
+	fitOK = iota
+	fitNegative
+	fitA
+	fitB
+	fitC
+	fitCRows
+)
+
+// misfit returns the first precheck rule the call breaks, or fitOK.
+func (cp *Program) misfit(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) int {
+	b := &cp.Bounds
+	switch {
+	case aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0:
+		return fitNegative
+	case aOff+b.AExtent(lda) > int64(lenA):
+		return fitA
+	case bOff+b.BExtent(ldb) > int64(lenB):
+		return fitB
+	case cOff+b.CExtent(ldc) > int64(lenC):
+		return fitC
+	case !b.CRowsDisjoint(ldc):
+		return fitCRows
+	}
+	return fitOK
+}
+
+// Run executes the compiled program over the three operand slices at
+// the leading dimensions of l, one of the program's layouts. Offsets are
+// in float32 elements. maxLoopIters bounds taken loop branches — a
+// backstop against translator bugs, checked once against the program's
+// static count before any work. Run allocates nothing.
 //
 // The operand slices must not be reallocated for the duration of the
 // call; when they alias a sim.Arena, the arena must be frozen first
-// (see sim.Arena's growth contract).
-func (cp *Program) Run(e *Env, a, b, c []float32, aOff, bOff, cOff, lda, ldb, ldc int64, maxLoopIters int) (err error) {
+// (see sim.Arena's growth contract). C must not overlap A or B: a tile
+// chunk stores its C tile before the next chunk reads its operands.
+func (cp *Program) Run(e *Env, l *Layout, a, b, c []float32, aOff, bOff, cOff int64, maxLoopIters int) (err error) {
 	if e.lanes != cp.Lanes {
 		return fmt.Errorf("compile: %s: env is %d-lane, program is %d-lane", cp.Name, e.lanes, cp.Lanes)
 	}
+	if l.cp != cp {
+		return fmt.Errorf("compile: %s: layout belongs to %s", cp.Name, l.cp.Name)
+	}
+	lda, ldb, ldc := l.ld[0], l.ld[1], l.ld[2]
 	if err := cp.Precheck(len(a), len(b), len(c), aOff, bOff, cOff, lda, ldb, ldc); err != nil {
 		return err
 	}
@@ -155,9 +232,10 @@ func (cp *Program) Run(e *Env, a, b, c []float32, aOff, bOff, cOff, lda, ldb, ld
 	e.base[1] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), bOff*4)
 	e.base[2] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(c)), cOff*4)
 	e.ld = [3]int64{lda * 4, ldb * 4, ldc * 4}
+	e.lay = l
 	defer func() {
 		e.base = [3]unsafe.Pointer{}
-		e.tile.a, e.tile.b = nil, nil
+		e.lay = nil
 		if r := recover(); r != nil {
 			err = fmt.Errorf("compile: %s: runtime fault (elision proof violated?): %v", cp.Name, r)
 		}

@@ -1,6 +1,10 @@
 package compile
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"autogemm/internal/asm"
+)
 
 // Micro-ops: the pre-decoded form segments execute. Operand fields are
 // flat indices into the vector file (pre-multiplied by σ_lane), memory
@@ -195,49 +199,43 @@ func execUops(e *Env, c *code, t int64) {
 	}
 }
 
-// execRegion runs one affine region (affine.go): for each chunk it
-// resolves the panel positions against the operand panels, sets up the
-// tile's accumulators, runs the register-tile loop and writes the
-// accumulators back to the vector file; then it leaves the
-// interpreter's exit vector file.
+// execRegion runs one affine region (affine.go): the final reloads and
+// zeroings that leave the interpreter's exit vector file, then each
+// chunk, at the offsets the Run's layout resolved, through runTile,
+// after staging the accumulators of a chunk that does not set them up
+// itself.
 func execRegion(e *Env, r *region) {
 	vp := e.vp
-	t := &e.tile
-	chunks := r.chunks
-	for i := range chunks {
-		ch := &chunks[i]
-		lda := e.ld[ch.abank]
-		t.a, t.sa = e.at(ch.abank, ch.a), ch.sa.bytes(lda)
-		for k := int64(0); k < ch.rows; k++ {
-			t.off[k] = ch.off[k].bytes(lda)
-		}
-		t.b, t.sb = e.at(ch.bbank, ch.b), ch.sb.bytes(e.ld[ch.bbank])
-		t.n, t.rows, t.cols = ch.n, ch.rows, ch.cols
-		acc := ch.acc
-		for j := range acc {
-			ac := &acc[j]
-			switch ac.init {
-			case verLive:
-				t.acc[ac.slot] = *vec4(vp, int64(ac.d))
-			case verZero:
-				t.acc[ac.slot] = [4]float32{}
-			default:
-				t.acc[ac.slot] = *(*[4]float32)(e.at(ac.ibank, ac.iat))
-			}
-		}
-		runTile(t)
-		for j := range acc {
-			*vec4(vp, int64(acc[j].d)) = t.acc[acc[j].slot]
-		}
-	}
+	// The final reloads and zeroings go first: they read what the
+	// region's own loads read, ahead of every store the region owns as
+	// in program order, and write registers no chunk holds.
 	final := r.final
+	at := e.lay.final[r.f0:]
 	for i := range final {
 		s := &final[i]
 		if s.zero {
 			*vec4(vp, int64(s.d)) = [4]float32{}
 		} else {
-			*vec4(vp, int64(s.d)) = *(*[4]float32)(e.at(s.bank, s.at))
+			*vec4(vp, int64(s.d)) = *vec4(e.base[s.bank], at[i])
 		}
+	}
+	tiles := e.lay.tiles[r.t0:]
+	chunks := r.chunks
+	for i := range chunks {
+		ch := &chunks[i]
+		if ch.init == tileStaged {
+			for _, ac := range ch.acc {
+				switch ac.init {
+				case verLive:
+					e.acc[ac.slot] = *vec4(vp, int64(ac.d))
+				case verZero:
+					e.acc[ac.slot] = [4]float32{}
+				default:
+					e.acc[ac.slot] = *(*[4]float32)(e.at(ac.ibank, ac.iat))
+				}
+			}
+		}
+		runTile(e, &tiles[i])
 	}
 }
 
@@ -263,27 +261,63 @@ func maxTileCols(rows int64) int64 {
 }
 
 // slot is where the accumulator of row i, column c of a chunk with
-// cols columns sits in tile.acc: its YMM register is row i's register
-// c/2, and each register holds two adjacent slots (the lower half is
-// the even column). An odd last column fills only the lower half.
+// cols columns sits among the tile's registers: its YMM register is row
+// i's register c/2, and each register holds two adjacent slots (the
+// lower half is the even column). An odd last column fills only the
+// lower half.
 func slot(i, c, cols int64) int64 {
 	return 2*(i*((cols+1)/2)+c/2) + c%2
 }
 
-// tile is one register-tile chunk with its operands resolved for a run:
-// rows × cols accumulators, set up in acc (by slot) and left there.
-// Step j of row i reads the by-element scalar at a + off[i] + j·sa, and
-// step j of column c the 4-float multiplicand at b + 16c + j·sb. The
-// layout is read through go_asm.h by tile_amd64.s.
+// tileSpill is the vector-file byte offset a tile writes an unused slot
+// to: the first register past a 4-lane program's 32, space Env.v holds
+// for wider programs and a 4-lane one never reads.
+const tileSpill = asm.NumVectorRegs * 16
+
+// tile is one register-tile chunk resolved at one (lda, ldb, ldc): the
+// whole kernel of rows × cols accumulators over n steps, with byte
+// offsets past the Run's panel bases (Env.base). Step j of row i reads
+// the by-element scalar at a + off[i] + j·sa of bank abank, and step j
+// of column c the 4-float multiplicand at b + 16c + j·sb of bank bbank.
+// The accumulators are set up as init says: from Env.acc by slot, as
+// zeros, or from C, where the accumulator of row i, column c is the 16
+// bytes at c[i] + 16c; when store is set they go back there at the end.
+// Every slot is then written to the vector file at byte offset v[slot].
+// The layout is read through go_asm.h by tile_amd64.s.
 type tile struct {
-	acc        [2 * 12][4]float32 // the 12 accumulator registers
-	a          unsafe.Pointer
-	sa         int64
-	b          unsafe.Pointer
-	sb         int64
-	n          int64
-	rows, cols int64
-	off        [maxTileRows]int64
+	a, sa        int64
+	b, sb        int64
+	abank, bbank int64
+	n            int64
+	rows, cols   int64
+	init, store  int64
+	off          [maxTileRows]int64
+	c            [maxTileRows]int64
+	v            [2 * 12]int64
+}
+
+// resolve returns the chunk's tile at leading dimensions ld, in bytes.
+func (ch *chunk) resolve(ld [3]int64, store bool) tile {
+	t := tile{
+		a: ch.a.bytes(ld[ch.abank]), sa: ch.sa.bytes(ld[ch.abank]),
+		b: ch.b.bytes(ld[ch.bbank]), sb: ch.sb.bytes(ld[ch.bbank]),
+		abank: int64(ch.abank), bbank: int64(ch.bbank),
+		n: ch.n, rows: ch.rows, cols: ch.cols, init: int64(ch.init),
+	}
+	if store {
+		t.store = 1
+	}
+	for i := int64(0); i < ch.rows; i++ {
+		t.off[i] = ch.off[i].bytes(ld[ch.abank])
+		t.c[i] = ch.c[i].bytes(ld[bankC])
+	}
+	for s := range t.v {
+		t.v[s] = tileSpill
+	}
+	for _, ac := range ch.acc {
+		t.v[ac.slot] = int64(ac.d)
+	}
+	return t
 }
 
 // runTile runs one tile chunk. It is the portable execTile unless the
@@ -295,13 +329,27 @@ var runTile = execTile
 // is no native one. Each accumulator runs on its own, held in scalar
 // locals from its first multiply-add to its last; accumulators never
 // read each other, so the order between them is free.
-func execTile(t *tile) {
+func execTile(e *Env, t *tile) {
+	var acc [2 * 12][4]float32
+	pc := e.base[bankC]
+	switch t.init {
+	case tileStaged:
+		acc = e.acc
+	case tileC:
+		for i := int64(0); i < t.rows; i++ {
+			for c := int64(0); c < t.cols; c++ {
+				acc[slot(i, c, t.cols)] = *vec4(pc, t.c[i]+16*c)
+			}
+		}
+	}
 	n, sa, sb := t.n, t.sa, t.sb
+	pa := unsafe.Add(e.base[t.abank], t.a)
+	pb := unsafe.Add(e.base[t.bbank], t.b)
 	for i := int64(0); i < t.rows; i++ {
-		a := unsafe.Add(t.a, t.off[i])
+		a := unsafe.Add(pa, t.off[i])
 		for c := int64(0); c < t.cols; c++ {
-			b := unsafe.Add(t.b, 16*c)
-			x := &t.acc[slot(i, c, t.cols)]
+			b := unsafe.Add(pb, 16*c)
+			x := &acc[slot(i, c, t.cols)]
 			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 			for j := int64(0); j < n; j++ {
 				v := vec4(b, j*sb)
@@ -313,5 +361,15 @@ func execTile(t *tile) {
 			}
 			x[0], x[1], x[2], x[3] = x0, x1, x2, x3
 		}
+	}
+	if t.store != 0 {
+		for i := int64(0); i < t.rows; i++ {
+			for c := int64(0); c < t.cols; c++ {
+				*vec4(pc, t.c[i]+16*c) = acc[slot(i, c, t.cols)]
+			}
+		}
+	}
+	for s := range acc {
+		*vec4(e.vp, t.v[s]) = acc[s]
 	}
 }

@@ -5,6 +5,7 @@ package compile
 import (
 	"math"
 	"reflect"
+	"unsafe"
 )
 
 // SpecialOperands are the values the register-tile tests draw panels
@@ -60,6 +61,20 @@ func TileGrids(cp *Program) []Grid {
 	return out
 }
 
+// LooseC returns the C loads and stores of cp that run outside its
+// affine regions, as micro-ops of its segments.
+func LooseC(cp *Program) int {
+	n := 0
+	for _, s := range cp.segs {
+		for _, u := range s.body {
+			if (u.kind == uLoad4 || u.kind == uStore4 || u.kind == uLoadN || u.kind == uStoreN) && u.bank == bankC {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Vector returns architectural vector register r of the environment.
 func (e *Env) Vector(r int) []float32 {
 	return e.v[r*e.lanes : (r+1)*e.lanes]
@@ -70,16 +85,18 @@ func (e *Env) Vector(r int) []float32 {
 // chunks again, and the number of FMLAs one call executes: each chunk's
 // accumulators × its steps. run uses the loop the executor installs on
 // this host, or the pure-Go reference when portable is set. Each chunk
-// keeps accumulating into its own copy of the tile. The operand slices
-// must stay live while run is used.
+// sets up its accumulators, runs and stores them again, as in the
+// kernel. The operand slices must stay live while run is used.
 func AffineRunner(cp *Program, e *Env, a, b, c []float32, lda, ldb, ldc int64, portable bool) (run func(), fmlas int, err error) {
 	loop := runTile
 	var tiles []tile
-	runTile = func(t *tile) {
+	var base [3]unsafe.Pointer
+	runTile = func(e *Env, t *tile) {
 		tiles = append(tiles, *t)
-		loop(t)
+		base = e.base
+		loop(e, t)
 	}
-	err = cp.Run(e, a, b, c, 0, 0, 0, lda, ldb, ldc, 1<<30)
+	err = cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, c, 0, 0, 0, 1<<30)
 	runTile = loop
 	if portable {
 		loop = execTile
@@ -88,8 +105,9 @@ func AffineRunner(cp *Program, e *Env, a, b, c []float32, lda, ldb, ldc int64, p
 		fmlas += int(t.rows * t.cols * t.n)
 	}
 	return func() {
+		e.base = base
 		for i := range tiles {
-			loop(&tiles[i])
+			loop(e, &tiles[i])
 		}
 	}, fmlas, err
 }

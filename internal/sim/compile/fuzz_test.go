@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"testing"
@@ -28,13 +29,16 @@ import (
 // is bit equality except where both results are NaN, whose payload
 // neither the AVX loop nor gc's scalar code pins (see
 // TestTileMatchesGo). The operands here are finite and small, so no
-// result is NaN and the comparison is on raw bits.
+// result is NaN and the comparison is on raw bits. Every proven program
+// is first run with ldc = len(data) mod NR, which breaks the rule that C
+// rows are disjoint: Run must refuse it with ErrBounds before any work.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
 	// with varying offsets, and the affine region proof's cases.
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{8, 200, 9, 14, 8, 23, 10, 42, 11, 7, 12, 99})
 	f.Add([]byte{13, 1, 2, 3, 13, 13, 13, 5, 6, 0, 0, 9, 9})
+	f.Add([]byte{5, 6, 6, 3, 8, 113, 10})
 	for _, s := range schedSeeds {
 		f.Add(s.data)
 	}
@@ -66,9 +70,21 @@ func FuzzCompileDiff(f *testing.F) {
 			c[i] = float32(i % 7)
 		}
 
+		// C rows that overlap (ldc < NR) must be refused before any work.
 		got := append([]float32(nil), c...)
 		e := compile.NewEnv(lanes)
-		if err := cp.Run(e, a, b, got, 0, 0, 0, lda, ldb, ldc, 1<<20); err != nil {
+		overlap := int64(len(data)) % ldc
+		err = cp.Run(e, cp.Layout(lda, ldb, overlap), a, b, got, 0, 0, 0, 1<<20)
+		if !errors.Is(err, compile.ErrBounds) {
+			t.Fatalf("ldc %d < NR %d: Run returned %v, want ErrBounds", overlap, bounds.NR, err)
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(c[i]) {
+				t.Fatalf("ldc %d < NR %d: refused Run wrote C[%d]", overlap, bounds.NR, i)
+			}
+		}
+
+		if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
 			// Precheck rejection is fine; a runtime fault is the elision
 			// proof failing and must never happen.
 			t.Fatalf("compiled run failed on prechecked operands: %v", err)

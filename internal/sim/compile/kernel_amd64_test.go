@@ -17,10 +17,11 @@ import (
 // hold a NaN (see TestTileMatchesGo for why payloads cannot be pinned).
 // Where TestTileMatchesGo feeds the loop random tiles, this feeds it the
 // chunks execRegion resolves from real kernels: their strides, row
-// offsets and chunk cuts. The operands mix in ±0, subnormals, ±Inf,
-// overflowing magnitudes and NaN, which TestDifferentialSweep's finite
-// operands never reach. (The name dates from the SSE strided loop that
-// the AVX register-tile loop replaced.)
+// offsets and chunk cuts, and their C tiles, which every chunk of these
+// kernels loads or zeroes and stores itself. The operands, C included,
+// mix in ±0, subnormals, ±Inf, overflowing magnitudes and NaN, which
+// TestDifferentialSweep's finite operands never reach. (The name dates
+// from the SSE strided loop that the AVX register-tile loop replaced.)
 func TestAffineSSEMatchesGo(t *testing.T) {
 	if !compile.NativeTiles() {
 		t.Skip("no native tile loop on this host")
@@ -45,6 +46,9 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := compile.LooseC(cp); n != 0 {
+			t.Fatalf("%s: %d C loads and stores outside the tile chunks", cp.Name, n)
+		}
 		// Special operands in none, a few or a third of the values.
 		special := []int{0, 64, 3}[si%3]
 		a, bp, c, lda, ldb, ldc := benchOperands(cp)
@@ -59,7 +63,7 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 		}
 		run := func(c []float32) *compile.Env {
 			e := compile.NewEnv(cp.Lanes)
-			if err := cp.Run(e, a, bp, c, 0, 0, 0, lda, ldb, ldc, 1<<30); err != nil {
+			if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
 				t.Fatalf("%s: %v", cp.Name, err)
 			}
 			return e

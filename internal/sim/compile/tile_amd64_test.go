@@ -1,24 +1,35 @@
 package compile
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"autogemm/internal/asm"
 )
 
 // tilePanel is the number of floats of the panel a random tile reads
-// its scalars and multiplicands from.
-const tilePanel = 2048
+// its scalars and multiplicands from, and tileRowsC the rows of the C
+// panel it loads and stores.
+const (
+	tilePanel = 2048
+	tileRowsC = 8
+)
 
-// randTile builds a rows × cols tile over panel: n from 0 to 40 steps,
-// scalar and multiplicand strides drawn from zero, small, negative and
-// large, and row offsets from −32 to 32 floats, negative ones included.
-// Every read stays inside the panel. The accumulators are drawn by
-// value.
-func randTile(rng *rand.Rand, panel []float32, rows, cols int64, value func() float32) tile {
-	t := tile{rows: rows, cols: cols}
+// randTile builds a rows × cols tile over a panel of tilePanel floats,
+// which it reads as both A and B, and a C panel of tileRowsC rows of
+// ldc floats. n runs from 0 to 40 steps; the scalar and multiplicand
+// strides are drawn from zero, small, negative and large, and the row
+// offsets from −32 to 32 floats, negative ones included. Every read
+// stays inside the panel. The C rows are distinct rows of the C panel,
+// in any order, at one column offset. The set-up is staged, zeros or
+// C, and the chunk stores to C or not. The accumulators go back to
+// distinct vector registers, in any order.
+func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
+	t := tile{rows: rows, cols: cols, bbank: 1}
 	switch rng.Intn(4) {
 	case 0:
 		t.n = 0
@@ -56,15 +67,22 @@ func randTile(rng *rand.Rand, panel []float32, rows, cols int64, value func() fl
 		offLo, offHi = min(offLo, off), max(offHi, off)
 	}
 	lo, hi := span(sa)
-	a := start(offLo+lo, offHi+hi+1)
+	t.a, t.sa = start(offLo+lo, offHi+hi+1)*4, sa*4
 	lo, hi = span(sb)
-	b := start(lo, hi+4*cols)
-	base := unsafe.Pointer(&panel[0])
-	t.a, t.sa = unsafe.Add(base, a*4), sa*4
-	t.b, t.sb = unsafe.Add(base, b*4), sb*4
-	for i := range t.acc {
-		for l := range t.acc[i] {
-			t.acc[i][l] = value()
+	t.b, t.sb = start(lo, hi+4*cols)*4, sb*4
+
+	t.init, t.store = int64(rng.Intn(3)), int64(rng.Intn(2))
+	col := rng.Int63n(ldc - 4*cols + 1)
+	for i, r := range rng.Perm(tileRowsC)[:rows] {
+		t.c[i] = (int64(r)*ldc + col) * 4
+	}
+	for s := range t.v {
+		t.v[s] = tileSpill
+	}
+	regs := rng.Perm(asm.NumVectorRegs)
+	for i := int64(0); i < rows; i++ {
+		for c := int64(0); c < cols; c++ {
+			t.v[slot(i, c, cols)] = int64(regs[i*cols+c]) * 16
 		}
 	}
 	return t
@@ -88,13 +106,15 @@ func TestRunAffineIsSSE(t *testing.T) {
 }
 
 // TestTileMatchesGo runs tileAVX and the pure-Go execTile on copies of
-// one tile, for every shape the assembly implements, and requires the
-// accumulators to match bit for bit, except where both hold a NaN. NaN
-// payloads cannot be pinned: when both operands of a multiply or add
-// are NaN, x86 returns the first source's payload, and the gc compiler
-// picks which operand is the MULSS/ADDSS destination per lane by
-// register allocation, so the Go loop itself has no fixed payload to
-// match. Neither loop may write the panel.
+// one tile's environment, for every shape the assembly implements and
+// every set-up, with and without the C store, and requires the C panel
+// and the vector file to match bit for bit, except where both hold a
+// NaN. NaN payloads cannot be pinned: when both operands of a multiply
+// or add are NaN, x86 returns the first source's payload, and the gc
+// compiler picks which operand is the MULSS/ADDSS destination per lane
+// by register allocation, so the Go loop itself has no fixed payload to
+// match. Neither loop may write the A and B panel; a chunk that does
+// not store must leave C alone.
 func TestTileMatchesGo(t *testing.T) {
 	if !hasAVX() {
 		t.Skip("no AVX: tileAVX cannot run here")
@@ -103,7 +123,7 @@ func TestTileMatchesGo(t *testing.T) {
 	panel := make([]float32, tilePanel)
 	for rows := int64(1); rows <= maxTileRows; rows++ {
 		for cols := int64(1); cols <= maxTileCols(rows); cols++ {
-			for iter := 0; iter < 60; iter++ {
+			for iter := 0; iter < 90; iter++ {
 				// Special operands in none, a few or a third of the
 				// values, so some accumulators stay finite and some meet
 				// Inf and NaN.
@@ -118,29 +138,53 @@ func TestTileMatchesGo(t *testing.T) {
 					panel[i] = value()
 				}
 				before := append([]float32(nil), panel...)
-				want := randTile(rng, panel, rows, cols, value)
-				got := want
-				execTile(&want)
-				tileAVX(&got)
-				for i := int64(0); i < rows; i++ {
-					for c := int64(0); c < cols; c++ {
-						k := slot(i, c, cols)
-						for l := range got.acc[k] {
-							gv, wv := got.acc[k][l], want.acc[k][l]
-							if gv != gv && wv != wv {
-								continue
-							}
-							if math.Float32bits(gv) != math.Float32bits(wv) {
-								t.Fatalf("%d×%d iter %d (n %d, sa %d, sb %d, off %v): row %d col %d lane %d: avx %#08x (%g), go %#08x (%g)",
-									rows, cols, iter, got.n, got.sa, got.sb, got.off[:rows], i, c, l,
-									math.Float32bits(gv), gv, math.Float32bits(wv), wv)
-							}
-						}
+				ldc := 4*cols + rng.Int63n(9)
+				tl := randTile(rng, rows, cols, ldc)
+				c := make([]float32, tileRowsC*ldc)
+				for i := range c {
+					c[i] = value()
+				}
+				cWant, cGot := append([]float32(nil), c...), append([]float32(nil), c...)
+				want, got := NewEnv(4), NewEnv(4)
+				for i := range want.v {
+					want.v[i] = value()
+				}
+				for i := range want.acc {
+					for l := range want.acc[i] {
+						want.acc[i][l] = value()
 					}
+				}
+				got.v, got.acc = want.v, want.acc
+				for _, e := range []*Env{want, got} {
+					e.base[0] = unsafe.Pointer(&panel[0])
+					e.base[1] = unsafe.Pointer(&panel[0])
+				}
+				want.base[2], got.base[2] = unsafe.Pointer(&cWant[0]), unsafe.Pointer(&cGot[0])
+				execTile(want, &tl)
+				tileAVX(got, &tl)
+				what := fmt.Sprintf("%d×%d iter %d (n %d, sa %d, sb %d, off %v, init %d, store %d, c %v)",
+					rows, cols, iter, tl.n, tl.sa, tl.sb, tl.off[:rows], tl.init, tl.store, tl.c[:rows])
+				same := func(where string, i int, gv, wv float32) {
+					if gv != gv && wv != wv {
+						return
+					}
+					if math.Float32bits(gv) != math.Float32bits(wv) {
+						t.Fatalf("%s: %s[%d]: avx %#08x (%g), go %#08x (%g)",
+							what, where, i, math.Float32bits(gv), gv, math.Float32bits(wv), wv)
+					}
+				}
+				for i := range cGot {
+					same("C", i, cGot[i], cWant[i])
+					if tl.store == 0 {
+						same("C before", i, cWant[i], c[i])
+					}
+				}
+				for i := 0; i < asm.NumVectorRegs*4; i++ {
+					same("v", i, got.v[i], want.v[i])
 				}
 				for i := range panel {
 					if math.Float32bits(panel[i]) != math.Float32bits(before[i]) {
-						t.Fatalf("%d×%d iter %d: panel[%d] written", rows, cols, iter, i)
+						t.Fatalf("%s: panel[%d] written", what, i)
 					}
 				}
 			}

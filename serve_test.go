@@ -110,16 +110,16 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	}
 	defer e.Close()
 
-	// Park the only worker behind four big jobs, so the queue ahead of
-	// the batch lasts well past its 50 ms deadline however fast one of
-	// them runs.
+	// Park the only worker behind sixteen big jobs, so the queue ahead
+	// of the batch lasts well past its 50 ms deadline however fast one
+	// of them runs: at 25 GFLOP/s on one worker each takes about 10 ms.
 	big := workload.ResNet50()[0]
 	ba := make([]float32, big.M*big.K)
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 5)
 	refgemm.Fill(bb, big.K, big.N, big.N, 6)
 	var blockers []*Future
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 16; i++ {
 		blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 			C: make([]float32, big.M*big.N)})
 		if err != nil {
@@ -138,6 +138,9 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	err = e.MultiplyBatch(batch)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch deadline error = %v, want DeadlineExceeded identity", err)
+	}
+	if errors.Is(err, ErrAdmission) {
+		t.Fatalf("batch element refused at submit (%v), want it to expire while queued", err)
 	}
 	if got := HTTPStatus(err); got != http.StatusGatewayTimeout {
 		t.Fatalf("batch deadline error maps to %d, want 504", got)
