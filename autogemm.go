@@ -94,7 +94,7 @@ type Perf struct {
 }
 
 // Engine plans and executes GEMMs for one chip model. It is safe for
-// concurrent use: resolved plans are cached per fingerprint (shape +
+// concurrent use: resolved plans are cached per request (shape +
 // option set) in a sharded, singleflight-deduplicated cache, so
 // concurrent first calls on the same shape plan exactly once. With a
 // plan directory configured (WithPlanDir or AUTOGEMM_PLAN_DIR), cache
@@ -109,7 +109,7 @@ type Perf struct {
 // docs/INTERNALS.md, "Runtime & scheduling".
 type Engine struct {
 	chip     *hw.Chip
-	plans    *plan.Cache[*core.Plan]
+	plans    *plan.Cache[plan.Key, *core.Plan]
 	registry *plan.Registry
 	sched    *sched.Pool
 	kernels  *mkernel.Cache // shared by every plan the engine attaches
@@ -122,11 +122,11 @@ type Engine struct {
 	classCfg     []classSetup
 
 	// Tiered planning state (see tiered.go). upgrading tracks the
-	// fingerprints with a background upgrade in flight; each maps to a
+	// requests with a background upgrade in flight; each maps to a
 	// channel closed when that upgrade settles.
 	mode      PlanMode
 	upMu      sync.Mutex
-	upgrading map[string]chan struct{}
+	upgrading map[plan.Key]chan struct{}
 
 	heuristicServed   atomic.Int64
 	upgradesCompleted atomic.Int64
@@ -175,9 +175,9 @@ func New(chipName string, opts ...EngineOption) (*Engine, error) {
 	}
 	e := &Engine{
 		chip:      chip,
-		plans:     plan.NewCache[*core.Plan](),
+		plans:     plan.NewCache[plan.Key, *core.Plan](plan.HashKey),
 		kernels:   mkernel.NewCache(),
-		upgrading: make(map[string]chan struct{}),
+		upgrading: make(map[plan.Key]chan struct{}),
 	}
 	if dir := os.Getenv("AUTOGEMM_PLAN_DIR"); dir != "" {
 		e.registry = plan.NewRegistry(dir)
@@ -309,7 +309,7 @@ func (e *Engine) EstimateProvider(provider string, m, n, k int) (Perf, error) {
 //
 // The winning plan is inserted into the engine's plan cache — a
 // subsequent request with the returned options (GEMM.Opts, PlanFor)
-// resolves to the same fingerprint and executes the tuned plan without
+// resolves to the same request key and executes the tuned plan without
 // re-planning — and, when a plan directory is configured, persisted to
 // the registry so later processes warm-start from it.
 func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
@@ -319,7 +319,7 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	if err != nil {
 		return Options{}, Perf{}, err
 	}
-	if _, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
+	if _, err := e.plans.Get(rec.Request.Key(), func() (*core.Plan, error) {
 		o := e.withRuntime(res.Best.Options())
 		o.TrustedPlan = true // tuned in-process, no audit needed
 		return core.Attach(e.chip, rec, o)

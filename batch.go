@@ -22,7 +22,7 @@ import (
 // parameters (nil Opts uses the engine's defaults) and scheduling
 // treatment (a zero QoS runs under the engine's default class). Shapes
 // and classes may differ freely across a batch; plans are served from
-// the engine's plan cache per (shape, options) fingerprint.
+// the engine's plan cache per (shape, options) request.
 type GEMM struct {
 	C, A, B []float32
 	M, N, K int

@@ -50,9 +50,9 @@ func strategyName(o Options) string {
 }
 
 // RequestOf converts planning inputs into the serializable request the
-// fingerprint is computed over — the options exactly as given, before
-// any automatic resolution, so identical requests always map to the
-// same plan-cache and registry key.
+// plan-cache key and the fingerprint are computed over — the options
+// exactly as given, before any automatic resolution, so identical
+// requests always map to the same plan-cache and registry entry.
 func RequestOf(chip *hw.Chip, m, n, k int, opts Options) plan.Request {
 	req := plan.Request{
 		Chip: chip.Name, M: m, N: n, K: k,
@@ -66,11 +66,6 @@ func RequestOf(chip *hw.Chip, m, n, k int, opts Options) plan.Request {
 		req.Cands = append(req.Cands, t.String())
 	}
 	return req
-}
-
-// Fingerprint returns the plan-cache key for a problem and option set.
-func Fingerprint(chip *hw.Chip, m, n, k int, opts Options) string {
-	return RequestOf(chip, m, n, k, opts).Fingerprint()
 }
 
 // resolveOptions applies the automatic parameter choices: packing by

@@ -91,7 +91,7 @@ func TestSubmitProduceMatchesProduce(t *testing.T) {
 func TestSubmitProduceSeededKeepsFingerprint(t *testing.T) {
 	chip := hw.KP920()
 	opts := AutoOptions(chip)
-	base := Fingerprint(chip, 64, 300, 64, opts)
+	base := RequestOf(chip, 64, 300, 64, opts).Fingerprint()
 
 	seeded := opts
 	seeded.Strategy = &tiling.DMT{Candidates: mkernel.PreferredTiles(chip.Lanes)}

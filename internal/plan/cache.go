@@ -28,24 +28,26 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Cache is a sharded, singleflight-deduplicated memoization table keyed
-// by plan fingerprint. Concurrent Get calls for the same key run the
-// build function exactly once; the losers block until it completes and
-// share the result. Only successful values stay memoized: a failed
-// build propagates its error to every waiter and is then forgotten, so
-// one rejected plan (say, tampered bytes handed to LoadPlan) does not
-// poison its fingerprint against a later good build.
-type Cache[V any] struct {
+// Cache is a sharded, singleflight-deduplicated memoization table. The
+// engine keys it by Key, the comparable form of a plan request, so a
+// warm hit hashes no fingerprint. Concurrent Get calls for the same key
+// run the build function exactly once; the losers block until it
+// completes and share the result. Only successful values stay
+// memoized: a failed build propagates its error to every waiter and is
+// then forgotten, so one rejected plan (say, tampered bytes handed to
+// LoadPlan) does not poison its key against a later good build.
+type Cache[K comparable, V any] struct {
 	seed   maphash.Seed
-	shards [nShards]cacheShard[V]
+	hash   func(maphash.Seed, K) uint64
+	shards [nShards]cacheShard[K, V]
 	hits   atomic.Int64
 	misses atomic.Int64
 	built  atomic.Int64
 }
 
-type cacheShard[V any] struct {
+type cacheShard[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*cacheEntry[V]
+	m  map[K]*cacheEntry[V]
 }
 
 type cacheEntry[V any] struct {
@@ -54,22 +56,23 @@ type cacheEntry[V any] struct {
 	err  error
 }
 
-// NewCache returns an empty cache.
-func NewCache[V any]() *Cache[V] {
-	c := &Cache[V]{seed: maphash.MakeSeed()}
+// NewCache returns an empty cache whose keys hash to shards with hash:
+// HashKey for plan Keys, maphash.String for strings.
+func NewCache[K comparable, V any](hash func(maphash.Seed, K) uint64) *Cache[K, V] {
+	c := &Cache[K, V]{seed: maphash.MakeSeed(), hash: hash}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]*cacheEntry[V])
+		c.shards[i].m = make(map[K]*cacheEntry[V])
 	}
 	return c
 }
 
-func (c *Cache[V]) shard(key string) *cacheShard[V] {
-	return &c.shards[maphash.String(c.seed, key)%nShards]
+func (c *Cache[K, V]) shard(key K) *cacheShard[K, V] {
+	return &c.shards[c.hash(c.seed, key)%nShards]
 }
 
 // Get returns the cached value for key, building it with build on first
 // request. Exactly one goroutine builds per key; the rest wait.
-func (c *Cache[V]) Get(key string, build func() (V, error)) (V, error) {
+func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
@@ -98,7 +101,7 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (V, error) {
 
 // Lookup returns the completed value for key without building. ok is
 // false when the key is absent, still building, or failed to build.
-func (c *Cache[V]) Lookup(key string) (V, bool) {
+func (c *Cache[K, V]) Lookup(key K) (V, bool) {
 	var zero V
 	s := c.shard(key)
 	s.mu.Lock()
@@ -126,7 +129,7 @@ func (c *Cache[V]) Lookup(key string) (V, bool) {
 // In-flight executions holding the old value are unaffected: values
 // are immutable from the cache's point of view, so a swap can never
 // corrupt a caller mid-use.
-func (c *Cache[V]) Replace(key string, val V) {
+func (c *Cache[K, V]) Replace(key K, val V) {
 	e := &cacheEntry[V]{done: make(chan struct{}), val: val}
 	close(e.done)
 	s := c.shard(key)
@@ -137,7 +140,7 @@ func (c *Cache[V]) Replace(key string, val V) {
 
 // Len reports how many keys the cache holds (including in-flight
 // builds; failed builds are evicted when they complete).
-func (c *Cache[V]) Len() int {
+func (c *Cache[K, V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -149,6 +152,6 @@ func (c *Cache[V]) Len() int {
 }
 
 // Stats returns a snapshot of the traffic counters.
-func (c *Cache[V]) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Built: c.built.Load()}
 }

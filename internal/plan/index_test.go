@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"testing"
@@ -148,7 +149,7 @@ func TestNeighborTiles(t *testing.T) {
 // observe the new value without a rebuild, and waiters joined to the
 // old entry still receive the value they were promised.
 func TestCacheReplace(t *testing.T) {
-	c := NewCache[string]()
+	c := NewCache[string, string](maphash.String)
 	got, err := c.Get("fp", func() (string, error) { return "heuristic", nil })
 	if err != nil || got != "heuristic" {
 		t.Fatalf("Get = %q, %v", got, err)

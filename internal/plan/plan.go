@@ -21,8 +21,10 @@ package plan
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 )
@@ -65,19 +67,74 @@ type Request struct {
 
 // Fingerprint hashes the request and the plan format version into a
 // stable hex key. Everything that can change the produced plan is in
-// the hash; nothing else is.
+// the hash; nothing else is. It names a plan on disk and in reports;
+// the in-memory cache is keyed by Key instead.
 func (r Request) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "autogemm-plan-v%d|%s|%d|%d|%d|%d|%d|%d|%s|%s|%v|%v|%d|%d|%v|%s",
 		FormatVersion, r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC,
 		r.Order, r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)
-	if len(r.Cands) > 0 {
-		cands := append([]string(nil), r.Cands...)
-		sort.Strings(cands)
-		b.WriteString("|" + strings.Join(cands, ","))
-	}
+	b.WriteString(r.canonicalCands())
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
+}
+
+// canonicalCands is the candidate list in the form the fingerprint
+// hashes: empty when there are none, else "|" and the sorted entries
+// joined by commas.
+func (r Request) canonicalCands() string {
+	if len(r.Cands) == 0 {
+		return ""
+	}
+	cands := append([]string(nil), r.Cands...)
+	sort.Strings(cands)
+	return "|" + strings.Join(cands, ",")
+}
+
+// Key is a request as a comparable value: two requests have equal
+// keys exactly when they have equal fingerprints. Building one hashes
+// nothing, so the engine's plan cache is keyed by it and a warm lookup
+// costs a map probe instead of a SHA-256.
+type Key struct {
+	Chip         string
+	M, N, K      int
+	MC, NC, KC   int
+	Order, Pack  string
+	Rotate, Fuse bool
+	Cores, Over  int
+	KCisK        bool
+	Tiler        string
+	Cands        string // canonicalCands
+}
+
+// Key returns the request's comparable cache key. It allocates only
+// when the request restricts the candidate tiles.
+func (r Request) Key() Key {
+	return Key{
+		Chip: r.Chip, M: r.M, N: r.N, K: r.K, MC: r.MC, NC: r.NC, KC: r.KC,
+		Order: r.Order, Pack: r.Pack, Rotate: r.Rotate, Fuse: r.Fuse,
+		Cores: r.Cores, Over: r.Over, KCisK: r.KCisK, Tiler: r.Tiler,
+		Cands: r.canonicalCands(),
+	}
+}
+
+// HashKey spreads Keys across a Cache's shards. Its signature is the
+// one NewCache takes, the same as maphash.String's. It leaves out the
+// boolean flags: equal keys still hash alike, which is all a shard
+// choice needs.
+func HashKey(seed maphash.Seed, k Key) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	var b [8]byte
+	for _, v := range [...]int{k.M, k.N, k.K, k.MC, k.NC, k.KC, k.Cores, k.Over} {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for _, s := range [...]string{k.Chip, k.Order, k.Pack, k.Tiler, k.Cands} {
+		h.WriteString(s)
+		h.WriteByte(0)
+	}
+	return h.Sum64()
 }
 
 // Panel is one uniformly-tiled rectangle of a block's DMT cover

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"hash/maphash"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -72,6 +73,71 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	b.Cands = []string{"6x12", "8x8"}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("candidate order changed the fingerprint")
+	}
+}
+
+// TestKeyMatchesFingerprint: the in-memory cache is keyed by Key and
+// the registry by Fingerprint, so the two must tell requests apart
+// alike. Over a variant of every field, permuted and restricted
+// candidate lists, and nil against empty ones, two requests share a
+// Key exactly when they share a fingerprint.
+func TestKeyMatchesFingerprint(t *testing.T) {
+	base := Request{Chip: "KP920", M: 64, N: 64, K: 48, Order: "MNK", Pack: "auto",
+		Rotate: true, Fuse: true, Tiler: "dmt", Cands: []string{"8x8", "5x16", "6x12"}}
+	mods := []struct {
+		name string
+		mod  func(*Request)
+	}{
+		{"base", func(*Request) {}},
+		{"chip", func(r *Request) { r.Chip = "A64FX" }},
+		{"m", func(r *Request) { r.M = 65 }},
+		{"n", func(r *Request) { r.N = 65 }},
+		{"k", func(r *Request) { r.K = 49 }},
+		{"mc", func(r *Request) { r.MC = 32 }},
+		{"nc", func(r *Request) { r.NC = 32 }},
+		{"kc", func(r *Request) { r.KC = 32 }},
+		{"order", func(r *Request) { r.Order = "KNM" }},
+		{"pack", func(r *Request) { r.Pack = "online" }},
+		{"rotate", func(r *Request) { r.Rotate = false }},
+		{"fuse", func(r *Request) { r.Fuse = false }},
+		{"cores", func(r *Request) { r.Cores = 4 }},
+		{"over", func(r *Request) { r.Over = 50 }},
+		{"kcisk", func(r *Request) { r.KCisK = true }},
+		{"tiler", func(r *Request) { r.Tiler = "heuristic" }},
+		{"cands-permuted", func(r *Request) { r.Cands = []string{"6x12", "8x8", "5x16"} }},
+		{"cands-other", func(r *Request) { r.Cands = []string{"8x8", "5x16", "4x16"} }},
+		{"cands-one", func(r *Request) { r.Cands = []string{"8x8"} }},
+		{"cands-nil", func(r *Request) { r.Cands = nil }},
+		{"cands-empty", func(r *Request) { r.Cands = []string{} }},
+		{"cands-empty-m", func(r *Request) { r.Cands = []string{}; r.M = 65 }},
+		{"cands-nil-m", func(r *Request) { r.Cands = nil; r.M = 65 }},
+	}
+	reqs := make([]Request, len(mods))
+	for i, m := range mods {
+		r := base
+		r.Cands = append([]string(nil), base.Cands...)
+		m.mod(&r)
+		reqs[i] = r
+	}
+	sameKeys := 0
+	for i, a := range reqs {
+		for j, b := range reqs {
+			keyEq := a.Key() == b.Key()
+			fpEq := a.Fingerprint() == b.Fingerprint()
+			if keyEq != fpEq {
+				t.Errorf("%s vs %s: equal keys %v, equal fingerprints %v",
+					mods[i].name, mods[j].name, keyEq, fpEq)
+			}
+			if keyEq && i != j {
+				sameKeys++
+			}
+		}
+	}
+	// base ~ cands-permuted, cands-nil ~ cands-empty and
+	// cands-empty-m ~ cands-nil-m, each counted both ways: the test
+	// checks real equalities, not only differences.
+	if sameKeys != 6 {
+		t.Errorf("%d ordered pairs of distinct variants share a key, want 6", sameKeys)
 	}
 }
 
@@ -176,7 +242,7 @@ func TestRegistryStoreLoadList(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache[int]()
+	c := NewCache[string, int](maphash.String)
 	const (
 		keys       = 8
 		goroutines = 64
@@ -230,7 +296,7 @@ func TestCacheSingleflight(t *testing.T) {
 // tampered LoadPlan bytes) cannot poison its fingerprint against a
 // later good build of the same key.
 func TestCacheForgetsErrors(t *testing.T) {
-	c := NewCache[int]()
+	c := NewCache[string, int](maphash.String)
 	calls := 0
 	build := func() (int, error) { calls++; return 0, fmt.Errorf("boom") }
 	if _, err := c.Get("key", build); err == nil {

@@ -95,8 +95,13 @@ type Pool struct {
 	workers int
 	depth   int
 
+	// mu guards the pool's state. Parked workers wait on work, which
+	// only an accepted job signals — no other event makes a job
+	// joinable. Submitters blocked on backpressure wait on room, which
+	// a completing job, a firing context and Close broadcast.
 	mu        sync.Mutex
-	cond      *sync.Cond
+	work      *sync.Cond
+	room      *sync.Cond
 	classes   map[string]*classQueue // per-QoS-class claim frontiers (qos.go)
 	classList []*classQueue          // classes sorted by name: deterministic arbitration scans
 	vpass     uint64                 // stride clock: pass of the last chosen class
@@ -146,7 +151,8 @@ func New(workers, depth int) *Pool {
 		}
 	}
 	p := &Pool{workers: workers, depth: depth, classes: make(map[string]*classQueue)}
-	p.cond = sync.NewCond(&p.mu)
+	p.work = sync.NewCond(&p.mu)
+	p.room = sync.NewCond(&p.mu)
 	p.perWorker = make([]workerCounters, workers)
 	return p
 }
@@ -395,8 +401,8 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 			return fail(ErrBusy)
 		}
 		// Blocked on backpressure: a cond.Wait cannot select on the
-		// context, so a watcher broadcasts when it fires and the loop
-		// re-checks ctx.Err. The watcher exits either way.
+		// context, so a watcher broadcasts room when it fires and the
+		// loop re-checks ctx.Err. The watcher exits either way.
 		var stop chan struct{}
 		if done := ctx.Done(); done != nil {
 			stop = make(chan struct{})
@@ -404,14 +410,14 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 				select {
 				case <-done:
 					p.mu.Lock()
-					p.cond.Broadcast()
+					p.room.Broadcast()
 					p.mu.Unlock()
 				case <-stop:
 				}
 			}()
 		}
 		for p.inflight >= p.depth && !p.closed && ctx.Err() == nil {
-			p.cond.Wait()
+			p.room.Wait()
 		}
 		if stop != nil {
 			close(stop)
@@ -473,7 +479,11 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 		cq.pass = p.vpass
 	}
 	meta := JobMeta{Class: cq.name, Weight: cq.weight, Tasks: tasks, MaxWorkers: maxWorkers}
-	p.cond.Broadcast()
+	// Wake only the parked workers the job can use. A worker busy
+	// elsewhere re-scans before it parks, so it needs no wake-up.
+	for i := 0; i < min(maxWorkers, tasks); i++ {
+		p.work.Signal()
+	}
 	p.mu.Unlock()
 	if jo, ok := p.timekeeper().(JobObserver); ok {
 		jo.ObserveJob(j.id, meta)
@@ -526,7 +536,8 @@ func (p *Pool) CloseWithTimeout(d time.Duration) error {
 func (p *Pool) beginClose() {
 	p.mu.Lock()
 	p.closed = true
-	p.cond.Broadcast()
+	p.work.Broadcast()
+	p.room.Broadcast()
 	p.mu.Unlock()
 }
 
@@ -591,7 +602,7 @@ func (p *Pool) worker(id int) {
 				p.mu.Unlock()
 				return
 			}
-			p.cond.Wait()
+			p.work.Wait()
 			continue
 		}
 		j.parts++
@@ -725,8 +736,11 @@ func (j *job) unlist() {
 }
 
 // finish completes the job: fold its counters into the pool and its
-// class, free an in-flight slot (waking blocked Submit calls), release
-// a QoS-deadline context, and fire the future.
+// class, free an in-flight slot (waking blocked Submit calls, never
+// workers), release a QoS-deadline context, and fire the future. It
+// broadcasts rather than signals: with no submitter blocked that costs
+// nothing, and a signal could land on a submitter whose context has
+// just fired, which would leave without taking the slot.
 func (j *job) finish() {
 	p := j.pool
 	p.mu.Lock()
@@ -735,7 +749,7 @@ func (j *job) finish() {
 	p.completed++
 	j.cq.completed++
 	p.stolen += atomic.LoadInt64(&j.stolen)
-	p.cond.Broadcast()
+	p.room.Broadcast()
 	p.mu.Unlock()
 	if j.cancel != nil {
 		j.cancel()

@@ -78,17 +78,17 @@ func (e *Engine) MultiplyPlanned(p *Plan, c, a, b []float32) error {
 
 // LoadPlan deserializes a plan produced by Encode (or read from a
 // registry file) and attaches it to this engine, entering it into the
-// plan cache under its fingerprint. The decoded plan is untrusted: it
+// plan cache under its request's key. The decoded plan is untrusted: it
 // must pass the static audit (coverage, bounds composition, kernel-key
 // consistency) before any kernel can execute. A plan for a different
 // chip, an older format version, or with corrupted or tampered
 // contents is rejected with an error matching ErrBadPlan.
 func (e *Engine) LoadPlan(data []byte) (*Plan, error) {
-	rec, err := plan.Decode(data)
+	rec, err := plan.Decode(data) // checks the fingerprint against the request
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
 	}
-	cp, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
+	cp, err := e.plans.Get(rec.Request.Key(), func() (*core.Plan, error) {
 		return core.Attach(e.chip, rec, e.withRuntime(core.Options{}))
 	})
 	if err != nil {
@@ -113,7 +113,7 @@ func (e *Engine) SavePlan(p *Plan) error {
 // PlanCacheStats is a snapshot of the engine's plan-cache traffic and
 // its scheduler runtime. Built counts plan constructions (including
 // registry warm-starts): under concurrent load it equals the number of
-// distinct fingerprints requested — the singleflight guarantee. The
+// distinct requests made — the singleflight guarantee. The
 // Sched* counters cover the execution layer: every Multiply /
 // MultiplyBatch / Submit is one scheduler job.
 type PlanCacheStats struct {
@@ -194,16 +194,18 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // planResolved serves the executor for resolved core options from the
 // plan cache: on a miss it first tries the on-disk registry (a stale or
 // mismatched entry falls through to fresh planning), then produces and
-// attaches a fresh plan. Concurrent misses on one fingerprint plan
-// exactly once. In tiered mode (WithPlanMode) the miss path serves an
-// instant heuristic plan instead and upgrades it in the background —
-// see tiered.go.
+// attaches a fresh plan. Concurrent misses on one request plan
+// exactly once. The cache is keyed by the request's Key; the SHA-256
+// fingerprint is computed only on a miss, when the plan is built or
+// loaded from the registry. In tiered mode (WithPlanMode) the miss
+// path serves an instant heuristic plan instead and upgrades it in the
+// background — see tiered.go.
 func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) {
 	req := core.RequestOf(e.chip, m, n, k, co)
 	if e.PlanMode() == PlanModeTiered {
 		return e.planTiered(co, m, n, k, req)
 	}
-	return e.plans.Get(req.Fingerprint(), func() (*core.Plan, error) {
+	return e.plans.Get(req.Key(), func() (*core.Plan, error) {
 		if p := e.warmStart(req, co); p != nil {
 			return p, nil
 		}

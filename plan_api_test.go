@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"autogemm/internal/plan"
 	"autogemm/internal/refgemm"
 	"autogemm/internal/workload"
 )
@@ -149,6 +150,42 @@ func TestRepeatedMultiplyHitsCache(t *testing.T) {
 	}
 	if st.Hits != reps {
 		t.Errorf("after %d repeats: Hits = %d, want %d", reps, st.Hits, reps)
+	}
+}
+
+// TestWarmPlanResolveAllocs: once a shape's plan is cached, resolving
+// it again allocates nothing — the cache key is a comparable value, not
+// a formatted and hashed fingerprint. The tiered engine is held to the
+// same bound once its heuristic plan has been upgraded.
+func TestWarmPlanResolveAllocs(t *testing.T) {
+	const m, n, k = 26, 36, 20
+	for _, mode := range []PlanMode{PlanModeFull, PlanModeTiered} {
+		e, err := New("KP920", WithPlanMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.plan(nil, m, n, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.FlushUpgrades(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.plan(nil, m, n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src := p.Recipe.Source; src != plan.SourceAuto {
+			t.Fatalf("%s: warm plan source %q, want the full plan", mode, src)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := e.plan(nil, m, n, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm plan resolve allocates %.1f times, want 0", mode, allocs)
+		}
 	}
 }
 

@@ -64,13 +64,13 @@ func (e *Engine) PlanMode() PlanMode {
 }
 
 // planTiered is planResolved's tiered path: build (or fetch) the tier-0
-// plan under the request's fingerprint, then — if what came out of the
-// cache is still heuristic — make sure a background upgrade is in
-// flight. The cache keeps its singleflight invariant untouched: the
-// build function still runs once per fingerprint, it is just cheap now.
+// plan under the request's key, then — if what came out of the cache
+// is still heuristic — make sure a background upgrade is in flight.
+// The cache keeps its singleflight invariant untouched: the build
+// function still runs once per request, it is just cheap now.
 func (e *Engine) planTiered(co core.Options, m, n, k int, req plan.Request) (*core.Plan, error) {
-	fp := req.Fingerprint()
-	p, err := e.plans.Get(fp, func() (*core.Plan, error) {
+	key := req.Key()
+	p, err := e.plans.Get(key, func() (*core.Plan, error) {
 		// A registry hit is already the full plan — no tier-0 detour.
 		if p := e.warmStart(req, co); p != nil {
 			return p, nil
@@ -93,30 +93,30 @@ func (e *Engine) planTiered(co core.Options, m, n, k int, req plan.Request) (*co
 	return p, nil
 }
 
-// maybeUpgrade enqueues the background DMT upgrade for a fingerprint
+// maybeUpgrade enqueues the background DMT upgrade for a request
 // currently served by a heuristic plan, unless one is already in
 // flight. Enqueueing is best-effort and never blocks the serving path:
 // a pool at depth (sched.ErrBusy) or closed simply means the next
 // serve of the heuristic plan retries.
 func (e *Engine) maybeUpgrade(req plan.Request, co core.Options, m, n, k int) {
-	fp := req.Fingerprint()
+	key := req.Key()
 	// A serve that raced past a completed upgrade still holds the old
 	// heuristic handle; consult the cache, not the handle, before
 	// spending a planner run.
-	if cur, ok := e.plans.Lookup(fp); ok && cur.Recipe.Source != plan.SourceHeuristic {
+	if cur, ok := e.plans.Lookup(key); ok && cur.Recipe.Source != plan.SourceHeuristic {
 		return
 	}
 	e.upMu.Lock()
-	if _, busy := e.upgrading[fp]; busy {
+	if _, busy := e.upgrading[key]; busy {
 		e.upMu.Unlock()
 		return
 	}
 	done := make(chan struct{})
-	e.upgrading[fp] = done
+	e.upgrading[key] = done
 	e.upMu.Unlock()
 	settle := func() {
 		e.upMu.Lock()
-		delete(e.upgrading, fp)
+		delete(e.upgrading, key)
 		e.upMu.Unlock()
 		close(done)
 	}
@@ -150,10 +150,10 @@ func (e *Engine) maybeUpgrade(req plan.Request, co core.Options, m, n, k int) {
 			e.upgradesFailed.Add(1)
 			return
 		}
-		if cur, ok := e.plans.Lookup(fp); ok && cur.Recipe.Source != plan.SourceHeuristic {
+		if cur, ok := e.plans.Lookup(key); ok && cur.Recipe.Source != plan.SourceHeuristic {
 			return // an earlier upgrade (or a tuner/load) already landed
 		}
-		e.plans.Replace(fp, p)
+		e.plans.Replace(key, p)
 		e.upgradesCompleted.Add(1)
 		if e.registry != nil {
 			_ = e.registry.Store(rec) // best-effort persistence
