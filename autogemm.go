@@ -11,8 +11,9 @@
 // this build targets commodity hosts rather than Arm silicon, kernels
 // execute on a cycle-level simulator of the paper's five evaluation
 // chips (KP920, Graviton2, Altra, M2, A64FX): Multiply computes real
-// float32 results by interpreting the generated kernels, and Estimate
-// projects their performance on the selected chip.
+// float32 results by running the generated kernels, compiled from the
+// analyzer's proof of their memory accesses, and Estimate projects
+// their performance on the selected chip.
 //
 // Quick start:
 //

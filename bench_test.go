@@ -15,7 +15,9 @@ import (
 	"autogemm/internal/refgemm"
 )
 
-// execution path (interpreting generated kernels) for a small GEMM.
+// BenchmarkMultiply measures the host-side cost of the functional
+// execution path (packing, then the compiled generated kernels) for a
+// small GEMM.
 func BenchmarkMultiply(b *testing.B) {
 	eng, err := autogemm.New("KP920")
 	if err != nil {
@@ -36,6 +38,7 @@ func BenchmarkMultiply(b *testing.B) {
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 }
 
+// BenchmarkEstimate measures one performance projection (the unit of
 // work inside every experiment).
 func BenchmarkEstimate(b *testing.B) {
 	eng, err := autogemm.New("Graviton2")
@@ -65,6 +68,7 @@ func BenchmarkKernelGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkProviderEstimates measures the per-library projection cost on
 // the Table I irregular shape.
 func BenchmarkProviderEstimates(b *testing.B) {
 	chip := hw.KP920()

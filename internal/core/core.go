@@ -121,9 +121,10 @@ type Options struct {
 	// dimension", §V-C).
 	ForceKCisK bool
 
-	// ForceInterp disables the compiled backend: every kernel runs on
-	// the checked interpreter (sim.Machine).
-	// See docs/INTERNALS.md, "Compiled execution".
+	// ForceInterp runs every kernel on the checked interpreter
+	// (sim.Machine) instead of its compiled form, over the same packed
+	// buffers and block path: the reference the compiled backend is
+	// held bit-identical to. See docs/INTERNALS.md, "Compiled execution".
 	ForceInterp bool
 
 	// Runtime is the scheduler the attached plan executes on — a
@@ -178,7 +179,8 @@ type Plan struct {
 	tilings map[[2]int]tiling.Tiling // block (m, n) -> tiling, from Recipe
 	progs   map[[3]int]*blockProg    // block (m, n, k) -> resolved kernels
 
-	interpOnly bool // Options.ForceInterp
+	interpOnly bool            // Options.ForceInterp
+	scratch    mkernel.Scratch // per-worker buffer sizes and their LD
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
 	// RunParallel / Submit turns into a job on, the C-tile-group
@@ -206,23 +208,26 @@ type Plan struct {
 	taskCosts []sched.TaskCost
 	vtCosting atomic.Bool
 
-	// Block-execution counters by path, updated atomically.
-	nInPlace, nABInPlace, nPacked, nInterp int64
+	// Block-execution counters by executor, updated atomically.
+	nPacked, nInterp int64
 
 	// Scheduler counters: jobs this plan submitted / completed and the
 	// tasks of its jobs run by a worker other than the first claimant.
 	nJobs, nJobsDone, nStolen int64
 }
 
-// ExecStats counts block executions by path since the plan was created
-// (across all Run/RunParallel calls). It exposes which tier the engine
-// actually took — tests and benchmarks assert on it rather than
-// guessing from timings.
+// ExecStats counts block executions since the plan was created (across
+// all Run/RunParallel calls). Every block runs packed (Plan.Run), so a
+// plan's blocks are counted by executor: compiled kernels, or the
+// checked interpreter on a ForceInterp plan. Tests and benchmarks assert
+// on it rather than guessing from timings.
 type ExecStats struct {
-	InPlaceBlocks   int64 // compiled; A, B and C addressed in the user slices
-	ABInPlaceBlocks int64 // compiled; A/B in place, C staged through the block buffer
-	PackedBlocks    int64 // compiled over packed scratch panels
-	InterpBlocks    int64 // checked-interpreter fallback
+	// InPlaceBlocks and ABInPlaceBlocks are always 0: no block reads
+	// its operands in place. They stay for callers that report them.
+	InPlaceBlocks   int64
+	ABInPlaceBlocks int64
+	PackedBlocks    int64 // compiled kernels over the packed panels
+	InterpBlocks    int64 // checked interpreter (ForceInterp) over the same panels
 
 	// Scheduler counters for this plan's jobs (one job per Run /
 	// RunParallel / Submit): completions and stolen-task counts are
@@ -235,13 +240,11 @@ type ExecStats struct {
 // Stats returns a snapshot of the plan's execution counters.
 func (p *Plan) Stats() ExecStats {
 	return ExecStats{
-		InPlaceBlocks:   atomic.LoadInt64(&p.nInPlace),
-		ABInPlaceBlocks: atomic.LoadInt64(&p.nABInPlace),
-		PackedBlocks:    atomic.LoadInt64(&p.nPacked),
-		InterpBlocks:    atomic.LoadInt64(&p.nInterp),
-		JobsSubmitted:   atomic.LoadInt64(&p.nJobs),
-		JobsCompleted:   atomic.LoadInt64(&p.nJobsDone),
-		TasksStolen:     atomic.LoadInt64(&p.nStolen),
+		PackedBlocks:  atomic.LoadInt64(&p.nPacked),
+		InterpBlocks:  atomic.LoadInt64(&p.nInterp),
+		JobsSubmitted: atomic.LoadInt64(&p.nJobs),
+		JobsCompleted: atomic.LoadInt64(&p.nJobsDone),
+		TasksStolen:   atomic.LoadInt64(&p.nStolen),
 	}
 }
 

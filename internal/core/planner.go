@@ -501,6 +501,7 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 		}
 	}
 	p.interpOnly = o.ForceInterp
+	p.scratch = mkernel.ScratchEnvelope(o.MC, o.NC, o.KC, chip.Lanes)
 
 	// Execution runtime: the scheduler pool every run is a job on, one
 	// scratch slot per pool worker, and the C-tile-group partition —

@@ -1,25 +1,22 @@
 package core
 
 import (
-	"autogemm/internal/mkernel"
 	"autogemm/internal/sched"
 	"autogemm/internal/sim"
 	"autogemm/internal/sim/compile"
 )
 
-// execState is the per-worker execution scratch: a compiled-kernel
-// environment, packing and C-staging buffers, and (built lazily, only
-// when a block falls back to the checked interpreter) a frozen arena
-// with a machine over it. Each scheduler worker owns one state per plan
-// — slot ID of the plan's states slice — built on the worker's first
-// task for the plan and reused across every later job, instead of the
-// old per-call sync.Pool borrowing.
+// execState is the per-worker execution scratch: the packing and
+// C-staging buffers, and the executor that runs kernels over them — a
+// compiled-kernel environment, or on a ForceInterp plan a machine. The
+// buffers are slices of one frozen arena, so both executors address the
+// same memory. Each scheduler worker owns one state per plan — slot ID
+// of the plan's states slice — built on the worker's first task for the
+// plan and reused across every later job.
 type execState struct {
-	env    *compile.Env
-	packA  []float32 // A block, row-major, lda = k_c
-	packB  []float32 // B panel, row-major, ldb = cBufLD
-	cBuf   []float32 // padded C block staging buffer
-	cBufLD int
+	packA []float32 // A block, row-major, lda = k_c
+	packB []float32 // B panel, row-major, ldb = Plan.scratch.LD
+	cBuf  []float32 // padded C block staging buffer, ldc = Plan.scratch.LD
 
 	// Pack-reuse keys: the (offset, shape) of the block currently held
 	// in packA/packB. A and B are read-only during a job, so when the
@@ -29,12 +26,12 @@ type execState struct {
 	aKey, bKey [4]int
 	job        uint64 // sequence number of the job the keys belong to
 
-	// Interpreter fallback. The arena layout is fixed at construction
-	// and frozen before any kernel runs, honouring sim.Arena's growth
-	// contract: regions are element-sized like the slices above and
-	// refreshed by copy per block.
-	arena            *sim.Arena
-	mach             *sim.Machine
+	env  *compile.Env // nil on a ForceInterp plan
+	mach *sim.Machine // ForceInterp only, over the arena below
+
+	// The buffers' byte addresses in the arena, which the machine's
+	// kernel arguments take. The arena's layout is fixed at
+	// construction and frozen, honouring sim.Arena's growth contract.
 	aReg, bReg, cReg int64
 }
 
@@ -43,29 +40,24 @@ type execState struct {
 // proves every kernel call of a loaded plan fits inside.
 func (p *Plan) newState() *execState {
 	lanes := p.Chip.Lanes
-	sc := mkernel.ScratchEnvelope(p.Opts.MC, p.Opts.NC, p.Opts.KC, lanes)
-	return &execState{
-		env:    compile.NewEnv(lanes),
-		packA:  make([]float32, sc.PackA),
-		packB:  make([]float32, sc.PackB),
-		cBuf:   make([]float32, sc.CBuf),
-		cBufLD: sc.LD,
-		aKey:   noKey, bKey: noKey,
+	sc := p.scratch
+	ar := sim.NewArena(sc.PackA + sc.PackB + sc.CBuf + 64)
+	st := &execState{
+		aKey: noKey, bKey: noKey,
+		aReg: ar.Alloc(sc.PackA),
+		bReg: ar.Alloc(sc.PackB),
+		cReg: ar.Alloc(sc.CBuf),
 	}
-}
-
-// ensureInterp builds the interpreter arena on first fallback use.
-func (st *execState) ensureInterp(lanes int) {
-	if st.mach != nil {
-		return
-	}
-	ar := sim.NewArena(len(st.packA) + len(st.packB) + len(st.cBuf) + 64)
-	st.aReg = ar.Alloc(len(st.packA))
-	st.bReg = ar.Alloc(len(st.packB))
-	st.cReg = ar.Alloc(len(st.cBuf))
 	ar.Freeze()
-	st.arena = ar
-	st.mach = sim.NewMachine(ar, lanes)
+	st.packA = ar.Slice(st.aReg, sc.PackA)
+	st.packB = ar.Slice(st.bReg, sc.PackB)
+	st.cBuf = ar.Slice(st.cReg, sc.CBuf)
+	if p.interpOnly {
+		st.mach = sim.NewMachine(ar, lanes)
+	} else {
+		st.env = compile.NewEnv(lanes)
+	}
+	return st
 }
 
 // noKey marks a pack buffer as holding no reusable panel.

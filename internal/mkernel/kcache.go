@@ -74,7 +74,7 @@ func build(s Spec) (kernel, error) {
 // first requests for one key wait for a single build. Failures are
 // memoized too: a kernel the generator rejects, or whose bounds the
 // analyzer cannot prove complete, fails deterministically, so repeated
-// executions never rebuild it just to fall back to the interpreter.
+// executions return the same error without rebuilding it.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
@@ -111,7 +111,8 @@ func (c *Cache) entry(s Spec) *cacheEntry {
 }
 
 // Program returns the (possibly cached) asm form of a kernel — what the
-// checked interpreter and the timing simulator run.
+// checked interpreter (a ForceInterp plan, the differential tests) and
+// the timing simulator run.
 func (c *Cache) Program(s Spec) (*asm.Program, error) {
 	e := c.entry(s)
 	return e.k.prog, e.err
@@ -120,8 +121,7 @@ func (c *Cache) Program(s Spec) (*asm.Program, error) {
 // Compiled returns the compiled form of a kernel, lowered from
 // the generation gate's report, or the memoized failure. An error
 // matching compile.ErrUnproven means the analyzer could not prove the
-// bounds complete: callers run the asm form from Program on the checked
-// interpreter instead.
+// bounds complete; a plan that needs the kernel fails with it.
 func (c *Cache) Compiled(s Spec) (*compile.Program, error) {
 	e := c.entry(s)
 	e.compileOnce.Do(func() {

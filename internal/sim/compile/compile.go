@@ -50,8 +50,7 @@ func Compile(p *asm.Program, opts Options) (*Program, error) {
 // AND the bounds pass was complete: every executable access
 // affine-resolved, panel-classified, in-bounds and 4-byte aligned for
 // every iteration, every loop's trip count exact. Anything short of the
-// full proof is not an error to paper over — the caller keeps using the
-// interpreter.
+// full proof is not an error to paper over — the caller gets it.
 func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
 	if bounds.Lanes < 1 || bounds.Lanes > MaxLanes {
 		return nil, fmt.Errorf("compile: %s: lanes %d out of range 1..%d", p.Name, bounds.Lanes, MaxLanes)

@@ -13,9 +13,8 @@
 // branches: it is a list of segments, each a body run a fixed number of
 // trips, whose memory ops carry their panel positions. Run validates the
 // panel extents once per invocation (Precheck) and executes with no
-// per-access checkAddr at all. Programs the analyzer cannot prove stay on
-// the checked interpreter — Compile fails with ErrUnproven, it never
-// guesses.
+// per-access checkAddr at all. Programs the analyzer cannot prove are
+// refused — Compile fails with ErrUnproven, it never guesses.
 package compile
 
 import (
@@ -31,12 +30,13 @@ import (
 const MaxLanes = 16
 
 // ErrUnproven is wrapped by Compile when the analyzer could not prove the
-// program safe for check elision. Callers fall back to the interpreter.
+// program safe for check elision. The caller gets the error; there is no
+// slower path to take instead.
 var ErrUnproven = errors.New("compile: bounds not proven")
 
 // ErrBounds is wrapped by Precheck/Run when the concrete panel extents do
-// not fit the operand slices. Callers fall back to the interpreter (which
-// will either succeed on a laxer layout or report the real fault).
+// not fit the operand slices. Run refuses such a call before it touches
+// any operand.
 var ErrBounds = errors.New("compile: operands fail panel precheck")
 
 // Env is the mutable execution state: the vector register file and the
@@ -151,57 +151,23 @@ type segment struct {
 // on that rule (foldC, affine.go).
 func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) error {
 	b := &cp.Bounds
-	switch cp.misfit(lenA, lenB, lenC, aOff, bOff, cOff, lda, ldb, ldc) {
-	case fitNegative:
+	switch {
+	case aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0:
 		return fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
-	case fitA:
+	case aOff+b.AExtent(lda) > int64(lenA):
 		return fmt.Errorf("%w: %s: A panel [%d + %d rows × lda %d] exceeds %d elements",
 			ErrBounds, cp.Name, aOff, b.MR, lda, lenA)
-	case fitB:
+	case bOff+b.BExtent(ldb) > int64(lenB):
 		return fmt.Errorf("%w: %s: B panel [%d + %d rows × ldb %d] exceeds %d elements",
 			ErrBounds, cp.Name, bOff, b.KC+b.BOverRows, ldb, lenB)
-	case fitC:
+	case cOff+b.CExtent(ldc) > int64(lenC):
 		return fmt.Errorf("%w: %s: C panel [%d + %d rows × ldc %d] exceeds %d elements",
 			ErrBounds, cp.Name, cOff, b.MR, ldc, lenC)
-	case fitCRows:
+	case !b.CRowsDisjoint(ldc):
 		return fmt.Errorf("%w: %s: C rows overlap: ldc %d < NR %d with %d rows",
 			ErrBounds, cp.Name, ldc, b.NR, b.MR)
 	}
 	return nil
-}
-
-// Fits reports whether Precheck accepts the call, without building an
-// error: the test for callers that only choose a path by it.
-func (cp *Program) Fits(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) bool {
-	return cp.misfit(lenA, lenB, lenC, aOff, bOff, cOff, lda, ldb, ldc) == fitOK
-}
-
-// The precheck rules, in the order misfit tests them.
-const (
-	fitOK = iota
-	fitNegative
-	fitA
-	fitB
-	fitC
-	fitCRows
-)
-
-// misfit returns the first precheck rule the call breaks, or fitOK.
-func (cp *Program) misfit(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) int {
-	b := &cp.Bounds
-	switch {
-	case aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0:
-		return fitNegative
-	case aOff+b.AExtent(lda) > int64(lenA):
-		return fitA
-	case bOff+b.BExtent(ldb) > int64(lenB):
-		return fitB
-	case cOff+b.CExtent(ldc) > int64(lenC):
-		return fitC
-	case !b.CRowsDisjoint(ldc):
-		return fitCRows
-	}
-	return fitOK
 }
 
 // Run executes the compiled program over the three operand slices at

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPrecheckCRows pins the rule that C rows are disjoint: with more
-// than one row, ldc < NR is refused by Precheck, Fits and Run, and Run
-// writes nothing; ldc = NR passes, and a one-row kernel takes any ldc.
+// than one row, ldc < NR is refused by Precheck and Run, and Run writes
+// nothing; ldc = NR passes, and a one-row kernel takes any ldc.
 func TestPrecheckCRows(t *testing.T) {
 	cache := mkernel.NewCache()
 	for _, c := range []struct {
@@ -37,16 +37,15 @@ func TestPrecheckCRows(t *testing.T) {
 		}
 		before := append([]float32(nil), cl...)
 		pre := cp.Precheck(len(a), len(bp), len(cl), 0, 0, 0, lda, ldb, c.ldc)
-		fits := cp.Fits(len(a), len(bp), len(cl), 0, 0, 0, lda, ldb, c.ldc)
 		run := cp.Run(compile.NewEnv(4), cp.Layout(lda, ldb, c.ldc), a, bp, cl, 0, 0, 0, 1<<30)
 		if c.ok {
-			if pre != nil || !fits || run != nil {
-				t.Errorf("%s ldc %d: Precheck %v, Fits %v, Run %v; want it accepted", cp.Name, c.ldc, pre, fits, run)
+			if pre != nil || run != nil {
+				t.Errorf("%s ldc %d: Precheck %v, Run %v; want it accepted", cp.Name, c.ldc, pre, run)
 			}
 			continue
 		}
-		if !errors.Is(pre, compile.ErrBounds) || fits || !errors.Is(run, compile.ErrBounds) {
-			t.Errorf("%s ldc %d: Precheck %v, Fits %v, Run %v; want ErrBounds", cp.Name, c.ldc, pre, fits, run)
+		if !errors.Is(pre, compile.ErrBounds) || !errors.Is(run, compile.ErrBounds) {
+			t.Errorf("%s ldc %d: Precheck %v, Run %v; want ErrBounds", cp.Name, c.ldc, pre, run)
 		}
 		for i := range cl {
 			if cl[i] != before[i] {
@@ -56,21 +55,14 @@ func TestPrecheckCRows(t *testing.T) {
 	}
 }
 
-// TestRunAllocs pins that a failing fit test builds no error, and that
-// Run allocates nothing: its layout carries every offset.
+// TestRunAllocs pins that Run allocates nothing: its layout carries
+// every offset, and its precheck builds no error when the call fits.
 func TestRunAllocs(t *testing.T) {
 	cp, err := mkernel.NewCache().Compiled(benchResNetBand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, bp, c, lda, ldb, ldc := benchOperands(cp)
-	if n := testing.AllocsPerRun(100, func() {
-		if cp.Fits(len(a)-1, len(bp), len(c), 0, 0, 0, lda, ldb, ldc) {
-			t.Fatal("a short A panel fits")
-		}
-	}); n != 0 {
-		t.Errorf("failing Fits: %v allocations, want 0", n)
-	}
 	e := compile.NewEnv(cp.Lanes)
 	l := cp.Layout(lda, ldb, ldc)
 	if n := testing.AllocsPerRun(100, func() {
