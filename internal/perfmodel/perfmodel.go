@@ -181,21 +181,53 @@ func (p Params) FuseBoundary(cur mkernel.Tile, curKC int, next mkernel.Tile, nex
 	return cost
 }
 
-// SequenceTime projects the runtime of n consecutive same-shape tiles.
+// Terms are the per-shape pieces a run of same-shape tiles is composed
+// from. They depend only on the tile, k_c, the chip and Opt, so a
+// caller pricing many runs of one shape (the DMT memo table) computes
+// them once and composes each run with Sequence.
+type Terms struct {
+	Tile     float64 // TileTime: one unfused call (Eqn 4)
+	head     float64 // Launch + Prologue: the start of a fused run
+	interior float64 // Mainloop + FuseBoundary: each fused tile but the last
+	main     float64 // Mainloop of the last fused tile
+	tail     float64 // Epilogue of the last fused tile
+	fuse     bool
+}
+
+// Terms returns the sequence pieces of tile t at depth k_c. Tile is
+// summed in TileTime's order, so it equals TileTime bit for bit.
+func (p Params) Terms(t mkernel.Tile, kc int, opt Opt) Terms {
+	s := Terms{
+		head: p.Launch + p.Prologue(t),
+		main: p.Mainloop(t, kc, opt),
+		tail: p.Epilogue(t, kc),
+		fuse: opt.Fuse,
+	}
+	s.Tile = s.head + s.main + s.tail
+	if opt.Fuse {
+		s.interior = s.main + p.FuseBoundary(t, kc, t, kc)
+	}
+	return s
+}
+
+// Sequence projects the runtime of n consecutive tiles of the shape.
 // Without fusion each tile pays the full Eqn 4; with fusion the interior
 // boundaries are replaced by FuseBoundary and only the first prologue,
 // last epilogue and one launch remain (§III-C2).
-func (p Params) SequenceTime(t mkernel.Tile, kc, n int, opt Opt) float64 {
+func (s Terms) Sequence(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	single := p.TileTime(t, kc, opt)
-	if !opt.Fuse || n == 1 {
-		return float64(n) * single
+	if !s.fuse || n == 1 {
+		return float64(n) * s.Tile
 	}
-	interior := p.Mainloop(t, kc, opt) + p.FuseBoundary(t, kc, t, kc)
-	return p.Launch + p.Prologue(t) + float64(n-1)*interior +
-		p.Mainloop(t, kc, opt) + p.Epilogue(t, kc)
+	return s.head + float64(n-1)*s.interior + s.main + s.tail
+}
+
+// SequenceTime projects the runtime of n consecutive same-shape tiles
+// (Terms.Sequence).
+func (p Params) SequenceTime(t mkernel.Tile, kc, n int, opt Opt) float64 {
+	return p.Terms(t, kc, opt).Sequence(n)
 }
 
 // TileGrid projects the cost of covering an m×n panel with ⌈m/m_r⌉×

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"fmt"
+	"sync"
 
 	"autogemm/internal/mkernel"
 	"autogemm/internal/perfmodel"
@@ -111,13 +112,13 @@ func (d *DMT) candidates() []mkernel.Tile {
 // bestTile is Algorithm 1's inner T(m', n'): the cheapest uniform cover
 // of an mm×nn panel over the candidate set, falling back to the
 // smallest strip tile when nothing fits.
-func (d *DMT) bestTile(cands []mkernel.Tile, mm, nn, kc int) panelChoice {
+func (d *DMT) bestTile(tab *costTable, cands []mkernel.Tile, mm, nn int) panelChoice {
 	best := panelChoice{cost: -1}
 	for _, t := range cands {
 		if t.MR > mm || t.NR > nn {
 			continue
 		}
-		c := d.gridCost(t, mm, nn, kc)
+		c := tab.gridCost(t, mm, nn)
 		if best.cost < 0 || c < best.cost {
 			best = panelChoice{cost: c, tile: t}
 		}
@@ -125,7 +126,7 @@ func (d *DMT) bestTile(cands []mkernel.Tile, mm, nn, kc int) panelChoice {
 	if best.cost < 0 {
 		// Fall back to the smallest strip tile.
 		t := mkernel.Tile{MR: min(mm, mkernel.MaxMR), NR: d.Params.Lanes}
-		best = panelChoice{cost: d.gridCost(t, mm, nn, kc), tile: t}
+		best = panelChoice{cost: tab.gridCost(t, mm, nn), tile: t}
 	}
 	return best
 }
@@ -148,28 +149,40 @@ type Search struct {
 	lanes  int
 	nQ     int
 	nSteps int
-	cands  []mkernel.Tile
-	memo   []panelChoice
+
+	// Set up by the first FillRows or Finish, so opening a search on a
+	// serving thread costs nothing and the work runs where the fill does.
+	once  sync.Once
+	cands []mkernel.Tile
+	tab   *costTable
+	memo  []panelChoice
 }
 
-// NewSearch prepares the dynamic program for one block. The memo is
-// allocated up front; nothing is computed yet.
+// NewSearch prepares the dynamic program for one block. Nothing is
+// allocated or computed yet.
 func (d *DMT) NewSearch(m, n, kc int) (*Search, error) {
 	if m <= 0 || n <= 0 {
 		return nil, fmt.Errorf("tiling: empty block %dx%d", m, n)
 	}
 	lanes := d.Params.Lanes
 	nQ := quantN(n, lanes)
-	s := &Search{
+	return &Search{
 		d: d, m: m, n: n, kc: kc, lanes: lanes,
 		nQ: nQ, nSteps: nQ/lanes + 1,
-		cands: d.candidates(),
-		memo:  make([]panelChoice, (m+1)*(nQ/lanes+1)),
-	}
-	for i := range s.memo {
-		s.memo[i].cost = -1
-	}
-	return s, nil
+	}, nil
+}
+
+// setup enumerates the candidates, prices their shapes and allocates
+// the memo, once per search.
+func (s *Search) setup() {
+	s.once.Do(func() {
+		s.cands = s.d.candidates()
+		s.tab = newCostTable(s.d.Params, s.d.Opt, s.kc, s.m, s.nQ, s.cands)
+		s.memo = make([]panelChoice, (s.m+1)*s.nSteps)
+		for i := range s.memo {
+			s.memo[i].cost = -1
+		}
+	})
 }
 
 // Rows reports the row extent of the memo table; FillRows ranges over
@@ -179,11 +192,12 @@ func (s *Search) Rows() int { return s.m + 1 }
 // FillRows computes every memo cell with row index in [lo, hi). Rows
 // are independent, so concurrent calls over disjoint ranges are safe.
 func (s *Search) FillRows(lo, hi int) {
+	s.setup()
 	lo = max(lo, 1) // row 0 is the empty panel, cost 0 by definition
 	hi = min(hi, s.m+1)
 	for mm := lo; mm < hi; mm++ {
 		for step := 1; step < s.nSteps; step++ {
-			s.memo[mm*s.nSteps+step] = s.d.bestTile(s.cands, mm, step*s.lanes, s.kc)
+			s.memo[mm*s.nSteps+step] = s.d.bestTile(s.tab, s.cands, mm, step*s.lanes)
 		}
 	}
 }
@@ -198,7 +212,7 @@ func (s *Search) t(mm, nn int) panelChoice {
 	if s.memo[idx].cost >= 0 {
 		return s.memo[idx]
 	}
-	s.memo[idx] = s.d.bestTile(s.cands, mm, nn, s.kc)
+	s.memo[idx] = s.d.bestTile(s.tab, s.cands, mm, nn)
 	return s.memo[idx]
 }
 
@@ -206,6 +220,7 @@ func (s *Search) t(mm, nn int) panelChoice {
 // assembles the panel cover. Call after every FillRows has returned;
 // Finish itself is single-threaded.
 func (s *Search) Finish() (Tiling, error) {
+	s.setup()
 	// Algorithm 1 iterates the full (n_front, m_front_up, m_back_up)
 	// product; the front and back column costs are independent given
 	// n_front, so the search decomposes exactly into two 1-D minima.
@@ -262,25 +277,68 @@ func (d *DMT) Tile(m, n, kc int) (Tiling, error) {
 	return s.Finish()
 }
 
+// costTable holds the perfmodel.Terms of every tile shape a block's
+// search can price: each candidate and each edge tile its remainders
+// narrow it to. The terms depend only on the shape once k_c, the load
+// latency and Opt are fixed, so a search prices each shape once instead
+// of once per memo cell and candidate.
+type costTable struct {
+	step   int // n_r stride of the entries
+	rowLen int // entries per m_r
+	terms  []perfmodel.Terms
+}
+
+// newCostTable prices every m_r up to the largest candidate or fallback
+// height and every n_r up to the largest candidate width, neither past
+// the m×nQ block. Block widths are σ_lane multiples, so every n_r
+// remainder is a multiple of the gcd of σ_lane and the candidate
+// widths: that is the stride.
+func newCostTable(p perfmodel.Params, opt perfmodel.Opt, kc, m, nQ int, cands []mkernel.Tile) *costTable {
+	maxMR, maxNR, step := mkernel.MaxMR, p.Lanes, p.Lanes
+	for _, t := range cands {
+		maxMR, maxNR, step = max(maxMR, t.MR), max(maxNR, t.NR), gcd(step, t.NR)
+	}
+	maxMR, maxNR = min(maxMR, m), min(maxNR, nQ)
+	tab := &costTable{step: step, rowLen: maxNR/step + 1}
+	tab.terms = make([]perfmodel.Terms, (maxMR+1)*tab.rowLen)
+	for mr := 1; mr <= maxMR; mr++ {
+		for nr := step; nr <= maxNR; nr += step {
+			tab.terms[mr*tab.rowLen+nr/step] = p.Terms(mkernel.Tile{MR: mr, NR: nr}, kc, opt)
+		}
+	}
+	return tab
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func (tab *costTable) at(mr, nr int) *perfmodel.Terms {
+	return &tab.terms[mr*tab.rowLen+nr/tab.step]
+}
+
 // gridCost projects covering an mm×nn panel uniformly with tile t,
 // including the narrowed edge tiles for the m and n remainders (the
 // T(m, n) inner function of Algorithm 1, line 14, generalized to
 // non-divisible extents).
-func (d *DMT) gridCost(t mkernel.Tile, mm, nn, kc int) float64 {
+func (tab *costTable) gridCost(t mkernel.Tile, mm, nn int) float64 {
 	rows, mrem := mm/t.MR, mm%t.MR
 	cols, nrem := nn/t.NR, nn%t.NR
 	cost := 0.0
 	if rows > 0 && cols > 0 {
-		cost += float64(rows) * d.Params.SequenceTime(t, kc, cols, d.Opt)
+		cost += float64(rows) * tab.at(t.MR, t.NR).Sequence(cols)
 	}
 	if nrem > 0 && rows > 0 {
-		cost += float64(rows) * d.Params.TileTime(mkernel.Tile{MR: t.MR, NR: nrem}, kc, d.Opt)
+		cost += float64(rows) * tab.at(t.MR, nrem).Tile
 	}
 	if mrem > 0 && cols > 0 {
-		cost += d.Params.SequenceTime(mkernel.Tile{MR: mrem, NR: t.NR}, kc, cols, d.Opt)
+		cost += tab.at(mrem, t.NR).Sequence(cols)
 	}
 	if mrem > 0 && nrem > 0 {
-		cost += d.Params.TileTime(mkernel.Tile{MR: mrem, NR: nrem}, kc, d.Opt)
+		cost += tab.at(mrem, nrem).Tile
 	}
 	return cost
 }

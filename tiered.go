@@ -10,9 +10,10 @@ import (
 )
 
 // Tiered input-aware planning. The full planner's cold cost is the DMT
-// dynamic program — tens of milliseconds per new shape, five decimal
-// orders above a warm cache hit. In tiered mode the engine kills that
-// cliff in three moves:
+// dynamic program — a median 0.55 ms per new irregular shape and up to
+// about 11 ms on the large ResNet-50 shapes (2-vCPU Xeon, KP920 model),
+// three to four decimal orders above a warm cache hit. In tiered mode
+// the engine removes that cliff in three moves:
 //
 //   - Tier 0: a cold miss is answered by core.ProduceHeuristic — the
 //     same resolved blocking, kernel keys and cost composition, but
