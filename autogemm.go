@@ -132,7 +132,6 @@ type Engine struct {
 	heuristicServed   atomic.Int64
 	upgradesCompleted atomic.Int64
 	upgradesFailed    atomic.Int64
-	neighborSeeded    atomic.Int64
 }
 
 // EngineOption configures an Engine at construction.

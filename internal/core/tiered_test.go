@@ -87,7 +87,7 @@ func TestSubmitProduceMatchesProduce(t *testing.T) {
 
 // TestSubmitProduceSeededKeepsFingerprint: a candidate seed passed via
 // the runtime-only Strategy field narrows the search without touching
-// the request fingerprint — the transfer-planning contract.
+// the request fingerprint — Strategy stays outside the fingerprint.
 func TestSubmitProduceSeededKeepsFingerprint(t *testing.T) {
 	chip := hw.KP920()
 	opts := AutoOptions(chip)

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"hash/maphash"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -241,6 +242,62 @@ func TestRegistryStoreLoadList(t *testing.T) {
 	}
 }
 
+// TestRegistryStoreWritesOnePlanFile: a registry is its plan files.
+// Store into an empty directory leaves exactly the plan's own file —
+// no sidecar, no temp file.
+func TestRegistryStoreWritesOnePlanFile(t *testing.T) {
+	dir := t.TempDir()
+	p := testPlan("KP920", 64, 64, 48)
+	if err := NewRegistry(dir).Store(p); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != p.Fingerprint+".json" {
+		t.Fatalf("registry holds %v, want only %s.json", names, p.Fingerprint)
+	}
+}
+
+// TestRegistryListSkipsStaleIndex: older builds kept a shape index
+// (index.json) beside the plan files. It is not a plan, so List must
+// not report it as a fingerprint — autogemm-verify would otherwise
+// audit it as a plan named "index" and fail.
+func TestRegistryListSkipsStaleIndex(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(dir)
+	shapes := [][3]int{{64, 64, 48}, {64, 3136, 576}, {512, 49, 1024}}
+	for _, s := range shapes {
+		if err := reg.Store(testPlan("KP920", s[0], s[1], s[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := []byte(`{"format":1,"entries":[]}`)
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fps, err := reg.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fps) != len(shapes) {
+		t.Fatalf("List returned %d fingerprints, want %d (index.json must be skipped)", len(fps), len(shapes))
+	}
+	for _, fp := range fps {
+		if fp == "index" {
+			t.Fatal("List reported the stale index as a fingerprint")
+		}
+		if _, err := reg.Load(fp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache[string, int](maphash.String)
 	const (
@@ -314,5 +371,33 @@ func TestCacheForgetsErrors(t *testing.T) {
 	}
 	if v, err := c.Get("key", build); err != nil || v != 42 {
 		t.Fatalf("good value not memoized: %d, %v", v, err)
+	}
+}
+
+// TestCacheReplace checks the hot-swap: after Replace, Lookup and Get
+// observe the new value without a rebuild, and waiters joined to the
+// old entry still receive the value they were promised.
+func TestCacheReplace(t *testing.T) {
+	c := NewCache[string, string](maphash.String)
+	got, err := c.Get("fp", func() (string, error) { return "heuristic", nil })
+	if err != nil || got != "heuristic" {
+		t.Fatalf("Get = %q, %v", got, err)
+	}
+	c.Replace("fp", "full")
+	if v, ok := c.Lookup("fp"); !ok || v != "full" {
+		t.Fatalf("Lookup after Replace = %q, %v", v, ok)
+	}
+	builds := 0
+	got, err = c.Get("fp", func() (string, error) { builds++; return "rebuilt", nil })
+	if err != nil || got != "full" || builds != 0 {
+		t.Fatalf("Get after Replace = %q (builds=%d), want \"full\" with no rebuild", got, builds)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+	// Replace on a missing key publishes it outright.
+	c.Replace("other", "published")
+	if v, ok := c.Lookup("other"); !ok || v != "published" {
+		t.Fatalf("Lookup(published) = %q, %v", v, ok)
 	}
 }

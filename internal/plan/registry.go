@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Registry is an on-disk plan store: one JSON file per plan, named by
@@ -16,20 +15,13 @@ import (
 // from scratch — the persisted-schedule pattern of the TVM generator
 // line of work and IAAT's input-aware tuning database.
 //
-// Writes are atomic (temp file + rename), so a registry can be rebuilt
-// while serving processes read it. Concurrent Store calls for the same
-// fingerprint are safe: writers race on an atomic rename, and every
-// stored plan answers the same request — a later Store may replace a
-// tier-0 heuristic plan with the fully tuned one, but never with a
-// plan for a different fingerprint.
-//
-// Alongside the plan files the registry keeps a shape index
-// (index.json, see index.go) so nearest-neighbor lookups need not
-// decode every plan; mu serializes this process's read-modify-write
-// of that sidecar.
+// The plan files are the whole registry. Writes are atomic (temp file
+// + rename), so a registry can be rebuilt while serving processes read
+// it. Concurrent Store calls for the same fingerprint are safe: writers
+// race on an atomic rename, and every stored plan answers the same
+// request.
 type Registry struct {
 	dir string
-	mu  sync.Mutex
 }
 
 // NewRegistry returns a registry over dir. The directory is created
@@ -70,21 +62,9 @@ func (r *Registry) Load(fp string) (*Plan, error) {
 	return p, nil
 }
 
-// Store writes a plan into the registry atomically and folds it into
-// the shape index. Index maintenance is best-effort: the plan file is
-// the source of truth, and a torn index rebuilds on next read.
+// Store writes a plan's file into the registry atomically, replacing
+// any plan already stored under its fingerprint.
 func (r *Registry) Store(p *Plan) error {
-	if err := r.storeFile(p); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	_ = r.updateIndex(p)
-	r.mu.Unlock()
-	return nil
-}
-
-// storeFile writes just the plan file, atomically.
-func (r *Registry) storeFile(p *Plan) error {
 	data, err := p.Encode()
 	if err != nil {
 		return err
@@ -113,8 +93,11 @@ func (r *Registry) storeFile(p *Plan) error {
 	return os.Rename(tmpName, path)
 }
 
-// List returns the fingerprints present in the registry, sorted. The
-// index sidecar is not a plan and is excluded.
+// staleIndex is the shape-index sidecar older builds kept beside the
+// plan files. It is not a plan, so List skips it.
+const staleIndex = "index.json"
+
+// List returns the fingerprints present in the registry, sorted.
 func (r *Registry) List() ([]string, error) {
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -127,7 +110,7 @@ func (r *Registry) List() ([]string, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") ||
-			name == indexName {
+			name == staleIndex {
 			continue
 		}
 		fps = append(fps, strings.TrimSuffix(name, ".json"))

@@ -17,6 +17,7 @@ import (
 	"autogemm"
 	"autogemm/internal/plan"
 	"autogemm/internal/refgemm"
+	"autogemm/internal/sched"
 	"autogemm/internal/workload"
 )
 
@@ -50,6 +51,30 @@ func newTestStack(t *testing.T, workers int, cfgMut func(*Config)) (*autogemm.En
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return eng, hs
+}
+
+// parkWorker holds the first pool task to start in the scheduler's
+// fault hook until release is called (at the latest when the test
+// ends), so on a one-worker engine no job submitted meanwhile can
+// complete: a class at its depth bound stays there however long the
+// HTTP round trip takes.
+func parkWorker(t *testing.T) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var parked atomic.Bool
+	sched.SetFaultHook(func(int) error {
+		if parked.CompareAndSwap(false, true) {
+			<-gate
+		}
+		return nil
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		sched.SetFaultHook(nil)
+	})
+	return release
 }
 
 func testOperands(t *testing.T, s workload.Shape, seed uint64) (a, b []float32) {
@@ -188,9 +213,10 @@ func TestServeMixedTenantsUncorrupted(t *testing.T) {
 // boundary.
 func TestServeShedRoundTrip(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
+	release := parkWorker(t)
 
-	// Park the only worker on a big default-class job, then occupy the
-	// depth-1 batch class with a queued job submitted directly.
+	// Park the only worker (parkWorker) on a big default-class job, then
+	// occupy the depth-1 batch class with a queued job submitted directly.
 	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 11)
 	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
@@ -242,6 +268,7 @@ func TestServeShedRoundTrip(t *testing.T) {
 		t.Fatalf("shed after weight-only retune: got %v, want ErrAdmission identity", err)
 	}
 
+	release()
 	if err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +404,7 @@ func TestServeClassesRetune(t *testing.T) {
 // tally in Prometheus text format.
 func TestServeMetrics(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
+	release := parkWorker(t)
 
 	// Produce one shed exactly as TestServeShedRoundTrip does.
 	big := workload.ResNet50()[0]
@@ -397,6 +425,7 @@ func TestServeMetrics(t *testing.T) {
 	if _, err := cl.Multiply(context.Background(), s.M, s.N, s.K, sa, sb, 0); !errors.Is(err, autogemm.ErrAdmission) {
 		t.Fatalf("setup shed: got %v", err)
 	}
+	release()
 	if err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,6 @@ type PlanCacheStats struct {
 	HeuristicServed   int64 // serves answered by a tier-0 heuristic plan
 	UpgradesCompleted int64 // background upgrades hot-swapped into the cache
 	UpgradesFailed    int64 // background upgrades that failed (heuristic kept serving)
-	NeighborSeeded    int64 // upgrades warm-started from a registry neighbor
 }
 
 // SchedWorkerStats is one pool worker's execution accounting, as
@@ -187,7 +186,6 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 		HeuristicServed:     e.heuristicServed.Load(),
 		UpgradesCompleted:   e.upgradesCompleted.Load(),
 		UpgradesFailed:      e.upgradesFailed.Load(),
-		NeighborSeeded:      e.neighborSeeded.Load(),
 	}
 }
 

@@ -4,16 +4,14 @@ import (
 	"context"
 
 	"autogemm/internal/core"
-	"autogemm/internal/mkernel"
 	"autogemm/internal/plan"
-	"autogemm/internal/tiling"
 )
 
 // Tiered input-aware planning. The full planner's cold cost is the DMT
 // dynamic program — a median 0.55 ms per new irregular shape and up to
 // about 11 ms on the large ResNet-50 shapes (2-vCPU Xeon, KP920 model),
 // three to four decimal orders above a warm cache hit. In tiered mode
-// the engine removes that cliff in three moves:
+// the engine removes that cliff in two moves:
 //
 //   - Tier 0: a cold miss is answered by core.ProduceHeuristic — the
 //     same resolved blocking, kernel keys and cost composition, but
@@ -24,13 +22,9 @@ import (
 //     pool tasks, and on completion the fully tuned plan is hot-swapped
 //     into the plan cache (plan.Cache.Replace) and persisted to the
 //     registry. In-flight executions of the heuristic plan are
-//     untouched; the next serve gets the upgraded plan.
-//   - Transfer: when the registry already holds a plan for a nearby
-//     shape (same chip and planning configuration, log-space shape
-//     distance), the upgrade's DMT search is warm-started from that
-//     neighbor's register tiles — the candidate set shrinks from every
-//     generatable tile to the neighbor's choices plus the preferred
-//     tiles, cutting the dynamic program's inner loop severalfold.
+//     untouched; the next serve gets the upgraded plan. The upgrade
+//     runs with the request's own options, so it is Produce's search
+//     and lands exactly the plan full planning would have built.
 //
 // A failed upgrade (planner error, pool closed, injected fault) only
 // increments a counter: the serving heuristic plan stays in the cache
@@ -122,21 +116,7 @@ func (e *Engine) maybeUpgrade(req plan.Request, co core.Options, m, n, k int) {
 		close(done)
 	}
 
-	// Transfer planning: warm-start the DMT search from the nearest
-	// stored neighbor's tile choices. The seed rides on the
-	// runtime-only Strategy field, so the upgraded plan keeps the
-	// request's fingerprint.
-	up := co
-	if e.registry != nil {
-		if tiles, _, ok := e.registry.NeighborTiles(req); ok {
-			if seed := seedCandidates(e.chip.Lanes, co.Rotate, tiles); len(seed) > 0 {
-				up.Strategy = &tiling.DMT{Candidates: seed}
-				e.neighborSeeded.Add(1)
-			}
-		}
-	}
-
-	err := core.SubmitProduce(e.sched, e.chip, m, n, k, up, func(rec *plan.Plan, perr error) {
+	err := core.SubmitProduce(e.sched, e.chip, m, n, k, co, func(rec *plan.Plan, perr error) {
 		defer settle()
 		if perr != nil {
 			// The heuristic plan keeps serving; nothing is evicted and
@@ -163,35 +143,6 @@ func (e *Engine) maybeUpgrade(req plan.Request, co core.Options, m, n, k int) {
 	if err != nil {
 		settle()
 	}
-}
-
-// seedCandidates converts a neighbor's (MR, NR) tile shapes into the
-// warm-start candidate set: the neighbor's tiles plus the chip's
-// preferred tiles (so a bad donor can never pin the search below the
-// default quality anchors), filtered by the same generatability and
-// rotation register-slack rules DMT's own candidate enumeration uses —
-// an explicit candidate list bypasses that filter, so it is reapplied
-// here.
-func seedCandidates(lanes int, rotate bool, tiles [][2]int) []mkernel.Tile {
-	var seed []mkernel.Tile
-	seen := map[mkernel.Tile]bool{}
-	add := func(t mkernel.Tile) {
-		if seen[t] || !t.Generatable(lanes) {
-			return
-		}
-		if rotate && t.RegistersNeeded(lanes) > 30 {
-			return
-		}
-		seen[t] = true
-		seed = append(seed, t)
-	}
-	for _, t := range tiles {
-		add(mkernel.Tile{MR: t[0], NR: t[1]})
-	}
-	for _, t := range mkernel.PreferredTiles(lanes) {
-		add(t)
-	}
-	return seed
 }
 
 // FlushUpgrades blocks until every background plan upgrade currently in
