@@ -255,8 +255,11 @@ func (e *Engine) Multiply(c, a, b []float32, m, n, k int) error {
 	return e.MultiplyContext(context.Background(), GEMM{C: c, A: a, B: b, M: m, N: n, K: k})
 }
 
-// MultiplyContext computes one GEMM synchronously as a single-worker
-// job — the serial reference every batch and async execution is held
+// MultiplyContext computes one GEMM synchronously on the calling
+// goroutine: the request is admitted as one scheduler job like any
+// submission (queue depth, class admission, deadline), and then the
+// caller runs its C-tile groups in order, waking no pool worker — the
+// serial reference every batch and async execution is held
 // bit-identical to. Plans are served from the engine's plan cache:
 // repeated calls on the same shape and options reuse the resolved plan
 // and its generated kernels.
@@ -269,7 +272,7 @@ func (e *Engine) Multiply(c, a, b []float32, m, n, k int) error {
 // already running finishes — so the operand slices are always
 // quiescent when it returns.
 func (e *Engine) MultiplyContext(ctx context.Context, g GEMM) error {
-	return wait(e.submit(ctx, g, 1))
+	return e.run(ctx, g)
 }
 
 // Estimate projects the performance of the plan on the engine's chip.

@@ -5,17 +5,19 @@ import (
 	"fmt"
 
 	"autogemm/internal/core"
+	"autogemm/internal/sched"
 )
 
 // This file is the engine's request path: the GEMM request every
-// execution entry point takes, the one internal submit every execution
-// goes through, and the serving surface on top of it — batch
+// execution entry point takes, its two internal forms — run, which
+// blocks and executes the job on the calling goroutine, and submit,
+// which enqueues it — and the serving surface on top of submit: batch
 // submission (many GEMMs, one barrier) and asynchronous submission (a
-// future per GEMM). Every job runs on the engine's persistent worker
-// pool — no per-call goroutines — with inter-job parallelism: workers
-// that exhaust one GEMM's tasks move to the next submitted GEMM, so a
-// batch of small shapes never strands workers behind one slow
-// multiplication. See docs/INTERNALS.md, "Runtime & scheduling".
+// future per GEMM). Submitted jobs run on the engine's persistent
+// worker pool — no per-call goroutines — with inter-job parallelism:
+// workers that exhaust one GEMM's tasks move to the next submitted
+// GEMM, so a batch of small shapes never strands workers behind one
+// slow multiplication. See docs/INTERNALS.md, "Runtime & scheduling".
 
 // GEMM describes one C += A·B request: row-major float32 matrices A
 // (M×K), B (K×N) and C (M×N), with optional per-problem algorithm
@@ -30,36 +32,44 @@ type GEMM struct {
 	QoS     QoS
 }
 
-// submit is the engine's one request path: it resolves g's plan (a
-// plan-cache hit after the first call on a shape) and enqueues g as one
-// scheduler job. workers caps the pool workers that may claim the job's
-// tasks; 0 means all of them.
-func (e *Engine) submit(ctx context.Context, g GEMM, workers int) (*core.RunFuture, error) {
+// submit resolves g's plan (a plan-cache hit after the first call on a
+// shape) and enqueues g as one scheduler job that every pool worker may
+// claim. The asynchronous and batch forms go through it.
+func (e *Engine) submit(ctx context.Context, g GEMM) (*core.RunFuture, error) {
 	p, err := e.plan(g.Opts, g.M, g.N, g.K)
 	if err != nil {
 		return nil, err
 	}
-	return e.submitPlan(ctx, p, g, workers)
-}
-
-// submitPlan enqueues g's operands as one job of the resolved plan p
-// under g.QoS, with the engine's default class filling in an empty
-// class. g's shape and options are p's.
-func (e *Engine) submitPlan(ctx context.Context, p *core.Plan, g GEMM, workers int) (*core.RunFuture, error) {
-	if g.QoS.Class == "" {
-		g.QoS.Class = e.defaultClass
-	}
-	rf, err := p.Submit(ctx, g.C, g.A, g.B, workers, g.QoS.toSched())
+	rf, err := p.Submit(ctx, g.C, g.A, g.B, 0, e.schedQoS(g.QoS))
 	return rf, wrapExec(err)
 }
 
-// wait completes a synchronous request: it returns the submit error,
-// else the job's.
-func wait(rf *core.RunFuture, err error) error {
+// run is the blocking request path: it resolves g's plan and executes g
+// as one scheduler job on the calling goroutine.
+func (e *Engine) run(ctx context.Context, g GEMM) error {
+	p, err := e.plan(g.Opts, g.M, g.N, g.K)
 	if err != nil {
 		return err
 	}
-	return wrapExec(rf.Wait())
+	return e.runPlan(ctx, p, g)
+}
+
+// runPlan executes g's operands as one job of the resolved plan p,
+// admitted under g.QoS like any submission, with the calling goroutine
+// its only participant: it claims the C-tile groups in order and no
+// pool worker is woken (core.Plan.RunQoS). g's shape and options are
+// p's.
+func (e *Engine) runPlan(ctx context.Context, p *core.Plan, g GEMM) error {
+	return wrapExec(p.RunQoS(ctx, g.C, g.A, g.B, 1, e.schedQoS(g.QoS)))
+}
+
+// schedQoS is q for the scheduler, with the engine's default class
+// filling in an empty class.
+func (e *Engine) schedQoS(q QoS) sched.QoS {
+	if q.Class == "" {
+		q.Class = e.defaultClass
+	}
+	return q.toSched()
 }
 
 // Future is a pending asynchronous GEMM. Wait blocks until the
@@ -104,7 +114,7 @@ func (f *Future) OnDone(fn func(error)) { f.f.OnDone(fn) }
 // the k chunks of each C tile accumulate in ascending order inside one
 // task regardless of how many workers claim the job.
 func (e *Engine) Submit(ctx context.Context, g GEMM) (*Future, error) {
-	rf, err := e.submit(ctx, g, 0)
+	rf, err := e.submit(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +162,7 @@ func (e *Engine) MultiplyBatchContext(ctx context.Context, batch []GEMM) error {
 			fail(i, err)
 			break
 		}
-		f, err := e.submit(ctx, batch[i], 0)
+		f, err := e.submit(ctx, batch[i])
 		if err != nil {
 			fail(i, err)
 			continue // remaining elements are independent: keep submitting

@@ -38,6 +38,34 @@ func BenchmarkMultiply(b *testing.B) {
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 }
 
+// BenchmarkMultiplyParallelCallers is BenchmarkMultiply from several
+// goroutines at once on one engine: each call runs on its own caller,
+// so the callers contend only for the plan cache and the scheduler's
+// admission lock.
+func BenchmarkMultiplyParallelCallers(b *testing.B) {
+	eng, err := autogemm.New("KP920")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	const m, n, k = 32, 32, 32
+	a := make([]float32, m*k)
+	bb := make([]float32, k*n)
+	refgemm.Fill(a, m, k, k, 1)
+	refgemm.Fill(bb, k, n, n, 2)
+	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := make([]float32, m*n)
+		for pb.Next() {
+			if err := eng.Multiply(c, a, bb, m, n, k); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkEstimate measures one performance projection (the unit of
 // work inside every experiment).
 func BenchmarkEstimate(b *testing.B) {

@@ -22,7 +22,7 @@ func (e *Engine) plan(opts *Options, m, n, k int) (*core.Plan, error) {
 // k×n; when transA is set, A is stored k×m row-major (and likewise B is
 // n×k when transB is set). β = 0 overwrites C without reading it.
 // Scaling and transposition fold into operand preparation; the
-// canonical product runs like Multiply, as a single-worker job.
+// canonical product runs like Multiply, on the calling goroutine.
 func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 	alpha float32, a, b []float32, beta float32, c []float32) error {
 	p, err := e.plan(nil, m, n, k)
@@ -33,7 +33,7 @@ func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 		Alpha: alpha, Beta: beta,
 		TransA: core.Transpose(transA), TransB: core.Transpose(transB),
 	}, c, a, b, func(c, a, b []float32) error {
-		return wait(e.submitPlan(context.Background(), p, GEMM{C: c, A: a, B: b}, 1))
+		return e.runPlan(context.Background(), p, GEMM{C: c, A: a, B: b})
 	})
 }
 

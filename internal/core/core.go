@@ -186,8 +186,10 @@ type Plan struct {
 	// RunParallel / Submit turns into a job on, the C-tile-group
 	// partition of the block grid (precomputed once — the per-call
 	// map+sort the old RunParallel paid is gone), and one scratch-state
-	// slot per pool worker. Slot i is only ever touched by worker i, so
-	// the states need no lock and no sync.Pool round trips.
+	// slot per worker ID, pool workers and blocking callers alike
+	// (sched.Pool.Slots). Slot i is only ever touched by the goroutine
+	// holding ID i, so the states need no lock and no sync.Pool round
+	// trips.
 	runtime *sched.Pool
 	groups  [][]blockIter
 	states  []*execState
@@ -230,8 +232,9 @@ type ExecStats struct {
 	InterpBlocks    int64 // checked interpreter (ForceInterp) over the same panels
 
 	// Scheduler counters for this plan's jobs (one job per Run /
-	// RunParallel / Submit): completions and stolen-task counts are
-	// tallied when the job's future is waited on.
+	// RunParallel / RunQoS / Submit): completions and stolen-task
+	// counts are tallied when a blocking run returns or the job's
+	// future is waited on.
 	JobsSubmitted int64
 	JobsCompleted int64
 	TasksStolen   int64 // tasks run by a worker other than the job's first claimant

@@ -24,10 +24,11 @@ const kernelFuel = 1 << 31
 // and C are row-major with leading dimensions K, N and N. This is the
 // verification path; Estimate projects its runtime on the target chip.
 //
-// Run executes as a single-worker job on the plan's scheduler runtime:
-// one pool worker walks the precomputed C-tile groups in order, each
-// group's k chunks ascending — the serial reference every parallel,
-// batch and async execution is held bit-identical to.
+// Run executes on the calling goroutine as a one-participant job on the
+// plan's scheduler runtime (RunQoS): the caller walks the precomputed
+// C-tile groups in order, each group's k chunks ascending, and no pool
+// worker is woken — the serial reference every parallel, batch and
+// async execution is held bit-identical to.
 //
 // Every block takes one path (runBlock): A and B are packed into the
 // worker's scratch panels, C is staged through its padded block

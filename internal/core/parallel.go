@@ -12,10 +12,12 @@ import (
 )
 
 // This file is the plan's bridge onto the scheduler runtime
-// (internal/sched). Every execution — serial Run, RunParallel, and the
-// asynchronous Submit the engine's request path builds on — is one
-// scheduler job: the plan's C-tile groups are the job's tasks, claimed
-// from a shared atomic cursor by up to `workers` pool workers.
+// (internal/sched). Every execution — the blocking Run, RunParallel and
+// RunQoS, and the asynchronous Submit — is one scheduler job: the
+// plan's C-tile groups are the job's tasks, claimed from a shared
+// atomic cursor by up to `workers` participants. A blocking run is one
+// of them, claiming on the calling goroutine; an async job runs on pool
+// workers only.
 // Different (m, n) groups touch disjoint C regions, so they run
 // concurrently; the k chunks of one group accumulate in ascending order
 // inside a single task, which keeps per-job results bit-identical to a
@@ -62,12 +64,17 @@ type RunFuture struct {
 
 // Wait blocks for the job and returns its first task error.
 func (f *RunFuture) Wait() error {
-	f.once.Do(func() {
-		f.err = f.f.Wait()
-		atomic.AddInt64(&f.p.nJobsDone, 1)
-		atomic.AddInt64(&f.p.nStolen, f.f.TasksStolen())
-	})
+	f.once.Do(func() { f.err = f.p.settle(f.f) })
 	return f.err
+}
+
+// settle waits for a job, folds it into the plan's job counters and
+// returns its first task error. Called once per job.
+func (p *Plan) settle(f *sched.Future) error {
+	err := f.Wait()
+	atomic.AddInt64(&p.nJobsDone, 1)
+	atomic.AddInt64(&p.nStolen, f.TasksStolen())
+	return err
 }
 
 // Done returns a channel closed when the job completes. After Done,
@@ -132,18 +139,11 @@ func checkGeometry(m, n, k int) error {
 	return nil
 }
 
-// Submit validates the geometry and operand buffers and enqueues the
-// plan's C-tile-group task list on the runtime as one job bound to ctx,
-// claimed by at most `workers` pool workers (<= 0 means all of them),
-// scheduled under qos. The operand slices must stay untouched until
-// the future's Wait returns. Cancellation mid-job skips the remaining
-// C-tile groups (the job fails with ctx.Err()) and unblocks a submitter
-// stalled on scheduler backpressure; a set qos.Deadline bounds
-// completion (expired -> sched.ErrAdmission before claiming).
-func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos sched.QoS) (*RunFuture, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// job validates the geometry and operand buffers and returns the
+// plan's C-tile-group task function over them. The scheduler resolves
+// the participant cap: <= 0 means the whole pool, and never more than
+// one participant per group.
+func (p *Plan) job(c, a, b []float32) (func(*sched.Worker, int) error, error) {
 	m, n, k := p.M, p.N, p.K
 	if err := checkGeometry(m, n, k); err != nil {
 		return nil, err
@@ -152,17 +152,8 @@ func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos s
 		return nil, fmt.Errorf("core: buffer sizes (%d,%d,%d) too small for %dx%dx%d",
 			len(a), len(b), len(c), m, n, k)
 	}
-	if workers <= 0 || workers > p.runtime.Workers() {
-		workers = p.runtime.Workers()
-	}
-	if workers > len(p.groups) {
-		workers = len(p.groups)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	seq := atomic.AddUint64(&jobSeq, 1)
-	fut, err := p.runtime.SubmitQoS(ctx, len(p.groups), workers, qos, func(w *sched.Worker, gi int) error {
+	return func(w *sched.Worker, gi int) error {
 		st := p.stateFor(w, seq)
 		for _, blk := range p.groups[gi] {
 			if err := p.runBlock(st, blk, c, a, b); err != nil {
@@ -176,7 +167,23 @@ func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos s
 			w.Charge(p.taskCosts[gi])
 		}
 		return nil
-	})
+	}, nil
+}
+
+// Submit validates the geometry and operand buffers and enqueues the
+// plan's C-tile-group task list on the runtime as one job bound to ctx,
+// claimed by at most `workers` pool workers (<= 0 means all of them),
+// scheduled under qos. The operand slices must stay untouched until
+// the future's Wait returns. Cancellation mid-job skips the remaining
+// C-tile groups (the job fails with ctx.Err()) and unblocks a submitter
+// stalled on scheduler backpressure; a set qos.Deadline bounds
+// completion (expired -> sched.ErrAdmission before claiming).
+func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos sched.QoS) (*RunFuture, error) {
+	run, err := p.job(c, a, b)
+	if err != nil {
+		return nil, err
+	}
+	fut, err := p.runtime.SubmitQoS(ctx, len(p.groups), workers, qos, run)
 	if err != nil {
 		return nil, err
 	}
@@ -184,15 +191,30 @@ func (p *Plan) Submit(ctx context.Context, c, a, b []float32, workers int, qos s
 	return &RunFuture{p: p, f: fut}, nil
 }
 
-// RunParallel is Run with the C-tile groups claimed by up to `workers`
-// pool workers concurrently — the functional counterpart of the
-// multi-core scheduling the Estimate path models. workers <= 0 uses the
-// whole pool. Results are bit-identical to Run: each C tile's k chunks
-// execute in ascending order within one task.
-func (p *Plan) RunParallel(c, a, b []float32, workers int) error {
-	fut, err := p.Submit(context.Background(), c, a, b, workers, sched.QoS{})
+// RunQoS is Submit followed by Wait, with the calling goroutine as one
+// of the job's `workers` participants (sched.Pool.RunQoS): it claims
+// C-tile groups itself and wakes at most workers − 1 pool workers, so
+// with workers = 1 the whole job runs on the caller and no worker is
+// woken. Admission, backpressure, cancellation and deadlines are
+// Submit's; it returns the submission error, else the job's.
+func (p *Plan) RunQoS(ctx context.Context, c, a, b []float32, workers int, qos sched.QoS) error {
+	run, err := p.job(c, a, b)
 	if err != nil {
 		return err
 	}
-	return fut.Wait()
+	fut, err := p.runtime.RunQoS(ctx, len(p.groups), workers, qos, run)
+	if err != nil {
+		return err
+	}
+	atomic.AddInt64(&p.nJobs, 1)
+	return p.settle(fut)
+}
+
+// RunParallel is Run with the C-tile groups claimed by up to `workers`
+// participants concurrently, the caller among them — the functional
+// counterpart of the multi-core scheduling the Estimate path models.
+// workers <= 0 uses the whole pool. Results are bit-identical to Run:
+// each C tile's k chunks execute in ascending order within one task.
+func (p *Plan) RunParallel(c, a, b []float32, workers int) error {
+	return p.RunQoS(context.Background(), c, a, b, workers, sched.QoS{})
 }

@@ -507,14 +507,15 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	p.scratch = mkernel.ScratchEnvelope(o.MC, o.NC, o.KC, chip.Lanes)
 
 	// Execution runtime: the scheduler pool every run is a job on, one
-	// scratch slot per pool worker, and the C-tile-group partition —
+	// scratch slot per worker ID (pool workers and the caller slots
+	// blocking runs borrow), and the C-tile-group partition —
 	// precomputed here, alongside blockProg, instead of rebuilt by
 	// every parallel call.
 	p.runtime = o.Runtime
 	if p.runtime == nil {
 		p.runtime = sched.Shared()
 	}
-	p.states = make([]*execState, p.runtime.Workers())
+	p.states = make([]*execState, p.runtime.Slots())
 	p.groups = partitionGroups(p.blocks())
 	return p, nil
 }

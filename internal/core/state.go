@@ -10,9 +10,10 @@ import (
 // C-staging buffers, and the executor that runs kernels over them — a
 // compiled-kernel environment, or on a ForceInterp plan a machine. The
 // buffers are slices of one frozen arena, so both executors address the
-// same memory. Each scheduler worker owns one state per plan — slot ID
-// of the plan's states slice — built on the worker's first task for the
-// plan and reused across every later job.
+// same memory. Each scheduler worker ID — a pool worker, or a caller
+// slot a blocking run borrows — owns one state per plan, slot ID of the
+// plan's states slice, built on the ID's first task for the plan and
+// reused across every later job.
 type execState struct {
 	packA []float32 // A block, row-major, lda = k_c
 	packB []float32 // B panel, row-major, ldb = Plan.scratch.LD
@@ -63,7 +64,7 @@ func (p *Plan) newState() *execState {
 // noKey marks a pack buffer as holding no reusable panel.
 var noKey = [4]int{-1, -1, -1, -1}
 
-// stateFor returns the calling pool worker's scratch for this plan,
+// stateFor returns the running participant's scratch for this plan,
 // building it on first use. Slot w.ID() is only ever active on one
 // goroutine at a time (the sched.Worker contract), so the slice slot
 // needs no lock; pack-reuse keys reset when the worker crosses into a

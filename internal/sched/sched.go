@@ -13,6 +13,11 @@
 // (up to the job's participant cap), so a batch of small shapes never
 // strands workers behind one slow GEMM.
 //
+// A caller that blocks on its job anyway (RunQoS) does not hand it off:
+// it joins the job as its first participant and claims tasks on its own
+// goroutine, waking only the workers the job can use beside it. A job
+// capped at one participant, or with one task, wakes no worker at all.
+//
 // Scheduling policy: jobs park in per-class queues (see qos.go). A free
 // worker joins the job chosen by deterministic weighted claiming across
 // the active classes — stride-scheduled credit, FIFO within a class,
@@ -120,8 +125,17 @@ type Pool struct {
 	panicked  int64 // atomic: tasks whose panic was contained
 	cancelled int64 // jobs failed by context cancellation
 
-	tk        atomic.Pointer[tkBox] // virtual-clock hook (timekeeper.go)
-	perWorker []workerCounters      // per-worker task/busy accounting
+	tk          atomic.Pointer[tkBox] // virtual-clock hook (timekeeper.go)
+	perWorker   []workerCounters      // per-worker task/busy accounting
+	callerTasks atomic.Int64          // tasks run by RunQoS callers
+
+	// Caller slots: Worker IDs in [workers, workers+depth) lent to RunQoS
+	// callers for the life of their job, reused LIFO so a steady caller
+	// keeps one slot (and the scratch keyed by it). A slot is returned
+	// before its job completes, so no more slots are out than jobs in
+	// flight, which the depth bounds.
+	callerFree []int
+	callerNext int
 }
 
 // Stats is a snapshot of a pool's scheduling counters.
@@ -135,6 +149,7 @@ type Stats struct {
 	JobsCancelled  int64         // jobs that failed because their context was cancelled
 	Classes        []ClassStats  // per-QoS-class counters, sorted by class name (qos.go)
 	PerWorker      []WorkerStats // per-worker tasks run + charged virtual cycles (timekeeper.go)
+	CallerTasks    int64         // tasks RunQoS callers ran on their own jobs (not in PerWorker)
 }
 
 // New returns a pool with the given worker count and queue depth.
@@ -173,18 +188,25 @@ func Shared() *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Worker identifies one pool worker inside a task callback. IDs are
-// dense in [0, Workers()), stable for the life of the pool, and each ID
-// is only ever active on one goroutine at a time — callers key
-// per-worker scratch (e.g. the executor's packing buffers) by ID with
-// no locking.
+// Slots returns the number of distinct Worker IDs a task can see: the
+// pool workers' [0, Workers()) and the caller slots [Workers(), Slots())
+// RunQoS lends its callers, one per job in flight at most.
+func (p *Pool) Slots() int { return p.workers + p.depth }
+
+// Worker identifies the participant running a task callback: a pool
+// worker, or a RunQoS caller running its own job. IDs are dense in
+// [0, Slots()) and each ID is only ever active on one goroutine at a
+// time — callers key per-participant scratch (e.g. the executor's
+// packing buffers) by ID with no locking. A worker's ID is stable for
+// the life of the pool; a caller holds its slot for one job.
 type Worker struct {
 	id      int
 	pool    *Pool
 	pending TaskCost // cost charged by the task currently running (timekeeper.go)
 }
 
-// ID returns the worker's dense index in [0, Workers()).
+// ID returns the participant's dense index: in [0, Workers()) for a
+// pool worker, in [Workers(), Slots()) for a RunQoS caller.
 func (w *Worker) ID() int { return w.id }
 
 // job is one submitted unit: n independent tasks claimed from an atomic
@@ -198,7 +220,8 @@ type job struct {
 	run  func(w *Worker, task int) error
 
 	next   int64 // atomic claim cursor
-	done   int64 // atomic completed-task count
+	done   int64 // atomic count of arrivals: completed tasks, plus a caller's exit
+	end    int64 // arrivals that complete the job: n, plus one with a caller
 	failed int32 // atomic: a task returned an error; later claims skip
 	stolen int64 // atomic: tasks run by non-primary participants
 
@@ -209,6 +232,7 @@ type job struct {
 	cancel    context.CancelFunc // releases a QoS-deadline context at completion
 	acceptSeq int64              // pool claimSeq at acceptance (queue-wait base)
 	joined    bool               // first join recorded (under pool.mu)
+	caller    Worker             // a RunQoS job's caller, as a participant
 
 	mu  sync.Mutex
 	err error
@@ -279,10 +303,11 @@ func (f *Future) Tasks() int { return f.j.n }
 // the key a Timekeeper's observations use (see Recorder.Costs).
 func (f *Future) JobID() int64 { return f.j.id }
 
-// Participants reports, after the job completes, how many pool workers
-// actually joined it. Always in [1, min(maxWorkers, pool size)] for a
-// non-empty job; the task-claim cursor guarantees each task ran exactly
-// once regardless of the participant count.
+// Participants reports, after the job completes, how many participants
+// actually joined it — pool workers, and for a RunQoS job its caller.
+// Always in [1, min(maxWorkers, tasks, pool size)] for a non-empty job;
+// the task-claim cursor guarantees each task ran exactly once
+// regardless of the participant count.
 func (f *Future) Participants() int {
 	<-f.j.fin
 	f.j.pool.mu.Lock()
@@ -325,7 +350,7 @@ func (f *Future) OnDone(fn func(error)) {
 // Submit blocks while the pool is at its in-flight depth and returns
 // ErrClosed after Close. The job runs under the default QoS class.
 func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, run)
+	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, false, run)
 }
 
 // SubmitQoS is Submit bound to a context and a QoS. A context that
@@ -342,7 +367,31 @@ func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error
 // submission, refuses the job with an error matching ErrAdmission
 // instead of blocking.
 func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(ctx, tasks, maxWorkers, qos, true, run)
+	return p.submit(ctx, tasks, maxWorkers, qos, true, false, run)
+}
+
+// RunQoS is SubmitQoS for a caller that blocks until the job is done:
+// the calling goroutine joins the job as its first participant, under a
+// caller slot ID in [Workers(), Slots()), claims tasks from the job's
+// cursor like a pool worker and, once the cursor is exhausted, waits
+// for the tasks other participants still run. The caller counts toward
+// maxWorkers, so only min(maxWorkers, tasks) − 1 parked workers are
+// woken and a job capped at one participant runs on the caller alone,
+// in task order. Admission, backpressure, shedding, deadlines,
+// cancellation, the fault hook and panic containment are SubmitQoS's.
+// It returns the completed job's future (Wait returns at once), or the
+// submission error.
+func (p *Pool) RunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
+	f, err := p.submit(ctx, tasks, maxWorkers, qos, true, true, run)
+	if err != nil || tasks == 0 {
+		return f, err
+	}
+	j := f.j
+	j.work(&j.caller, true)
+	j.leave(&j.caller)
+	j.arrive()
+	<-j.fin
+	return f, nil
 }
 
 // TrySubmitQoS is Submit with an explicit QoS and without the
@@ -353,14 +402,16 @@ func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, ru
 // latency-sensitive request must never park behind the queue just to
 // schedule an optimization.
 func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, qos, false, run)
+	return p.submit(context.Background(), tasks, maxWorkers, qos, false, false, run)
 }
 
-// submit is the single intake path behind every Submit variant:
-// validate, resolve the QoS class, apply admission control, wait out
-// (or refuse, for try-submits) pool-level backpressure, and accept the
-// job into its class queue.
-func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait bool, run func(w *Worker, task int) error) (*Future, error) {
+// submit is the single intake path behind every Submit variant and
+// RunQoS: validate, resolve the QoS class, apply admission control,
+// wait out (or refuse, for try-submits) pool-level backpressure, and
+// accept the job into its class queue. With caller set, the submitter
+// joins the job at acceptance under a caller slot and one fewer worker
+// is woken.
+func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait, caller bool, run func(w *Worker, task int) error) (*Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -387,7 +438,9 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 	if maxWorkers <= 0 || maxWorkers > p.workers {
 		maxWorkers = p.workers
 	}
-	j := &job{pool: p, ctx: ctx, n: tasks, max: maxWorkers, run: run, cancel: cancel, fin: make(chan struct{})}
+	// A participant beyond the task count could claim nothing.
+	maxWorkers = max(min(maxWorkers, tasks), 1)
+	j := &job{pool: p, ctx: ctx, n: tasks, end: int64(tasks), max: maxWorkers, run: run, cancel: cancel, fin: make(chan struct{})}
 
 	p.mu.Lock()
 	if p.closed {
@@ -470,18 +523,30 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 		close(j.fin)
 		return &Future{j}, nil
 	}
-	j.listed = true
-	cq.jobs = append(cq.jobs, j)
-	// A class activating after idling is clamped up to the stride clock
-	// so banked idle time can never monopolize the workers; for already
-	// active classes this is a no-op (their pass is >= vpass).
-	if cq.pass < p.vpass {
-		cq.pass = p.vpass
+	if caller {
+		// The caller joins at acceptance, having waited no claim
+		// decision, and leaves before the job can complete.
+		j.caller = Worker{id: p.callerSlotLocked(), pool: p}
+		j.parts, j.joined = 1, true
+		cq.waitJobs++
+		j.end++
+	}
+	if j.joinableLocked() {
+		j.listed = true
+		cq.jobs = append(cq.jobs, j)
+		// A class activating after idling is clamped up to the stride
+		// clock so banked idle time can never monopolize the workers;
+		// for already active classes this is a no-op (their pass is
+		// >= vpass).
+		if cq.pass < p.vpass {
+			cq.pass = p.vpass
+		}
 	}
 	meta := JobMeta{Class: cq.name, Weight: cq.weight, Tasks: tasks, MaxWorkers: maxWorkers}
-	// Wake only the parked workers the job can use. A worker busy
-	// elsewhere re-scans before it parks, so it needs no wake-up.
-	for i := 0; i < min(maxWorkers, tasks); i++ {
+	// Wake only the parked workers the job can use beside its caller. A
+	// worker busy elsewhere re-scans before it parks, so it needs no
+	// wake-up.
+	for i := j.parts; i < maxWorkers; i++ {
 		p.work.Signal()
 	}
 	p.mu.Unlock()
@@ -489,6 +554,18 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait 
 		jo.ObserveJob(j.id, meta)
 	}
 	return &Future{j}, nil
+}
+
+// callerSlotLocked lends a caller slot ID, the most recently returned
+// one first.
+func (p *Pool) callerSlotLocked() int {
+	if n := len(p.callerFree); n > 0 {
+		id := p.callerFree[n-1]
+		p.callerFree = p.callerFree[:n-1]
+		return id
+	}
+	p.callerNext++
+	return p.workers + p.callerNext - 1
 }
 
 // countRejected tallies an admission refusal that happened before the
@@ -500,11 +577,12 @@ func (p *Pool) countRejected(qos QoS) {
 }
 
 // Close rejects further submissions, drains every job already accepted,
-// stops the workers and returns once they exit. It is idempotent;
-// Submit calls blocked on backpressure fail with ErrClosed.
+// stops the workers and returns once they exit and every RunQoS caller
+// has finished its job. It is idempotent; Submit calls blocked on
+// backpressure fail with ErrClosed.
 func (p *Pool) Close() error {
 	p.beginClose()
-	p.wg.Wait()
+	p.drain()
 	return nil
 }
 
@@ -517,7 +595,7 @@ func (p *Pool) Close() error {
 func (p *Pool) CloseWithTimeout(d time.Duration) error {
 	p.beginClose()
 	done := make(chan struct{})
-	go func() { p.wg.Wait(); close(done) }()
+	go func() { p.drain(); close(done) }()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -529,6 +607,18 @@ func (p *Pool) CloseWithTimeout(d time.Duration) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w after %v: %d job(s) still in flight", ErrDrainTimeout, d, n)
 	}
+}
+
+// drain waits for the workers to exit, then for the jobs RunQoS callers
+// still run on their own goroutines: a job capped at its caller has no
+// worker to wait for.
+func (p *Pool) drain() {
+	p.wg.Wait()
+	p.mu.Lock()
+	for p.inflight > 0 {
+		p.room.Wait()
+	}
+	p.mu.Unlock()
 }
 
 // beginClose marks the pool closed and wakes every parked worker and
@@ -564,6 +654,7 @@ func (p *Pool) Stats() Stats {
 		JobsCancelled:  p.cancelled,
 		Classes:        p.classStatsLocked(),
 		PerWorker:      make([]WorkerStats, len(p.perWorker)),
+		CallerTasks:    p.callerTasks.Load(),
 	}
 	for i := range p.perWorker {
 		pw := &p.perWorker[i]
@@ -610,6 +701,7 @@ func (p *Pool) worker(id int) {
 		p.mu.Unlock()
 		j.work(w, primary)
 		p.mu.Lock()
+		j.unlistLocked()
 	}
 }
 
@@ -649,15 +741,15 @@ func (p *Pool) claimableLocked() *job {
 	return bestJob
 }
 
-// work claims and runs tasks until the job's frontier is exhausted.
-// After a task fails — an error return, a contained panic, or the job's
-// context firing — later claims are skipped (but still counted), so the
-// job always completes and its future always fires.
+// work claims and runs tasks until the job's frontier is exhausted;
+// the participant then unlists the job. After a task fails — an error
+// return, a contained panic, or the job's context firing — later
+// claims are skipped (but still counted), so the job always completes
+// and its future always fires.
 func (j *job) work(w *Worker, primary bool) {
 	for {
 		i := atomic.AddInt64(&j.next, 1) - 1
 		if i >= int64(j.n) {
-			j.unlist()
 			return
 		}
 		if atomic.LoadInt32(&j.failed) == 0 {
@@ -675,9 +767,15 @@ func (j *job) work(w *Worker, primary bool) {
 		if !primary {
 			atomic.AddInt64(&j.stolen, 1)
 		}
-		if atomic.AddInt64(&j.done, 1) == int64(j.n) {
-			j.finish()
-		}
+		j.arrive()
+	}
+}
+
+// arrive counts one completed task, or a caller's exit, and finishes
+// the job on the last.
+func (j *job) arrive() {
+	if atomic.AddInt64(&j.done, 1) == j.end {
+		j.finish()
 	}
 }
 
@@ -717,11 +815,9 @@ func (j *job) fail(err error, cancelled bool) {
 	}
 }
 
-// unlist removes an exhausted claim frontier from its class queue
-// (idempotent — several workers can observe exhaustion concurrently).
-func (j *job) unlist() {
-	p := j.pool
-	p.mu.Lock()
+// unlistLocked removes an exhausted claim frontier from its class queue
+// (idempotent — several participants observe exhaustion).
+func (j *job) unlistLocked() {
 	if j.listed {
 		j.listed = false
 		q := j.cq.jobs
@@ -732,6 +828,16 @@ func (j *job) unlist() {
 			}
 		}
 	}
+}
+
+// leave ends a RunQoS caller's part in its job: the exhausted job is
+// unlisted and the caller's slot returned, before the caller's own
+// arrival lets the job complete.
+func (j *job) leave(w *Worker) {
+	p := j.pool
+	p.mu.Lock()
+	j.unlistLocked()
+	p.callerFree = append(p.callerFree, w.id)
 	p.mu.Unlock()
 }
 

@@ -45,9 +45,11 @@ func (c TaskCost) Add(d TaskCost) TaskCost {
 }
 
 // Timekeeper observes the simulated cost of every completed task. It is
-// invoked from worker goroutines after the task's callback returns —
-// implementations must be safe for concurrent use. Skipped claims
-// (after a failure or cancellation) are not observed: they ran no work.
+// invoked from the participant's goroutine — a pool worker, or a RunQoS
+// caller, whose ID is a caller slot — after the task's callback
+// returns; implementations must be safe for concurrent use. Skipped
+// claims (after a failure or cancellation) are not observed: they ran
+// no work.
 type Timekeeper interface {
 	ObserveTask(worker int, job int64, task int, cost TaskCost)
 }
@@ -90,9 +92,9 @@ func (p *Pool) timekeeper() Timekeeper {
 
 // Charge adds cost to the task the worker is currently running. The
 // executor calls it from inside the task callback; the pool forwards
-// the task's accumulated cost to the Timekeeper (and the per-worker
-// busy counters) when the task completes. Charges outside a task are
-// dropped.
+// the task's accumulated cost to the Timekeeper (and, for a pool
+// worker, its busy counters) when the task completes. Charges outside
+// a task are dropped.
 func (w *Worker) Charge(c TaskCost) {
 	w.pending = w.pending.Add(c)
 }
@@ -212,11 +214,17 @@ func (r *Recorder) Total() TaskCost {
 // counted — overstates nothing a quiescent read won't correct. See
 // Pool.Stats for the full relaxed-read contract.
 func (p *Pool) observeTask(w *Worker, job int64, task int) {
-	pw := &p.perWorker[w.id]
-	if w.pending != (TaskCost{}) {
-		addFloatBits(&pw.busy, w.pending.Cycles)
+	if w.id >= p.workers {
+		// A RunQoS caller: counted apart, so PerWorker stays one entry
+		// per pool worker. The Timekeeper still sees the charge.
+		p.callerTasks.Add(1)
+	} else {
+		pw := &p.perWorker[w.id]
+		if w.pending != (TaskCost{}) {
+			addFloatBits(&pw.busy, w.pending.Cycles)
+		}
+		atomic.AddInt64(&pw.tasks, 1)
 	}
-	atomic.AddInt64(&pw.tasks, 1)
 	if tk := p.timekeeper(); tk != nil {
 		tk.ObserveTask(w.id, job, task, w.pending)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autogemm/internal/hw"
+	"autogemm/internal/mkernel"
 )
 
 // TestSearchParallelFillMatchesSequentialTile is the equivalence
@@ -106,5 +107,39 @@ func TestHeuristicHonorsCandidateRestriction(t *testing.T) {
 	}
 	if got := tl.Panels[0].Tile; got != d.Candidates[0] {
 		t.Fatalf("tile %v, want the only candidate %v", got, d.Candidates[0])
+	}
+}
+
+// TestCandidatesMemoMatchesEnumeration: the shared default candidate
+// set of every chip × rotation equals a fresh walk of
+// mkernel.FeasibleTiles under the generatable and register-slack
+// rules, repeated calls share one list, and an explicit Candidates
+// still wins.
+func TestCandidatesMemoMatchesEnumeration(t *testing.T) {
+	for _, chip := range hw.All() {
+		for _, rotate := range []bool{false, true} {
+			d := newDMT(chip)
+			d.Opt.Rotate = rotate
+			lanes := d.Params.Lanes
+			var want []mkernel.Tile
+			for _, tl := range mkernel.FeasibleTiles(lanes) {
+				if tl.Generatable(lanes) && !(rotate && tl.RegistersNeeded(lanes) > 30) {
+					want = append(want, tl)
+				}
+			}
+			got := d.candidates()
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s rotate=%v: candidates %v, want %v", chip.Name, rotate, got, want)
+			}
+			again := newDMT(chip)
+			again.Opt.Rotate = rotate
+			if &again.candidates()[0] != &got[0] {
+				t.Errorf("%s rotate=%v: candidate list enumerated again", chip.Name, rotate)
+			}
+			d.Candidates = want[1:2]
+			if got := d.candidates(); len(got) != 1 || got[0] != want[1] {
+				t.Errorf("%s rotate=%v: explicit candidates ignored: %v", chip.Name, rotate, got)
+			}
+		}
 	}
 }

@@ -86,13 +86,35 @@ type panelChoice struct {
 
 // candidates returns the tile set T(m', n') minimizes over: the
 // explicit restriction when one is set, otherwise every generatable
-// tile (subject to the rotation register-slack rule).
+// tile (subject to the rotation register-slack rule). The default set
+// depends only on σ_lane and rotation, so it is enumerated once per
+// pair and shared read-only.
 func (d *DMT) candidates() []mkernel.Tile {
 	if d.Candidates != nil {
 		return d.Candidates
 	}
+	k := candKey{d.Params.Lanes, d.Opt.Rotate}
+	if v, ok := defaultCands.Load(k); ok {
+		return v.([]mkernel.Tile)
+	}
+	v, _ := defaultCands.LoadOrStore(k, enumerateCandidates(k.lanes, k.rotate))
+	return v.([]mkernel.Tile)
+}
+
+// candKey keys the shared default candidate sets.
+type candKey struct {
+	lanes  int
+	rotate bool
+}
+
+// defaultCands memoizes enumerateCandidates per candKey.
+var defaultCands sync.Map
+
+// enumerateCandidates lists every generatable tile for σ_lane in
+// mkernel.FeasibleTiles order, dropping with rotation the tiles that
+// leave no register slack.
+func enumerateCandidates(lanes int, rotate bool) []mkernel.Tile {
 	var cands []mkernel.Tile
-	lanes := d.Params.Lanes
 	for _, t := range mkernel.FeasibleTiles(lanes) {
 		if !t.Generatable(lanes) {
 			continue
@@ -101,7 +123,7 @@ func (d *DMT) candidates() []mkernel.Tile {
 		// rotated A/B buffers (the reason Table II excludes shapes
 		// like 7×12 that fill the register file exactly): a tile with
 		// no slack cannot pipeline and stalls on every reload.
-		if d.Opt.Rotate && t.RegistersNeeded(lanes) > 30 {
+		if rotate && t.RegistersNeeded(lanes) > 30 {
 			continue
 		}
 		cands = append(cands, t)

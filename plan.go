@@ -61,7 +61,7 @@ func (e *Engine) PlanFor(opts *Options, m, n, k int) (*Plan, error) {
 
 // MultiplyPlanned computes C += A·B executing an explicit plan — the
 // zero-planning hot path for serving workloads that multiply the same
-// shape many times — as a single-worker job, like Multiply. The plan
+// shape many times — on the calling goroutine, like Multiply. The plan
 // must come from this engine's PlanFor or LoadPlan: a plan is attached
 // to its engine's scheduler, so moving one to another engine goes
 // through Encode and LoadPlan, which also re-audits it.
@@ -73,7 +73,7 @@ func (e *Engine) MultiplyPlanned(p *Plan, c, a, b []float32) error {
 		return fmt.Errorf("autogemm: plan %s belongs to another engine (move it with Encode and LoadPlan)",
 			p.Fingerprint())
 	}
-	return wait(e.submitPlan(context.Background(), p.p, GEMM{C: c, A: a, B: b}, 1))
+	return e.runPlan(context.Background(), p.p, GEMM{C: c, A: a, B: b})
 }
 
 // LoadPlan deserializes a plan produced by Encode (or read from a
