@@ -161,38 +161,36 @@ func AutoOptions(chip *hw.Chip) Options {
 // execution plan for one (M, N, K) problem on one chip. All planning
 // state (blocking, loop order, packing, per-block tilings) lives in
 // Recipe; the rest of the struct is runtime machinery — the kernel
-// cache, per-worker scratch and execution counters.
+// cache, the block programs and execution counters. Once attached, a
+// plan is read-only apart from its lazily built memos (block programs,
+// costs) and its atomic counters, so it needs no lock; execution
+// scratch belongs to the scheduler participant (state.go).
 type Plan struct {
 	Chip    *hw.Chip
 	M, N, K int
 	Opts    Options // resolved: MC/NC/KC, Order and Pack are concrete
 
 	// Recipe is the serializable plan this executor replays. Treat it
-	// as read-only; RestrictDMTCandidates swaps in a freshly produced
-	// one rather than mutating it.
+	// as read-only.
 	Recipe *plan.Plan
 
 	params  perfmodel.Params
 	kernels *mkernel.Cache // Options.Kernels, or a private cache
 
-	mu      sync.Mutex
+	// Both tables are filled at Attach and never change: every block
+	// shape of the grid has its entry, whose program compiles on first
+	// use under the entry's own sync.Once.
 	tilings map[[2]int]tiling.Tiling // block (m, n) -> tiling, from Recipe
 	progs   map[[3]int]*blockProg    // block (m, n, k) -> resolved kernels
 
 	interpOnly bool            // Options.ForceInterp
-	scratch    mkernel.Scratch // per-worker buffer sizes and their LD
+	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
-	// RunParallel / Submit turns into a job on, the C-tile-group
-	// partition of the block grid (precomputed once — the per-call
-	// map+sort the old RunParallel paid is gone), and one scratch-state
-	// slot per worker ID, pool workers and blocking callers alike
-	// (sched.Pool.Slots). Slot i is only ever touched by the goroutine
-	// holding ID i, so the states need no lock and no sync.Pool round
-	// trips.
+	// RunParallel / Submit turns into a job on, and the C-tile-group
+	// partition of the block grid, precomputed once.
 	runtime *sched.Pool
 	groups  [][]blockIter
-	states  []*execState
 
 	// Memoized per-shape simulated costs (estimate.go, shapeCosts):
 	// computed once, shared by the analytic estimator and the
@@ -207,7 +205,9 @@ type Plan struct {
 	// sched.TaskCost per C-tile group, charged to the running worker
 	// when vtCosting is set. Written before the flag is raised, read
 	// only after observing it.
+	taskOnce  sync.Once
 	taskCosts []sched.TaskCost
+	taskErr   error
 	vtCosting atomic.Bool
 
 	// Block-execution counters by executor, updated atomically.
@@ -267,41 +267,11 @@ func (p *Plan) opt() perfmodel.Opt {
 	return perfmodel.Opt{Rotate: p.Opts.Rotate, Fuse: p.Opts.Fuse}
 }
 
-// RestrictDMTCandidates narrows the DMT register-tile candidate set
-// (used by the ablation experiments) by re-producing the recipe with
-// the restriction applied; it has no effect when a non-DMT strategy
-// was supplied. Resolved tilings and kernel programs are replaced.
-func (p *Plan) RestrictDMTCandidates(tiles []mkernel.Tile) {
-	if p.Opts.Strategy != nil {
-		if _, ok := p.Opts.Strategy.(*tiling.DMT); !ok {
-			return
-		}
-	}
-	opts := p.Opts
-	opts.DMTCandidates = tiles
-	rec, err := Produce(p.Chip, p.M, p.N, p.K, opts)
-	if err != nil {
-		return
-	}
-	tilings := make(map[[2]int]tiling.Tiling, len(rec.Blocks))
-	for _, blk := range rec.Blocks {
-		tilings[[2]int{blk.M, blk.N}] = tiling.FromPlanBlock(blk)
-	}
-	p.mu.Lock()
-	p.Opts.DMTCandidates = tiles
-	p.Recipe = rec
-	p.tilings = tilings
-	p.progs = make(map[[3]int]*blockProg)
-	p.mu.Unlock()
-}
-
 // blockTiling returns the tiling the recipe assigns to a block shape.
 // The planner enumerated every distinct shape of the grid, so a miss is
 // a structural bug (or a foreign recipe), not a cue to re-plan.
 func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
-	p.mu.Lock()
 	tl, ok := p.tilings[[2]int{m, n}]
-	p.mu.Unlock()
 	if !ok {
 		return tiling.Tiling{}, fmt.Errorf("core: plan has no tiling for block %dx%d", m, n)
 	}

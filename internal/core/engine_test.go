@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"autogemm/internal/hw"
 	"autogemm/internal/mkernel"
 	"autogemm/internal/refgemm"
+	"autogemm/internal/sched"
 	"autogemm/internal/sim/compile"
 )
 
@@ -152,7 +154,8 @@ func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	}
 	// Cut B to what the first call reads (it starts at column 0): the
 	// first call runs, and a later one, further right, is refused.
-	st := p.newState()
+	st := &execState{}
+	p.fit(st, 1)
 	ld := p.scratch.LD
 	st.packB = st.packB[:bp.calls[0].cp.Bounds.BExtent(int64(ld))]
 	err = p.runBlock(st, blk, c, a, b)
@@ -180,5 +183,143 @@ func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	}
 	if staged {
 		t.Fatal("no call ran before the fault; the test cannot see an early copy-back")
+	}
+}
+
+// TestScratchCrossesPlans: one participant's scratch serves every plan
+// it runs. On a 1-worker pool, blocking runs (the caller slot) and
+// submitted jobs (pool worker 0) interleave over plans with different
+// envelopes and leading dimensions — small, a ForceInterp plan, large,
+// a 16-lane A64FX plan that outgrows large in C staging alone, a
+// 16-lane ForceInterp plan, then the earlier ones again. Every C bit-matches the reference. After
+// every step each ID still holds the one state it built first, its
+// arena regions the largest envelope that ID has run.
+func TestScratchCrossesPlans(t *testing.T) {
+	pool := sched.New(1, 0)
+	defer pool.Close()
+	type gemm struct {
+		p       *Plan
+		a, b    []float32
+		c0, ref []float32
+	}
+	mk := func(chip *hw.Chip, m, n, k int, opts Options) *gemm {
+		t.Helper()
+		opts.Runtime = pool
+		p, err := NewPlan(chip, m, n, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &gemm{p: p, a: make([]float32, m*k), b: make([]float32, k*n), c0: make([]float32, m*n)}
+		refgemm.Fill(g.a, m, k, k, uint64(m))
+		refgemm.Fill(g.b, k, n, n, uint64(n))
+		refgemm.Fill(g.c0, m, n, n, uint64(k))
+		g.ref = append([]float32(nil), g.c0...)
+		refgemm.GEMM(m, n, k, g.a, k, g.b, n, g.ref, n)
+		return g
+	}
+	kp, a64 := hw.KP920(), hw.A64FX()
+	small := mk(kp, 9, 13, 7, AutoOptions(kp))
+	interp := mk(kp, 37, 53, 29, Options{MC: 16, NC: 24, KC: 12, Pack: PackOnline, Rotate: true, Fuse: true, ForceInterp: true})
+	large := mk(kp, 150, 140, 90, AutoOptions(kp))
+	wide := mk(a64, 40, 400, 16, AutoOptions(a64))
+	wideInterp := mk(a64, 12, 40, 9, Options{Pack: PackOnline, Rotate: true, Fuse: true, ForceInterp: true})
+	if ls, ws := large.p.scratch, wide.p.scratch; ls.LD == small.p.scratch.LD || ws.CBuf <= ls.CBuf || ws.PackA >= ls.PackA {
+		t.Fatalf("envelopes do not exercise growth: small %+v, large %+v, wide %+v", small.p.scratch, ls, ws)
+	}
+
+	const (
+		run      = iota
+		parallel // capped at the pool's one worker: runs on the caller
+		submit
+	)
+	exec := func(g *gemm, how int) {
+		t.Helper()
+		c := append([]float32(nil), g.c0...)
+		var err error
+		switch how {
+		case run:
+			err = g.p.Run(c, g.a, g.b)
+		case parallel:
+			err = g.p.RunParallel(c, g.a, g.b, 2)
+		default:
+			var f *RunFuture
+			if f, err = g.p.Submit(context.Background(), c, g.a, g.b, 1, sched.QoS{}); err == nil {
+				err = f.Wait()
+			}
+		}
+		if err != nil {
+			t.Fatalf("%dx%dx%d on %s (mode %d): %v", g.p.M, g.p.N, g.p.K, g.p.Chip.Name, how, err)
+		}
+		for i := range c {
+			if math.Float32bits(c[i]) != math.Float32bits(g.ref[i]) {
+				t.Fatalf("%dx%dx%d on %s (mode %d): C[%d] = %g, reference %g",
+					g.p.M, g.p.N, g.p.K, g.p.Chip.Name, how, i, c[i], g.ref[i])
+			}
+		}
+	}
+	// states reads the scratch held by pool worker 0 and by the caller
+	// slot a lone blocking run borrows.
+	states := func() (worker, caller *execState) {
+		t.Helper()
+		f, err := pool.Submit(1, 1, func(w *sched.Worker, _ int) error {
+			worker, _ = (*w.Local()).(*execState)
+			return nil
+		})
+		if err == nil {
+			err = f.Wait()
+		}
+		if err == nil {
+			_, err = pool.RunQoS(context.Background(), 1, 1, sched.QoS{}, func(w *sched.Worker, _ int) error {
+				caller, _ = (*w.Local()).(*execState)
+				return nil
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worker, caller
+	}
+
+	var first [2]*execState // by ID: worker, caller
+	var want [2]mkernel.Scratch
+	for i, s := range []struct {
+		g   *gemm
+		how int
+	}{
+		{small, run}, {small, submit}, {interp, submit}, {interp, parallel},
+		{large, run}, {large, submit}, {wide, submit}, {wide, parallel},
+		{interp, run}, {interp, submit}, {wideInterp, parallel}, {wideInterp, submit},
+		{interp, submit}, {interp, run}, {small, parallel}, {small, submit},
+		{large, submit}, {large, parallel}, {wide, run}, {wide, submit},
+	} {
+		exec(s.g, s.how)
+		id := 1
+		if s.how == submit {
+			id = 0
+		}
+		sc := s.g.p.scratch
+		want[id] = mkernel.Scratch{PackA: max(want[id].PackA, sc.PackA), PackB: max(want[id].PackB, sc.PackB), CBuf: max(want[id].CBuf, sc.CBuf)}
+		w, c := states()
+		for j, st := range []*execState{w, c} {
+			name := [2]string{"worker", "caller"}[j]
+			switch {
+			case want[j] == mkernel.Scratch{}:
+				if st != nil {
+					t.Fatalf("step %d: %s holds a state before running a plan", i, name)
+				}
+				continue
+			case first[j] == nil:
+				first[j] = st
+			}
+			if st != first[j] {
+				t.Fatalf("step %d: %s state replaced (%p, was %p)", i, name, st, first[j])
+			}
+			if st.size != want[j] {
+				t.Fatalf("step %d: %s arena regions %+v, want the largest envelope run %+v", i, name, st.size, want[j])
+			}
+		}
+	}
+	if first[0] == first[1] {
+		t.Fatal("worker and caller share a state")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -53,35 +54,27 @@ type bandCall struct {
 }
 
 // blockProg is the resolved program of one block shape (MB, NB, KB):
-// its kernel call sequence. It is built once per shape — repeated block
-// visits (and repeated Run calls on a cached plan) skip straight to
-// kernel execution with no per-visit banding or cache lookups.
+// its tiling and kernel call sequence. Attach makes one entry per shape
+// of the grid; the calls are resolved once, on the shape's first visit,
+// so repeated block visits (and repeated Run calls on a cached plan)
+// skip straight to kernel execution with no per-visit banding or cache
+// lookups.
 type blockProg struct {
+	tl    tiling.Tiling
 	once  sync.Once
 	calls []bandCall
 	err   error
 }
 
 // blockProgram returns the resolved program for a block's shape,
-// building it on first use. Concurrent workers hitting the same shape
-// share one build via the entry's sync.Once.
+// resolving its calls on first use. Concurrent workers hitting the same
+// shape share one build via the entry's sync.Once.
 func (p *Plan) blockProgram(blk blockIter) (*blockProg, error) {
-	key := [3]int{blk.MB, blk.NB, blk.KB}
-	p.mu.Lock()
-	bp, ok := p.progs[key]
+	bp, ok := p.progs[[3]int{blk.MB, blk.NB, blk.KB}]
 	if !ok {
-		bp = &blockProg{}
-		p.progs[key] = bp
+		return nil, fmt.Errorf("core: plan has no block %dx%dx%d", blk.MB, blk.NB, blk.KB)
 	}
-	p.mu.Unlock()
-	bp.once.Do(func() {
-		tl, err := p.blockTiling(blk.MB, blk.NB)
-		if err != nil {
-			bp.err = err
-			return
-		}
-		bp.calls, bp.err = p.resolveCalls(tl.Bands(p.Chip.Lanes), blk.KB)
-	})
+	bp.once.Do(func() { bp.calls, bp.err = p.resolveCalls(bp.tl.Bands(p.Chip.Lanes), blk.KB) })
 	return bp, bp.err
 }
 

@@ -495,27 +495,29 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 		}
 		p.tilings[[2]int{blk.M, blk.N}] = tl
 	}
-	// Every block shape of the grid must be covered by the recipe.
+	// Every block shape of the grid must be covered by the recipe; each
+	// gets its program entry, resolved on first use.
 	for _, mb := range blockShapes(p.M, o.MC) {
 		for _, nb := range blockShapes(p.N, o.NC) {
-			if _, ok := p.tilings[[2]int{mb, nb}]; !ok {
+			tl, ok := p.tilings[[2]int{mb, nb}]
+			if !ok {
 				return nil, fmt.Errorf("core: plan missing tiling for block %dx%d", mb, nb)
+			}
+			for _, kb := range blockShapes(p.K, o.KC) {
+				p.progs[[3]int{mb, nb, kb}] = &blockProg{tl: tl}
 			}
 		}
 	}
 	p.interpOnly = o.ForceInterp
 	p.scratch = mkernel.ScratchEnvelope(o.MC, o.NC, o.KC, chip.Lanes)
 
-	// Execution runtime: the scheduler pool every run is a job on, one
-	// scratch slot per worker ID (pool workers and the caller slots
-	// blocking runs borrow), and the C-tile-group partition —
-	// precomputed here, alongside blockProg, instead of rebuilt by
+	// Execution runtime: the scheduler pool every run is a job on, and
+	// the C-tile-group partition, precomputed here instead of rebuilt by
 	// every parallel call.
 	p.runtime = o.Runtime
 	if p.runtime == nil {
 		p.runtime = sched.Shared()
 	}
-	p.states = make([]*execState, p.runtime.Slots())
 	p.groups = partitionGroups(p.blocks())
 	return p, nil
 }

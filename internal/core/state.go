@@ -1,20 +1,23 @@
 package core
 
 import (
+	"autogemm/internal/mkernel"
 	"autogemm/internal/sched"
 	"autogemm/internal/sim"
 	"autogemm/internal/sim/compile"
 )
 
-// execState is the per-worker execution scratch: the packing and
-// C-staging buffers, and the executor that runs kernels over them — a
-// compiled-kernel environment, or on a ForceInterp plan a machine. The
-// buffers are slices of one frozen arena, so both executors address the
-// same memory. Each scheduler worker ID — a pool worker, or a caller
-// slot a blocking run borrows — owns one state per plan, slot ID of the
-// plan's states slice, built on the ID's first task for the plan and
-// reused across every later job.
+// execState is one scheduler participant's execution scratch: the
+// packing and C-staging buffers, and the executor that runs kernels
+// over them — a compiled-kernel environment, or for a ForceInterp plan
+// a machine. The buffers are regions of one frozen arena, so both
+// executors address the same memory. Each worker ID — a pool worker,
+// or a caller slot a blocking run borrows — keeps one state in its
+// sched.Worker.Local slot and carries it across every plan it runs.
 type execState struct {
+	// The running plan's views of the arena regions, cut to its
+	// mkernel.ScratchEnvelope so a call that overruns the plan's
+	// envelope fails its precheck whatever the arena has grown to.
 	packA []float32 // A block, row-major, lda = k_c
 	packB []float32 // B panel, row-major, ldb = Plan.scratch.LD
 	cBuf  []float32 // padded C block staging buffer, ldc = Plan.scratch.LD
@@ -23,61 +26,70 @@ type execState struct {
 	// in packA/packB. A and B are read-only during a job, so when the
 	// loop order revisits the same panel (e.g. the A block across the n
 	// loop in MNK order) the copy is skipped. Reset when the worker
-	// moves to a new job — the operand slices differ between jobs.
+	// moves to a new job — the operand slices, and perhaps the plan,
+	// differ between jobs.
 	aKey, bKey [4]int
 	job        uint64 // sequence number of the job the keys belong to
 
-	env  *compile.Env // nil on a ForceInterp plan
-	mach *sim.Machine // ForceInterp only, over the arena below
+	env  *compile.Env // built for the last compiled plan's lanes
+	mach *sim.Machine // built on demand for a ForceInterp plan, over arena
 
-	// The buffers' byte addresses in the arena, which the machine's
-	// kernel arguments take. The arena's layout is fixed at
-	// construction and frozen, honouring sim.Arena's growth contract.
+	// The arena, the region sizes it was built for (the largest
+	// envelope this ID has run) and the regions' byte addresses, which
+	// the machine's kernel arguments take. The layout is fixed at
+	// construction and frozen, honouring sim.Arena's growth contract;
+	// growing builds a new arena.
+	arena            *sim.Arena
+	size             mkernel.Scratch
 	aReg, bReg, cReg int64
-}
-
-// newState sizes the scratch for the plan's largest block using the
-// shared mkernel.ScratchEnvelope — the same envelope the plan auditor
-// proves every kernel call of a loaded plan fits inside.
-func (p *Plan) newState() *execState {
-	lanes := p.Chip.Lanes
-	sc := p.scratch
-	ar := sim.NewArena(sc.PackA + sc.PackB + sc.CBuf + 64)
-	st := &execState{
-		aKey: noKey, bKey: noKey,
-		aReg: ar.Alloc(sc.PackA),
-		bReg: ar.Alloc(sc.PackB),
-		cReg: ar.Alloc(sc.CBuf),
-	}
-	ar.Freeze()
-	st.packA = ar.Slice(st.aReg, sc.PackA)
-	st.packB = ar.Slice(st.bReg, sc.PackB)
-	st.cBuf = ar.Slice(st.cReg, sc.CBuf)
-	if p.interpOnly {
-		st.mach = sim.NewMachine(ar, lanes)
-	} else {
-		st.env = compile.NewEnv(lanes)
-	}
-	return st
 }
 
 // noKey marks a pack buffer as holding no reusable panel.
 var noKey = [4]int{-1, -1, -1, -1}
 
-// stateFor returns the running participant's scratch for this plan,
-// building it on first use. Slot w.ID() is only ever active on one
-// goroutine at a time (the sched.Worker contract), so the slice slot
-// needs no lock; pack-reuse keys reset when the worker crosses into a
-// new job, because the operand slices differ between jobs.
+// stateFor returns the running participant's scratch, fitted to this
+// plan. The state lives in the ID's Local slot, which only the
+// goroutine holding the ID touches, so it needs no lock.
 func (p *Plan) stateFor(w *sched.Worker, job uint64) *execState {
-	st := p.states[w.ID()]
+	slot := w.Local()
+	st, _ := (*slot).(*execState)
 	if st == nil {
-		st = p.newState()
-		p.states[w.ID()] = st
+		st = &execState{}
+		*slot = st
 	}
+	p.fit(st, job)
+	return st
+}
+
+// fit prepares a participant's scratch for a task of this plan's job:
+// the arena grows when the plan's envelope exceeds it, the executor is
+// (re)built when the chip's lanes differ, the views are cut to the
+// plan's envelope, and the pack-reuse keys reset on a new job.
+func (p *Plan) fit(st *execState, job uint64) {
+	sc, lanes := p.scratch, p.Chip.Lanes
+	if sc.PackA > st.size.PackA || sc.PackB > st.size.PackB || sc.CBuf > st.size.CBuf {
+		sz := mkernel.Scratch{
+			PackA: max(sc.PackA, st.size.PackA),
+			PackB: max(sc.PackB, st.size.PackB),
+			CBuf:  max(sc.CBuf, st.size.CBuf),
+		}
+		ar := sim.NewArena(sz.PackA + sz.PackB + sz.CBuf + 64)
+		st.aReg, st.bReg, st.cReg = ar.Alloc(sz.PackA), ar.Alloc(sz.PackB), ar.Alloc(sz.CBuf)
+		ar.Freeze()
+		st.arena, st.size, st.mach = ar, sz, nil
+	}
+	if p.interpOnly {
+		if st.mach == nil || st.mach.Lanes != lanes {
+			st.mach = sim.NewMachine(st.arena, lanes)
+		}
+	} else if st.env == nil || st.env.Lanes() != lanes {
+		st.env = compile.NewEnv(lanes)
+	}
+	st.packA = st.arena.Slice(st.aReg, sc.PackA)
+	st.packB = st.arena.Slice(st.bReg, sc.PackB)
+	st.cBuf = st.arena.Slice(st.cReg, sc.CBuf)
 	if st.job != job {
 		st.job = job
 		st.aKey, st.bKey = noKey, noKey
 	}
-	return st
 }

@@ -47,39 +47,25 @@ func (p *Plan) TaskCosts() ([]sched.TaskCost, error) {
 // group order — the same deterministic first-visit order partitionGroups
 // fixed at Attach.
 func (p *Plan) computeTaskCosts() ([]sched.TaskCost, error) {
-	p.mu.Lock()
-	tc := p.taskCosts
-	p.mu.Unlock()
-	if tc != nil {
-		return tc, nil
-	}
-
-	costs, _, err := p.shapeCosts()
-	if err != nil {
-		return nil, err
-	}
-	if p.groups == nil {
-		return nil, fmt.Errorf("core: plan not attached to a runtime")
-	}
-	tc = make([]sched.TaskCost, len(p.groups))
-	for gi, group := range p.groups {
-		var sum sched.TaskCost
-		for _, blk := range group {
-			bc, ok := costs[[3]int{blk.MB, blk.NB, blk.KB}]
-			if !ok {
-				return nil, fmt.Errorf("core: no cost for block shape %dx%dx%d", blk.MB, blk.NB, blk.KB)
-			}
-			sum.Cycles += bc.total()
-			sum.Bytes += bc.dram
+	p.taskOnce.Do(func() {
+		costs, _, err := p.shapeCosts()
+		if err != nil {
+			p.taskErr = err
+			return
 		}
-		tc[gi] = sum
-	}
-
-	p.mu.Lock()
-	if p.taskCosts == nil {
+		tc := make([]sched.TaskCost, len(p.groups))
+		for gi, group := range p.groups {
+			for _, blk := range group {
+				bc, ok := costs[[3]int{blk.MB, blk.NB, blk.KB}]
+				if !ok {
+					p.taskErr = fmt.Errorf("core: no cost for block shape %dx%dx%d", blk.MB, blk.NB, blk.KB)
+					return
+				}
+				tc[gi].Cycles += bc.total()
+				tc[gi].Bytes += bc.dram
+			}
+		}
 		p.taskCosts = tc
-	}
-	tc = p.taskCosts
-	p.mu.Unlock()
-	return tc, nil
+	})
+	return p.taskCosts, p.taskErr
 }

@@ -99,14 +99,11 @@ func AblationDMTCandidates() (Table, error) {
 		for i, restrict := range []bool{true, false} {
 			opts := core.AutoOptions(chip)
 			if restrict {
-				opts.Strategy = nil // set below via candidates
+				opts.DMTCandidates = mkernel.PreferredTiles(chip.Lanes)
 			}
 			plan, err := core.NewPlan(chip, s.m, s.n, s.k, opts)
 			if err != nil {
 				return t, err
-			}
-			if restrict {
-				plan.RestrictDMTCandidates(mkernel.PreferredTiles(chip.Lanes))
 			}
 			est, err := plan.Estimate()
 			if err != nil {

@@ -14,8 +14,8 @@ type Scratch struct {
 }
 
 // ScratchEnvelope sizes the staging buffers for a cache-block shape.
-// It is the single source of truth shared by the executor (which
-// allocates exactly these lengths per worker) and the plan auditor
+// It is the single source of truth shared by the executor (which cuts
+// each worker's arena to exactly these lengths) and the plan auditor
 // (which proves every kernel call of a loaded plan fits inside them,
 // so the analyzer-licensed bounds elision stays sound for staged
 // execution). Keep in sync with nothing: both sides call this.

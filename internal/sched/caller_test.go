@@ -266,3 +266,52 @@ func TestCloseWaitsForCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocalPersistsPerID: a value a task stores through Local is seen
+// by the next task run under the same ID, on a later job — for a pool
+// worker and for a caller slot — and the two IDs do not share a slot.
+func TestLocalPersistsPerID(t *testing.T) {
+	p := New(1, 0)
+	defer p.Close()
+	onWorker := func(run func(*Worker, int) error) (*Future, error) { return p.Submit(1, 1, run) }
+	onCaller := func(run func(*Worker, int) error) (*Future, error) {
+		return p.RunQoS(context.Background(), 1, 1, QoS{}, run)
+	}
+	// step stores val under the running ID and returns that ID and the
+	// value the ID held before.
+	step := func(submit func(func(*Worker, int) error) (*Future, error), val string) (int, any) {
+		t.Helper()
+		var id int
+		var prev any
+		f, err := submit(func(w *Worker, _ int) error {
+			id, prev = w.ID(), *w.Local()
+			*w.Local() = val
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return id, prev
+	}
+	for i, tc := range []struct {
+		submit func(func(*Worker, int) error) (*Future, error)
+		store  string
+		id     int
+		prev   any
+	}{
+		{onWorker, "w1", 0, nil},
+		{onCaller, "c1", p.Workers(), nil},
+		{onWorker, "w2", 0, "w1"},
+		{onCaller, "c2", p.Workers(), "c1"},
+		{onCaller, "c3", p.Workers(), "c2"},
+		{onWorker, "w3", 0, "w2"},
+	} {
+		id, prev := step(tc.submit, tc.store)
+		if id != tc.id || prev != tc.prev {
+			t.Fatalf("step %d: ran on ID %d holding %v, want ID %d holding %v", i, id, prev, tc.id, tc.prev)
+		}
+	}
+}

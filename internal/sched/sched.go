@@ -131,11 +131,13 @@ type Pool struct {
 
 	// Caller slots: Worker IDs in [workers, workers+depth) lent to RunQoS
 	// callers for the life of their job, reused LIFO so a steady caller
-	// keeps one slot (and the scratch keyed by it). A slot is returned
-	// before its job completes, so no more slots are out than jobs in
-	// flight, which the depth bounds.
+	// keeps one slot (and the Local value stored under it). A slot is
+	// returned before its job completes, so no more slots are out than
+	// jobs in flight, which the depth bounds.
 	callerFree []int
 	callerNext int
+
+	local []any // one Worker.Local value per ID, Slots() entries
 }
 
 // Stats is a snapshot of a pool's scheduling counters.
@@ -169,6 +171,7 @@ func New(workers, depth int) *Pool {
 	p.work = sync.NewCond(&p.mu)
 	p.room = sync.NewCond(&p.mu)
 	p.perWorker = make([]workerCounters, workers)
+	p.local = make([]any, p.Slots())
 	return p
 }
 
@@ -196,9 +199,9 @@ func (p *Pool) Slots() int { return p.workers + p.depth }
 // Worker identifies the participant running a task callback: a pool
 // worker, or a RunQoS caller running its own job. IDs are dense in
 // [0, Slots()) and each ID is only ever active on one goroutine at a
-// time — callers key per-participant scratch (e.g. the executor's
-// packing buffers) by ID with no locking. A worker's ID is stable for
-// the life of the pool; a caller holds its slot for one job.
+// time, so the value an ID keeps in Local (e.g. the executor's packing
+// buffers) needs no locking. A worker's ID is stable for the life of
+// the pool; a caller holds its slot for one job.
 type Worker struct {
 	id      int
 	pool    *Pool
@@ -208,6 +211,12 @@ type Worker struct {
 // ID returns the participant's dense index: in [0, Workers()) for a
 // pool worker, in [Workers(), Slots()) for a RunQoS caller.
 func (w *Worker) ID() int { return w.id }
+
+// Local returns the pool's storage slot for this participant's ID. It
+// outlives the task and the job: the next task run under the same ID,
+// on any job, sees what this one stored. Only the goroutine holding the
+// ID touches it, so it needs no lock.
+func (w *Worker) Local() *any { return &w.pool.local[w.id] }
 
 // job is one submitted unit: n independent tasks claimed from an atomic
 // cursor by up to max participating workers.
