@@ -146,3 +146,57 @@ func TestCallerRunsRaceWithPoolWork(t *testing.T) {
 			s.SchedJobsCompleted, s.SchedJobsSubmitted, len(s.SchedPerWorker))
 	}
 }
+
+// TestSchedCallerTasks: PlanCacheStats splits the tasks a blocking call
+// runs on its own goroutine (SchedCallerTasks) from those pool workers
+// run (SchedPerWorker). On a 1-worker engine, n Multiply calls on a
+// single-task shape move only SchedCallerTasks, by exactly n; a batch
+// of that shape moves only the workers' TasksRun, by one per element.
+func TestSchedCallerTasks(t *testing.T) {
+	e, err := New("KP920", WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const m, n, k = 8, 8, 8
+	a, b := make([]float32, m*k), make([]float32, k*n)
+	refgemm.Fill(a, m, k, k, 1)
+	refgemm.Fill(b, k, n, n, 2)
+	if _, err := e.PlanFor(nil, m, n, k); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (caller, workers int64) {
+		st := e.PlanCacheStats()
+		for _, pw := range st.SchedPerWorker {
+			workers += pw.TasksRun
+		}
+		return st.SchedCallerTasks, workers
+	}
+
+	caller0, workers0 := counts()
+	const calls = 5
+	for i := 0; i < calls; i++ {
+		if err := e.Multiply(make([]float32, m*n), a, b, m, n, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	caller1, workers1 := counts()
+	if caller1-caller0 != calls || workers1 != workers0 {
+		t.Fatalf("%d Multiply calls moved SchedCallerTasks by %d and worker tasks by %d; want %d, 0",
+			calls, caller1-caller0, workers1-workers0, calls)
+	}
+
+	const elems = 3
+	batch := make([]GEMM, elems)
+	for i := range batch {
+		batch[i] = GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)}
+	}
+	if err := e.MultiplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	caller2, workers2 := counts()
+	if caller2 != caller1 || workers2-workers1 != elems {
+		t.Fatalf("a %d-element batch moved SchedCallerTasks by %d and worker tasks by %d; want 0, %d",
+			elems, caller2-caller1, workers2-workers1, elems)
+	}
+}

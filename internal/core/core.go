@@ -28,6 +28,7 @@ import (
 	"autogemm/internal/plan"
 	"autogemm/internal/sched"
 	"autogemm/internal/tiling"
+	"autogemm/internal/vtime"
 )
 
 // PackMode is σ_packing: none, online (packing inside the timed region)
@@ -201,14 +202,11 @@ type Plan struct {
 	costKeys [][3]int
 	costErr  error
 
-	// Virtual-time cost attribution (virtualtime.go): one precomputed
-	// sched.TaskCost per C-tile group, charged to the running worker
-	// when vtCosting is set. Written before the flag is raised, read
-	// only after observing it.
+	// Per-task simulated costs (virtualtime.go, TaskCosts): one
+	// vtime.TaskCost per C-tile group, built once.
 	taskOnce  sync.Once
-	taskCosts []sched.TaskCost
+	taskCosts []vtime.TaskCost
 	taskErr   error
-	vtCosting atomic.Bool
 
 	// Block-execution counters by executor, updated atomically.
 	nPacked, nInterp int64

@@ -79,11 +79,11 @@ func TestRunStaticStrategies(t *testing.T) {
 	chip := hw.KP920()
 	checkGEMM(t, chip, 26, 36, 20, Options{
 		Pack: PackOnline, Rotate: true,
-		Strategy: paddedStrategy(chip),
+		Strategy: PaddedStrategy(chip),
 	})
 	checkGEMM(t, chip, 26, 36, 20, Options{
 		Pack: PackOnline, Rotate: true, Fuse: true,
-		Strategy: edgeStrategy(chip),
+		Strategy: EdgeStrategy(chip),
 	})
 }
 

@@ -89,9 +89,8 @@ func (f *RunFuture) OnDone(fn func(error)) {
 	f.f.OnDone(func(error) { fn(f.Wait()) })
 }
 
-// JobID returns the scheduler's pool-unique ID for this job — the key
-// an installed sched.Timekeeper files its per-task cost observations
-// under (sched.Recorder.Costs).
+// JobID returns the scheduler's pool-unique ID for this job: the order
+// the pool accepted it in, which a vtime replay orders jobs by.
 func (f *RunFuture) JobID() int64 { return f.f.JobID() }
 
 // Tasks returns the number of C-tile-group tasks in this job.
@@ -159,12 +158,6 @@ func (p *Plan) job(c, a, b []float32) (func(*sched.Worker, int) error, error) {
 			if err := p.runBlock(st, blk, c, a, b); err != nil {
 				return err
 			}
-		}
-		if p.vtCosting.Load() {
-			// Cost accounting on: charge this task's precomputed
-			// simulated cost to the worker's virtual clock. Numeric
-			// execution above is untouched — results stay bit-identical.
-			w.Charge(p.taskCosts[gi])
 		}
 		return nil
 	}, nil

@@ -5,21 +5,15 @@ import (
 	"autogemm/internal/tiling"
 )
 
-// paddedStrategy returns the OpenBLAS-style fixed-tile-with-padding
-// tiler for a chip (Fig 5-a).
-func paddedStrategy(chip *hw.Chip) tiling.Strategy {
+// PaddedStrategy returns the OpenBLAS-style fixed-tile-with-padding
+// tiler for a chip (Fig 5-a), as the baseline library models in
+// package baselines use it.
+func PaddedStrategy(chip *hw.Chip) tiling.Strategy {
 	return tiling.OpenBLASStyle{T: tiling.DefaultStaticTile(chip.Lanes), Lanes: chip.Lanes}
 }
 
-// edgeStrategy returns the LIBXSMM-style fixed-tile-with-edge-tiles
+// EdgeStrategy returns the LIBXSMM-style fixed-tile-with-edge-tiles
 // tiler for a chip (Fig 5-b).
-func edgeStrategy(chip *hw.Chip) tiling.Strategy {
+func EdgeStrategy(chip *hw.Chip) tiling.Strategy {
 	return tiling.LIBXSMMStyle{T: tiling.DefaultStaticTile(chip.Lanes), Lanes: chip.Lanes}
 }
-
-// PaddedStrategy and EdgeStrategy are exported for the baseline library
-// models in package baselines.
-func PaddedStrategy(chip *hw.Chip) tiling.Strategy { return paddedStrategy(chip) }
-
-// EdgeStrategy is the exported form of edgeStrategy.
-func EdgeStrategy(chip *hw.Chip) tiling.Strategy { return edgeStrategy(chip) }

@@ -15,16 +15,15 @@ import (
 )
 
 // The replay experiments produce the strong-scaling and QoS figures
-// from the real scheduler's schedule, in virtual time. Each one runs
-// the actual runtime once — real pool, real claiming, a sched.Recorder
-// installed as the pool's Timekeeper — checks that every output is
-// bit-identical to a serial run and that every recorded per-task cost
-// equals the plan's precomputed one, then replays the recorded costs
-// through internal/vtime at any virtual worker count. N workers exist
-// only in virtual time, so a two-core host measures a 48-core A64FX
-// schedule. BENCH_local.json keeps both replays' results (simScaling,
-// simQoS) as a frozen record the package tests pin bit for bit; the
-// json tags below name that record's fields.
+// from the real scheduler's jobs, in virtual time. Each one runs the
+// actual runtime once — real pool, real claiming — checks that every
+// output is bit-identical to a serial run, then replays each job's
+// per-task costs (core.Plan.TaskCosts) under the class, weight and ID
+// the pool accepted it with through internal/vtime at any virtual
+// worker count. N workers exist only in virtual time, so a two-core
+// host measures a 48-core A64FX schedule. BENCH_local.json keeps both
+// replays' results (simScaling, simQoS) as a frozen record the package
+// tests pin bit for bit; the json tags below name that record's fields.
 
 // submission is one job of a recorded run.
 type submission struct {
@@ -43,22 +42,22 @@ type recordedJob struct {
 // record executes subs on a real poolWorkers-worker pool, all jobs in
 // flight together in submission order, and returns them as replay
 // jobs. It fails unless every output is bit-identical to a serial run
-// of its plan and every job's recorded costs and class are the plan's
-// precomputed costs and the submitted class: cost content is
-// independent of the racy task-to-worker assignment, which is what
-// makes the replay deterministic across runs and GOMAXPROCS.
+// of its plan. A job's replay costs are its plan's TaskCosts, a pure
+// function of the plan, independent of the racy task-to-worker
+// assignment, which is what makes the replay deterministic across runs
+// and GOMAXPROCS. No participant cap carries into the replay: the pool
+// caps a job at min(tasks, poolWorkers), an artifact of the recording
+// pool's size, and the virtual sweep scales workers independently.
 func record(chip *hw.Chip, poolWorkers int, subs []submission) ([]recordedJob, error) {
 	pool := sched.New(poolWorkers, 0)
 	defer pool.Close()
-	rec := sched.NewRecorder()
-	pool.SetTimekeeper(rec)
 
 	// One plan, operand pair and serial reference per distinct shape,
 	// all built before the first submission.
 	type prepared struct {
 		plan      *core.Plan
 		a, b, ref []float32
-		costs     []sched.TaskCost
+		costs     []vtime.TaskCost
 	}
 	preps := make(map[string]*prepared)
 	for _, sub := range subs {
@@ -70,9 +69,6 @@ func record(chip *hw.Chip, poolWorkers int, subs []submission) ([]recordedJob, e
 		opts.Runtime = pool
 		p, err := core.NewPlan(chip, s.M, s.N, s.K, opts)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.EnableCostAccounting(); err != nil {
 			return nil, err
 		}
 		pr := &prepared{plan: p, a: make([]float32, s.M*s.K), b: make([]float32, s.K*s.N), ref: make([]float32, s.M*s.N)}
@@ -109,31 +105,11 @@ func record(chip *hw.Chip, poolWorkers int, subs []submission) ([]recordedJob, e
 				return nil, fmt.Errorf("%s %s: scheduled output differs from serial bits at %d", chip.Name, name, e)
 			}
 		}
-		costs := rec.Costs(j.fut.JobID())
-		if len(costs) != len(pr.costs) {
-			return nil, fmt.Errorf("%s %s: recorded %d task costs, want %d", chip.Name, name, len(costs), len(pr.costs))
-		}
-		for t := range costs {
-			if costs[t] != pr.costs[t] {
-				return nil, fmt.Errorf("%s %s: task %d recorded cost %+v != precomputed %+v", chip.Name, name, t, costs[t], pr.costs[t])
-			}
-		}
-		meta, ok := rec.Meta(j.fut.JobID())
 		class := sub.qos.Class
 		if class == "" {
 			class = sched.DefaultClass
 		}
-		if !ok || meta.Class != class {
-			return nil, fmt.Errorf("%s %s: recorded class %q, want %q", chip.Name, name, meta.Class, class)
-		}
-		// The recorded participant cap is an artifact of the recording
-		// pool's size; the virtual sweep scales workers independently,
-		// so only a genuine (task-count) cap carries into the replay.
-		maxw := meta.MaxWorkers
-		if maxw >= poolWorkers {
-			maxw = 0
-		}
-		j.Job = vtime.Job{ID: j.fut.JobID(), Class: meta.Class, Weight: meta.Weight, Max: maxw, Costs: costs}
+		j.Job = vtime.Job{ID: j.fut.JobID(), Class: class, Weight: sub.qos.Weight, Costs: pr.costs}
 	}
 	return jobs, nil
 }

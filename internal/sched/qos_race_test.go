@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,10 +201,10 @@ func TestCancelQueuedUnclaimedJob(t *testing.T) {
 	}
 }
 
-// TestStatsRelaxedSnapshot hammers Stats concurrently with charging
-// tasks and checks the documented invariant directly at quiescence:
-// busy cycles and task counts agree exactly once the pool is idle, and
-// IdleCycles derives the per-worker idle spread from the snapshot.
+// TestStatsRelaxedSnapshot hammers Stats concurrently with running
+// tasks and checks the documented invariant: mid-run snapshots never
+// lose a counted task (each worker's TasksRun only grows), and once the
+// pool is idle the counts are exact.
 func TestStatsRelaxedSnapshot(t *testing.T) {
 	p := New(2, 0)
 	defer p.Close()
@@ -215,20 +214,18 @@ func TestStatsRelaxedSnapshot(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		prev := make([]int64, p.Workers())
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				s := p.Stats()
-				// Mid-run snapshots must never report more busy than
-				// charged in total: each per-worker value is a prefix
-				// of the committed charges.
-				for _, pw := range s.PerWorker {
-					if pw.BusyCycles < 0 || pw.TasksRun < 0 {
-						t.Errorf("negative counters: %+v", pw)
+				for i, pw := range p.Stats().PerWorker {
+					if pw.TasksRun < prev[i] {
+						t.Errorf("worker %d TasksRun went back from %d to %d", i, prev[i], pw.TasksRun)
 						return
 					}
+					prev[i] = pw.TasksRun
 				}
 			}
 		}
@@ -237,10 +234,7 @@ func TestStatsRelaxedSnapshot(t *testing.T) {
 	const jobs, tasksPer = 8, 16
 	var futs []*Future
 	for j := 0; j < jobs; j++ {
-		f, err := p.Submit(tasksPer, 0, func(w *Worker, task int) error {
-			w.Charge(TaskCost{Cycles: 10, Bytes: 1})
-			return nil
-		})
+		f, err := p.Submit(tasksPer, 0, func(w *Worker, task int) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,40 +250,10 @@ func TestStatsRelaxedSnapshot(t *testing.T) {
 
 	s := p.Stats()
 	var tasks int64
-	var busy float64
 	for _, pw := range s.PerWorker {
 		tasks += pw.TasksRun
-		busy += pw.BusyCycles
 	}
-	if tasks != jobs*tasksPer {
-		t.Fatalf("quiescent TasksRun sum = %d, want %d", tasks, jobs*tasksPer)
-	}
-	if want := float64(jobs * tasksPer * 10); busy != want {
-		t.Fatalf("quiescent BusyCycles sum = %f, want %f", busy, want)
-	}
-
-	idle := s.IdleCycles(0)
-	if len(idle) != s.Workers {
-		t.Fatalf("IdleCycles length %d, want %d", len(idle), s.Workers)
-	}
-	var maxBusy float64
-	for _, pw := range s.PerWorker {
-		if pw.BusyCycles > maxBusy {
-			maxBusy = pw.BusyCycles
-		}
-	}
-	for i, pw := range s.PerWorker {
-		if want := maxBusy - pw.BusyCycles; idle[i] != want {
-			t.Fatalf("worker %d idle = %f, want %f", i, idle[i], want)
-		}
-	}
-	// Explicit horizon below the busiest worker clamps at zero.
-	for i, v := range s.IdleCycles(1) {
-		if v < 0 {
-			t.Fatalf("worker %d negative idle %f with small horizon", i, v)
-		}
-	}
-	if fmt.Sprint(s.IdleCycles(maxBusy)) != fmt.Sprint(idle) {
-		t.Fatal("IdleCycles(maxBusy) differs from IdleCycles(0)")
+	if tasks != jobs*tasksPer || s.CallerTasks != 0 {
+		t.Fatalf("quiescent TasksRun sum = %d, caller tasks %d; want %d, 0", tasks, s.CallerTasks, jobs*tasksPer)
 	}
 }

@@ -327,32 +327,6 @@ func TestQoSQueueWaitCounters(t *testing.T) {
 	}
 }
 
-// TestQoSJobObserver checks the Recorder's JobObserver wiring: every
-// accepted job's class/weight/tasks/cap identity is on file.
-func TestQoSJobObserver(t *testing.T) {
-	p := New(2, 0)
-	defer p.Close()
-	rec := NewRecorder()
-	p.SetTimekeeper(rec)
-	p.ConfigureClass("x", ClassConfig{Weight: 7})
-
-	f, err := p.SubmitQoS(context.Background(), 3, 2, QoS{Class: "x"}, func(w *Worker, task int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	meta, ok := rec.Meta(f.JobID())
-	if !ok {
-		t.Fatalf("job %d has no recorded meta", f.JobID())
-	}
-	want := JobMeta{Class: "x", Weight: 7, Tasks: 3, MaxWorkers: 2}
-	if meta != want {
-		t.Fatalf("meta = %+v, want %+v", meta, want)
-	}
-}
-
 // TestQoSBackgroundYields checks the built-in background class: with a
 // default-class backlog present, background jobs do not run ahead of
 // the entire foreground queue (weight 1 vs 16).

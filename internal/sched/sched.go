@@ -48,7 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -125,9 +124,8 @@ type Pool struct {
 	panicked  int64 // atomic: tasks whose panic was contained
 	cancelled int64 // jobs failed by context cancellation
 
-	tk          atomic.Pointer[tkBox] // virtual-clock hook (timekeeper.go)
-	perWorker   []workerCounters      // per-worker task/busy accounting
-	callerTasks atomic.Int64          // tasks run by RunQoS callers
+	perWorker   []atomic.Int64 // tasks run by each pool worker (countTask)
+	callerTasks atomic.Int64   // tasks run by RunQoS callers
 
 	// Caller slots: Worker IDs in [workers, workers+depth) lent to RunQoS
 	// callers for the life of their job, reused LIFO so a steady caller
@@ -150,8 +148,14 @@ type Stats struct {
 	TasksPanicked  int64         // tasks whose panic was recovered and converted to a job error
 	JobsCancelled  int64         // jobs that failed because their context was cancelled
 	Classes        []ClassStats  // per-QoS-class counters, sorted by class name (qos.go)
-	PerWorker      []WorkerStats // per-worker tasks run + charged virtual cycles (timekeeper.go)
+	PerWorker      []WorkerStats // per-worker tasks run, indexed by worker ID
 	CallerTasks    int64         // tasks RunQoS callers ran on their own jobs (not in PerWorker)
+}
+
+// WorkerStats is one pool worker's task accounting. The spread of
+// TasksRun across workers is the load-imbalance figure.
+type WorkerStats struct {
+	TasksRun int64 // tasks actually run (skipped claims excluded)
 }
 
 // New returns a pool with the given worker count and queue depth.
@@ -170,7 +174,7 @@ func New(workers, depth int) *Pool {
 	p := &Pool{workers: workers, depth: depth, classes: make(map[string]*classQueue)}
 	p.work = sync.NewCond(&p.mu)
 	p.room = sync.NewCond(&p.mu)
-	p.perWorker = make([]workerCounters, workers)
+	p.perWorker = make([]atomic.Int64, workers)
 	p.local = make([]any, p.Slots())
 	return p
 }
@@ -203,9 +207,8 @@ func (p *Pool) Slots() int { return p.workers + p.depth }
 // buffers) needs no locking. A worker's ID is stable for the life of
 // the pool; a caller holds its slot for one job.
 type Worker struct {
-	id      int
-	pool    *Pool
-	pending TaskCost // cost charged by the task currently running (timekeeper.go)
+	id   int
+	pool *Pool
 }
 
 // ID returns the participant's dense index: in [0, Workers()) for a
@@ -308,8 +311,8 @@ func (f *Future) TasksStolen() int64 {
 // group, so exclusivity of groups implies race-freedom of the job.
 func (f *Future) Tasks() int { return f.j.n }
 
-// JobID returns the pool-unique ID assigned to the job at acceptance —
-// the key a Timekeeper's observations use (see Recorder.Costs).
+// JobID returns the pool-unique ID assigned to the job at acceptance:
+// the order the pool accepted its jobs in.
 func (f *Future) JobID() int64 { return f.j.id }
 
 // Participants reports, after the job completes, how many participants
@@ -551,7 +554,6 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 			cq.pass = p.vpass
 		}
 	}
-	meta := JobMeta{Class: cq.name, Weight: cq.weight, Tasks: tasks, MaxWorkers: maxWorkers}
 	// Wake only the parked workers the job can use beside its caller. A
 	// worker busy elsewhere re-scans before it parks, so it needs no
 	// wake-up.
@@ -559,9 +561,6 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 		p.work.Signal()
 	}
 	p.mu.Unlock()
-	if jo, ok := p.timekeeper().(JobObserver); ok {
-		jo.ObserveJob(j.id, meta)
-	}
 	return &Future{j}, nil
 }
 
@@ -642,14 +641,10 @@ func (p *Pool) beginClose() {
 
 // Stats returns a snapshot of the pool's counters.
 //
-// Relaxed-read semantics of PerWorker: each worker's TasksRun and
-// BusyCycles live in separate single-writer atomic slots, folded in
-// busy-then-tasks order when a task completes (observeTask). A snapshot
-// taken while a task is mid-Charge therefore never tears a float and
-// never reports a task whose charge is missing — but it may observe a
-// charge whose task count is not yet incremented, and the pending cost
-// of the task currently running is invisible until that task completes.
-// The counters are exact whenever the pool is quiescent.
+// PerWorker and CallerTasks are relaxed reads: each is an atomic slot
+// bumped when a task completes (countTask), read without stopping the
+// tasks in flight, so a snapshot taken mid-job lags by the tasks still
+// running. The counters are exact whenever the pool is quiescent.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -666,11 +661,7 @@ func (p *Pool) Stats() Stats {
 		CallerTasks:    p.callerTasks.Load(),
 	}
 	for i := range p.perWorker {
-		pw := &p.perWorker[i]
-		s.PerWorker[i] = WorkerStats{
-			TasksRun:   atomic.LoadInt64(&pw.tasks),
-			BusyCycles: math.Float64frombits(atomic.LoadUint64(&pw.busy)),
-		}
+		s.PerWorker[i] = WorkerStats{TasksRun: p.perWorker[i].Load()}
 	}
 	return s
 }
@@ -765,9 +756,8 @@ func (j *job) work(w *Worker, primary bool) {
 			if err := j.ctx.Err(); err != nil {
 				j.fail(err, true)
 			} else {
-				w.pending = TaskCost{}
 				err := j.runTask(w, int(i))
-				j.pool.observeTask(w, j.id, int(i))
+				j.pool.countTask(w)
 				if err != nil {
 					j.fail(err, false)
 				}
@@ -778,6 +768,17 @@ func (j *job) work(w *Worker, primary bool) {
 		}
 		j.arrive()
 	}
+}
+
+// countTask tallies one executed task: a pool worker in its own slot, a
+// RunQoS caller in CallerTasks, so PerWorker stays one entry per pool
+// worker. Skipped claims ran no work and are not counted.
+func (p *Pool) countTask(w *Worker) {
+	if w.id >= p.workers {
+		p.callerTasks.Add(1)
+		return
+	}
+	p.perWorker[w.id].Add(1)
 }
 
 // arrive counts one completed task, or a caller's exit, and finishes

@@ -10,7 +10,7 @@ import (
 
 // This file is the observability surface of the front door: /metrics
 // renders the engine's PlanCacheStats — cache traffic, scheduler
-// totals, per-class QoS counters, per-worker busy/idle — in Prometheus
+// totals, per-class QoS counters, per-worker task counts — in Prometheus
 // text exposition format, and /debug/vars dumps the same snapshot as
 // JSON for humans and tests.
 
@@ -41,6 +41,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("autogemm_sched_jobs_cancelled_total", "Jobs failed by context cancellation.", st.SchedJobsCancelled)
 	counter("autogemm_sched_tasks_stolen_total", "Tasks run by a worker other than the job's first claimant.", st.SchedTasksStolen)
 	counter("autogemm_sched_tasks_panicked_total", "Tasks whose panic was contained into a job error.", st.SchedTasksPanicked)
+	counter("autogemm_sched_caller_tasks_total", "Tasks blocking calls ran on their own goroutine (not in autogemm_worker_tasks_total).", st.SchedCallerTasks)
 	gauge("autogemm_sched_queue_high_water", "Most jobs ever in flight at once.", st.SchedQueueHighWater)
 
 	counter("autogemm_tiered_heuristic_served_total", "Serves answered by a tier-0 heuristic plan.", st.HeuristicServed)
@@ -73,22 +74,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	classFamily("autogemm_class_queue_wait_claims_total", "counter", "Claim decisions class jobs waited before first claim.",
 		func(i int) interface{} { return st.SchedClasses[i].QueueWaitClaims })
 
-	// Per-worker busy/idle accounting.
-	workerFamily := func(name, kind, help string, val func(i int) interface{}) {
-		if len(st.SchedPerWorker) == 0 {
-			return
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for i := range st.SchedPerWorker {
-			fmt.Fprintf(w, "%s{worker=\"%d\"} %v\n", name, i, val(i))
+	// Per-worker task counts, one labelled sample per pool worker.
+	if len(st.SchedPerWorker) > 0 {
+		fmt.Fprintf(w, "# HELP autogemm_worker_tasks_total Tasks executed by the worker.\n# TYPE autogemm_worker_tasks_total counter\n")
+		for i, pw := range st.SchedPerWorker {
+			fmt.Fprintf(w, "autogemm_worker_tasks_total{worker=\"%d\"} %d\n", i, pw.TasksRun)
 		}
 	}
-	workerFamily("autogemm_worker_tasks_total", "counter", "Tasks executed by the worker.",
-		func(i int) interface{} { return st.SchedPerWorker[i].TasksRun })
-	workerFamily("autogemm_worker_busy_cycles", "gauge", "Charged virtual cycles (0 without cost accounting).",
-		func(i int) interface{} { return st.SchedPerWorker[i].BusyCycles })
-	workerFamily("autogemm_worker_idle_cycles", "gauge", "Busiest worker's busy cycles minus this worker's.",
-		func(i int) interface{} { return st.SchedPerWorker[i].IdleCycles })
 
 	// HTTP responses by status code, from the server's own tally.
 	s.mu.Lock()

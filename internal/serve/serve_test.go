@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -400,8 +401,8 @@ func TestServeClassesRetune(t *testing.T) {
 }
 
 // TestServeMetrics: /metrics exposes the class counters (including a
-// real shed), the per-worker accounting and the server's own response
-// tally in Prometheus text format.
+// real shed), the per-worker and caller task counts and the server's
+// own response tally in Prometheus text format.
 func TestServeMetrics(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
 	release := parkWorker(t)
@@ -445,6 +446,7 @@ func TestServeMetrics(t *testing.T) {
 		`autogemm_http_responses_total{code="429"} 1`,
 		"# TYPE autogemm_sched_jobs_submitted_total counter",
 		"autogemm_plan_cache_built_total",
+		"autogemm_sched_caller_tasks_total " + strconv.FormatInt(eng.PlanCacheStats().SchedCallerTasks, 10),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -178,10 +178,10 @@ func isContextType(info *types.Info, expr ast.Expr) bool {
 }
 
 // Walltime keeps the virtual-time-critical task path free of wall-clock
-// reads. Simulated schedules (the Timekeeper seam in internal/sched,
-// the cycle models in internal/sim, the replay engine in internal/vtime)
-// are bit-deterministic only because no cost or ordering decision ever
-// consults the host clock — a stray time.Now in those packages would
+// reads. Simulated schedules (the claim discipline in internal/sched
+// that the replay mirrors, the cycle models in internal/sim, the replay
+// engine in internal/vtime) are bit-deterministic only because no cost
+// or ordering decision ever consults the host clock — a stray time.Now in those packages would
 // silently couple results to machine load. Unlike the confinement
 // rules, this one is inclusion-scoped: it runs only inside the critical
 // packages and skips the rest of the tree (drivers and benchmarks
@@ -241,7 +241,7 @@ func runWalltime(p *Pass) {
 			}
 			if name := sel.Sel.Name; name == "Now" || name == "Since" {
 				p.Reportf(call.Pos(),
-					"time.%s in virtual-time-critical package %s; simulated schedules must not read the wall clock — derive time from charged cycles, or approve the site with a %q doc comment",
+					"time.%s in virtual-time-critical package %s; simulated schedules must not read the wall clock — derive time from simulated cycles, or approve the site with a %q doc comment",
 					name, p.PkgPath, walltimeAllow)
 			}
 			return true

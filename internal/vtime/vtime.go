@@ -3,10 +3,11 @@
 // costs on N virtual workers, under the shared NUMA/CMG contention
 // model (hw.Topology). The host has few CPUs, so wall-clock
 // multi-worker numbers are physically flat; vtime turns the real
-// runtime's schedule — per-task costs observed by a sched.Timekeeper
-// during an actual execution — into the paper's strong-scaling story
-// (per-chip efficiency curves, the A64FX CMG collapse of §V-E) and
-// into per-class queue-wait distributions for the QoS policies.
+// runtime's jobs — each plan's per-task costs (core.Plan.TaskCosts)
+// under the class, weight and ID the pool accepted it with — into the
+// paper's strong-scaling story (per-chip efficiency curves, the A64FX
+// CMG collapse of §V-E) and into per-class queue-wait distributions
+// for the QoS policies.
 //
 // One fluid event loop, SimulateBatch, serves both: a strong-scaling
 // point is a one-job batch, a policy comparison a many-job one.
@@ -21,9 +22,9 @@
 //
 // The replay is deterministic by construction. Its inputs are pure
 // functions of the plans — per-task cost vectors, independent of which
-// physical worker happened to claim which task or what GOMAXPROCS the
-// recording ran at, plus the class/weight/cap metadata recorded at
-// acceptance. Jobs are processed in ID order, classes in sorted-name
+// physical worker happened to claim which task or what GOMAXPROCS a
+// real run used, plus the class/weight/ID each job was submitted
+// under. Jobs are processed in ID order, classes in sorted-name
 // order, simultaneously-freed workers arbitrate in worker-ID order (in
 // the real pool ties are resolved by races on the pool lock and the
 // atomic cursor — the replay pins them), ties between classes break
@@ -70,15 +71,22 @@ func (p Policy) String() string {
 // pass advances by batchStrideScale/weight per join decision.
 const batchStrideScale = 1 << 16
 
-// Job is one batch member: the per-task costs recorded (or precomputed)
-// for the job plus the scheduling identity the pool accepted it under
-// (sched.JobMeta, via Recorder.Meta).
+// TaskCost is the simulated cost of one task: compute cycles on the
+// modelled chip plus the DRAM traffic the task moves (the contention
+// model debits it against shared NUMA/CMG-group bandwidth).
+type TaskCost struct {
+	Cycles float64 // modelled compute cycles (kernel + pack + launch)
+	Bytes  float64 // DRAM bytes moved
+}
+
+// Job is one batch member: the job's per-task costs plus the
+// scheduling identity the pool accepted it under.
 type Job struct {
-	ID     int64            // pool job ID; also the FIFO/tie-break order
-	Class  string           // QoS class ("" means the default class)
-	Weight int              // class weight; > 0 overrides (latest, by ID, wins)
-	Max    int              // participant cap; <= 0 means all workers
-	Costs  []sched.TaskCost // per-task cycles/bytes, indexed by task
+	ID     int64      // pool job ID; also the FIFO/tie-break order
+	Class  string     // QoS class ("" means the default class)
+	Weight int        // class weight; > 0 overrides (latest, by ID, wins)
+	Max    int        // participant cap; <= 0 means all workers
+	Costs  []TaskCost // per-task cycles/bytes, indexed by task
 }
 
 // JobResult is one job's simulated outcome within a batch.
@@ -143,9 +151,9 @@ func (c *batchClass) stride() uint64 {
 
 // SimulateBatch replays a multi-job schedule on `workers` virtual
 // workers of the chip under the chosen join policy. Per-task costs are
-// compute cycles and DRAM bytes, as recorded by a sched.Timekeeper or
-// precomputed by core.Plan.TaskCosts. A strong-scaling point is the
-// one-job batch SimulateBatch(chip, w, []Job{{Costs: costs}}, PolicyFIFO).
+// compute cycles and DRAM bytes, as core.Plan.TaskCosts computes them.
+// A strong-scaling point is the one-job batch
+// SimulateBatch(chip, w, []Job{{Costs: costs}}, PolicyFIFO).
 //
 // All jobs arrive at t = 0 (the saturated-queue regime where policy
 // matters most); class weights default to the scheduler's (16 for the

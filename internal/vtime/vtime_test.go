@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"autogemm/internal/hw"
-	"autogemm/internal/sched"
 )
 
 // single replays one job's costs: the strong-scaling form of
 // SimulateBatch.
-func single(chip *hw.Chip, workers int, costs []sched.TaskCost) BatchResult {
+func single(chip *hw.Chip, workers int, costs []TaskCost) BatchResult {
 	return SimulateBatch(chip, workers, []Job{{Costs: costs}}, PolicyFIFO)
 }
 
-func uniform(n int, cycles, bytes float64) []sched.TaskCost {
-	costs := make([]sched.TaskCost, n)
+func uniform(n int, cycles, bytes float64) []TaskCost {
+	costs := make([]TaskCost, n)
 	for i := range costs {
-		costs[i] = sched.TaskCost{Cycles: cycles, Bytes: bytes}
+		costs[i] = TaskCost{Cycles: cycles, Bytes: bytes}
 	}
 	return costs
 }
@@ -26,7 +25,7 @@ func uniform(n int, cycles, bytes float64) []sched.TaskCost {
 // of the compute costs exactly — the analytic single-core contract
 // (no penalties, no bandwidth floor).
 func TestSingleWorkerIsSerialSum(t *testing.T) {
-	costs := []sched.TaskCost{
+	costs := []TaskCost{
 		{Cycles: 100, Bytes: 1e12}, {Cycles: 31.5, Bytes: 0}, {Cycles: 7, Bytes: 5},
 	}
 	res := single(hw.KP920(), 1, costs)
@@ -44,9 +43,9 @@ func TestSingleWorkerIsSerialSum(t *testing.T) {
 // TestDeterministicReplay: repeated simulations of the same inputs are
 // bit-identical, including per-worker accounting.
 func TestDeterministicReplay(t *testing.T) {
-	costs := make([]sched.TaskCost, 97)
+	costs := make([]TaskCost, 97)
 	for i := range costs {
-		costs[i] = sched.TaskCost{
+		costs[i] = TaskCost{
 			Cycles: 1000 + float64(i*i%37)*13.7,
 			Bytes:  float64(i%5) * 4096,
 		}
@@ -91,7 +90,7 @@ func TestUniformTasksBalance(t *testing.T) {
 // worker 0 and the makespan tracks it, not the even split.
 func TestClaimOrderImbalance(t *testing.T) {
 	chip := hw.Graviton2()
-	costs := append([]sched.TaskCost{{Cycles: 1e6}}, uniform(10, 10, 0)...)
+	costs := append([]TaskCost{{Cycles: 1e6}}, uniform(10, 10, 0)...)
 	res := single(chip, 4, costs)
 	top := hw.NewTopology(chip)
 	want := 1e6 * top.SyncPenalty(4)

@@ -129,17 +129,16 @@ type PlanCacheStats struct {
 	SchedQueueHighWater int   // most jobs ever in flight at once
 	SchedTasksPanicked  int64 // tasks whose panic was contained into a job error
 	SchedJobsCancelled  int64 // jobs failed by context cancellation
+	SchedCallerTasks    int64 // tasks blocking calls ran on their own goroutine (not in SchedPerWorker)
 
 	// SchedClasses breaks the scheduler counters down per QoS class
 	// (sorted by class name; see qos.go). Empty until the first job is
 	// accepted.
 	SchedClasses []SchedClassStats
 
-	// SchedPerWorker reports each pool worker's task and busy/idle
-	// accounting, indexed by worker ID. BusyCycles/IdleCycles are in
-	// charged virtual cycles and stay zero unless cost accounting is
-	// enabled; TasksRun counts regardless. Idle is derived against the
-	// busiest worker at snapshot time (sched.Stats.IdleCycles).
+	// SchedPerWorker reports the tasks each pool worker ran, indexed by
+	// worker ID. Tasks a blocking call runs on its caller's goroutine
+	// are in SchedCallerTasks instead.
 	SchedPerWorker []SchedWorkerStats
 
 	// Tiered planning (zero unless PlanModeTiered; see tiered.go).
@@ -152,9 +151,7 @@ type PlanCacheStats struct {
 // reported by PlanCacheStats.SchedPerWorker and exported per worker on
 // a serving front door's /metrics surface.
 type SchedWorkerStats struct {
-	TasksRun   int64   // tasks this worker executed
-	BusyCycles float64 // charged virtual cycles (0 without cost accounting)
-	IdleCycles float64 // busiest worker's busy cycles minus this worker's
+	TasksRun int64 // tasks this worker executed
 }
 
 // PlanCacheStats returns the engine's plan-cache and scheduler
@@ -164,12 +161,9 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 	ss := e.sched.Stats()
 	var perWorker []SchedWorkerStats
 	if len(ss.PerWorker) > 0 {
-		idle := ss.IdleCycles(0)
 		perWorker = make([]SchedWorkerStats, len(ss.PerWorker))
 		for i, pw := range ss.PerWorker {
-			perWorker[i] = SchedWorkerStats{
-				TasksRun: pw.TasksRun, BusyCycles: pw.BusyCycles, IdleCycles: idle[i],
-			}
+			perWorker[i] = SchedWorkerStats{TasksRun: pw.TasksRun}
 		}
 	}
 	return PlanCacheStats{
@@ -181,6 +175,7 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 		SchedQueueHighWater: ss.QueueHighWater,
 		SchedTasksPanicked:  ss.TasksPanicked,
 		SchedJobsCancelled:  ss.JobsCancelled,
+		SchedCallerTasks:    ss.CallerTasks,
 		SchedClasses:        schedClassStats(ss.Classes),
 		SchedPerWorker:      perWorker,
 		HeuristicServed:     e.heuristicServed.Load(),
