@@ -167,7 +167,8 @@ func WithQueueDepth(n int) EngineOption {
 	return func(e *Engine) { e.depth = n }
 }
 
-// New returns an engine for the named chip (see Chips).
+// New returns an engine for the named chip (see Chips). An unknown
+// PlanMode is an error.
 func New(chipName string, opts ...EngineOption) (*Engine, error) {
 	chip, err := hw.ByName(chipName)
 	if err != nil {
@@ -184,6 +185,11 @@ func New(chipName string, opts ...EngineOption) (*Engine, error) {
 	}
 	for _, o := range opts {
 		o(e)
+	}
+	switch e.mode {
+	case "", PlanModeFull, PlanModeTiered:
+	default:
+		return nil, fmt.Errorf("autogemm: unknown plan mode %q (want %q or %q)", e.mode, PlanModeFull, PlanModeTiered)
 	}
 	e.sched = sched.New(e.workers, e.depth)
 	for _, cs := range e.classCfg {

@@ -73,17 +73,6 @@ func parseTenant(s string) (string, serve.TenantConfig, error) {
 	return name, tc, nil
 }
 
-// parsePlanMode checks a -plan-mode value: "" (the engine default),
-// full or tiered. The engine treats an unknown mode as full planning,
-// so a typo would otherwise change nothing without a word.
-func parsePlanMode(s string) (autogemm.PlanMode, error) {
-	switch m := autogemm.PlanMode(s); m {
-	case "", autogemm.PlanModeFull, autogemm.PlanModeTiered:
-		return m, nil
-	}
-	return "", fmt.Errorf("want %s or %s, got %q", autogemm.PlanModeFull, autogemm.PlanModeTiered, s)
-}
-
 func main() {
 	addr := flag.String("addr", ":8097", "listen address")
 	chip := flag.String("chip", "KP920", "chip configuration (see autogemm.Chips)")
@@ -100,10 +89,6 @@ func main() {
 	flag.Var(&tokenSpecs, "token", "bearer token mapping token=tenant (repeatable)")
 	flag.Parse()
 
-	mode, err := parsePlanMode(*planMode)
-	if err != nil {
-		log.Fatalf("autogemm-serve: -plan-mode: %v", err)
-	}
 	tenants := map[string]serve.TenantConfig{}
 	for _, s := range tenantSpecs {
 		name, tc, err := parseTenant(s)
@@ -131,12 +116,10 @@ func main() {
 	if *planDir != "" {
 		opts = append(opts, autogemm.WithPlanDir(*planDir))
 	}
-	if mode != "" {
-		opts = append(opts, autogemm.WithPlanMode(mode))
-	}
+	opts = append(opts, autogemm.WithPlanMode(autogemm.PlanMode(*planMode)))
 	eng, err := autogemm.New(*chip, opts...)
 	if err != nil {
-		log.Fatalf("autogemm-serve: %v", err)
+		log.Fatalf("autogemm-serve: %v", err) // an unknown -plan-mode too
 	}
 
 	srv, err := serve.New(serve.Config{

@@ -70,7 +70,7 @@ func ErrorForStatus(status int, msg string) error {
 const StatusClientClosedRequest = autogemm.StatusClientClosedRequest
 
 func (c *Client) post(ctx context.Context, path string, body interface{}) (*http.Response, error) {
-	buf, err := json.Marshal(body)
+	buf, err := marshal(body)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func errorFromResponse(resp *http.Response) error {
 // Multiply runs one C += A·B through POST /v1/multiply and returns the
 // result matrix. deadlineMs <= 0 means the tenant's default deadline.
 func (c *Client) Multiply(ctx context.Context, m, n, k int, a, b []float32, deadlineMs int) ([]float32, error) {
-	resp, err := c.post(ctx, "/v1/multiply", GEMMRequest{M: m, N: n, K: k, A: a, B: b, DeadlineMs: deadlineMs})
+	resp, err := c.post(ctx, "/v1/multiply", &GEMMRequest{M: m, N: n, K: k, A: a, B: b, DeadlineMs: deadlineMs})
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +107,8 @@ func (c *Client) Multiply(ctx context.Context, m, n, k int, a, b []float32, dead
 	if resp.StatusCode != http.StatusOK {
 		return nil, errorFromResponse(resp)
 	}
-	var mr MultiplyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+	mr, err := decodeFirst(resp.Body, func(mr *MultiplyResponse, r *wireReader) bool { return mr.read(r, m, n) })
+	if err != nil {
 		return nil, fmt.Errorf("serve: bad response body: %w", err)
 	}
 	return mr.C, nil
@@ -118,7 +118,7 @@ func (c *Client) Multiply(ctx context.Context, m, n, k int, a, b []float32, dead
 // per element, re-indexed into submission order (the server streams
 // them in completion order).
 func (c *Client) Batch(ctx context.Context, elements []GEMMRequest) ([]BatchLine, error) {
-	resp, err := c.post(ctx, "/v1/batch", BatchRequest{Elements: elements})
+	resp, err := c.post(ctx, "/v1/batch", &BatchRequest{Elements: elements})
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +134,8 @@ func (c *Client) Batch(ctx context.Context, elements []GEMMRequest) ([]BatchLine
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var line BatchLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		line, err := decodeLine(sc.Bytes())
+		if err != nil {
 			return nil, fmt.Errorf("serve: bad batch line: %w", err)
 		}
 		if line.Index < 0 || line.Index >= len(elements) {

@@ -8,6 +8,9 @@
 // gets 429 + Retry-After, an expired deadline 504, a rejected plan
 // 422, a draining engine 503. A result JSON cannot carry (an element
 // that overflowed to ±Inf or became NaN) is also answered with 422.
+// The float-carrying bodies go through a one-pass JSON codec (wire.go)
+// that writes encoding/json's bytes and leaves every body it does not
+// take to encoding/json.
 //
 // Endpoints:
 //
@@ -208,11 +211,16 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, msg string)
 }
 
 // writeJSON answers with status and v as the JSON body, and tallies
-// the status once it is sent. A value JSON cannot carry — a result that
+// the status once it is sent. A wire body (wire.go) is encoded in one
+// pass, anything else by json.Encoder. A value JSON cannot carry — a result that
 // overflowed to ±Inf or became NaN — is answered with a 422
 // ErrorResponse instead.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	if wb, ok := v.(wireBody); ok && writeWire(statusWriter{w, status}, wb) {
+		s.count(status)
+		return
+	}
 	if err := json.NewEncoder(statusWriter{w, status}).Encode(v); unencodable(err) {
 		status = http.StatusUnprocessableEntity
 		w.WriteHeader(status)
@@ -342,12 +350,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorStatus(w, http.StatusUnauthorized, err.Error())
 		return
 	}
-	var g GEMMRequest
-	if err := json.NewDecoder(r.Body).Decode(&g); err != nil {
+	g, err := decodeFirst(r.Body, (*GEMMRequest).read)
+	if err != nil {
 		s.writeErrorStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	fut, c, err := s.submit(r, tc, &g)
+	fut, c, err := s.submit(r, tc, g)
 	if err != nil {
 		if status := autogemm.HTTPStatus(err); status == http.StatusInternalServerError {
 			// Validation and geometry problems are the caller's fault.
@@ -361,7 +369,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, MultiplyResponse{C: c})
+	s.writeJSON(w, http.StatusOK, &MultiplyResponse{C: c})
 }
 
 // handleBatch is POST /v1/batch: submit every element under the
@@ -381,8 +389,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorStatus(w, http.StatusUnauthorized, err.Error())
 		return
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeFirst(r.Body, (*BatchRequest).read)
+	if err != nil {
 		s.writeErrorStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -401,11 +409,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.count(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	// A line that fails to encode was not written (see statusWriter);
-	// its element gets a 422 line instead.
+	// A successful line is encoded in one pass (wire.go), any other by
+	// enc. A line that fails to encode was not written (see
+	// statusWriter); its element gets a 422 line instead.
 	writeLine := func(line BatchLine) {
-		if err := enc.Encode(line); unencodable(err) {
-			enc.Encode(BatchLine{Index: line.Index, Error: nonFinite(err), Status: http.StatusUnprocessableEntity})
+		if !writeWire(w, &line) {
+			if err := enc.Encode(line); unencodable(err) {
+				enc.Encode(BatchLine{Index: line.Index, Error: nonFinite(err), Status: http.StatusUnprocessableEntity})
+			}
 		}
 		if flusher != nil {
 			flusher.Flush()

@@ -44,8 +44,9 @@ const (
 	PlanModeTiered PlanMode = "tiered"
 )
 
-// WithPlanMode selects the engine's cold-miss policy; an unknown mode
-// falls back to PlanModeFull.
+// WithPlanMode selects the engine's cold-miss policy: PlanModeFull or
+// PlanModeTiered, or "" for the default (full). New refuses any other
+// mode.
 func WithPlanMode(mode PlanMode) EngineOption {
 	return func(e *Engine) { e.mode = mode }
 }

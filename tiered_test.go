@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -585,17 +586,17 @@ func TestTieredRegistryConvergesOnProduce(t *testing.T) {
 	}
 }
 
-// TestWithPlanMode: an engine plans in full by default, WithPlanMode
-// opts it into tiered planning, and an unknown mode falls back to full
-// planning.
+// TestWithPlanMode: an engine plans in full by default and WithPlanMode
+// opts it into tiered planning.
 func TestWithPlanMode(t *testing.T) {
 	for _, c := range []struct {
 		opts []EngineOption
 		want PlanMode
 	}{
 		{nil, PlanModeFull},
+		{[]EngineOption{WithPlanMode("")}, PlanModeFull},
+		{[]EngineOption{WithPlanMode(PlanModeFull)}, PlanModeFull},
 		{[]EngineOption{WithPlanMode(PlanModeTiered)}, PlanModeTiered},
-		{[]EngineOption{WithPlanMode(PlanMode("bogus"))}, PlanModeFull},
 	} {
 		eng, err := New("KP920", c.opts...)
 		if err != nil {
@@ -605,5 +606,33 @@ func TestWithPlanMode(t *testing.T) {
 			t.Errorf("PlanMode = %q, want %q", got, c.want)
 		}
 		eng.Close()
+	}
+}
+
+// TestNewRejectsUnknownPlanMode: only the empty default, full and
+// tiered open an engine; any other mode is an error from New rather
+// than full planning under another name.
+func TestNewRejectsUnknownPlanMode(t *testing.T) {
+	for _, tc := range []struct {
+		mode PlanMode
+		ok   bool
+	}{
+		{"", true},
+		{PlanModeFull, true},
+		{PlanModeTiered, true},
+		{"tierd", false},
+		{"Tiered", false},
+		{"full ", false},
+		{"heuristic", false},
+	} {
+		eng, err := New("KP920", WithPlanMode(tc.mode))
+		if (err == nil) != tc.ok {
+			t.Errorf("New with plan mode %q: error %v, want ok=%v", tc.mode, err, tc.ok)
+		}
+		if err == nil {
+			eng.Close()
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.mode)) {
+			t.Errorf("New with plan mode %q: error %q does not name the mode", tc.mode, err)
+		}
 	}
 }
