@@ -212,9 +212,9 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, msg string)
 
 // writeJSON answers with status and v as the JSON body, and tallies
 // the status once it is sent. A wire body (wire.go) is encoded in one
-// pass, anything else by json.Encoder. A value JSON cannot carry — a result that
-// overflowed to ±Inf or became NaN — is answered with a 422
-// ErrorResponse instead.
+// pass, anything else by json.Encoder. A value JSON cannot carry — a
+// result that overflowed to ±Inf or became NaN — is answered with a
+// 422 ErrorResponse instead.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	if wb, ok := v.(wireBody); ok && writeWire(statusWriter{w, status}, wb) {
