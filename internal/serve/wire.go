@@ -172,9 +172,11 @@ func marshal(v interface{}) ([]byte, error) {
 }
 
 // wireReader is the one-pass reader over one body held whole in b.
+// presized counts the floats its capacity hints have reserved so far.
 type wireReader struct {
-	b []byte
-	i int
+	b        []byte
+	i        int
+	presized int
 }
 
 func (r *wireReader) space() {
@@ -301,18 +303,20 @@ func (r *wireReader) int() (int, bool) {
 
 // floats reads an array of number literals into a []float32, each by
 // strconv.ParseFloat(lit, 32) as encoding/json does. rows·cols, when
-// both are positive, presizes the slice, clamped to the elements the
-// rest of the body can hold (two bytes or more each), so extents the
-// body merely claims cannot allocate more than it sent.
+// both are positive, presizes the slice if it fits what is left of one
+// budget shared by every array of the body: len(b)/2+1 floats, as many
+// as the whole body can send at two bytes or more each. So the extents
+// a body merely claims, over however many elements, cannot together
+// reserve more than it sent; an array left unsized grows as its
+// elements arrive.
 func (r *wireReader) floats(rows, cols int) ([]float32, bool) {
 	if !r.next('[') {
 		return nil, false
 	}
-	n := (len(r.b)-r.i)/2 + 1
-	if rows <= 0 || cols <= 0 {
-		n = 0
-	} else if rows <= n/cols {
+	n := 0
+	if left := len(r.b)/2 + 1 - r.presized; rows > 0 && cols > 0 && rows <= left/cols {
 		n = rows * cols
+		r.presized += n
 	}
 	out := make([]float32, 0, n)
 	if r.next(']') {

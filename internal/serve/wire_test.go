@@ -257,12 +257,14 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add([]byte(s), 7, 9)
 	}
 
+	lie := `{"m":9,"n":9,"k":9,"a":[],"b":[],"c":[]}`
+	f.Add([]byte(`{"elements":[`+strings.Repeat(lie+",", 15)+lie+`]}`), 9, 9)
+	f.Add([]byte(`{"m":9,"k":9,"a":[],"a":[],"a":[],"a":[],"a":[1,2,3,4,5,6,7,8,9,10]}`), 9, 9)
+
 	f.Fuzz(func(t *testing.T, data []byte, m, n int) {
 		bounded := func(xs ...[]float32) {
-			for _, x := range xs {
-				if cap(x) > len(data)/2+1 {
-					t.Fatalf("a %d-byte body allocated a %d-float slice", len(data), cap(x))
-				}
+			if c, l := floatCaps(xs...); c > len(data)/2+1+3*l {
+				t.Fatalf("a %d-byte body sending %d floats allocated %d", len(data), l, c)
 			}
 		}
 
@@ -279,10 +281,7 @@ func FuzzWireDecode(f *testing.F) {
 		r = wireReader{b: data}
 		var q BatchRequest
 		if q.read(&r) {
-			for i := range q.Elements {
-				e := &q.Elements[i]
-				bounded(e.A, e.B, e.C)
-			}
+			bounded(batchFloats(&q)...)
 			var want BatchRequest
 			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil || !sameBatch(&q, &want) {
 				t.Fatalf("BatchRequest reader took %q as %+v; encoding/json: %+v, %v", data, q, want, err)
@@ -309,6 +308,48 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// floatCaps sums the capacities and lengths of xs.
+func floatCaps(xs ...[]float32) (caps, lens int) {
+	for _, x := range xs {
+		caps += cap(x)
+		lens += len(x)
+	}
+	return caps, lens
+}
+
+func batchFloats(q *BatchRequest) [][]float32 {
+	var xs [][]float32
+	for i := range q.Elements {
+		e := &q.Elements[i]
+		xs = append(xs, e.A, e.B, e.C)
+	}
+	return xs
+}
+
+// TestWireClaimedExtents: extents a body claims, repeated over many
+// batch elements with empty arrays, reserve no more floats in all than
+// the body could have sent; an honest element after the budget is spent
+// still decodes, grown as its elements arrive.
+func TestWireClaimedExtents(t *testing.T) {
+	for _, lie := range []string{
+		`{"m":1000000,"n":1000000,"k":1000000,"a":[],"b":[],"c":[]}`,
+		`{"m":40,"n":40,"k":40,"a":[],"b":[],"c":[]}`,
+	} {
+		honest := `{"m":1,"n":2,"k":2,"a":[1,2],"b":[3,4,5,6]}`
+		body := `{"elements":[` + strings.Repeat(lie+",", 300) + honest + `]}`
+		q, err := decodeFirst(strings.NewReader(body), (*BatchRequest).read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(q.Elements) != 301 || !sameGEMM(&q.Elements[300], &GEMMRequest{M: 1, N: 2, K: 2, A: []float32{1, 2}, B: []float32{3, 4, 5, 6}}) {
+			t.Fatalf("decoded %d elements, last %+v", len(q.Elements), q.Elements[len(q.Elements)-1])
+		}
+		if c, l := floatCaps(batchFloats(q)...); c > len(body)/2+1+3*l {
+			t.Errorf("a %d-byte body sending %d floats allocated %d", len(body), l, c)
+		}
+	}
 }
 
 // TestWireFallback: where the reader declines, the call sites answer
