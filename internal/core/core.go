@@ -186,6 +186,7 @@ type Plan struct {
 
 	interpOnly bool            // Options.ForceInterp
 	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
+	aSlots     int             // A slots of a participant's row panel (aSlots in exec.go)
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
 	// RunParallel / Submit turns into a job on, and the C-tile-group
@@ -280,7 +281,6 @@ func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
 type blockIter struct {
 	MOff, NOff, KOff int
 	MB, NB, KB       int
-	First            bool // first k chunk for this (m, n) block: β = 0
 }
 
 func (p *Plan) blocks() []blockIter {
@@ -298,7 +298,6 @@ func (p *Plan) blocks() []blockIter {
 	add := func(mi, ni, ki [2]int) {
 		out = append(out, blockIter{
 			MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1],
-			First: ki[0] == 0,
 		})
 	}
 	switch p.Opts.Order {

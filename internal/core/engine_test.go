@@ -126,12 +126,13 @@ func TestEveryChipRunsPacked(t *testing.T) {
 }
 
 // TestBlockFaultLeavesCUntouched: a kernel call that fails its precheck
-// (here against a cut B panel) fails the block with compile.ErrBounds
-// after an earlier call has written the staging buffer, and C is not
-// touched.
+// in the second k block of a C-tile group fails the group with
+// compile.ErrBounds after the first block has written the staging
+// buffer, and the whole C tile is left untouched: runGroup copies C
+// back only once every call of every block has succeeded.
 func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	chip := hw.KP920()
-	const m, n, k = 10, 41, 9
+	const m, n, k = 10, 41, 25
 	p, err := NewPlan(chip, m, n, k, Options{MC: 16, NC: 48, KC: 16, Pack: PackOnline})
 	if err != nil {
 		t.Fatal(err)
@@ -144,31 +145,38 @@ func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	refgemm.Fill(c, m, n, n, 33)
 	c0 := append([]float32(nil), c...)
 
-	blk := p.blocks()[0]
-	if blk.MB != m || blk.NB != n || blk.KB != k {
-		t.Fatalf("want one block, got %+v", blk)
+	if len(p.groups) != 1 || len(p.groups[0]) != 2 {
+		t.Fatalf("want one C-tile group of two k blocks, got %d groups, first %+v", len(p.groups), p.groups[0])
 	}
-	bp, err := p.blockProgram(blk)
+	g := p.groups[0]
+	if blk := g[0]; blk.MB != m || blk.NB != n || blk.KOff != 0 || g[1].KOff != blk.KB {
+		t.Fatalf("want the group to cover C with k blocks ascending, got %+v", g)
+	}
+	// Place the second block's second call past the B panel: its first
+	// call runs, the second is refused by its precheck.
+	bp, err := p.blockProgram(g[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut B to what the first call reads (it starts at column 0): the
-	// first call runs, and a later one, further right, is refused.
+	if len(bp.calls) < 2 {
+		t.Fatalf("second k block has %d calls, want at least 2", len(bp.calls))
+	}
 	st := &execState{}
 	p.fit(st, 1)
+	bp.calls = append([]bandCall(nil), bp.calls...)
+	bp.calls[1].col = len(st.packB)
 	ld := p.scratch.LD
-	st.packB = st.packB[:bp.calls[0].cp.Bounds.BExtent(int64(ld))]
-	err = p.runBlock(st, blk, c, a, b)
+	err = p.runGroup(st, g, c, a, b)
 	if !errors.Is(err, compile.ErrBounds) {
-		t.Fatalf("runBlock on a short B panel: %v, want ErrBounds", err)
+		t.Fatalf("runGroup with a call past the B panel: %v, want ErrBounds", err)
 	}
 	for i := range c {
 		if math.Float32bits(c[i]) != math.Float32bits(c0[i]) {
-			t.Fatalf("failed block wrote C[%d]: %g, was %g", i, c[i], c0[i])
+			t.Fatalf("failed group wrote C[%d]: %g, was %g", i, c[i], c0[i])
 		}
 	}
 	if got := p.Stats().PackedBlocks; got != 0 {
-		t.Errorf("failed block counted: PackedBlocks %d", got)
+		t.Errorf("failed group counted: PackedBlocks %d", got)
 	}
 	// The fault must come after a call that wrote the staging buffer, or
 	// copying it back early would leave C as it was and go unnoticed.

@@ -31,14 +31,16 @@ const kernelFuel = 1 << 31
 // worker is woken — the serial reference every parallel, batch and
 // async execution is held bit-identical to.
 //
-// Every block takes one path (runBlock): A and B are packed into the
-// worker's scratch panels, C is staged through its padded block
-// buffer, the block's compiled kernels run over them, and C is copied
-// back. The plan's packing mode is the cycle model's decision
-// (Estimate); on the host every block packs. A kernel that fails to
-// generate or compile, or a call that fails its precheck, is an error,
-// and the failing block's C region is left untouched. With ForceInterp
-// the kernels run on the checked interpreter over the same buffers.
+// Every C-tile group takes one path (runGroup): the group's C tile is
+// staged into the worker's padded buffer once, each of its k blocks
+// packs A into its slot of the worker's A row panel and B into the B
+// panel (each skipped when it already holds that block) and runs its
+// compiled kernels over them, and the tile is copied back once. The
+// plan's packing mode is the cycle model's decision (Estimate); on the
+// host every block packs. A kernel that fails to generate or compile,
+// or a call that fails its precheck, is an error, and the failing
+// group's C tile is left untouched. With ForceInterp the kernels run on
+// the checked interpreter over the same buffers.
 func (p *Plan) Run(c, a, b []float32) error { return p.RunParallel(c, a, b, 1) }
 
 // bandCall is one kernel invocation of a block: the program, its
@@ -115,57 +117,85 @@ func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
 	return calls, nil
 }
 
-// runBlock executes one cache block: A and B are packed into the
-// worker's panels (skipped when the panel already holds them), C is
-// staged through the padded block buffer, the block's calls run, and C
-// is copied back only when every call succeeded.
-func (p *Plan) runBlock(st *execState, blk blockIter, c, a, b []float32) error {
-	bp, err := p.blockProgram(blk)
-	if err != nil {
-		return err
+// aPanelBound caps a participant's A row panel, in float32 elements
+// (1 MiB). A plan whose k blocks' A slots fit under it keeps one slot
+// per k block, so a group's A blocks stay packed for the next group of
+// the same m block; above it the panel is one slot, re-packed on every
+// k step.
+const aPanelBound = 1 << 18
+
+// aSlots returns the A slots of a plan's row panel: its k-block count
+// when that many ScratchEnvelope A blocks fit aPanelBound, else 1.
+func aSlots(k, kc, packA int) int {
+	if nk := (k + kc - 1) / kc; nk <= aPanelBound/packA {
+		return nk
 	}
+	return 1
+}
+
+// runGroup executes one C-tile group, its k blocks ascending: the C
+// tile is staged into cBuf once, each block packs A into its slot of
+// the row panel and B into the B panel (skipped when they already hold
+// that block) and runs its calls, and the tile is copied back once,
+// only when every call of every block succeeded. Each block's calls
+// add onto cBuf in the order a per-block copy through C would, so the
+// result is bit-identical to staging C around every block.
+func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) error {
 	k, n := p.K, p.N
-	lda, ld := blk.KB, p.scratch.LD
-	if ak := [4]int{blk.MOff, blk.KOff, blk.MB, blk.KB}; st.aKey != ak {
-		for i := 0; i < blk.MB; i++ {
-			copy(st.packA[i*lda:i*lda+blk.KB], a[(blk.MOff+i)*k+blk.KOff:])
-		}
-		st.aKey = ak
+	ld, sa := p.scratch.LD, p.scratch.PackA
+	t := group[0]
+	for i := 0; i < t.MB; i++ {
+		copy(st.cBuf[i*ld:i*ld+t.NB], c[(t.MOff+i)*n+t.NOff:])
 	}
-	if bk := [4]int{blk.NOff, blk.KOff, blk.NB, blk.KB}; st.bKey != bk {
-		for r := 0; r < blk.KB; r++ {
-			copy(st.packB[r*ld:r*ld+blk.NB], b[(blk.KOff+r)*n+blk.NOff:])
-		}
-		st.bKey = bk
-	}
-	for i := 0; i < blk.MB; i++ {
-		copy(st.cBuf[i*ld:i*ld+blk.NB], c[(blk.MOff+i)*n+blk.NOff:])
-	}
-	for _, cl := range bp.calls {
-		if err := p.runCall(st, cl, lda, ld); err != nil {
+	for ki, blk := range group {
+		bp, err := p.blockProgram(blk)
+		if err != nil {
 			return err
 		}
+		lda, slot := blk.KB, ki%p.aSlots
+		if ak := [4]int{blk.MOff, blk.KOff, blk.MB, blk.KB}; st.aKeys[slot] != ak {
+			pa := st.packA[slot*sa:]
+			for i := 0; i < blk.MB; i++ {
+				copy(pa[i*lda:i*lda+blk.KB], a[(blk.MOff+i)*k+blk.KOff:])
+			}
+			st.aKeys[slot] = ak
+		}
+		if bk := [4]int{blk.NOff, blk.KOff, blk.NB, blk.KB}; st.bKey != bk {
+			for r := 0; r < blk.KB; r++ {
+				copy(st.packB[r*ld:r*ld+blk.NB], b[(blk.KOff+r)*n+blk.NOff:])
+			}
+			st.bKey = bk
+		}
+		for _, cl := range bp.calls {
+			if err := p.runCall(st, cl, slot, lda, ld); err != nil {
+				return err
+			}
+		}
 	}
-	for i := 0; i < blk.MB; i++ {
-		copy(c[(blk.MOff+i)*n+blk.NOff:(blk.MOff+i)*n+blk.NOff+blk.NB], st.cBuf[i*ld:])
+	for i := 0; i < t.MB; i++ {
+		copy(c[(t.MOff+i)*n+t.NOff:(t.MOff+i)*n+t.NOff+t.NB], st.cBuf[i*ld:])
 	}
 	if p.interpOnly {
-		atomic.AddInt64(&p.nInterp, 1)
+		atomic.AddInt64(&p.nInterp, int64(len(group)))
 	} else {
-		atomic.AddInt64(&p.nPacked, 1)
+		atomic.AddInt64(&p.nPacked, int64(len(group)))
 	}
 	return nil
 }
 
-// runCall runs one kernel invocation over the worker's panels, compiled
-// or, on a ForceInterp plan, on the machine over the same arena.
-func (p *Plan) runCall(st *execState, cl bandCall, lda, ld int) error {
+// runCall runs one kernel invocation over the worker's panels, its A
+// operand the given slot of the row panel cut to the plan's PackA,
+// compiled or, on a ForceInterp plan, on the machine over the same
+// arena.
+func (p *Plan) runCall(st *execState, cl bandCall, slot, lda, ld int) error {
+	sa := p.scratch.PackA
 	aOff, bOff, cOff := int64(cl.row*lda), int64(cl.col), int64(cl.row*ld+cl.col)
 	if cl.cp != nil {
-		return cl.cp.Run(st.env, cl.lay, st.packA, st.packB, st.cBuf, aOff, bOff, cOff, kernelFuel)
+		pa := st.packA[slot*sa : (slot+1)*sa]
+		return cl.cp.Run(st.env, cl.lay, pa, st.packB, st.cBuf, aOff, bOff, cOff, kernelFuel)
 	}
 	m := st.mach
-	m.SetArg(0, st.aReg+aOff*4)
+	m.SetArg(0, st.aReg+(int64(slot*sa)+aOff)*4)
 	m.SetArg(1, st.bReg+bOff*4)
 	m.SetArg(2, st.cReg+cOff*4)
 	m.SetArg(3, int64(lda))

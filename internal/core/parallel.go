@@ -153,13 +153,7 @@ func (p *Plan) job(c, a, b []float32) (func(*sched.Worker, int) error, error) {
 	}
 	seq := atomic.AddUint64(&jobSeq, 1)
 	return func(w *sched.Worker, gi int) error {
-		st := p.stateFor(w, seq)
-		for _, blk := range p.groups[gi] {
-			if err := p.runBlock(st, blk, c, a, b); err != nil {
-				return err
-			}
-		}
-		return nil
+		return p.runGroup(p.stateFor(w, seq), p.groups[gi], c, a, b)
 	}, nil
 }
 

@@ -510,6 +510,7 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	}
 	p.interpOnly = o.ForceInterp
 	p.scratch = mkernel.ScratchEnvelope(o.MC, o.NC, o.KC, chip.Lanes)
+	p.aSlots = aSlots(p.K, o.KC, p.scratch.PackA)
 
 	// Execution runtime: the scheduler pool every run is a job on, and
 	// the C-tile-group partition, precomputed here instead of rebuilt by

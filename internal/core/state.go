@@ -17,30 +17,36 @@ import (
 type execState struct {
 	// The running plan's views of the arena regions, cut to its
 	// mkernel.ScratchEnvelope so a call that overruns the plan's
-	// envelope fails its precheck whatever the arena has grown to.
-	packA []float32 // A block, row-major, lda = k_c
+	// envelope fails its precheck whatever the arena has grown to. The
+	// A row panel is Plan.aSlots slots of PackA elements; each call
+	// receives its block's slot cut to PackA.
+	packA []float32 // A row panel, slot-major; each slot row-major, lda = k_c
 	packB []float32 // B panel, row-major, ldb = Plan.scratch.LD
-	cBuf  []float32 // padded C block staging buffer, ldc = Plan.scratch.LD
+	cBuf  []float32 // padded C tile staging buffer, ldc = Plan.scratch.LD
 
 	// Pack-reuse keys: the (offset, shape) of the block currently held
-	// in packA/packB. A and B are read-only during a job, so when the
-	// loop order revisits the same panel (e.g. the A block across the n
-	// loop in MNK order) the copy is skipped. Reset when the worker
-	// moves to a new job — the operand slices, and perhaps the plan,
-	// differ between jobs.
-	aKey, bKey [4]int
-	job        uint64 // sequence number of the job the keys belong to
+	// in each A slot and in packB. A and B are read-only during a job,
+	// so when a task meets a block a slot or the panel already holds
+	// (an A block again for the next C tile of the same m block) the
+	// copy is skipped. A k block's A goes to slot ki mod aSlots. Reset
+	// when the worker moves to a new job — the operand slices, and
+	// perhaps the plan, differ between jobs.
+	aKeys [][4]int
+	bKey  [4]int
+	job   uint64 // sequence number of the job the keys belong to
 
 	env  *compile.Env // built for the last compiled plan's lanes
 	mach *sim.Machine // built on demand for a ForceInterp plan, over arena
 
-	// The arena, the region sizes it was built for (the largest
-	// envelope this ID has run) and the regions' byte addresses, which
-	// the machine's kernel arguments take. The layout is fixed at
-	// construction and frozen, honouring sim.Arena's growth contract;
-	// growing builds a new arena.
+	// The arena, the largest envelope this ID has run (size; its
+	// PackB and CBuf are the B and C regions), the A region's length
+	// in elements (aLen, the largest A row panel run) and the regions'
+	// byte addresses, which the machine's kernel arguments take. The
+	// layout is fixed at construction and frozen, honouring
+	// sim.Arena's growth contract; growing builds a new arena.
 	arena            *sim.Arena
 	size             mkernel.Scratch
+	aLen             int
 	aReg, bReg, cReg int64
 }
 
@@ -62,22 +68,22 @@ func (p *Plan) stateFor(w *sched.Worker, job uint64) *execState {
 }
 
 // fit prepares a participant's scratch for a task of this plan's job:
-// the arena grows when the plan's envelope exceeds it, the executor is
-// (re)built when the chip's lanes differ, the views are cut to the
-// plan's envelope, and the pack-reuse keys reset on a new job.
+// the arena grows when the plan's envelope or A row panel exceeds it,
+// the executor is (re)built when the chip's lanes differ, the views are
+// cut to the plan's envelope, and the pack-reuse keys reset on a new
+// job.
 func (p *Plan) fit(st *execState, job uint64) {
 	sc, lanes := p.scratch, p.Chip.Lanes
-	if sc.PackA > st.size.PackA || sc.PackB > st.size.PackB || sc.CBuf > st.size.CBuf {
-		sz := mkernel.Scratch{
-			PackA: max(sc.PackA, st.size.PackA),
-			PackB: max(sc.PackB, st.size.PackB),
-			CBuf:  max(sc.CBuf, st.size.CBuf),
-		}
-		ar := sim.NewArena(sz.PackA + sz.PackB + sz.CBuf + 64)
-		st.aReg, st.bReg, st.cReg = ar.Alloc(sz.PackA), ar.Alloc(sz.PackB), ar.Alloc(sz.CBuf)
+	aLen := p.aSlots * sc.PackA
+	if aLen > st.aLen || sc.PackB > st.size.PackB || sc.CBuf > st.size.CBuf {
+		st.aLen = max(aLen, st.aLen)
+		st.size.PackB, st.size.CBuf = max(sc.PackB, st.size.PackB), max(sc.CBuf, st.size.CBuf)
+		ar := sim.NewArena(st.aLen + st.size.PackB + st.size.CBuf + 64)
+		st.aReg, st.bReg, st.cReg = ar.Alloc(st.aLen), ar.Alloc(st.size.PackB), ar.Alloc(st.size.CBuf)
 		ar.Freeze()
-		st.arena, st.size, st.mach = ar, sz, nil
+		st.arena, st.mach = ar, nil
 	}
+	st.size.PackA = max(sc.PackA, st.size.PackA) // a record only: aLen sizes the A region
 	if p.interpOnly {
 		if st.mach == nil || st.mach.Lanes != lanes {
 			st.mach = sim.NewMachine(st.arena, lanes)
@@ -85,11 +91,18 @@ func (p *Plan) fit(st *execState, job uint64) {
 	} else if st.env == nil || st.env.Lanes() != lanes {
 		st.env = compile.NewEnv(lanes)
 	}
-	st.packA = st.arena.Slice(st.aReg, sc.PackA)
+	st.packA = st.arena.Slice(st.aReg, aLen)
 	st.packB = st.arena.Slice(st.bReg, sc.PackB)
 	st.cBuf = st.arena.Slice(st.cReg, sc.CBuf)
 	if st.job != job {
 		st.job = job
-		st.aKey, st.bKey = noKey, noKey
+		if cap(st.aKeys) < p.aSlots {
+			st.aKeys = make([][4]int, p.aSlots)
+		}
+		st.aKeys = st.aKeys[:p.aSlots]
+		for i := range st.aKeys {
+			st.aKeys[i] = noKey
+		}
+		st.bKey = noKey
 	}
 }
