@@ -13,6 +13,7 @@ import (
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
 	"autogemm/internal/refgemm"
+	"autogemm/internal/workload"
 )
 
 // BenchmarkMultiply measures the host-side cost of the functional
@@ -36,6 +37,50 @@ func BenchmarkMultiply(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
+}
+
+// BenchmarkSmallMix is the small-gemm shape mix in-process: each
+// iteration makes one Multiply per shape (the Fig 8 cubes from 8 to 80,
+// the six Fig 7 blocks and the 26×36×20 running example) on a
+// two-worker KP920 engine, every plan warm. It reports GFLOP/s over the
+// mix, where the work around each kernel call is a large share.
+func BenchmarkSmallMix(b *testing.B) {
+	eng, err := autogemm.New("KP920", autogemm.WithWorkers(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	var shapes []workload.Shape
+	for _, s := range workload.SmallSweep() {
+		if s.M >= 8 && s.M <= 80 {
+			shapes = append(shapes, s)
+		}
+	}
+	shapes = append(shapes, workload.Fig7Blocks()...)
+	shapes = append(shapes, workload.Shape{M: 26, N: 36, K: 20})
+	type call struct{ a, bb, c []float32 }
+	calls := make([]call, len(shapes))
+	flops := 0.0
+	for i, s := range shapes {
+		cl := call{make([]float32, s.M*s.K), make([]float32, s.K*s.N), make([]float32, s.M*s.N)}
+		refgemm.Fill(cl.a, s.M, s.K, s.K, uint64(2*i+1))
+		refgemm.Fill(cl.bb, s.K, s.N, s.N, uint64(2*i+2))
+		if err := eng.Multiply(cl.c, cl.a, cl.bb, s.M, s.N, s.K); err != nil {
+			b.Fatal(err)
+		}
+		calls[i] = cl
+		flops += 2 * float64(s.M) * float64(s.N) * float64(s.K)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, s := range shapes {
+			cl := &calls[j]
+			if err := eng.Multiply(cl.c, cl.a, cl.bb, s.M, s.N, s.K); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // BenchmarkMultiplyParallelCallers is BenchmarkMultiply from several

@@ -81,15 +81,25 @@ import (
 //
 // Each proven region runs as one micro-op (execRegion). Its chunks'
 // byte offsets are resolved once per leading-dimension triple into a
-// Layout, which the caller keeps and passes to Run. It first leaves
-// the interpreter's exact vector file for every register no chunk
-// holds: each register whose last version is a load is reloaded from
-// that load's final position (ahead of the chunks' stores, as in
-// program order), and each whose last version is a zeroing is zeroed. Then each chunk runs through
-// runTile, which sets up its accumulators (from C, as zeros, or from
-// what execRegion staged: live-in values, zeros and loads of any bank),
-// runs the whole k-loop, stores to C when the region folded its stores,
-// and writes every accumulator back to the vector file.
+// Layout, which the caller keeps and passes to Run. Each chunk runs
+// through runTile, which sets up its accumulators (from C, as zeros, or
+// from what execRegion staged: live-in values, zeros and loads of any
+// bank), runs the whole k-loop and stores to C when the region folded
+// its stores.
+//
+// The contract of a Run is C, as the paper's micro-kernel leaves no
+// register state behind. The registers a region leaves matter only to
+// a later part of the same program that reads them: a loose micro-op,
+// or another region's live-in accumulator. A program with neither, every
+// micro-op a region and no live-in accumulator staged from the vector
+// file, is tile-only (translate): it never reads the vector file, and
+// its Layout writes nothing there. Every other program's Layout, and the
+// test-only exit layout of any program, leaves the interpreter's exact
+// exit vector file. Each region first reloads every register no chunk
+// holds whose last version is a load, from that load's final position
+// (ahead of the chunks' stores, as in program order), and zeroes each
+// whose last version is a zeroing; each chunk then writes its
+// accumulators back to the vector file after its store.
 //
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the

@@ -172,7 +172,31 @@ func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*P
 		}
 	}
 	flush(1)
+	cp.tileOnly = tileOnly(cp)
 	return cp, nil
+}
+
+// tileOnly reports whether every micro-op of cp is an affine region and
+// no chunk stages a live-in accumulator: then cp never reads the vector
+// file, and nothing reads what its regions leave there.
+func tileOnly(cp *Program) bool {
+	for _, s := range cp.segs {
+		for _, u := range s.body {
+			if u.kind != uAffine4 {
+				return false
+			}
+		}
+	}
+	for _, r := range cp.regions {
+		for _, ch := range r.chunks {
+			for _, ac := range ch.acc {
+				if ac.init == verLive {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // span is a counted loop: micro-ops [lo, hi) run trips times.

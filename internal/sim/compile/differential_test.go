@@ -76,7 +76,7 @@ func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Ran
 	// Compiled, in place over the raw slices.
 	got := append([]float32(nil), c...)
 	e := compile.NewEnv(lanes)
-	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, bp, got, 0, 0, 0, 1<<30); err != nil {
+	if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, bp, got, 0, 0, 0, 1<<30); err != nil {
 		t.Fatalf("compiled run %s: %v", p.Name, err)
 	}
 	for i := range got {

@@ -44,6 +44,10 @@ var ErrBounds = errors.New("compile: operands fail panel precheck")
 // programs are self-initializing (the analyzer's use-before-def pass
 // guarantees every register is written before it is read), so no reset
 // is needed — and a worker typically keeps one Env per goroutine.
+// A Run's contract is C: under its Layout a tile-only program never
+// touches the vector file, so v may still hold another program's values
+// afterwards. Other programs' layouts, and the test-only exit layout,
+// leave the interpreter's exact exit vector file in v.
 //
 // The vector file is a fixed array (stride = the program's σ_lane)
 // rather than per-register slices so micro-ops index flat storage with
@@ -98,31 +102,48 @@ type Program struct {
 
 	// regions are the affine regions in program order.
 	regions []*region
+	// tileOnly is set when every micro-op is a region's and no chunk
+	// stages a live-in accumulator from the vector file: the program
+	// never reads Env.v, so no Run needs the registers a region leaves.
+	tileOnly bool
 }
 
 // Layout is a program's offsets resolved at one (lda, ldb, ldc): every
-// chunk's tile and every final reload's position, as byte offsets past
-// the panel bases, so a Run only adds the bases. It is immutable, so a
-// caller that runs a program at fixed leading dimensions resolves it
-// once and shares it between goroutines.
+// chunk's tile and, under an exit layout, every final reload's
+// position, as byte offsets past the panel bases, so a Run only adds
+// the bases. It is immutable, so a caller that runs a program at fixed
+// leading dimensions resolves it once and shares it between goroutines.
 type Layout struct {
 	cp    *Program
 	ld    [3]int64 // lda, ldb, ldc in float32 elements
 	tiles []tile   // by region.t0 + chunk index
-	final []int64  // by region.f0 + index in region.final
+	final []int64  // by region.f0 + index in region.final; exit only
+	// exit is set when a Run leaves the interpreter's exit vector file:
+	// the regions' final reloads and zeroings run, and every tile writes
+	// its accumulators back.
+	exit bool
 }
 
 // Layout resolves the program's offsets at leading dimensions lda, ldb
-// and ldc, in float32 elements, for Run.
+// and ldc, in float32 elements, for Run. A Run under it writes C; a
+// tile-only program's layout writes nothing else.
 func (cp *Program) Layout(lda, ldb, ldc int64) *Layout {
-	l := &Layout{cp: cp, ld: [3]int64{lda, ldb, ldc}}
+	return cp.layout(lda, ldb, ldc, !cp.tileOnly)
+}
+
+// layout resolves the offsets, with the exit vector file written when
+// exit is set.
+func (cp *Program) layout(lda, ldb, ldc int64, exit bool) *Layout {
+	l := &Layout{cp: cp, ld: [3]int64{lda, ldb, ldc}, exit: exit}
 	ld := [3]int64{lda * 4, ldb * 4, ldc * 4}
 	for _, r := range cp.regions {
 		for i := range r.chunks {
-			l.tiles = append(l.tiles, r.chunks[i].resolve(ld, r.store))
+			l.tiles = append(l.tiles, r.chunks[i].resolve(ld, r.store, exit))
 		}
-		for _, s := range r.final {
-			l.final = append(l.final, s.at.bytes(ld[s.bank]))
+		if exit {
+			for _, s := range r.final {
+				l.final = append(l.final, s.at.bytes(ld[s.bank]))
+			}
 		}
 	}
 	return l

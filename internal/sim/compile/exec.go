@@ -199,24 +199,27 @@ func execUops(e *Env, c *code, t int64) {
 	}
 }
 
-// execRegion runs one affine region (affine.go): the final reloads and
-// zeroings that leave the interpreter's exit vector file, then each
-// chunk, at the offsets the Run's layout resolved, through runTile,
-// after staging the accumulators of a chunk that does not set them up
-// itself.
+// execRegion runs one affine region (affine.go): each chunk, at the
+// offsets the Run's layout resolved, through runTile, after staging the
+// accumulators of a chunk that does not set them up itself. Under an
+// exit layout (Layout.exit) it first does the final reloads and
+// zeroings that leave the interpreter's exit vector file; a tile-only
+// program's layout skips them, since nothing reads them.
 func execRegion(e *Env, r *region) {
 	vp := e.vp
 	// The final reloads and zeroings go first: they read what the
 	// region's own loads read, ahead of every store the region owns as
 	// in program order, and write registers no chunk holds.
-	final := r.final
-	at := e.lay.final[r.f0:]
-	for i := range final {
-		s := &final[i]
-		if s.zero {
-			*vec4(vp, int64(s.d)) = [4]float32{}
-		} else {
-			*vec4(vp, int64(s.d)) = *vec4(e.base[s.bank], at[i])
+	if e.lay.exit {
+		final := r.final
+		at := e.lay.final[r.f0:]
+		for i := range final {
+			s := &final[i]
+			if s.zero {
+				*vec4(vp, int64(s.d)) = [4]float32{}
+			} else {
+				*vec4(vp, int64(s.d)) = *vec4(e.base[s.bank], at[i])
+			}
 		}
 	}
 	tiles := e.lay.tiles[r.t0:]
@@ -282,22 +285,24 @@ const tileSpill = asm.NumVectorRegs * 16
 // The accumulators are set up as init says: from Env.acc by slot, as
 // zeros, or from C, where the accumulator of row i, column c is the 16
 // bytes at c[i] + 16c; when store is set they go back there at the end.
-// Every slot is then written to the vector file at byte offset v[slot].
+// C is the whole result. Only when wb is set, under an exit layout, is
+// every slot then written to the vector file at byte offset v[slot].
 // The layout is read through go_asm.h by tile_amd64.s.
 type tile struct {
-	a, sa        int64
-	b, sb        int64
-	abank, bbank int64
-	n            int64
-	rows, cols   int64
-	init, store  int64
-	off          [maxTileRows]int64
-	c            [maxTileRows]int64
-	v            [2 * 12]int64
+	a, sa           int64
+	b, sb           int64
+	abank, bbank    int64
+	n               int64
+	rows, cols      int64
+	init, store, wb int64
+	off             [maxTileRows]int64
+	c               [maxTileRows]int64
+	v               [2 * 12]int64
 }
 
-// resolve returns the chunk's tile at leading dimensions ld, in bytes.
-func (ch *chunk) resolve(ld [3]int64, store bool) tile {
+// resolve returns the chunk's tile at leading dimensions ld, in bytes;
+// wb sets its vector-file write-back.
+func (ch *chunk) resolve(ld [3]int64, store, wb bool) tile {
 	t := tile{
 		a: ch.a.bytes(ld[ch.abank]), sa: ch.sa.bytes(ld[ch.abank]),
 		b: ch.b.bytes(ld[ch.bbank]), sb: ch.sb.bytes(ld[ch.bbank]),
@@ -306,6 +311,9 @@ func (ch *chunk) resolve(ld [3]int64, store bool) tile {
 	}
 	if store {
 		t.store = 1
+	}
+	if wb {
+		t.wb = 1
 	}
 	for i := int64(0); i < ch.rows; i++ {
 		t.off[i] = ch.off[i].bytes(ld[ch.abank])
@@ -328,7 +336,8 @@ var runTile = execTile
 // execTile is the reference tile loop and the executor wherever there
 // is no native one. Each accumulator runs on its own, held in scalar
 // locals from its first multiply-add to its last; accumulators never
-// read each other, so the order between them is free.
+// read each other, so the order between them is free. It writes C when
+// the tile stores, and the vector file only when the tile's wb is set.
 func execTile(e *Env, t *tile) {
 	var acc [2 * 12][4]float32
 	pc := e.base[bankC]
@@ -369,7 +378,9 @@ func execTile(e *Env, t *tile) {
 			}
 		}
 	}
-	for s := range acc {
-		*vec4(e.vp, t.v[s]) = acc[s]
+	if t.wb != 0 {
+		for s := range acc {
+			*vec4(e.vp, t.v[s]) = acc[s]
+		}
 	}
 }

@@ -80,6 +80,31 @@ func (e *Env) Vector(r int) []float32 {
 	return e.v[r*e.lanes : (r+1)*e.lanes]
 }
 
+// Vectors returns a copy of the environment's whole vector file.
+func (e *Env) Vectors() []float32 {
+	return append([]float32(nil), e.v[:]...)
+}
+
+// Poison fills the whole vector file with quiet NaNs whose payloads
+// count up from seed, so a run that reads a stale register carries a
+// NaN into C.
+func (e *Env) Poison(seed uint32) {
+	for i := range e.v {
+		e.v[i] = math.Float32frombits(0x7fc00000 | (seed+uint32(i))&0x3fffff)
+	}
+}
+
+// ExitLayout resolves cp's offsets at lda, ldb and ldc like Layout, but
+// a Run under it always leaves the interpreter's exact exit vector file:
+// every region reloads and zeroes its final registers, and every tile
+// writes its accumulators back. The exit-register differentials use it.
+func ExitLayout(cp *Program, lda, ldb, ldc int64) *Layout {
+	return cp.layout(lda, ldb, ldc, true)
+}
+
+// TileOnly reports whether cp's Layout drops the exit vector file.
+func TileOnly(cp *Program) bool { return cp.tileOnly }
+
 // AffineRunner runs cp once over the operands to record the tile chunks
 // its affine regions resolve, and returns run, which executes those
 // chunks again, and the number of FMLAs one call executes: each chunk's

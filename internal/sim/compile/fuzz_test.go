@@ -32,6 +32,10 @@ import (
 // result is NaN and the comparison is on raw bits. Every proven program
 // is first run with ldc = len(data) mod NR, which breaks the rule that C
 // rows are disjoint: Run must refuse it with ErrBounds before any work.
+// The exit comparison runs under ExitLayout; each proven input then
+// runs again under the production Layout from a poisoned vector file,
+// and its C must be bit-equal, with a tile-only program's vector file
+// left as it was.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
 	// with varying offsets, and the affine region proof's cases.
@@ -84,7 +88,7 @@ func FuzzCompileDiff(f *testing.F) {
 			}
 		}
 
-		if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
+		if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
 			// Precheck rejection is fine; a runtime fault is the elision
 			// proof failing and must never happen.
 			t.Fatalf("compiled run failed on prechecked operands: %v", err)
@@ -115,6 +119,25 @@ func FuzzCompileDiff(f *testing.F) {
 			}
 		}
 		requireSameVectors(t, p.Name, e, m)
+
+		// The production layout must give the same C from a vector file
+		// holding another program's values, and a tile-only program's
+		// must leave that file alone.
+		got = append(got[:0], c...)
+		e = compile.NewEnv(lanes)
+		e.Poison(uint32(len(data)))
+		poisoned := e.Vectors()
+		if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
+			t.Fatalf("compiled run under Layout: %v", err)
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("Layout: C[%d]: compiled %g != interpreted %g (tile-only %v)", i, got[i], want[i], compile.TileOnly(cp))
+			}
+		}
+		if compile.TileOnly(cp) {
+			requireVectorsUntouched(t, p.Name, e, poisoned)
+		}
 	})
 }
 

@@ -63,7 +63,7 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 		}
 		run := func(c []float32) *compile.Env {
 			e := compile.NewEnv(cp.Lanes)
-			if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
+			if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
 				t.Fatalf("%s: %v", cp.Name, err)
 			}
 			return e

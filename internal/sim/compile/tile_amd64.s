@@ -5,10 +5,14 @@
 //
 // Runs one register-tile chunk (exec.go, type tile) as a whole kernel,
 // with each of its rows × cols accumulators in a YMM register: it sets
-// them up from C, as zeros or from e.acc, runs all n steps, stores them
-// to C when t.store is set, and writes every register half back to the
-// vector file at e.vp + t.v[slot]. Row i's register j holds columns 2j
-// and 2j+1; an odd last column sits in the lower half, computed as XMM.
+// them up from C, as zeros or from e.acc, runs all n steps and stores
+// them to C when t.store is set. C is the result. Only under an exit
+// layout (t.wb set: a program that is not tile-only, or the tests'
+// comparison of the interpreter's exit vector file) does it then write
+// every register half back to the vector file at e.vp + t.v[slot]; a
+// tile-only program's tiles jump straight to VZEROUPPER. Row i's
+// register j holds columns 2j and 2j+1; an odd last column sits in the
+// lower half, computed as XMM.
 //
 // Registers in the k-loop: AX the scalars (a, moving sa a step),
 // R8..R13 the row offsets, SI the multiplicands (b, moving sb a step),
@@ -479,6 +483,8 @@ sc1:
 	SC1(5, X5)
 
 writeback:
+	CMPQ tile_wb(DI), $0
+	JEQ end
 	MOVQ Env_vp(DX), BX
 	WB(0, X0, Y0)
 	WB(1, X1, Y1)
@@ -492,6 +498,8 @@ writeback:
 	WB(9, X9, Y9)
 	WB(10, X10, Y10)
 	WB(11, X11, Y11)
+
+end:
 	VZEROUPPER
 	RET
 

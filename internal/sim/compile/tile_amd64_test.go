@@ -27,7 +27,7 @@ const (
 // stays inside the panel. The C rows are distinct rows of the C panel,
 // in any order, at one column offset. The set-up is staged, zeros or
 // C, and the chunk stores to C or not. The accumulators go back to
-// distinct vector registers, in any order.
+// distinct vector registers, in any order: write-back is on.
 func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
 	t := tile{rows: rows, cols: cols, bbank: 1}
 	switch rng.Intn(4) {
@@ -71,7 +71,7 @@ func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
 	lo, hi = span(sb)
 	t.b, t.sb = start(lo, hi+4*cols)*4, sb*4
 
-	t.init, t.store = int64(rng.Intn(3)), int64(rng.Intn(2))
+	t.init, t.store, t.wb = int64(rng.Intn(3)), int64(rng.Intn(2)), 1
 	col := rng.Int63n(ldc - 4*cols + 1)
 	for i, r := range rng.Perm(tileRowsC)[:rows] {
 		t.c[i] = (int64(r)*ldc + col) * 4
@@ -114,7 +114,10 @@ func TestRunAffineIsSSE(t *testing.T) {
 // compiler picks which operand is the MULSS/ADDSS destination per lane
 // by register allocation, so the Go loop itself has no fixed payload to
 // match. Neither loop may write the A and B panel; a chunk that does
-// not store must leave C alone.
+// not store must leave C alone. Every tile then runs again with its
+// vector-file write-back off, as under a tile-only program's Layout, on
+// both loops: C must match the write-back run's, and neither loop may
+// write a bit of the vector file.
 func TestTileMatchesGo(t *testing.T) {
 	if !hasAVX() {
 		t.Skip("no AVX: tileAVX cannot run here")
@@ -155,6 +158,7 @@ func TestTileMatchesGo(t *testing.T) {
 					}
 				}
 				got.v, got.acc = want.v, want.acc
+				v0 := want.v
 				for _, e := range []*Env{want, got} {
 					e.base[0] = unsafe.Pointer(&panel[0])
 					e.base[1] = unsafe.Pointer(&panel[0])
@@ -185,6 +189,27 @@ func TestTileMatchesGo(t *testing.T) {
 				for i := range panel {
 					if math.Float32bits(panel[i]) != math.Float32bits(before[i]) {
 						t.Fatalf("%s: panel[%d] written", what, i)
+					}
+				}
+
+				off := tl
+				off.wb = 0
+				for _, loop := range []struct {
+					name string
+					run  func(*Env, *tile)
+				}{{"go", execTile}, {"avx", tileAVX}} {
+					e := NewEnv(4)
+					e.v, e.acc, e.base = v0, want.acc, want.base
+					cOff := append([]float32(nil), c...)
+					e.base[2] = unsafe.Pointer(&cOff[0])
+					loop.run(e, &off)
+					for i := range cOff {
+						same(loop.name+" C, write-back off", i, cOff[i], cWant[i])
+					}
+					for i := range e.v {
+						if math.Float32bits(e.v[i]) != math.Float32bits(v0[i]) {
+							t.Fatalf("%s: %s loop, write-back off: v[%d] written", what, loop.name, i)
+						}
 					}
 				}
 			}
