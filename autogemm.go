@@ -106,7 +106,9 @@ type Perf struct {
 // Submit — goes through one request path (batch.go) and becomes one
 // job on the engine's persistent scheduler runtime (internal/sched): a
 // worker pool sized by WithWorkers with a bounded job queue sized by
-// WithQueueDepth. Close stops it; see
+// WithQueueDepth. A shape's first call may add helper jobs that fan
+// its planning and kernel builds out over the pool; they never wait
+// for room in the queue. Close stops it; see
 // docs/INTERNALS.md, "Runtime & scheduling".
 type Engine struct {
 	chip     *hw.Chip
@@ -204,7 +206,8 @@ func New(chipName string, opts ...EngineOption) (*Engine, error) {
 // error matching ErrClosed, and the worker goroutines exit. Close is
 // idempotent; CloseWithTimeout bounds the drain. Planning APIs
 // (PlanFor, Estimate, Tune) keep working on a closed engine; only
-// execution is refused.
+// execution is refused. Planning that an open engine fans out over its
+// pool runs on the caller alone once the engine is closed.
 func (e *Engine) Close() error { return e.sched.Close() }
 
 // ChipName returns the engine's chip model.
@@ -268,7 +271,11 @@ func (e *Engine) Multiply(c, a, b []float32, m, n, k int) error {
 // serial reference every batch and async execution is held
 // bit-identical to. Plans are served from the engine's plan cache:
 // repeated calls on the same shape and options reuse the resolved plan
-// and its generated kernels.
+// and its generated kernels. A shape's first call plans, and its
+// plan's first blocking execution builds the kernels, in helper jobs
+// the caller joins and idle pool workers may help with, under the
+// request's QoS class. The plan and the result are the same as if the
+// caller had done the work alone.
 //
 // If ctx (or a g.QoS deadline) fires before the job completes, the
 // scheduler skips the job's remaining work and the call returns the

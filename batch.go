@@ -36,7 +36,7 @@ type GEMM struct {
 // shape) and enqueues g as one scheduler job that every pool worker may
 // claim. The asynchronous and batch forms go through it.
 func (e *Engine) submit(ctx context.Context, g GEMM) (*core.RunFuture, error) {
-	p, err := e.plan(g.Opts, g.M, g.N, g.K)
+	p, err := e.planIn(g.Opts, g.M, g.N, g.K, g.QoS.Class)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func (e *Engine) submit(ctx context.Context, g GEMM) (*core.RunFuture, error) {
 // run is the blocking request path: it resolves g's plan and executes g
 // as one scheduler job on the calling goroutine.
 func (e *Engine) run(ctx context.Context, g GEMM) error {
-	p, err := e.plan(g.Opts, g.M, g.N, g.K)
+	p, err := e.planIn(g.Opts, g.M, g.N, g.K, g.QoS.Class)
 	if err != nil {
 		return err
 	}
@@ -58,9 +58,15 @@ func (e *Engine) run(ctx context.Context, g GEMM) error {
 // admitted under g.QoS like any submission, with the calling goroutine
 // its only participant: it claims the C-tile groups in order and no
 // pool worker is woken (core.Plan.RunQoS). g's shape and options are
-// p's.
+// p's. On p's first blocking execution the kernels of its blocks are
+// compiled first, by a helper job the caller joins and the whole pool
+// may help with (core.Plan.Prebuild), under the same ctx and QoS.
 func (e *Engine) runPlan(ctx context.Context, p *core.Plan, g GEMM) error {
-	return wrapExec(p.RunQoS(ctx, g.C, g.A, g.B, 1, e.schedQoS(g.QoS)))
+	q := e.schedQoS(g.QoS)
+	if err := p.Prebuild(ctx, 0, q); err != nil {
+		return wrapExec(err)
+	}
+	return wrapExec(p.RunQoS(ctx, g.C, g.A, g.B, 1, q))
 }
 
 // schedQoS is q for the scheduler, with the engine's default class

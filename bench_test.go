@@ -6,6 +6,8 @@ package autogemm_test
 // repository's end-to-end benchmark is the bench module (bench/run.sh).
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"autogemm"
@@ -81,6 +83,60 @@ func BenchmarkSmallMix(b *testing.B) {
 		}
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkColdMultiply times a shape's first call: one Multiply per
+// distinct shape, M, N and K log-uniform in [8, 320] (seeded), each a
+// plan-cache miss whose kernels may also be new, on a two-worker KP920
+// engine replaced (untimed) every 50 shapes. A warm-up shape outside
+// the range builds the process-wide lazy state first. It reports
+// ms/shape.
+func BenchmarkColdMultiply(b *testing.B) {
+	const lo, hi, perEngine = 8, 320, 50
+	rng := rand.New(rand.NewPCG(1, 2))
+	dim := func() int {
+		return int(math.Round(math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))))
+	}
+	seen := map[workload.Shape]bool{}
+	shapes := make([]workload.Shape, 0, b.N)
+	for len(shapes) < b.N {
+		s := workload.Shape{M: dim(), N: dim(), K: dim()}
+		if !seen[s] {
+			seen[s] = true
+			shapes = append(shapes, s)
+		}
+	}
+	vals := make([]float32, hi*hi)
+	refgemm.Fill(vals, hi, hi, hi, 1)
+	c := make([]float32, hi*hi)
+	newEngine := func() *autogemm.Engine {
+		eng, err := autogemm.New("KP920", autogemm.WithWorkers(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	eng := newEngine()
+	if err := eng.Multiply(c[:7*hi], vals[:7*hi], vals[:hi*hi], 7, hi, hi); err != nil {
+		b.Fatal(err)
+	}
+	eng.Close()
+	eng = newEngine()
+	b.ResetTimer()
+	for i, s := range shapes {
+		if i > 0 && i%perEngine == 0 {
+			b.StopTimer()
+			eng.Close()
+			eng = newEngine()
+			b.StartTimer()
+		}
+		if err := eng.Multiply(c[:s.M*s.N], vals[:s.M*s.K], vals[:s.K*s.N], s.M, s.N, s.K); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	eng.Close()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/shape")
 }
 
 // BenchmarkMultiplyParallelCallers is BenchmarkMultiply from several

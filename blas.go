@@ -7,14 +7,21 @@ import (
 )
 
 // plan resolves public options and returns the cached executor for the
-// problem, planning (or registry warm-starting) on first request. See
+// problem, planning (or registry warm-starting) on first request, with
+// any planning helper job under the engine's default class. See
 // planResolved in plan.go for the cache and registry mechanics.
 func (e *Engine) plan(opts *Options, m, n, k int) (*core.Plan, error) {
+	return e.planIn(opts, m, n, k, "")
+}
+
+// planIn is plan for a request of QoS class class ("" is the engine's
+// default class): a cold miss fans its planning out under that class.
+func (e *Engine) planIn(opts *Options, m, n, k int, class string) (*core.Plan, error) {
 	co, err := e.resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.planResolved(co, m, n, k)
+	return e.planResolved(co, m, n, k, class)
 }
 
 // SGEMM computes C = α·op(A)·op(B) + β·C with the full BLAS-3 parameter

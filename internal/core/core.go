@@ -184,6 +184,7 @@ type Plan struct {
 	tilings map[[2]int]tiling.Tiling // block (m, n) -> tiling, from Recipe
 	progs   map[[3]int]*blockProg    // block (m, n, k) -> resolved kernels
 
+	prebuilt   atomic.Bool     // Prebuild found every kernel compiled (exec.go)
 	interpOnly bool            // Options.ForceInterp
 	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
 	aSlots     int             // A slots of a participant's row panel (aSlots in exec.go)

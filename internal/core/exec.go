@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"autogemm/internal/asm"
+	"autogemm/internal/mkernel"
+	"autogemm/internal/sched"
 	"autogemm/internal/sim/compile"
 	"autogemm/internal/tiling"
 )
@@ -115,6 +118,74 @@ func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
 		}
 	}
 	return calls, nil
+}
+
+// Prebuild compiles the kernels a plan's blocks call into its kernel
+// cache before its first execution, as one job of one task per kernel
+// not yet compiled, on at most workers participants (<= 0: the whole
+// pool) with the caller joined (sched.Pool.TryRunQoS), bound to ctx and
+// scheduled under qos. The block programs still resolve through their
+// own sync.Once on first visit (blockProgram); after Prebuild that only
+// hits the cache. A kernel that fails to build is memoized by the cache
+// and fails the block that calls it, exactly as without Prebuild.
+//
+// Prebuild does nothing once a call found every kernel compiled, on a
+// ForceInterp plan, with fewer than two participants (the run's own
+// lazy resolution does the same work on the caller), or with fewer
+// than two kernels to build. A refused job (pool at depth, closed,
+// class admission, ctx done) also leaves the builds to the run. It
+// returns only the error of a helper job that ran and failed: an
+// injected fault, a contained panic, or ctx firing mid-job.
+func (p *Plan) Prebuild(ctx context.Context, workers int, qos sched.QoS) error {
+	if workers <= 0 || workers > p.runtime.Workers() {
+		workers = p.runtime.Workers()
+	}
+	if p.interpOnly || workers < 2 || p.prebuilt.Load() {
+		return nil
+	}
+	specs := p.unbuiltSpecs()
+	if len(specs) >= 2 {
+		fut, err := p.runtime.TryRunQoS(ctx, len(specs), workers, qos, func(_ *sched.Worker, i int) error {
+			_, _ = p.kernels.Compiled(specs[i]) // a failure is reported by the block that calls it
+			return nil
+		})
+		if err != nil {
+			return nil
+		}
+		if err := fut.Wait(); err != nil {
+			return err
+		}
+	}
+	p.prebuilt.Store(true)
+	return nil
+}
+
+// unbuiltSpecs lists the distinct kernels the plan's blocks call that
+// the kernel cache has not compiled yet, in first-visit order.
+func (p *Plan) unbuiltSpecs() []mkernel.Spec {
+	shapes := map[[3]int]bool{}
+	keys := map[mkernel.Key]bool{}
+	var specs []mkernel.Spec
+	for _, g := range p.groups {
+		for _, blk := range g {
+			shape := [3]int{blk.MB, blk.NB, blk.KB}
+			if shapes[shape] {
+				continue
+			}
+			shapes[shape] = true
+			for _, bd := range p.progs[shape].tl.Bands(p.Chip.Lanes) {
+				for _, cl := range p.calls(bd, blk.KB) {
+					if key := cl.Spec.Key(); !keys[key] {
+						keys[key] = true
+						if !p.kernels.Lowered(key) {
+							specs = append(specs, cl.Spec)
+						}
+					}
+				}
+			}
+		}
+	}
+	return specs
 }
 
 // aPanelBound caps a participant's A row panel, in float32 elements

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -178,12 +179,12 @@ func loadLatencyFor(chip *hw.Chip, hier *cache.Hierarchy, pack PackMode, nTotal,
 }
 
 // produceEnv is the resolved planning context every producer shares —
-// the synchronous Produce, the tier-0 ProduceHeuristic and the
-// background SubmitProduce differ only in *how* each distinct block
+// the synchronous Produce, the tier-0 ProduceHeuristic and the pooled
+// ProduceOn and SubmitProduce differ only in *how* each distinct block
 // shape gets tiled; everything around that (request, resolved options,
 // model parameters, residency latencies, kernel-key enumeration, cost
-// composition) is identical and lives here so the three paths cannot
-// drift apart.
+// composition) is identical and lives here so the paths cannot drift
+// apart.
 type produceEnv struct {
 	chip    *hw.Chip
 	m, n, k int
@@ -329,18 +330,83 @@ func ProduceHeuristic(chip *hw.Chip, m, n, k int, opts Options) (*plan.Plan, err
 	})
 }
 
+// dmtFill is a DMT planning run opened up for a pool: one
+// tiling.Search per distinct DMT-tiled block shape, its memo rows cut
+// into chunks that are independent pool tasks. The background upgrade
+// (SubmitProduce) and the blocking fan-out (ProduceOn) both plan
+// through it, so the two cannot chunk differently; finishing it goes
+// through the shared build path and lands Produce's plan bit for bit.
+// Opening the searches costs nothing: a search's candidates, cost table
+// and memo are set up by the first of its tasks to run.
+type dmtFill struct {
+	e        *produceEnv
+	searches map[[2]int]*tiling.Search // by block (mb, nb)
+	chunks   []rowChunk
+}
+
+// rowChunk is one task of a dmtFill: memo rows [lo, hi) of one search.
+type rowChunk struct {
+	s      *tiling.Search
+	lo, hi int
+}
+
+// minFillRows is the smallest row chunk a search is cut into, so tiny
+// blocks are not shredded into claim overhead.
+const minFillRows = 16
+
+// openFill opens the searches of a planning run and cuts each into at
+// most parts row chunks. Static strategies have nothing to parallelize
+// and tile inline at assembly.
+func (e *produceEnv) openFill(parts int) (*dmtFill, error) {
+	f := &dmtFill{e: e, searches: map[[2]int]*tiling.Search{}}
+	for _, mb := range e.mShapes {
+		for _, nb := range e.nShapes {
+			d, ok := tilerFor(e.o, e.params, e.latFor(nb)).(*tiling.DMT)
+			if !ok {
+				continue
+			}
+			s, err := d.NewSearch(mb, nb, e.kcTile)
+			if err != nil {
+				return nil, err
+			}
+			f.searches[[2]int{mb, nb}] = s
+			rows := s.Rows()
+			per := max((rows+parts-1)/parts, minFillRows)
+			for lo := 0; lo < rows; lo += per {
+				f.chunks = append(f.chunks, rowChunk{s: s, lo: lo, hi: min(lo+per, rows)})
+			}
+		}
+	}
+	return f, nil
+}
+
+// task fills chunk i; it is the pool task function of the fill.
+func (f *dmtFill) task(_ *sched.Worker, i int) error {
+	f.chunks[i].s.FillRows(f.chunks[i].lo, f.chunks[i].hi)
+	return nil
+}
+
+// finish runs each search's outer split over its filled memo and
+// assembles the plan. Call after every task has run.
+func (f *dmtFill) finish() (*plan.Plan, error) {
+	e := f.e
+	return e.build(plan.SourceAuto, func(mb, nb, lat int) (tiling.Tiling, error) {
+		if s := f.searches[[2]int{mb, nb}]; s != nil {
+			return s.Finish()
+		}
+		return tilerFor(e.o, e.params, lat).Tile(mb, nb, e.kcTile)
+	})
+}
+
 // SubmitProduce plans a problem in the background on a sched pool and
-// produces the same plan Produce would, bit for bit: the DMT dynamic
-// program of every distinct block shape is opened as a tiling.Search
-// and its memo rows are fanned out as independent pool tasks, then the
-// completion hook finishes the searches and assembles the plan through
-// the shared build path. Opening a search costs the caller nothing:
-// its candidates, cost table and memo are set up by the first of its
-// tasks to run. onDone receives the finished plan or the
-// first error; it runs on the pool's completion goroutine, never on a
-// serving thread. SubmitProduce never blocks: when the pool is at its
-// in-flight depth it returns sched.ErrBusy without enqueuing anything,
-// and the caller retries later.
+// produces the same plan Produce would, bit for bit: the memo rows of
+// every block search (dmtFill) are one background-class job, and the
+// completion hook finishes the searches and assembles the plan. onDone
+// receives the finished plan or the first error; it runs on the pool's
+// completion goroutine, never on a serving thread. SubmitProduce never
+// blocks: when the pool is at its in-flight depth it returns
+// sched.ErrBusy without enqueuing anything, and the caller retries
+// later.
 func SubmitProduce(pool *sched.Pool, chip *hw.Chip, m, n, k int, opts Options, onDone func(*plan.Plan, error)) error {
 	if pool == nil {
 		return fmt.Errorf("core: nil pool")
@@ -352,45 +418,14 @@ func SubmitProduce(pool *sched.Pool, chip *hw.Chip, m, n, k int, opts Options, o
 	if err != nil {
 		return err
 	}
-
-	// One Search per distinct DMT-tiled block shape. Static strategies
-	// have nothing to parallelize and tile inline at assembly.
-	type blockKey struct{ mb, nb int }
-	searches := map[blockKey]*tiling.Search{}
-	type rowChunk struct {
-		s      *tiling.Search
-		lo, hi int
+	f, err := e.openFill(pool.Workers())
+	if err != nil {
+		return err
 	}
-	var chunks []rowChunk
-	for _, mb := range e.mShapes {
-		for _, nb := range e.nShapes {
-			d, ok := tilerFor(e.o, e.params, e.latFor(nb)).(*tiling.DMT)
-			if !ok {
-				continue
-			}
-			s, err := d.NewSearch(mb, nb, e.kcTile)
-			if err != nil {
-				return err
-			}
-			searches[blockKey{mb, nb}] = s
-			rows := s.Rows()
-			per := (rows + pool.Workers() - 1) / pool.Workers()
-			if per < 16 {
-				per = 16 // don't shred tiny blocks into claim overhead
-			}
-			for lo := 0; lo < rows; lo += per {
-				chunks = append(chunks, rowChunk{s: s, lo: lo, hi: min(lo+per, rows)})
-			}
-		}
-	}
-
 	// Upgrades run under the scheduler's background class: weighted
 	// claiming keeps DMT row-filling off the critical path whenever any
 	// foreground class has jobs queued, instead of competing FIFO.
-	fut, err := pool.TrySubmitQoS(len(chunks), 0, sched.QoS{Class: sched.BackgroundClass}, func(_ *sched.Worker, i int) error {
-		chunks[i].s.FillRows(chunks[i].lo, chunks[i].hi)
-		return nil
-	})
+	fut, err := pool.TrySubmitQoS(len(f.chunks), 0, sched.QoS{Class: sched.BackgroundClass}, f.task)
 	if err != nil {
 		return err
 	}
@@ -399,15 +434,43 @@ func SubmitProduce(pool *sched.Pool, chip *hw.Chip, m, n, k int, opts Options, o
 			onDone(nil, jobErr)
 			return
 		}
-		p, err := e.build(plan.SourceAuto, func(mb, nb, lat int) (tiling.Tiling, error) {
-			if s := searches[blockKey{mb, nb}]; s != nil {
-				return s.Finish()
-			}
-			return tilerFor(e.o, e.params, lat).Tile(mb, nb, e.kcTile)
-		})
-		onDone(p, err)
+		onDone(f.finish())
 	})
 	return nil
+}
+
+// ProduceOn is Produce with the memo rows of every block search
+// (dmtFill) filled by one foreground job on pool, under qos, with the
+// calling goroutine joined (sched.Pool.TryRunQoS): the caller fills
+// rows itself and at most the pool's other workers help. The plan is
+// Produce's, bit for bit. A run with fewer than two chunks, or a pool
+// of one worker, has nobody to share with and fills on the caller with
+// no job. The helper never waits: a pool at depth, closed, or a class
+// refusing admission leaves the caller to fill every row alone, so
+// ProduceOn fails only where Produce would, or with the error of a
+// helper task that ran and failed (an injected fault, a contained
+// panic).
+func ProduceOn(pool *sched.Pool, qos sched.QoS, chip *hw.Chip, m, n, k int, opts Options) (*plan.Plan, error) {
+	e, err := newProduceEnv(chip, m, n, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	f, err := e.openFill(pool.Workers())
+	if err != nil {
+		return nil, err
+	}
+	if len(f.chunks) >= 2 && pool.Workers() >= 2 {
+		// No context: the plan is shared through the plan cache, so one
+		// caller's cancellation must not fail it for the others.
+		if fut, err := pool.TryRunQoS(context.Background(), len(f.chunks), 0, qos, f.task); err == nil {
+			if err := fut.Wait(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Finish computes any memo cell the fill did not reach, so a refused
+	// helper leaves the whole search to the caller.
+	return f.finish()
 }
 
 // gridCount returns how many blocks of extent size a dimension of the

@@ -50,18 +50,49 @@ func TestProduceHeuristicAnswersSameRequest(t *testing.T) {
 	}
 }
 
-// TestSubmitProduceMatchesProduce: the background producer must emit
-// the plan Produce emits, bit for bit — same panels, same keys, same
-// projected cost — since it hot-swaps into the same cache key.
+// TestSubmitProduceMatchesProduce: the background producer and the
+// blocking fan-out (ProduceOn) must emit the plan Produce emits, bit
+// for bit — same panels, same keys, same projected cost — since they
+// answer the same cache key. The multi-block shapes (m > MC, n > NC)
+// open several searches in one job, and the blocking job is one
+// caller-joined job.
 func TestSubmitProduceMatchesProduce(t *testing.T) {
 	chip := hw.KP920()
 	opts := AutoOptions(chip)
 	pool := sched.New(4, 0)
 	defer pool.Close()
-	for _, s := range [][3]int{{26, 36, 20}, {64, 300, 64}, {130, 70, 96}} {
+	multi := 0 // shapes split in both m and n
+	for _, s := range [][3]int{{26, 36, 20}, {64, 300, 64}, {130, 70, 96}, {300, 100, 130}, {520, 300, 200}} {
 		want, err := Produce(chip, s[0], s[1], s[2], opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		env, err := newProduceEnv(chip, s[0], s[1], s[2], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := env.openFill(pool.Workers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env.mShapes) > 1 && len(env.nShapes) > 1 {
+			multi++
+			if len(f.searches) < 2 {
+				t.Fatalf("%v: multi-block shape opened %d searches", s, len(f.searches))
+			}
+		}
+
+		before := pool.Stats()
+		blocking, err := ProduceOn(pool, sched.QoS{}, chip, s[0], s[1], s[2], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := pool.Stats()
+		if jobs, wantJobs := after.JobsSubmitted-before.JobsSubmitted, int64(min(len(f.chunks)-1, 1)); jobs != wantJobs {
+			t.Fatalf("%v: blocking fan-out of %d chunks submitted %d jobs, want %d", s, len(f.chunks), jobs, wantJobs)
+		}
+		if !reflect.DeepEqual(blocking, want) {
+			t.Fatalf("%v: blocking fan-out plan differs from Produce\n got: %+v\nwant: %+v", s, blocking, want)
 		}
 		var (
 			wg   sync.WaitGroup
@@ -82,6 +113,9 @@ func TestSubmitProduceMatchesProduce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: background plan differs from Produce\n got: %+v\nwant: %+v", s, got, want)
 		}
+	}
+	if multi < 2 {
+		t.Fatalf("%d shapes split in both m and n, want 2", multi)
 	}
 }
 

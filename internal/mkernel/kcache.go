@@ -10,6 +10,7 @@ package mkernel
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"autogemm/internal/asm"
 	"autogemm/internal/asm/analysis"
@@ -88,6 +89,7 @@ type cacheEntry struct {
 	compileOnce sync.Once // guards the compiled form
 	cprog       *compile.Program
 	compileErr  error
+	lowered     atomic.Bool // compileOnce has run
 }
 
 // NewCache returns an empty kernel cache.
@@ -127,11 +129,23 @@ func (c *Cache) Compiled(s Spec) (*compile.Program, error) {
 	e.compileOnce.Do(func() {
 		if e.err != nil {
 			e.compileErr = e.err
+			e.lowered.Store(true)
 			return
 		}
 		e.cprog, e.compileErr = compile.Lower(e.k.prog, *e.k.opts.Bounds, e.k.rep)
+		e.lowered.Store(true)
 	})
 	return e.cprog, e.compileErr
+}
+
+// Lowered reports whether Compiled would return the kernel keyed key
+// without building: its compiled form, or its memoized failure, is in
+// the cache.
+func (c *Cache) Lowered(key Key) bool {
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
+	return e != nil && e.lowered.Load()
 }
 
 // Size reports how many kernel variants are cached.

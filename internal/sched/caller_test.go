@@ -315,3 +315,74 @@ func TestLocalPersistsPerID(t *testing.T) {
 		}
 	}
 }
+
+// TestTryRunQoSRefusesInsteadOfWaiting: at the pool's in-flight depth,
+// and on a closed pool, TryRunQoS fails at once (ErrBusy, ErrClosed)
+// without running a task; a class at its depth bound refuses it with
+// ErrAdmission. With room it runs on the caller like RunQoS.
+func TestTryRunQoSRefusesInsteadOfWaiting(t *testing.T) {
+	p := New(1, 1)
+	p.ConfigureClass("tight", ClassConfig{Depth: 1})
+	release := make(chan struct{})
+	started := make(chan struct{})
+	parked, err := p.SubmitQoS(context.Background(), 1, 0, QoS{Class: "tight"}, func(*Worker, int) error {
+		close(started)
+		<-release
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ran := false
+	noop := func(*Worker, int) error { ran = true; return nil }
+	if _, err := p.TryRunQoS(context.Background(), 2, 0, QoS{}, noop); !errors.Is(err, ErrBusy) {
+		t.Fatalf("TryRunQoS at depth = %v, want ErrBusy", err)
+	}
+	close(release)
+	if err := parked.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A class at its own bound sheds the helper even with pool room.
+	release = make(chan struct{})
+	started = make(chan struct{})
+	q := New(1, 4)
+	q.ConfigureClass("tight", ClassConfig{Depth: 1})
+	parked, err = q.SubmitQoS(context.Background(), 1, 0, QoS{Class: "tight"}, func(*Worker, int) error {
+		close(started)
+		<-release
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := q.TryRunQoS(context.Background(), 2, 0, QoS{Class: "tight"}, noop); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("TryRunQoS into a full class = %v, want ErrAdmission", err)
+	}
+	close(release)
+	if err := parked.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	if ran {
+		t.Fatal("a refused TryRunQoS ran a task")
+	}
+
+	var ids []int
+	f, err := p.TryRunQoS(context.Background(), 3, 1, QoS{}, func(w *Worker, i int) error {
+		ids = append(ids, w.ID())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Wait(); err != nil || len(ids) != 3 || ids[0] < p.Workers() {
+		t.Fatalf("TryRunQoS with room: err %v, ran on IDs %v; want 3 tasks on a caller slot", err, ids)
+	}
+	p.Close()
+	if _, err := p.TryRunQoS(context.Background(), 2, 0, QoS{}, noop); !errors.Is(err, ErrClosed) {
+		t.Fatalf("TryRunQoS after Close = %v, want ErrClosed", err)
+	}
+}

@@ -394,8 +394,25 @@ func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, ru
 // It returns the completed job's future (Wait returns at once), or the
 // submission error.
 func (p *Pool) RunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	f, err := p.submit(ctx, tasks, maxWorkers, qos, true, true, run)
-	if err != nil || tasks == 0 {
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, true, true, run))
+}
+
+// TryRunQoS is RunQoS without the backpressure wait: when the pool is at
+// its in-flight depth it fails at once with ErrBusy instead of
+// blocking. It exists for helper work a call could also do serially —
+// the engine fans a cold call's planning and kernel builds out with it
+// — so a refusal (ErrBusy, ErrClosed, ErrAdmission) only means the
+// caller does the work alone, and the helper never waits behind the
+// queue it would have joined.
+func (p *Pool) TryRunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, false, true, run))
+}
+
+// join runs an accepted caller-joined job on the calling goroutine:
+// claim tasks until the cursor is exhausted, leave, and wait for the
+// tasks other participants still run.
+func (p *Pool) join(f *Future, err error) (*Future, error) {
+	if err != nil || f.j.n == 0 {
 		return f, err
 	}
 	j := f.j

@@ -115,7 +115,8 @@ func (e *Engine) SavePlan(p *Plan) error {
 // registry warm-starts): under concurrent load it equals the number of
 // distinct requests made — the singleflight guarantee. The
 // Sched* counters cover the execution layer: every Multiply /
-// MultiplyBatch / Submit is one scheduler job.
+// MultiplyBatch / Submit is one scheduler job, and a shape's first
+// call may add helper jobs for its planning and kernel builds.
 type PlanCacheStats struct {
 	Hits    int64
 	Misses  int64
@@ -193,7 +194,13 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // loaded from the registry. In tiered mode (WithPlanMode) the miss
 // path serves an instant heuristic plan instead and upgrades it in the
 // background — see tiered.go.
-func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) {
+//
+// A full-mode miss plans with core.ProduceOn: the DMT memo rows of its
+// block searches are one helper job on the engine's pool, joined by the
+// caller and scheduled under class (the request's QoS class; "" is the
+// engine's default class). A refused helper leaves the search to the
+// caller, so planning works on a closed engine too.
+func (e *Engine) planResolved(co core.Options, m, n, k int, class string) (*core.Plan, error) {
 	req := core.RequestOf(e.chip, m, n, k, co)
 	if e.PlanMode() == PlanModeTiered {
 		return e.planTiered(co, m, n, k, req)
@@ -202,7 +209,7 @@ func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) 
 		if p := e.warmStart(req, co); p != nil {
 			return p, nil
 		}
-		rec, err := core.Produce(e.chip, m, n, k, co)
+		rec, err := core.ProduceOn(e.sched, e.schedQoS(QoS{Class: class}), e.chip, m, n, k, co)
 		if err != nil {
 			return nil, err
 		}

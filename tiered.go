@@ -8,10 +8,14 @@ import (
 )
 
 // Tiered input-aware planning. The full planner's cold cost is the DMT
-// dynamic program — a median 0.55 ms per new irregular shape and up to
-// about 11 ms on the large ResNet-50 shapes (2-vCPU Xeon, KP920 model),
-// three to four decimal orders above a warm cache hit. In tiered mode
-// the engine removes that cliff in two moves:
+// dynamic program. A full-mode engine fans its memo rows out over the
+// pool with the caller joined (core.ProduceOn). On a 2-worker engine
+// that is a median 0.40 ms per new irregular shape (0.54 ms on one
+// core), and a median 2.3 ms, at most 7.6 ms, on the ResNet-50 shapes
+// (3.5 and 12.9 ms on one core). Those figures are for a 2-vCPU Xeon
+// and the KP920 model, and they sit three to four decimal orders above
+// a warm cache hit. In tiered mode the engine removes that cliff in two
+// moves:
 //
 //   - Tier 0: a cold miss is answered by core.ProduceHeuristic — the
 //     same resolved blocking, kernel keys and cost composition, but
