@@ -63,7 +63,7 @@ func (e *Engine) run(ctx context.Context, g GEMM) error {
 // may help with (core.Plan.Prebuild), under the same ctx and QoS.
 func (e *Engine) runPlan(ctx context.Context, p *core.Plan, g GEMM) error {
 	q := e.schedQoS(g.QoS)
-	if err := p.Prebuild(ctx, 0, q); err != nil {
+	if err := p.Prebuild(ctx, q); err != nil {
 		return wrapExec(err)
 	}
 	return wrapExec(p.RunQoS(ctx, g.C, g.A, g.B, 1, q))

@@ -105,9 +105,8 @@ func samePlanAsProduce(t *testing.T, p *Plan) {
 // TestColdCallHelpersNeverWait: with the engine's one queue slot held
 // by a parked job, a cold PlanFor plans on its caller alone and a cold
 // Multiply finishes planning without waiting for the park — only its
-// execution job queues for the slot, as every job does. A class at its
-// admission bound refuses the helper, which also leaves the caller to
-// plan alone. Plans match core.Produce's and results refgemm's.
+// execution job queues for the slot, as every job does. Plans match
+// core.Produce's and results refgemm's.
 func TestColdCallHelpersNeverWait(t *testing.T) {
 	e, err := New("KP920", WithWorkers(2), WithQueueDepth(1))
 	if err != nil {
@@ -167,35 +166,100 @@ func TestColdCallHelpersNeverWait(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Class admission: the helper is refused, not queued.
-	ec, err := New("KP920", WithWorkers(2), WithDefaultClass("tight"), WithClass("tight", 0, 1))
+}
+
+// TestColdCallHelpersOutsideClassBound: a cold call's helper jobs stand
+// outside its class's admission bound (sched.Pool.TryRunQoS). On a
+// 2-worker engine whose depth-1 class is held by a parked job, a cold
+// PlanFor in the class plans with its helper and counts no rejection;
+// a cold Multiply is shed by its execution job alone and counted once;
+// so is a cold call whose deadline has already passed. With the class
+// free, a warm call of the class is not shed while a cold call of the
+// class is planning.
+func TestColdCallHelpersOutsideClassBound(t *testing.T) {
+	e, err := New("KP920", WithWorkers(2), WithDefaultClass("tight"), WithClass("tight", 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ec.Close()
-	if _, err := ec.PlanFor(nil, wm, wn, wk); err != nil {
-		t.Fatal(err)
+	// A cleanup, not a defer: on a failure the park is released first.
+	t.Cleanup(func() { e.Close() })
+	rejected := func() int64 {
+		cs, _ := e.ClassStats("tight")
+		return cs.Rejected
 	}
-	parked, release = parkFirstTask(t)
-	blocker, err = ec.Submit(context.Background(), GEMM{M: wm, N: wn, K: wk,
-		A: make([]float32, wm*wk), B: make([]float32, wk*wn), C: make([]float32, wm*wn)})
+	warm := [3]int{24, 24, 24}
+	wa, wb, wwant := coldOperands(warm, 31)
+	multiplyWarm := func() []float32 {
+		c := make([]float32, warm[0]*warm[1])
+		done := make(chan error, 1)
+		go func() { done <- e.Multiply(c, wa, wb, warm[0], warm[1], warm[2]) }()
+		within(t, "warm Multiply of the class", done)
+		return c
+	}
+	diffBits(t, "warm-up Multiply", multiplyWarm(), wwant)
+
+	parked, release := parkFirstTask(t)
+	blocker, err := e.Submit(context.Background(), GEMM{M: warm[0], N: warm[1], K: warm[2],
+		A: wa, B: wb, C: make([]float32, warm[0]*warm[1])})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-parked
+	var planned *Plan
+	done := make(chan error, 1)
 	go func() {
 		var err error
-		planned, err = ec.PlanFor(nil, coldShape[0], coldShape[1], coldShape[2])
+		planned, err = e.PlanFor(nil, coldShape[0], coldShape[1], coldShape[2])
 		done <- err
 	}()
 	within(t, "cold PlanFor beside a full class", done)
 	samePlanAsProduce(t, planned)
-	if cs, _ := ec.ClassStats("tight"); cs.Rejected != 1 {
-		t.Fatalf("class tight rejected %d submissions, want the one planning helper", cs.Rejected)
+	if n := rejected(); n != 0 {
+		t.Fatalf("class tight counted %d rejections for a cold PlanFor, want 0", n)
+	}
+
+	s := [3]int{300, 100, 130}
+	a, b, _ := coldOperands(s, 33)
+	if err := e.Multiply(make([]float32, s[0]*s[1]), a, b, s[0], s[1], s[2]); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("cold Multiply into a full class = %v, want ErrAdmission", err)
+	}
+	if n := rejected(); n != 1 {
+		t.Fatalf("class tight counted %d rejections for one shed cold Multiply, want 1", n)
+	}
+	ds := [3]int{140, 90, 60}
+	a, b, _ = coldOperands(ds, 35)
+	if err := e.MultiplyContext(context.Background(), GEMM{C: make([]float32, ds[0]*ds[1]), A: a, B: b,
+		M: ds[0], N: ds[1], K: ds[2], QoS: QoS{Deadline: time.Now().Add(-time.Second)}}); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("cold Multiply past its deadline = %v, want ErrAdmission", err)
+	}
+	if n := rejected(); n != 2 {
+		t.Fatalf("class tight counted %d rejections after one more shed cold call, want 2", n)
 	}
 	release()
 	if err := blocker.Wait(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Park the first task of a cold call: its planning fill's.
+	cs := [3]int{520, 300, 200}
+	a, b, want := coldOperands(cs, 37)
+	before, _ := e.ClassStats("tight")
+	parked, release = parkFirstTask(t)
+	c := make([]float32, cs[0]*cs[1])
+	cold := make(chan error, 1)
+	go func() { cold <- e.Multiply(c, a, b, cs[0], cs[1], cs[2]) }()
+	<-parked
+	// The parked job is the call's first, its fill, and holds no slot.
+	if now, _ := e.ClassStats("tight"); now.Submitted-before.Submitted != 1 || now.InFlight != 0 {
+		t.Fatalf("cold call parked with %d jobs submitted and %d of the class's slots taken, want 1 and 0",
+			now.Submitted-before.Submitted, now.InFlight)
+	}
+	diffBits(t, "warm Multiply beside a planning cold call", multiplyWarm(), wwant)
+	release()
+	within(t, "cold Multiply after the release", cold)
+	diffBits(t, "cold Multiply", c, want)
+	if n := rejected(); n != 2 {
+		t.Fatalf("class tight counted %d rejections, want still 2", n)
 	}
 }
 

@@ -122,14 +122,6 @@ func TestMultiplyContextCancelledMidJob(t *testing.T) {
 	b := make([]float32, k*n)
 	refgemm.Fill(a, m, k, k, 5)
 	refgemm.Fill(b, k, n, n, 6)
-	g := func() GEMM {
-		return GEMM{C: make([]float32, m*n), A: a, B: b, M: m, N: n, K: k, Opts: opts}
-	}
-	// One untimed call first, so the hook below lands on the execution
-	// job's first task and not on a cold call's helper job.
-	if err := e.MultiplyContext(context.Background(), g()); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -141,6 +133,9 @@ func TestMultiplyContextCancelledMidJob(t *testing.T) {
 		return nil
 	})
 	defer sched.SetFaultHook(nil)
+	g := func() GEMM {
+		return GEMM{C: make([]float32, m*n), A: a, B: b, M: m, N: n, K: k, Opts: opts}
+	}
 	if err := e.MultiplyContext(ctx, g()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MultiplyContext = %v, want context.Canceled", err)
 	}
@@ -254,11 +249,6 @@ func TestEngineCloseWithTimeout(t *testing.T) {
 	b := make([]float32, k*n)
 	refgemm.Fill(a, m, k, k, 9)
 	refgemm.Fill(b, k, n, n, 10)
-	// Plan first, so the wedge lands on the execution job and not on a
-	// cold call's planning helper.
-	if _, err := e.PlanFor(nil, m, n, k); err != nil {
-		t.Fatal(err)
-	}
 
 	release := make(chan struct{})
 	var wedged int32

@@ -122,30 +122,27 @@ func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
 
 // Prebuild compiles the kernels a plan's blocks call into its kernel
 // cache before its first execution, as one job of one task per kernel
-// not yet compiled, on at most workers participants (<= 0: the whole
-// pool) with the caller joined (sched.Pool.TryRunQoS), bound to ctx and
-// scheduled under qos. The block programs still resolve through their
-// own sync.Once on first visit (blockProgram); after Prebuild that only
-// hits the cache. A kernel that fails to build is memoized by the cache
-// and fails the block that calls it, exactly as without Prebuild.
+// not yet compiled, on the whole pool with the caller joined
+// (sched.Pool.TryRunQoS), bound to ctx and scheduled under qos. The
+// block programs still resolve through their own sync.Once on first
+// visit (blockProgram); after Prebuild that only hits the cache. A
+// kernel that fails to build is memoized by the cache and fails the
+// block that calls it, exactly as without Prebuild.
 //
 // Prebuild does nothing once a call found every kernel compiled, on a
-// ForceInterp plan, with fewer than two participants (the run's own
-// lazy resolution does the same work on the caller), or with fewer
-// than two kernels to build. A refused job (pool at depth, closed,
-// class admission, ctx done) also leaves the builds to the run. It
-// returns only the error of a helper job that ran and failed: an
-// injected fault, a contained panic, or ctx firing mid-job.
-func (p *Plan) Prebuild(ctx context.Context, workers int, qos sched.QoS) error {
-	if workers <= 0 || workers > p.runtime.Workers() {
-		workers = p.runtime.Workers()
-	}
-	if p.interpOnly || workers < 2 || p.prebuilt.Load() {
+// ForceInterp plan, on a one-worker pool (the run's own lazy resolution
+// does the same work on the caller), or with fewer than two kernels to
+// build. A refused job (pool at depth, closed, ctx done) also leaves the
+// builds to the run. It returns only the error of a helper job that ran
+// and failed: an injected fault, a contained panic, or ctx firing
+// mid-job.
+func (p *Plan) Prebuild(ctx context.Context, qos sched.QoS) error {
+	if p.interpOnly || p.runtime.Workers() < 2 || p.prebuilt.Load() {
 		return nil
 	}
 	specs := p.unbuiltSpecs()
 	if len(specs) >= 2 {
-		fut, err := p.runtime.TryRunQoS(ctx, len(specs), workers, qos, func(_ *sched.Worker, i int) error {
+		fut, err := p.runtime.TryRunQoS(ctx, len(specs), 0, qos, func(_ *sched.Worker, i int) error {
 			_, _ = p.kernels.Compiled(specs[i]) // a failure is reported by the block that calls it
 			return nil
 		})

@@ -445,11 +445,10 @@ func SubmitProduce(pool *sched.Pool, chip *hw.Chip, m, n, k int, opts Options, o
 // rows itself and at most the pool's other workers help. The plan is
 // Produce's, bit for bit. A run with fewer than two chunks, or a pool
 // of one worker, has nobody to share with and fills on the caller with
-// no job. The helper never waits: a pool at depth, closed, or a class
-// refusing admission leaves the caller to fill every row alone, so
-// ProduceOn fails only where Produce would, or with the error of a
-// helper task that ran and failed (an injected fault, a contained
-// panic).
+// no job. The helper never waits: a pool at depth or closed leaves the
+// caller to fill every row alone, so ProduceOn fails only where Produce
+// would, or with the error of a helper task that ran and failed (an
+// injected fault, a contained panic).
 func ProduceOn(pool *sched.Pool, qos sched.QoS, chip *hw.Chip, m, n, k int, opts Options) (*plan.Plan, error) {
 	e, err := newProduceEnv(chip, m, n, k, opts)
 	if err != nil {

@@ -10,11 +10,10 @@ import (
 )
 
 // TestColdCallRunWakesNoWorker: Run and RunParallel(…, 1) on a cold
-// plan resolve their kernels on the caller and wake no pool worker, and
-// Prebuild within a one-participant budget submits nothing. Within the
-// pool's budget Prebuild is one caller-joined job that compiles every
-// kernel the plan calls, once: a second Prebuild submits nothing, and
-// the run after it bit-matches refgemm.
+// plan resolve their kernels on the caller and wake no pool worker.
+// Prebuild is one caller-joined job that compiles every kernel the plan
+// calls, once: a second Prebuild submits nothing, and the run after it
+// bit-matches refgemm.
 func TestColdCallRunWakesNoWorker(t *testing.T) {
 	chip := hw.KP920()
 	const m, n, k = 300, 100, 130
@@ -53,12 +52,6 @@ func TestColdCallRunWakesNoWorker(t *testing.T) {
 	}{
 		{"Run", func(p *Plan, c []float32) error { return p.Run(c, a, b) }},
 		{"RunParallel(1)", func(p *Plan, c []float32) error { return p.RunParallel(c, a, b, 1) }},
-		{"Prebuild(1)+Run", func(p *Plan, c []float32) error {
-			if err := p.Prebuild(context.Background(), 1, sched.QoS{}); err != nil {
-				return err
-			}
-			return p.Run(c, a, b)
-		}},
 	} {
 		p, pool := fresh()
 		c := make([]float32, m*n)
@@ -79,7 +72,7 @@ func TestColdCallRunWakesNoWorker(t *testing.T) {
 		t.Fatalf("plan calls %d kernels, want several", len(specs))
 	}
 	for i := 0; i < 2; i++ {
-		if err := p.Prebuild(context.Background(), 0, sched.QoS{}); err != nil {
+		if err := p.Prebuild(context.Background(), sched.QoS{}); err != nil {
 			t.Fatal(err)
 		}
 		if jobs := pool.Stats().JobsSubmitted; jobs != 1 {

@@ -318,8 +318,11 @@ func TestLocalPersistsPerID(t *testing.T) {
 
 // TestTryRunQoSRefusesInsteadOfWaiting: at the pool's in-flight depth,
 // and on a closed pool, TryRunQoS fails at once (ErrBusy, ErrClosed)
-// without running a task; a class at its depth bound refuses it with
-// ErrAdmission. With room it runs on the caller like RunQoS.
+// without running a task. With room it runs on the caller like RunQoS.
+// A helper stands outside its class's admission: a class at its depth
+// bound still runs it, it takes none of the class's slots while it
+// runs, and a helper refused for an expired deadline is not counted as
+// a rejection.
 func TestTryRunQoSRefusesInsteadOfWaiting(t *testing.T) {
 	p := New(1, 1)
 	p.ConfigureClass("tight", ClassConfig{Depth: 1})
@@ -343,8 +346,12 @@ func TestTryRunQoSRefusesInsteadOfWaiting(t *testing.T) {
 	if err := parked.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	if ran {
+		t.Fatal("a refused TryRunQoS ran a task")
+	}
 
-	// A class at its own bound sheds the helper even with pool room.
+	// A class at its own bound admits the helper outside the bound, and
+	// the helper leaves the class's one slot free while it runs.
 	release = make(chan struct{})
 	started = make(chan struct{})
 	q := New(1, 4)
@@ -358,17 +365,36 @@ func TestTryRunQoSRefusesInsteadOfWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := q.TryRunQoS(context.Background(), 2, 0, QoS{Class: "tight"}, noop); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("TryRunQoS into a full class = %v, want ErrAdmission", err)
+	helped := 0
+	if _, err := q.TryRunQoS(context.Background(), 2, 0, QoS{Class: "tight"}, func(*Worker, int) error {
+		helped++
+		return nil
+	}); err != nil || helped != 2 {
+		t.Fatalf("TryRunQoS into a full class: err %v, ran %d of 2 tasks", err, helped)
 	}
 	close(release)
 	if err := parked.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	q.Close()
-	if ran {
-		t.Fatal("a refused TryRunQoS ran a task")
+	// A request of the class is not shed while a helper of it runs.
+	inHelper, shed := -1, error(nil)
+	if _, err := q.TryRunQoS(context.Background(), 1, 0, QoS{Class: "tight"}, func(*Worker, int) error {
+		cs, _ := q.Class("tight")
+		inHelper = cs.InFlight
+		_, shed = q.RunQoS(context.Background(), 1, 0, QoS{Class: "tight"}, func(*Worker, int) error { return nil })
+		return nil
+	}); err != nil || inHelper != 0 || shed != nil {
+		t.Fatalf("helper: err %v, class in flight %d (want 0), request of the class beside it: %v", err, inHelper, shed)
 	}
+	expired := QoS{Class: "tight", Deadline: time.Now().Add(-time.Second)}
+	if _, err := q.TryRunQoS(context.Background(), 2, 0, expired, noop); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("TryRunQoS past its deadline = %v, want ErrAdmission", err)
+	}
+	if cs, _ := q.Class("tight"); cs.Rejected != 0 || cs.InFlight != 0 || cs.Submitted != 4 {
+		t.Fatalf("class tight: %d rejected, %d in flight, %d submitted; want 0, 0 and 4 (helpers counted as jobs)",
+			cs.Rejected, cs.InFlight, cs.Submitted)
+	}
+	q.Close()
 
 	var ids []int
 	f, err := p.TryRunQoS(context.Background(), 3, 1, QoS{}, func(w *Worker, i int) error {

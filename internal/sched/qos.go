@@ -128,10 +128,10 @@ type ClassStats struct {
 	Class     string
 	Weight    int
 	Depth     int   // 0 = unbounded
-	InFlight  int   // accepted, not yet completed
+	InFlight  int   // accepted, not yet completed (helper jobs left out)
 	Submitted int64 // jobs accepted into the class
 	Completed int64 // jobs whose every task finished
-	Rejected  int64 // submissions refused at admission (depth or expired deadline)
+	Rejected  int64 // submissions refused at admission (depth or expired deadline); never a helper's
 
 	// Queue-wait accounting, in *claim decisions*, not wall time: the
 	// scheduler is wall-clock-free by the walltime vet contract, so a

@@ -245,6 +245,7 @@ type job struct {
 	acceptSeq int64              // pool claimSeq at acceptance (queue-wait base)
 	joined    bool               // first join recorded (under pool.mu)
 	caller    Worker             // a RunQoS job's caller, as a participant
+	helper    bool               // a TryRunQoS job: outside its class's depth bound
 
 	mu  sync.Mutex
 	err error
@@ -362,7 +363,7 @@ func (f *Future) OnDone(fn func(error)) {
 // Submit blocks while the pool is at its in-flight depth and returns
 // ErrClosed after Close. The job runs under the default QoS class.
 func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, false, run)
+	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, false, false, run)
 }
 
 // SubmitQoS is Submit bound to a context and a QoS. A context that
@@ -379,7 +380,7 @@ func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error
 // submission, refuses the job with an error matching ErrAdmission
 // instead of blocking.
 func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(ctx, tasks, maxWorkers, qos, true, false, run)
+	return p.submit(ctx, tasks, maxWorkers, qos, true, false, false, run)
 }
 
 // RunQoS is SubmitQoS for a caller that blocks until the job is done:
@@ -394,18 +395,22 @@ func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, ru
 // It returns the completed job's future (Wait returns at once), or the
 // submission error.
 func (p *Pool) RunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.join(p.submit(ctx, tasks, maxWorkers, qos, true, true, run))
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, true, true, false, run))
 }
 
-// TryRunQoS is RunQoS without the backpressure wait: when the pool is at
-// its in-flight depth it fails at once with ErrBusy instead of
-// blocking. It exists for helper work a call could also do serially —
-// the engine fans a cold call's planning and kernel builds out with it
-// — so a refusal (ErrBusy, ErrClosed, ErrAdmission) only means the
-// caller does the work alone, and the helper never waits behind the
-// queue it would have joined.
+// TryRunQoS is RunQoS for a helper job: work a call could also do
+// serially, which the engine uses to fan a cold call's planning and
+// kernel builds out. It never waits: at the pool's in-flight depth it
+// fails at once with ErrBusy, and a refusal (ErrBusy, ErrClosed, a done
+// context or expired deadline) only means the caller does the work
+// alone. A helper is part of its call, not a request of its own, so it
+// stands outside its class's admission: it neither takes one of the
+// class's depth slots (ClassStats.InFlight leaves it out) nor is shed
+// at that bound, and a refusal is never counted in ClassStats.Rejected.
+// It is still counted as submitted and completed in qos.Class, and
+// claimed at its weight.
 func (p *Pool) TryRunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.join(p.submit(ctx, tasks, maxWorkers, qos, false, true, run))
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, false, true, true, run))
 }
 
 // join runs an accepted caller-joined job on the calling goroutine:
@@ -431,7 +436,7 @@ func (p *Pool) join(f *Future, err error) (*Future, error) {
 // latency-sensitive request must never park behind the queue just to
 // schedule an optimization.
 func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, qos, false, false, run)
+	return p.submit(context.Background(), tasks, maxWorkers, qos, false, false, false, run)
 }
 
 // submit is the single intake path behind every Submit variant and
@@ -439,8 +444,9 @@ func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, 
 // wait out (or refuse, for try-submits) pool-level backpressure, and
 // accept the job into its class queue. With caller set, the submitter
 // joins the job at acceptance under a caller slot and one fewer worker
-// is woken.
-func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait, caller bool, run func(w *Worker, task int) error) (*Future, error) {
+// is woken. A helper job (TryRunQoS) skips the class's depth bound and
+// its refusals are not counted as rejections.
+func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait, caller, helper bool, run func(w *Worker, task int) error) (*Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -459,7 +465,9 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 	}
 	if err := ctx.Err(); err != nil {
 		if cancel != nil && errors.Is(err, context.DeadlineExceeded) {
-			p.countRejected(qos)
+			if !helper {
+				p.countRejected(qos)
+			}
 			return fail(fmt.Errorf("%w: class %q deadline already expired: %v", ErrAdmission, qos.className(), err))
 		}
 		return fail(err)
@@ -469,7 +477,7 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 	}
 	// A participant beyond the task count could claim nothing.
 	maxWorkers = max(min(maxWorkers, tasks), 1)
-	j := &job{pool: p, ctx: ctx, n: tasks, end: int64(tasks), max: maxWorkers, run: run, cancel: cancel, fin: make(chan struct{})}
+	j := &job{pool: p, ctx: ctx, n: tasks, end: int64(tasks), max: maxWorkers, run: run, cancel: cancel, helper: helper, fin: make(chan struct{})}
 
 	p.mu.Lock()
 	if p.closed {
@@ -515,14 +523,16 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 	}
 	if err := ctx.Err(); err != nil {
 		if cancel != nil && errors.Is(err, context.DeadlineExceeded) {
-			cq.rejected++
+			if !helper {
+				cq.rejected++
+			}
 			p.mu.Unlock()
 			return fail(fmt.Errorf("%w: class %q deadline expired before acceptance: %v", ErrAdmission, cq.name, err))
 		}
 		p.mu.Unlock()
 		return fail(err)
 	}
-	if cq.depth > 0 && cq.inflight >= cq.depth {
+	if !helper && cq.depth > 0 && cq.inflight >= cq.depth {
 		// Per-class admission sheds immediately — a bounded class never
 		// converts its own overload into blocking for the submitter.
 		cq.rejected++
@@ -536,13 +546,17 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 	j.cq = cq
 	j.acceptSeq = p.claimSeq
 	p.inflight++
-	cq.inflight++
+	if !helper {
+		cq.inflight++
+	}
 	if p.inflight > p.highWater {
 		p.highWater = p.inflight
 	}
 	if tasks == 0 {
 		p.inflight--
-		cq.inflight--
+		if !helper {
+			cq.inflight--
+		}
 		p.completed++
 		cq.completed++
 		p.mu.Unlock()
@@ -878,7 +892,9 @@ func (j *job) finish() {
 	p := j.pool
 	p.mu.Lock()
 	p.inflight--
-	j.cq.inflight--
+	if !j.helper {
+		j.cq.inflight--
+	}
 	p.completed++
 	j.cq.completed++
 	p.stolen += atomic.LoadInt64(&j.stolen)

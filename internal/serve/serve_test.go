@@ -58,16 +58,9 @@ func newTestStack(t *testing.T, workers int, cfgMut func(*Config)) (*autogemm.En
 // fault hook until release is called (at the latest when the test
 // ends), so on a one-worker engine no job submitted meanwhile can
 // complete: a class at its depth bound stays there however long the
-// HTTP round trip takes. The shapes are planned on eng first, so the
-// task parked is an execution job's and not a cold call's planning
-// helper.
-func parkWorker(t *testing.T, eng *autogemm.Engine, shapes ...workload.Shape) (release func()) {
+// HTTP round trip takes.
+func parkWorker(t *testing.T) (release func()) {
 	t.Helper()
-	for _, s := range shapes {
-		if _, err := eng.PlanFor(nil, s.M, s.N, s.K); err != nil {
-			t.Fatal(err)
-		}
-	}
 	gate := make(chan struct{})
 	var parked atomic.Bool
 	sched.SetFaultHook(func(int) error {
@@ -221,18 +214,18 @@ func TestServeMixedTenantsUncorrupted(t *testing.T) {
 // boundary.
 func TestServeShedRoundTrip(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
-	big := workload.ResNet50()[0]
-	s := workload.Shape{M: 32, N: 32, K: 32}
-	release := parkWorker(t, eng, big, s)
+	release := parkWorker(t)
 
 	// Park the only worker (parkWorker) on a big default-class job, then
 	// occupy the depth-1 batch class with a queued job submitted directly.
+	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 11)
 	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := workload.Shape{M: 32, N: 32, K: 32}
 	sa, sb := testOperands(t, s, 13)
 	occupant, err := eng.Submit(context.Background(), autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
 		C: make([]float32, s.M*s.N), QoS: autogemm.QoS{Class: "batch"}})
@@ -412,17 +405,17 @@ func TestServeClassesRetune(t *testing.T) {
 // own response tally in Prometheus text format.
 func TestServeMetrics(t *testing.T) {
 	eng, hs := newTestStack(t, 1, nil)
-	big := workload.ResNet50()[0]
-	s := workload.Shape{M: 32, N: 32, K: 32}
-	release := parkWorker(t, eng, big, s)
+	release := parkWorker(t)
 
 	// Produce one shed exactly as TestServeShedRoundTrip does.
+	big := workload.ResNet50()[0]
 	ba, bb := testOperands(t, big, 29)
 	blocker, err := eng.Submit(context.Background(), autogemm.GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
 		C: make([]float32, big.M*big.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := workload.Shape{M: 32, N: 32, K: 32}
 	sa, sb := testOperands(t, s, 31)
 	occupant, err := eng.Submit(context.Background(), autogemm.GEMM{M: s.M, N: s.N, K: s.K, A: sa, B: sb,
 		C: make([]float32, s.M*s.N), QoS: autogemm.QoS{Class: "batch"}})

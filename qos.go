@@ -120,10 +120,10 @@ type SchedClassStats struct {
 	Class     string
 	Weight    int
 	Depth     int   // 0 = unbounded
-	InFlight  int   // accepted, not yet completed
+	InFlight  int   // accepted, not yet completed (a cold call's helper jobs left out)
 	Submitted int64 // jobs accepted into the class
 	Completed int64 // jobs whose every task finished
-	Rejected  int64 // submissions refused at admission
+	Rejected  int64 // submissions refused at admission (never a helper job)
 
 	// Queue-wait accounting in claim decisions (the scheduler is
 	// wall-clock-free): how many worker claim decisions the class's
