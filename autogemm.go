@@ -321,7 +321,9 @@ func (e *Engine) EstimateProvider(provider string, m, n, k int) (Perf, error) {
 
 // Tune searches the Table III parameter space for the problem and
 // returns the best options found along with their projected performance.
-// budget caps the number of simulator evaluations (0 = default).
+// budget caps the number of simulator evaluations (0 = default). The
+// loop order is not searched, since no estimate reads it; the returned
+// Order is the tuned plan's, MNK.
 //
 // The winning plan is inserted into the engine's plan cache — a
 // subsequent request with the returned options (GEMM.Opts, PlanFor)
@@ -349,7 +351,7 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	}
 	best := Options{
 		MC: res.Best.MC, NC: res.Best.NC, KC: res.Best.KC,
-		Order: res.Best.Order.String(), Pack: res.Best.Pack.String(),
+		Order: rec.Order, Pack: res.Best.Pack.String(),
 	}
 	return best, perfOf(res.Estimate), nil
 }

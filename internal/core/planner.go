@@ -293,7 +293,9 @@ func (e *produceEnv) build(source string, tile func(mb, nb, lat int) (tiling.Til
 // block shape (each tiled at the load latency its residency implies),
 // the kernel keys execution will request, and the Eqn-13 projected
 // cost. Produce never touches the simulator — it is the cheap analytic
-// half of planning; the tuner's search sits on top of it.
+// half of planning; the tuner's search sits on top of it, scoring each
+// candidate by the ModelCycles of the plan Produce makes of it and
+// returning the winner's plan.
 func Produce(chip *hw.Chip, m, n, k int, opts Options) (*plan.Plan, error) {
 	e, err := newProduceEnv(chip, m, n, k, opts)
 	if err != nil {

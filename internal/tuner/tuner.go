@@ -1,27 +1,30 @@
 // Package tuner searches the algorithm parameter space of Table III —
-// cache block shape (m_c, n_c, k_c), loop order σ_order and packing mode
-// σ_packing — for a given problem and chip, standing in for the paper's
-// patched-TVM auto-tuning flow (§IV-C). Candidates are first scored with
-// the analytic Eqn-13 performance model; only the ones within a pruning
-// ratio of the best model score are evaluated on the cycle simulator.
-// The paper reports that this pruning "drops the tuning time
-// dramatically"; the Result records both counters so the effect is
-// measurable (examples/tuning).
+// cache block shape (m_c, n_c, k_c) and packing mode σ_packing — for a
+// given problem and chip, standing in for the paper's patched-TVM
+// auto-tuning flow (§IV-C). It is a thin search over core.Produce: each
+// candidate is planned once and scored by its plan's Eqn-13 ModelCycles,
+// and only the plans within pruneRatio of the best score are evaluated
+// on the cycle simulator. The loop order σ_order is not searched: neither
+// the model nor the simulated estimate reads it (core's
+// TestEstimateOrderInvariant), so every order of one blocking would
+// score and simulate alike. The paper reports that this pruning "drops
+// the tuning time dramatically"; the Result records both counters so the
+// effect is measurable (examples/tuning).
 package tuner
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
-	"autogemm/internal/cache"
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
-	"autogemm/internal/perfmodel"
 	"autogemm/internal/plan"
-	"autogemm/internal/tiling"
 )
+
+// pruneRatio keeps the candidates whose model cost is within this factor
+// of the best model cost.
+const pruneRatio = 1.20
 
 // Config controls a tuning run.
 type Config struct {
@@ -30,24 +33,17 @@ type Config struct {
 
 	// MaxEvals caps the simulator evaluations (0 = 24).
 	MaxEvals int
-	// PruneRatio keeps candidates whose model cost is within this factor
-	// of the best model cost (0 = 1.20). Setting UseModel false disables
-	// pruning entirely, evaluating up to MaxEvals candidates blindly —
-	// the unpatched-TVM comparison mode.
-	PruneRatio float64
-	UseModel   bool
-
-	// Anneal additionally refines the model-best candidate with a short
-	// deterministic simulated-annealing walk over neighbouring
-	// configurations (the AutoTVM-style search of §II-B).
-	Anneal bool
-	Seed   int64
+	// UseModel prunes by the Eqn-13 model: candidates within pruneRatio
+	// of the best model cost are simulated, cheapest first. With UseModel
+	// false the search is blind — the unpatched-TVM comparison mode: no
+	// candidate is scored, and the first MaxEvals candidates in
+	// enumeration order are simulated, as a grid search would.
+	UseModel bool
 }
 
 // Candidate is one point of the search space.
 type Candidate struct {
 	MC, NC, KC int
-	Order      core.LoopOrder
 	Pack       core.PackMode
 }
 
@@ -55,7 +51,7 @@ type Candidate struct {
 // optimizations enabled.
 func (c Candidate) Options() core.Options {
 	return core.Options{
-		MC: c.MC, NC: c.NC, KC: c.KC, Order: c.Order, Pack: c.Pack,
+		MC: c.MC, NC: c.NC, KC: c.KC, Pack: c.Pack,
 		Rotate: true, Fuse: true,
 	}
 }
@@ -63,7 +59,7 @@ func (c Candidate) Options() core.Options {
 // Record is one evaluated candidate.
 type Record struct {
 	Candidate Candidate
-	ModelCost float64
+	ModelCost float64 // its plan's ModelCycles; 0 in a blind search
 	Cycles    float64
 	GFLOPS    float64
 }
@@ -74,108 +70,103 @@ type Result struct {
 	Estimate  core.Estimate
 	Records   []Record // evaluated candidates, best first
 	Generated int      // candidates enumerated
-	Pruned    int      // rejected by the model before simulation
+	Pruned    int      // rejected by the model before simulation; 0 in a blind search
 	Evaluated int      // simulator evaluations
 }
 
 // Tune searches the space and returns the best configuration found.
 func Tune(cfg Config) (Result, error) {
-	if cfg.Chip == nil || cfg.M <= 0 || cfg.N <= 0 || cfg.K <= 0 {
-		return Result{}, fmt.Errorf("tuner: invalid problem")
-	}
-	if cfg.MaxEvals <= 0 {
-		cfg.MaxEvals = 24
-	}
-	if cfg.PruneRatio <= 0 {
-		cfg.PruneRatio = 1.20
-	}
-
-	cands := enumerate(cfg)
-	res := Result{Generated: len(cands)}
-
-	// The model cost is independent of the loop order, and block shapes
-	// repeat across candidates; memoize per (m_c, n_c, k_c, pack).
-	type costKey struct {
-		mc, nc, kc int
-		pack       core.PackMode
-	}
-	costMemo := make(map[costKey]float64)
-	scoredCands := make([]scored, 0, len(cands))
-	for _, c := range cands {
-		key := costKey{c.MC, c.NC, c.KC, c.Pack}
-		cost, ok := costMemo[key]
-		if !ok {
-			cost = modelCost(cfg.Chip, cfg.M, cfg.N, cfg.K, c)
-			costMemo[key] = cost
-		}
-		scoredCands = append(scoredCands, scored{c, cost})
-	}
-	sort.SliceStable(scoredCands, func(i, j int) bool { return scoredCands[i].cost < scoredCands[j].cost })
-
-	keep := scoredCands
-	if cfg.UseModel && len(scoredCands) > 0 {
-		limit := scoredCands[0].cost * cfg.PruneRatio
-		n := sort.Search(len(scoredCands), func(i int) bool { return scoredCands[i].cost > limit })
-		keep = scoredCands[:n]
-		res.Pruned = len(scoredCands) - n
-	}
-	if len(keep) > cfg.MaxEvals {
-		res.Pruned += len(keep) - cfg.MaxEvals
-		keep = keep[:cfg.MaxEvals]
-	}
-
-	if cfg.Anneal && cfg.UseModel && len(keep) > 0 {
-		keep = annealAround(cfg, keep, cfg.MaxEvals)
-	}
-
-	bestCycles := math.Inf(1)
-	var bestEst core.Estimate
-	for _, sc := range keep {
-		plan, err := core.NewPlan(cfg.Chip, cfg.M, cfg.N, cfg.K, sc.c.Options())
-		if err != nil {
-			continue
-		}
-		est, err := plan.Estimate()
-		if err != nil {
-			continue
-		}
-		res.Evaluated++
-		res.Records = append(res.Records, Record{
-			Candidate: sc.c, ModelCost: sc.cost, Cycles: est.Cycles, GFLOPS: est.GFLOPS,
-		})
-		if est.Cycles < bestCycles {
-			bestCycles = est.Cycles
-			bestEst = est
-			res.Best = sc.c
-		}
-	}
-	if res.Evaluated == 0 {
-		return res, fmt.Errorf("tuner: no evaluable candidates for %dx%dx%d", cfg.M, cfg.N, cfg.K)
-	}
-	sort.SliceStable(res.Records, func(i, j int) bool { return res.Records[i].Cycles < res.Records[j].Cycles })
-	res.Estimate = bestEst
-	return res, nil
+	res, _, err := search(cfg)
+	return res, err
 }
 
-// TunePlan runs Tune and materializes the winner as a serializable
-// execution plan (Source = "tuner"), ready for an engine's plan cache
-// or an on-disk registry: the tuner is a plan producer, the engine a
-// plan consumer, and this function is the seam between them.
+// TunePlan runs Tune and returns the winner's plan, the one it scored
+// and simulated, relabeled Source = "tuner", ready for an engine's plan
+// cache or an on-disk registry: the tuner is a plan producer, the engine
+// a plan consumer, and this function is the seam between them.
 func TunePlan(cfg Config) (*plan.Plan, Result, error) {
-	res, err := Tune(cfg)
-	if err != nil {
-		return nil, res, err
-	}
-	rec, err := core.Produce(cfg.Chip, cfg.M, cfg.N, cfg.K, res.Best.Options())
+	res, rec, err := search(cfg)
 	if err != nil {
 		return nil, res, err
 	}
 	return rec.WithSource(plan.SourceTuner), res, nil
 }
 
+// produced pairs a candidate with the plan core.Produce made of it.
+type produced struct {
+	c   Candidate
+	rec *plan.Plan
+}
+
+// search plans the candidates, simulates the ones the mode selects and
+// returns the result with the winner's plan.
+func search(cfg Config) (Result, *plan.Plan, error) {
+	if cfg.Chip == nil || cfg.M <= 0 || cfg.N <= 0 || cfg.K <= 0 {
+		return Result{}, nil, fmt.Errorf("tuner: invalid problem")
+	}
+	if cfg.MaxEvals <= 0 {
+		cfg.MaxEvals = 24
+	}
+
+	cands := enumerate(cfg)
+	res := Result{Generated: len(cands)}
+
+	// A candidate Produce refuses is dropped; a blind search plans only
+	// as many as it will simulate.
+	var keep []produced
+	for _, c := range cands {
+		if !cfg.UseModel && len(keep) == cfg.MaxEvals {
+			break
+		}
+		rec, err := core.Produce(cfg.Chip, cfg.M, cfg.N, cfg.K, c.Options())
+		if err != nil {
+			continue
+		}
+		keep = append(keep, produced{c, rec})
+	}
+	if cfg.UseModel && len(keep) > 0 {
+		sort.SliceStable(keep, func(i, j int) bool { return keep[i].rec.ModelCycles < keep[j].rec.ModelCycles })
+		limit := keep[0].rec.ModelCycles * pruneRatio
+		n := sort.Search(len(keep), func(i int) bool { return keep[i].rec.ModelCycles > limit })
+		n = min(n, cfg.MaxEvals)
+		res.Pruned = len(keep) - n
+		keep = keep[:n]
+	}
+
+	bestCycles := math.Inf(1)
+	var best *plan.Plan
+	for _, pc := range keep {
+		p, err := core.Attach(cfg.Chip, pc.rec, core.Options{TrustedPlan: true})
+		if err != nil {
+			continue
+		}
+		est, err := p.Estimate()
+		if err != nil {
+			continue
+		}
+		res.Evaluated++
+		rec := Record{Candidate: pc.c, Cycles: est.Cycles, GFLOPS: est.GFLOPS}
+		if cfg.UseModel {
+			rec.ModelCost = pc.rec.ModelCycles
+		}
+		res.Records = append(res.Records, rec)
+		if est.Cycles < bestCycles {
+			bestCycles = est.Cycles
+			best = pc.rec
+			res.Best = pc.c
+			res.Estimate = est
+		}
+	}
+	if best == nil {
+		return res, nil, fmt.Errorf("tuner: no evaluable candidates for %dx%dx%d", cfg.M, cfg.N, cfg.K)
+	}
+	sort.SliceStable(res.Records, func(i, j int) bool { return res.Records[i].Cycles < res.Records[j].Cycles })
+	return res, best, nil
+}
+
 // enumerate builds the candidate grid: block extents from the divisor
-// sets of M, N, K (the paper searches m_c | M etc.), every loop order,
-// and the three packing modes, deduplicated.
+// sets of M, N, K (the paper searches m_c | M etc.) and the three packing
+// modes. Each dimension's sizes are distinct, so no candidate repeats.
 func enumerate(cfg Config) []Candidate {
 	lanes := cfg.Chip.Lanes
 	mcs := blockSizes(cfg.M, 1, 256)
@@ -185,10 +176,8 @@ func enumerate(cfg Config) []Candidate {
 	for _, mc := range mcs {
 		for _, nc := range ncs {
 			for _, kc := range kcs {
-				for _, order := range core.AllLoopOrders() {
-					for _, pack := range []core.PackMode{core.PackNone, core.PackOnline, core.PackOffline} {
-						out = append(out, Candidate{MC: mc, NC: nc, KC: kc, Order: order, Pack: pack})
-					}
+				for _, pack := range []core.PackMode{core.PackNone, core.PackOnline, core.PackOffline} {
+					out = append(out, Candidate{MC: mc, NC: nc, KC: kc, Pack: pack})
 				}
 			}
 		}
@@ -232,120 +221,3 @@ func blockSizes(n, quantum, cap int) []int {
 	}
 	return out
 }
-
-// modelCost scores a candidate with the analytic model: the Eqn-13 DMT
-// cost of each distinct block at its residency load latency, plus the
-// packing bytes — no simulation.
-func modelCost(chip *hw.Chip, m, n, k int, c Candidate) float64 {
-	params := perfmodel.FromChip(chip)
-	hier := cache.NewHierarchy(chip)
-	opt := perfmodel.Opt{Rotate: true, Fuse: true}
-
-	mBlocks := blocksOf(m, c.MC)
-	nBlocks := blocksOf(n, c.NC)
-	kBlocks := blocksOf(k, c.KC)
-
-	total := 0.0
-	for _, mb := range mBlocks {
-		for _, nb := range nBlocks {
-			for _, kb := range kBlocks {
-				ws := kb.size*quantUp(nb.size, chip.Lanes)*4 + 12*kb.size*4
-				if c.Pack == core.PackNone && n > quantUp(nb.size, chip.Lanes) {
-					ws *= 2
-				}
-				lat := hier.LatencyOfLevel(hier.ResidencyLevel(ws))
-				p := params.WithLoadLatency(float64(lat))
-				d := tiling.DMT{Params: p, Opt: opt}
-				tl, err := d.Tile(mb.size, nb.size, kb.size)
-				if err != nil {
-					return math.Inf(1)
-				}
-				cost := tl.Cost(p, kb.size, opt) * float64(mb.count*nb.count*kb.count)
-				if c.Pack == core.PackOnline {
-					bytes := float64(mb.size*kb.size+kb.size*nb.size) * 4
-					cost += 2 * bytes / (chip.DRAMGBs / chip.FreqGHz) * float64(mb.count*nb.count*kb.count)
-				}
-				total += cost
-			}
-		}
-	}
-	return total
-}
-
-type blockDim struct{ size, count int }
-
-// blocksOf decomposes a dimension into block sizes with multiplicity.
-func blocksOf(n, bs int) []blockDim {
-	if bs <= 0 || bs >= n {
-		return []blockDim{{n, 1}}
-	}
-	full := n / bs
-	rem := n % bs
-	out := []blockDim{{bs, full}}
-	if rem > 0 {
-		out = append(out, blockDim{rem, 1})
-	}
-	return out
-}
-
-// scored pairs a candidate with its model cost.
-type scored struct {
-	c    Candidate
-	cost float64
-}
-
-// annealAround runs a short deterministic simulated-annealing walk in
-// model-cost space starting from the best pruned candidate, merging any
-// improvements it finds into the evaluation set.
-func annealAround(cfg Config, keep []scored, budget int) []scored {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	cur := keep[0]
-	temp := cur.cost * 0.25
-	seen := map[Candidate]bool{}
-	for _, k := range keep {
-		seen[k.c] = true
-	}
-	for step := 0; step < 64; step++ {
-		next := mutate(cfg, cur.c, rng)
-		cost := modelCost(cfg.Chip, cfg.M, cfg.N, cfg.K, next)
-		if cost < cur.cost || rng.Float64() < math.Exp((cur.cost-cost)/math.Max(temp, 1)) {
-			cur = scored{next, cost}
-			if !seen[next] && len(keep) < budget {
-				keep = append(keep, cur)
-				seen[next] = true
-			}
-		}
-		temp *= 0.92
-	}
-	return keep
-}
-
-// mutate perturbs one parameter of a candidate.
-func mutate(cfg Config, c Candidate, rng *rand.Rand) Candidate {
-	lanes := cfg.Chip.Lanes
-	switch rng.Intn(5) {
-	case 0:
-		c.MC = clampDim(c.MC+(rng.Intn(3)-1)*8, 1, cfg.M)
-	case 1:
-		c.NC = clampDim(c.NC+(rng.Intn(3)-1)*2*lanes, lanes, quantUp(cfg.N, lanes))
-	case 2:
-		c.KC = clampDim(c.KC+(rng.Intn(3)-1)*8, 1, cfg.K)
-	case 3:
-		c.Order = core.AllLoopOrders()[rng.Intn(6)]
-	default:
-		c.Pack = core.PackMode(rng.Intn(3))
-	}
-	return c
-}
-
-func clampDim(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func quantUp(n, lanes int) int { return (n + lanes - 1) / lanes * lanes }

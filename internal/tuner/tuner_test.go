@@ -1,10 +1,14 @@
 package tuner
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
+	"autogemm/internal/plan"
+	"autogemm/internal/plan/audit"
 	"autogemm/internal/refgemm"
 )
 
@@ -86,24 +90,6 @@ func TestTunedPlanIsCorrect(t *testing.T) {
 	}
 }
 
-// TestAnnealDeterministic: annealing with the same seed yields the same
-// result.
-func TestAnnealDeterministic(t *testing.T) {
-	cfg := Config{Chip: hw.KP920(), M: 40, N: 56, K: 24,
-		UseModel: true, Anneal: true, Seed: 7, MaxEvals: 10}
-	r1, err := Tune(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Tune(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Best != r2.Best || r1.Estimate.Cycles != r2.Estimate.Cycles {
-		t.Errorf("annealing nondeterministic: %+v vs %+v", r1.Best, r2.Best)
-	}
-}
-
 // TestTuneValidation rejects degenerate problems.
 func TestTuneValidation(t *testing.T) {
 	if _, err := Tune(Config{Chip: hw.KP920(), M: 0, N: 4, K: 4}); err == nil {
@@ -111,6 +97,85 @@ func TestTuneValidation(t *testing.T) {
 	}
 	if _, err := Tune(Config{M: 4, N: 4, K: 4}); err == nil {
 		t.Error("accepted nil chip")
+	}
+
+	// A blind search scores nothing: it simulates the first MaxEvals
+	// candidates of the grid and records no model cost.
+	cfg := Config{Chip: hw.KP920(), M: 40, N: 56, K: 24, MaxEvals: 5}
+	blind, err := Tune(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.Evaluated != cfg.MaxEvals || blind.Pruned != 0 {
+		t.Errorf("blind search evaluated %d, pruned %d; want %d, 0", blind.Evaluated, blind.Pruned, cfg.MaxEvals)
+	}
+	first := map[Candidate]bool{}
+	for _, c := range enumerate(cfg)[:cfg.MaxEvals] {
+		first[c] = true
+	}
+	for _, r := range blind.Records {
+		if r.ModelCost != 0 {
+			t.Errorf("blind record %+v has model cost %g", r.Candidate, r.ModelCost)
+		}
+		if !first[r.Candidate] {
+			t.Errorf("blind search simulated %+v, not among the first %d candidates", r.Candidate, cfg.MaxEvals)
+		}
+	}
+}
+
+// TestTuneScoresWithProduce: the tuner has one cost model and plans each
+// candidate once. Every record's score is its plan's Produce
+// ModelCycles, no candidate is simulated twice, and TunePlan returns the
+// very plan Produce makes of the winner, which passes the deep audit.
+func TestTuneScoresWithProduce(t *testing.T) {
+	for _, tc := range []struct {
+		chip    *hw.Chip
+		m, n, k int
+	}{
+		{hw.KP920(), 60, 200, 36},
+		{hw.A64FX(), 129, 200, 55}, // several m, n and k blocks
+	} {
+		cfg := Config{Chip: tc.chip, M: tc.m, N: tc.n, K: tc.k, UseModel: true, MaxEvals: 16}
+		rec, res, err := TunePlan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s %dx%dx%d", tc.chip.Name, tc.m, tc.n, tc.k)
+		seen := map[Candidate]bool{}
+		for _, r := range res.Records {
+			if seen[r.Candidate] {
+				t.Errorf("%s: %+v simulated twice", name, r.Candidate)
+			}
+			seen[r.Candidate] = true
+			p, err := core.Produce(tc.chip, tc.m, tc.n, tc.k, r.Candidate.Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.ModelCost != p.ModelCycles {
+				t.Errorf("%s: %+v scored %g, Produce says %g", name, r.Candidate, r.ModelCost, p.ModelCycles)
+			}
+		}
+		want, err := core.Produce(tc.chip, tc.m, tc.n, tc.k, res.Best.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Source != plan.SourceTuner {
+			t.Errorf("%s: TunePlan source %q", name, rec.Source)
+		}
+		got, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := want.WithSource(plan.SourceTuner).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, exp) {
+			t.Errorf("%s: TunePlan's plan differs from Produce(Best.Options())", name)
+		}
+		if _, err := audit.Audit(tc.chip, rec, audit.Options{Deep: true}); err != nil {
+			t.Errorf("%s: tuned plan fails the deep audit: %v", name, err)
+		}
 	}
 }
 
