@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"fmt"
 	"testing"
 
 	"autogemm/internal/mkernel"
@@ -175,6 +176,35 @@ func BenchmarkAffine(b *testing.B) {
 			}
 			reportPerFmla(b, fmlas)
 		})
+	}
+}
+
+// BenchmarkTile times each native register-tile loop on one chunk of
+// 64 steps, set up from C and stored back, for the chunk shapes the
+// ResNet-50 plans run most: 5 rows × 4 vectors (a 5×16 tile), 4 × 5 (a
+// 4×20 tile) and 4 × 3 (a 4×12 tile, or a cut of a wider one). Each
+// shape runs on the ZMM and the YMM loop; a loop this host cannot run
+// is skipped.
+func BenchmarkTile(b *testing.B) {
+	have := map[string]bool{}
+	for _, name := range compile.TileLoops(b) {
+		have[name] = true
+	}
+	for _, sh := range []struct{ rows, cols int64 }{{5, 4}, {4, 5}, {4, 3}} {
+		for _, loop := range []string{"zmm", "ymm"} {
+			b.Run(fmt.Sprintf("%dx%d/%s", sh.rows, sh.cols, loop), func(b *testing.B) {
+				if !have[loop] {
+					b.Skipf("this host cannot run the %s tile loop", loop)
+				}
+				run, fmlas := compile.TileRunner(sh.rows, sh.cols, 64, loop)
+				b.SetBytes(int64(2 * 4 * fmlas))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				reportPerFmla(b, fmlas)
+			})
+		}
 	}
 }
 

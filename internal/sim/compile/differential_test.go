@@ -158,14 +158,27 @@ func bandTiles(bc mkernel.BandConfig) []mkernel.Tile {
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
 // The tile grid's KC values include 1 and σ+1 (straight-line kernels
 // and one-trip loops) and 129 (a long k-loop). On an AVX host every
-// affine region's tile chunks run through the register-tile loop
-// (tile_amd64.s), so the sweep holds that loop to sim.Machine too. The
+// affine region's tile chunks run through a register-tile loop
+// (tile_amd64.s), so the sweep runs once per loop the host can run
+// (forEachTileLoop) and holds each to sim.Machine. The
 // rule is bit equality except where both results are NaN, whose payload
-// neither the AVX loop nor gc's scalar code pins (see
+// neither the AVX loops nor gc's scalar code pin (see
 // TestTileMatchesGo). The operands
 // here are finite and small, so no result is NaN and the comparison is
 // on raw bits.
-func TestDifferentialSweep(t *testing.T) {
+func TestDifferentialSweep(t *testing.T) { forEachTileLoop(t, differentialSweep) }
+
+// forEachTileLoop runs f as one subtest per native register-tile loop
+// this host can run, with that loop installed; compile.TileLoops logs
+// each loop the host cannot run, and names the pure-Go execTile when it
+// runs none.
+func forEachTileLoop(t *testing.T, f func(t *testing.T)) {
+	for _, name := range compile.TileLoops(t) {
+		t.Run(name, func(t *testing.T) { compile.WithTileLoop(name, func() { f(t) }) })
+	}
+}
+
+func differentialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, chip := range hw.All() {
 		lanes := chip.Lanes

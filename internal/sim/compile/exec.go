@@ -251,11 +251,12 @@ func (e *Env) at(bank uint8, p pos) unsafe.Pointer {
 // at most maxTileCols(rows) multiplicand vectors.
 const maxTileRows = 6
 
-// maxTileCols is the widest chunk of rows rows. A row holds its
-// accumulators two vectors to a YMM register, so rows × ⌈cols/2⌉
-// registers, plus the multiplicand's, a broadcast and a product, must
-// fit in 16: five vectors fit only up to four rows (the fifth is read
-// from memory).
+// maxTileCols is the widest chunk of rows rows. The budget is the YMM
+// loop's: a row holds its accumulators two vectors to a YMM register,
+// so rows × ⌈cols/2⌉ registers, plus the multiplicand's, a broadcast
+// and a product, must fit in 16: five vectors fit only up to four rows
+// (the fifth is read from memory). The ZMM loop runs the same chunks,
+// a row of up to four vectors in one register and a fifth beside it.
 func maxTileCols(rows int64) int64 {
 	if rows <= 4 {
 		return 5
@@ -267,7 +268,8 @@ func maxTileCols(rows int64) int64 {
 // cols columns sits among the tile's registers: its YMM register is row
 // i's register c/2, and each register holds two adjacent slots (the
 // lower half is the even column). An odd last column fills only the
-// lower half.
+// lower half. A row's slots are consecutive, so a ZMM register holds
+// the row's first four.
 func slot(i, c, cols int64) int64 {
 	return 2*(i*((cols+1)/2)+c/2) + c%2
 }
@@ -329,8 +331,9 @@ func (ch *chunk) resolve(ld [3]int64, store, wb bool) tile {
 }
 
 // runTile runs one tile chunk. It is the portable execTile unless the
-// host has a register-tile loop: tile_amd64.go installs tileAVX at init
-// when the CPU and OS support AVX, and nothing else reassigns it.
+// host has a register-tile loop: tile_amd64.go installs tileAVX512 at
+// init when the CPU and OS support AVX-512, or else tileAVX when they
+// support AVX, and nothing else reassigns it.
 var runTile = execTile
 
 // execTile is the reference tile loop and the executor wherever there

@@ -5,6 +5,7 @@ package compile
 import (
 	"math"
 	"reflect"
+	"testing"
 	"unsafe"
 )
 
@@ -31,11 +32,86 @@ func NativeTiles() bool {
 
 // WithPortableTiles runs f with every tile chunk on the pure-Go
 // execTile, then restores the installed loop.
-func WithPortableTiles(f func()) {
-	loop := runTile
-	runTile = execTile
-	defer func() { runTile = loop }()
+func WithPortableTiles(f func()) { withTile(execTile, f) }
+
+// withTile runs f with every tile chunk on loop, then restores the
+// installed one.
+func withTile(loop func(*Env, *tile), f func()) {
+	installed := runTile
+	runTile = loop
+	defer func() { runTile = installed }()
 	f()
+}
+
+// tileLoop is a native register-tile loop; host is whether this host
+// can run it.
+type tileLoop struct {
+	name string
+	run  func(*Env, *tile)
+	host bool
+}
+
+// tileLoops are this GOARCH's native register-tile loops, widest first;
+// tile_amd64_test.go lists amd64's.
+var tileLoops []tileLoop
+
+// TileLoops names the native register-tile loops this host runs,
+// widest first, and logs each loop of this GOARCH that it cannot run.
+// A host that runs none gets "go", the pure-Go execTile.
+func TileLoops(tb testing.TB) []string {
+	var names []string
+	for _, l := range tileLoops {
+		if l.host {
+			names = append(names, l.name)
+		} else {
+			tb.Logf("%s tile loop skipped: this host cannot run it", l.name)
+		}
+	}
+	if names == nil {
+		names = []string{"go"}
+	}
+	return names
+}
+
+// WithTileLoop runs f with every tile chunk on the loop TileLoops
+// names, then restores the installed one.
+func WithTileLoop(name string, f func()) { withTile(tileLoopNamed(name), f) }
+
+func tileLoopNamed(name string) func(*Env, *tile) {
+	for _, l := range tileLoops {
+		if l.name == name {
+			return l.run
+		}
+	}
+	if name != "go" {
+		panic("compile: no tile loop " + name)
+	}
+	return execTile
+}
+
+// TileRunner builds one rows × cols chunk of n steps over packed
+// panels, as a kernel tile runs it: set up from C, stored back to C,
+// write-back off. It returns run, which executes the chunk on the named
+// loop of TileLoops, and the FMLAs one run executes.
+func TileRunner(rows, cols, n int64, loop string) (run func(), fmlas int) {
+	a := make([]float32, rows*n)
+	b := make([]float32, n*4*cols)
+	c := make([]float32, rows*4*cols)
+	for i := range a {
+		a[i] = float32(i%13) * 0.5
+	}
+	for i := range b {
+		b[i] = float32(i%7) * 0.25
+	}
+	e := NewEnv(4)
+	e.base = [3]unsafe.Pointer{unsafe.Pointer(&a[0]), unsafe.Pointer(&b[0]), unsafe.Pointer(&c[0])}
+	t := tile{sa: 4, sb: 16 * cols, bbank: 1, n: n, rows: rows, cols: cols, init: tileC, store: 1}
+	for i := int64(0); i < rows; i++ {
+		t.off[i] = 4 * n * i
+		t.c[i] = 16 * cols * i
+	}
+	exec := tileLoopNamed(loop)
+	return func() { exec(e, &t) }, int(rows * cols * n)
 }
 
 // AffineFmlas reports the program's static FMLA count and how many of

@@ -24,10 +24,11 @@ import (
 // reads them after RET, so there is nothing to compare.) The vector
 // comparison is where an affine region's bad reload of a register's
 // last load shows first. On an AVX host the affine regions' tile chunks
-// run through the register-tile loop (tile_amd64.s), so this also fuzzes
-// that loop against sim.Machine, 1×1 fallback tiles included. The rule
+// run through a register-tile loop (tile_amd64.s), so each input runs
+// once per loop the host can run, and this fuzzes each against
+// sim.Machine, 1×1 fallback tiles included. The rule
 // is bit equality except where both results are NaN, whose payload
-// neither the AVX loop nor gc's scalar code pins (see
+// neither the AVX loops nor gc's scalar code pin (see
 // TestTileMatchesGo). The operands here are finite and small, so no
 // result is NaN and the comparison is on raw bits. Every proven program
 // is first run with ldc = len(data) mod NR, which breaks the rule that C
@@ -46,99 +47,113 @@ func FuzzCompileDiff(f *testing.F) {
 	for _, s := range schedSeeds {
 		f.Add(s.data)
 	}
+	loops := compile.TileLoops(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := buildFuzzProgram(data)
-		bounds := fuzzBounds()
-		cp, err := compile.Compile(p, compile.Options{Lanes: bounds.Lanes, Bounds: bounds})
-		if err != nil {
-			return // unproven or invalid: the interpreter path owns it
-		}
-
-		lanes := bounds.Lanes
-		lda := int64(bounds.KC + bounds.AOverVectors*lanes)
-		ldb := int64(bounds.NR)
-		ldc := int64(bounds.NR)
-		lenA := int(int64(bounds.MR-1)*lda) + bounds.KC + bounds.AOverVectors*lanes
-		lenB := int(int64(bounds.KC+bounds.BOverRows-1)*ldb) + bounds.NR
-		lenC := int(int64(bounds.MR-1)*ldc) + bounds.NR
-		a := make([]float32, lenA)
-		b := make([]float32, lenB)
-		c := make([]float32, lenC)
-		for i := range a {
-			a[i] = float32(i%17)*0.5 - 3
-		}
-		for i := range b {
-			b[i] = float32(i%11)*0.25 - 1
-		}
-		for i := range c {
-			c[i] = float32(i % 7)
-		}
-
-		// C rows that overlap (ldc < NR) must be refused before any work.
-		got := append([]float32(nil), c...)
-		e := compile.NewEnv(lanes)
-		overlap := int64(len(data)) % ldc
-		err = cp.Run(e, cp.Layout(lda, ldb, overlap), a, b, got, 0, 0, 0, 1<<20)
-		if !errors.Is(err, compile.ErrBounds) {
-			t.Fatalf("ldc %d < NR %d: Run returned %v, want ErrBounds", overlap, bounds.NR, err)
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(c[i]) {
-				t.Fatalf("ldc %d < NR %d: refused Run wrote C[%d]", overlap, bounds.NR, i)
-			}
-		}
-
-		if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
-			// Precheck rejection is fine; a runtime fault is the elision
-			// proof failing and must never happen.
-			t.Fatalf("compiled run failed on prechecked operands: %v", err)
-		}
-
-		ar := sim.NewArena(lenA + lenB + lenC + 64)
-		aAddr := ar.Alloc(lenA)
-		bAddr := ar.Alloc(lenB)
-		cAddr := ar.Alloc(lenC)
-		ar.Freeze()
-		copy(ar.Slice(aAddr, lenA), a)
-		copy(ar.Slice(bAddr, lenB), b)
-		copy(ar.Slice(cAddr, lenC), c)
-		m := sim.NewMachine(ar, lanes)
-		m.SetArg(0, aAddr)
-		m.SetArg(1, bAddr)
-		m.SetArg(2, cAddr)
-		m.SetArg(3, lda)
-		m.SetArg(4, ldb)
-		m.SetArg(5, ldc)
-		if err := m.Run(p, 1<<24); err != nil {
-			t.Fatalf("interpreter rejected a program the compiler proved: %v", err)
-		}
-		want := ar.Slice(cAddr, lenC)
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("C[%d]: compiled %g != interpreted %g", i, got[i], want[i])
-			}
-		}
-		requireSameVectors(t, p.Name, e, m)
-
-		// The production layout must give the same C from a vector file
-		// holding another program's values, and a tile-only program's
-		// must leave that file alone.
-		got = append(got[:0], c...)
-		e = compile.NewEnv(lanes)
-		e.Poison(uint32(len(data)))
-		poisoned := e.Vectors()
-		if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
-			t.Fatalf("compiled run under Layout: %v", err)
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("Layout: C[%d]: compiled %g != interpreted %g (tile-only %v)", i, got[i], want[i], compile.TileOnly(cp))
-			}
-		}
-		if compile.TileOnly(cp) {
-			requireVectorsUntouched(t, p.Name, e, poisoned)
+		for _, loop := range loops {
+			compile.WithTileLoop(loop, func() {
+				defer func() {
+					if t.Failed() {
+						t.Logf("on the %s tile loop", loop)
+					}
+				}()
+				compileDiff(t, data)
+			})
 		}
 	})
+}
+
+func compileDiff(t *testing.T, data []byte) {
+	p := buildFuzzProgram(data)
+	bounds := fuzzBounds()
+	cp, err := compile.Compile(p, compile.Options{Lanes: bounds.Lanes, Bounds: bounds})
+	if err != nil {
+		return // unproven or invalid: the interpreter path owns it
+	}
+
+	lanes := bounds.Lanes
+	lda := int64(bounds.KC + bounds.AOverVectors*lanes)
+	ldb := int64(bounds.NR)
+	ldc := int64(bounds.NR)
+	lenA := int(int64(bounds.MR-1)*lda) + bounds.KC + bounds.AOverVectors*lanes
+	lenB := int(int64(bounds.KC+bounds.BOverRows-1)*ldb) + bounds.NR
+	lenC := int(int64(bounds.MR-1)*ldc) + bounds.NR
+	a := make([]float32, lenA)
+	b := make([]float32, lenB)
+	c := make([]float32, lenC)
+	for i := range a {
+		a[i] = float32(i%17)*0.5 - 3
+	}
+	for i := range b {
+		b[i] = float32(i%11)*0.25 - 1
+	}
+	for i := range c {
+		c[i] = float32(i % 7)
+	}
+
+	// C rows that overlap (ldc < NR) must be refused before any work.
+	got := append([]float32(nil), c...)
+	e := compile.NewEnv(lanes)
+	overlap := int64(len(data)) % ldc
+	err = cp.Run(e, cp.Layout(lda, ldb, overlap), a, b, got, 0, 0, 0, 1<<20)
+	if !errors.Is(err, compile.ErrBounds) {
+		t.Fatalf("ldc %d < NR %d: Run returned %v, want ErrBounds", overlap, bounds.NR, err)
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(c[i]) {
+			t.Fatalf("ldc %d < NR %d: refused Run wrote C[%d]", overlap, bounds.NR, i)
+		}
+	}
+
+	if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
+		// Precheck rejection is fine; a runtime fault is the elision
+		// proof failing and must never happen.
+		t.Fatalf("compiled run failed on prechecked operands: %v", err)
+	}
+
+	ar := sim.NewArena(lenA + lenB + lenC + 64)
+	aAddr := ar.Alloc(lenA)
+	bAddr := ar.Alloc(lenB)
+	cAddr := ar.Alloc(lenC)
+	ar.Freeze()
+	copy(ar.Slice(aAddr, lenA), a)
+	copy(ar.Slice(bAddr, lenB), b)
+	copy(ar.Slice(cAddr, lenC), c)
+	m := sim.NewMachine(ar, lanes)
+	m.SetArg(0, aAddr)
+	m.SetArg(1, bAddr)
+	m.SetArg(2, cAddr)
+	m.SetArg(3, lda)
+	m.SetArg(4, ldb)
+	m.SetArg(5, ldc)
+	if err := m.Run(p, 1<<24); err != nil {
+		t.Fatalf("interpreter rejected a program the compiler proved: %v", err)
+	}
+	want := ar.Slice(cAddr, lenC)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("C[%d]: compiled %g != interpreted %g", i, got[i], want[i])
+		}
+	}
+	requireSameVectors(t, p.Name, e, m)
+
+	// The production layout must give the same C from a vector file
+	// holding another program's values, and a tile-only program's
+	// must leave that file alone.
+	got = append(got[:0], c...)
+	e = compile.NewEnv(lanes)
+	e.Poison(uint32(len(data)))
+	poisoned := e.Vectors()
+	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
+		t.Fatalf("compiled run under Layout: %v", err)
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("Layout: C[%d]: compiled %g != interpreted %g (tile-only %v)", i, got[i], want[i], compile.TileOnly(cp))
+		}
+	}
+	if compile.TileOnly(cp) {
+		requireVectorsUntouched(t, p.Name, e, poisoned)
+	}
 }
 
 // schedSeeds decode into programs that reach the vector half of the

@@ -21,8 +21,11 @@ import (
 // leave the poisoned vector file bit for bit as it was. Two hand-built
 // programs are not tile-only, because a later part reads what a region
 // left in the vector file: their Layout keeps the exit writes, and C
-// must still match the interpreter.
-func TestLayoutDropsOnlyDeadExitState(t *testing.T) {
+// must still match the interpreter. It runs once per register-tile loop
+// the host can run.
+func TestLayoutDropsOnlyDeadExitState(t *testing.T) { forEachTileLoop(t, layoutDropsOnlyDeadExitState) }
+
+func layoutDropsOnlyDeadExitState(t *testing.T) {
 	const lanes = 4
 	rng := rand.New(rand.NewSource(11))
 	var specs []mkernel.Spec

@@ -1,6 +1,12 @@
 #include "textflag.h"
 #include "go_asm.h"
 
+// The register-tile loops: tileAVX on YMM registers for AVX hosts, and
+// tileAVX512, which runs the wide chunks on ZMM registers, for AVX-512
+// hosts (tile_amd64.go picks one at init). Both compute every
+// multiply-add as a VMULPS and a VADDPS, never an FMA, so each lane
+// rounds as execTile's MULSS and ADDSS do.
+
 // func tileAVX(e *Env, t *tile)
 //
 // Runs one register-tile chunk (exec.go, type tile) as a whole kernel,
@@ -42,8 +48,31 @@
 #define R4(off, y0, y1) R2(off, y0); MADDY(Y13, y1)
 #define R5(off, y0, y1, x2) R4(off, y0, y1); MADDX(64(SI), x2)
 
-// NEXT moves to the next step and loops back to l while steps are left.
-#define NEXT(l) ADDQ BX, AX; ADDQ DX, SI; DECQ CX; JNE l; JMP done
+// STEP moves to the next step and loops back to l while steps are
+// left; NEXT then goes to done.
+#define STEP(l) ADDQ BX, AX; ADDQ DX, SI; DECQ CX; JNE l
+#define NEXT(l) STEP(l); JMP done
+
+// STEPS loads the k-loop's registers from the tile t in DI and the
+// Env e in DX, and goes to l when there are no steps.
+#define STEPS(l) \
+	MOVQ tile_n(DI), CX; \
+	TESTQ CX, CX; \
+	JEQ l; \
+	MOVQ tile_abank(DI), AX; \
+	MOVQ Env_base(DX)(AX*8), AX; \
+	ADDQ tile_a(DI), AX; \
+	MOVQ tile_sa(DI), BX; \
+	MOVQ tile_bbank(DI), SI; \
+	MOVQ Env_base(DX)(SI*8), SI; \
+	ADDQ tile_b(DI), SI; \
+	MOVQ tile_sb(DI), DX; \
+	MOVQ (tile_off+0)(DI), R8; \
+	MOVQ (tile_off+8)(DI), R9; \
+	MOVQ (tile_off+16)(DI), R10; \
+	MOVQ (tile_off+24)(DI), R11; \
+	MOVQ (tile_off+32)(DI), R12; \
+	MOVQ (tile_off+40)(DI), R13
 
 // ON jumps to l when the tile's field equals v.
 #define ON(field, v, l) CMPQ field(DI), $v; JEQ l
@@ -158,23 +187,7 @@ lc1:
 	LC1(5, X5)
 
 setup:
-	MOVQ tile_n(DI), CX
-	TESTQ CX, CX
-	JEQ done
-	MOVQ tile_abank(DI), AX
-	MOVQ Env_base(DX)(AX*8), AX
-	ADDQ tile_a(DI), AX
-	MOVQ tile_sa(DI), BX
-	MOVQ tile_bbank(DI), SI
-	MOVQ Env_base(DX)(SI*8), SI
-	ADDQ tile_b(DI), SI
-	MOVQ tile_sb(DI), DX
-	MOVQ (tile_off+0)(DI), R8
-	MOVQ (tile_off+8)(DI), R9
-	MOVQ (tile_off+16)(DI), R10
-	MOVQ (tile_off+24)(DI), R11
-	MOVQ (tile_off+32)(DI), R12
-	MOVQ (tile_off+40)(DI), R13
+	STEPS(done)
 
 	// Dispatch on the shape, the hottest first: 5×4 and 4×5.
 	ON(tile_cols, 4, c4)
@@ -516,4 +529,292 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
 	MOVL AX, ret+0(FP)
+	RET
+
+// func cpuid7() uint32
+TEXT ·cpuid7(SB), NOSPLIT, $0-4
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JCS noleaf7
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	MOVL BX, ret+0(FP)
+	RET
+
+noleaf7:
+	MOVL $0, ret+0(FP)
+	RET
+
+// func tileAVX512(e *Env, t *tile)
+//
+// Runs a chunk of three, four or five multiplicand vectors as tileAVX
+// does, set-up, store and write-back included, but with each row's 12
+// or 16 columns in one ZMM register and a fifth vector's 4 in an XMM
+// register beside it: one VMULPS and one VADDPS per row and step where
+// tileAVX issues two, or two where it issues three. A chunk of one or
+// two vectors, which fits one YMM register a row, goes to tileAVX.
+//
+// Registers in the k-loop: as in tileAVX, AX the scalars, R8..R13 the
+// row offsets, SI the multiplicands, BX and DX their steps and CX the
+// steps left. Three or four vectors: Z0..Z5 hold rows 0..5 and Z12 the
+// step's multiplicands, every load and store of them under the lane
+// mask K1 (12 or 16 lanes). Five: row i sits in Z(2i) and X(2i+1), and
+// Z12 and X13 hold the multiplicands. Z14 is the broadcast scalar and
+// Z15 the product. A three-vector row's lanes past 12 load as zeros,
+// are never stored to C and go to tileSpill on write-back, and no lane
+// reads another, so they change nothing. Quarter k of a row's ZMM
+// register is the row's column k, which write-back stores at the
+// offset of that column's slot.
+
+// ZONE runs one row of a step: broadcast the row's scalar at AX+off,
+// multiply the multiplicands by it and add the product to z.
+#define ZONE(off, z) VBROADCASTSS (AX)(off*1), Z14; VMULPS Z12, Z14, Z15; VADDPS Z15, z, z
+#define ZFIVE(off, z, x) ZONE(off, z); VMULPS X13, X14, X15; VADDPS X15, x, x
+// ZBM loads a step's multiplicands under the lane mask K1, ZB5 a
+// five-vector step's.
+#define ZBM VMOVUPS.Z (SI), K1, Z12
+#define ZB5 VMOVUPS (SI), Z12; VMOVUPS 64(SI), X13
+
+// ZLC and ZSC load and store row i of a masked chunk at C + c[i]; the
+// five-vector forms add the XMM register at 64 bytes.
+#define ZLC(i, z) CROW(i); VMOVUPS.Z (AX)(R8*1), K1, z
+#define ZSC(i, z) CROW(i); VMOVUPS z, K1, (AX)(R8*1)
+#define ZLC5(i, z, x) CROW(i); VMOVUPS (AX)(R8*1), z; VMOVUPS 64(AX)(R8*1), x
+#define ZSC5(i, z, x) CROW(i); VMOVUPS z, (AX)(R8*1); VMOVUPS x, 64(AX)(R8*1)
+
+// ZACC loads row i of a masked chunk from e.acc, slots 4i..4i+3;
+// ZACC5 row i of a five-vector chunk, slots 6i..6i+4.
+#define ZACC(i, z) VMOVUPS.Z (Env_acc+64*i)(DX), K1, z
+#define ZACC5(i, z, x) VMOVUPS (Env_acc+96*i)(DX), z; VMOVUPS (Env_acc+96*i+64)(DX), x
+
+// ZWB writes the four 4-lane quarters of z, whose lowest is x, to the
+// vector file at the offsets of the slots from tile_v+s on; ZWB1 writes
+// x alone.
+#define ZWB1(s, x) MOVQ (tile_v+s)(DI), R8; VMOVUPS x, (BX)(R8*1)
+#define ZQ(s, k, z) MOVQ (tile_v+s)(DI), R8; VEXTRACTF32X4 $k, z, (BX)(R8*1)
+#define ZWB(s, z, x) ZWB1(s, x); ZQ(s+8, 1, z); ZQ(s+16, 2, z); ZQ(s+24, 3, z)
+
+TEXT ·tileAVX512(SB), NOSPLIT, $0-16
+	MOVQ e+0(FP), DX
+	MOVQ t+8(FP), DI
+	MOVQ tile_cols(DI), CX
+	CMPQ CX, $5
+	JEQ five
+	MOVL $0xffff, AX
+	CMPQ CX, $4
+	JEQ masked
+	MOVL $0x0fff, AX
+	CMPQ CX, $3
+	JEQ masked
+
+ymm:
+	JMP ·tileAVX(SB)
+
+masked:
+	KMOVW AX, K1
+	MOVQ tile_init(DI), AX
+	CMPQ AX, $const_tileC
+	JEQ mc
+	CMPQ AX, $const_tileZero
+	JEQ mz
+	ZACC(0, Z0)
+	ZACC(1, Z1)
+	ZACC(2, Z2)
+	ZACC(3, Z3)
+	ZACC(4, Z4)
+	ZACC(5, Z5)
+	JMP msetup
+
+mz:
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	JMP msetup
+
+mc:
+	MOVQ (Env_base+16)(DX), AX
+	MOVQ tile_rows(DI), CX
+	ZLC(0, Z0); ROW(msetup)
+	ZLC(1, Z1); ROW(msetup)
+	ZLC(2, Z2); ROW(msetup)
+	ZLC(3, Z3); ROW(msetup)
+	ZLC(4, Z4); ROW(msetup)
+	ZLC(5, Z5)
+
+msetup:
+	STEPS(mdone)
+	ON(tile_rows, 5, m5)
+	ON(tile_rows, 4, m4)
+	ON(tile_rows, 6, m6)
+	ON(tile_rows, 3, m3)
+	ON(tile_rows, 2, m2)
+
+m1:
+	ZBM
+	ZONE(R8, Z0)
+	STEP(m1)
+	JMP mdone
+
+m2:
+	ZBM
+	ZONE(R8, Z0)
+	ZONE(R9, Z1)
+	STEP(m2)
+	JMP mdone
+
+m3:
+	ZBM
+	ZONE(R8, Z0)
+	ZONE(R9, Z1)
+	ZONE(R10, Z2)
+	STEP(m3)
+	JMP mdone
+
+m4:
+	ZBM
+	ZONE(R8, Z0)
+	ZONE(R9, Z1)
+	ZONE(R10, Z2)
+	ZONE(R11, Z3)
+	STEP(m4)
+	JMP mdone
+
+m5:
+	ZBM
+	ZONE(R8, Z0)
+	ZONE(R9, Z1)
+	ZONE(R10, Z2)
+	ZONE(R11, Z3)
+	ZONE(R12, Z4)
+	STEP(m5)
+	JMP mdone
+
+m6:
+	ZBM
+	ZONE(R8, Z0)
+	ZONE(R9, Z1)
+	ZONE(R10, Z2)
+	ZONE(R11, Z3)
+	ZONE(R12, Z4)
+	ZONE(R13, Z5)
+	STEP(m6)
+
+mdone:
+	MOVQ e+0(FP), DX
+	CMPQ tile_store(DI), $0
+	JEQ mwb
+	MOVQ (Env_base+16)(DX), AX
+	MOVQ tile_rows(DI), CX
+	ZSC(0, Z0); ROW(mwb)
+	ZSC(1, Z1); ROW(mwb)
+	ZSC(2, Z2); ROW(mwb)
+	ZSC(3, Z3); ROW(mwb)
+	ZSC(4, Z4); ROW(mwb)
+	ZSC(5, Z5)
+
+mwb:
+	CMPQ tile_wb(DI), $0
+	JEQ zend
+	MOVQ Env_vp(DX), BX
+	ZWB(0, Z0, X0)
+	ZWB(32, Z1, X1)
+	ZWB(64, Z2, X2)
+	ZWB(96, Z3, X3)
+	ZWB(128, Z4, X4)
+	ZWB(160, Z5, X5)
+	JMP zend
+
+five:
+	MOVQ tile_init(DI), AX
+	CMPQ AX, $const_tileC
+	JEQ fc
+	CMPQ AX, $const_tileZero
+	JEQ fz
+	ZACC5(0, Z0, X1)
+	ZACC5(1, Z2, X3)
+	ZACC5(2, Z4, X5)
+	ZACC5(3, Z6, X7)
+	JMP fsetup
+
+fz:
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	JMP fsetup
+
+fc:
+	MOVQ (Env_base+16)(DX), AX
+	MOVQ tile_rows(DI), CX
+	ZLC5(0, Z0, X1); ROW(fsetup)
+	ZLC5(1, Z2, X3); ROW(fsetup)
+	ZLC5(2, Z4, X5); ROW(fsetup)
+	ZLC5(3, Z6, X7)
+
+fsetup:
+	STEPS(fdone)
+	ON(tile_rows, 4, f4)
+	ON(tile_rows, 3, f3)
+	ON(tile_rows, 2, f2)
+
+f1:
+	ZB5
+	ZFIVE(R8, Z0, X1)
+	STEP(f1)
+	JMP fdone
+
+f2:
+	ZB5
+	ZFIVE(R8, Z0, X1)
+	ZFIVE(R9, Z2, X3)
+	STEP(f2)
+	JMP fdone
+
+f3:
+	ZB5
+	ZFIVE(R8, Z0, X1)
+	ZFIVE(R9, Z2, X3)
+	ZFIVE(R10, Z4, X5)
+	STEP(f3)
+	JMP fdone
+
+f4:
+	ZB5
+	ZFIVE(R8, Z0, X1)
+	ZFIVE(R9, Z2, X3)
+	ZFIVE(R10, Z4, X5)
+	ZFIVE(R11, Z6, X7)
+	STEP(f4)
+
+fdone:
+	MOVQ e+0(FP), DX
+	CMPQ tile_store(DI), $0
+	JEQ fwb
+	MOVQ (Env_base+16)(DX), AX
+	MOVQ tile_rows(DI), CX
+	ZSC5(0, Z0, X1); ROW(fwb)
+	ZSC5(1, Z2, X3); ROW(fwb)
+	ZSC5(2, Z4, X5); ROW(fwb)
+	ZSC5(3, Z6, X7)
+
+fwb:
+	CMPQ tile_wb(DI), $0
+	JEQ zend
+	MOVQ Env_vp(DX), BX
+	ZWB(0, Z0, X0); ZWB1(32, X1)
+	ZWB(48, Z2, X2); ZWB1(80, X3)
+	ZWB(96, Z4, X4); ZWB1(128, X5)
+	ZWB(144, Z6, X6); ZWB1(176, X7)
+
+zend:
+	VZEROUPPER
 	RET

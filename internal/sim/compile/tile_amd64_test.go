@@ -88,25 +88,66 @@ func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
 	return t
 }
 
-// TestRunAffineIsSSE checks that the executor runs every tile chunk
-// through the native loop, tileAVX, exactly when CPUID and XGETBV
-// report usable AVX (the CPU implements it and the OS saves the YMM
-// state), and through the pure-Go execTile otherwise. (The name dates
-// from the SSE strided loop that tileAVX replaced.)
-func TestRunAffineIsSSE(t *testing.T) {
-	ecx := cpuid1()
-	avx := ecx&(1<<27) != 0 && ecx&(1<<28) != 0 && xgetbv0()&0b110 == 0b110
-	want := reflect.ValueOf(execTile).Pointer()
-	if avx {
-		want = reflect.ValueOf(tileAVX).Pointer()
-	}
-	if reflect.ValueOf(runTile).Pointer() != want {
-		t.Fatalf("AVX usable %v, but runTile is not the matching loop", avx)
+func init() {
+	host := hostTile()
+	tileLoops = []tileLoop{
+		{"zmm", tileAVX512, sameLoop(host, tileAVX512)},
+		{"ymm", tileAVX, !sameLoop(host, execTile)},
 	}
 }
 
-// TestTileMatchesGo runs tileAVX and the pure-Go execTile on copies of
-// one tile's environment, for every shape the assembly implements and
+func sameLoop(a, b func(*Env, *tile)) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestRunTile checks pickTile on the CPUID and XGETBV words of AVX-512,
+// AVX-only and pre-AVX hosts, each XCR0 state bit dropped in turn, and
+// that the executor runs what pickTile picks for this host, which it
+// logs.
+func TestRunTile(t *testing.T) {
+	const (
+		osxsave, avx, avx512f = 1 << 27, 1 << 28, 1 << 16
+		xcr0                  = 0xe7 // x87, SSE, AVX, opmask, ZMM upper halves, ZMM16..31
+	)
+	loops := map[uintptr]string{}
+	for _, l := range []struct {
+		name string
+		run  func(*Env, *tile)
+	}{{"execTile", execTile}, {"tileAVX", tileAVX}, {"tileAVX512", tileAVX512}} {
+		loops[reflect.ValueOf(l.run).Pointer()] = l.name
+	}
+	for _, c := range []struct {
+		what             string
+		ecx1, ebx7, xcr0 uint32
+		want             string
+	}{
+		{"AVX-512", osxsave | avx, avx512f, xcr0, "tileAVX512"},
+		{"AVX-512, no SSE state", osxsave | avx, avx512f, xcr0 &^ 0x2, "execTile"},
+		{"AVX-512, no AVX state", osxsave | avx, avx512f, xcr0 &^ 0x4, "execTile"},
+		{"AVX-512, no opmask state", osxsave | avx, avx512f, xcr0 &^ 0x20, "tileAVX"},
+		{"AVX-512, no ZMM upper-half state", osxsave | avx, avx512f, xcr0 &^ 0x40, "tileAVX"},
+		{"AVX-512, no ZMM16..31 state", osxsave | avx, avx512f, xcr0 &^ 0x80, "tileAVX"},
+		{"AVX-512, no OSXSAVE", avx, avx512f, 0, "execTile"},
+		{"AVX only", osxsave | avx, 0, 0x7, "tileAVX"},
+		{"AVX only, AVX-512 state on", osxsave | avx, 0, xcr0, "tileAVX"},
+		{"AVX, no OSXSAVE", avx, 0, 0, "execTile"},
+		{"OSXSAVE, no AVX", osxsave, avx512f, xcr0, "execTile"},
+		{"no AVX", 0, 0, 0, "execTile"},
+	} {
+		if got := loops[reflect.ValueOf(pickTile(c.ecx1, c.ebx7, c.xcr0)).Pointer()]; got != c.want {
+			t.Errorf("%s (ecx1 %#x, ebx7 %#x, xcr0 %#x): picks %s, want %s", c.what, c.ecx1, c.ebx7, c.xcr0, got, c.want)
+		}
+	}
+	installed := loops[reflect.ValueOf(runTile).Pointer()]
+	if !sameLoop(runTile, hostTile()) {
+		t.Fatalf("runTile is %s, not the loop pickTile picks for this host", installed)
+	}
+	t.Logf("installed tile loop: %s", installed)
+}
+
+// TestTileMatchesGo runs each native tile loop this host can run
+// (tileAVX512 and tileAVX on an AVX-512 host) and the pure-Go execTile
+// on copies of one tile's environment, for every shape there is and
 // every set-up, with and without the C store, and requires the C panel
 // and the vector file to match bit for bit, except where both hold a
 // NaN. NaN payloads cannot be pinned: when both operands of a multiply
@@ -119,9 +160,15 @@ func TestRunAffineIsSSE(t *testing.T) {
 // both loops: C must match the write-back run's, and neither loop may
 // write a bit of the vector file.
 func TestTileMatchesGo(t *testing.T) {
-	if !hasAVX() {
-		t.Skip("no AVX: tileAVX cannot run here")
+	for _, name := range TileLoops(t) {
+		if name == "go" {
+			t.Skip("no AVX: no native tile loop can run here")
+		}
+		t.Run(name, func(t *testing.T) { tileMatchesGo(t, name, tileLoopNamed(name)) })
 	}
+}
+
+func tileMatchesGo(t *testing.T, name string, native func(*Env, *tile)) {
 	rng := rand.New(rand.NewSource(1))
 	panel := make([]float32, tilePanel)
 	for rows := int64(1); rows <= maxTileRows; rows++ {
@@ -165,7 +212,7 @@ func TestTileMatchesGo(t *testing.T) {
 				}
 				want.base[2], got.base[2] = unsafe.Pointer(&cWant[0]), unsafe.Pointer(&cGot[0])
 				execTile(want, &tl)
-				tileAVX(got, &tl)
+				native(got, &tl)
 				what := fmt.Sprintf("%d×%d iter %d (n %d, sa %d, sb %d, off %v, init %d, store %d, c %v)",
 					rows, cols, iter, tl.n, tl.sa, tl.sb, tl.off[:rows], tl.init, tl.store, tl.c[:rows])
 				same := func(where string, i int, gv, wv float32) {
@@ -173,8 +220,8 @@ func TestTileMatchesGo(t *testing.T) {
 						return
 					}
 					if math.Float32bits(gv) != math.Float32bits(wv) {
-						t.Fatalf("%s: %s[%d]: avx %#08x (%g), go %#08x (%g)",
-							what, where, i, math.Float32bits(gv), gv, math.Float32bits(wv), wv)
+						t.Fatalf("%s: %s[%d]: %s %#08x (%g), go %#08x (%g)",
+							what, where, i, name, math.Float32bits(gv), gv, math.Float32bits(wv), wv)
 					}
 				}
 				for i := range cGot {
@@ -197,7 +244,7 @@ func TestTileMatchesGo(t *testing.T) {
 				for _, loop := range []struct {
 					name string
 					run  func(*Env, *tile)
-				}{{"go", execTile}, {"avx", tileAVX}} {
+				}{{"go", execTile}, {name, native}} {
 					e := NewEnv(4)
 					e.v, e.acc, e.base = v0, want.acc, want.base
 					cOff := append([]float32(nil), c...)
