@@ -24,7 +24,9 @@ import (
 // parameters (nil Opts uses the engine's defaults) and scheduling
 // treatment (a zero QoS runs under the engine's default class). Shapes
 // and classes may differ freely across a batch; plans are served from
-// the engine's plan cache per (shape, options) request.
+// the engine's plan cache per (shape, options) request. C must not
+// share memory with A or B (the request fails before any work); A and
+// B may overlap each other.
 type GEMM struct {
 	C, A, B []float32
 	M, N, K int

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"autogemm/internal/core"
 	"autogemm/internal/refgemm"
 	"autogemm/internal/sched"
 )
@@ -316,6 +317,53 @@ func TestMultiplyBatchContinuesPastFailedElement(t *testing.T) {
 	}{{batch[0].C, want0, "element 0"}, {batch[2].C, want2, "element 2 (after the failure)"}} {
 		if refgemm.MaxRelErr(chk.c, chk.want, m, n, n, n) > refgemm.Tolerance {
 			t.Errorf("%s did not execute correctly past the failed element", chk.label)
+		}
+	}
+}
+
+// TestOverlappingCRefused: Multiply and MultiplyBatch refuse a C that
+// shares memory with A or B with an error matching core.ErrOverlap,
+// before any work, on sub-slices of one backing array; a batch still
+// runs its other elements. A and B may overlap each other.
+func TestOverlappingCRefused(t *testing.T) {
+	e, err := New("KP920", WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const m, n, k = 12, 16, 9
+	buf := make([]float32, 2*(m*k+k*n+m*n))
+	refgemm.Fill(buf, 1, len(buf), len(buf), 9)
+	a, b := buf[:m*k], buf[m*k:m*k+k*n]
+	for _, c := range [][]float32{
+		buf[m*k-1 : m*k-1+m*n],         // C's first element is A's last
+		buf[m*k+k*n-1 : m*k+k*n-1+m*n], // C's first element is B's last
+	} {
+		before := append([]float32(nil), buf...)
+		if err := e.Multiply(c, a, b, m, n, k); !errors.Is(err, core.ErrOverlap) {
+			t.Fatalf("Multiply: %v, want core.ErrOverlap", err)
+		}
+		if !bitsEqual(buf, before) {
+			t.Fatal("refused Multiply wrote its operands")
+		}
+
+		// The second element's B overlaps its A by five elements.
+		b2 := buf[m*k-5 : m*k-5+k*n]
+		free := make([]float32, m*n)
+		want := make([]float32, m*n)
+		refgemm.GEMM(m, n, k, a, k, b2, n, want, n)
+		err := e.MultiplyBatch([]GEMM{
+			{M: m, N: n, K: k, A: a, B: b, C: c},
+			{M: m, N: n, K: k, A: a, B: b2, C: free},
+		})
+		if !errors.Is(err, core.ErrOverlap) || !strings.Contains(err.Error(), "batch element 0") {
+			t.Fatalf("MultiplyBatch: %v, want element 0's core.ErrOverlap", err)
+		}
+		if !bitsEqual(buf, before) {
+			t.Fatal("refused batch element wrote its operands")
+		}
+		if e := refgemm.MaxRelErr(free, want, m, n, n, n); e > refgemm.Tolerance {
+			t.Errorf("batch element with overlapping A and B: max rel err %.3g", e)
 		}
 	}
 }

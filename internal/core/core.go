@@ -189,6 +189,13 @@ type Plan struct {
 	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
 	aSlots     int             // A slots of a participant's row panel (aSlots in exec.go)
 
+	// abFits, by block position in the loop order, marks the blocks
+	// whose calls all fit A and B in place (exec.go, fitInPlace). It
+	// is nil unless the plan reads in place: PackNone, compiled, 4
+	// lanes. A shape's entries are written once, when its program
+	// resolves, before any of its blocks runs.
+	abFits []bool
+
 	// Execution runtime, fixed at Attach: the scheduler every Run /
 	// RunParallel / Submit turns into a job on, and the C-tile-group
 	// partition of the block grid, precomputed once.
@@ -210,8 +217,8 @@ type Plan struct {
 	taskCosts []vtime.TaskCost
 	taskErr   error
 
-	// Block-execution counters by executor, updated atomically.
-	nPacked, nInterp int64
+	// Block-execution counters by path, updated atomically.
+	nPacked, nABInPlace, nInterp int64
 
 	// Scheduler counters: jobs this plan submitted / completed and the
 	// tasks of its jobs run by a worker other than the first claimant.
@@ -219,17 +226,18 @@ type Plan struct {
 }
 
 // ExecStats counts block executions since the plan was created (across
-// all Run/RunParallel calls). Every block runs packed (Plan.Run), so a
-// plan's blocks are counted by executor: compiled kernels, or the
-// checked interpreter on a ForceInterp plan. Tests and benchmarks assert
-// on it rather than guessing from timings.
+// all Run/RunParallel calls), by path (Plan.Run): compiled kernels
+// reading A and B in place, compiled kernels over the packed panels, or
+// the checked interpreter on a ForceInterp plan. Every block stages its
+// C tile, so none runs wholly in place. Tests and benchmarks assert on
+// it rather than guessing from timings.
 type ExecStats struct {
-	// InPlaceBlocks and ABInPlaceBlocks are always 0: no block reads
-	// its operands in place. They stay for callers that report them.
+	// InPlaceBlocks is always 0: C is staged in every block. It stays
+	// for callers that report it.
 	InPlaceBlocks   int64
-	ABInPlaceBlocks int64
+	ABInPlaceBlocks int64 // compiled kernels reading A and B in place (PackNone)
 	PackedBlocks    int64 // compiled kernels over the packed panels
-	InterpBlocks    int64 // checked interpreter (ForceInterp) over the same panels
+	InterpBlocks    int64 // checked interpreter (ForceInterp) over the packed panels
 
 	// Scheduler counters for this plan's jobs (one job per Run /
 	// RunParallel / RunQoS / Submit): completions and stolen-task
@@ -243,11 +251,12 @@ type ExecStats struct {
 // Stats returns a snapshot of the plan's execution counters.
 func (p *Plan) Stats() ExecStats {
 	return ExecStats{
-		PackedBlocks:  atomic.LoadInt64(&p.nPacked),
-		InterpBlocks:  atomic.LoadInt64(&p.nInterp),
-		JobsSubmitted: atomic.LoadInt64(&p.nJobs),
-		JobsCompleted: atomic.LoadInt64(&p.nJobsDone),
-		TasksStolen:   atomic.LoadInt64(&p.nStolen),
+		ABInPlaceBlocks: atomic.LoadInt64(&p.nABInPlace),
+		PackedBlocks:    atomic.LoadInt64(&p.nPacked),
+		InterpBlocks:    atomic.LoadInt64(&p.nInterp),
+		JobsSubmitted:   atomic.LoadInt64(&p.nJobs),
+		JobsCompleted:   atomic.LoadInt64(&p.nJobsDone),
+		TasksStolen:     atomic.LoadInt64(&p.nStolen),
 	}
 }
 
@@ -282,6 +291,7 @@ func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
 type blockIter struct {
 	MOff, NOff, KOff int
 	MB, NB, KB       int
+	idx              int // position in the loop order; indexes Plan.abFits
 }
 
 func (p *Plan) blocks() []blockIter {
@@ -298,7 +308,7 @@ func (p *Plan) blocks() []blockIter {
 	var out []blockIter
 	add := func(mi, ni, ki [2]int) {
 		out = append(out, blockIter{
-			MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1],
+			MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1], idx: len(out),
 		})
 	}
 	switch p.Opts.Order {

@@ -79,15 +79,22 @@ func halton(i, b int) float64 {
 
 // TestEveryChipRunsPacked: on every modeled chip and packing choice,
 // Halton-spread irregular shapes (1–200 per dimension, log-uniform) go
-// Produce → Attach → Run, match the reference, and run every block on
-// the one packed compiled path — none on the interpreter.
+// Produce → Attach → Run, match the reference, and run every block
+// compiled — none on the interpreter — either packed or, on a 4-lane
+// PackNone plan, reading A and B in place.
 func TestEveryChipRunsPacked(t *testing.T) {
-	const shapes = 12
 	dim := func(i, b int) int { return max(1, int(math.Round(math.Pow(200, halton(i, b))))) }
+	var shapes [][3]int
+	for i := 1; i <= 12; i++ {
+		shapes = append(shapes, [3]int{dim(i, 2), dim(i, 3), dim(i, 5)})
+	}
+	// Every Halton shape has N mod 4 ≠ 0, so two more read in place.
+	shapes = append(shapes, [3]int{24, 32, 20}, [3]int{7, 12, 45})
+	sawInPlace := false
 	for _, chip := range hw.All() {
 		kernels := mkernel.NewCache()
-		for i := 1; i <= shapes; i++ {
-			m, n, k := dim(i, 2), dim(i, 3), dim(i, 5)
+		for i0, s := range shapes {
+			i, m, n, k := i0+1, s[0], s[1], s[2]
 			a := make([]float32, m*k)
 			b := make([]float32, k*n)
 			c0 := make([]float32, m*n)
@@ -116,12 +123,28 @@ func TestEveryChipRunsPacked(t *testing.T) {
 					t.Errorf("%s %dx%dx%d pack=%v: max rel err %.3g", chip.Name, m, n, k, pack, e)
 				}
 				st := p.Stats()
-				if st.PackedBlocks != int64(len(p.blocks())) || st.InterpBlocks != 0 {
+				if st.PackedBlocks+st.ABInPlaceBlocks != int64(len(p.blocks())) || st.InterpBlocks != 0 || st.InPlaceBlocks != 0 {
 					t.Errorf("%s %dx%dx%d pack=%v: %d blocks, stats %+v",
 						chip.Name, m, n, k, pack, len(p.blocks()), st)
 				}
+				// A 4-lane PackNone plan reads A and B in place wherever its
+				// calls fit them: every block when N mod 4 = 0, none but
+				// the ones clear of B's last row when its right-edge
+				// tiles overhang N. No other plan reads in place.
+				inPlace := p.Opts.Pack == PackNone && chip.Lanes == 4
+				if !inPlace && st.ABInPlaceBlocks != 0 || inPlace && n%4 == 0 && st.ABInPlaceBlocks != int64(len(p.blocks())) {
+					t.Errorf("%s %dx%dx%d pack=%v (resolved %v): %d of %d blocks read A and B in place",
+						chip.Name, m, n, k, pack, p.Opts.Pack, st.ABInPlaceBlocks, len(p.blocks()))
+				}
+				if inPlace && n%4 == 0 {
+					sawInPlace = true
+				}
+
 			}
 		}
+	}
+	if !sawInPlace {
+		t.Error("no 4-lane PackNone plan with N mod 4 = 0 among the shapes: the in-place path went unchecked")
 	}
 }
 

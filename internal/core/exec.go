@@ -36,23 +36,27 @@ const kernelFuel = 1 << 31
 //
 // Every C-tile group takes one path (runGroup): the group's C tile is
 // staged into the worker's padded buffer once, each of its k blocks
-// packs A into its slot of the worker's A row panel and B into the B
-// panel (each skipped when it already holds that block) and runs its
-// compiled kernels over them, and the tile is copied back once. The
-// plan's packing mode is the cycle model's decision (Estimate); on the
-// host every block packs. A kernel that fails to generate or compile,
-// or a call that fails its precheck, is an error, and the failing
-// group's C tile is left untouched. With ForceInterp the kernels run on
-// the checked interpreter over the same buffers.
+// runs its compiled kernels onto it, and the tile is copied back once.
+// A block reads A and B where the plan's packing mode says: a PackNone
+// plan's block reads them in place, at lda = K and ldb = N, when every
+// one of its calls fits them there (decided once per block); any other
+// block packs A into its slot of the worker's A row panel and B into
+// the B panel (each skipped when it already holds that block). A kernel
+// that fails to generate or compile, or a call that fails its
+// precheck, is an error, and the failing group's C tile is left
+// untouched. With ForceInterp the kernels run on the checked
+// interpreter over the packed buffers.
 func (p *Plan) Run(c, a, b []float32) error { return p.RunParallel(c, a, b, 1) }
 
 // bandCall is one kernel invocation of a block: the program, its
-// layout at the block's leading dimensions and its row/column placement
-// inside the block. cp and lay are nil on a ForceInterp plan, which
-// runs prog instead.
+// layouts at the packed panels' leading dimensions (lay) and at A's and
+// B's own (ilay; nil unless the plan reads in place), and its
+// row/column placement inside the block. cp and the layouts are nil on
+// a ForceInterp plan, which runs prog instead.
 type bandCall struct {
 	cp   *compile.Program
 	lay  *compile.Layout
+	ilay *compile.Layout
 	prog *asm.Program
 	row  int
 	col  int
@@ -79,18 +83,57 @@ func (p *Plan) blockProgram(blk blockIter) (*blockProg, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: plan has no block %dx%dx%d", blk.MB, blk.NB, blk.KB)
 	}
-	bp.once.Do(func() { bp.calls, bp.err = p.resolveCalls(bp.tl.Bands(p.Chip.Lanes), blk.KB) })
+	bp.once.Do(func() {
+		bp.calls, bp.err = p.resolveCalls(bp.tl.Bands(p.Chip.Lanes), blk.KB)
+		if bp.err == nil && p.abFits != nil {
+			p.fitInPlace(blk, bp.calls)
+		}
+	})
 	return bp, bp.err
 }
 
+// fitInPlace records in abFits, for each block of blk's shape, whether
+// every call of the shape passes its precheck reading A (M·K elements)
+// and B (K·N) in place at that block's offsets. It runs once per shape,
+// inside the shape's sync.Once, so no block of the shape runs before
+// its entry is written.
+func (p *Plan) fitInPlace(blk blockIter, calls []bandCall) {
+	lenA, lenB, ld := p.M*p.K, p.K*p.N, p.scratch.LD
+	for _, g := range p.groups {
+		for _, b := range g {
+			if b.MB != blk.MB || b.NB != blk.NB || b.KB != blk.KB {
+				continue
+			}
+			fits := true
+			for _, cl := range calls {
+				aOff, bOff := p.abOffsets(b, cl)
+				if cl.cp.Precheck(lenA, lenB, p.scratch.CBuf, aOff, bOff, int64(cl.row*ld+cl.col),
+					int64(p.K), int64(p.N), int64(ld)) != nil {
+					fits = false
+					break
+				}
+			}
+			p.abFits[b.idx] = fits
+		}
+	}
+}
+
+// abOffsets returns where a call of blk reads A and B in place: A from
+// row MOff + row, column KOff (lda = K), and B from row KOff, column
+// NOff + col (ldb = N).
+func (p *Plan) abOffsets(blk blockIter, cl bandCall) (aOff, bOff int64) {
+	return int64((blk.MOff+cl.row)*p.K + blk.KOff), int64(blk.KOff*p.N + blk.NOff + cl.col)
+}
+
 // resolveCalls lowers the block's bands to kernel invocations, each
-// compiled kernel with its layout at the block's leading dimensions
-// (KB, LD, LD); calls of one kernel share its layout. A kernel that
-// fails to generate or compile is an error — the kernel cache memoizes
-// it, so repeated blocks do not rebuild it.
+// compiled kernel with its layout at the packed panels' leading
+// dimensions (KB, LD, LD) and, when the plan reads in place, at A's and
+// B's own (K, N, LD); calls of one kernel share its layouts. A kernel
+// that fails to generate or compile is an error — the kernel cache
+// memoizes it, so repeated blocks do not rebuild it.
 func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
 	ld := int64(p.scratch.LD)
-	lays := map[*compile.Program]*compile.Layout{}
+	lays := map[*compile.Program][2]*compile.Layout{}
 	var calls []bandCall
 	for _, bd := range bands {
 		for _, cl := range p.calls(bd, kb) {
@@ -106,10 +149,15 @@ func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
 				if err != nil {
 					return nil, err
 				}
-				if lays[cp] == nil {
-					lays[cp] = cp.Layout(int64(kb), ld, ld)
+				l, ok := lays[cp]
+				if !ok {
+					l[0] = cp.Layout(int64(kb), ld, ld)
+					if p.abFits != nil {
+						l[1] = cp.Layout(int64(p.K), int64(p.N), ld)
+					}
+					lays[cp] = l
 				}
-				bc.cp, bc.lay = cp, lays[cp]
+				bc.cp, bc.lay, bc.ilay = cp, l[0], l[1]
 			}
 			for i := 0; i < cl.Count; i++ {
 				bc.col = cl.Col + i*cl.Width
@@ -202,12 +250,15 @@ func aSlots(k, kc, packA int) int {
 }
 
 // runGroup executes one C-tile group, its k blocks ascending: the C
-// tile is staged into cBuf once, each block packs A into its slot of
-// the row panel and B into the B panel (skipped when they already hold
-// that block) and runs its calls, and the tile is copied back once,
-// only when every call of every block succeeded. Each block's calls
-// add onto cBuf in the order a per-block copy through C would, so the
-// result is bit-identical to staging C around every block.
+// tile is staged into cBuf once, each block runs its calls onto it,
+// reading A and B in place when the block fits them there (abFits) and
+// otherwise packing A into its slot of the row panel and B into the B
+// panel (skipped when they already hold that block), and the tile is
+// copied back once, only when every call of every block succeeded. Each
+// block's calls add onto cBuf in the order a per-block copy through C
+// would, so the result is bit-identical to staging C around every
+// block; a block reads the same A and B values on either path. a and b
+// are cut to M·K and K·N.
 func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) error {
 	k, n := p.K, p.N
 	ld, sa := p.scratch.LD, p.scratch.PackA
@@ -215,10 +266,21 @@ func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) err
 	for i := 0; i < t.MB; i++ {
 		copy(st.cBuf[i*ld:i*ld+t.NB], c[(t.MOff+i)*n+t.NOff:])
 	}
+	inPlace := 0
 	for ki, blk := range group {
 		bp, err := p.blockProgram(blk)
 		if err != nil {
 			return err
+		}
+		if p.abFits != nil && p.abFits[blk.idx] {
+			for _, cl := range bp.calls {
+				aOff, bOff := p.abOffsets(blk, cl)
+				if err := cl.cp.Run(st.env, cl.ilay, a, b, st.cBuf, aOff, bOff, int64(cl.row*ld+cl.col), kernelFuel); err != nil {
+					return err
+				}
+			}
+			inPlace++
+			continue
 		}
 		lda, slot := blk.KB, ki%p.aSlots
 		if ak := [4]int{blk.MOff, blk.KOff, blk.MB, blk.KB}; st.aKeys[slot] != ak {
@@ -245,8 +307,13 @@ func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) err
 	}
 	if p.interpOnly {
 		atomic.AddInt64(&p.nInterp, int64(len(group)))
-	} else {
-		atomic.AddInt64(&p.nPacked, int64(len(group)))
+		return nil
+	}
+	if inPlace > 0 {
+		atomic.AddInt64(&p.nABInPlace, int64(inPlace))
+	}
+	if inPlace < len(group) {
+		atomic.AddInt64(&p.nPacked, int64(len(group)-inPlace))
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,10 +140,17 @@ func checkGeometry(m, n, k int) error {
 	return nil
 }
 
+// ErrOverlap is returned, before any work, for a run whose C shares
+// memory with A or B: the C-tile groups write C while others, and later
+// k blocks of their own, still read A and B. A and B may overlap each
+// other; both are only read.
+var ErrOverlap = errors.New("core: C overlaps A or B")
+
 // job validates the geometry and operand buffers and returns the
-// plan's C-tile-group task function over them. The scheduler resolves
-// the participant cap: <= 0 means the whole pool, and never more than
-// one participant per group.
+// plan's C-tile-group task function over them, with each operand cut
+// to its m·k, k·n or m·n elements. The scheduler resolves the
+// participant cap: <= 0 means the whole pool, and never more than one
+// participant per group.
 func (p *Plan) job(c, a, b []float32) (func(*sched.Worker, int) error, error) {
 	m, n, k := p.M, p.N, p.K
 	if err := checkGeometry(m, n, k); err != nil {
@@ -151,10 +160,26 @@ func (p *Plan) job(c, a, b []float32) (func(*sched.Worker, int) error, error) {
 		return nil, fmt.Errorf("core: buffer sizes (%d,%d,%d) too small for %dx%dx%d",
 			len(a), len(b), len(c), m, n, k)
 	}
+	c, a, b = c[:m*n], a[:m*k], b[:k*n]
+	if overlaps(c, a) || overlaps(c, b) {
+		return nil, fmt.Errorf("%w (%dx%dx%d)", ErrOverlap, m, n, k)
+	}
 	seq := atomic.AddUint64(&jobSeq, 1)
 	return func(w *sched.Worker, gi int) error {
 		return p.runGroup(p.stateFor(w, seq), p.groups[gi], c, a, b)
 	}, nil
+}
+
+// overlaps reports whether x and y share an element. It reads the
+// addresses through reflect because unsafe stays inside the compiled
+// executor (the unsafeptr vet pass), and takes them from element
+// pointers, which box without allocating.
+func overlaps(x, y []float32) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	x0, y0 := reflect.ValueOf(&x[0]).Pointer(), reflect.ValueOf(&y[0]).Pointer()
+	return x0 < y0+uintptr(len(y))*4 && y0 < x0+uintptr(len(x))*4
 }
 
 // Submit validates the geometry and operand buffers and enqueues the

@@ -216,11 +216,11 @@ func TestRunOnClosedRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float32, 64)
-	if err := plan.Run(buf, buf, buf); !errors.Is(err, sched.ErrClosed) {
+	c, a, b := make([]float32, 64), make([]float32, 64), make([]float32, 64)
+	if err := plan.Run(c, a, b); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Run on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
-	if _, err := plan.Submit(context.Background(), buf, buf, buf, 0, sched.QoS{}); !errors.Is(err, sched.ErrClosed) {
+	if _, err := plan.Submit(context.Background(), c, a, b, 0, sched.QoS{}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Submit on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
 }
@@ -328,9 +328,9 @@ func TestSubmitContextPreCancelledCore(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	buf := make([]float32, 64)
+	c, a, b := make([]float32, 64), make([]float32, 64), make([]float32, 64)
 	for _, workers := range []int{0, 1, 2} {
-		if _, err := plan.Submit(ctx, buf, buf, buf, workers, sched.QoS{}); !errors.Is(err, context.Canceled) {
+		if _, err := plan.Submit(ctx, c, a, b, workers, sched.QoS{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Submit(workers=%d) = %v, want context.Canceled", workers, err)
 		}
 	}

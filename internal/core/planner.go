@@ -583,6 +583,10 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	if p.runtime == nil {
 		p.runtime = sched.Shared()
 	}
-	p.groups = partitionGroups(p.blocks())
+	blocks := p.blocks()
+	p.groups = partitionGroups(blocks)
+	if pack == PackNone && !p.interpOnly && chip.Lanes == 4 {
+		p.abFits = make([]bool, len(blocks))
+	}
 	return p, nil
 }

@@ -173,7 +173,43 @@ func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*P
 	}
 	flush(1)
 	cp.tileOnly = tileOnly(cp)
+	if cp.tileOnly {
+		cp.exact = exactExtents(cp.regions)
+	}
 	return cp, nil
+}
+
+// exactExtents returns a tile-only program's extents by bank: the
+// furthest row and column end its chunks reach, over the scalars and
+// multiplicands of their first and last steps, the set-up loads of
+// their accumulators and their folded C stores. Under the program's
+// Layout nothing else runs.
+func exactExtents(regions []*region) (ext [3]extent) {
+	for _, r := range regions {
+		for i := range r.chunks {
+			ch := &r.chunks[i]
+			last := ch.n - 1
+			for row := int64(0); row < ch.rows; row++ {
+				p := ch.a.add(ch.off[row])
+				ext[ch.abank].cover(p, 4)
+				ext[ch.abank].cover(p.at(last, ch.sa), 4)
+			}
+			for c := int64(0); c < ch.cols; c++ {
+				p := ch.b.add(pos{col: 16 * c})
+				ext[ch.bbank].cover(p, 16)
+				ext[ch.bbank].cover(p.at(last, ch.sb), 16)
+			}
+			for _, ac := range ch.acc {
+				if ac.init == verLoad {
+					ext[ac.ibank].cover(ac.iat, 16)
+				}
+				if r.store {
+					ext[bankC].cover(ac.sat, 16)
+				}
+			}
+		}
+	}
+	return ext
 }
 
 // tileOnly reports whether every micro-op of cp is an affine region and

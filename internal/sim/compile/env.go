@@ -13,7 +13,12 @@
 // branches: it is a list of segments, each a body run a fixed number of
 // trips, whose memory ops carry their panel positions. Run validates the
 // panel extents once per invocation (Precheck) and executes with no
-// per-access checkAddr at all. Programs the analyzer cannot prove are
+// per-access checkAddr at all. The extents are the declared ones (the
+// panel shape plus the over-read slack the asm kernel's pipelined loads
+// need), except for a tile-only program run under its Layout: that Run
+// executes only its chunks' progressions, so it is held to the exact
+// extents translate records from them, and operands need no slack past
+// what the kernel really reads. Programs the analyzer cannot prove are
 // refused — Compile fails with ErrUnproven, it never guesses.
 package compile
 
@@ -106,6 +111,24 @@ type Program struct {
 	// stages a live-in accumulator from the vector file: the program
 	// never reads Env.v, so no Run needs the registers a region leaves.
 	tileOnly bool
+	// exact is a tile-only program's reach into each operand panel,
+	// by bank: what its chunks read and write (exactExtents), with none
+	// of the declared over-read slack.
+	exact [3]extent
+}
+
+// extent is how far a program reaches past one panel's base: its
+// furthest row, and over every row the furthest column end, in float32
+// elements. At leading dimension ld every access ends within
+// rows·ld + cols elements of the base.
+type extent struct{ rows, cols int64 }
+
+func (x extent) at(ld int64) int64 { return x.rows*ld + x.cols }
+
+// cover extends x over an access of n bytes at position p.
+func (x *extent) cover(p pos, n int64) {
+	x.rows = max(x.rows, p.row)
+	x.cols = max(x.cols, (p.col+n+3)/4)
 }
 
 // Layout is a program's offsets resolved at one (lda, ldb, ldc): every
@@ -157,33 +180,50 @@ type segment struct {
 }
 
 // Precheck validates the once-per-invocation panel extents that replace
-// the interpreter's per-access checkAddr. The analyzer proved every
-// access has the form  off + row·ld + col  (in elements here) with
-// 0 ≤ row and 0 ≤ col bounded by the panel shape plus declared slack, so
-// the extreme corner of each panel suffices:
+// the interpreter's per-access checkAddr, as a Run under the program's
+// Layout checks them. The analyzer proved every access has the form
+// off + row·ld + col  (in elements here) with 0 ≤ row and 0 ≤ col
+// bounded by the panel shape plus declared slack, so the extreme corner
+// of each panel suffices. The declared extents are
 //
 //	A:  off_A + (MR-1)·lda + KC + AOverVectors·σ  ≤ len(A)
 //	B:  off_B + (KC+BOverRows-1)·ldb + NR         ≤ len(B)
 //	C:  off_C + (MR-1)·ldc + NR                   ≤ len(C)
 //
-// with all offsets and leading dimensions non-negative. Offsets and
+// A tile-only program is held to its exact extents instead: under its
+// Layout its only accesses are its chunks' progressions, so the
+// over-read slack the asm kernel's pipelined loads need is never read,
+// and A is (MR-1)·lda + KC, B (KC-1)·ldb + NR for a generated kernel.
+// All offsets and leading dimensions must be non-negative. Offsets and
 // strides are in float32 elements. C's rows must also be disjoint,
 // ldc ≥ NR when MR > 1: the affine regions reorder C loads and stores
 // on that rule (foldC, affine.go).
 func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) error {
+	return cp.precheck(cp.tileOnly, lenA, lenB, lenC, aOff, bOff, cOff, lda, ldb, ldc)
+}
+
+// precheck is Precheck against the exact extents when exact is set,
+// else against the declared ones.
+func (cp *Program) precheck(exact bool, lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) error {
 	b := &cp.Bounds
+	var ext [3]int64
+	if exact {
+		ext = [3]int64{cp.exact[0].at(lda), cp.exact[1].at(ldb), cp.exact[2].at(ldc)}
+	} else {
+		ext = [3]int64{b.AExtent(lda), b.BExtent(ldb), b.CExtent(ldc)}
+	}
 	switch {
 	case aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0:
 		return fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
-	case aOff+b.AExtent(lda) > int64(lenA):
-		return fmt.Errorf("%w: %s: A panel [%d + %d rows × lda %d] exceeds %d elements",
-			ErrBounds, cp.Name, aOff, b.MR, lda, lenA)
-	case bOff+b.BExtent(ldb) > int64(lenB):
-		return fmt.Errorf("%w: %s: B panel [%d + %d rows × ldb %d] exceeds %d elements",
-			ErrBounds, cp.Name, bOff, b.KC+b.BOverRows, ldb, lenB)
-	case cOff+b.CExtent(ldc) > int64(lenC):
-		return fmt.Errorf("%w: %s: C panel [%d + %d rows × ldc %d] exceeds %d elements",
-			ErrBounds, cp.Name, cOff, b.MR, ldc, lenC)
+	case aOff+ext[0] > int64(lenA):
+		return fmt.Errorf("%w: %s: A panel [%d + %d at lda %d] exceeds %d elements",
+			ErrBounds, cp.Name, aOff, ext[0], lda, lenA)
+	case bOff+ext[1] > int64(lenB):
+		return fmt.Errorf("%w: %s: B panel [%d + %d at ldb %d] exceeds %d elements",
+			ErrBounds, cp.Name, bOff, ext[1], ldb, lenB)
+	case cOff+ext[2] > int64(lenC):
+		return fmt.Errorf("%w: %s: C panel [%d + %d at ldc %d] exceeds %d elements",
+			ErrBounds, cp.Name, cOff, ext[2], ldc, lenC)
 	case !b.CRowsDisjoint(ldc):
 		return fmt.Errorf("%w: %s: C rows overlap: ldc %d < NR %d with %d rows",
 			ErrBounds, cp.Name, ldc, b.NR, b.MR)
@@ -193,9 +233,13 @@ func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ld
 
 // Run executes the compiled program over the three operand slices at
 // the leading dimensions of l, one of the program's layouts. Offsets are
-// in float32 elements. maxLoopIters bounds taken loop branches — a
-// backstop against translator bugs, checked once against the program's
-// static count before any work. Run allocates nothing.
+// in float32 elements. It first prechecks the operands (Precheck): a
+// tile-only program's Layout against its exact extents, any other
+// layout, and every exit layout, against the declared ones, since an
+// exit layout's final reloads read the over-read slack. maxLoopIters
+// bounds taken loop branches — a backstop against translator bugs,
+// checked once against the program's static count before any work. Run
+// allocates nothing.
 //
 // The operand slices must not be reallocated for the duration of the
 // call; when they alias a sim.Arena, the arena must be frozen first
@@ -209,7 +253,7 @@ func (cp *Program) Run(e *Env, l *Layout, a, b, c []float32, aOff, bOff, cOff in
 		return fmt.Errorf("compile: %s: layout belongs to %s", cp.Name, l.cp.Name)
 	}
 	lda, ldb, ldc := l.ld[0], l.ld[1], l.ld[2]
-	if err := cp.Precheck(len(a), len(b), len(c), aOff, bOff, cOff, lda, ldb, ldc); err != nil {
+	if err := cp.precheck(cp.tileOnly && !l.exit, len(a), len(b), len(c), aOff, bOff, cOff, lda, ldb, ldc); err != nil {
 		return err
 	}
 	if cp.iters > maxLoopIters {

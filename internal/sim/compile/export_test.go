@@ -212,3 +212,10 @@ func AffineRunner(cp *Program, e *Env, a, b, c []float32, lda, ldb, ldc int64, p
 		}
 	}, fmlas, err
 }
+
+// ExactExtents returns the elements past each panel base, A, B and C,
+// that a Run of tile-only cp under its Layout reaches at lda, ldb and
+// ldc.
+func ExactExtents(cp *Program, lda, ldb, ldc int64) [3]int64 {
+	return [3]int64{cp.exact[0].at(lda), cp.exact[1].at(ldb), cp.exact[2].at(ldc)}
+}

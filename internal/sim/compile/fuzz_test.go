@@ -36,7 +36,11 @@ import (
 // The exit comparison runs under ExitLayout; each proven input then
 // runs again under the production Layout from a poisoned vector file,
 // and its C must be bit-equal, with a tile-only program's vector file
-// left as it was.
+// left as it was. A tile-only program then runs once more on operands
+// cut to its exact extents, each followed by a NaN tail
+// (requireExactCut): C must still be bit-equal and every tail
+// untouched, and under ExitLayout a cut shorter than the declared
+// extent is refused.
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
 	// with varying offsets, and the affine region proof's cases.
@@ -153,6 +157,7 @@ func compileDiff(t *testing.T, data []byte) {
 	}
 	if compile.TileOnly(cp) {
 		requireVectorsUntouched(t, p.Name, e, poisoned)
+		requireExactCut(t, cp, [3][]float32{a, b, c}, want, lda, ldb, ldc)
 	}
 }
 

@@ -26,40 +26,8 @@ import (
 func TestLayoutDropsOnlyDeadExitState(t *testing.T) { forEachTileLoop(t, layoutDropsOnlyDeadExitState) }
 
 func layoutDropsOnlyDeadExitState(t *testing.T) {
-	const lanes = 4
 	rng := rand.New(rand.NewSource(11))
-	var specs []mkernel.Spec
-	step := 1
-	if testing.Short() {
-		step = 5
-	}
-	tiles := mkernel.FeasibleTiles(lanes)
-	for ti := 0; ti < len(tiles); ti += step {
-		tile := tiles[ti]
-		if !tile.Generatable(lanes) {
-			continue
-		}
-		for _, kc := range []int{1, lanes, lanes + 1, 2*lanes + 1, 129} {
-			for _, rotate := range []bool{false, true} {
-				for _, loadC := range []bool{false, true} {
-					specs = append(specs, mkernel.Config{Tile: tile, KC: kc, Lanes: lanes,
-						Rotate: rotate, LoadC: loadC})
-				}
-			}
-		}
-	}
-	for _, segs := range [][]mkernel.Segment{
-		{{Tile: mkernel.Tile{MR: 4, NR: 2 * lanes}, Count: 2}},
-		{{Tile: mkernel.Tile{MR: 4, NR: 2 * lanes}, Count: 1}, {Tile: mkernel.Tile{MR: 4, NR: lanes}, Count: 1}},
-	} {
-		for _, fuse := range []bool{false, true} {
-			for _, loadC := range []bool{false, true} {
-				specs = append(specs, mkernel.BandConfig{Segments: segs, KC: 2*lanes + 1, Lanes: lanes,
-					Rotate: true, Fuse: fuse, LoadC: loadC})
-			}
-		}
-	}
-
+	specs := gridSpecs()
 	cache := mkernel.NewCache()
 	tileOnly := 0
 	for _, spec := range specs {
@@ -127,6 +95,45 @@ func layoutDropsOnlyDeadExitState(t *testing.T) {
 		}
 		requireLayoutMatches(t, p, cp, rng)
 	}
+}
+
+// gridSpecs is the 4-lane grid of TestDifferentialSweep: every
+// generatable tile (every fifth under -short) × the sweep's KC values ×
+// rotate × LoadC, and its two bands fused and not.
+func gridSpecs() []mkernel.Spec {
+	const lanes = 4
+	var specs []mkernel.Spec
+	step := 1
+	if testing.Short() {
+		step = 5
+	}
+	tiles := mkernel.FeasibleTiles(lanes)
+	for ti := 0; ti < len(tiles); ti += step {
+		tile := tiles[ti]
+		if !tile.Generatable(lanes) {
+			continue
+		}
+		for _, kc := range []int{1, lanes, lanes + 1, 2*lanes + 1, 129} {
+			for _, rotate := range []bool{false, true} {
+				for _, loadC := range []bool{false, true} {
+					specs = append(specs, mkernel.Config{Tile: tile, KC: kc, Lanes: lanes,
+						Rotate: rotate, LoadC: loadC})
+				}
+			}
+		}
+	}
+	for _, segs := range [][]mkernel.Segment{
+		{{Tile: mkernel.Tile{MR: 4, NR: 2 * lanes}, Count: 2}},
+		{{Tile: mkernel.Tile{MR: 4, NR: 2 * lanes}, Count: 1}, {Tile: mkernel.Tile{MR: 4, NR: lanes}, Count: 1}},
+	} {
+		for _, fuse := range []bool{false, true} {
+			for _, loadC := range []bool{false, true} {
+				specs = append(specs, mkernel.BandConfig{Segments: segs, KC: 2*lanes + 1, Lanes: lanes,
+					Rotate: true, Fuse: fuse, LoadC: loadC})
+			}
+		}
+	}
+	return specs
 }
 
 // requireLayoutMatches runs cp on random operands under ExitLayout and
