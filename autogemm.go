@@ -7,13 +7,13 @@
 // tiles selected by arithmetic intensity, optimizes their pipelines with
 // rotating register allocation and epilogue–prologue fusion, partitions
 // cache blocks with the Dynamic Micro-Tiling algorithm, and tunes cache
-// blocking, loop order and packing with a model-pruned search. Because
-// this build targets commodity hosts rather than Arm silicon, kernels
-// execute on a cycle-level simulator of the paper's five evaluation
-// chips (KP920, Graviton2, Altra, M2, A64FX): Multiply computes real
-// float32 results by running the generated kernels, compiled from the
-// analyzer's proof of their memory accesses, and Estimate projects
-// their performance on the selected chip.
+// blocking and packing with a model-pruned search (the block loop order
+// is fixed at MNK). Because this build targets commodity hosts rather
+// than Arm silicon, kernels execute on a cycle-level simulator of the
+// paper's five evaluation chips (KP920, Graviton2, Altra, M2, A64FX):
+// Multiply computes real float32 results by running the generated
+// kernels, compiled from the analyzer's proof of their memory accesses,
+// and Estimate projects their performance on the selected chip.
 //
 // Quick start:
 //
@@ -78,7 +78,6 @@ func Providers() []string {
 // Table III. The zero value of each field means "choose automatically".
 type Options struct {
 	MC, NC, KC int    // cache block shape
-	Order      string // block loop order: "MNK", "MKN", "NMK", "NKM", "KMN", "KNM"
 	Pack       string // "none", "online", "offline", or "" for automatic
 	NoRotate   bool   // disable rotating register allocation (§III-C1)
 	NoFuse     bool   // disable epilogue-prologue fusion (§III-C2)
@@ -238,13 +237,6 @@ func (e *Engine) resolve(opts *Options) (core.Options, error) {
 	co.Rotate = !opts.NoRotate
 	co.Fuse = !opts.NoFuse
 	co.Cores = opts.Cores
-	if opts.Order != "" {
-		o, err := core.OrderFromString(opts.Order)
-		if err != nil {
-			return co, fmt.Errorf("autogemm: unknown loop order %q", opts.Order)
-		}
-		co.Order = o
-	}
 	if opts.Pack != "" {
 		p, err := core.PackFromString(opts.Pack)
 		if err != nil {
@@ -322,8 +314,8 @@ func (e *Engine) EstimateProvider(provider string, m, n, k int) (Perf, error) {
 // Tune searches the Table III parameter space for the problem and
 // returns the best options found along with their projected performance.
 // budget caps the number of simulator evaluations (0 = default). The
-// loop order is not searched, since no estimate reads it; the returned
-// Order is the tuned plan's, MNK.
+// search covers cache blocking and packing; the block loop order is
+// fixed at MNK for every plan.
 //
 // The winning plan is inserted into the engine's plan cache — a
 // subsequent request with the returned options (GEMM.Opts, PlanFor)
@@ -351,7 +343,7 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	}
 	best := Options{
 		MC: res.Best.MC, NC: res.Best.NC, KC: res.Best.KC,
-		Order: rec.Order, Pack: res.Best.Pack.String(),
+		Pack: res.Best.Pack.String(),
 	}
 	return best, perfOf(res.Estimate), nil
 }
@@ -425,7 +417,7 @@ func (e *Engine) KernelInfo(mr, nr, kc int, rotate bool) (string, error) {
 }
 
 // DescribePlan renders the fully-resolved execution plan for a problem:
-// blocking, packing, loop order, and the micro-tiling of each block.
+// blocking, packing, and the micro-tiling of each block.
 func (e *Engine) DescribePlan(opts *Options, m, n, k int) (string, error) {
 	plan, err := e.plan(opts, m, n, k)
 	if err != nil {

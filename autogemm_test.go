@@ -49,7 +49,7 @@ func TestMultiplyMatchesReference(t *testing.T) {
 func TestMultiplyWithOptions(t *testing.T) {
 	e, _ := New("Graviton2")
 	const m, n, k = 19, 27, 31
-	opts := &Options{MC: 10, NC: 12, KC: 8, Order: "KNM", Pack: "online"}
+	opts := &Options{MC: 10, NC: 12, KC: 8, Pack: "online"}
 	a := make([]float32, m*k)
 	b := make([]float32, k*n)
 	c := make([]float32, m*n)
@@ -68,9 +68,6 @@ func TestMultiplyWithOptions(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	e, _ := New("KP920")
 	buf := make([]float32, 64)
-	if err := e.MultiplyContext(context.Background(), GEMM{C: buf, A: buf, B: buf, M: 4, N: 4, K: 4, Opts: &Options{Order: "XYZ"}}); err == nil {
-		t.Error("bad loop order accepted")
-	}
 	if err := e.MultiplyContext(context.Background(), GEMM{C: buf, A: buf, B: buf, M: 4, N: 4, K: 4, Opts: &Options{Pack: "sideways"}}); err == nil {
 		t.Error("bad pack mode accepted")
 	}

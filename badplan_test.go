@@ -88,6 +88,9 @@ func TestLoadPlanRejectsBadPlans(t *testing.T) {
 				blk.Panels[len(blk.Panels)-1].M--
 			})
 		}, true},
+		{"negative-tile", func() []byte {
+			return tamper(t, data, func(p *plan.Plan) { p.Blocks[0].Panels[0].MR = -p.Blocks[0].Panels[0].MR })
+		}, true},
 		{"dangling-kernel-key", func() []byte {
 			return tamper(t, data, func(p *plan.Plan) {
 				p.KernelKeys = append(p.KernelKeys, "mk_9x8x77_l4_rot")

@@ -45,7 +45,6 @@ func main() {
 	}
 	fmt.Printf("problem   %dx%dx%d on %s\n", *m, *n, *k, eng.ChipName())
 	fmt.Printf("blocking  m_c=%d n_c=%d k_c=%d\n", opts.MC, opts.NC, opts.KC)
-	fmt.Printf("order     %s\n", opts.Order)
 	fmt.Printf("packing   %s\n", opts.Pack)
 	fmt.Printf("projected %.1f GF/s (%.1f%% of single-core peak)\n",
 		perf.GFLOPS, perf.Efficiency*100)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"autogemm/internal/core"
 	"autogemm/internal/sched"
 )
 
@@ -36,6 +37,12 @@ var ErrPanicked = sched.ErrPanicked
 // the signal a serving front door's graceful shutdown turns into "some
 // requests were abandoned" instead of hanging its process exit.
 var ErrDrainTimeout = sched.ErrDrainTimeout
+
+// ErrOverlap matches (via errors.Is) the error Multiply,
+// MultiplyPlanned, Submit and the batch calls return, before any work,
+// for a GEMM whose C shares memory with its A or B. A and B may overlap
+// each other.
+var ErrOverlap = core.ErrOverlap
 
 // ErrBadPlan matches (via errors.Is) every error LoadPlan returns for
 // a plan that cannot be trusted: JSON that fails to decode, a format

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"autogemm/internal/core"
 	"autogemm/internal/refgemm"
 	"autogemm/internal/sched"
 )
@@ -322,7 +321,7 @@ func TestMultiplyBatchContinuesPastFailedElement(t *testing.T) {
 }
 
 // TestOverlappingCRefused: Multiply and MultiplyBatch refuse a C that
-// shares memory with A or B with an error matching core.ErrOverlap,
+// shares memory with A or B with an error matching ErrOverlap,
 // before any work, on sub-slices of one backing array; a batch still
 // runs its other elements. A and B may overlap each other.
 func TestOverlappingCRefused(t *testing.T) {
@@ -340,8 +339,8 @@ func TestOverlappingCRefused(t *testing.T) {
 		buf[m*k+k*n-1 : m*k+k*n-1+m*n], // C's first element is B's last
 	} {
 		before := append([]float32(nil), buf...)
-		if err := e.Multiply(c, a, b, m, n, k); !errors.Is(err, core.ErrOverlap) {
-			t.Fatalf("Multiply: %v, want core.ErrOverlap", err)
+		if err := e.Multiply(c, a, b, m, n, k); !errors.Is(err, ErrOverlap) {
+			t.Fatalf("Multiply: %v, want ErrOverlap", err)
 		}
 		if !bitsEqual(buf, before) {
 			t.Fatal("refused Multiply wrote its operands")
@@ -356,8 +355,8 @@ func TestOverlappingCRefused(t *testing.T) {
 			{M: m, N: n, K: k, A: a, B: b, C: c},
 			{M: m, N: n, K: k, A: a, B: b2, C: free},
 		})
-		if !errors.Is(err, core.ErrOverlap) || !strings.Contains(err.Error(), "batch element 0") {
-			t.Fatalf("MultiplyBatch: %v, want element 0's core.ErrOverlap", err)
+		if !errors.Is(err, ErrOverlap) || !strings.Contains(err.Error(), "batch element 0") {
+			t.Fatalf("MultiplyBatch: %v, want element 0's ErrOverlap", err)
 		}
 		if !bitsEqual(buf, before) {
 			t.Fatal("refused batch element wrote its operands")

@@ -2,10 +2,10 @@
 // split along the plan boundary:
 //
 //   - the *planner* (planner.go, Produce) resolves cache blocking
-//     (m_c, n_c, k_c), data packing (σ_packing), loop ordering
-//     (σ_order) and the micro-tiling of each distinct block (package
-//     tiling), and captures everything in an immutable, serializable
-//     plan.Plan;
+//     (m_c, n_c, k_c), data packing (σ_packing) and the micro-tiling
+//     of each distinct block (package tiling), and captures everything
+//     in an immutable, serializable plan.Plan. The block loop order
+//     σ_order is fixed at MNK (see blocks), not planned;
 //   - the *executor* (this file, exec.go, estimate.go; Attach) replays
 //     a plan — functionally (numerical results via the compiled
 //     backend or the simulator's machine) and as a cycle estimate
@@ -63,41 +63,10 @@ func (p PackMode) String() string {
 	}
 }
 
-// LoopOrder is σ_order for the three cache-block loops. The generator
-// fixes the two register-loop orders (n inner within a row band), so of
-// the paper's 5! = 120 permutations the 3! = 6 block orders remain
-// distinguishable; the others collapse onto these (see DESIGN.md).
-type LoopOrder uint8
-
-// Block loop orders, named outermost to innermost.
-const (
-	OrderMNK LoopOrder = iota
-	OrderMKN
-	OrderNMK
-	OrderNKM
-	OrderKMN
-	OrderKNM
-)
-
-// String implements fmt.Stringer.
-func (o LoopOrder) String() string {
-	names := [...]string{"MNK", "MKN", "NMK", "NKM", "KMN", "KNM"}
-	if int(o) < len(names) {
-		return names[o]
-	}
-	return "?"
-}
-
-// AllLoopOrders lists the block loop orders.
-func AllLoopOrders() []LoopOrder {
-	return []LoopOrder{OrderMNK, OrderMKN, OrderNMK, OrderNKM, OrderKMN, OrderKNM}
-}
-
 // Options selects the algorithm parameters of Table III plus the
 // optimization toggles of §III-C.
 type Options struct {
 	MC, NC, KC int // cache block shape; 0 means "choose automatically"
-	Order      LoopOrder
 	Pack       PackMode
 	Rotate     bool
 	Fuse       bool
@@ -160,7 +129,7 @@ func AutoOptions(chip *hw.Chip) Options {
 
 // Plan is an executor bound to one immutable recipe: a fully-resolved
 // execution plan for one (M, N, K) problem on one chip. All planning
-// state (blocking, loop order, packing, per-block tilings) lives in
+// state (blocking, packing, per-block tilings) lives in
 // Recipe; the rest of the struct is runtime machinery — the kernel
 // cache, the block programs and execution counters. Once attached, a
 // plan is read-only apart from its lazily built memos (block programs,
@@ -169,7 +138,7 @@ func AutoOptions(chip *hw.Chip) Options {
 type Plan struct {
 	Chip    *hw.Chip
 	M, N, K int
-	Opts    Options // resolved: MC/NC/KC, Order and Pack are concrete
+	Opts    Options // resolved: MC/NC/KC and Pack are concrete
 
 	// Recipe is the serializable plan this executor replays. Treat it
 	// as read-only.
@@ -189,7 +158,7 @@ type Plan struct {
 	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
 	aSlots     int             // A slots of a participant's row panel (aSlots in exec.go)
 
-	// abFits, by block position in the loop order, marks the blocks
+	// abFits, by block position in the grid, marks the blocks
 	// whose calls all fit A and B in place (exec.go, fitInPlace). It
 	// is nil unless the plan reads in place: PackNone, compiled, 4
 	// lanes. A shape's entries are written once, when its program
@@ -287,77 +256,26 @@ func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
 	return tl, nil
 }
 
-// blocks enumerates the cache-block grid in the plan's loop order.
+// blockIter is one block of the cache-block grid.
 type blockIter struct {
 	MOff, NOff, KOff int
 	MB, NB, KB       int
-	idx              int // position in the loop order; indexes Plan.abFits
+	idx              int // position in the grid; indexes Plan.abFits
 }
 
+// blocks enumerates the cache-block grid in its one loop order, MNK: m
+// blocks, then n blocks, then k blocks ascending, so each C tile's k
+// blocks are consecutive (Attach groups them into tasks that way).
 func (p *Plan) blocks() []blockIter {
-	var ms, ns, ks [][2]int
-	for off := 0; off < p.M; off += p.Opts.MC {
-		ms = append(ms, [2]int{off, min(p.Opts.MC, p.M-off)})
-	}
-	for off := 0; off < p.N; off += p.Opts.NC {
-		ns = append(ns, [2]int{off, min(p.Opts.NC, p.N-off)})
-	}
-	for off := 0; off < p.K; off += p.Opts.KC {
-		ks = append(ks, [2]int{off, min(p.Opts.KC, p.K-off)})
-	}
 	var out []blockIter
-	add := func(mi, ni, ki [2]int) {
-		out = append(out, blockIter{
-			MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1], idx: len(out),
-		})
-	}
-	switch p.Opts.Order {
-	case OrderMNK:
-		for _, mi := range ms {
-			for _, ni := range ns {
-				for _, ki := range ks {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderMKN:
-		for _, mi := range ms {
-			for _, ki := range ks {
-				for _, ni := range ns {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderNMK:
-		for _, ni := range ns {
-			for _, mi := range ms {
-				for _, ki := range ks {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderNKM:
-		for _, ni := range ns {
-			for _, ki := range ks {
-				for _, mi := range ms {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderKMN:
-		for _, ki := range ks {
-			for _, mi := range ms {
-				for _, ni := range ns {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	default: // OrderKNM
-		for _, ki := range ks {
-			for _, ni := range ns {
-				for _, mi := range ms {
-					add(mi, ni, ki)
-				}
+	for m := 0; m < p.M; m += p.Opts.MC {
+		for n := 0; n < p.N; n += p.Opts.NC {
+			for k := 0; k < p.K; k += p.Opts.KC {
+				out = append(out, blockIter{
+					MOff: m, NOff: n, KOff: k,
+					MB: min(p.Opts.MC, p.M-m), NB: min(p.Opts.NC, p.N-n), KB: min(p.Opts.KC, p.K-k),
+					idx: len(out),
+				})
 			}
 		}
 	}

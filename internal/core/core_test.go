@@ -48,29 +48,25 @@ func TestRunMatchesReferenceShapes(t *testing.T) {
 	}
 }
 
-// TestRunOptionMatrix exercises packing modes, loop orders, fusion and
-// rotation combinations on a non-divisible shape.
+// TestRunOptionMatrix exercises packing modes, fusion and rotation
+// combinations on a non-divisible shape.
 func TestRunOptionMatrix(t *testing.T) {
 	chip := hw.Graviton2()
 	for _, pack := range []PackMode{PackNone, PackOnline, PackOffline} {
-		for _, order := range AllLoopOrders() {
-			for _, fuse := range []bool{false, true} {
-				opts := Options{Pack: pack, Order: order, Fuse: fuse, Rotate: true}
-				checkGEMM(t, chip, 37, 29, 23, opts)
-			}
+		for _, fuse := range []bool{false, true} {
+			opts := Options{Pack: pack, Fuse: fuse, Rotate: true}
+			checkGEMM(t, chip, 37, 29, 23, opts)
 		}
 	}
 }
 
-// TestRunSmallBlocks forces tiny cache blocks so every loop order
-// produces multiple blocks in every dimension, including k-splitting
-// (accumulation across chunks).
+// TestRunSmallBlocks forces tiny cache blocks so the grid has multiple
+// blocks in every dimension, including k-splitting (accumulation across
+// chunks).
 func TestRunSmallBlocks(t *testing.T) {
 	chip := hw.KP920()
-	for _, order := range AllLoopOrders() {
-		opts := Options{MC: 10, NC: 12, KC: 9, Order: order, Pack: PackOnline, Rotate: true, Fuse: true}
-		checkGEMM(t, chip, 33, 41, 29, opts)
-	}
+	opts := Options{MC: 10, NC: 12, KC: 9, Pack: PackOnline, Rotate: true, Fuse: true}
+	checkGEMM(t, chip, 33, 41, 29, opts)
 }
 
 // TestRunStaticStrategies verifies the baseline tilings (padded and

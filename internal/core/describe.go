@@ -6,13 +6,13 @@ import (
 )
 
 // Describe renders the fully-resolved plan as a human-readable report:
-// the blocking, packing and loop-order decisions, and the micro-tiling of
-// each distinct block shape — what cmd/autogemm-tune -explain prints.
+// the blocking and packing decisions, the fixed loop order, and the
+// micro-tiling of each distinct block shape — what cmd/autogemm-tune -explain prints.
 func (p *Plan) Describe() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan for %dx%dx%d on %s\n", p.M, p.N, p.K, p.Chip)
 	fmt.Fprintf(&b, "  blocking   m_c=%d n_c=%d k_c=%d\n", p.Opts.MC, p.Opts.NC, p.Opts.KC)
-	fmt.Fprintf(&b, "  loop order %s (outermost to innermost)\n", p.Opts.Order)
+	b.WriteString("  loop order MNK (outermost to innermost)\n")
 	fmt.Fprintf(&b, "  packing    %s\n", p.Opts.Pack)
 	fmt.Fprintf(&b, "  pipeline   rotate=%v fuse=%v\n", p.Opts.Rotate, p.Opts.Fuse)
 	fmt.Fprintf(&b, "  strategy   %s\n", p.Recipe.Request.Tiler)

@@ -15,52 +15,49 @@ import (
 
 // TestRunBackendsBitIdentical: the compiled backend must produce the
 // same bits as the forced-interpreter path for whole plans, across
-// packing modes and loop orders. Padding and scratch contents differ
+// packing modes and fusion. Padding and scratch contents differ
 // between the paths, but no padded lane may ever leak into the real C
 // region, so the comparison is exact.
 func TestRunBackendsBitIdentical(t *testing.T) {
 	chip := hw.KP920()
 	const m, n, k = 37, 53, 29
 	for _, pack := range []PackMode{PackNone, PackOnline, PackOffline} {
-		for _, order := range []LoopOrder{OrderMNK, OrderKNM} {
-			for _, fuse := range []bool{false, true} {
-				opts := Options{MC: 16, NC: 24, KC: 12, Order: order,
-					Pack: pack, Rotate: true, Fuse: fuse}
-				a := make([]float32, m*k)
-				b := make([]float32, k*n)
-				refgemm.Fill(a, m, k, k, 11)
-				refgemm.Fill(b, k, n, n, 12)
-				cInit := make([]float32, m*n)
-				refgemm.Fill(cInit, m, n, n, 13)
+		for _, fuse := range []bool{false, true} {
+			opts := Options{MC: 16, NC: 24, KC: 12, Pack: pack, Rotate: true, Fuse: fuse}
+			a := make([]float32, m*k)
+			b := make([]float32, k*n)
+			refgemm.Fill(a, m, k, k, 11)
+			refgemm.Fill(b, k, n, n, 12)
+			cInit := make([]float32, m*n)
+			refgemm.Fill(cInit, m, n, n, 13)
 
-				run := func(force bool) []float32 {
-					t.Helper()
-					o := opts
-					o.ForceInterp = force
-					plan, err := NewPlan(chip, m, n, k, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := append([]float32(nil), cInit...)
-					if err := plan.Run(c, a, b); err != nil {
-						t.Fatalf("pack=%v order=%v fuse=%v force=%v: %v",
-							pack, order, fuse, force, err)
-					}
-					if force {
-						st := plan.Stats()
-						if st.InterpBlocks == 0 || st.InPlaceBlocks+st.ABInPlaceBlocks+st.PackedBlocks != 0 {
-							t.Fatalf("ForceInterp ran compiled blocks: %+v", st)
-						}
-					}
-					return c
+			run := func(force bool) []float32 {
+				t.Helper()
+				o := opts
+				o.ForceInterp = force
+				plan, err := NewPlan(chip, m, n, k, o)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := run(true)
-				got := run(false)
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("pack=%v order=%v fuse=%v: C[%d] compiled %g != interpreted %g",
-							pack, order, fuse, i, got[i], want[i])
+				c := append([]float32(nil), cInit...)
+				if err := plan.Run(c, a, b); err != nil {
+					t.Fatalf("pack=%v fuse=%v force=%v: %v",
+						pack, fuse, force, err)
+				}
+				if force {
+					st := plan.Stats()
+					if st.InterpBlocks == 0 || st.InPlaceBlocks+st.ABInPlaceBlocks+st.PackedBlocks != 0 {
+						t.Fatalf("ForceInterp ran compiled blocks: %+v", st)
 					}
+				}
+				return c
+			}
+			want := run(true)
+			got := run(false)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("pack=%v fuse=%v: C[%d] compiled %g != interpreted %g",
+						pack, fuse, i, got[i], want[i])
 				}
 			}
 		}

@@ -50,7 +50,7 @@ func (b blockCost) total() float64 { return b.kernel + b.launch + b.pack }
 
 // shapeCosts computes (once, memoized on the plan) the cost of every
 // distinct block shape in the grid. Keys are returned in first-visit
-// order of the plan's loop order, and all composition downstream
+// order of the block grid, and all composition downstream
 // iterates that slice — never the map — so every float sum is performed
 // in one fixed order and the resulting estimates are bit-deterministic
 // across runs and GOMAXPROCS.

@@ -174,37 +174,3 @@ func TestEstimateDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic estimate: %.0f vs %.0f", e1.Cycles, e2.Cycles)
 	}
 }
-
-// TestEstimateOrderInvariant: neither the simulated estimate nor the
-// Eqn-13 model cost of a plan depends on its block loop order, on a
-// multi-block shape with remainder blocks in every dimension, per
-// packing mode. The tuner leans on this to leave σ_order out of its
-// search; an order-aware estimate would break it, and the search would
-// have to take the order back.
-func TestEstimateOrderInvariant(t *testing.T) {
-	const m, n, k = 100, 120, 70
-	for _, chip := range []*hw.Chip{hw.KP920(), hw.A64FX()} {
-		for _, pack := range []PackMode{PackNone, PackOnline, PackOffline} {
-			var cycles, model float64
-			for i, order := range AllLoopOrders() {
-				opts := Options{MC: 32, NC: 48, KC: 24, Order: order, Pack: pack, Rotate: true, Fuse: true}
-				plan, err := NewPlan(chip, m, n, k, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				est, err := plan.Estimate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					cycles, model = est.Cycles, plan.Recipe.ModelCycles
-					continue
-				}
-				if est.Cycles != cycles || plan.Recipe.ModelCycles != model {
-					t.Errorf("%s %s %s: %v cycles, model %v; MNK has %v, %v",
-						chip.Name, pack, order, est.Cycles, plan.Recipe.ModelCycles, cycles, model)
-				}
-			}
-		}
-	}
-}

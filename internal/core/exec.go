@@ -24,7 +24,7 @@ func (p *Plan) calls(bd tiling.Band, kb int) []tiling.Call {
 const kernelFuel = 1 << 31
 
 // Run computes C += A·B functionally through the generated kernels,
-// following the plan's blocking, packing, loop order and tiling. A, B
+// following the plan's blocking, packing and tiling. A, B
 // and C are row-major with leading dimensions K, N and N. This is the
 // verification path; Estimate projects its runtime on the target chip.
 //

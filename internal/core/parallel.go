@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,31 +27,6 @@ import (
 // jobSeq distinguishes jobs so worker-held pack-reuse keys reset at job
 // boundaries (see execState.job).
 var jobSeq uint64
-
-// partitionGroups groups a block iteration by (m, n) tile of C, keeping
-// each group's k chunks in ascending order (accumulation is
-// order-sensitive only in rounding, but keep it deterministic). Groups
-// appear in first-visit order of the plan's loop order. Attach calls
-// this once; execution never re-partitions.
-func partitionGroups(blocks []blockIter) [][]blockIter {
-	index := make(map[[2]int]int)
-	var groups [][]blockIter
-	for _, blk := range blocks {
-		key := [2]int{blk.MOff, blk.NOff}
-		gi, ok := index[key]
-		if !ok {
-			gi = len(groups)
-			index[key] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], blk)
-	}
-	for _, g := range groups {
-		g := g
-		sort.SliceStable(g, func(i, j int) bool { return g[i].KOff < g[j].KOff })
-	}
-	return groups
-}
 
 // RunFuture is a pending GEMM job submitted through the plan's runtime.
 // Wait blocks until the job completes and returns its first error; it

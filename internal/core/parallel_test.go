@@ -13,33 +13,30 @@ import (
 )
 
 // TestRunParallelMatchesReference: parallel execution equals the
-// reference across worker counts and loop orders.
+// reference across worker counts.
 func TestRunParallelMatchesReference(t *testing.T) {
 	chip := hw.KP920()
 	const m, n, k = 50, 70, 40
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, order := range []LoopOrder{OrderMNK, OrderKNM} {
-			opts := Options{MC: 16, NC: 20, KC: 12, Order: order,
-				Pack: PackOnline, Rotate: true, Fuse: true}
-			plan, err := NewPlan(chip, m, n, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := make([]float32, m*k)
-			b := make([]float32, k*n)
-			c := make([]float32, m*n)
-			refgemm.Fill(a, m, k, k, 31)
-			refgemm.Fill(b, k, n, n, 32)
-			refgemm.Fill(c, m, n, n, 33)
-			want := make([]float32, m*n)
-			copy(want, c)
-			refgemm.GEMM(m, n, k, a, k, b, n, want, n)
-			if err := plan.RunParallel(c, a, b, workers); err != nil {
-				t.Fatalf("workers=%d order=%v: %v", workers, order, err)
-			}
-			if e := refgemm.MaxRelErr(c, want, m, n, n, n); e > refgemm.Tolerance {
-				t.Errorf("workers=%d order=%v: max rel err %.3g", workers, order, e)
-			}
+		opts := Options{MC: 16, NC: 20, KC: 12, Pack: PackOnline, Rotate: true, Fuse: true}
+		plan, err := NewPlan(chip, m, n, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		c := make([]float32, m*n)
+		refgemm.Fill(a, m, k, k, 31)
+		refgemm.Fill(b, k, n, n, 32)
+		refgemm.Fill(c, m, n, n, 33)
+		want := make([]float32, m*n)
+		copy(want, c)
+		refgemm.GEMM(m, n, k, a, k, b, n, want, n)
+		if err := plan.RunParallel(c, a, b, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if e := refgemm.MaxRelErr(c, want, m, n, n, n); e > refgemm.Tolerance {
+			t.Errorf("workers=%d: max rel err %.3g", workers, e)
 		}
 	}
 }
@@ -97,36 +94,33 @@ func TestRunParallelValidation(t *testing.T) {
 }
 
 // TestPartitionPrecomputed: the C-tile-group partition attached to the
-// plan covers the block grid exactly — every block of the loop-order
-// iteration appears in exactly one group, grouped by (MOff, NOff) with
+// plan covers the block grid exactly — every block of the grid
+// appears in exactly one group, grouped by (MOff, NOff) with
 // k chunks ascending.
 func TestPartitionPrecomputed(t *testing.T) {
 	chip := hw.KP920()
-	for _, order := range AllLoopOrders() {
-		opts := Options{MC: 16, NC: 20, KC: 12, Order: order,
-			Pack: PackOnline, Rotate: true, Fuse: true}
-		plan, err := NewPlan(chip, 50, 70, 40, opts)
-		if err != nil {
-			t.Fatal(err)
+	opts := Options{MC: 16, NC: 20, KC: 12, Pack: PackOnline, Rotate: true, Fuse: true}
+	plan, err := NewPlan(chip, 50, 70, 40, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, g := range plan.groups {
+		if len(g) == 0 {
+			t.Fatalf("empty group")
 		}
-		total := 0
-		for _, g := range plan.groups {
-			if len(g) == 0 {
-				t.Fatalf("order %v: empty group", order)
+		for i, blk := range g {
+			if blk.MOff != g[0].MOff || blk.NOff != g[0].NOff {
+				t.Fatalf("group mixes C tiles")
 			}
-			for i, blk := range g {
-				if blk.MOff != g[0].MOff || blk.NOff != g[0].NOff {
-					t.Fatalf("order %v: group mixes C tiles", order)
-				}
-				if i > 0 && blk.KOff <= g[i-1].KOff {
-					t.Fatalf("order %v: k chunks not ascending", order)
-				}
+			if i > 0 && blk.KOff <= g[i-1].KOff {
+				t.Fatalf("k chunks not ascending")
 			}
-			total += len(g)
 		}
-		if want := len(plan.blocks()); total != want {
-			t.Fatalf("order %v: partition covers %d blocks, grid has %d", order, total, want)
-		}
+		total += len(g)
+	}
+	if want := len(plan.blocks()); total != want {
+		t.Fatalf("partition covers %d blocks, grid has %d", total, want)
 	}
 }
 

@@ -22,16 +22,6 @@ import (
 // is captured in an immutable plan.Plan. The executor (core.go,
 // exec.go) replays plans without re-deriving any of it.
 
-// OrderFromString parses a loop order name ("MNK", "knm", ...).
-func OrderFromString(s string) (LoopOrder, error) {
-	for _, o := range AllLoopOrders() {
-		if strings.EqualFold(o.String(), s) {
-			return o, nil
-		}
-	}
-	return OrderMNK, fmt.Errorf("core: unknown loop order %q", s)
-}
-
 // PackFromString parses a packing mode name, including "auto".
 func PackFromString(s string) (PackMode, error) {
 	for _, p := range []PackMode{PackNone, PackOnline, PackOffline, PackAuto} {
@@ -58,7 +48,7 @@ func RequestOf(chip *hw.Chip, m, n, k int, opts Options) plan.Request {
 	req := plan.Request{
 		Chip: chip.Name, M: m, N: n, K: k,
 		MC: opts.MC, NC: opts.NC, KC: opts.KC,
-		Order: opts.Order.String(), Pack: opts.Pack.String(),
+		Pack:   opts.Pack.String(),
 		Rotate: opts.Rotate, Fuse: opts.Fuse,
 		Cores: opts.Cores, Over: opts.CallOverhead, KCisK: opts.ForceKCisK,
 		Tiler: strategyName(opts),
@@ -237,7 +227,7 @@ func (e *produceEnv) latFor(nb int) int {
 // kernel keys for every k-chunk depth, the Eqn-13 cost composed over
 // the block grid — is shared verbatim across producers.
 func (e *produceEnv) build(source string, tile func(mb, nb, lat int) (tiling.Tiling, error)) (*plan.Plan, error) {
-	bld := plan.NewBuilder(e.req, e.o.MC, e.o.NC, e.o.KC, e.o.Order.String(), e.o.Pack.String())
+	bld := plan.NewBuilder(e.req, e.o.MC, e.o.NC, e.o.KC, e.o.Pack.String())
 	bld.SetSource(source)
 
 	keys := map[mkernel.Key]bool{}
@@ -520,10 +510,6 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	if err := checkGeometry(rec.Request.M, rec.Request.N, rec.Request.K); err != nil {
 		return nil, err
 	}
-	order, err := OrderFromString(rec.Order)
-	if err != nil {
-		return nil, err
-	}
 	pack, err := PackFromString(rec.Pack)
 	if err != nil {
 		return nil, err
@@ -534,7 +520,7 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 
 	o := runtime
 	o.MC, o.NC, o.KC = rec.MC, rec.NC, rec.KC
-	o.Order, o.Pack = order, pack
+	o.Pack = pack
 	o.Rotate, o.Fuse = rec.Request.Rotate, rec.Request.Fuse
 	o.Cores = rec.Request.Cores
 	o.CallOverhead = rec.Request.Over
@@ -583,8 +569,13 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	if p.runtime == nil {
 		p.runtime = sched.Shared()
 	}
+	// The grid visits each C tile's k blocks back to back, so a tile's
+	// group is a run of kBlocks consecutive blocks.
 	blocks := p.blocks()
-	p.groups = partitionGroups(blocks)
+	kBlocks := (p.K + o.KC - 1) / o.KC
+	for i := 0; i < len(blocks); i += kBlocks {
+		p.groups = append(p.groups, blocks[i:i+kBlocks])
+	}
 	if pack == PackNone && !p.interpOnly && chip.Lanes == 4 {
 		p.abFits = make([]bool, len(blocks))
 	}

@@ -32,7 +32,7 @@ func coldHaltonShapes(n int) []workload.Shape {
 // producedPlansDigest is the SHA-256 of the encoded Produce plans
 // (blocking, tilings, Cost floats, kernel keys) for every modeled chip
 // × 60 cold Halton shapes × three option sets.
-const producedPlansDigest = "507f3d9db1ca52b6a5543b2749665193b95889e36e8b0303bdce53c1e6da10be"
+const producedPlansDigest = "673e9aed132320195cd64b34c64c4c8e6472530365b5960e4f76f16ca7d1c51a"
 
 // TestProducePlansUnchanged pins the planner's output bit for bit, so
 // a planner speed-up cannot change a tiling, a kernel key or a cost.

@@ -14,10 +14,9 @@ import (
 //
 // The costs are a pure function of the plan (shape, blocking, tilings,
 // chip): the memoized per-shape block costs the analytic Estimate uses,
-// summed over each group's block visits in the deterministic
-// first-visit order partitionGroups fixed at Attach. They do not depend
-// on which worker runs which task, or at what GOMAXPROCS. Built once;
-// the slice is shared — callers must not mutate it.
+// summed over each group's block visits in the fixed grid order. They
+// do not depend on which worker runs which task, or at what GOMAXPROCS.
+// Built once; the slice is shared — callers must not mutate it.
 func (p *Plan) TaskCosts() ([]vtime.TaskCost, error) {
 	p.taskOnce.Do(func() {
 		costs, _, err := p.shapeCosts()

@@ -19,7 +19,7 @@ func TableIII() Table {
 		t.Add(chip.Name, p.Lanes, p.SigmaAI, p.IPCFMA, p.IPCLoad, p.IPCStore,
 			p.LFMA, p.LLoad, p.LStore, p.Launch)
 	}
-	t.Note("algorithm parameters (M,N,K; lda/ldb/ldc; m_c,n_c,k_c; m_r,n_r; σ_order; σ_packing) are per-plan — see cmd/autogemm-tune -explain")
+	t.Note("algorithm parameters (M,N,K; lda/ldb/ldc; m_c,n_c,k_c; m_r,n_r; σ_packing) are per-plan, σ_order is fixed at MNK — see cmd/autogemm-tune -explain")
 	return t
 }
 

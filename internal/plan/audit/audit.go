@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"autogemm/internal/asm/analysis"
 	"autogemm/internal/hw"
@@ -191,12 +190,6 @@ func (a *auditor) checkFingerprint() error {
 	return nil
 }
 
-// knownOrders lists the block loop orders the executor implements;
-// kept as strings so audit does not depend on the executor package.
-var knownOrders = map[string]bool{
-	"MNK": true, "MKN": true, "NMK": true, "NKM": true, "KMN": true, "KNM": true,
-}
-
 func (a *auditor) checkStructure() error {
 	chip, p := a.chip, a.p
 	if chip == nil {
@@ -217,9 +210,6 @@ func (a *auditor) checkStructure() error {
 	}
 	if p.MC <= 0 || p.NC <= 0 || p.KC <= 0 {
 		return failf(CheckStructure, "unresolved blocking %dx%dx%d", p.MC, p.NC, p.KC)
-	}
-	if !knownOrders[strings.ToUpper(p.Order)] {
-		return failf(CheckStructure, "unknown loop order %q", p.Order)
 	}
 	switch p.Pack {
 	case "none", "online", "offline":

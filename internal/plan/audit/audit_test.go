@@ -174,10 +174,6 @@ func TestAuditStructure(t *testing.T) {
 	wantCheck(t, chip, p, audit.CheckStructure)
 
 	p = copyPlan(base)
-	p.Order = "MKM"
-	wantCheck(t, chip, p, audit.CheckStructure)
-
-	p = copyPlan(base)
 	p.Pack = "auto"
 	wantCheck(t, chip, p, audit.CheckStructure)
 
@@ -252,9 +248,9 @@ func TestAuditBoundsEnvelope(t *testing.T) {
 	req := plan.Request{
 		Chip: chip.Name, M: 1, N: 4, K: 8,
 		MC: 1, NC: 4, KC: 8,
-		Order: "MNK", Pack: "none", Tiler: "dmt",
+		Pack: "none", Tiler: "dmt",
 	}
-	bld := plan.NewBuilder(req, 1, 4, 8, "MNK", "none")
+	bld := plan.NewBuilder(req, 1, 4, 8, "none")
 	bld.AddBlock(plan.Block{
 		M: 1, N: 4, Tiler: "dmt",
 		Panels: []plan.Panel{{Row: 0, Col: 0, M: 1, N: 4, MR: 1, NR: 60, Padded: true}},
@@ -276,11 +272,11 @@ func TestAuditCRowsOverlap(t *testing.T) {
 	req := plan.Request{
 		Chip: chip.Name, M: 2, N: 4, K: 8,
 		MC: 2, NC: 4, KC: 8,
-		Order: "MNK", Pack: "none", Tiler: "dmt",
+		Pack: "none", Tiler: "dmt",
 	}
 	sc := mkernel.ScratchEnvelope(req.MC, req.NC, req.KC, chip.Lanes)
 	nr := sc.LD + chip.Lanes
-	bld := plan.NewBuilder(req, 2, 4, 8, "MNK", "none")
+	bld := plan.NewBuilder(req, 2, 4, 8, "none")
 	bld.AddBlock(plan.Block{
 		M: 2, N: 4, Tiler: "dmt",
 		Panels: []plan.Panel{{Row: 0, Col: 0, M: 2, N: 4, MR: 2, NR: nr, Padded: true}},

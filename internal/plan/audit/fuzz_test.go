@@ -33,10 +33,10 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Add(data)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1}`))
-	f.Add(bytes.Replace(data, []byte(`"row":0`), []byte(`"row":1000`), 1))
-	f.Add(bytes.Replace(data, []byte(`"format":1`), []byte(`"format":2`), 1))
-	f.Add(bytes.Replace(data, []byte(`"mr":`), []byte(`"mr":-`), 1))
-	f.Add(bytes.Replace(data, []byte(`"kernelKeys":[`), []byte(`"kernelKeys":["mk_bogus",`), 1))
+	f.Add(bytes.Replace(data, []byte(`"row": 0`), []byte(`"row": 1000`), 1))
+	f.Add(bytes.Replace(data, []byte(`"format": 2`), []byte(`"format": 3`), 1))
+	f.Add(bytes.Replace(data, []byte(`"mr": `), []byte(`"mr": -`), 1))
+	f.Add(bytes.Replace(data, []byte(`"kernelKeys": [`), []byte(`"kernelKeys": ["mk_bogus",`), 1))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		p, err := plan.Decode(in)

@@ -15,16 +15,15 @@ type Builder struct {
 	p Plan
 }
 
-// NewBuilder starts a plan for a request with its resolved blocking,
-// loop order and packing mode. Format, fingerprint and source are
-// filled in by the builder itself.
-func NewBuilder(req Request, mc, nc, kc int, order, pack string) *Builder {
+// NewBuilder starts a plan for a request with its resolved blocking
+// and packing mode. Format, fingerprint and source are filled in by the
+// builder itself.
+func NewBuilder(req Request, mc, nc, kc int, pack string) *Builder {
 	return &Builder{p: Plan{
 		Format:      FormatVersion,
 		Fingerprint: req.Fingerprint(),
 		Request:     req,
 		MC:          mc, NC: nc, KC: kc,
-		Order:  order,
 		Pack:   pack,
 		Source: SourceAuto,
 	}}

@@ -1,9 +1,9 @@
 // Package plan defines the first-class execution plan: an immutable,
 // versioned, JSON-serializable record of every decision needed to run
-// one GEMM on one chip — cache blocking, loop order, packing mode, the
-// DMT panel splits of each distinct cache block, and the micro-kernel
-// cache keys the executor will request — together with the model's
-// projected cost and a fingerprint over the planning inputs.
+// one GEMM on one chip — cache blocking, packing mode, the DMT panel
+// splits of each distinct cache block, and the micro-kernel cache keys
+// the executor will request — together with the model's projected cost
+// and a fingerprint over the planning inputs.
 //
 // The package is the bottom of the planning stack: it imports nothing
 // from the rest of the engine, so producers (internal/core's planner,
@@ -33,7 +33,7 @@ import (
 // meaning of any persisted field changes; fingerprints incorporate it,
 // so stale registry entries from older formats never match a live
 // request and are re-planned instead of misinterpreted.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Plan sources.
 const (
@@ -54,7 +54,6 @@ type Request struct {
 	MC     int      `json:"mc"`
 	NC     int      `json:"nc"`
 	KC     int      `json:"kc"`
-	Order  string   `json:"order"`
 	Pack   string   `json:"pack"`
 	Rotate bool     `json:"rotate"`
 	Fuse   bool     `json:"fuse"`
@@ -71,9 +70,9 @@ type Request struct {
 // the in-memory cache is keyed by Key instead.
 func (r Request) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "autogemm-plan-v%d|%s|%d|%d|%d|%d|%d|%d|%s|%s|%v|%v|%d|%d|%v|%s",
+	fmt.Fprintf(&b, "autogemm-plan-v%d|%s|%d|%d|%d|%d|%d|%d|%s|%v|%v|%d|%d|%v|%s",
 		FormatVersion, r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC,
-		r.Order, r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)
+		r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)
 	b.WriteString(r.canonicalCands())
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
@@ -99,7 +98,7 @@ type Key struct {
 	Chip         string
 	M, N, K      int
 	MC, NC, KC   int
-	Order, Pack  string
+	Pack         string
 	Rotate, Fuse bool
 	Cores, Over  int
 	KCisK        bool
@@ -112,7 +111,7 @@ type Key struct {
 func (r Request) Key() Key {
 	return Key{
 		Chip: r.Chip, M: r.M, N: r.N, K: r.K, MC: r.MC, NC: r.NC, KC: r.KC,
-		Order: r.Order, Pack: r.Pack, Rotate: r.Rotate, Fuse: r.Fuse,
+		Pack: r.Pack, Rotate: r.Rotate, Fuse: r.Fuse,
 		Cores: r.Cores, Over: r.Over, KCisK: r.KCisK, Tiler: r.Tiler,
 		Cands: r.canonicalCands(),
 	}
@@ -130,7 +129,7 @@ func HashKey(seed maphash.Seed, k Key) uint64 {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}
-	for _, s := range [...]string{k.Chip, k.Order, k.Pack, k.Tiler, k.Cands} {
+	for _, s := range [...]string{k.Chip, k.Pack, k.Tiler, k.Cands} {
 		h.WriteString(s)
 		h.WriteByte(0)
 	}
@@ -169,7 +168,6 @@ type Plan struct {
 	MC          int      `json:"mcResolved"`
 	NC          int      `json:"ncResolved"`
 	KC          int      `json:"kcResolved"`
-	Order       string   `json:"orderResolved"`
 	Pack        string   `json:"packResolved"`
 	Blocks      []Block  `json:"blocks"`
 	KernelKeys  []string `json:"kernelKeys"` // micro/band kernel cache keys the plan executes

@@ -14,14 +14,14 @@ import (
 func testPlan(chip string, m, n, k int) *Plan {
 	req := Request{
 		Chip: chip, M: m, N: n, K: k,
-		Order: "MNK", Pack: "auto", Rotate: true, Fuse: true, Tiler: "dmt",
+		Pack: "auto", Rotate: true, Fuse: true, Tiler: "dmt",
 	}
 	return &Plan{
 		Format:      FormatVersion,
 		Fingerprint: req.Fingerprint(),
 		Request:     req,
 		MC:          64, NC: 64, KC: 48,
-		Order: "MNK", Pack: "none",
+		Pack: "none",
 		Blocks: []Block{{
 			M: m, N: n, LoadLatency: 4, Cost: 1000, Tiler: "dmt",
 			Panels: []Panel{{M: m, N: n, MR: 8, NR: 8}},
@@ -33,7 +33,7 @@ func testPlan(chip string, m, n, k int) *Plan {
 }
 
 func TestFingerprintStableAndSensitive(t *testing.T) {
-	base := Request{Chip: "KP920", M: 64, N: 64, K: 48, Order: "MNK", Pack: "auto",
+	base := Request{Chip: "KP920", M: 64, N: 64, K: 48, Pack: "auto",
 		Rotate: true, Fuse: true, Tiler: "dmt"}
 	if base.Fingerprint() != base.Fingerprint() {
 		t.Fatal("fingerprint not deterministic")
@@ -49,9 +49,6 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	r = base
 	r.KC = 32
 	variants["kc"] = r
-	r = base
-	r.Order = "KNM"
-	variants["order"] = r
 	r = base
 	r.Pack = "online"
 	variants["pack"] = r
@@ -83,7 +80,7 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 // candidate lists, and nil against empty ones, two requests share a
 // Key exactly when they share a fingerprint.
 func TestKeyMatchesFingerprint(t *testing.T) {
-	base := Request{Chip: "KP920", M: 64, N: 64, K: 48, Order: "MNK", Pack: "auto",
+	base := Request{Chip: "KP920", M: 64, N: 64, K: 48, Pack: "auto",
 		Rotate: true, Fuse: true, Tiler: "dmt", Cands: []string{"8x8", "5x16", "6x12"}}
 	mods := []struct {
 		name string
@@ -97,7 +94,6 @@ func TestKeyMatchesFingerprint(t *testing.T) {
 		{"mc", func(r *Request) { r.MC = 32 }},
 		{"nc", func(r *Request) { r.NC = 32 }},
 		{"kc", func(r *Request) { r.KC = 32 }},
-		{"order", func(r *Request) { r.Order = "KNM" }},
 		{"pack", func(r *Request) { r.Pack = "online" }},
 		{"rotate", func(r *Request) { r.Rotate = false }},
 		{"fuse", func(r *Request) { r.Fuse = false }},

@@ -363,7 +363,7 @@ func (f *Future) OnDone(fn func(error)) {
 // Submit blocks while the pool is at its in-flight depth and returns
 // ErrClosed after Close. The job runs under the default QoS class.
 func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, false, false, run)
+	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, intakeQueue, run)
 }
 
 // SubmitQoS is Submit bound to a context and a QoS. A context that
@@ -380,7 +380,7 @@ func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error
 // submission, refuses the job with an error matching ErrAdmission
 // instead of blocking.
 func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(ctx, tasks, maxWorkers, qos, true, false, false, run)
+	return p.submit(ctx, tasks, maxWorkers, qos, intakeQueue, run)
 }
 
 // RunQoS is SubmitQoS for a caller that blocks until the job is done:
@@ -395,7 +395,7 @@ func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, ru
 // It returns the completed job's future (Wait returns at once), or the
 // submission error.
 func (p *Pool) RunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.join(p.submit(ctx, tasks, maxWorkers, qos, true, true, false, run))
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, intakeRun, run))
 }
 
 // TryRunQoS is RunQoS for a helper job: work a call could also do
@@ -410,7 +410,7 @@ func (p *Pool) RunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run f
 // It is still counted as submitted and completed in qos.Class, and
 // claimed at its weight.
 func (p *Pool) TryRunQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.join(p.submit(ctx, tasks, maxWorkers, qos, false, true, true, run))
+	return p.join(p.submit(ctx, tasks, maxWorkers, qos, intakeHelper, run))
 }
 
 // join runs an accepted caller-joined job on the calling goroutine:
@@ -436,17 +436,36 @@ func (p *Pool) join(f *Future, err error) (*Future, error) {
 // latency-sensitive request must never park behind the queue just to
 // schedule an optimization.
 func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, qos, false, false, false, run)
+	return p.submit(context.Background(), tasks, maxWorkers, qos, intakeTry, run)
 }
+
+// intake is how a job enters the pool, one per entry point.
+type intake uint8
+
+const (
+	intakeQueue  intake = iota // Submit, SubmitQoS: wait out backpressure, run on pool workers
+	intakeRun                  // RunQoS: wait out backpressure, the submitter joins
+	intakeHelper               // TryRunQoS: never wait, the submitter joins, outside class admission
+	intakeTry                  // TrySubmitQoS: never wait, run on pool workers
+)
+
+// waits reports whether the submission waits out pool-level
+// backpressure instead of failing with ErrBusy.
+func (in intake) waits() bool { return in == intakeQueue || in == intakeRun }
+
+// joins reports whether the submitter joins the job at acceptance
+// under a caller slot.
+func (in intake) joins() bool { return in == intakeRun || in == intakeHelper }
 
 // submit is the single intake path behind every Submit variant and
 // RunQoS: validate, resolve the QoS class, apply admission control,
 // wait out (or refuse, for try-submits) pool-level backpressure, and
-// accept the job into its class queue. With caller set, the submitter
-// joins the job at acceptance under a caller slot and one fewer worker
-// is woken. A helper job (TryRunQoS) skips the class's depth bound and
-// its refusals are not counted as rejections.
-func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait, caller, helper bool, run func(w *Worker, task int) error) (*Future, error) {
+// accept the job into its class queue. A joining submitter takes a
+// caller slot at acceptance and one fewer worker is woken. A helper
+// job skips the class's depth bound and its refusals are not counted
+// as rejections.
+func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, in intake, run func(w *Worker, task int) error) (*Future, error) {
+	helper := in == intakeHelper
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -486,7 +505,7 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 	}
 	p.startLocked()
 	if p.inflight >= p.depth {
-		if !wait {
+		if !in.waits() {
 			p.mu.Unlock()
 			return fail(ErrBusy)
 		}
@@ -566,7 +585,7 @@ func (p *Pool) submit(ctx context.Context, tasks, maxWorkers int, qos QoS, wait,
 		close(j.fin)
 		return &Future{j}, nil
 	}
-	if caller {
+	if in.joins() {
 		// The caller joins at acceptance, having waited no claim
 		// decision, and leaves before the job can complete.
 		j.caller = Worker{id: p.callerSlotLocked(), pool: p}

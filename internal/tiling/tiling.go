@@ -123,8 +123,19 @@ func (tl Tiling) Cost(p perfmodel.Params, kc int, opt perfmodel.Opt) float64 {
 	return total
 }
 
-// Validate checks that the tiling covers the block exactly once.
+// Validate checks that the tiling covers the block exactly once. A
+// panel with a non-positive tile or outside the block is refused before
+// any panel is expanded: expansion steps by the tile and allocates a
+// rect per step, so a decoded plan could otherwise make it loop or
+// allocate without bound.
 func (tl Tiling) Validate(lanes int) error {
+	for _, p := range tl.Panels {
+		if p.Tile.MR <= 0 || p.Tile.NR <= 0 || p.M <= 0 || p.N <= 0 ||
+			p.Row < 0 || p.Col < 0 || p.M > tl.MC-p.Row || p.N > tl.NC-p.Col {
+			return fmt.Errorf("tiling: panel %dx%d at (%d,%d) tiled %v does not fit block %dx%d",
+				p.M, p.N, p.Row, p.Col, p.Tile, tl.MC, tl.NC)
+		}
+	}
 	if tl.validatePanels() {
 		return nil
 	}
@@ -133,20 +144,16 @@ func (tl Tiling) Validate(lanes int) error {
 
 // validatePanels proves exact-once coverage at panel granularity:
 // expandPanel covers a non-padded panel exactly by construction, so
-// in-bounds, pairwise-disjoint panels whose areas sum to the block area
-// cover the block exactly once. This is the planner's hot case — the
-// per-cell sweep below is O(m_c × n_c) and dominated the per-block
-// planning cost on large blocks. Padded panels (whose overhang rules
-// are judged per cell) and any violation fall back to the sweep, which
-// also produces the precise error.
+// in-bounds (Validate checked), pairwise-disjoint panels whose areas
+// sum to the block area cover the block exactly once. This is the
+// planner's hot case — the per-cell sweep below is O(m_c × n_c) and
+// dominated the per-block planning cost on large blocks. Padded panels
+// and any violation fall back to the sweep, which also produces the
+// precise error.
 func (tl Tiling) validatePanels() bool {
 	area := 0
 	for i, p := range tl.Panels {
-		if p.Padded || p.Tile.MR <= 0 || p.Tile.NR <= 0 {
-			return false
-		}
-		if p.M <= 0 || p.N <= 0 || p.Row < 0 || p.Col < 0 ||
-			p.Row+p.M > tl.MC || p.Col+p.N > tl.NC {
+		if p.Padded {
 			return false
 		}
 		for _, q := range tl.Panels[:i] {
@@ -166,13 +173,8 @@ func (tl Tiling) validateCells(lanes int) error {
 	for _, r := range tl.Rects(lanes) {
 		for i := 0; i < r.M; i++ {
 			for j := 0; j < r.N; j++ {
+				// Inside the block: a rect's cells lie in its panel.
 				row, col := r.Row+i, r.Col+j
-				if row >= tl.MC || col >= tl.NC {
-					if r.Tile.MR > r.M || r.Tile.NR > r.N {
-						continue // padded overhang
-					}
-					return fmt.Errorf("tiling: tile at (%d,%d) exceeds block", r.Row, r.Col)
-				}
 				idx := row*tl.NC + col
 				if covered[idx] {
 					return fmt.Errorf("tiling: cell (%d,%d) covered twice", row, col)

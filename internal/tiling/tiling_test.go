@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,33 @@ func TestStaticCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateRefusesDegeneratePanels: a panel with a non-positive
+// tile or reaching outside its block is refused before it is expanded
+// into tiles, so a hostile decoded plan can make Validate neither loop
+// nor allocate without bound.
+func TestValidateRefusesDegeneratePanels(t *testing.T) {
+	ok := Panel{M: 26, N: 36, Tile: mkernel.Tile{MR: 5, NR: 16}, Padded: true}
+	for name, mod := range map[string]func(*Panel){
+		"mr zero":      func(p *Panel) { p.Tile.MR = 0 },
+		"mr negative":  func(p *Panel) { p.Tile.MR = -5 },
+		"nr negative":  func(p *Panel) { p.Tile.NR = -16 },
+		"m huge":       func(p *Panel) { p.M = 1 << 40 },
+		"n zero":       func(p *Panel) { p.N = 0 },
+		"row negative": func(p *Panel) { p.Row = -1 },
+		"col overflow": func(p *Panel) { p.Col = math.MaxInt },
+	} {
+		p := ok
+		mod(&p)
+		tl := Tiling{MC: 26, NC: 36, Panels: []Panel{p}}
+		if err := tl.Validate(4); err == nil {
+			t.Errorf("%s: panel %+v accepted", name, p)
+		}
+	}
+	if err := (Tiling{MC: 26, NC: 36, Panels: []Panel{ok}}).Validate(4); err != nil {
+		t.Errorf("whole-block padded panel refused: %v", err)
 	}
 }
 

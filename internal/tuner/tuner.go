@@ -4,10 +4,8 @@
 // auto-tuning flow (§IV-C). It is a thin search over core.Produce: each
 // candidate is planned once and scored by its plan's Eqn-13 ModelCycles,
 // and only the plans within pruneRatio of the best score are evaluated
-// on the cycle simulator. The loop order σ_order is not searched: neither
-// the model nor the simulated estimate reads it (core's
-// TestEstimateOrderInvariant), so every order of one blocking would
-// score and simulate alike. The paper reports that this pruning "drops
+// on the cycle simulator. The loop order σ_order is not a parameter:
+// every plan runs its block grid MNK. The paper reports that this pruning "drops
 // the tuning time dramatically"; the Result records both counters so the
 // effect is measurable (examples/tuning).
 package tuner

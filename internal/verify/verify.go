@@ -130,7 +130,7 @@ func runCase(cfg Config, c Case, rep *Report) error {
 	if cfg.Variants {
 		variants := []core.Options{
 			{Pack: core.PackNone, Rotate: true, Fuse: true},
-			{Pack: core.PackOnline, Order: core.OrderKNM},
+			{Pack: core.PackOnline},
 			{Pack: core.PackOffline, Rotate: true},
 			{MC: 8, NC: 8, KC: 8, Pack: core.PackOnline, Fuse: true},
 		}

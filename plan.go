@@ -15,7 +15,7 @@ import (
 // execute; see docs/INTERNALS.md, "Plan lifecycle".
 
 // Plan is a resolved, reusable execution plan bound to the engine that
-// resolved or loaded it: the serializable recipe (blocking, loop order, packing, panel
+// resolved or loaded it: the serializable recipe (blocking, packing, panel
 // splits, kernel keys) plus the attached executor with its generated
 // kernels. Plans are safe for concurrent use and cheap to reuse —
 // executing one performs no planning work.

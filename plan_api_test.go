@@ -2,7 +2,10 @@ package autogemm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -317,6 +320,66 @@ func TestPlanMismatchRejected(t *testing.T) {
 	if !bitsEqual(got, want) {
 		t.Error("fallback from stale registry entry produced different result")
 	}
+
+	// A plan in the previous format, 1, which carried the block loop
+	// order, stored under the file name this build looks up: the version
+	// gate refuses it at load, and a registry holding it re-plans.
+	v1 := formatOnePlan(t, data)
+	if _, err := fresh.LoadPlan(v1); !errors.Is(err, ErrBadPlan) {
+		t.Errorf("format-1 plan: LoadPlan error %v, want ErrBadPlan", err)
+	}
+	dir1 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir1, fp+".json"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := New("KP920", WithPlanDir(dir1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = make([]float32, s.m*s.n)
+	if err := old.Multiply(got, a, b, s.m, s.n, s.k); err != nil {
+		t.Fatalf("format-1 registry entry broke Multiply: %v", err)
+	}
+	if !bitsEqual(got, want) {
+		t.Error("re-planned result over a format-1 registry entry differs from a fresh engine's")
+	}
+	replanned, err := old.PlanFor(nil, s.m, s.n, s.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := replanned.Encode(); string(enc) != string(data) {
+		t.Error("engine over a format-1 registry entry serves a plan other than a fresh engine's")
+	}
+}
+
+// formatOnePlan re-encodes a plan the way format 1 wrote it: the
+// request's "order" and the plan's "orderResolved" (always "MNK"), and
+// the fingerprint format 1 derived, which hashed the order too.
+func formatOnePlan(t *testing.T, data []byte) []byte {
+	t.Helper()
+	rec, err := plan.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec.Request
+	if len(r.Cands) > 0 {
+		t.Fatal("formatOnePlan does not hash restricted candidate lists")
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("autogemm-plan-v1|%s|%d|%d|%d|%d|%d|%d|MNK|%s|%v|%v|%d|%d|%v|%s",
+		r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC, r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)))
+	s := string(data)
+	for _, e := range [][2]string{
+		{`"format": 2,`, `"format": 1,`},
+		{rec.Fingerprint, hex.EncodeToString(sum[:16])},
+		{"\n    \"pack\": ", "\n    \"order\": \"MNK\",\n    \"pack\": "},
+		{"\n  \"packResolved\": ", "\n  \"orderResolved\": \"MNK\",\n  \"packResolved\": "},
+	} {
+		if !strings.Contains(s, e[0]) {
+			t.Fatalf("encoded plan has no %q", e[0])
+		}
+		s = strings.Replace(s, e[0], e[1], 1)
+	}
+	return []byte(s)
 }
 
 // TestRegistryWarmStart pre-bakes a registry with one engine and checks

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
 	"autogemm/internal/refgemm"
+	"autogemm/internal/sched"
 	"autogemm/internal/workload"
 )
 
@@ -111,8 +113,19 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	defer e.Close()
 
 	// Park the only worker behind sixteen big jobs, so the queue ahead
-	// of the batch lasts well past its 50 ms deadline however fast one
-	// of them runs: at 25 GFLOP/s on one worker each takes about 10 ms.
+	// of the batch lasts past its 50 ms deadline. On their own they
+	// would start as soon as they are submitted, and a test goroutine
+	// descheduled before it arms the deadline (as on a loaded host) lets
+	// them finish first and the element run in time. So a gate holds
+	// the worker until the deadline has passed; the blockers then still
+	// stand between it and the element.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	openGate := func() { releaseOnce.Do(func() { close(release) }) }
+	defer openGate()
+	if _, err := e.sched.Submit(1, 1, func(*sched.Worker, int) error { <-release; return nil }); err != nil {
+		t.Fatal(err)
+	}
 	big := workload.ResNet50()[0]
 	ba := make([]float32, big.M*big.K)
 	bb := make([]float32, big.K*big.N)
@@ -128,14 +141,46 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 		blockers = append(blockers, blocker)
 	}
 
+	// Plan the element before arming its deadline, so that submitting
+	// it is a plan-cache hit.
 	s := workload.Shape{M: 32, N: 32, K: 32}
+	if _, err := e.PlanFor(nil, s.M, s.N, s.K); err != nil {
+		t.Fatal(err)
+	}
 	a := make([]float32, s.M*s.K)
 	b := make([]float32, s.K*s.N)
 	refgemm.Fill(a, s.M, s.K, s.K, 7)
 	refgemm.Fill(b, s.K, s.N, s.N, 8)
+	deadline := time.Now().Add(50 * time.Millisecond)
+	time.AfterFunc(time.Until(deadline), openGate)
 	batch := []GEMM{{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N),
-		QoS: QoS{Deadline: time.Now().Add(50 * time.Millisecond)}}}
+		QoS: QoS{Deadline: deadline}}}
+
+	// A blocker that fails drains the queue early and lets the element
+	// run in time, so every blocker's outcome, and when it completed
+	// relative to the deadline, is reported before the batch's.
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	ends := make([]time.Duration, len(blockers))
+	errs := make([]error, len(blockers))
+	var wg sync.WaitGroup
+	wg.Add(len(blockers))
+	for i, blocker := range blockers {
+		blocker.OnDone(func(err error) {
+			ends[i], errs[i] = time.Since(deadline), err
+			wg.Done()
+		})
+	}
 	err = e.MultiplyBatch(batch)
+	batchEnd := time.Since(deadline)
+	wg.Wait()
+	for i := range blockers {
+		t.Logf("blocker %2d done %+8.3f ms from the deadline: %v", i, ms(ends[i]), errs[i])
+		if errs[i] != nil {
+			t.Errorf("blocker %d failed: %v", i, errs[i])
+		}
+	}
+	t.Logf("batch returned %+8.3f ms from the deadline: %v", ms(batchEnd), err)
+
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch deadline error = %v, want DeadlineExceeded identity", err)
 	}
@@ -144,11 +189,6 @@ func TestBatchDeadlineIdentitySurvivesWrapping(t *testing.T) {
 	}
 	if got := HTTPStatus(err); got != http.StatusGatewayTimeout {
 		t.Fatalf("batch deadline error maps to %d, want 504", got)
-	}
-	for _, blocker := range blockers {
-		if err := blocker.Wait(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
