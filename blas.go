@@ -29,7 +29,9 @@ func (e *Engine) planIn(opts *Options, m, n, k int, class string) (*core.Plan, e
 // k×n; when transA is set, A is stored k×m row-major (and likewise B is
 // n×k when transB is set). β = 0 overwrites C without reading it.
 // Scaling and transposition fold into operand preparation; the
-// canonical product runs like Multiply, on the calling goroutine.
+// canonical product runs like Multiply, on the calling goroutine. A C
+// that shares memory with A or B is refused with an error matching
+// ErrOverlap before C is written, whatever α and β are.
 func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 	alpha float32, a, b []float32, beta float32, c []float32) error {
 	p, err := e.plan(nil, m, n, k)

@@ -68,7 +68,7 @@ func wrapExec(err error) error {
 
 // WaitContext is Wait bounded by a context: it returns the job's first
 // error once the job completes, or ctx.Err() if the context fires
-// first. An early return does not abandon the job — it keeps running
+// first; a nil ctx means context.Background(). An early return does not abandon the job — it keeps running
 // unless its submission context is cancelled too, and the operand
 // slices stay in use until it completes.
 func (f *Future) WaitContext(ctx context.Context) error { return f.f.WaitContext(ctx) }

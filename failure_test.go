@@ -3,7 +3,9 @@ package autogemm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -208,6 +210,63 @@ func TestFutureWaitContext(t *testing.T) {
 	diffBits(t, "waitcontext", c, want)
 }
 
+// TestFutureWaitContextNil: WaitContext(nil) on a pending job behaves
+// as WaitContext(context.Background()): it neither panics nor returns
+// while a gate job holds the engine's only worker, and returns the
+// job's result once the gate opens.
+func TestFutureWaitContextNil(t *testing.T) {
+	e, err := New("KP920", WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const m, n, k = 24, 24, 24
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	c := make([]float32, m*n)
+	want := make([]float32, m*n)
+	refgemm.Fill(a, m, k, k, 7)
+	refgemm.Fill(b, k, n, n, 8)
+	if err := e.Multiply(want, a, b, m, n, k); err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	openGate := func() { releaseOnce.Do(func() { close(release) }) }
+	defer openGate()
+	if _, err := e.sched.Submit(1, 1, func(*sched.Worker, int) error { <-release; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("panic: %v", r)
+			}
+		}()
+		//lint:ignore SA1012 nil is the case under test
+		done <- f.WaitContext(nil)
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitContext(nil) returned %v while the job was held behind the gate", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	openGate()
+	if err := <-done; err != nil {
+		t.Fatalf("WaitContext(nil) = %v, want the job's nil error", err)
+	}
+	if err := f.Wait(); err != nil {
+		t.Fatalf("Wait after WaitContext(nil): %v", err)
+	}
+	diffBits(t, "waitcontext nil", c, want)
+}
+
 // TestErrClosedWrapped: execution errors after Close match both the
 // exported autogemm.ErrClosed and the underlying sched.ErrClosed, and
 // carry the public API's prefix.
@@ -320,10 +379,13 @@ func TestMultiplyBatchContinuesPastFailedElement(t *testing.T) {
 	}
 }
 
-// TestOverlappingCRefused: Multiply and MultiplyBatch refuse a C that
-// shares memory with A or B with an error matching ErrOverlap,
+// TestOverlappingCRefused: Multiply, MultiplyBatch and SGEMM refuse a C
+// that shares memory with A or B with an error matching ErrOverlap,
 // before any work, on sub-slices of one backing array; a batch still
-// runs its other elements. A and B may overlap each other.
+// runs its other elements. A and B may overlap each other. SGEMM runs
+// with β = 2, so a C scaled before the check would show, both where it
+// copies the operands first (transposed, or A scaled by α ≠ 1) and
+// where it reads them in place.
 func TestOverlappingCRefused(t *testing.T) {
 	e, err := New("KP920", WithWorkers(2))
 	if err != nil {
@@ -344,6 +406,18 @@ func TestOverlappingCRefused(t *testing.T) {
 		}
 		if !bitsEqual(buf, before) {
 			t.Fatal("refused Multiply wrote its operands")
+		}
+		for _, s := range []struct {
+			transA, transB bool
+			alpha          float32
+		}{{false, false, 1}, {true, false, 1}, {false, true, 1}, {false, false, 0.5}} {
+			err := e.SGEMM(s.transA, s.transB, m, n, k, s.alpha, a, b, 2, c)
+			if !errors.Is(err, ErrOverlap) {
+				t.Fatalf("SGEMM %+v: %v, want ErrOverlap", s, err)
+			}
+			if !bitsEqual(buf, before) {
+				t.Fatalf("refused SGEMM %+v wrote its operands", s)
+			}
 		}
 
 		// The second element's B overlaps its A by five elements.

@@ -80,21 +80,18 @@ func (f *RunFuture) Participants() int { return f.f.Participants() }
 // workers other than the one that claimed the first task.
 func (f *RunFuture) TasksStolen() int64 { return f.f.TasksStolen() }
 
-// WaitContext is Wait bounded by a context: it returns the job's error
+// WaitContext is Wait bounded by a context, as sched.Future.WaitContext
+// is (a nil ctx means context.Background()): it returns the job's error
 // once it completes, or ctx.Err() if the context fires first. An early
 // return does not abandon the job; Wait remains usable and the
 // operand slices stay in use until the job actually completes.
 func (f *RunFuture) WaitContext(ctx context.Context) error {
+	err := f.f.WaitContext(ctx)
 	select {
 	case <-f.f.Done():
-		return f.Wait()
+		return f.Wait() // folds the job into the plan's counters, once
 	default:
-	}
-	select {
-	case <-f.f.Done():
-		return f.Wait()
-	case <-ctx.Done():
-		return ctx.Err()
+		return err
 	}
 }
 

@@ -38,10 +38,17 @@ func DefaultSGEMM() SGEMMParams { return SGEMMParams{Alpha: 1, Beta: 1} }
 //     BLAS convention that NaNs in C are not propagated);
 //   - α scales a working copy of A;
 //   - transposed operands are materialized row-major.
+//
+// A C that shares memory with A or B is refused with ErrOverlap before
+// anything is written, whatever α and β are: scaling C first would
+// change the A or B the product then reads.
 func (p *Plan) RunSGEMM(params SGEMMParams, c, a, b []float32, run func(c, a, b []float32) error) error {
 	m, n, k := p.M, p.N, p.K
 	if err := checkSGEMMSizes(params, len(a), len(b), len(c), m, n, k); err != nil {
 		return err
+	}
+	if cc := c[:m*n]; overlaps(cc, a[:m*k]) || overlaps(cc, b[:k*n]) {
+		return fmt.Errorf("%w (%dx%dx%d)", ErrOverlap, m, n, k)
 	}
 
 	// β handling on C.

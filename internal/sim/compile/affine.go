@@ -13,12 +13,10 @@ import (
 //
 // The kernels keep the m_r×n_r accumulator tile in registers for the
 // whole k-loop while A and B stream past at constant strides. translate
-// recovers that form for every region of a 4-lane program that passes
-// the proof below. A region is a maximal store-free run of micro-ops; it
-// may span counted loops whose body holds no store, so a tile's
-// prologue, whole k-loop and epilogue FMLAs form one region. A proven
-// region lowers to a single micro-op (uAffine4) whose executable form is
-// a *region.
+// recovers that form from a 4-lane program's store-free regions. A
+// region is a maximal store-free run of micro-ops; it may span counted
+// loops whose body holds no store, so a tile's prologue, whole k-loop
+// and epilogue FMLAs form one region.
 //
 // The analyzer has already proven the address half: every load's panel
 // position on trip t of its loop is pos + t·step (Report.Accesses), and
@@ -63,43 +61,31 @@ import (
 // epilogue. Before it, the C loads and zeroings of its live-in
 // accumulators that nothing reads in between (a fused band sets up tile
 // j+1's accumulators while it stores tile j's); after it, up to the
-// next region, the C stores of its accumulators. Those micro-ops are
-// dropped: a folded load or zeroing becomes its accumulator's set-up,
-// and folded stores make each chunk store its accumulators to C.
-// Folding moves a set-up later and a store earlier, past the loose C
-// loads, C stores and zeroings it crosses. That is sound when the
-// two touch different registers and different bytes, and bytes are
-// decided on positions alone because Precheck requires ldc ≥ NR when
-// MR > 1: C accesses stay inside columns [0, NR) (the analyzer's bounds
-// pass), so accesses on different rows never share a byte, and
-// accesses on one row overlap only when their columns are less than 16
-// bytes apart. A region folds its stores all or none, and only when
-// each chunk's stores form a C grid (row offsets, columns 16 bytes
-// apart), no two overlap, no chunk reads an operand from C, and no
-// later chunk's set-up reads C where an earlier chunk stored, since a
-// chunk stores before the next one runs.
+// next region, the C stores of its accumulators. A folded load or
+// zeroing becomes its accumulator's set-up, and folded stores make each
+// chunk store its accumulators to C. Folding moves a set-up later and a
+// store earlier, past the loose C loads, C stores and zeroings it
+// crosses. That is sound when the two touch different registers and
+// different bytes, and bytes are decided on positions alone because
+// Precheck requires ldc ≥ NR when MR > 1: C accesses stay inside
+// columns [0, NR) (the analyzer's bounds pass), so accesses on different
+// rows never share a byte, and accesses on one row overlap only when
+// their columns are less than 16 bytes apart. A region folds its stores
+// all or none, and only when each chunk's stores form a C grid (row
+// offsets, columns 16 bytes apart), no two overlap, no chunk reads an
+// operand from C, and no later chunk's set-up reads C where an earlier
+// chunk stored, since a chunk stores before the next one runs.
 //
-// Each proven region runs as one micro-op (execRegion). Its chunks'
-// byte offsets are resolved once per leading-dimension triple into a
-// Layout, which the caller keeps and passes to Run. Each chunk runs
-// through runTile, which sets up its accumulators (from C, as zeros, or
-// from what execRegion staged: live-in values, zeros and loads of any
-// bank), runs the whole k-loop and stores to C when the region folded
-// its stores.
-//
-// The contract of a Run is C, as the paper's micro-kernel leaves no
-// register state behind. The registers a region leaves matter only to
-// a later part of the same program that reads them: a loose micro-op,
-// or another region's live-in accumulator. A program with neither, every
-// micro-op a region and no live-in accumulator staged from the vector
-// file, is tile-only (translate): it never reads the vector file, and
-// its Layout writes nothing there. Every other program's Layout, and the
-// test-only exit layout of any program, leaves the interpreter's exact
-// exit vector file. Each region first reloads every register no chunk
-// holds whose last version is a load, from that load's final position
-// (ahead of the chunks' stores, as in program order), and zeroes each
-// whose last version is a zeroing; each chunk then writes its
-// accumulators back to the vector file after its store.
+// Lowering is all or nothing (tileProgram). When every micro-op is a
+// proven region's or folded into one, and every chunk sets up its
+// accumulators from its C tile or as zeros, the program is a tile
+// program: its regions' chunks in order, each run once through runTile,
+// which sets the chunk up, runs the whole k-loop and stores to C. Like
+// the paper's micro-kernel it leaves nothing else behind: it never reads
+// or writes the vector file. Any other 4-lane program lowers whole to
+// loose micro-ops, as every wider program does, and leaves the
+// interpreter's exit vector file. Every generated 4-lane kernel is a
+// tile program (TestLoweringCensus).
 //
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the
@@ -195,10 +181,9 @@ type walk struct {
 	sc *buffers
 	v  [asm.NumVectorRegs]ver
 
-	acc   [asm.NumVectorRegs]bool // FMLA destinations of the region
-	slot  [asm.NumVectorRegs]int8 // 1 + the index in accs once fed
-	accs  []accState              // accumulators by first FMLA
-	fmlas int
+	acc  [asm.NumVectorRegs]bool // FMLA destinations of the region
+	slot [asm.NumVectorRegs]int8 // 1 + the index in accs once fed
+	accs []accState              // accumulators by first FMLA
 }
 
 // accState is one accumulator's walk: its version at its first FMLA and
@@ -209,29 +194,16 @@ type accState struct {
 	mult, scal prog
 }
 
-// region is the executable form of a proven affine region (execRegion).
+// region is the lowered form of a proven affine region: its chunks,
+// which a tile program runs in order.
 type region struct {
 	chunks []chunk // the register-tile loops
-	final  []vset  // vector registers whose last version is a load or a zeroing
-	fmlas  int
 	// grid is the accumulators' rows × columns before chunking; 1×1 when
 	// they form no complete contiguous grid.
 	grid [2]int
 	// store is set when the region folded the C stores of its
 	// accumulators: each chunk stores its tile to C at c.
 	store bool
-	// t0 and f0 index the region's first chunk and final reload in its
-	// program's layouts.
-	t0, f0 int
-}
-
-// vset writes vector register d (a byte offset into the vector file):
-// zero, or the 16 bytes at position at of bank.
-type vset struct {
-	d    int32
-	zero bool
-	bank uint8
-	at   pos
 }
 
 // chunk is one register-tile loop: rows × cols accumulators for n
@@ -246,21 +218,21 @@ type chunk struct {
 	a, sa        pos
 	off          [maxTileRows]pos
 	b, sb        pos
-	init         uint8 // tileStaged, tileZero or tileC
+	init         uint8 // tileZero or tileC, once settled
 	c            [maxTileRows]pos
 	acc          []accum // row-major: acc[i·cols + c] is row i, column c
 }
 
 // accum is one accumulator of a chunk: vector register d (a byte offset
-// into the vector file), held in slot of the tile, and set up from its
-// live-in value, a zero, or the 16 bytes at iat of bank ibank (init is
-// verLive, verZero or verLoad); sat is where its folded C store puts it.
+// into the vector file), set up from its live-in value, a zero, or the
+// 16 bytes at iat of bank ibank (init is verLive, verZero or verLoad);
+// sat is where its folded C store puts it.
 type accum struct {
-	d, slot int32
-	init    uint8
-	ibank   uint8
-	iat     pos
-	sat     pos
+	d     int32
+	init  uint8
+	ibank uint8
+	iat   pos
+	sat   pos
 }
 
 // fed returns accumulator d's state, recording its first FMLA and its
@@ -273,8 +245,8 @@ func (w *walk) fed(d int32) *accState {
 	return &w.accs[w.slot[d]-1]
 }
 
-// buildRegion proves one store-free region and returns its executable
-// form, or nil when the region keeps the fused-run path. body is the
+// buildRegion proves one store-free region and returns its lowered
+// form, or nil when it holds no FMLA or is not proven. body is the
 // region's micro-ops; loops are its counted loops of two or more trips
 // in order, disjoint and inside body. sc lends the walk its buffers.
 func buildRegion(sc *buffers, body []uop, loops []span) *region {
@@ -287,13 +259,12 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 				nacc++
 			}
 			w.acc[u.d/4] = true
-			w.fmlas++
 		case uLoad4, uVZero4:
 		default:
 			return nil
 		}
 	}
-	if w.fmlas == 0 {
+	if nacc == 0 {
 		return nil
 	}
 	w.accs = make([]accState, 0, nacc)
@@ -557,9 +528,9 @@ func (w *walk) loop(body []uop, trips int64) bool {
 	return true
 }
 
-// lower turns a proven walk into the region's executable form.
+// lower turns a proven walk into the region's lowered form.
 func (w *walk) lower() *region {
-	r := &region{fmlas: w.fmlas, final: make([]vset, 0, asm.NumVectorRegs)}
+	r := &region{}
 	if rows, cols, at := w.grid(); at != nil {
 		r.grid = [2]int{len(rows), len(cols)}
 		r.chunks = w.cut(nil, rows, cols, at)
@@ -568,14 +539,6 @@ func (w *walk) lower() *region {
 		for i := range w.accs {
 			ac := &w.accs[i]
 			r.chunks = w.cut(r.chunks, []prog{ac.scal}, []prog{ac.mult}, []int{i})
-		}
-	}
-	for v, ver := range w.v {
-		switch ver.kind {
-		case verZero:
-			r.final = append(r.final, vset{d: int32(v) * 16, zero: true})
-		case verLoad:
-			r.final = append(r.final, vset{d: int32(v) * 16, bank: ver.bank, at: ver.addr})
 		}
 	}
 	return r
@@ -649,8 +612,7 @@ func (w *walk) cut(chunks []chunk, rows, cols []prog, at []int) []chunk {
 				for c := c0; c < c1; c++ {
 					ac := &w.accs[at[i*nc+c]]
 					in := ac.init
-					ch.acc = append(ch.acc, accum{d: ac.d * 16, slot: int32(slot(i-r0, c-c0, ch.cols)),
-						init: in.kind, ibank: in.bank, iat: in.addr})
+					ch.acc = append(ch.acc, accum{d: ac.d * 16, init: in.kind, ibank: in.bank, iat: in.addr})
 				}
 			}
 			chunks = append(chunks, ch)
@@ -661,17 +623,15 @@ func (w *walk) cut(chunks []chunk, rows, cols []prog, at []int) []chunk {
 
 // How a chunk sets up its accumulators (chunk.init, tile.init).
 const (
-	tileStaged = iota // from Env.acc, which execRegion fills
-	tileZero
-	tileC // from its C tile
+	tileZero = iota
+	tileC    // from its C tile
 )
 
 // bankC is the C panel's bank.
 const bankC = uint8(analysis.BankC)
 
-// foldC folds each proven region's C traffic into it and settles how
-// each chunk sets up its accumulators; it returns the micro-ops folded
-// away, which translate drops. regions are in program order. The
+// foldC folds each proven region's C traffic into it and returns the
+// micro-ops folded away. regions are in program order. The
 // micro-ops it may fold or cross are loose: 4-lane C loads and stores
 // and zeroings, outside every multi-trip loop. The gap between two
 // regions first gives the earlier region its stores, scanning on from
@@ -700,9 +660,6 @@ func foldC(ops []uop, loops []span, regions []keptRegion) []bool {
 			foldLoads(ops[lo:hi], loose[lo:hi], drop[lo:hi], regions[k].r)
 			lo = regions[k].end
 		}
-	}
-	for _, kr := range regions {
-		kr.r.settle()
 	}
 	return drop
 }
@@ -838,8 +795,10 @@ func overlapsAny(p pos, qs []pos) bool {
 }
 
 // settle decides how each chunk sets up its accumulators, once the
-// region's C traffic is folded in, and where its C tile is.
-func (r *region) settle() {
+// region's C traffic is folded in, and where its C tile is. It reports
+// whether every chunk sets up from its C tile or as zeros, as a tile
+// program's must.
+func (r *region) settle() bool {
 	for i := range r.chunks {
 		ch := &r.chunks[i]
 		fromC, okC := ch.cRows(func(ac *accum) (pos, bool) {
@@ -855,12 +814,13 @@ func (r *region) settle() {
 		case okC:
 			ch.init, ch.c = tileC, fromC
 		default:
-			ch.init = tileStaged
+			return false
 		}
 		if r.store {
 			ch.c, _ = ch.cRows(func(ac *accum) (pos, bool) { return ac.sat, true })
 		}
 	}
+	return true
 }
 
 // cRows returns the chunk's C row positions when at, which may refuse

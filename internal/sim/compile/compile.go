@@ -75,10 +75,11 @@ func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Progr
 // addresses and control (the analyzer has resolved it into
 // rep.Accesses): scalar ops, WHILELT, PTRUE, labels, branches, nops and
 // prefetch hints. A loop of two or more trips becomes a span of that
-// list. A 4-lane program's proven affine regions (affine.go) each
-// collapse into one micro-op, together with the C loads and stores
-// folded into them; the rest is cut at the spans into segments, and
-// each segment's FMLA runs are fused.
+// list. A 4-lane program that tileProgram lowers whole to register
+// tiles (affine.go) runs as those tiles alone, and its precheck holds
+// it to the exact extents they reach. Any other program is cut at the
+// spans into segments of loose micro-ops, each segment's FMLA runs
+// fused, and its precheck holds it to the declared extents.
 func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
 	lanes := bounds.Lanes
 	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds}
@@ -126,64 +127,67 @@ func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*P
 		return nil, fmt.Errorf("compile: %s: falls off the end without ret", p.Name)
 	}
 
-	cp.fmlas = countFmla(ops)
-	var regions []keptRegion
 	if lanes == 4 {
-		regions = affineRegions(ops, loops)
+		if regions, ok := tileProgram(ops, loops); ok {
+			cp.regions = regions
+			cp.ext = exactExtents(regions)
+			return cp, nil
+		}
 	}
-	drop := foldC(ops, loops, regions)
+	// The declared extents: Bounds.AExtent, BExtent and CExtent.
+	cp.ext = [3]extent{
+		{rows: int64(bounds.MR - 1), cols: int64(bounds.KC + bounds.AOverVectors*lanes)},
+		{rows: int64(bounds.KC + bounds.BOverRows - 1), cols: int64(bounds.NR)},
+		{rows: int64(bounds.MR - 1), cols: int64(bounds.NR)},
+	}
 	var body []uop
-	var aff []*region
-	chunks, finals := 0, 0 // the regions' chunks and final reloads so far
 	flush := func(trips int64) {
 		if len(body) > 0 {
-			c := code{aff: aff}
+			var c code
 			c.body, c.fm = fuseFmla(body)
 			cp.segs = append(cp.segs, segment{code: c, trips: trips})
 		}
-		body, aff = nil, nil
+		body = nil
 	}
 	for i := 0; i < len(ops); {
-		switch {
-		case len(regions) > 0 && regions[0].start == i:
-			r := regions[0]
-			body = append(body, uop{kind: uAffine4, a: int32(len(aff))})
-			aff = append(aff, r.r)
-			cp.affineFmlas += r.r.fmlas
-			r.r.t0, r.r.f0 = chunks, finals
-			chunks += len(r.r.chunks)
-			finals += len(r.r.final)
-			cp.regions = append(cp.regions, r.r)
-			i, regions = r.end, regions[1:]
-		case drop[i]:
-			i++ // folded into a region
-		case len(loops) > 0 && loops[0].lo == i:
+		if len(loops) > 0 && loops[0].lo == i {
 			l := loops[0]
 			flush(1)
 			body = ops[l.lo:l.hi]
 			flush(l.trips)
-			i = l.hi
-		default:
-			body = append(body, ops[i])
-			i++
+			i, loops = l.hi, loops[1:]
+			continue
 		}
-		for len(loops) > 0 && loops[0].lo < i {
-			loops = loops[1:] // run, or collapsed into a region
-		}
+		body = append(body, ops[i])
+		i++
 	}
 	flush(1)
-	cp.tileOnly = tileOnly(cp)
-	if cp.tileOnly {
-		cp.exact = exactExtents(cp.regions)
-	}
 	return cp, nil
 }
 
-// exactExtents returns a tile-only program's extents by bank: the
-// furthest row and column end its chunks reach, over the scalars and
-// multiplicands of their first and last steps, the set-up loads of
-// their accumulators and their folded C stores. Under the program's
-// Layout nothing else runs.
+// tileProgram lowers a 4-lane program to a tile program: its proven
+// affine regions in order, with the C traffic folded into them. It
+// reports false, and the program lowers to loose micro-ops, unless
+// there is a region, every micro-op is a region's or folded into one,
+// and every chunk sets up from its C tile or as zeros.
+func tileProgram(ops []uop, loops []span) ([]*region, bool) {
+	kept := affineRegions(ops, loops)
+	drop := foldC(ops, loops, kept)
+	regions := make([]*region, len(kept))
+	lo := 0
+	for k, kr := range kept {
+		if slices.Contains(drop[lo:kr.start], false) || !kr.r.settle() {
+			return nil, false
+		}
+		regions[k], lo = kr.r, kr.end
+	}
+	return regions, len(regions) > 0 && !slices.Contains(drop[lo:], false)
+}
+
+// exactExtents returns a tile program's extents by bank: the furthest
+// row and column end its chunks reach, over the scalars and
+// multiplicands of their first and last steps, the C loads that set up
+// their accumulators and their folded C stores.
 func exactExtents(regions []*region) (ext [3]extent) {
 	for _, r := range regions {
 		for i := range r.chunks {
@@ -210,29 +214,6 @@ func exactExtents(regions []*region) (ext [3]extent) {
 		}
 	}
 	return ext
-}
-
-// tileOnly reports whether every micro-op of cp is an affine region and
-// no chunk stages a live-in accumulator: then cp never reads the vector
-// file, and nothing reads what its regions leave there.
-func tileOnly(cp *Program) bool {
-	for _, s := range cp.segs {
-		for _, u := range s.body {
-			if u.kind != uAffine4 {
-				return false
-			}
-		}
-	}
-	for _, r := range cp.regions {
-		for _, ch := range r.chunks {
-			for _, ac := range ch.acc {
-				if ac.init == verLive {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // span is a counted loop: micro-ops [lo, hi) run trips times.
@@ -285,24 +266,12 @@ func affineRegions(ops []uop, loops []span) []keptRegion {
 				spans = append(spans, span{lo: l.lo - s, hi: l.hi - s, trips: l.trips})
 			}
 		}
-		if countFmla(ops[s:e]) > 0 {
-			if r := buildRegion(sc, ops[s:e], spans); r != nil {
-				out = append(out, keptRegion{start: s, end: e, r: r})
-			}
+		if r := buildRegion(sc, ops[s:e], spans); r != nil {
+			out = append(out, keptRegion{start: s, end: e, r: r})
 		}
 		s = e
 	}
 	return out
-}
-
-func countFmla(uops []uop) int {
-	n := 0
-	for _, u := range uops {
-		if u.kind == uFmla4 || u.kind == uFmlaN {
-			n++
-		}
-	}
-	return n
 }
 
 // decode builds the micro-op of instruction idx, a vector memory or

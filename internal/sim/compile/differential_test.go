@@ -18,7 +18,8 @@ import (
 // The differential suite runs kernels through both backends — the
 // checked interpreter (sim.Machine) and the compiled static-schedule
 // form — on identical random operands and demands bit-identical C
-// panels. It mirrors mkernel's analyzer differential (sampled per
+// panels, a tile program's vector file untouched and a loose program's
+// equal to the interpreter's (requireMatches). It mirrors mkernel's analyzer differential (sampled per
 // chip/tile) so every kernel class the generator emits is covered:
 // plain tiles across KC shapes and flags, uniform and mixed bands, fused
 // bands, and predicated SVE kernels.
@@ -31,73 +32,17 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
-// diffRun executes p on both backends and compares the C panel bitwise.
-// It returns the compiled program for further static checks.
+// diffRun compiles p and runs it on both backends (requireMatches). It
+// returns the compiled program for further static checks.
 func diffRun(t *testing.T, p *asm.Program, aopts analysis.Options, rng *rand.Rand) *compile.Program {
 	t.Helper()
 	b := aopts.Bounds
-	lanes := b.Lanes
-	cp, err := compile.Compile(p, compile.Options{Lanes: lanes, Bounds: *b, Rotation: aopts.Rotation})
+	cp, err := compile.Compile(p, compile.Options{Lanes: b.Lanes, Bounds: *b, Rotation: aopts.Rotation})
 	if err != nil {
 		t.Fatalf("compile %s: %v", p.Name, err)
 	}
-
-	lda := int64(b.KC + b.AOverVectors*lanes + 3)
-	ldb := int64(b.NR + 5)
-	ldc := int64(b.NR + 2)
-	lenA := int(int64(b.MR-1)*lda) + b.KC + b.AOverVectors*lanes
-	lenB := int(int64(b.KC+b.BOverRows-1)*ldb) + b.NR
-	lenC := int(int64(b.MR-1)*ldc) + b.NR
-	a := randSlice(rng, lenA)
-	bp := randSlice(rng, lenB)
-	c := randSlice(rng, lenC)
-
-	// Interpreter over an arena holding copies of the panels.
-	ar := sim.NewArena(lenA + lenB + lenC + 64)
-	aAddr := ar.Alloc(lenA)
-	bAddr := ar.Alloc(lenB)
-	cAddr := ar.Alloc(lenC)
-	ar.Freeze()
-	copy(ar.Slice(aAddr, lenA), a)
-	copy(ar.Slice(bAddr, lenB), bp)
-	copy(ar.Slice(cAddr, lenC), c)
-	m := sim.NewMachine(ar, lanes)
-	m.SetArg(0, aAddr)
-	m.SetArg(1, bAddr)
-	m.SetArg(2, cAddr)
-	m.SetArg(3, lda)
-	m.SetArg(4, ldb)
-	m.SetArg(5, ldc)
-	if err := m.Run(p, 1<<31-1); err != nil {
-		t.Fatalf("interpret %s: %v", p.Name, err)
-	}
-	want := ar.Slice(cAddr, lenC)
-
-	// Compiled, in place over the raw slices.
-	got := append([]float32(nil), c...)
-	e := compile.NewEnv(lanes)
-	if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, bp, got, 0, 0, 0, 1<<30); err != nil {
-		t.Fatalf("compiled run %s: %v", p.Name, err)
-	}
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: C[%d] differs: compiled %x (%g), interpreted %x (%g)",
-				p.Name, i, math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
-		}
-	}
-	// A and B are inputs; the compiled backend must not have touched them
-	// (the analyzer rejects stores into A/B, but verify the seam anyway).
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(ar.Slice(aAddr, lenA)[i]) {
-			t.Fatalf("%s: compiled run mutated A[%d]", p.Name, i)
-		}
-	}
-	for i := range bp {
-		if math.Float32bits(bp[i]) != math.Float32bits(ar.Slice(bAddr, lenB)[i]) {
-			t.Fatalf("%s: compiled run mutated B[%d]", p.Name, i)
-		}
-	}
-	requireSameVectors(t, p.Name, e, m)
+	ops, lda, ldb, ldc := randOperands(rng, *b)
+	requireMatches(t, p, cp, ops, lda, ldb, ldc)
 	return cp
 }
 
@@ -115,22 +60,18 @@ func requireSameVectors(t *testing.T, name string, e *compile.Env, m *sim.Machin
 	}
 }
 
-// requireScheduled fails unless every FMLA of a 4-lane program runs in
-// an affine region, every C load and store is folded into one, and the
-// regions, in program order, hold the full MR × NR/σ accumulator grid
-// of each kernel tile in tiles. So a generator change can neither drop
-// the register-tile fast path, nor silently degrade it to 1×1 tiles,
-// nor bring back the loose C micro-ops around it.
+// requireScheduled fails unless a 4-lane program is a tile program
+// whose regions, in program order, hold the full MR × NR/σ accumulator
+// grid of each kernel tile in tiles. So a generator change can neither
+// drop the register-tile fast path for loose micro-ops, nor silently
+// degrade it to 1×1 tiles.
 func requireScheduled(t *testing.T, cp *compile.Program, tiles ...mkernel.Tile) {
 	t.Helper()
 	if cp.Lanes != 4 {
 		return
 	}
-	if s, n := compile.AffineFmlas(cp); s != n || n == 0 {
-		t.Fatalf("%s: %d of %d FMLAs in affine regions", cp.Name, s, n)
-	}
-	if n := compile.LooseC(cp); n != 0 {
-		t.Fatalf("%s: %d C loads and stores outside the affine regions", cp.Name, n)
+	if !compile.TileProgram(cp) {
+		t.Fatalf("%s: lowered to loose micro-ops, not a tile program", cp.Name)
 	}
 	grids := compile.TileGrids(cp)
 	if len(grids) != len(tiles) {
@@ -157,15 +98,14 @@ func bandTiles(bc mkernel.BandConfig) []mkernel.Tile {
 
 // TestDifferentialSweep covers the lint sweep's kernel classes per chip.
 // The tile grid's KC values include 1 and σ+1 (straight-line kernels
-// and one-trip loops) and 129 (a long k-loop). On an AVX host every
-// affine region's tile chunks run through a register-tile loop
-// (tile_amd64.s), so the sweep runs once per loop the host can run
-// (forEachTileLoop) and holds each to sim.Machine. The
+// and one-trip loops) and 129 (a long k-loop). Every 4-lane kernel is
+// a tile program, and on an AVX host its chunks run through a
+// register-tile loop (tile_amd64.s), so the sweep runs once per loop
+// the host can run (forEachTileLoop) and holds each to sim.Machine. The
 // rule is bit equality except where both results are NaN, whose payload
 // neither the AVX loops nor gc's scalar code pin (see
-// TestTileMatchesGo). The operands
-// here are finite and small, so no result is NaN and the comparison is
-// on raw bits.
+// TestTileMatchesGo). The operands here are finite and small, so no
+// result is NaN and the comparison is on raw bits.
 func TestDifferentialSweep(t *testing.T) { forEachTileLoop(t, differentialSweep) }
 
 // forEachTileLoop runs f as one subtest per native register-tile loop

@@ -1,10 +1,6 @@
 package compile
 
-import (
-	"unsafe"
-
-	"autogemm/internal/asm"
-)
+import "unsafe"
 
 // Micro-ops: the pre-decoded form segments execute. Operand fields are
 // flat indices into the vector file (pre-multiplied by σ_lane), memory
@@ -34,7 +30,6 @@ const (
 	uVZeroN
 	uFmlaRun4 // [a,b) of the segment's fmla table, 4-lane specialization
 	uFmlaRunN
-	uAffine4 // the segment's affine region a (affine.go)
 )
 
 // uop is one micro-op. A memory op moves lanes floats between vector
@@ -69,13 +64,11 @@ type fmla struct {
 	d, a, b int32
 }
 
-// code is one segment's executable form: its micro-ops, the FMLA table
-// its run micro-ops index, and the affine regions its uAffine4 micro-ops
-// run.
+// code is one segment's executable form: its micro-ops and the FMLA
+// table its run micro-ops index.
 type code struct {
 	body []uop
 	fm   []fmla
-	aff  []*region
 }
 
 // fuseFmla rewrites runs of ≥2 consecutive FMLA micro-ops into a single
@@ -131,8 +124,6 @@ func execUops(e *Env, c *code, t int64) {
 	for i := range c.body {
 		u := &c.body[i]
 		switch u.kind {
-		case uAffine4:
-			execRegion(e, c.aff[u.a])
 		case uFmlaRun4:
 			// Consecutive entries usually share the full-vector
 			// multiplicand (one B vector against MR accumulator rows),
@@ -199,54 +190,6 @@ func execUops(e *Env, c *code, t int64) {
 	}
 }
 
-// execRegion runs one affine region (affine.go): each chunk, at the
-// offsets the Run's layout resolved, through runTile, after staging the
-// accumulators of a chunk that does not set them up itself. Under an
-// exit layout (Layout.exit) it first does the final reloads and
-// zeroings that leave the interpreter's exit vector file; a tile-only
-// program's layout skips them, since nothing reads them.
-func execRegion(e *Env, r *region) {
-	vp := e.vp
-	// The final reloads and zeroings go first: they read what the
-	// region's own loads read, ahead of every store the region owns as
-	// in program order, and write registers no chunk holds.
-	if e.lay.exit {
-		final := r.final
-		at := e.lay.final[r.f0:]
-		for i := range final {
-			s := &final[i]
-			if s.zero {
-				*vec4(vp, int64(s.d)) = [4]float32{}
-			} else {
-				*vec4(vp, int64(s.d)) = *vec4(e.base[s.bank], at[i])
-			}
-		}
-	}
-	tiles := e.lay.tiles[r.t0:]
-	chunks := r.chunks
-	for i := range chunks {
-		ch := &chunks[i]
-		if ch.init == tileStaged {
-			for _, ac := range ch.acc {
-				switch ac.init {
-				case verLive:
-					e.acc[ac.slot] = *vec4(vp, int64(ac.d))
-				case verZero:
-					e.acc[ac.slot] = [4]float32{}
-				default:
-					e.acc[ac.slot] = *(*[4]float32)(e.at(ac.ibank, ac.iat))
-				}
-			}
-		}
-		runTile(e, &tiles[i])
-	}
-}
-
-// at returns the address of panel position p of bank.
-func (e *Env) at(bank uint8, p pos) unsafe.Pointer {
-	return unsafe.Add(e.base[bank], p.bytes(e.ld[bank]))
-}
-
 // The register budget of a tile chunk: at most maxTileRows rows, and
 // at most maxTileCols(rows) multiplicand vectors.
 const maxTileRows = 6
@@ -264,47 +207,29 @@ func maxTileCols(rows int64) int64 {
 	return 4
 }
 
-// slot is where the accumulator of row i, column c of a chunk with
-// cols columns sits among the tile's registers: its YMM register is row
-// i's register c/2, and each register holds two adjacent slots (the
-// lower half is the even column). An odd last column fills only the
-// lower half. A row's slots are consecutive, so a ZMM register holds
-// the row's first four.
-func slot(i, c, cols int64) int64 {
-	return 2*(i*((cols+1)/2)+c/2) + c%2
-}
-
-// tileSpill is the vector-file byte offset a tile writes an unused slot
-// to: the first register past a 4-lane program's 32, space Env.v holds
-// for wider programs and a 4-lane one never reads.
-const tileSpill = asm.NumVectorRegs * 16
-
 // tile is one register-tile chunk resolved at one (lda, ldb, ldc): the
 // whole kernel of rows × cols accumulators over n steps, with byte
 // offsets past the Run's panel bases (Env.base). Step j of row i reads
 // the by-element scalar at a + off[i] + j·sa of bank abank, and step j
 // of column c the 4-float multiplicand at b + 16c + j·sb of bank bbank.
-// The accumulators are set up as init says: from Env.acc by slot, as
-// zeros, or from C, where the accumulator of row i, column c is the 16
-// bytes at c[i] + 16c; when store is set they go back there at the end.
-// C is the whole result. Only when wb is set, under an exit layout, is
-// every slot then written to the vector file at byte offset v[slot].
-// The layout is read through go_asm.h by tile_amd64.s.
+// The accumulators are set up as init says, as zeros or from C, where
+// the accumulator of row i, column c is the 16 bytes at c[i] + 16c;
+// when store is set they go back there at the end. C is the whole
+// result: a tile never reads or writes the vector file. The layout is
+// read through go_asm.h by tile_amd64.s.
 type tile struct {
-	a, sa           int64
-	b, sb           int64
-	abank, bbank    int64
-	n               int64
-	rows, cols      int64
-	init, store, wb int64
-	off             [maxTileRows]int64
-	c               [maxTileRows]int64
-	v               [2 * 12]int64
+	a, sa        int64
+	b, sb        int64
+	abank, bbank int64
+	n            int64
+	rows, cols   int64
+	init, store  int64
+	off          [maxTileRows]int64
+	c            [maxTileRows]int64
 }
 
-// resolve returns the chunk's tile at leading dimensions ld, in bytes;
-// wb sets its vector-file write-back.
-func (ch *chunk) resolve(ld [3]int64, store, wb bool) tile {
+// resolve returns the chunk's tile at leading dimensions ld, in bytes.
+func (ch *chunk) resolve(ld [3]int64, store bool) tile {
 	t := tile{
 		a: ch.a.bytes(ld[ch.abank]), sa: ch.sa.bytes(ld[ch.abank]),
 		b: ch.b.bytes(ld[ch.bbank]), sb: ch.sb.bytes(ld[ch.bbank]),
@@ -314,18 +239,9 @@ func (ch *chunk) resolve(ld [3]int64, store, wb bool) tile {
 	if store {
 		t.store = 1
 	}
-	if wb {
-		t.wb = 1
-	}
 	for i := int64(0); i < ch.rows; i++ {
 		t.off[i] = ch.off[i].bytes(ld[ch.abank])
 		t.c[i] = ch.c[i].bytes(ld[bankC])
-	}
-	for s := range t.v {
-		t.v[s] = tileSpill
-	}
-	for _, ac := range ch.acc {
-		t.v[ac.slot] = int64(ac.d)
 	}
 	return t
 }
@@ -339,18 +255,15 @@ var runTile = execTile
 // execTile is the reference tile loop and the executor wherever there
 // is no native one. Each accumulator runs on its own, held in scalar
 // locals from its first multiply-add to its last; accumulators never
-// read each other, so the order between them is free. It writes C when
-// the tile stores, and the vector file only when the tile's wb is set.
+// read each other, so the order between them is free. acc holds row i,
+// column c at i·cols + c.
 func execTile(e *Env, t *tile) {
-	var acc [2 * 12][4]float32
+	var acc [maxTileRows * 4][4]float32
 	pc := e.base[bankC]
-	switch t.init {
-	case tileStaged:
-		acc = e.acc
-	case tileC:
+	if t.init == tileC {
 		for i := int64(0); i < t.rows; i++ {
 			for c := int64(0); c < t.cols; c++ {
-				acc[slot(i, c, t.cols)] = *vec4(pc, t.c[i]+16*c)
+				acc[i*t.cols+c] = *vec4(pc, t.c[i]+16*c)
 			}
 		}
 	}
@@ -361,7 +274,7 @@ func execTile(e *Env, t *tile) {
 		a := unsafe.Add(pa, t.off[i])
 		for c := int64(0); c < t.cols; c++ {
 			b := unsafe.Add(pb, 16*c)
-			x := &acc[slot(i, c, t.cols)]
+			x := &acc[i*t.cols+c]
 			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 			for j := int64(0); j < n; j++ {
 				v := vec4(b, j*sb)
@@ -377,13 +290,8 @@ func execTile(e *Env, t *tile) {
 	if t.store != 0 {
 		for i := int64(0); i < t.rows; i++ {
 			for c := int64(0); c < t.cols; c++ {
-				*vec4(pc, t.c[i]+16*c) = acc[slot(i, c, t.cols)]
+				*vec4(pc, t.c[i]+16*c) = acc[i*t.cols+c]
 			}
-		}
-	}
-	if t.wb != 0 {
-		for s := range acc {
-			*vec4(e.vp, t.v[s]) = acc[s]
 		}
 	}
 }

@@ -90,8 +90,8 @@ func tileLoopNamed(name string) func(*Env, *tile) {
 }
 
 // TileRunner builds one rows × cols chunk of n steps over packed
-// panels, as a kernel tile runs it: set up from C, stored back to C,
-// write-back off. It returns run, which executes the chunk on the named
+// panels, as a kernel tile runs it: set up from C and stored back to
+// C. It returns run, which executes the chunk on the named
 // loop of TileLoops, and the FMLAs one run executes.
 func TileRunner(rows, cols, n int64, loop string) (run func(), fmlas int) {
 	a := make([]float32, rows*n)
@@ -114,41 +114,22 @@ func TileRunner(rows, cols, n int64, loop string) (run func(), fmlas int) {
 	return func() { exec(e, &t) }, int(rows * cols * n)
 }
 
-// AffineFmlas reports the program's static FMLA count and how many of
-// those landed in an affine region.
-func AffineFmlas(cp *Program) (affine, total int) {
-	return cp.affineFmlas, cp.fmlas
-}
+// TileProgram reports whether cp lowered to a tile program: register
+// tiles alone, with no loose micro-op.
+func TileProgram(cp *Program) bool { return len(cp.regions) > 0 }
 
 // Grid is one affine region's accumulator grid before chunking: Rows ×
-// Cols (1×1 when the accumulators form no complete contiguous grid),
-// and the region's FMLAs.
-type Grid struct{ Rows, Cols, Fmlas int }
+// Cols (1×1 when the accumulators form no complete contiguous grid).
+type Grid struct{ Rows, Cols int }
 
-// TileGrids returns the grid of every affine region of cp, in program
-// order.
+// TileGrids returns the grid of every affine region of tile program cp,
+// in program order.
 func TileGrids(cp *Program) []Grid {
 	var out []Grid
-	for _, s := range cp.segs {
-		for _, r := range s.aff {
-			out = append(out, Grid{r.grid[0], r.grid[1], r.fmlas})
-		}
+	for _, r := range cp.regions {
+		out = append(out, Grid{r.grid[0], r.grid[1]})
 	}
 	return out
-}
-
-// LooseC returns the C loads and stores of cp that run outside its
-// affine regions, as micro-ops of its segments.
-func LooseC(cp *Program) int {
-	n := 0
-	for _, s := range cp.segs {
-		for _, u := range s.body {
-			if (u.kind == uLoad4 || u.kind == uStore4 || u.kind == uLoadN || u.kind == uStoreN) && u.bank == bankC {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Vector returns architectural vector register r of the environment.
@@ -169,17 +150,6 @@ func (e *Env) Poison(seed uint32) {
 		e.v[i] = math.Float32frombits(0x7fc00000 | (seed+uint32(i))&0x3fffff)
 	}
 }
-
-// ExitLayout resolves cp's offsets at lda, ldb and ldc like Layout, but
-// a Run under it always leaves the interpreter's exact exit vector file:
-// every region reloads and zeroes its final registers, and every tile
-// writes its accumulators back. The exit-register differentials use it.
-func ExitLayout(cp *Program, lda, ldb, ldc int64) *Layout {
-	return cp.layout(lda, ldb, ldc, true)
-}
-
-// TileOnly reports whether cp's Layout drops the exit vector file.
-func TileOnly(cp *Program) bool { return cp.tileOnly }
 
 // AffineRunner runs cp once over the operands to record the tile chunks
 // its affine regions resolve, and returns run, which executes those
@@ -214,8 +184,7 @@ func AffineRunner(cp *Program, e *Env, a, b, c []float32, lda, ldb, ldc int64, p
 }
 
 // ExactExtents returns the elements past each panel base, A, B and C,
-// that a Run of tile-only cp under its Layout reaches at lda, ldb and
-// ldc.
+// that a Run of tile program cp reaches at lda, ldb and ldc.
 func ExactExtents(cp *Program, lda, ldb, ldc int64) [3]int64 {
-	return [3]int64{cp.exact[0].at(lda), cp.exact[1].at(ldb), cp.exact[2].at(ldc)}
+	return [3]int64{cp.ext[0].at(lda), cp.ext[1].at(ldb), cp.ext[2].at(ldc)}
 }

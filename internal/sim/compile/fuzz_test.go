@@ -8,7 +8,6 @@ import (
 
 	"autogemm/internal/asm"
 	"autogemm/internal/asm/analysis"
-	"autogemm/internal/sim"
 	"autogemm/internal/sim/compile"
 )
 
@@ -17,30 +16,26 @@ import (
 // against the checked interpreter. The invariant under test is the
 // bounds-elision contract itself: if Compile succeeds and Precheck
 // accepts the operands, the unchecked compiled run must neither fault
-// nor diverge from the interpreter — on the C panel and on every
-// architectural vector register, bit for bit. (The compiled form has no
-// scalar registers, flags or predicates: the analyzer resolved them into
-// each access's panel position and each loop's trip count, and nothing
-// reads them after RET, so there is nothing to compare.) The vector
-// comparison is where an affine region's bad reload of a register's
-// last load shows first. On an AVX host the affine regions' tile chunks
-// run through a register-tile loop (tile_amd64.s), so each input runs
-// once per loop the host can run, and this fuzzes each against
-// sim.Machine, 1×1 fallback tiles included. The rule
-// is bit equality except where both results are NaN, whose payload
-// neither the AVX loops nor gc's scalar code pin (see
-// TestTileMatchesGo). The operands here are finite and small, so no
-// result is NaN and the comparison is on raw bits. Every proven program
-// is first run with ldc = len(data) mod NR, which breaks the rule that C
-// rows are disjoint: Run must refuse it with ErrBounds before any work.
-// The exit comparison runs under ExitLayout; each proven input then
-// runs again under the production Layout from a poisoned vector file,
-// and its C must be bit-equal, with a tile-only program's vector file
-// left as it was. A tile-only program then runs once more on operands
-// cut to its exact extents, each followed by a NaN tail
+// nor diverge from the interpreter on C, bit for bit. (The compiled
+// form has no scalar registers, flags or predicates: the analyzer
+// resolved them into each access's panel position and each loop's trip
+// count, and nothing reads them after RET, so there is nothing to
+// compare.) Both backends start from one vector file poisoned with
+// NaNs (requireMatches): a tile program must leave it untouched, and a
+// loose program must leave the interpreter's exit vector file, every
+// register bit for bit. On an AVX host a tile program's chunks run
+// through a register-tile loop (tile_amd64.s), so each input runs once
+// per loop the host can run, and this fuzzes each against sim.Machine,
+// 1×1 fallback tiles included. The rule is bit equality except where
+// both results are NaN, whose payload neither the AVX loops nor gc's
+// scalar code pin (see TestTileMatchesGo). The operands here are finite
+// and small, so no result is NaN and the comparison is on raw bits.
+// Every proven program is first run with ldc = len(data) mod NR, which
+// breaks the rule that C rows are disjoint: Run must refuse it with
+// ErrBounds before any work. A tile program then runs once more on
+// operands cut to its exact extents, each followed by a NaN tail
 // (requireExactCut): C must still be bit-equal and every tail
-// untouched, and under ExitLayout a cut shorter than the declared
-// extent is refused.
+// untouched. The seeds must hold both lowerings (requireSeedLowerings).
 func FuzzCompileDiff(f *testing.F) {
 	// Seeds: scalar shuffling, raw bytes that decode into memory ops
 	// with varying offsets, and the affine region proof's cases.
@@ -48,6 +43,7 @@ func FuzzCompileDiff(f *testing.F) {
 	f.Add([]byte{8, 200, 9, 14, 8, 23, 10, 42, 11, 7, 12, 99})
 	f.Add([]byte{13, 1, 2, 3, 13, 13, 13, 5, 6, 0, 0, 9, 9})
 	f.Add([]byte{5, 6, 6, 3, 8, 113, 10})
+	requireSeedLowerings(f)
 	for _, s := range schedSeeds {
 		f.Add(s.data)
 	}
@@ -74,104 +70,55 @@ func compileDiff(t *testing.T, data []byte) {
 		return // unproven or invalid: the interpreter path owns it
 	}
 
-	lanes := bounds.Lanes
-	lda := int64(bounds.KC + bounds.AOverVectors*lanes)
+	lda := int64(bounds.KC + bounds.AOverVectors*bounds.Lanes)
 	ldb := int64(bounds.NR)
 	ldc := int64(bounds.NR)
-	lenA := int(int64(bounds.MR-1)*lda) + bounds.KC + bounds.AOverVectors*lanes
-	lenB := int(int64(bounds.KC+bounds.BOverRows-1)*ldb) + bounds.NR
-	lenC := int(int64(bounds.MR-1)*ldc) + bounds.NR
-	a := make([]float32, lenA)
-	b := make([]float32, lenB)
-	c := make([]float32, lenC)
-	for i := range a {
-		a[i] = float32(i%17)*0.5 - 3
+	ops := [3][]float32{
+		make([]float32, bounds.AExtent(lda)),
+		make([]float32, bounds.BExtent(ldb)),
+		make([]float32, bounds.CExtent(ldc)),
 	}
-	for i := range b {
-		b[i] = float32(i%11)*0.25 - 1
+	for i := range ops[0] {
+		ops[0][i] = float32(i%17)*0.5 - 3
 	}
-	for i := range c {
-		c[i] = float32(i % 7)
+	for i := range ops[1] {
+		ops[1][i] = float32(i%11)*0.25 - 1
+	}
+	for i := range ops[2] {
+		ops[2][i] = float32(i % 7)
 	}
 
 	// C rows that overlap (ldc < NR) must be refused before any work.
-	got := append([]float32(nil), c...)
-	e := compile.NewEnv(lanes)
+	got := append([]float32(nil), ops[2]...)
 	overlap := int64(len(data)) % ldc
-	err = cp.Run(e, cp.Layout(lda, ldb, overlap), a, b, got, 0, 0, 0, 1<<20)
+	err = cp.Run(compile.NewEnv(bounds.Lanes), cp.Layout(lda, ldb, overlap), ops[0], ops[1], got, 0, 0, 0, 1<<20)
 	if !errors.Is(err, compile.ErrBounds) {
 		t.Fatalf("ldc %d < NR %d: Run returned %v, want ErrBounds", overlap, bounds.NR, err)
 	}
 	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(c[i]) {
+		if math.Float32bits(got[i]) != math.Float32bits(ops[2][i]) {
 			t.Fatalf("ldc %d < NR %d: refused Run wrote C[%d]", overlap, bounds.NR, i)
 		}
 	}
 
-	if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
-		// Precheck rejection is fine; a runtime fault is the elision
-		// proof failing and must never happen.
-		t.Fatalf("compiled run failed on prechecked operands: %v", err)
-	}
-
-	ar := sim.NewArena(lenA + lenB + lenC + 64)
-	aAddr := ar.Alloc(lenA)
-	bAddr := ar.Alloc(lenB)
-	cAddr := ar.Alloc(lenC)
-	ar.Freeze()
-	copy(ar.Slice(aAddr, lenA), a)
-	copy(ar.Slice(bAddr, lenB), b)
-	copy(ar.Slice(cAddr, lenC), c)
-	m := sim.NewMachine(ar, lanes)
-	m.SetArg(0, aAddr)
-	m.SetArg(1, bAddr)
-	m.SetArg(2, cAddr)
-	m.SetArg(3, lda)
-	m.SetArg(4, ldb)
-	m.SetArg(5, ldc)
-	if err := m.Run(p, 1<<24); err != nil {
-		t.Fatalf("interpreter rejected a program the compiler proved: %v", err)
-	}
-	want := ar.Slice(cAddr, lenC)
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("C[%d]: compiled %g != interpreted %g", i, got[i], want[i])
-		}
-	}
-	requireSameVectors(t, p.Name, e, m)
-
-	// The production layout must give the same C from a vector file
-	// holding another program's values, and a tile-only program's
-	// must leave that file alone.
-	got = append(got[:0], c...)
-	e = compile.NewEnv(lanes)
-	e.Poison(uint32(len(data)))
-	poisoned := e.Vectors()
-	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, got, 0, 0, 0, 1<<20); err != nil {
-		t.Fatalf("compiled run under Layout: %v", err)
-	}
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("Layout: C[%d]: compiled %g != interpreted %g (tile-only %v)", i, got[i], want[i], compile.TileOnly(cp))
-		}
-	}
-	if compile.TileOnly(cp) {
-		requireVectorsUntouched(t, p.Name, e, poisoned)
-		requireExactCut(t, cp, [3][]float32{a, b, c}, want, lda, ldb, ldc)
+	want := requireMatches(t, p, cp, ops, lda, ldb, ldc)
+	if compile.TileProgram(cp) {
+		requireExactCut(t, cp, ops, want, lda, ldb, ldc)
 	}
 }
 
 // schedSeeds decode into programs that reach the vector half of the
-// affine region proof (affine.go); bail marks those whose FMLAs it must
-// keep on the fused-run path. The address half is the analyzer's:
+// affine region proof (affine.go) or the rule that lowering is all or
+// nothing; loose marks those that must lower to loose micro-ops, the
+// rest to tile programs. The address half is the analyzer's:
 // TestUnprovenLoops. Reloading or zeroing an accumulator after its first
 // FMLA has no seed: with no store between them the analyzer already
 // refuses the program as an accumulator clobber, so affine_test.go
 // covers that rule on micro-ops directly.
 var schedSeeds = []struct {
-	name string
-	data []byte
-	bail bool
+	name  string
+	data  []byte
+	loose bool
 }{
 	// ldr q2 (B); ldr q6, q5, q7 (A); fmla v4, v2, v6.s[0];
 	// fmla v2, v5, v7.s[2]; str q4; str q2: v2 is read as a
@@ -179,8 +126,9 @@ var schedSeeds = []struct {
 	{"acc-as-source", []byte{6, 2, 5, 6, 5, 5, 5, 7, 8, 212, 8, 234, 10, 4, 10, 2}, true},
 	// ldr q6 (A), q3 (B); fmla v1, v6, v3.s[1]; str q1; ldr q6, q2;
 	// fmla v4, v2, v6.s[0]; str q4: the loads after the store start a
-	// second region, and both are proven.
-	{"load-after-store", []byte{5, 6, 6, 3, 8, 113, 10, 1, 5, 6, 6, 2, 8, 212, 10, 4}, false},
+	// second region, and both are proven, but the prologue zeroes v4
+	// inside the first, so the second's accumulator is live-in.
+	{"load-after-store", []byte{5, 6, 6, 3, 8, 113, 10, 1, 5, 6, 6, 2, 8, 212, 10, 4}, true},
 	// ldr q6 (A), q2 (B), then three trips of { fmla v1, v2, v6.s[1];
 	// ldr q2, [x1, #32] }, then str q1: a loop-carried multiplicand
 	// whose pre-loop load starts the progression, collapsed with the
@@ -200,23 +148,48 @@ var schedSeeds = []struct {
 	// fmla v1, v6, v3.s[1] on registers only the prologue zeroed: an
 	// operand no load produced.
 	{"zeroed-operand", []byte{8, 113, 10, 1}, true},
+	// As load-after-store, with movi v4 after the first store: the
+	// second region sets its accumulator up itself, and the program is
+	// two register tiles.
+	{"two-regions", []byte{5, 6, 6, 3, 8, 113, 10, 1, 9, 4, 5, 6, 6, 2, 8, 212, 10, 4}, false},
+	// ldr q6 (A), q2 (B); fmla v1, v2, v6.s[1]; str q1; str q2: the
+	// region is proven, but a loose store reads the B vector it
+	// loaded (looseFallbacks' reads-region-exit).
+	{"reads-region-exit", []byte{5, 6, 6, 2, 8, 209, 10, 1, 10, 2}, true},
+	// As reads-region-exit up to str q1, then ldr q4 (A), q3 (B);
+	// fmla v1, v3, v4.s[1]; str q1: both regions are proven, but the
+	// second accumulates onto the v1 the first left (looseFallbacks'
+	// carried-accumulator).
+	{"carried-accumulator", []byte{5, 6, 6, 2, 8, 209, 10, 1, 5, 4, 6, 3, 8, 153, 10, 1}, true},
 }
 
-// TestSchedSeeds pins what each seed exercises: it compiles and keeps
-// the fused-run path exactly when it should. The fuzz target runs the
-// seeds against the interpreter.
-func TestSchedSeeds(t *testing.T) {
+// TestSchedSeeds pins what each seed exercises (requireSeedLowerings).
+// The fuzz target runs the seeds against the interpreter.
+func TestSchedSeeds(t *testing.T) { requireSeedLowerings(t) }
+
+// requireSeedLowerings fails unless every seed of schedSeeds compiles
+// and lowers as it says, and the seeds hold at least one tile program
+// and one loose fallback.
+func requireSeedLowerings(tb testing.TB) {
 	bounds := fuzzBounds()
+	var tiles, loose int
 	for _, s := range schedSeeds {
 		p := buildFuzzProgram(s.data)
 		cp, err := compile.Compile(p, compile.Options{Lanes: bounds.Lanes, Bounds: bounds})
 		if err != nil {
-			t.Fatalf("%s: %v\n%s", s.name, err, p)
+			tb.Fatalf("%s: %v\n%s", s.name, err, p)
 		}
-		affine, total := compile.AffineFmlas(cp)
-		if total == 0 || (affine < total) != s.bail {
-			t.Fatalf("%s: %d of %d FMLAs in affine regions, bail %v\n%s", s.name, affine, total, s.bail, p)
+		if got := compile.TileProgram(cp); got == s.loose {
+			tb.Fatalf("%s: tile program %v, want %v\n%s", s.name, got, !s.loose, p)
 		}
+		if s.loose {
+			loose++
+		} else {
+			tiles++
+		}
+	}
+	if tiles == 0 || loose == 0 {
+		tb.Fatalf("seeds hold %d tile programs and %d loose fallbacks, want at least one of each", tiles, loose)
 	}
 }
 

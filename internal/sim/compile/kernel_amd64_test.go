@@ -5,20 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"autogemm/internal/asm"
 	"autogemm/internal/mkernel"
 	"autogemm/internal/sim/compile"
 )
 
-// TestAffineSSEMatchesGo runs whole generated 4-lane kernels twice, once
-// with the executor's native tile loop and once with every chunk on the
-// pure-Go execTile, over one set of operands, and requires the C panels
-// and the exit vector registers to match bit for bit, except where both
-// hold a NaN (see TestTileMatchesGo for why payloads cannot be pinned).
-// Where TestTileMatchesGo feeds the loop random tiles, this feeds it the
-// chunks execRegion resolves from real kernels: their strides, row
-// offsets and chunk cuts, and their C tiles, which every chunk of these
-// kernels loads or zeroes and stores itself. The operands, C included,
+// TestAffineSSEMatchesGo runs whole generated 4-lane kernels, each a
+// tile program, twice, once with the executor's native tile loop and
+// once with every chunk on the pure-Go execTile, over one set of
+// operands, and requires the C panels to match bit for bit, except where
+// both hold a NaN (see TestTileMatchesGo for why payloads cannot be
+// pinned). Where TestTileMatchesGo feeds the loop random tiles, this
+// feeds it the chunks Layout resolves from real kernels: their strides,
+// row offsets and chunk cuts, and their C tiles, which every chunk of
+// these kernels loads or zeroes and stores itself. The operands, C included,
 // mix in ±0, subnormals, ±Inf, overflowing magnitudes and NaN, which
 // TestDifferentialSweep's finite operands never reach. (The name dates
 // from the SSE strided loop that the AVX register-tile loop replaced.)
@@ -46,8 +45,8 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := compile.LooseC(cp); n != 0 {
-			t.Fatalf("%s: %d C loads and stores outside the tile chunks", cp.Name, n)
+		if !compile.TileProgram(cp) {
+			t.Fatalf("%s: not a tile program", cp.Name)
 		}
 		// Special operands in none, a few or a third of the values.
 		special := []int{0, 64, 3}[si%3]
@@ -61,17 +60,14 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 				}
 			}
 		}
-		run := func(c []float32) *compile.Env {
-			e := compile.NewEnv(cp.Lanes)
-			if err := cp.Run(e, compile.ExitLayout(cp, lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
+		run := func(c []float32) {
+			if err := cp.Run(compile.NewEnv(cp.Lanes), cp.Layout(lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
 				t.Fatalf("%s: %v", cp.Name, err)
 			}
-			return e
 		}
 		got, want := append([]float32(nil), c...), c
-		native := run(got)
-		var portable *compile.Env
-		compile.WithPortableTiles(func() { portable = run(want) })
+		run(got)
+		compile.WithPortableTiles(func() { run(want) })
 		same := func(what string, i int, gv, wv float32) {
 			if gv != gv && wv != wv {
 				return
@@ -83,11 +79,6 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 		}
 		for i := range got {
 			same("C", i, got[i], want[i])
-		}
-		for r := 0; r < asm.NumVectorRegs; r++ {
-			for l, wv := range portable.Vector(r) {
-				same("v", r*cp.Lanes+l, native.Vector(r)[l], wv)
-			}
 		}
 	}
 }

@@ -13,24 +13,23 @@ import (
 )
 
 // TestLayoutDropsOnlyDeadExitState holds the production Layout to the
-// contract that a Run's result is C. Over the 4-lane grid of
-// TestDifferentialSweep (every generatable tile × the sweep's KC values
-// × rotate × LoadC, and its bands fused and not), each program's C under
-// Layout, run from a vector file poisoned with NaNs, must bit-match C
-// under ExitLayout and C from sim.Machine; a tile-only program must
-// leave the poisoned vector file bit for bit as it was. Two hand-built
-// programs are not tile-only, because a later part reads what a region
-// left in the vector file: their Layout keeps the exit writes, and C
-// must still match the interpreter. It runs once per register-tile loop
-// the host can run.
+// contract that a Run's result is C, and that only a tile program drops
+// the exit vector file. Each program runs from a vector file poisoned
+// with NaNs, and sim.Machine from the same file. Over the 4-lane grid
+// of TestDifferentialSweep (every generatable tile × the sweep's KC
+// values × rotate × LoadC, and its bands fused and not) each program is
+// a tile program: C must bit-match the interpreter's and the vector file
+// must stay as it was. Two hand-built programs are loose fallbacks, one
+// because a loose store reads a register a region left, one because a
+// region accumulates onto a register another region wrote: C and the
+// whole vector file must bit-match the interpreter's. It runs once per
+// register-tile loop the host can run.
 func TestLayoutDropsOnlyDeadExitState(t *testing.T) { forEachTileLoop(t, layoutDropsOnlyDeadExitState) }
 
 func layoutDropsOnlyDeadExitState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	specs := gridSpecs()
 	cache := mkernel.NewCache()
-	tileOnly := 0
-	for _, spec := range specs {
+	for _, spec := range gridSpecs() {
 		cp, err := cache.Compiled(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Key(), err)
@@ -39,62 +38,62 @@ func layoutDropsOnlyDeadExitState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if compile.TileOnly(cp) {
-			tileOnly++
+		if !compile.TileProgram(cp) {
+			t.Fatalf("%s: lowered to loose micro-ops, not a tile program", cp.Name)
 		}
-		requireLayoutMatches(t, p, cp, rng)
+		ops, lda, ldb, ldc := randOperands(rng, cp.Bounds)
+		requireMatches(t, p, cp, ops, lda, ldb, ldc)
 	}
-	t.Logf("%d of %d grid programs are tile-only", tileOnly, len(specs))
 
-	// Hand-built programs whose Layout must keep the exit writes.
 	bounds := fuzzBounds()
-	for _, c := range []struct {
-		name   string
-		looseC int // C micro-ops outside the regions
-		build  func(p *asm.Program)
-	}{
-		// A loose store after the region reads v2, a B vector the
-		// region loaded and left behind by its final reload.
-		{"reads-region-exit", 1, func(p *asm.Program) {
-			p.LdrQ(asm.V(6), asm.X(0), 0)
-			p.LdrQ(asm.V(2), asm.X(1), 0)
-			p.VZero(asm.V(1))
-			p.Fmla(asm.V(1), asm.V(2), asm.V(6), 1)
-			p.StrQ(asm.V(1), asm.X(2), 0)
-			p.StrQ(asm.V(2), asm.X(2), 16)
-			p.Ret()
-		}},
-		// The second region accumulates into v1 from the value the
-		// first region's tile wrote back: a live-in accumulator staged
-		// from the vector file. Every micro-op is a region's.
-		{"carried-accumulator", 0, func(p *asm.Program) {
-			p.LdrQ(asm.V(6), asm.X(0), 0)
-			p.LdrQ(asm.V(2), asm.X(1), 0)
-			p.VZero(asm.V(1))
-			p.Fmla(asm.V(1), asm.V(2), asm.V(6), 0)
-			p.StrQ(asm.V(1), asm.X(2), 0)
-			p.LdrQ(asm.V(5), asm.X(0), 16)
-			p.LdrQ(asm.V(3), asm.X(1), 16)
-			p.Fmla(asm.V(1), asm.V(3), asm.V(5), 2)
-			p.StrQ(asm.V(1), asm.X(2), 16)
-			p.Ret()
-		}},
-	} {
+	for _, c := range looseFallbacks {
 		p := asm.NewProgram(c.name)
 		c.build(p)
 		cp, err := compile.Compile(p, compile.Options{Lanes: bounds.Lanes, Bounds: bounds})
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, p)
 		}
-		if compile.TileOnly(cp) {
-			t.Fatalf("%s: tile-only, but a later part reads a region's vector file", c.name)
+		if compile.TileProgram(cp) {
+			t.Fatalf("%s: a tile program, but it needs the vector file a region leaves", c.name)
 		}
-		if s, n := compile.AffineFmlas(cp); s != n || compile.LooseC(cp) != c.looseC {
-			t.Fatalf("%s: %d of %d FMLAs in affine regions, %d loose C micro-ops; want all, %d",
-				c.name, s, n, compile.LooseC(cp), c.looseC)
-		}
-		requireLayoutMatches(t, p, cp, rng)
+		ops, lda, ldb, ldc := randOperands(rng, bounds)
+		requireMatches(t, p, cp, ops, lda, ldb, ldc)
 	}
+}
+
+// looseFallbacks are hand-built 4-lane programs whose regions are all
+// proven but which are not tile programs: a later part needs what a
+// region left in the vector file.
+var looseFallbacks = []struct {
+	name  string
+	build func(p *asm.Program)
+}{
+	// A loose store after the region reads v2, a B vector the region
+	// loaded.
+	{"reads-region-exit", func(p *asm.Program) {
+		p.LdrQ(asm.V(6), asm.X(0), 0)
+		p.LdrQ(asm.V(2), asm.X(1), 0)
+		p.VZero(asm.V(1))
+		p.Fmla(asm.V(1), asm.V(2), asm.V(6), 1)
+		p.StrQ(asm.V(1), asm.X(2), 0)
+		p.StrQ(asm.V(2), asm.X(2), 16)
+		p.Ret()
+	}},
+	// The second region accumulates into v1 from the value the first
+	// region left there: a live-in accumulator no C load or zeroing
+	// sets up.
+	{"carried-accumulator", func(p *asm.Program) {
+		p.LdrQ(asm.V(6), asm.X(0), 0)
+		p.LdrQ(asm.V(2), asm.X(1), 0)
+		p.VZero(asm.V(1))
+		p.Fmla(asm.V(1), asm.V(2), asm.V(6), 0)
+		p.StrQ(asm.V(1), asm.X(2), 0)
+		p.LdrQ(asm.V(5), asm.X(0), 16)
+		p.LdrQ(asm.V(3), asm.X(1), 16)
+		p.Fmla(asm.V(1), asm.V(3), asm.V(5), 2)
+		p.StrQ(asm.V(1), asm.X(2), 16)
+		p.Ret()
+	}},
 }
 
 // gridSpecs is the 4-lane grid of TestDifferentialSweep: every
@@ -136,46 +135,52 @@ func gridSpecs() []mkernel.Spec {
 	return specs
 }
 
-// requireLayoutMatches runs cp on random operands under ExitLayout and
-// under Layout from a poisoned vector file, and p on sim.Machine, and
-// requires the three C panels to be bit-equal, and a tile-only
-// program's Run under Layout to leave the vector file as it was.
-func requireLayoutMatches(t *testing.T, p *asm.Program, cp *compile.Program, rng *rand.Rand) {
-	t.Helper()
-	b := cp.Bounds
-	lanes := b.Lanes
-	lda := int64(b.KC + b.AOverVectors*lanes + 3)
-	ldb := int64(b.NR + 5)
-	ldc := int64(b.NR + 2)
-	lenA := int(int64(b.MR-1)*lda) + b.KC + b.AOverVectors*lanes
-	lenB := int(int64(b.KC+b.BOverRows-1)*ldb) + b.NR
-	lenC := int(int64(b.MR-1)*ldc) + b.NR
-	a := randSlice(rng, lenA)
-	bp := randSlice(rng, lenB)
-	c := randSlice(rng, lenC)
-	want := interpretC(t, p, b, a, bp, c, lda, ldb, ldc)
+// randOperands returns random A, B and C panels for bounds b at leading
+// dimensions a few elements past the tightest, each as long as its
+// declared extent.
+func randOperands(rng *rand.Rand, b analysis.Bounds) (ops [3][]float32, lda, ldb, ldc int64) {
+	lda = int64(b.KC + b.AOverVectors*b.Lanes + 3)
+	ldb = int64(b.NR + 5)
+	ldc = int64(b.NR + 2)
+	ops[0] = randSlice(rng, int(b.AExtent(lda)))
+	ops[1] = randSlice(rng, int(b.BExtent(ldb)))
+	ops[2] = randSlice(rng, int(b.CExtent(ldc)))
+	return ops, lda, ldb, ldc
+}
 
-	exit := append([]float32(nil), c...)
-	if err := cp.Run(compile.NewEnv(lanes), compile.ExitLayout(cp, lda, ldb, ldc), a, bp, exit, 0, 0, 0, 1<<30); err != nil {
-		t.Fatalf("%s: run under ExitLayout: %v", cp.Name, err)
-	}
-	got := append([]float32(nil), c...)
-	e := compile.NewEnv(lanes)
-	e.Poison(uint32(lenC))
+// requireMatches runs cp under its Layout over copies of ops, the A, B
+// and C panels, from a vector file poisoned with NaNs, and p on
+// sim.Machine from the same vector file. C must be bit-equal, and A and
+// B untouched. A tile program must leave the vector file as it was, and
+// a loose program the interpreter's exit vector file. It returns the
+// interpreter's C.
+func requireMatches(t *testing.T, p *asm.Program, cp *compile.Program, ops [3][]float32, lda, ldb, ldc int64) []float32 {
+	t.Helper()
+	e := compile.NewEnv(cp.Lanes)
+	e.Poison(uint32(len(ops[2])))
+	m, want := interpret(t, p, e, ops, lda, ldb, ldc)
 	poisoned := e.Vectors()
-	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), a, bp, got, 0, 0, 0, 1<<30); err != nil {
-		t.Fatalf("%s: run under Layout: %v", cp.Name, err)
+	var got [3][]float32
+	for i, op := range ops {
+		got[i] = append([]float32(nil), op...)
 	}
-	for i := range got {
-		g, x, w := math.Float32bits(got[i]), math.Float32bits(exit[i]), math.Float32bits(want[i])
-		if g != w || x != w {
-			t.Fatalf("%s (tile-only %v): C[%d]: Layout %#08x, ExitLayout %#08x, interpreted %#08x",
-				cp.Name, compile.TileOnly(cp), i, g, x, w)
+	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), got[0], got[1], got[2], 0, 0, 0, 1<<30); err != nil {
+		t.Fatalf("%s: %v", cp.Name, err)
+	}
+	for i, w := range [3][]float32{ops[0], ops[1], want} {
+		for j := range w {
+			if math.Float32bits(got[i][j]) != math.Float32bits(w[j]) {
+				t.Fatalf("%s (tile program %v): operand %d [%d]: compiled %#08x (%g), interpreted %#08x (%g)",
+					cp.Name, compile.TileProgram(cp), i, j, math.Float32bits(got[i][j]), got[i][j], math.Float32bits(w[j]), w[j])
+			}
 		}
 	}
-	if compile.TileOnly(cp) {
+	if compile.TileProgram(cp) {
 		requireVectorsUntouched(t, cp.Name, e, poisoned)
+	} else {
+		requireSameVectors(t, cp.Name, e, m)
 	}
+	return want
 }
 
 // requireVectorsUntouched fails unless e's vector file is bit for bit
@@ -184,30 +189,35 @@ func requireVectorsUntouched(t *testing.T, name string, e *compile.Env, before [
 	t.Helper()
 	for i, v := range e.Vectors() {
 		if math.Float32bits(v) != math.Float32bits(before[i]) {
-			t.Fatalf("%s: tile-only Run wrote vector file element %d: %#08x, was %#08x",
+			t.Fatalf("%s: tile program wrote vector file element %d: %#08x, was %#08x",
 				name, i, math.Float32bits(v), math.Float32bits(before[i]))
 		}
 	}
 }
 
-// interpretC runs p on sim.Machine over copies of the panels and
-// returns its C panel.
-func interpretC(t *testing.T, p *asm.Program, b analysis.Bounds, a, bp, c []float32, lda, ldb, ldc int64) []float32 {
+// interpret runs p on sim.Machine over copies of ops, the A, B and C
+// panels, from e's vector file, and returns the machine and its C
+// panel.
+func interpret(t *testing.T, p *asm.Program, e *compile.Env, ops [3][]float32, lda, ldb, ldc int64) (*sim.Machine, []float32) {
 	t.Helper()
-	ar := sim.NewArena(len(a) + len(bp) + len(c) + 64)
-	aAddr := ar.Alloc(len(a))
-	bAddr := ar.Alloc(len(bp))
-	cAddr := ar.Alloc(len(c))
+	ar := sim.NewArena(len(ops[0]) + len(ops[1]) + len(ops[2]) + 64)
+	var addr [3]int64
+	for i, op := range ops {
+		addr[i] = ar.Alloc(len(op))
+	}
 	ar.Freeze()
-	copy(ar.Slice(aAddr, len(a)), a)
-	copy(ar.Slice(bAddr, len(bp)), bp)
-	copy(ar.Slice(cAddr, len(c)), c)
-	m := sim.NewMachine(ar, b.Lanes)
-	for i, v := range []int64{aAddr, bAddr, cAddr, lda, ldb, ldc} {
+	for i, op := range ops {
+		copy(ar.Slice(addr[i], len(op)), op)
+	}
+	m := sim.NewMachine(ar, e.Lanes())
+	for r := range m.V {
+		copy(m.V[r], e.Vector(r))
+	}
+	for i, v := range []int64{addr[0], addr[1], addr[2], lda, ldb, ldc} {
 		m.SetArg(i, v)
 	}
 	if err := m.Run(p, 1<<31-1); err != nil {
 		t.Fatalf("interpret %s: %v", p.Name, err)
 	}
-	return ar.Slice(cAddr, len(c))
+	return m, ar.Slice(addr[2], len(ops[2]))
 }

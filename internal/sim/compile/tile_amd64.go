@@ -1,14 +1,13 @@
 package compile
 
 // tileAVX is execTile with the whole chunk in YMM registers
-// (tile_amd64.s): the accumulators go from C, zeros or e.acc into
-// registers, stay there for every step, and go from registers to C
-// (and to the vector file under an exit layout). Per step it issues one
-// VMOVUPS per two multiplicand vectors, one VBROADCASTSS per row and
-// one VMULPS+VADDPS per register. Each lane rounds its product and its
-// sum exactly as execTile's MULSS and ADDSS do; see docs/INTERNALS.md
-// "The AVX register-tile loop" for the bit-identity argument and the
-// NaN-payload caveat.
+// (tile_amd64.s): the accumulators go from C or zeros into registers,
+// stay there for every step, and go from registers to C. Per step it
+// issues one VMOVUPS per two multiplicand vectors, one VBROADCASTSS per
+// row and one VMULPS+VADDPS per register. Each lane rounds its product
+// and its sum exactly as execTile's MULSS and ADDSS do; see
+// docs/INTERNALS.md "The AVX register-tile loop" for the bit-identity
+// argument and the NaN-payload caveat.
 //
 //go:noescape
 func tileAVX(e *Env, t *tile)

@@ -3,20 +3,19 @@
 
 // The register-tile loops: tileAVX on YMM registers for AVX hosts, and
 // tileAVX512, which runs the wide chunks on ZMM registers, for AVX-512
-// hosts (tile_amd64.go picks one at init). Both compute every
-// multiply-add as a VMULPS and a VADDPS, never an FMA, so each lane
-// rounds as execTile's MULSS and ADDSS do.
+// hosts (tile_amd64.go picks one at init). Each runs one chunk of a
+// tile program (exec.go, type tile) as the paper's whole micro-kernel:
+// set the accumulators up from C or as zeros, run every step, store
+// them to C. C is the only thing either writes; neither reads or writes
+// the vector file. Both compute every multiply-add as a VMULPS and a
+// VADDPS, never an FMA, so each lane rounds as execTile's MULSS and
+// ADDSS do.
 
 // func tileAVX(e *Env, t *tile)
 //
-// Runs one register-tile chunk (exec.go, type tile) as a whole kernel,
-// with each of its rows × cols accumulators in a YMM register: it sets
-// them up from C, as zeros or from e.acc, runs all n steps and stores
-// them to C when t.store is set. C is the result. Only under an exit
-// layout (t.wb set: a program that is not tile-only, or the tests'
-// comparison of the interpreter's exit vector file) does it then write
-// every register half back to the vector file at e.vp + t.v[slot]; a
-// tile-only program's tiles jump straight to VZEROUPPER. Row i's
+// Runs one chunk with each of its rows × cols accumulators in a YMM
+// register: it sets them up from C when t.init is tileC, else as zeros,
+// runs all n steps and stores them to C when t.store is set. Row i's
 // register j holds columns 2j and 2j+1; an odd last column sits in the
 // lower half, computed as XMM.
 //
@@ -77,9 +76,6 @@
 // ON jumps to l when the tile's field equals v.
 #define ON(field, v, l) CMPQ field(DI), $v; JEQ l
 
-// LOAD moves accumulator register k from e.acc.
-#define LOAD(k, y) VMOVUPS (Env_acc+32*k)(DX), y
-
 // LCc and SCc load and store row i's c accumulator vectors at C + c[i];
 // ROW goes to l when no rows are left.
 #define CROW(i) MOVQ (tile_c+8*i)(DI), R8
@@ -95,32 +91,10 @@
 #define SC5(i, y0, y1, x2) SC4(i, y0, y1); VMOVUPS x2, 64(AX)(R8*1)
 #define ROW(l) DECQ CX; JEQ l
 
-// WB writes register k's halves, slots 2k and 2k+1, to the vector file.
-#define WB(k, x, y) MOVQ (tile_v+16*k)(DI), R8; VMOVUPS x, (BX)(R8*1); MOVQ (tile_v+16*k+8)(DI), R9; VEXTRACTF128 $1, y, (BX)(R9*1)
-
 TEXT ·tileAVX(SB), NOSPLIT, $0-16
 	MOVQ e+0(FP), DX
 	MOVQ t+8(FP), DI
-	MOVQ tile_init(DI), AX
-	CMPQ AX, $const_tileC
-	JEQ initc
-	CMPQ AX, $const_tileZero
-	JEQ initz
-	LOAD(0, Y0)
-	LOAD(1, Y1)
-	LOAD(2, Y2)
-	LOAD(3, Y3)
-	LOAD(4, Y4)
-	LOAD(5, Y5)
-	LOAD(6, Y6)
-	LOAD(7, Y7)
-	LOAD(8, Y8)
-	LOAD(9, Y9)
-	LOAD(10, Y10)
-	LOAD(11, Y11)
-	JMP setup
-
-initz:
+	ON(tile_init, const_tileC, initc)
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -442,9 +416,8 @@ t6x1:
 	NEXT(t6x1)
 
 done:
+	ON(tile_store, 0, end)
 	MOVQ e+0(FP), DX
-	CMPQ tile_store(DI), $0
-	JEQ writeback
 	MOVQ (Env_base+16)(DX), AX
 	MOVQ tile_rows(DI), CX
 	ON(tile_cols, 4, sc4)
@@ -454,63 +427,46 @@ done:
 	JMP sc1
 
 sc4:
-	SC4(0, Y0, Y1); ROW(writeback)
-	SC4(1, Y2, Y3); ROW(writeback)
-	SC4(2, Y4, Y5); ROW(writeback)
-	SC4(3, Y6, Y7); ROW(writeback)
-	SC4(4, Y8, Y9); ROW(writeback)
+	SC4(0, Y0, Y1); ROW(end)
+	SC4(1, Y2, Y3); ROW(end)
+	SC4(2, Y4, Y5); ROW(end)
+	SC4(3, Y6, Y7); ROW(end)
+	SC4(4, Y8, Y9); ROW(end)
 	SC4(5, Y10, Y11)
-	JMP writeback
+	JMP end
 
 sc5:
-	SC5(0, Y0, Y1, X2); ROW(writeback)
-	SC5(1, Y3, Y4, X5); ROW(writeback)
-	SC5(2, Y6, Y7, X8); ROW(writeback)
+	SC5(0, Y0, Y1, X2); ROW(end)
+	SC5(1, Y3, Y4, X5); ROW(end)
+	SC5(2, Y6, Y7, X8); ROW(end)
 	SC5(3, Y9, Y10, X11)
-	JMP writeback
+	JMP end
 
 sc3:
-	SC3(0, Y0, X1); ROW(writeback)
-	SC3(1, Y2, X3); ROW(writeback)
-	SC3(2, Y4, X5); ROW(writeback)
-	SC3(3, Y6, X7); ROW(writeback)
-	SC3(4, Y8, X9); ROW(writeback)
+	SC3(0, Y0, X1); ROW(end)
+	SC3(1, Y2, X3); ROW(end)
+	SC3(2, Y4, X5); ROW(end)
+	SC3(3, Y6, X7); ROW(end)
+	SC3(4, Y8, X9); ROW(end)
 	SC3(5, Y10, X11)
-	JMP writeback
+	JMP end
 
 sc2:
-	SC2(0, Y0); ROW(writeback)
-	SC2(1, Y1); ROW(writeback)
-	SC2(2, Y2); ROW(writeback)
-	SC2(3, Y3); ROW(writeback)
-	SC2(4, Y4); ROW(writeback)
+	SC2(0, Y0); ROW(end)
+	SC2(1, Y1); ROW(end)
+	SC2(2, Y2); ROW(end)
+	SC2(3, Y3); ROW(end)
+	SC2(4, Y4); ROW(end)
 	SC2(5, Y5)
-	JMP writeback
+	JMP end
 
 sc1:
-	SC1(0, X0); ROW(writeback)
-	SC1(1, X1); ROW(writeback)
-	SC1(2, X2); ROW(writeback)
-	SC1(3, X3); ROW(writeback)
-	SC1(4, X4); ROW(writeback)
+	SC1(0, X0); ROW(end)
+	SC1(1, X1); ROW(end)
+	SC1(2, X2); ROW(end)
+	SC1(3, X3); ROW(end)
+	SC1(4, X4); ROW(end)
 	SC1(5, X5)
-
-writeback:
-	CMPQ tile_wb(DI), $0
-	JEQ end
-	MOVQ Env_vp(DX), BX
-	WB(0, X0, Y0)
-	WB(1, X1, Y1)
-	WB(2, X2, Y2)
-	WB(3, X3, Y3)
-	WB(4, X4, Y4)
-	WB(5, X5, Y5)
-	WB(6, X6, Y6)
-	WB(7, X7, Y7)
-	WB(8, X8, Y8)
-	WB(9, X9, Y9)
-	WB(10, X10, Y10)
-	WB(11, X11, Y11)
 
 end:
 	VZEROUPPER
@@ -550,11 +506,11 @@ noleaf7:
 // func tileAVX512(e *Env, t *tile)
 //
 // Runs a chunk of three, four or five multiplicand vectors as tileAVX
-// does, set-up, store and write-back included, but with each row's 12
-// or 16 columns in one ZMM register and a fifth vector's 4 in an XMM
-// register beside it: one VMULPS and one VADDPS per row and step where
-// tileAVX issues two, or two where it issues three. A chunk of one or
-// two vectors, which fits one YMM register a row, goes to tileAVX.
+// does, set-up and store included, but with each row's 12 or 16
+// columns in one ZMM register and a fifth vector's 4 in an XMM register
+// beside it: one VMULPS and one VADDPS per row and step where tileAVX
+// issues two, or two where it issues three. A chunk of one or two
+// vectors, which fits one YMM register a row, goes to tileAVX.
 //
 // Registers in the k-loop: as in tileAVX, AX the scalars, R8..R13 the
 // row offsets, SI the multiplicands, BX and DX their steps and CX the
@@ -562,11 +518,9 @@ noleaf7:
 // step's multiplicands, every load and store of them under the lane
 // mask K1 (12 or 16 lanes). Five: row i sits in Z(2i) and X(2i+1), and
 // Z12 and X13 hold the multiplicands. Z14 is the broadcast scalar and
-// Z15 the product. A three-vector row's lanes past 12 load as zeros,
-// are never stored to C and go to tileSpill on write-back, and no lane
-// reads another, so they change nothing. Quarter k of a row's ZMM
-// register is the row's column k, which write-back stores at the
-// offset of that column's slot.
+// Z15 the product. A three-vector row's lanes past 12 load as zeros
+// and are never stored to C, and no lane reads another, so they change
+// nothing.
 
 // ZONE runs one row of a step: broadcast the row's scalar at AX+off,
 // multiply the multiplicands by it and add the product to z.
@@ -583,18 +537,6 @@ noleaf7:
 #define ZSC(i, z) CROW(i); VMOVUPS z, K1, (AX)(R8*1)
 #define ZLC5(i, z, x) CROW(i); VMOVUPS (AX)(R8*1), z; VMOVUPS 64(AX)(R8*1), x
 #define ZSC5(i, z, x) CROW(i); VMOVUPS z, (AX)(R8*1); VMOVUPS x, 64(AX)(R8*1)
-
-// ZACC loads row i of a masked chunk from e.acc, slots 4i..4i+3;
-// ZACC5 row i of a five-vector chunk, slots 6i..6i+4.
-#define ZACC(i, z) VMOVUPS.Z (Env_acc+64*i)(DX), K1, z
-#define ZACC5(i, z, x) VMOVUPS (Env_acc+96*i)(DX), z; VMOVUPS (Env_acc+96*i+64)(DX), x
-
-// ZWB writes the four 4-lane quarters of z, whose lowest is x, to the
-// vector file at the offsets of the slots from tile_v+s on; ZWB1 writes
-// x alone.
-#define ZWB1(s, x) MOVQ (tile_v+s)(DI), R8; VMOVUPS x, (BX)(R8*1)
-#define ZQ(s, k, z) MOVQ (tile_v+s)(DI), R8; VEXTRACTF32X4 $k, z, (BX)(R8*1)
-#define ZWB(s, z, x) ZWB1(s, x); ZQ(s+8, 1, z); ZQ(s+16, 2, z); ZQ(s+24, 3, z)
 
 TEXT ·tileAVX512(SB), NOSPLIT, $0-16
 	MOVQ e+0(FP), DX
@@ -614,20 +556,7 @@ ymm:
 
 masked:
 	KMOVW AX, K1
-	MOVQ tile_init(DI), AX
-	CMPQ AX, $const_tileC
-	JEQ mc
-	CMPQ AX, $const_tileZero
-	JEQ mz
-	ZACC(0, Z0)
-	ZACC(1, Z1)
-	ZACC(2, Z2)
-	ZACC(3, Z3)
-	ZACC(4, Z4)
-	ZACC(5, Z5)
-	JMP msetup
-
-mz:
+	ON(tile_init, const_tileC, mc)
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
@@ -705,43 +634,20 @@ m6:
 	STEP(m6)
 
 mdone:
+	ON(tile_store, 0, zend)
 	MOVQ e+0(FP), DX
-	CMPQ tile_store(DI), $0
-	JEQ mwb
 	MOVQ (Env_base+16)(DX), AX
 	MOVQ tile_rows(DI), CX
-	ZSC(0, Z0); ROW(mwb)
-	ZSC(1, Z1); ROW(mwb)
-	ZSC(2, Z2); ROW(mwb)
-	ZSC(3, Z3); ROW(mwb)
-	ZSC(4, Z4); ROW(mwb)
+	ZSC(0, Z0); ROW(zend)
+	ZSC(1, Z1); ROW(zend)
+	ZSC(2, Z2); ROW(zend)
+	ZSC(3, Z3); ROW(zend)
+	ZSC(4, Z4); ROW(zend)
 	ZSC(5, Z5)
-
-mwb:
-	CMPQ tile_wb(DI), $0
-	JEQ zend
-	MOVQ Env_vp(DX), BX
-	ZWB(0, Z0, X0)
-	ZWB(32, Z1, X1)
-	ZWB(64, Z2, X2)
-	ZWB(96, Z3, X3)
-	ZWB(128, Z4, X4)
-	ZWB(160, Z5, X5)
 	JMP zend
 
 five:
-	MOVQ tile_init(DI), AX
-	CMPQ AX, $const_tileC
-	JEQ fc
-	CMPQ AX, $const_tileZero
-	JEQ fz
-	ZACC5(0, Z0, X1)
-	ZACC5(1, Z2, X3)
-	ZACC5(2, Z4, X5)
-	ZACC5(3, Z6, X7)
-	JMP fsetup
-
-fz:
+	ON(tile_init, const_tileC, fc)
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
@@ -796,24 +702,14 @@ f4:
 	STEP(f4)
 
 fdone:
+	ON(tile_store, 0, zend)
 	MOVQ e+0(FP), DX
-	CMPQ tile_store(DI), $0
-	JEQ fwb
 	MOVQ (Env_base+16)(DX), AX
 	MOVQ tile_rows(DI), CX
-	ZSC5(0, Z0, X1); ROW(fwb)
-	ZSC5(1, Z2, X3); ROW(fwb)
-	ZSC5(2, Z4, X5); ROW(fwb)
+	ZSC5(0, Z0, X1); ROW(zend)
+	ZSC5(1, Z2, X3); ROW(zend)
+	ZSC5(2, Z4, X5); ROW(zend)
 	ZSC5(3, Z6, X7)
-
-fwb:
-	CMPQ tile_wb(DI), $0
-	JEQ zend
-	MOVQ Env_vp(DX), BX
-	ZWB(0, Z0, X0); ZWB1(32, X1)
-	ZWB(48, Z2, X2); ZWB1(80, X3)
-	ZWB(96, Z4, X4); ZWB1(128, X5)
-	ZWB(144, Z6, X6); ZWB1(176, X7)
 
 zend:
 	VZEROUPPER

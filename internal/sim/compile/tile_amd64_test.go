@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
-
-	"autogemm/internal/asm"
 )
 
 // tilePanel is the number of floats of the panel a random tile reads
@@ -25,9 +23,8 @@ const (
 // strides are drawn from zero, small, negative and large, and the row
 // offsets from −32 to 32 floats, negative ones included. Every read
 // stays inside the panel. The C rows are distinct rows of the C panel,
-// in any order, at one column offset. The set-up is staged, zeros or
-// C, and the chunk stores to C or not. The accumulators go back to
-// distinct vector registers, in any order: write-back is on.
+// in any order, at one column offset. The set-up is zeros or C, and
+// the chunk stores to C or not.
 func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
 	t := tile{rows: rows, cols: cols, bbank: 1}
 	switch rng.Intn(4) {
@@ -71,19 +68,10 @@ func randTile(rng *rand.Rand, rows, cols, ldc int64) tile {
 	lo, hi = span(sb)
 	t.b, t.sb = start(lo, hi+4*cols)*4, sb*4
 
-	t.init, t.store, t.wb = int64(rng.Intn(3)), int64(rng.Intn(2)), 1
+	t.init, t.store = int64(rng.Intn(2)), int64(rng.Intn(2))
 	col := rng.Int63n(ldc - 4*cols + 1)
 	for i, r := range rng.Perm(tileRowsC)[:rows] {
 		t.c[i] = (int64(r)*ldc + col) * 4
-	}
-	for s := range t.v {
-		t.v[s] = tileSpill
-	}
-	regs := rng.Perm(asm.NumVectorRegs)
-	for i := int64(0); i < rows; i++ {
-		for c := int64(0); c < cols; c++ {
-			t.v[slot(i, c, cols)] = int64(regs[i*cols+c]) * 16
-		}
 	}
 	return t
 }
@@ -147,18 +135,15 @@ func TestRunTile(t *testing.T) {
 
 // TestTileMatchesGo runs each native tile loop this host can run
 // (tileAVX512 and tileAVX on an AVX-512 host) and the pure-Go execTile
-// on copies of one tile's environment, for every shape there is and
-// every set-up, with and without the C store, and requires the C panel
-// and the vector file to match bit for bit, except where both hold a
-// NaN. NaN payloads cannot be pinned: when both operands of a multiply
-// or add are NaN, x86 returns the first source's payload, and the gc
-// compiler picks which operand is the MULSS/ADDSS destination per lane
-// by register allocation, so the Go loop itself has no fixed payload to
-// match. Neither loop may write the A and B panel; a chunk that does
-// not store must leave C alone. Every tile then runs again with its
-// vector-file write-back off, as under a tile-only program's Layout, on
-// both loops: C must match the write-back run's, and neither loop may
-// write a bit of the vector file.
+// on copies of one tile's C panel, for every shape there is and both
+// set-ups, with and without the C store, and requires the C panels to
+// match bit for bit, except where both hold a NaN. NaN payloads cannot
+// be pinned: when both operands of a multiply or add are NaN, x86
+// returns the first source's payload, and the gc compiler picks which
+// operand is the MULSS/ADDSS destination per lane by register
+// allocation, so the Go loop itself has no fixed payload to match.
+// Neither loop may write the A and B panel or a bit of the vector file,
+// and a chunk that does not store must leave C alone.
 func TestTileMatchesGo(t *testing.T) {
 	for _, name := range TileLoops(t) {
 		if name == "go" {
@@ -196,15 +181,8 @@ func tileMatchesGo(t *testing.T, name string, native func(*Env, *tile)) {
 				}
 				cWant, cGot := append([]float32(nil), c...), append([]float32(nil), c...)
 				want, got := NewEnv(4), NewEnv(4)
-				for i := range want.v {
-					want.v[i] = value()
-				}
-				for i := range want.acc {
-					for l := range want.acc[i] {
-						want.acc[i][l] = value()
-					}
-				}
-				got.v, got.acc = want.v, want.acc
+				want.Poison(uint32(iter))
+				got.v = want.v
 				v0 := want.v
 				for _, e := range []*Env{want, got} {
 					e.base[0] = unsafe.Pointer(&panel[0])
@@ -230,33 +208,16 @@ func tileMatchesGo(t *testing.T, name string, native func(*Env, *tile)) {
 						same("C before", i, cWant[i], c[i])
 					}
 				}
-				for i := 0; i < asm.NumVectorRegs*4; i++ {
-					same("v", i, got.v[i], want.v[i])
+				for loop, e := range map[string]*Env{"go": want, name: got} {
+					for i := range e.v {
+						if math.Float32bits(e.v[i]) != math.Float32bits(v0[i]) {
+							t.Fatalf("%s: the %s loop wrote v[%d]", what, loop, i)
+						}
+					}
 				}
 				for i := range panel {
 					if math.Float32bits(panel[i]) != math.Float32bits(before[i]) {
 						t.Fatalf("%s: panel[%d] written", what, i)
-					}
-				}
-
-				off := tl
-				off.wb = 0
-				for _, loop := range []struct {
-					name string
-					run  func(*Env, *tile)
-				}{{"go", execTile}, {name, native}} {
-					e := NewEnv(4)
-					e.v, e.acc, e.base = v0, want.acc, want.base
-					cOff := append([]float32(nil), c...)
-					e.base[2] = unsafe.Pointer(&cOff[0])
-					loop.run(e, &off)
-					for i := range cOff {
-						same(loop.name+" C, write-back off", i, cOff[i], cWant[i])
-					}
-					for i := range e.v {
-						if math.Float32bits(e.v[i]) != math.Float32bits(v0[i]) {
-							t.Fatalf("%s: %s loop, write-back off: v[%d] written", what, loop.name, i)
-						}
 					}
 				}
 			}
