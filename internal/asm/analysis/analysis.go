@@ -149,9 +149,9 @@ type Bounds struct {
 // every access has the affine form  off + row·ld + col  with row and
 // col inside the panel shape plus the declared over-read slack. They
 // are the single arithmetic shared by the compiled executor's runtime
-// Precheck (internal/sim/compile) and the static plan auditor
-// (internal/plan/audit), which composes them with tile placements to
-// prove loaded plans safe before anything executes.
+// reach check (internal/sim/compile's block layouts) and the static
+// plan auditor (internal/plan/audit), which composes them with tile
+// placements to prove loaded plans safe before anything executes.
 
 // AExtent returns the exclusive extent, in elements past the A panel
 // base, of the furthest A access: MR rows at stride lda, each row KC
@@ -174,8 +174,8 @@ func (b Bounds) CExtent(ldc int64) int64 {
 
 // CRowsDisjoint reports whether C rows at stride ldc cannot overlap:
 // ldc ≥ NR, or a single row. The compiled executor reorders C loads
-// and stores on this rule, so its Precheck and the plan auditor both
-// require it.
+// and stores on this rule, so its block layouts and the plan auditor
+// both require it.
 func (b Bounds) CRowsDisjoint(ldc int64) bool {
 	return b.MR <= 1 || ldc >= int64(b.NR)
 }

@@ -158,12 +158,10 @@ type Plan struct {
 	scratch    mkernel.Scratch // the scratch envelope a task's views are cut to
 	aSlots     int             // A slots of a participant's row panel (aSlots in exec.go)
 
-	// abFits, by block position in the grid, marks the blocks
-	// whose calls all fit A and B in place (exec.go, fitInPlace). It
-	// is nil unless the plan reads in place: PackNone, compiled, 4
-	// lanes. A shape's entries are written once, when its program
-	// resolves, before any of its blocks runs.
-	abFits []bool
+	// readsInPlace is set when the plan's blocks read A and B in place
+	// where their in-place layout fits (runGroup): PackNone, compiled,
+	// 4 lanes.
+	readsInPlace bool
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
 	// RunParallel / Submit turns into a job on, and the C-tile-group
@@ -260,7 +258,6 @@ func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
 type blockIter struct {
 	MOff, NOff, KOff int
 	MB, NB, KB       int
-	idx              int // position in the grid; indexes Plan.abFits
 }
 
 // blocks enumerates the cache-block grid in its one loop order, MNK: m
@@ -274,7 +271,6 @@ func (p *Plan) blocks() []blockIter {
 				out = append(out, blockIter{
 					MOff: m, NOff: n, KOff: k,
 					MB: min(p.Opts.MC, p.M-m), NB: min(p.Opts.NC, p.N-n), KB: min(p.Opts.KC, p.K-k),
-					idx: len(out),
 				})
 			}
 		}

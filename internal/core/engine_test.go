@@ -145,11 +145,11 @@ func TestEveryChipRunsPacked(t *testing.T) {
 	}
 }
 
-// TestBlockFaultLeavesCUntouched: a kernel call that fails its precheck
+// TestBlockFaultLeavesCUntouched: a block whose layout its Run refuses
 // in the second k block of a C-tile group fails the group with
 // compile.ErrBounds after the first block has written the staging
 // buffer, and the whole C tile is left untouched: runGroup copies C
-// back only once every call of every block has succeeded.
+// back only once every block has succeeded.
 func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	chip := hw.KP920()
 	const m, n, k = 10, 41, 25
@@ -172,20 +172,34 @@ func TestBlockFaultLeavesCUntouched(t *testing.T) {
 	if blk := g[0]; blk.MB != m || blk.NB != n || blk.KOff != 0 || g[1].KOff != blk.KB {
 		t.Fatalf("want the group to cover C with k blocks ascending, got %+v", g)
 	}
-	// Place the second block's second call past the B panel: its first
-	// call runs, the second is refused by its precheck.
+	// Rebuild the second block's packed layout with its second call
+	// past the B panel: the block's reach no longer fits, and its Run is
+	// refused before any call.
 	bp, err := p.blockProgram(g[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bp.calls) < 2 {
-		t.Fatalf("second k block has %d calls, want at least 2", len(bp.calls))
-	}
 	st := &execState{}
 	p.fit(st, 1)
-	bp.calls = append([]bandCall(nil), bp.calls...)
-	bp.calls[1].col = len(st.packB)
+	var cps []*compile.Program
+	var at [][2]int
+	for _, bd := range bp.tl.Bands(p.Chip.Lanes) {
+		for _, cl := range p.calls(bd, g[1].KB) {
+			cp, err := p.kernels.Compiled(cl.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cl.Count; i++ {
+				cps, at = append(cps, cp), append(at, [2]int{bd.Row, cl.Col + i*cl.Width})
+			}
+		}
+	}
+	if len(at) < 2 {
+		t.Fatalf("second k block has %d calls, want at least 2", len(at))
+	}
+	at[1][1] = len(st.packB)
 	ld := p.scratch.LD
+	bp.packed = blockLayout(cps, at, g[1].KB, ld, ld)
 	err = p.runGroup(st, g, c, a, b)
 	if !errors.Is(err, compile.ErrBounds) {
 		t.Fatalf("runGroup with a call past the B panel: %v, want ErrBounds", err)

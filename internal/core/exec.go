@@ -37,42 +37,43 @@ const kernelFuel = 1 << 31
 // Every C-tile group takes one path (runGroup): the group's C tile is
 // staged into the worker's padded buffer once, each of its k blocks
 // runs its compiled kernels onto it, and the tile is copied back once.
-// A block reads A and B where the plan's packing mode says: a PackNone
-// plan's block reads them in place, at lda = K and ldb = N, when every
-// one of its calls fits them there (decided once per block); any other
-// block packs A into its slot of the worker's A row panel and B into
-// the B panel (each skipped when it already holds that block). A kernel
-// that fails to generate or compile, or a call that fails its
-// precheck, is an error, and the failing group's C tile is left
-// untouched. With ForceInterp the kernels run on the checked
-// interpreter over the packed buffers.
+// A block's kernel calls are one compiled layout (compile.Layout) and
+// run as one checked Run. A block reads A and B where the plan's
+// packing mode says: a PackNone plan's block reads them in place, at
+// lda = K and ldb = N, when its in-place layout's reach fits them at
+// the block's corner; any other block packs A into its slot of the
+// worker's A row panel and B into the B panel (each skipped when it
+// already holds that block). A kernel that fails to generate or
+// compile, or a block its Run refuses, is an error, and the failing
+// group's C tile is left untouched. With ForceInterp the kernels run
+// call by call on the checked interpreter over the packed buffers.
 func (p *Plan) Run(c, a, b []float32) error { return p.RunParallel(c, a, b, 1) }
 
-// bandCall is one kernel invocation of a block: the program, its
-// layouts at the packed panels' leading dimensions (lay) and at A's and
-// B's own (ilay; nil unless the plan reads in place), and its
-// row/column placement inside the block. cp and the layouts are nil on
-// a ForceInterp plan, which runs prog instead.
+// bandCall is one kernel invocation of a block: the program a
+// ForceInterp plan runs on the machine, and its row/column placement
+// inside the block.
 type bandCall struct {
-	cp   *compile.Program
-	lay  *compile.Layout
-	ilay *compile.Layout
 	prog *asm.Program
 	row  int
 	col  int
 }
 
 // blockProg is the resolved program of one block shape (MB, NB, KB):
-// its tiling and kernel call sequence. Attach makes one entry per shape
-// of the grid; the calls are resolved once, on the shape's first visit,
-// so repeated block visits (and repeated Run calls on a cached plan)
-// skip straight to kernel execution with no per-visit banding or cache
-// lookups.
+// its tiling and its kernel calls, as compiled layouts or, on a
+// ForceInterp plan, as calls the machine runs one by one. Attach makes
+// one entry per shape of the grid; the calls are resolved once, on the
+// shape's first visit, so repeated block visits (and repeated Run calls
+// on a cached plan) skip straight to kernel execution with no per-visit
+// banding or cache lookups.
 type blockProg struct {
-	tl    tiling.Tiling
-	once  sync.Once
-	calls []bandCall
-	err   error
+	tl   tiling.Tiling
+	once sync.Once
+	// packed is the block's calls over the packed panels, at (KB, LD,
+	// LD), and inPlace over A and B read in place, at (K, N, LD); it is
+	// nil unless the plan reads in place (Plan.readsInPlace).
+	packed, inPlace *compile.Layout
+	calls           []bandCall // ForceInterp only
+	err             error
 }
 
 // blockProgram returns the resolved program for a block's shape,
@@ -83,89 +84,63 @@ func (p *Plan) blockProgram(blk blockIter) (*blockProg, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: plan has no block %dx%dx%d", blk.MB, blk.NB, blk.KB)
 	}
-	bp.once.Do(func() {
-		bp.calls, bp.err = p.resolveCalls(bp.tl.Bands(p.Chip.Lanes), blk.KB)
-		if bp.err == nil && p.abFits != nil {
-			p.fitInPlace(blk, bp.calls)
-		}
-	})
+	bp.once.Do(func() { bp.err = p.resolveCalls(bp, blk.KB) })
 	return bp, bp.err
 }
 
-// fitInPlace records in abFits, for each block of blk's shape, whether
-// every call of the shape passes its precheck reading A (M·K elements)
-// and B (K·N) in place at that block's offsets. It runs once per shape,
-// inside the shape's sync.Once, so no block of the shape runs before
-// its entry is written.
-func (p *Plan) fitInPlace(blk blockIter, calls []bandCall) {
-	lenA, lenB, ld := p.M*p.K, p.K*p.N, p.scratch.LD
-	for _, g := range p.groups {
-		for _, b := range g {
-			if b.MB != blk.MB || b.NB != blk.NB || b.KB != blk.KB {
-				continue
-			}
-			fits := true
-			for _, cl := range calls {
-				aOff, bOff := p.abOffsets(b, cl)
-				if cl.cp.Precheck(lenA, lenB, p.scratch.CBuf, aOff, bOff, int64(cl.row*ld+cl.col),
-					int64(p.K), int64(p.N), int64(ld)) != nil {
-					fits = false
-					break
-				}
-			}
-			p.abFits[b.idx] = fits
-		}
-	}
-}
-
-// abOffsets returns where a call of blk reads A and B in place: A from
-// row MOff + row, column KOff (lda = K), and B from row KOff, column
-// NOff + col (ldb = N).
-func (p *Plan) abOffsets(blk blockIter, cl bandCall) (aOff, bOff int64) {
-	return int64((blk.MOff+cl.row)*p.K + blk.KOff), int64(blk.KOff*p.N + blk.NOff + cl.col)
-}
-
-// resolveCalls lowers the block's bands to kernel invocations, each
-// compiled kernel with its layout at the packed panels' leading
-// dimensions (KB, LD, LD) and, when the plan reads in place, at A's and
-// B's own (K, N, LD); calls of one kernel share its layouts. A kernel
-// that fails to generate or compile is an error — the kernel cache
-// memoizes it, so repeated blocks do not rebuild it.
-func (p *Plan) resolveCalls(bands []tiling.Band, kb int) ([]bandCall, error) {
-	ld := int64(p.scratch.LD)
-	lays := map[*compile.Program][2]*compile.Layout{}
-	var calls []bandCall
-	for _, bd := range bands {
+// resolveCalls lowers a block shape's bands to its kernel invocations:
+// a ForceInterp plan's programs with their placements, or else the
+// compiled kernels as the block's layouts (blockLayout), at the packed
+// panels' leading dimensions (KB, LD, LD) and, when the plan reads in
+// place, at A's and B's own (K, N, LD). A kernel that fails to generate
+// or compile is an error — the kernel cache memoizes it, so repeated
+// blocks do not rebuild it.
+func (p *Plan) resolveCalls(bp *blockProg, kb int) error {
+	var cps []*compile.Program
+	var at [][2]int
+	for _, bd := range bp.tl.Bands(p.Chip.Lanes) {
 		for _, cl := range p.calls(bd, kb) {
-			bc := bandCall{row: bd.Row}
+			var prog *asm.Program
+			var cp *compile.Program
+			var err error
 			if p.interpOnly {
-				prog, err := p.kernels.Program(cl.Spec)
-				if err != nil {
-					return nil, err
-				}
-				bc.prog = prog
+				prog, err = p.kernels.Program(cl.Spec)
 			} else {
-				cp, err := p.kernels.Compiled(cl.Spec)
-				if err != nil {
-					return nil, err
-				}
-				l, ok := lays[cp]
-				if !ok {
-					l[0] = cp.Layout(int64(kb), ld, ld)
-					if p.abFits != nil {
-						l[1] = cp.Layout(int64(p.K), int64(p.N), ld)
-					}
-					lays[cp] = l
-				}
-				bc.cp, bc.lay, bc.ilay = cp, l[0], l[1]
+				cp, err = p.kernels.Compiled(cl.Spec)
+			}
+			if err != nil {
+				return err
 			}
 			for i := 0; i < cl.Count; i++ {
-				bc.col = cl.Col + i*cl.Width
-				calls = append(calls, bc)
+				col := cl.Col + i*cl.Width
+				if p.interpOnly {
+					bp.calls = append(bp.calls, bandCall{prog: prog, row: bd.Row, col: col})
+				} else {
+					cps, at = append(cps, cp), append(at, [2]int{bd.Row, col})
+				}
 			}
 		}
 	}
-	return calls, nil
+	if !p.interpOnly {
+		ld := p.scratch.LD
+		bp.packed = blockLayout(cps, at, kb, ld, ld)
+		if p.readsInPlace {
+			bp.inPlace = blockLayout(cps, at, p.K, p.N, ld)
+		}
+	}
+	return nil
+}
+
+// blockLayout resolves a block's compiled calls at lda, ldb and ldc:
+// call i runs cps[i] at block row at[i][0] and column at[i][1], reading
+// A at row·lda, B at col and C at row·ldc + col past the Run's bases.
+func blockLayout(cps []*compile.Program, at [][2]int, lda, ldb, ldc int) *compile.Layout {
+	offs := make([][3]int64, len(at))
+	for i, rc := range at {
+		row, col := rc[0], rc[1]
+		offs[i] = [3]int64{int64(row * lda), int64(col), int64(row*ldc + col)}
+	}
+	return compile.NewLayout(int64(lda), int64(ldb), int64(ldc), cps, offs)
 }
 
 // Prebuild compiles the kernels a plan's blocks call into its kernel
@@ -250,15 +225,15 @@ func aSlots(k, kc, packA int) int {
 }
 
 // runGroup executes one C-tile group, its k blocks ascending: the C
-// tile is staged into cBuf once, each block runs its calls onto it,
-// reading A and B in place when the block fits them there (abFits) and
-// otherwise packing A into its slot of the row panel and B into the B
-// panel (skipped when they already hold that block), and the tile is
-// copied back once, only when every call of every block succeeded. Each
-// block's calls add onto cBuf in the order a per-block copy through C
-// would, so the result is bit-identical to staging C around every
-// block; a block reads the same A and B values on either path. a and b
-// are cut to M·K and K·N.
+// tile is staged into cBuf once, each block runs its calls onto it as
+// one Run, reading A and B in place when the block's in-place layout
+// fits them at its corner and otherwise packing A into its slot of the
+// row panel and B into the B panel (skipped when they already hold that
+// block), and the tile is copied back once, only when every block
+// succeeded. Each block's calls add onto cBuf in the order a per-block
+// copy through C would, so the result is bit-identical to staging C
+// around every block; a block reads the same A and B values on either
+// path. a and b are cut to M·K and K·N.
 func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) error {
 	k, n := p.K, p.N
 	ld, sa := p.scratch.LD, p.scratch.PackA
@@ -272,12 +247,10 @@ func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) err
 		if err != nil {
 			return err
 		}
-		if p.abFits != nil && p.abFits[blk.idx] {
-			for _, cl := range bp.calls {
-				aOff, bOff := p.abOffsets(blk, cl)
-				if err := cl.cp.Run(st.env, cl.ilay, a, b, st.cBuf, aOff, bOff, int64(cl.row*ld+cl.col), kernelFuel); err != nil {
-					return err
-				}
+		aOff, bOff := int64(blk.MOff*k+blk.KOff), int64(blk.KOff*n+blk.NOff)
+		if ip := bp.inPlace; ip != nil && ip.Fits(len(a), len(b), len(st.cBuf), aOff, bOff, 0) {
+			if err := ip.Run(st.env, a, b, st.cBuf, aOff, bOff, 0, kernelFuel); err != nil {
+				return err
 			}
 			inPlace++
 			continue
@@ -296,8 +269,14 @@ func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) err
 			}
 			st.bKey = bk
 		}
+		if !p.interpOnly {
+			if err := bp.packed.Run(st.env, st.packA[slot*sa:(slot+1)*sa], st.packB, st.cBuf, 0, 0, 0, kernelFuel); err != nil {
+				return err
+			}
+			continue
+		}
 		for _, cl := range bp.calls {
-			if err := p.runCall(st, cl, slot, lda, ld); err != nil {
+			if err := p.interpCall(st, cl, slot, lda, ld); err != nil {
 				return err
 			}
 		}
@@ -318,21 +297,14 @@ func (p *Plan) runGroup(st *execState, group []blockIter, c, a, b []float32) err
 	return nil
 }
 
-// runCall runs one kernel invocation over the worker's panels, its A
-// operand the given slot of the row panel cut to the plan's PackA,
-// compiled or, on a ForceInterp plan, on the machine over the same
-// arena.
-func (p *Plan) runCall(st *execState, cl bandCall, slot, lda, ld int) error {
-	sa := p.scratch.PackA
-	aOff, bOff, cOff := int64(cl.row*lda), int64(cl.col), int64(cl.row*ld+cl.col)
-	if cl.cp != nil {
-		pa := st.packA[slot*sa : (slot+1)*sa]
-		return cl.cp.Run(st.env, cl.lay, pa, st.packB, st.cBuf, aOff, bOff, cOff, kernelFuel)
-	}
+// interpCall runs one kernel invocation of a ForceInterp plan on the
+// machine, over the worker's panels: its A operand in the given slot of
+// the row panel, at lda, and B and C at ld.
+func (p *Plan) interpCall(st *execState, cl bandCall, slot, lda, ld int) error {
 	m := st.mach
-	m.SetArg(0, st.aReg+(int64(slot*sa)+aOff)*4)
-	m.SetArg(1, st.bReg+bOff*4)
-	m.SetArg(2, st.cReg+cOff*4)
+	m.SetArg(0, st.aReg+int64(slot*p.scratch.PackA+cl.row*lda)*4)
+	m.SetArg(1, st.bReg+int64(cl.col)*4)
+	m.SetArg(2, st.cReg+int64(cl.row*ld+cl.col)*4)
 	m.SetArg(3, int64(lda))
 	m.SetArg(4, int64(ld))
 	m.SetArg(5, int64(ld))

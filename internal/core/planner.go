@@ -576,8 +576,6 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	for i := 0; i < len(blocks); i += kBlocks {
 		p.groups = append(p.groups, blocks[i:i+kBlocks])
 	}
-	if pack == PackNone && !p.interpOnly && chip.Lanes == 4 {
-		p.abFits = make([]bool, len(blocks))
-	}
+	p.readsInPlace = pack == PackNone && !p.interpOnly && chip.Lanes == 4
 	return p, nil
 }

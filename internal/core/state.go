@@ -16,10 +16,10 @@ import (
 // sched.Worker.Local slot and carries it across every plan it runs.
 type execState struct {
 	// The running plan's views of the arena regions, cut to its
-	// mkernel.ScratchEnvelope so a call that overruns the plan's
-	// envelope fails its precheck whatever the arena has grown to. The
-	// A row panel is Plan.aSlots slots of PackA elements; each call
-	// receives its block's slot cut to PackA.
+	// mkernel.ScratchEnvelope so a block that overruns the plan's
+	// envelope fails its reach check whatever the arena has grown to.
+	// The A row panel is Plan.aSlots slots of PackA elements; each
+	// block receives its slot cut to PackA.
 	packA []float32 // A row panel, slot-major; each slot row-major, lda = k_c
 	packB []float32 // B panel, row-major, ldb = Plan.scratch.LD
 	cBuf  []float32 // padded C tile staging buffer, ldc = Plan.scratch.LD

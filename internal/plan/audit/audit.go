@@ -13,11 +13,11 @@
 //     race-free and results are bit-identical at any worker count.
 //
 //   - Bounds composition: the per-kernel symbolic over-read bounds
-//     (analysis.Bounds, the same facts the compiled executor's
-//     Precheck evaluates) composed with every tile placement stay
-//     inside the staged scratch envelope the executor allocates, so
-//     the analyzer-licensed elision of per-access checks remains
-//     sound for a loaded plan.
+//     (analysis.Bounds, the same facts the compiled executor's block
+//     layouts fold into their reach) composed with every tile
+//     placement stay inside the staged scratch envelope the executor
+//     allocates, so the analyzer-licensed elision of per-access checks
+//     remains sound for a loaded plan.
 //
 //   - Structural consistency: format version, fingerprint
 //     re-derivation, resolved blocking, and exact agreement between
@@ -321,11 +321,12 @@ func (a *auditor) calls(bd tiling.Band, kb int) []tiling.Call {
 // tile placement and proves the result fits the scratch envelope the
 // executor allocates for this blocking. The bounds come from the same
 // AnalysisOptions contract the generator's analyzer gate verifies and
-// the compiled Precheck evaluates (AExtent/BExtent/CExtent), so this
-// is the static half of the elision license: if this check passes, the
-// staged-execution prechecks cannot fail for any block of the plan,
+// the compiled executor's block layouts fold into their reach
+// (AExtent/BExtent/CExtent, or a tile program's exact extents within
+// them), so this is the static half of the elision license: if this
+// check passes, no packed block's reach check can fail for the plan,
 // and no placement can reach past the allocated scratch. That includes
-// Precheck's rule that C rows are disjoint, ldc ≥ NR when MR > 1, at
+// the layouts' rule that C rows are disjoint, ldc ≥ NR when MR > 1, at
 // the staging buffer's leading dimension.
 func (a *auditor) checkBounds() error {
 	chip, p := a.chip, a.p

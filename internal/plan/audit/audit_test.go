@@ -240,9 +240,10 @@ func TestAuditForeignBlock(t *testing.T) {
 
 // TestAuditBoundsEnvelope: a hand-built plan whose single padded tile
 // is wide enough that its composed B-panel read extent (the same
-// AExtent/BExtent/CExtent facts Precheck evaluates) escapes the staged
-// scratch envelope. Coverage still holds — the tile's useful extent
-// covers the block exactly — so only the bounds composition catches it.
+// AExtent/BExtent/CExtent facts a block layout's reach folds) escapes
+// the staged scratch envelope. Coverage still holds — the tile's useful
+// extent covers the block exactly — so only the bounds composition
+// catches it.
 func TestAuditBoundsEnvelope(t *testing.T) {
 	chip := chipFor(t) // lanes = 4
 	req := plan.Request{
@@ -265,8 +266,8 @@ func TestAuditBoundsEnvelope(t *testing.T) {
 
 // TestAuditCRowsOverlap: a hand-built plan whose 2-row tile is wider
 // than the staging buffer's leading dimension, so its C rows would
-// overlap, which Precheck refuses (ldc ≥ NR when MR > 1). Every extent
-// still fits the scratch envelope: only the rows rule catches it.
+// overlap, which a block layout refuses (ldc ≥ NR when MR > 1). Every
+// extent still fits the scratch envelope: only the rows rule catches it.
 func TestAuditCRowsOverlap(t *testing.T) {
 	chip := chipFor(t)
 	req := plan.Request{

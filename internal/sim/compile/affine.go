@@ -67,7 +67,7 @@ import (
 // store earlier, past the loose C loads, C stores and zeroings it
 // crosses. That is sound when the two touch different registers and
 // different bytes, and bytes are decided on positions alone because
-// Precheck requires ldc ≥ NR when MR > 1: C accesses stay inside
+// a Layout refuses ldc < NR when MR > 1: C accesses stay inside
 // columns [0, NR) (the analyzer's bounds pass), so accesses on different
 // rows never share a byte, and accesses on one row overlap only when
 // their columns are less than 16 bytes apart. A region folds its stores
@@ -90,10 +90,10 @@ import (
 // Bit-identity with sim.Machine holds because each accumulator still
 // receives the same multiply-adds, with the same operand values, in the
 // same order. The values are read from the positions the replaced loads
-// read: those are proven in bounds by the analyzer plus Precheck and
-// 4-byte aligned by the analyzer, and the region's only stores are its
-// chunks' folded C stores, which no operand read and no later chunk's
-// set-up overlaps, so memory cannot change under a read. Accumulators
+// read: those are proven in bounds by the analyzer plus the layout's
+// reach check and 4-byte aligned by the analyzer, and the region's only
+// stores are its chunks' folded C stores, which no operand read and no
+// later chunk's set-up overlaps, so memory cannot change under a read. Accumulators
 // are never sources and are set up before their first multiply-add, so
 // no FMLA observes another accumulator's partial sum.
 
@@ -253,13 +253,16 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 	w := &walk{sc: sc}
 	nacc := 0
 	for _, u := range body {
+		if u.lanes != 4 {
+			return nil
+		}
 		switch u.kind {
-		case uFmla4:
+		case uFmlaN:
 			if !w.acc[u.d/4] {
 				nacc++
 			}
 			w.acc[u.d/4] = true
-		case uLoad4, uVZero4:
+		case uLoadN, uVZeroN:
 		default:
 			return nil
 		}
@@ -269,7 +272,7 @@ func buildRegion(sc *buffers, body []uop, loops []span) *region {
 	}
 	w.accs = make([]accState, 0, nacc)
 	for _, u := range body {
-		if u.kind == uFmla4 && (w.acc[u.a/4] || w.acc[u.b/4]) {
+		if u.kind == uFmlaN && (w.acc[u.a/4] || w.acc[u.b/4]) {
 			return nil
 		}
 	}
@@ -305,9 +308,9 @@ func (w *walk) write(r int32, v ver) bool {
 // straight applies one micro-op outside any multi-trip loop.
 func (w *walk) straight(u *uop) bool {
 	switch u.kind {
-	case uLoad4:
+	case uLoadN:
 		return w.write(u.d/4, ver{kind: verLoad, bank: u.bank, addr: u.pos()})
-	case uVZero4:
+	case uVZeroN:
 		return w.write(u.d/4, ver{kind: verZero})
 	}
 	d, a, b := u.d/4, u.a/4, u.b/4
@@ -384,14 +387,14 @@ func (w *walk) loop(body []uop, trips int64) bool {
 	for i := range body {
 		u := &body[i]
 		switch u.kind {
-		case uFmla4:
+		case uFmlaN:
 			writer[u.d/4] = nonLoad
 			nfed[u.d/4]++
 			nfmla++
-		case uVZero4:
+		case uVZeroN:
 			writer[u.d/4] = nonLoad
 			set[u.d/4] = true
-		case uLoad4:
+		case uLoadN:
 			writer[u.d/4] = len(loads)
 			set[u.d/4] = true
 			loads = append(loads, operand{bank: u.bank, base: u.pos(), step: u.step()})
@@ -461,12 +464,12 @@ func (w *walk) loop(body []uop, trips int64) bool {
 	for i := range body {
 		u := &body[i]
 		switch u.kind {
-		case uLoad4:
+		case uLoadN:
 			cur[u.d/4] = n
 			n++
-		case uVZero4:
+		case uVZeroN:
 			cur[u.d/4] = nonLoad
-		case uFmla4:
+		case uFmlaN:
 			d := u.d / 4
 			ka, kb := keyOf(u.a/4), keyOf(u.b/4)
 			if ka < 0 || kb < 0 {
@@ -641,7 +644,7 @@ func foldC(ops []uop, loops []span, regions []keptRegion) []bool {
 	loose := make([]bool, len(ops))
 	for i := range ops {
 		u := &ops[i]
-		loose[i] = (u.kind == uLoad4 || u.kind == uStore4) && u.bank == bankC || u.kind == uVZero4
+		loose[i] = u.lanes == 4 && ((u.kind == uLoadN || u.kind == uStoreN) && u.bank == bankC || u.kind == uVZeroN)
 	}
 	for _, l := range loops {
 		clear(loose[l.lo:l.hi])
@@ -673,7 +676,7 @@ func foldStores(gap []uop, loose, drop []bool, r *region) {
 	for i := 0; i < len(gap) && loose[i]; i++ {
 		u := &gap[i]
 		ac := r.accOf(u.d * 4)
-		if u.kind != uStore4 || ac == nil || seen[u.d/4] || !commutesWith(u, gap[:i], drop[:i]) {
+		if u.kind != uStoreN || ac == nil || seen[u.d/4] || !commutesWith(u, gap[:i], drop[:i]) {
 			continue
 		}
 		seen[u.d/4] = true
@@ -700,10 +703,10 @@ func foldLoads(gap []uop, loose, drop []bool, r *region) {
 	for i := len(gap) - 1; i >= 0 && loose[i]; i-- {
 		u := &gap[i]
 		ac := r.accOf(u.d * 4)
-		if u.kind == uStore4 || ac == nil || ac.init != verLive || !commutesWith(u, gap[i+1:], folded[i+1:]) {
+		if u.kind == uStoreN || ac == nil || ac.init != verLive || !commutesWith(u, gap[i+1:], folded[i+1:]) {
 			continue
 		}
-		if u.kind == uVZero4 {
+		if u.kind == uVZeroN {
 			ac.init = verZero
 		} else {
 			ac.init, ac.ibank, ac.iat = verLoad, u.bank, u.pos()
@@ -727,17 +730,17 @@ func commutesWith(u *uop, ops []uop, skip []bool) bool {
 // zeroing writes its register, so it conflicts with any other use of
 // it, and a store conflicts with any C access to bytes it writes.
 func commute(x, y *uop) bool {
-	if x.d == y.d && (x.kind != uStore4 || y.kind != uStore4) {
+	if x.d == y.d && (x.kind != uStoreN || y.kind != uStoreN) {
 		return false
 	}
-	if x.kind == uVZero4 || y.kind == uVZero4 || x.kind == uLoad4 && y.kind == uLoad4 {
+	if x.kind == uVZeroN || y.kind == uVZeroN || x.kind == uLoadN && y.kind == uLoadN {
 		return true
 	}
 	return !overlap(x.pos(), y.pos())
 }
 
 // overlap reports whether the 16-byte C accesses at p and q share a
-// byte, given Precheck's rule that C rows are disjoint.
+// byte, given the layout's rule that C rows are disjoint.
 func overlap(p, q pos) bool {
 	return p.row == q.row && p.col-q.col < 16 && q.col-p.col < 16
 }

@@ -6,13 +6,15 @@ import "testing"
 // numbers scaled by σ_lane = 4, as decode emits them. ld loads vector d
 // from col bytes into row 0 of bank, moving dcol bytes a trip; ldA and
 // ldB load from the A (bank 0) and B (bank 1) panels outside loops.
-func fm4(d, a, b, lane int32) uop { return uop{kind: uFmla4, d: d * 4, a: a * 4, b: b*4 + lane} }
+func fm4(d, a, b, lane int32) uop {
+	return uop{kind: uFmlaN, d: d * 4, a: a * 4, b: b*4 + lane, lanes: 4}
+}
 func ld(bank uint8, d, col, dcol int32) uop {
-	return uop{kind: uLoad4, bank: bank, d: d * 4, lanes: 4, col: col, dcol: dcol}
+	return uop{kind: uLoadN, bank: bank, d: d * 4, lanes: 4, col: col, dcol: dcol}
 }
 func ldA(d, col int32) uop { return ld(0, d, col, 0) }
 func ldB(d, col int32) uop { return ld(1, d, col, 0) }
-func zero4(d int32) uop    { return uop{kind: uVZero4, d: d * 4} }
+func zero4(d int32) uop    { return uop{kind: uVZeroN, d: d * 4, lanes: 4} }
 
 // counted is a region of pre followed by a counted loop running body
 // trips times.
@@ -58,14 +60,14 @@ func TestScheduleRegionRules(t *testing.T) {
 		// B moves a whole row a trip: the progression is over (row, col)
 		// pairs, so it holds for every leading dimension.
 		loopCase("loop-rows", loopPre,
-			[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, true),
+			[]uop{fm4(1, 2, 3, 0), {kind: uLoadN, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, true),
 		// The pre-loop B load is two vectors ahead of the one the body
 		// carries into trip 1: trip 0 breaks the progression.
 		loopCase("loop-carried-mismatch", []uop{ldB(2, 32), ldA(3, 0)}, loopBody, false),
 		// The pre-loop B load is on row 0; the body carries row 1 − 1 =
 		// 0 but at column 16.
 		loopCase("loop-carried-row-mismatch", loopPre,
-			[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, col: 16, drow: 1}, ld(0, 3, 4, 4)}, false),
+			[]uop{fm4(1, 2, 3, 0), {kind: uLoadN, bank: 1, d: 8, lanes: 4, row: 1, col: 16, drow: 1}, ld(0, 3, 4, 4)}, false),
 		// Two FMLAs a trip on scalar lanes 0 and 1 of a loop-invariant A
 		// vector: stride 4 inside the trip, 0 across trips.
 		loopCase("loop-step-mismatch", []uop{ldB(2, 0), ldA(3, 0)},
@@ -158,7 +160,7 @@ func TestScheduleRegionLayout(t *testing.T) {
 	// one element apart; v0 is zeroed before the loop.
 	loopRegion, loops := counted(
 		[]uop{ldB(2, 0), ldA(3, 0), zero4(0)},
-		[]uop{fm4(1, 2, 3, 0), {kind: uLoad4, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, 3)
+		[]uop{fm4(1, 2, 3, 0), {kind: uLoadN, bank: 1, d: 8, lanes: 4, row: 1, drow: 1}, ld(0, 3, 4, 4)}, 3)
 	r = buildRegion(new(buffers), loopRegion, loops)
 	if r == nil {
 		t.Fatal("loop region not proven")

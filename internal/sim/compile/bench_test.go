@@ -79,7 +79,7 @@ func runCompiledBench(b *testing.B, cp *compile.Program, err error) {
 	b.SetBytes(int64(2 * cp.Lanes * fmlas))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cp.Run(e, l, a, bp, c, 0, 0, 0, 1<<30); err != nil {
+		if err := l.Run(e, a, bp, c, 0, 0, 0, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,10 +76,10 @@ func Lower(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Progr
 // rep.Accesses): scalar ops, WHILELT, PTRUE, labels, branches, nops and
 // prefetch hints. A loop of two or more trips becomes a span of that
 // list. A 4-lane program that tileProgram lowers whole to register
-// tiles (affine.go) runs as those tiles alone, and its precheck holds
-// it to the exact extents they reach. Any other program is cut at the
-// spans into segments of loose micro-ops, each segment's FMLA runs
-// fused, and its precheck holds it to the declared extents.
+// tiles (affine.go) runs as those tiles alone, and a layout holds it to
+// the exact extents they reach. Any other program is cut at the spans
+// into segments of loose micro-ops, each segment's FMLA runs fused, and
+// a layout holds it to the declared extents.
 func translate(p *asm.Program, bounds analysis.Bounds, rep *analysis.Report) (*Program, error) {
 	lanes := bounds.Lanes
 	cp := &Program{Name: p.Name, Lanes: lanes, Bounds: bounds}
@@ -235,7 +235,7 @@ type keptRegion struct {
 func affineRegions(ops []uop, loops []span) []keptRegion {
 	cut := make([]bool, len(ops))
 	for i, u := range ops {
-		cut[i] = u.kind == uStore4 || u.kind == uStoreN
+		cut[i] = u.kind == uStoreN
 	}
 	inner := loops[:0:0]
 	for _, l := range loops {
@@ -293,7 +293,6 @@ func decode(p *asm.Program, idx, lanes int, at analysis.Access) (uop, error) {
 		return u, err
 	}
 	u.d = int32(in.Dst.Index() * lanes)
-	four := lanes == 4
 	switch in.Op {
 	case asm.OpFmla:
 		if err := vector(in.Src1); err != nil {
@@ -307,19 +306,17 @@ func decode(p *asm.Program, idx, lanes int, at analysis.Access) (uop, error) {
 		}
 		u.a = int32(in.Src1.Index() * lanes)
 		u.b = int32(in.Src2.Index()*lanes + int(in.Lane))
-		u.kind = pick(four, uFmla4, uFmlaN)
+		u.kind = uFmlaN
 		return u, nil
 	case asm.OpVZero:
-		u.kind = pick(four, uVZero4, uVZeroN)
+		u.kind = uVZeroN
 		return u, nil
 	}
-	// A memory op: the 4-lane specialization moves a full NEON vector.
-	four = four && at.Lanes == 4
 	switch in.Op {
 	case asm.OpLdrQ, asm.OpLdrQPost, asm.OpLd1W:
-		u.kind = pick(four, uLoad4, uLoadN)
+		u.kind = uLoadN
 	case asm.OpStrQ, asm.OpStrQPost, asm.OpSt1W:
-		u.kind = pick(four, uStore4, uStoreN)
+		u.kind = uStoreN
 	default:
 		return u, fmt.Errorf("compile: %s: instr %d: unsupported op %s", p.Name, idx, in.Op)
 	}
@@ -332,11 +329,4 @@ func decode(p *asm.Program, idx, lanes int, at analysis.Access) (uop, error) {
 	u.bank, u.lanes = uint8(at.Bank), int32(at.Lanes)
 	u.row, u.col, u.drow, u.dcol = at.Row, at.Col, at.DRow, at.DCol
 	return u, nil
-}
-
-func pick(four bool, k4, kn uint8) uint8 {
-	if four {
-		return k4
-	}
-	return kn
 }

@@ -96,7 +96,8 @@ func bandTiles(bc mkernel.BandConfig) []mkernel.Tile {
 	return tiles
 }
 
-// TestDifferentialSweep covers the lint sweep's kernel classes per chip.
+// TestDifferentialSweep covers the lint sweep's kernel classes once per
+// distinct (lane width, SVE) pair of the modeled chips.
 // The tile grid's KC values include 1 and σ+1 (straight-line kernels
 // and one-trip loops) and 129 (a long k-loop). Every 4-lane kernel is
 // a tile program, and on an AVX host its chunks run through a
@@ -120,7 +121,19 @@ func forEachTileLoop(t *testing.T, f func(t *testing.T)) {
 
 func differentialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	// A kernel's spec carries no chip, so chips of one lane width and
+	// SVE flag generate the same programs: sweep each pair once.
+	type width struct {
+		lanes int
+		sve   bool
+	}
+	swept := map[width]bool{}
 	for _, chip := range hw.All() {
+		w := width{chip.Lanes, chip.SVE}
+		if swept[w] {
+			continue
+		}
+		swept[w] = true
 		lanes := chip.Lanes
 		kcs := []int{1, lanes, lanes + 1, 2*lanes + 1, 129}
 		tiles := mkernel.FeasibleTiles(lanes)
@@ -278,10 +291,10 @@ func TestLoopFuel(t *testing.T) {
 		a, bp, c, lda, ldb, ldc := benchOperands(cp)
 		e := compile.NewEnv(cp.Lanes)
 		l := cp.Layout(lda, ldb, ldc)
-		if err := cp.Run(e, l, a, bp, c, 0, 0, 0, taken); err != nil {
+		if err := l.Run(e, a, bp, c, 0, 0, 0, taken); err != nil {
 			t.Errorf("%s: fuel %d (its taken branches): %v", s.Key(), taken, err)
 		}
-		err = cp.Run(e, l, a, bp, c, 0, 0, 0, taken-1)
+		err = l.Run(e, a, bp, c, 0, 0, 0, taken-1)
 		if err == nil || !strings.Contains(err.Error(), "exceeded") || !strings.Contains(err.Error(), "loop iterations") {
 			t.Errorf("%s: fuel %d: got %v, want the exceeded-loop-iterations error", s.Key(), taken-1, err)
 		}

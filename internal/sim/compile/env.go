@@ -11,9 +11,11 @@
 // active lanes, trip-0 row and column, and per-trip step. So the
 // compiled form holds no scalar registers, flags or predicates and no
 // branches: every access sits at a panel position fixed at translate
-// time, and every loop runs a fixed number of trips. Run validates the
-// panel extents once per invocation (Precheck) and executes with no
-// per-access checkAddr at all.
+// time, and every loop runs a fixed number of trips. A Layout resolves
+// the kernel calls of one block at fixed leading dimensions and holds
+// the block's reach into each operand; its Run checks that reach once
+// per block (Fits) and executes every call with no per-access checkAddr
+// at all.
 //
 // Each program lowers one way (affine.go). A 4-lane program whose every
 // micro-op folds into register tiles set up from C or zeros is a tile
@@ -44,9 +46,9 @@ const MaxLanes = 16
 // slower path to take instead.
 var ErrUnproven = errors.New("compile: bounds not proven")
 
-// ErrBounds is wrapped by Precheck/Run when the concrete panel extents do
-// not fit the operand slices. Run refuses such a call before it touches
-// any operand.
+// ErrBounds is wrapped by Layout.Run when a block's reach does not fit
+// the operand slices, or its layout is refused. Run refuses such a
+// block before any of its calls touches an operand.
 var ErrBounds = errors.New("compile: operands fail panel precheck")
 
 // Env is the mutable execution state: the vector register file and the
@@ -69,7 +71,7 @@ type Env struct {
 	// base and ld are each operand panel's base (its slice at the panel
 	// offset) and leading dimension, in bytes, for the current Run; the
 	// accesses through them are covered by the analyzer's bounds proof
-	// plus Precheck, and base keeps the slices live for the GC. The
+	// plus the layout's reach check, and base keeps the slices live for the GC. The
 	// register-tile loops read base through go_asm.h.
 	vp   unsafe.Pointer
 	base [3]unsafe.Pointer
@@ -102,11 +104,11 @@ type Program struct {
 	segs    []segment
 
 	// iters is the program's taken loop branches, Σ(trips − 1) over its
-	// loops: what Run charges against maxLoopIters.
+	// loops: what a Run charges each call against maxLoopIters.
 	iters int
 	// ext is the program's reach into each operand panel, by bank, that
-	// Precheck checks: a tile program's exact extents (exactExtents),
-	// a loose program's declared ones.
+	// a Layout folds into its block's reach: a tile program's exact
+	// extents (exactExtents), a loose program's declared ones.
 	ext [3]extent
 }
 
@@ -124,30 +126,6 @@ func (x *extent) cover(p pos, n int64) {
 	x.cols = max(x.cols, (p.col+n+3)/4)
 }
 
-// Layout is a program's offsets resolved at one (lda, ldb, ldc): a tile
-// program's every chunk, in run order, as byte offsets past the panel
-// bases, so a Run only adds the bases. It is immutable, so a caller
-// that runs a program at fixed leading dimensions resolves it once and
-// shares it between goroutines.
-type Layout struct {
-	cp    *Program
-	ld    [3]int64 // lda, ldb, ldc in float32 elements
-	tiles []tile
-}
-
-// Layout resolves the program's offsets at leading dimensions lda, ldb
-// and ldc, in float32 elements, for Run.
-func (cp *Program) Layout(lda, ldb, ldc int64) *Layout {
-	l := &Layout{cp: cp, ld: [3]int64{lda, ldb, ldc}}
-	ld := [3]int64{lda * 4, ldb * 4, ldc * 4}
-	for _, r := range cp.regions {
-		for i := range r.chunks {
-			l.tiles = append(l.tiles, r.chunks[i].resolve(ld, r.store))
-		}
-	}
-	return l
-}
-
 // segment is a body of micro-ops run trips times; memory ops address
 // trip t of their access.
 type segment struct {
@@ -155,90 +133,188 @@ type segment struct {
 	trips int64
 }
 
-// Precheck validates the once-per-invocation panel extents that replace
-// the interpreter's per-access checkAddr, as a Run under the program's
-// Layout checks them. The analyzer proved every access has the form
-// off + row·ld + col  (in elements here) with 0 ≤ row and 0 ≤ col
-// bounded by the panel shape plus declared slack, so the extreme corner
-// of each panel suffices. The declared extents are
+// Layout is the kernel calls of one block resolved at one (lda, ldb,
+// ldc): each call's program and its offsets past the Run's panel bases,
+// with a tile program's chunks resolved to byte offsets in run order,
+// so a Run only adds the bases. It holds the block's reach into each
+// operand, so a Run checks the block once, not each call. It is
+// immutable: a block shape's layout is built once and shared between
+// goroutines.
+type Layout struct {
+	ld    [3]int64 // lda, ldb, ldc in float32 elements
+	lanes int
+	calls []call
+
+	// reach is the block's reach into each operand, A, B and C, in
+	// elements past the Run's base offset: the maximum over its calls of
+	// the call's offset plus its program's extent at that leading
+	// dimension. iters is the largest loop count of any call, and err
+	// the refusal that depends on the layout alone.
+	reach [3]int64
+	iters int
+	err   error
+}
+
+// call is one kernel call of a layout: its program, its offsets past
+// the Run's panel bases in bytes, and a tile program's tiles, shared by
+// the layout's calls of one program.
+type call struct {
+	cp    *Program
+	off   [3]int64
+	tiles []tile
+}
+
+// NewLayout resolves a block's calls at leading dimensions lda, ldb and
+// ldc, in float32 elements: call i runs progs[i] with its A, B and C
+// panels at offs[i] elements past the Run's base offsets. It computes
+// the block's reach into each operand from the programs' extents
+// (Program.ext) and records a refusal every Run returns: a negative
+// offset or leading dimension, C rows that overlap
+// (analysis.Bounds.CRowsDisjoint: the affine regions reorder C loads
+// and stores on that rule, foldC in affine.go) or programs of mixed
+// lane widths.
+func NewLayout(lda, ldb, ldc int64, progs []*Program, offs [][3]int64) *Layout {
+	l := &Layout{ld: [3]int64{lda, ldb, ldc}, calls: make([]call, len(progs))}
+	ld := [3]int64{lda * 4, ldb * 4, ldc * 4}
+	tiles := map[*Program][]tile{}
+	for i, cp := range progs {
+		off := offs[i]
+		ts, ok := tiles[cp]
+		if !ok {
+			ts = cp.tiles(ld)
+			tiles[cp] = ts
+		}
+		l.calls[i] = call{cp: cp, off: [3]int64{off[0] * 4, off[1] * 4, off[2] * 4}, tiles: ts}
+		for k := range l.reach {
+			l.reach[k] = max(l.reach[k], off[k]+cp.ext[k].at(l.ld[k]))
+		}
+		l.iters = max(l.iters, cp.iters)
+		b := &cp.Bounds
+		switch {
+		case l.err != nil:
+		case cp.Lanes != progs[0].Lanes:
+			l.err = fmt.Errorf("compile: %s: layout mixes %d-lane and %d-lane programs", cp.Name, progs[0].Lanes, cp.Lanes)
+		case min(off[0], off[1], off[2], lda, ldb, ldc) < 0:
+			l.err = fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
+		case !b.CRowsDisjoint(ldc):
+			l.err = fmt.Errorf("%w: %s: C rows overlap: ldc %d < NR %d with %d rows", ErrBounds, cp.Name, ldc, b.NR, b.MR)
+		}
+	}
+	if len(progs) > 0 {
+		l.lanes = progs[0].Lanes
+	}
+	return l
+}
+
+// Layout is the one-call layout of cp at lda, ldb and ldc: NewLayout
+// of cp alone, at the Run's base offsets.
+func (cp *Program) Layout(lda, ldb, ldc int64) *Layout {
+	return NewLayout(lda, ldb, ldc, []*Program{cp}, [][3]int64{{}})
+}
+
+// tiles resolves a tile program's chunks in run order at leading
+// dimensions ld, in bytes.
+func (cp *Program) tiles(ld [3]int64) []tile {
+	var ts []tile
+	for _, r := range cp.regions {
+		for i := range r.chunks {
+			ts = append(ts, r.chunks[i].resolve(ld, r.store))
+		}
+	}
+	return ts
+}
+
+// Fits reports whether a Run of l over operands of lenA, lenB and lenC
+// elements at base offsets aOff, bOff and cOff passes its check: the
+// layout is not refused, no base offset is negative, and each base
+// offset plus the block's reach fits its operand. It is the one check
+// Run makes before any call.
 //
-//	A:  off_A + (MR-1)·lda + KC + AOverVectors·σ  ≤ len(A)
-//	B:  off_B + (KC+BOverRows-1)·ldb + NR         ≤ len(B)
-//	C:  off_C + (MR-1)·ldc + NR                   ≤ len(C)
+// The reach replaces the interpreter's per-access checkAddr. The
+// analyzer proved every access of a program has the form
+// off + row·ld + col (in elements here) with 0 ≤ row and 0 ≤ col
+// bounded by the program's extents, so the extreme corner of each
+// panel suffices. A loose program's are the declared extents
+//
+//	A:  (MR-1)·lda + KC + AOverVectors·σ
+//	B:  (KC+BOverRows-1)·ldb + NR
+//	C:  (MR-1)·ldc + NR
 //
 // A tile program is held to its exact extents instead: its only
 // accesses are its chunks' progressions, so the over-read slack the asm
 // kernel's pipelined loads need is never read, and A is
 // (MR-1)·lda + KC, B (KC-1)·ldb + NR for a generated kernel.
-// All offsets and leading dimensions must be non-negative. Offsets and
-// strides are in float32 elements. C's rows must also be disjoint,
-// ldc ≥ NR when MR > 1: the affine regions reorder C loads and stores
-// on that rule (foldC, affine.go).
-func (cp *Program) Precheck(lenA, lenB, lenC int, aOff, bOff, cOff, lda, ldb, ldc int64) error {
-	b := &cp.Bounds
-	ext := [3]int64{cp.ext[0].at(lda), cp.ext[1].at(ldb), cp.ext[2].at(ldc)}
-	switch {
-	case aOff < 0 || bOff < 0 || cOff < 0 || lda < 0 || ldb < 0 || ldc < 0:
-		return fmt.Errorf("%w: %s: negative offset or leading dimension", ErrBounds, cp.Name)
-	case aOff+ext[0] > int64(lenA):
-		return fmt.Errorf("%w: %s: A panel [%d + %d at lda %d] exceeds %d elements",
-			ErrBounds, cp.Name, aOff, ext[0], lda, lenA)
-	case bOff+ext[1] > int64(lenB):
-		return fmt.Errorf("%w: %s: B panel [%d + %d at ldb %d] exceeds %d elements",
-			ErrBounds, cp.Name, bOff, ext[1], ldb, lenB)
-	case cOff+ext[2] > int64(lenC):
-		return fmt.Errorf("%w: %s: C panel [%d + %d at ldc %d] exceeds %d elements",
-			ErrBounds, cp.Name, cOff, ext[2], ldc, lenC)
-	case !b.CRowsDisjoint(ldc):
-		return fmt.Errorf("%w: %s: C rows overlap: ldc %d < NR %d with %d rows",
-			ErrBounds, cp.Name, ldc, b.NR, b.MR)
+func (l *Layout) Fits(lenA, lenB, lenC int, aOff, bOff, cOff int64) bool {
+	return l.err == nil && min(aOff, bOff, cOff) >= 0 &&
+		aOff+l.reach[0] <= int64(lenA) && bOff+l.reach[1] <= int64(lenB) && cOff+l.reach[2] <= int64(lenC)
+}
+
+// refusal returns the error a Run that fails Fits returns.
+func (l *Layout) refusal(n [3]int, off [3]int64) error {
+	if l.err != nil {
+		return l.err
+	}
+	for k, o := range off {
+		if o < 0 {
+			return fmt.Errorf("%w: negative %c offset %d", ErrBounds, "ABC"[k], o)
+		}
+		if o+l.reach[k] > int64(n[k]) {
+			return fmt.Errorf("%w: %d-call block: %c reach [%d + %d at ld %d] exceeds %d elements",
+				ErrBounds, len(l.calls), "ABC"[k], o, l.reach[k], l.ld[k], n[k])
+		}
 	}
 	return nil
 }
 
-// Run executes the compiled program over the three operand slices at
-// the leading dimensions of l, one of the program's layouts: a tile
-// program's chunks in order, or a loose program's segments. Offsets are
-// in float32 elements. It first prechecks the operands (Precheck).
-// maxLoopIters bounds taken loop branches — a backstop against
-// translator bugs, checked once against the program's static count
-// before any work. Run allocates nothing.
+// Run executes the layout's calls in order over the three operand
+// slices, their panels at base offsets aOff, bOff and cOff in float32
+// elements: each call's tile chunks in order, or its loose segments. It
+// checks the whole block once first (Fits) and refuses it with ErrBounds
+// before any call runs. maxLoopIters bounds taken loop branches per
+// call — a backstop against translator bugs, checked once against the
+// largest static count before any work. Every call runs under one
+// recover. Run allocates nothing.
 //
 // The operand slices must not be reallocated for the duration of the
 // call; when they alias a sim.Arena, the arena must be frozen first
 // (see sim.Arena's growth contract). C must not overlap A or B: a tile
 // chunk stores its C tile before the next chunk reads its operands.
-func (cp *Program) Run(e *Env, l *Layout, a, b, c []float32, aOff, bOff, cOff int64, maxLoopIters int) (err error) {
-	if e.lanes != cp.Lanes {
-		return fmt.Errorf("compile: %s: env is %d-lane, program is %d-lane", cp.Name, e.lanes, cp.Lanes)
+func (l *Layout) Run(e *Env, a, b, c []float32, aOff, bOff, cOff int64, maxLoopIters int) (err error) {
+	if !l.Fits(len(a), len(b), len(c), aOff, bOff, cOff) {
+		return l.refusal([3]int{len(a), len(b), len(c)}, [3]int64{aOff, bOff, cOff})
 	}
-	if l.cp != cp {
-		return fmt.Errorf("compile: %s: layout belongs to %s", cp.Name, l.cp.Name)
+	if e.lanes != l.lanes {
+		return fmt.Errorf("compile: env is %d-lane, layout is %d-lane", e.lanes, l.lanes)
 	}
-	lda, ldb, ldc := l.ld[0], l.ld[1], l.ld[2]
-	if err := cp.Precheck(len(a), len(b), len(c), aOff, bOff, cOff, lda, ldb, ldc); err != nil {
-		return err
+	if l.iters > maxLoopIters {
+		return fmt.Errorf("compile: exceeded %d loop iterations: a call takes %d", maxLoopIters, l.iters)
 	}
-	if cp.iters > maxLoopIters {
-		return fmt.Errorf("compile: %s: exceeded %d loop iterations", cp.Name, maxLoopIters)
+	base := [3]unsafe.Pointer{
+		unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), aOff*4),
+		unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), bOff*4),
+		unsafe.Add(unsafe.Pointer(unsafe.SliceData(c)), cOff*4),
 	}
-	e.base[0] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), aOff*4)
-	e.base[1] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), bOff*4)
-	e.base[2] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(c)), cOff*4)
-	e.ld = [3]int64{lda * 4, ldb * 4, ldc * 4}
+	e.ld = [3]int64{l.ld[0] * 4, l.ld[1] * 4, l.ld[2] * 4}
+	i := 0
 	defer func() {
 		e.base = [3]unsafe.Pointer{}
 		if r := recover(); r != nil {
-			err = fmt.Errorf("compile: %s: runtime fault (elision proof violated?): %v", cp.Name, r)
+			err = fmt.Errorf("compile: %s (call %d): runtime fault (elision proof violated?): %v", l.calls[i].cp.Name, i, r)
 		}
 	}()
-	for i := range l.tiles {
-		runTile(e, &l.tiles[i])
-	}
-	for i := range cp.segs {
-		s := &cp.segs[i]
-		for t := int64(0); t < s.trips; t++ {
-			execUops(e, &s.code, t)
+	for ; i < len(l.calls); i++ {
+		cl := &l.calls[i]
+		for k := range base {
+			e.base[k] = unsafe.Add(base[k], cl.off[k])
+		}
+		for j := range cl.tiles {
+			runTile(e, &cl.tiles[j])
+		}
+		for j := range cl.cp.segs {
+			s := &cl.cp.segs[j]
+			for t := int64(0); t < s.trips; t++ {
+				execUops(e, &s.code, t)
+			}
 		}
 	}
 	return nil

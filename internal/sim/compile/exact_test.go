@@ -75,7 +75,7 @@ func requireExactCut(t *testing.T, cp *compile.Program, ops [3][]float32, want [
 		}
 		short := cut
 		short[i] = cut[i][:exact[i]-1]
-		err := cp.Run(compile.NewEnv(cp.Lanes), cp.Layout(lda, ldb, ldc), short[0], short[1], short[2], 0, 0, 0, 1<<30)
+		err := cp.Layout(lda, ldb, ldc).Run(compile.NewEnv(cp.Lanes), short[0], short[1], short[2], 0, 0, 0, 1<<30)
 		if !errors.Is(err, compile.ErrBounds) {
 			t.Fatalf("%s: operand %d one element short of its exact extent %d: %v, want ErrBounds", cp.Name, i, exact[i], err)
 		}
@@ -85,7 +85,7 @@ func requireExactCut(t *testing.T, cp *compile.Program, ops [3][]float32, want [
 			t.Fatalf("%s: a refused run wrote C[%d]", cp.Name, j)
 		}
 	}
-	if err := cp.Run(compile.NewEnv(cp.Lanes), cp.Layout(lda, ldb, ldc), cut[0], cut[1], cut[2], 0, 0, 0, 1<<30); err != nil {
+	if err := cp.Layout(lda, ldb, ldc).Run(compile.NewEnv(cp.Lanes), cut[0], cut[1], cut[2], 0, 0, 0, 1<<30); err != nil {
 		t.Fatalf("%s: run on operands cut to the exact extents %v: %v", cp.Name, exact, err)
 	}
 	for i := range cut[2] {
@@ -121,10 +121,11 @@ func TestExactExtentsNotTileOnly(t *testing.T) {
 		a := make([]float32, bounds.AExtent(lda)-1)
 		bp := make([]float32, bounds.BExtent(ldb))
 		c := make([]float32, bounds.CExtent(ldc))
-		if err := cp.Precheck(len(a), len(bp), len(c), 0, 0, 0, lda, ldb, ldc); !errors.Is(err, compile.ErrBounds) {
-			t.Errorf("%s: Precheck with A one short of its declared extent: %v, want ErrBounds", lf.name, err)
+		l := cp.Layout(lda, ldb, ldc)
+		if l.Fits(len(a), len(bp), len(c), 0, 0, 0) {
+			t.Errorf("%s: Fits with A one short of its declared extent", lf.name)
 		}
-		if err := cp.Run(compile.NewEnv(bounds.Lanes), cp.Layout(lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<20); !errors.Is(err, compile.ErrBounds) {
+		if err := l.Run(compile.NewEnv(bounds.Lanes), a, bp, c, 0, 0, 0, 1<<20); !errors.Is(err, compile.ErrBounds) {
 			t.Errorf("%s: Run with A one short of its declared extent: %v, want ErrBounds", lf.name, err)
 		}
 	}

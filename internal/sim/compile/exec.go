@@ -2,11 +2,13 @@ package compile
 
 import "unsafe"
 
-// Micro-ops: the pre-decoded form segments execute. Operand fields are
-// flat indices into the vector file (pre-multiplied by σ_lane), memory
-// kinds carry their proven operand bank and panel position, and the
-// 4-lane NEON cases are specialized so the hot path is straight stores
-// with no inner loop.
+// Micro-ops: the pre-decoded form a loose program's segments execute.
+// Operand fields are flat indices into the vector file (pre-multiplied
+// by σ_lane), and memory kinds carry their proven operand bank and
+// panel position. Every kind runs any lane count: a generated 4-lane
+// kernel runs as register tiles, not micro-ops, so loose 4-lane
+// programs (hand-built fallbacks and fuzz inputs) need no specialized
+// kinds.
 //
 // The executor addresses the vector file and operand panels through raw
 // pointers (unsafe.Add) rather than checked slice indexing. That is not
@@ -15,21 +17,16 @@ import "unsafe"
 //     (decode) against the architectural register classes;
 //   - panel offsets are covered by the analyzer's affine bounds and
 //     alignment proof (Compile refuses anything unproven) combined with
-//     Run's Precheck of the concrete panel extents.
+//     Layout.Run's check of the block's reach into the concrete panels.
 //
 // The interpreter (sim.Machine) remains the checked reference; the
 // differential suite and fuzz target hold the two bit-identical.
 const (
-	uLoad4 = uint8(iota)
-	uLoadN
-	uStore4
+	uLoadN = uint8(iota)
 	uStoreN
-	uFmla4
 	uFmlaN
-	uVZero4
 	uVZeroN
-	uFmlaRun4 // [a,b) of the segment's fmla table, 4-lane specialization
-	uFmlaRunN
+	uFmlaRunN // [a,b) of the segment's fmla table
 )
 
 // uop is one micro-op. A memory op moves lanes floats between vector
@@ -80,7 +77,7 @@ func fuseFmla(body []uop) ([]uop, []fmla) {
 	var fm []fmla
 	for i := 0; i < len(body); i++ {
 		u := body[i]
-		if u.kind != uFmla4 && u.kind != uFmlaN {
+		if u.kind != uFmlaN {
 			out = append(out, u)
 			continue
 		}
@@ -96,13 +93,7 @@ func fuseFmla(body []uop) ([]uop, []fmla) {
 		for _, v := range body[i:j] {
 			fm = append(fm, fmla{d: v.d * 4, a: v.a * 4, b: v.b * 4})
 		}
-		run := uop{a: start, b: int32(len(fm)), lanes: u.lanes}
-		if u.kind == uFmla4 {
-			run.kind = uFmlaRun4
-		} else {
-			run.kind = uFmlaRunN
-		}
-		out = append(out, run)
+		out = append(out, uop{kind: uFmlaRunN, a: start, b: int32(len(fm)), lanes: u.lanes})
 		i = j - 1
 	}
 	return out, fm
@@ -124,41 +115,6 @@ func execUops(e *Env, c *code, t int64) {
 	for i := range c.body {
 		u := &c.body[i]
 		switch u.kind {
-		case uFmlaRun4:
-			// Consecutive entries usually share the full-vector
-			// multiplicand (one B vector against MR accumulator rows),
-			// so it is reloaded only when it changes. Scalar locals, not
-			// a [4]float32: Go keeps arrays longer than one on the stack.
-			lastA := int32(-1)
-			var a0, a1, a2, a3 float32
-			for j := u.a; j < u.b; j++ {
-				f := &fm[j]
-				if f.a != lastA {
-					av := vec4(vp, int64(f.a))
-					a0, a1, a2, a3 = av[0], av[1], av[2], av[3]
-					lastA = f.a
-				}
-				s := *f32(vp, int64(f.b))
-				d := vec4(vp, int64(f.d))
-				d[0] += a0 * s
-				d[1] += a1 * s
-				d[2] += a2 * s
-				d[3] += a3 * s
-			}
-		case uLoad4:
-			*vec4(vp, int64(u.d)*4) = *vec4(e.base[u.bank], u.at(e, t))
-		case uStore4:
-			*vec4(e.base[u.bank], u.at(e, t)) = *vec4(vp, int64(u.d)*4)
-		case uFmla4:
-			s := *f32(vp, int64(u.b)*4)
-			d := vec4(vp, int64(u.d)*4)
-			a := vec4(vp, int64(u.a)*4)
-			d[0] += a[0] * s
-			d[1] += a[1] * s
-			d[2] += a[2] * s
-			d[3] += a[3] * s
-		case uVZero4:
-			*vec4(vp, int64(u.d)*4) = [4]float32{}
 		case uFmlaRunN:
 			ln := int64(u.lanes)
 			for j := u.a; j < u.b; j++ {

@@ -167,7 +167,7 @@ func AffineRunner(cp *Program, e *Env, a, b, c []float32, lda, ldb, ldc int64, p
 		base = e.base
 		loop(e, t)
 	}
-	err = cp.Run(e, cp.Layout(lda, ldb, ldc), a, b, c, 0, 0, 0, 1<<30)
+	err = cp.Layout(lda, ldb, ldc).Run(e, a, b, c, 0, 0, 0, 1<<30)
 	runTile = loop
 	if portable {
 		loop = execTile

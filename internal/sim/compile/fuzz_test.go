@@ -14,8 +14,8 @@ import (
 // FuzzCompileDiff feeds random short programs through Compile and, for
 // every program the analyzer proves, cross-checks the compiled backend
 // against the checked interpreter. The invariant under test is the
-// bounds-elision contract itself: if Compile succeeds and Precheck
-// accepts the operands, the unchecked compiled run must neither fault
+// bounds-elision contract itself: if Compile succeeds and the layout's
+// reach check accepts the operands, the compiled run must neither fault
 // nor diverge from the interpreter on C, bit for bit. (The compiled
 // form has no scalar registers, flags or predicates: the analyzer
 // resolved them into each access's panel position and each loop's trip
@@ -91,7 +91,7 @@ func compileDiff(t *testing.T, data []byte) {
 	// C rows that overlap (ldc < NR) must be refused before any work.
 	got := append([]float32(nil), ops[2]...)
 	overlap := int64(len(data)) % ldc
-	err = cp.Run(compile.NewEnv(bounds.Lanes), cp.Layout(lda, ldb, overlap), ops[0], ops[1], got, 0, 0, 0, 1<<20)
+	err = cp.Layout(lda, ldb, overlap).Run(compile.NewEnv(bounds.Lanes), ops[0], ops[1], got, 0, 0, 0, 1<<20)
 	if !errors.Is(err, compile.ErrBounds) {
 		t.Fatalf("ldc %d < NR %d: Run returned %v, want ErrBounds", overlap, bounds.NR, err)
 	}

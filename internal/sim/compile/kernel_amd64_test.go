@@ -61,7 +61,7 @@ func TestAffineSSEMatchesGo(t *testing.T) {
 			}
 		}
 		run := func(c []float32) {
-			if err := cp.Run(compile.NewEnv(cp.Lanes), cp.Layout(lda, ldb, ldc), a, bp, c, 0, 0, 0, 1<<30); err != nil {
+			if err := cp.Layout(lda, ldb, ldc).Run(compile.NewEnv(cp.Lanes), a, bp, c, 0, 0, 0, 1<<30); err != nil {
 				t.Fatalf("%s: %v", cp.Name, err)
 			}
 		}

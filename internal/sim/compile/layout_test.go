@@ -164,7 +164,7 @@ func requireMatches(t *testing.T, p *asm.Program, cp *compile.Program, ops [3][]
 	for i, op := range ops {
 		got[i] = append([]float32(nil), op...)
 	}
-	if err := cp.Run(e, cp.Layout(lda, ldb, ldc), got[0], got[1], got[2], 0, 0, 0, 1<<30); err != nil {
+	if err := cp.Layout(lda, ldb, ldc).Run(e, got[0], got[1], got[2], 0, 0, 0, 1<<30); err != nil {
 		t.Fatalf("%s: %v", cp.Name, err)
 	}
 	for i, w := range [3][]float32{ops[0], ops[1], want} {
