@@ -81,7 +81,7 @@ type Options struct {
 	Pack       string // "none", "online", "offline", or "" for automatic
 	NoRotate   bool   // disable rotating register allocation (§III-C1)
 	NoFuse     bool   // disable epilogue-prologue fusion (§III-C2)
-	Cores      int    // cores for performance estimation (0 = 1)
+	Cores      int    // estimation only: cores Estimate projects (0 = 1); shapes no plan
 }
 
 // Perf is a projected execution profile on the engine's chip.
@@ -236,7 +236,6 @@ func (e *Engine) resolve(opts *Options) (core.Options, error) {
 	co.MC, co.NC, co.KC = opts.MC, opts.NC, opts.KC
 	co.Rotate = !opts.NoRotate
 	co.Fuse = !opts.NoFuse
-	co.Cores = opts.Cores
 	if opts.Pack != "" {
 		p, err := core.PackFromString(opts.Pack)
 		if err != nil {
@@ -280,13 +279,18 @@ func (e *Engine) MultiplyContext(ctx context.Context, g GEMM) error {
 	return e.run(ctx, g)
 }
 
-// Estimate projects the performance of the plan on the engine's chip.
+// Estimate projects the performance of the plan on the engine's chip,
+// on opts.Cores cores (one when opts is nil or Cores is 0).
 func (e *Engine) Estimate(m, n, k int, opts *Options) (Perf, error) {
 	p, err := e.plan(opts, m, n, k)
 	if err != nil {
 		return Perf{}, err
 	}
-	est, err := p.Estimate()
+	cores := 1
+	if opts != nil {
+		cores = max(1, opts.Cores)
+	}
+	est, err := p.EstimateAt(cores)
 	if err != nil {
 		return Perf{}, err
 	}

@@ -40,23 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	arena := sim.NewArena(1 << 18)
-	aAddr := arena.Alloc(*mr**kc + 2*chip.Lanes)
-	bAddr := arena.Alloc((*kc + 4) * (*nr + chip.Lanes))
-	cAddr := arena.Alloc(*mr * (*nr + chip.Lanes))
-	mach := sim.NewMachine(arena, chip.Lanes)
-	mach.SetArg(0, aAddr)
-	mach.SetArg(1, bAddr)
-	mach.SetArg(2, cAddr)
-	mach.SetArg(3, int64(*kc))
-	mach.SetArg(4, int64(*nr))
-	mach.SetArg(5, int64(*nr))
-
-	model := sim.NewModel(chip)
-	model.Caches = nil
-	model.AssumeLoadLat = chip.LatLoad
-	model.KeepEvents = *timeline
-	res, err := model.RunAndTime(prog, mach, 1<<30)
+	model := &sim.Model{Chip: chip, AssumeLoadLat: chip.LatLoad, KeepEvents: *timeline}
+	res, err := model.TimeKernel(prog, *mr, *nr, *kc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,12 +79,10 @@ type Options struct {
 	// full generatable tile space.
 	DMTCandidates []mkernel.Tile
 
-	// CallOverhead adds fixed cycles per GEMM call (library dispatch);
-	// used by the baseline library models.
+	// CallOverhead adds fixed cycles per GEMM call (library dispatch) to
+	// every estimate; used by the baseline library models. Runtime-only:
+	// it changes no plan, so it never enters the plan fingerprint.
 	CallOverhead int
-
-	// Cores used by cycle estimation; 0 or 1 is single-core.
-	Cores int
 
 	// ForceKCisK pins k_c = K, reproducing the paper's multi-core
 	// limitation ("TVM does not support parallelism over the K
@@ -98,10 +96,11 @@ type Options struct {
 	ForceInterp bool
 
 	// Runtime is the scheduler the attached plan executes on — a
-	// runtime-only field (like ForceInterp and Strategy) that never
-	// enters the plan fingerprint. nil selects the shared process-wide
-	// pool; engines pass their own pool so WithWorkers/WithQueueDepth
-	// and Close govern every execution they serve.
+	// runtime-only field (like ForceInterp, Strategy and CallOverhead)
+	// that never enters the plan fingerprint. nil selects the shared
+	// process-wide pool; engines pass their own pool so
+	// WithWorkers/WithQueueDepth and Close govern every execution they
+	// serve.
 	Runtime *sched.Pool
 
 	// Kernels is the kernel cache the attached plan generates, analyzes

@@ -112,10 +112,9 @@ func (p *Plan) blockCostFor(hier *cache.Hierarchy, bandCache map[bandCostKey]flo
 	return bc, nil
 }
 
-// Estimate projects the plan's runtime at the plan's configured core
-// count (Options.Cores; 0 or 1 is single-core). See EstimateAt.
+// Estimate projects the plan's runtime on one core. See EstimateAt.
 func (p *Plan) Estimate() (Estimate, error) {
-	return p.EstimateAt(max(1, p.Opts.Cores))
+	return p.EstimateAt(1)
 }
 
 // EstimateAt projects the plan's runtime on `cores` cores: the memoized
@@ -172,24 +171,8 @@ func (p *Plan) bandCycles(memo map[bandCostKey]float64, spec mkernel.Spec, lat, 
 	if err != nil {
 		return 0, err
 	}
-	lanes := p.Chip.Lanes
-	arena := sim.NewArena(mr*kc + (kc+4)*(width+lanes) + mr*(width+lanes) + 4096)
-	aAddr := arena.Alloc(mr*kc + 2*lanes)
-	bAddr := arena.Alloc((kc + 4) * (width + lanes))
-	cAddr := arena.Alloc(mr * (width + lanes))
-	mach := sim.NewMachine(arena, lanes)
-	mach.SetArg(0, aAddr)
-	mach.SetArg(1, bAddr)
-	mach.SetArg(2, cAddr)
-	mach.SetArg(3, int64(kc))
-	mach.SetArg(4, int64(width))
-	mach.SetArg(5, int64(width))
-
-	model := sim.NewModel(p.Chip)
-	model.Caches = nil
-	model.AssumeLoadLat = lat
-
-	res, err := model.RunAndTime(prog, mach, 1<<31)
+	model := &sim.Model{Chip: p.Chip, AssumeLoadLat: lat}
+	res, err := model.TimeKernel(prog, mr, width, kc)
 	if err != nil {
 		return 0, err
 	}

@@ -19,6 +19,23 @@ func estimateFor(t *testing.T, chip *hw.Chip, m, n, k int, opts Options) Estimat
 	return est
 }
 
+// estimatesAt plans a problem once with the default options and
+// projects it at each core count.
+func estimatesAt(t *testing.T, chip *hw.Chip, m, n, k int, cores ...int) []Estimate {
+	t.Helper()
+	plan, err := NewPlan(chip, m, n, k, AutoOptions(chip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Estimate, len(cores))
+	for i, c := range cores {
+		if out[i], err = plan.EstimateAt(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestEstimateSanity: efficiency bounded, components positive, GFLOPS
 // consistent with cycles.
 func TestEstimateSanity(t *testing.T) {
@@ -99,11 +116,8 @@ func TestKP920L1Cliff(t *testing.T) {
 // single-group chips must scale nearly linearly on a large problem.
 func TestMultiCoreScaling(t *testing.T) {
 	chip := hw.Graviton2()
-	opts := AutoOptions(chip)
-	opts.Cores = 1
-	one := estimateFor(t, chip, 64, 12544, 147, opts)
-	opts.Cores = chip.Cores
-	all := estimateFor(t, chip, 64, 12544, 147, opts)
+	est := estimatesAt(t, chip, 64, 12544, 147, 1, chip.Cores)
+	one, all := est[0], est[1]
 	speedup := one.Cycles / all.Cycles
 	parEff := speedup / float64(chip.Cores)
 	if parEff < 0.90 {
@@ -119,13 +133,8 @@ func TestMultiCoreScaling(t *testing.T) {
 // high within one CMG.
 func TestA64FXScalingCollapse(t *testing.T) {
 	chip := hw.A64FX()
-	opts := AutoOptions(chip)
-	opts.Cores = 1
-	one := estimateFor(t, chip, 64, 12544, 147, opts)
-	opts.Cores = 12 // one CMG
-	cmg := estimateFor(t, chip, 64, 12544, 147, opts)
-	opts.Cores = 48
-	all := estimateFor(t, chip, 64, 12544, 147, opts)
+	est := estimatesAt(t, chip, 64, 12544, 147, 1, 12, 48) // 12: one CMG
+	one, cmg, all := est[0], est[1], est[2]
 
 	effCMG := one.Cycles / cmg.Cycles / 12
 	effAll := one.Cycles / all.Cycles / 48

@@ -50,8 +50,7 @@ func RequestOf(chip *hw.Chip, m, n, k int, opts Options) plan.Request {
 		MC: opts.MC, NC: opts.NC, KC: opts.KC,
 		Pack:   opts.Pack.String(),
 		Rotate: opts.Rotate, Fuse: opts.Fuse,
-		Cores: opts.Cores, Over: opts.CallOverhead, KCisK: opts.ForceKCisK,
-		Tiler: strategyName(opts),
+		KCisK: opts.ForceKCisK, Tiler: strategyName(opts),
 	}
 	for _, t := range opts.DMTCandidates {
 		req.Cands = append(req.Cands, t.String())
@@ -482,9 +481,10 @@ func gridCount(total, bs, size int) int {
 // the static plan audit — coverage, bounds composition and kernel-key
 // consistency are re-proven before any kernel can execute, so a
 // corrupt or tampered registry entry is rejected here and the caller
-// falls back to fresh planning. runtime carries only the
-// non-serializable toggles (ForceInterp, a custom Strategy for later
-// re-planning, TrustedPlan).
+// falls back to fresh planning. runtime carries only what the recipe
+// does not: ForceInterp, a custom Strategy for later re-planning,
+// TrustedPlan, the scheduler (Runtime), the kernel cache (Kernels) and
+// the CallOverhead the estimates charge.
 func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("core: nil chip")
@@ -522,8 +522,6 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 	o.MC, o.NC, o.KC = rec.MC, rec.NC, rec.KC
 	o.Pack = pack
 	o.Rotate, o.Fuse = rec.Request.Rotate, rec.Request.Fuse
-	o.Cores = rec.Request.Cores
-	o.CallOverhead = rec.Request.Over
 	o.ForceKCisK = rec.Request.KCisK
 
 	p := &Plan{

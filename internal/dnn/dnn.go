@@ -55,8 +55,7 @@ func (e *Engine) GEMMSeconds(model workload.DNNModel, p baselines.Provider) (flo
 		if err != nil {
 			return 0, err
 		}
-		plan.Opts.Cores = e.Cores
-		est, err := plan.Estimate()
+		est, err := plan.EstimateAt(e.Cores)
 		if err != nil {
 			return 0, err
 		}

@@ -61,19 +61,8 @@ func AblationPrefetch() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			arena := sim.NewArena(1 << 18)
-			aAddr := arena.Alloc(tile.MR*kc + 2*chip.Lanes)
-			bAddr := arena.Alloc((kc + 4) * (tile.NR + chip.Lanes))
-			cAddr := arena.Alloc(tile.MR * (tile.NR + chip.Lanes))
-			mach := sim.NewMachine(arena, chip.Lanes)
-			mach.SetArg(0, aAddr)
-			mach.SetArg(1, bAddr)
-			mach.SetArg(2, cAddr)
-			mach.SetArg(3, int64(kc))
-			mach.SetArg(4, int64(tile.NR))
-			mach.SetArg(5, int64(tile.NR))
 			model := sim.NewModel(chip) // cache hierarchy active, cold
-			res, err := model.RunAndTime(prog, mach, 1<<30)
+			res, err := model.TimeKernel(prog, tile.MR, tile.NR, kc)
 			if err != nil {
 				return t, err
 			}
@@ -137,21 +126,8 @@ func AblationResidency() (Table, error) {
 	names := []string{"L1", "L2", "L3", "DRAM"}
 	for lvl := 0; lvl <= 3; lvl++ {
 		lat := hier.LatencyOfLevel(lvl)
-		arena := sim.NewArena(1 << 18)
-		aAddr := arena.Alloc(5*64 + 8)
-		bAddr := arena.Alloc(68 * 80)
-		cAddr := arena.Alloc(5 * 80)
-		mach := sim.NewMachine(arena, chip.Lanes)
-		mach.SetArg(0, aAddr)
-		mach.SetArg(1, bAddr)
-		mach.SetArg(2, cAddr)
-		mach.SetArg(3, 64)
-		mach.SetArg(4, 64)
-		mach.SetArg(5, 64)
-		model := sim.NewModel(chip)
-		model.Caches = nil
-		model.AssumeLoadLat = lat
-		res, err := model.RunAndTime(prog, mach, 1<<30)
+		model := &sim.Model{Chip: chip, AssumeLoadLat: lat}
+		res, err := model.TimeKernel(prog, 5, 64, 64)
 		if err != nil {
 			return t, err
 		}

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"autogemm/internal/baselines"
+	"autogemm/internal/workload"
 )
 
 func parseF(t *testing.T, s string) float64 {
@@ -345,6 +348,36 @@ func TestFig9AutoGEMMLeads(t *testing.T) {
 	}
 	if frac := float64(worse) / float64(total); frac > 0.05 {
 		t.Errorf("autoGEMM loses to OpenBLAS/Eigen on %.0f%% of single-core layers", frac*100)
+	}
+}
+
+// TestFig9MultiCorePinsKC: Fig 9's multi-core autoGEMM rows reproduce
+// the TVM integration's k_c = K limit (§V-C), so every plan they are
+// estimated from runs with k_c = K, while the single-core plans keep
+// their own blocking.
+func TestFig9MultiCorePinsKC(t *testing.T) {
+	auto := baselines.AutoGEMM()
+	unpinned := 0
+	for _, chip := range fig9Chips() {
+		for _, s := range workload.ResNet50() {
+			multi, err := fig9Plan(auto, chip, s, chip.Cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if multi.Opts.KC != s.K {
+				t.Errorf("%s %s at %d cores: k_c = %d, want K = %d", chip.Name, s.Name, chip.Cores, multi.Opts.KC, s.K)
+			}
+			single, err := fig9Plan(auto, chip, s, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if single.Opts.KC < s.K {
+				unpinned++
+			}
+		}
+	}
+	if unpinned == 0 {
+		t.Error("no single-core plan blocks K: the pin would show in no row")
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"autogemm/internal/asm"
 	"autogemm/internal/hw"
 	"autogemm/internal/mkernel"
 	"autogemm/internal/perfmodel"
@@ -123,23 +124,13 @@ func simulateKernel(chip *hw.Chip, tile mkernel.Tile, kc int, rotate bool) (int6
 	if err != nil {
 		return 0, err
 	}
-	arena := sim.NewArena(1 << 16)
-	aAddr := arena.Alloc(tile.MR*kc + 2*chip.Lanes)
-	bAddr := arena.Alloc((kc + 4) * (tile.NR + chip.Lanes))
-	cAddr := arena.Alloc(tile.MR * (tile.NR + chip.Lanes))
-	m := sim.NewMachine(arena, chip.Lanes)
-	m.SetArg(0, aAddr)
-	m.SetArg(1, bAddr)
-	m.SetArg(2, cAddr)
-	m.SetArg(3, int64(kc))
-	m.SetArg(4, int64(tile.NR))
-	m.SetArg(5, int64(tile.NR))
-	model := sim.NewModel(chip)
-	model.Caches = nil
-	model.AssumeLoadLat = chip.LatLoad
-	res, err := model.RunAndTime(prog, m, 1<<30)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles, nil
+	return timeAtLoadLat(chip, prog, tile.MR, tile.NR, kc)
+}
+
+// timeAtLoadLat times one kernel over an mr×nr tile at the chip's fixed
+// load latency, with no cache hierarchy.
+func timeAtLoadLat(chip *hw.Chip, prog *asm.Program, mr, nr, kc int) (int64, error) {
+	model := &sim.Model{Chip: chip, AssumeLoadLat: chip.LatLoad}
+	res, err := model.TimeKernel(prog, mr, nr, kc)
+	return res.Cycles, err
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"autogemm/internal/baselines"
+	"autogemm/internal/core"
 	"autogemm/internal/hw"
 	"autogemm/internal/workload"
 )
@@ -19,8 +20,7 @@ func Fig9() (Table, error) {
 		baselines.OpenBLAS(), baselines.Eigen(), baselines.LibShalom(),
 		baselines.SSL2(), baselines.AutoGEMM(),
 	}
-	chips := []*hw.Chip{hw.KP920(), hw.Graviton2(), hw.Altra(), hw.A64FX()}
-	for _, chip := range chips {
+	for _, chip := range fig9Chips() {
 		for _, cores := range []int{1, chip.Cores} {
 			for _, s := range workload.ResNet50() {
 				row := []interface{}{chip.Name, cores, s.Name}
@@ -29,17 +29,11 @@ func Fig9() (Table, error) {
 						row = append(row, "-")
 						continue
 					}
-					plan, err := p.Plan(chip, s.M, s.N, s.K)
+					plan, err := fig9Plan(p, chip, s, cores)
 					if err != nil {
 						return t, err
 					}
-					plan.Opts.Cores = cores
-					if cores > 1 && p.Name == "autoGEMM" {
-						// §V-C: the TVM integration cannot split K across
-						// cores, so k_c stays pinned to K in parallel runs.
-						plan.Opts.ForceKCisK = true
-					}
-					est, err := plan.Estimate()
+					est, err := plan.EstimateAt(cores)
 					if err != nil {
 						return t, err
 					}
@@ -52,4 +46,21 @@ func Fig9() (Table, error) {
 	t.Note("paper: single core 1.3x (up to 1.9x) over OpenBLAS, 1.5x (up to 2.0x) over Eigen; " +
 		"multi-core large-K layers (L7, L12, L17, L20) degrade for autoGEMM")
 	return t, nil
+}
+
+// fig9Chips are the chips Fig 9 reports, in row order.
+func fig9Chips() []*hw.Chip {
+	return []*hw.Chip{hw.KP920(), hw.Graviton2(), hw.Altra(), hw.A64FX()}
+}
+
+// fig9Plan builds provider p's plan for one Fig 9 cell. §V-C: the TVM
+// integration cannot split K across cores, so autoGEMM's multi-core
+// plans are made with k_c pinned to K.
+func fig9Plan(p baselines.Provider, chip *hw.Chip, s workload.Shape, cores int) (*core.Plan, error) {
+	if cores == 1 || p.Name != "autoGEMM" {
+		return p.Plan(chip, s.M, s.N, s.K)
+	}
+	opts := p.Configure(chip, s.M, s.N, s.K)
+	opts.ForceKCisK = true
+	return core.NewPlan(chip, s.M, s.N, s.K, opts)
 }

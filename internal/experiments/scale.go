@@ -35,8 +35,7 @@ func Fig10() (Table, error) {
 				if err != nil {
 					return t, err
 				}
-				plan.Opts.Cores = cores
-				est, err := plan.Estimate()
+				est, err := plan.EstimateAt(cores)
 				if err != nil {
 					return t, err
 				}
@@ -62,18 +61,16 @@ func Fig11() (Table, error) {
 		return t, err
 	}
 	for _, chip := range hw.All() {
+		plan, err := core.NewPlan(chip, s.M, s.N, s.K, core.AutoOptions(chip))
+		if err != nil {
+			return t, err
+		}
 		var base float64
 		for cores := 1; ; cores *= 2 {
 			if cores > chip.Cores {
 				cores = chip.Cores
 			}
-			opts := core.AutoOptions(chip)
-			opts.Cores = cores
-			plan, err := core.NewPlan(chip, s.M, s.N, s.K, opts)
-			if err != nil {
-				return t, err
-			}
-			est, err := plan.Estimate()
+			est, err := plan.EstimateAt(cores)
 			if err != nil {
 				return t, err
 			}

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"autogemm/internal/asm"
 	"autogemm/internal/hw"
 	"autogemm/internal/mkernel"
-	"autogemm/internal/refgemm"
-	"autogemm/internal/sim"
 )
 
 // SVEEdge compares the two ways of handling an n edge that is not a
@@ -57,7 +54,7 @@ func timePadded(chip *hw.Chip, tile mkernel.Tile, kc int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return timeOnChip(chip, prog, tile.MR, tile.NR, kc, chip.Lanes)
+	return timeAtLoadLat(chip, prog, tile.MR, tile.NR, kc)
 }
 
 // timePredicated measures the exact-width predicated kernel.
@@ -68,29 +65,5 @@ func timePredicated(chip *hw.Chip, tile mkernel.Tile, kc int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return timeOnChip(chip, prog, tile.MR, tile.NR, kc, chip.Lanes)
-}
-
-func timeOnChip(chip *hw.Chip, p *asm.Program, mr, nr, kc, lanes int) (int64, error) {
-	arena := sim.NewArena(1 << 18)
-	aAddr := arena.Alloc(mr*kc + 2*lanes)
-	bAddr := arena.Alloc((kc + 4) * (nr + lanes))
-	cAddr := arena.Alloc(mr * (nr + lanes))
-	refgemm.Fill(arena.Slice(aAddr, mr*kc), mr, kc, kc, 1)
-	refgemm.Fill(arena.Slice(bAddr, kc*nr), kc, nr, nr, 2)
-	mach := sim.NewMachine(arena, lanes)
-	mach.SetArg(0, aAddr)
-	mach.SetArg(1, bAddr)
-	mach.SetArg(2, cAddr)
-	mach.SetArg(3, int64(kc))
-	mach.SetArg(4, int64(nr))
-	mach.SetArg(5, int64(nr))
-	model := sim.NewModel(chip)
-	model.Caches = nil
-	model.AssumeLoadLat = chip.LatLoad
-	res, err := model.RunAndTime(p, mach, 1<<30)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles, nil
+	return timeAtLoadLat(chip, prog, tile.MR, tile.NR, kc)
 }

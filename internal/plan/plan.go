@@ -45,7 +45,9 @@ const (
 // Request captures the planning inputs exactly as the caller supplied
 // them — zero block extents mean "choose automatically", Pack may be
 // "auto" — so that two identical requests always fingerprint alike
-// regardless of what they resolve to.
+// regardless of what they resolve to. It holds only what shapes the
+// plan: the core count and the per-call overhead an estimate charges
+// are arguments of the estimate, not of the request.
 type Request struct {
 	Chip   string   `json:"chip"`
 	M      int      `json:"m"`
@@ -57,8 +59,6 @@ type Request struct {
 	Pack   string   `json:"pack"`
 	Rotate bool     `json:"rotate"`
 	Fuse   bool     `json:"fuse"`
-	Cores  int      `json:"cores,omitempty"`
-	Over   int      `json:"callOverhead,omitempty"`
 	KCisK  bool     `json:"forceKCisK,omitempty"`
 	Tiler  string   `json:"tiler"`
 	Cands  []string `json:"candidates,omitempty"` // restricted DMT tile set, "MRxNR"
@@ -67,12 +67,15 @@ type Request struct {
 // Fingerprint hashes the request and the plan format version into a
 // stable hex key. Everything that can change the produced plan is in
 // the hash; nothing else is. It names a plan on disk and in reports;
-// the in-memory cache is keyed by Key instead.
+// the in-memory cache is keyed by Key instead. The two literal zeros
+// stand where format 2 once hashed a core count and a call overhead;
+// every plan an engine wrote had both at 0, so keeping them keeps each
+// fingerprint already on disk.
 func (r Request) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "autogemm-plan-v%d|%s|%d|%d|%d|%d|%d|%d|%s|%v|%v|%d|%d|%v|%s",
+	fmt.Fprintf(&b, "autogemm-plan-v%d|%s|%d|%d|%d|%d|%d|%d|%s|%v|%v|0|0|%v|%s",
 		FormatVersion, r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC,
-		r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)
+		r.Pack, r.Rotate, r.Fuse, r.KCisK, r.Tiler)
 	b.WriteString(r.canonicalCands())
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
@@ -100,7 +103,6 @@ type Key struct {
 	MC, NC, KC   int
 	Pack         string
 	Rotate, Fuse bool
-	Cores, Over  int
 	KCisK        bool
 	Tiler        string
 	Cands        string // canonicalCands
@@ -111,8 +113,7 @@ type Key struct {
 func (r Request) Key() Key {
 	return Key{
 		Chip: r.Chip, M: r.M, N: r.N, K: r.K, MC: r.MC, NC: r.NC, KC: r.KC,
-		Pack: r.Pack, Rotate: r.Rotate, Fuse: r.Fuse,
-		Cores: r.Cores, Over: r.Over, KCisK: r.KCisK, Tiler: r.Tiler,
+		Pack: r.Pack, Rotate: r.Rotate, Fuse: r.Fuse, KCisK: r.KCisK, Tiler: r.Tiler,
 		Cands: r.canonicalCands(),
 	}
 }
@@ -125,7 +126,7 @@ func HashKey(seed maphash.Seed, k Key) uint64 {
 	var h maphash.Hash
 	h.SetSeed(seed)
 	var b [8]byte
-	for _, v := range [...]int{k.M, k.N, k.K, k.MC, k.NC, k.KC, k.Cores, k.Over} {
+	for _, v := range [...]int{k.M, k.N, k.K, k.MC, k.NC, k.KC} {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}

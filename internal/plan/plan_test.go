@@ -97,8 +97,6 @@ func TestKeyMatchesFingerprint(t *testing.T) {
 		{"pack", func(r *Request) { r.Pack = "online" }},
 		{"rotate", func(r *Request) { r.Rotate = false }},
 		{"fuse", func(r *Request) { r.Fuse = false }},
-		{"cores", func(r *Request) { r.Cores = 4 }},
-		{"over", func(r *Request) { r.Over = 50 }},
 		{"kcisk", func(r *Request) { r.KCisK = true }},
 		{"tiler", func(r *Request) { r.Tiler = "heuristic" }},
 		{"cands-permuted", func(r *Request) { r.Cands = []string{"6x12", "8x8", "5x16"} }},

@@ -263,6 +263,25 @@ func (m *Model) latency(in *asm.Instr, te TraceEntry) int {
 	}
 }
 
+// TimeKernel runs one GEMM micro-kernel on a fresh machine and times it
+// under m, which the caller configures (Caches, AssumeLoadLat,
+// KeepEvents). The kernel reads an mr×kc panel of A and a kc×width
+// panel of B and updates an mr×width tile of C, with x0–x5 set to A, B,
+// C, lda = kc and ldb = ldc = width; each operand carries the slack a
+// kernel's overhanging loads need. Arena.Alloc is a bump allocator, so
+// every call lays the operands out at the same addresses.
+func (m *Model) TimeKernel(p *asm.Program, mr, width, kc int) (TimingResult, error) {
+	lanes := m.Chip.Lanes
+	aWords, bWords, cWords := mr*kc+2*lanes, (kc+4)*(width+lanes), mr*(width+lanes)
+	arena := NewArena(aWords + bWords + cWords + 4096)
+	mach := NewMachine(arena, lanes)
+	for i, v := range [...]int64{arena.Alloc(aWords), arena.Alloc(bWords), arena.Alloc(cWords),
+		int64(kc), int64(width), int64(width)} {
+		mach.SetArg(i, v)
+	}
+	return m.RunAndTime(p, mach, 1<<31)
+}
+
 // RunAndTime executes p functionally on mach (which must have Record set)
 // and then times the captured trace.
 func (m *Model) RunAndTime(p *asm.Program, mach *Machine, maxSteps int) (TimingResult, error) {

@@ -21,17 +21,19 @@ func pathIs(pkgPath, suffix string) bool {
 
 // PlanMut enforces the plan immutability contract: once a *plan.Plan is
 // published, nothing outside the plan package may assign to fields of
-// its structs. The static auditor proves coverage and bounds for a plan
-// at attach time; those proofs stay valid only if the audited value
-// never changes afterwards. Constructing plan values locally (composite
-// literals, field writes on a local non-pointer variable before
-// publication) is fine — the analyzer flags writes that reach a plan
-// struct through a pointer, which is how shared, already-published
-// plans are touched.
+// its structs, and once a *core.Plan is attached, nothing outside the
+// core package may assign to its fields (Opts included). The static
+// auditor proves coverage and bounds for a plan at attach time; those
+// proofs stay valid only if the audited value never changes afterwards,
+// and an attached executor is shared by every caller of its plan cache
+// entry. What varies per use, such as the core count of an estimate, is
+// an argument instead. Constructing values locally (composite literals,
+// field writes on a local non-pointer variable before publication) is
+// fine — the analyzer flags writes that reach a guarded struct through
+// a pointer, which is how shared, already-published plans are touched.
 var PlanMut = &Analyzer{
 	Name: "planmut",
-	Doc:  "no mutation of plan.Plan (or its nested structs) through a pointer outside internal/plan",
-	Skip: func(pkgPath string) bool { return pathIs(pkgPath, "internal/plan") },
+	Doc:  "no mutation of plan.Plan (or its nested structs) outside internal/plan, nor of core.Plan outside internal/core, through a pointer",
 	Run:  runPlanMut,
 }
 
@@ -45,10 +47,8 @@ func runPlanMut(p *Pass) {
 		if !ok || sel.Kind() != types.FieldVal {
 			return
 		}
-		if base, name := planPointerBase(p.Info, lhs); base != nil {
-			p.Reportf(lhs.Sel.Pos(),
-				"assignment to plan.%s.%s through a pointer; plans are immutable after construction — build with plan.Builder or copy with WithSource",
-				name, lhs.Sel.Name)
+		if name, advice := guardedPointerBase(p.Info, p.PkgPath, lhs); name != "" {
+			p.Reportf(lhs.Sel.Pos(), "assignment to %s.%s through a pointer; %s", name, lhs.Sel.Name, advice)
 		}
 	}
 	for _, f := range p.Files {
@@ -72,12 +72,13 @@ func runPlanMut(p *Pass) {
 	}
 }
 
-// planPointerBase walks the access chain of expr (selectors, index
+// guardedPointerBase walks the access chain of expr (selectors, index
 // expressions, parens, derefs) and reports the first operand whose type
-// is a pointer to a struct defined in internal/plan, returning that
-// operand and the struct's name. It returns nil when the chain is
-// rooted in a plain value (a local copy under construction).
-func planPointerBase(info *types.Info, expr ast.Expr) (ast.Expr, string) {
+// is a pointer to a struct that pkgPath may not write (see guarded),
+// returning the struct's qualified name and the fix to suggest. It
+// returns "" when the chain is rooted in a plain value (a local copy
+// under construction).
+func guardedPointerBase(info *types.Info, pkgPath string, expr ast.Expr) (name, advice string) {
 	for {
 		var inner ast.Expr
 		switch e := expr.(type) {
@@ -90,12 +91,14 @@ func planPointerBase(info *types.Info, expr ast.Expr) (ast.Expr, string) {
 		case *ast.StarExpr:
 			inner = e.X
 		default:
-			return nil, ""
+			return "", ""
 		}
 		if tv, ok := info.Types[inner]; ok {
 			if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-				if named, ok := ptr.Elem().(*types.Named); ok && isPlanStruct(named) {
-					return inner, named.Obj().Name()
+				if named, ok := ptr.Elem().(*types.Named); ok {
+					if advice := guarded(named, pkgPath); advice != "" {
+						return named.Obj().Pkg().Name() + "." + named.Obj().Name(), advice
+					}
 				}
 			}
 		}
@@ -103,13 +106,22 @@ func planPointerBase(info *types.Info, expr ast.Expr) (ast.Expr, string) {
 	}
 }
 
-func isPlanStruct(named *types.Named) bool {
+// guarded returns the fix planmut suggests when code in pkgPath may not
+// write named's fields — named is a struct of internal/plan and pkgPath
+// another package, or it is core.Plan and pkgPath is not internal/core —
+// and "" when it may.
+func guarded(named *types.Named, pkgPath string) string {
 	obj := named.Obj()
-	if obj.Pkg() == nil || !pathIs(obj.Pkg().Path(), "internal/plan") {
-		return false
+	if _, ok := named.Underlying().(*types.Struct); !ok || obj.Pkg() == nil {
+		return ""
 	}
-	_, ok := named.Underlying().(*types.Struct)
-	return ok
+	switch owner := obj.Pkg().Path(); {
+	case pathIs(owner, "internal/plan") && !pathIs(pkgPath, "internal/plan"):
+		return "plans are immutable after construction — build with plan.Builder or copy with WithSource"
+	case pathIs(owner, "internal/core") && obj.Name() == "Plan" && !pathIs(pkgPath, "internal/core"):
+		return "attached plans are read-only outside internal/core — set options before core.NewPlan or pass what varies as an argument"
+	}
+	return ""
 }
 
 // UnsafePtr confines unsafe to the compiled-executor package. The JIT

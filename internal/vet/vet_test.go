@@ -40,6 +40,7 @@ func TestSeededDefects(t *testing.T) {
 		pkgPath  string // non-default import path (inclusion-scoped rules)
 	}{
 		{"planmutbad", "planmut", 4, ""},
+		{"coreplanmutbad", "planmut", 3, ""},
 		{"unsafebad", "unsafeptr", 1, ""},
 		{"ctxbad", "ctxfirst", 2, ""},
 		{"gobad", "goroutine", 3, ""},
@@ -108,6 +109,17 @@ func TestSkipExemptsConfinedPackage(t *testing.T) {
 		if f.Analyzer == "goroutine" {
 			t.Errorf("goroutine rule fired inside its own exempt package: %s", f)
 		}
+	}
+}
+
+// TestPlanMutExemptsOwners checks planmut's exemptions: internal/core
+// may write its own attached plans, but not a published plan.Plan.
+func TestPlanMutExemptsOwners(t *testing.T) {
+	if got := runFixtureAs(t, "coreplanmutbad", "autogemm/internal/core"); len(got) != 0 {
+		t.Errorf("core.Plan writes inside internal/core reported: %v", got)
+	}
+	if got := runFixtureAs(t, "planmutbad", "autogemm/internal/core"); len(got) != 4 {
+		t.Errorf("plan.Plan writes inside internal/core: %d finding(s), want 4", len(got))
 	}
 }
 

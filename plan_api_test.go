@@ -156,6 +156,42 @@ func TestRepeatedMultiplyHitsCache(t *testing.T) {
 	}
 }
 
+// TestEstimateCoresShareOnePlan: the core count is an argument of the
+// estimate, not a planning input, so estimating one shape at several
+// core counts plans it once, and each projection is that plan's
+// EstimateAt at the requested count.
+func TestEstimateCoresShareOnePlan(t *testing.T) {
+	const m, n, k = 64, 3136, 64
+	eng, err := New("KP920")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, cores := range []int{1, 2, 4} {
+		perf, err := eng.Estimate(m, n, k, &Options{Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.plan(nil, m, n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := p.EstimateAt(cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perfOf(est); perf != want || perf.Cores != cores {
+			t.Errorf("%d cores: Estimate = %+v, want %+v", cores, perf, want)
+		}
+	}
+	if st := eng.PlanCacheStats(); st.Built != 1 {
+		t.Errorf("Built = %d, want 1 (one plan for every core count)", st.Built)
+	}
+	if got := eng.CachedPlans(); got != 1 {
+		t.Errorf("CachedPlans = %d, want 1", got)
+	}
+}
+
 // TestWarmPlanResolveAllocs: once a shape's plan is cached, resolving
 // it again allocates nothing — the cache key is a comparable value, not
 // a formatted and hashed fingerprint. The tiered engine is held to the
@@ -354,7 +390,8 @@ func TestPlanMismatchRejected(t *testing.T) {
 
 // formatOnePlan re-encodes a plan the way format 1 wrote it: the
 // request's "order" and the plan's "orderResolved" (always "MNK"), and
-// the fingerprint format 1 derived, which hashed the order too.
+// the fingerprint format 1 derived, which hashed the order too (and a
+// core count and call overhead, always 0 in plans an engine wrote).
 func formatOnePlan(t *testing.T, data []byte) []byte {
 	t.Helper()
 	rec, err := plan.Decode(data)
@@ -365,8 +402,8 @@ func formatOnePlan(t *testing.T, data []byte) []byte {
 	if len(r.Cands) > 0 {
 		t.Fatal("formatOnePlan does not hash restricted candidate lists")
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("autogemm-plan-v1|%s|%d|%d|%d|%d|%d|%d|MNK|%s|%v|%v|%d|%d|%v|%s",
-		r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC, r.Pack, r.Rotate, r.Fuse, r.Cores, r.Over, r.KCisK, r.Tiler)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("autogemm-plan-v1|%s|%d|%d|%d|%d|%d|%d|MNK|%s|%v|%v|0|0|%v|%s",
+		r.Chip, r.M, r.N, r.K, r.MC, r.NC, r.KC, r.Pack, r.Rotate, r.Fuse, r.KCisK, r.Tiler)))
 	s := string(data)
 	for _, e := range [][2]string{
 		{`"format": 2,`, `"format": 1,`},
